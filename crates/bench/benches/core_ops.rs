@@ -4,12 +4,49 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use disksim::{BlockDevice, Disk, DiskSpec, SimClock};
-use vlog_core::{AllocConfig, EagerAllocator, FreeMap, MapFlags, MapSector, Vld, VldConfig};
+use vlog_core::{
+    AllocConfig, EagerAllocator, FreeMap, MapFlags, MapSector, VirtualLog, Vld, VldConfig,
+    BLOCK_BYTES,
+};
 
 fn bench_checksum(c: &mut Criterion) {
-    let buf = vec![0xA5u8; 4096];
-    c.bench_function("crc32_4k", |b| {
-        b.iter(|| vlog_core::checksum::crc32(std::hint::black_box(&buf)))
+    // 4 KB is a checkpoint slot; 512 B is a map sector — the checksum every
+    // log append pays.
+    for (name, len) in [("crc32_4k", 4096), ("crc32_512", 512)] {
+        let buf = vec![0xA5u8; len];
+        c.bench_function(name, |b| {
+            b.iter(|| vlog_core::checksum::crc32(std::hint::black_box(&buf)))
+        });
+    }
+}
+
+/// The compactor's hole-plug search on an aged log: overfilled to 88 %,
+/// then randomly trimmed back to 80 % so the free space is scattered holes.
+fn bench_plug_destination(c: &mut Criterion) {
+    let mut spec = DiskSpec::st19101_sim();
+    spec.command_overhead_ns = 0;
+    let mut vlog = VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
+    let block = vec![0x42u8; BLOCK_BYTES];
+    let mut live = Vec::new();
+    for lb in 0..vlog.num_blocks() {
+        if vlog.utilization() >= 0.88 {
+            break;
+        }
+        vlog.write(lb, &block).expect("in range");
+        live.push(lb);
+    }
+    let mut x = 0xA6EDu64;
+    while vlog.utilization() > 0.80 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let lb = live.swap_remove((x >> 16) as usize % live.len());
+        vlog.trim(lb).expect("mapped block");
+    }
+    let head = vlog.disk().head();
+    c.bench_function("plug_destination_aged_80", |b| {
+        b.iter(|| {
+            vlog.find_plug_destination(std::hint::black_box((head.cyl, head.track)))
+                .expect("holes exist")
+        })
     });
 }
 
@@ -121,6 +158,7 @@ fn bench_disk_mechanics(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_checksum,
+    bench_plug_destination,
     bench_mapsector_codec,
     bench_eager_alloc,
     bench_vld_write,

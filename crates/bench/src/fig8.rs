@@ -9,7 +9,7 @@
 //! being updated and reported `df`-style.
 
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind};
 use crate::workload::steady_state_update_ms;
 use fscore::{FileSystem, FsResult, HostModel};
 
@@ -59,12 +59,14 @@ pub fn measure_point(
         System::LfsNvram => (FsKind::Lfs, DevKind::Regular),
     };
     // No built-in warm-up: this figure's warm-up shares the measurement RNG
-    // stream, so it stays on the measured side of the snapshot.
+    // stream. Every point has its own spec and uses it once, so it is built
+    // directly — a snapshot would flatten a whole media image to serve a
+    // single fork.
     let spec = AgedSpec {
         sync_writes: matches!(system, System::UfsRegular | System::UfsVld),
         ..AgedSpec::new(fs_kind, dev, disk, host, frac)
     };
-    let (mut fs, f, file_blocks) = aged_system(&spec)?;
+    let (mut fs, f, file_blocks) = build_aged(&spec)?;
     let util_pct = fs.utilization() * 100.0;
     // LFS amortises its flush/clean cycles over ~1.5k-update periods, so it
     // needs several cycles of measurement to reach steady state; updates

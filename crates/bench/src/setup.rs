@@ -5,7 +5,8 @@
 //! an aged file at some utilisation" describes that state as an
 //! [`AgedSpec`], and [`aged_system`] builds each distinct state once,
 //! snapshots it ([`ufs::UfsSnapshot`]), and hands every cell an independent
-//! copy-on-write fork instead of re-running the setup workload per cell.
+//! copy-on-write fork instead of re-running the setup workload per cell
+//! (cells whose state no other cell shares call [`build_aged`] directly).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -195,12 +196,13 @@ struct CacheEntry {
 }
 
 /// The aged cache holds at most this many snapshots. A snapshot retains
-/// the aged system's full media image and buffer cache (tens of MB), and
-/// figures like Figure 8 mint a fresh single-use key per cell — an
-/// unbounded cache would pin hundreds of MB of dead state for the rest of
-/// the run, whose live heap chunks measurably slow every later build. The
-/// cap only needs to cover the largest genuinely-shared working set
-/// (Table 2 + Figure 9 reuse six keys across sections); eviction can never
+/// the aged system's full media image and buffer cache (tens of MB), so an
+/// unbounded cache would let a caller that mints many keys pin hundreds of
+/// MB of dead state for the rest of the run, whose live heap chunks
+/// measurably slow every later build. The figure suite itself stays far
+/// below the cap: Figures 10 and 11 each fork one key across all their
+/// cells, and cells whose spec is used once (Figure 8, Figure 9 / Table 2)
+/// call [`build_aged`] and never enter the cache. Eviction can never
 /// change results, only cost a rebuild on a later miss.
 const AGED_CACHE_CAP: usize = 8;
 

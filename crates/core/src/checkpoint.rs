@@ -15,7 +15,7 @@
 //! piece is. Sectors older than the checkpoint are recycled freely; the
 //! traversal never descends below the checkpoint sequence.
 
-use crate::checksum::crc32;
+use crate::checksum::{seal, seal_holds};
 use crate::log::PieceLoc;
 use crate::mapsector::NO_LBA;
 use disksim::SECTOR_BYTES;
@@ -25,6 +25,8 @@ pub const CKPT_MAGIC: u32 = 0x5643_4B50;
 
 const HEADER_BYTES: usize = 32;
 const ENTRY_BYTES: usize = 32;
+/// Byte offset of the checksum word within the header.
+const SUM_OFFSET: usize = 12;
 
 /// Placement of the two alternating checkpoint slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,26 +72,42 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialise into a slot image of exactly `sectors * SECTOR_BYTES`.
     pub fn encode(&self, sectors: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; sectors as usize * SECTOR_BYTES];
+        let mut buf = Vec::new();
+        Self::encode_into(self.seq, &self.pieces, sectors, &mut buf);
+        buf
+    }
+
+    /// Serialise a borrowed piece directory into a caller-owned buffer,
+    /// reusing its allocation: the buffer is cleared and resized to the
+    /// slot size. The log checkpoints straight from its live directory
+    /// through the same scratch vector every time, so a checkpoint clones
+    /// nothing and allocates nothing.
+    pub fn encode_into(seq: u64, pieces: &[Option<PieceLoc>], sectors: u64, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.resize(sectors as usize * SECTOR_BYTES, 0);
+        assert!(
+            HEADER_BYTES + pieces.len() * ENTRY_BYTES <= buf.len(),
+            "piece directory outgrew its checkpoint slot"
+        );
         buf[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
         buf[4..6].copy_from_slice(&1u16.to_le_bytes()); // version
-        buf[8..12].copy_from_slice(&(self.pieces.len() as u32).to_le_bytes());
-        buf[16..24].copy_from_slice(&self.seq.to_le_bytes());
-        for (i, p) in self.pieces.iter().enumerate() {
-            let o = HEADER_BYTES + i * ENTRY_BYTES;
+        buf[8..12].copy_from_slice(&(pieces.len() as u32).to_le_bytes());
+        buf[16..24].copy_from_slice(&seq.to_le_bytes());
+        for (entry, p) in buf[HEADER_BYTES..]
+            .chunks_exact_mut(ENTRY_BYTES)
+            .zip(pieces)
+        {
             let (lba, seq, prev) = match p {
                 Some(loc) => (loc.lba, loc.seq, loc.prev),
                 None => (NO_LBA, 0, None),
             };
             let (plba, pseq) = prev.unwrap_or((NO_LBA, 0));
-            buf[o..o + 8].copy_from_slice(&lba.to_le_bytes());
-            buf[o + 8..o + 16].copy_from_slice(&seq.to_le_bytes());
-            buf[o + 16..o + 24].copy_from_slice(&plba.to_le_bytes());
-            buf[o + 24..o + 32].copy_from_slice(&pseq.to_le_bytes());
+            entry[0..8].copy_from_slice(&lba.to_le_bytes());
+            entry[8..16].copy_from_slice(&seq.to_le_bytes());
+            entry[16..24].copy_from_slice(&plba.to_le_bytes());
+            entry[24..32].copy_from_slice(&pseq.to_le_bytes());
         }
-        let sum = crc32(&buf);
-        buf[12..16].copy_from_slice(&sum.to_le_bytes());
-        buf
+        seal(buf, SUM_OFFSET);
     }
 
     /// Decode and validate a slot image; `None` if invalid/torn.
@@ -103,10 +121,7 @@ impl Checkpoint {
         if u16::from_le_bytes(buf[4..6].try_into().ok()?) != 1 {
             return None;
         }
-        let stored = u32::from_le_bytes(buf[12..16].try_into().ok()?);
-        let mut copy = buf.to_vec();
-        copy[12..16].fill(0);
-        if crc32(&copy) != stored {
+        if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
         let n = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;

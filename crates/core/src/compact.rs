@@ -11,11 +11,12 @@
 //! re-appending their piece to the log (which frees the old sector by
 //! construction).
 
-use crate::log::{VirtualLog, BLOCK_SECTORS};
+use crate::log::{VirtualLog, BLOCK_BYTES, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, UNMAPPED};
 use disksim::{Metrics, PhysAddr, Result, SECTOR_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// How compaction victims are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +80,24 @@ pub struct Compactor {
     /// achievable-target computation (geometry never changes). Zero until
     /// first use.
     spt0: u64,
+    /// Working memory reused across victims and runs, so a compaction
+    /// round performs no heap allocation. Not part of [`CompactorState`]:
+    /// a restored compactor regrows it on first use.
+    scratch: Scratch,
+}
+
+/// The compactor's per-victim working memory.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The victim's whole-track image. Grows to the widest track seen and
+    /// is never re-zeroed: the track read overwrites every byte it is
+    /// handed.
+    track_buf: Vec<u8>,
+    /// Live data blocks on the victim: (old physical block, logical block,
+    /// byte offset into `track_buf`).
+    moves: Vec<(u32, u64, usize)>,
+    /// Pieces whose live map sector sits on the victim.
+    resident: Vec<u32>,
 }
 
 /// Plain-data image of a compactor's mutable state (`Send + Sync`),
@@ -104,6 +123,7 @@ impl Compactor {
             metrics: Metrics::disabled(),
             pending_victim: None,
             spt0: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -129,6 +149,7 @@ impl Compactor {
             metrics: Metrics::disabled(),
             pending_victim: state.pending_victim,
             spt0: state.spt0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -288,16 +309,26 @@ impl Compactor {
             let g = &vlog.disk().spec().geometry;
             (g.sectors_per_track(vc)?, g.track_start_lba(vc, vt)?)
         };
+        let track_lbas = start_lba..start_lba + spt as u64;
         // Nothing — data or map sectors — may land on the victim while it
         // is being emptied, or it never empties.
         vlog.alloc.set_avoid(Some((vc, vt)));
 
         // One whole-track read: the compactor works at track granularity.
-        let mut track_buf = vec![0u8; spt as usize * SECTOR_BYTES];
-        vlog.disk_mut().read_sectors(start_lba, &mut track_buf)?;
+        let Scratch {
+            track_buf,
+            moves,
+            resident,
+        } = &mut self.scratch;
+        let track_bytes = spt as usize * SECTOR_BYTES;
+        if track_buf.len() < track_bytes {
+            track_buf.resize(track_bytes, 0);
+        }
+        let track_buf = &mut track_buf[..track_bytes];
+        vlog.disk_mut().read_sectors(start_lba, track_buf)?;
 
         // Collect the live data blocks on this track.
-        let mut moves: Vec<(u32, u64, usize)> = Vec::new(); // (old_pb, lb, buf offset)
+        moves.clear();
         for slot in 0..spt / BLOCK_SECTORS {
             let sector = slot * BLOCK_SECTORS;
             let pb = ((start_lba + sector as u64) / BLOCK_SECTORS as u64) as u32;
@@ -307,65 +338,59 @@ impl Compactor {
             }
         }
 
-        // Group the moves by map piece so each piece commits exactly once.
-        moves.sort_by_key(|&(_, lb, _)| vlog.piece_of(lb));
+        // Group the moves by map piece so each piece commits exactly once,
+        // keeping track order within a piece (physical blocks are distinct,
+        // so the composite key needs no stable sort and no sort scratch).
+        moves.sort_unstable_by_key(|&(pb, lb, _)| (vlog.piece_of(lb), pb));
 
         // Hole-plug the data blocks elsewhere, committing per map piece.
-        let mut batch: Vec<(u64, usize)> = Vec::new();
         let mut current_piece: Option<u32> = None;
-        let flush =
-            |vlog: &mut VirtualLog, batch: &mut Vec<(u64, usize)>, piece: u32| -> Result<()> {
-                if batch.is_empty() {
-                    return Ok(());
-                }
-                vlog.append_piece(piece, MapFlags::EMPTY, None)?;
-                vlog.release_superseded();
-                batch.clear();
-                Ok(())
-            };
-        for (old_pb, lb, off) in moves {
+        for &(old_pb, lb, off) in moves.iter() {
             if clock.now() >= deadline {
                 if let Some(p) = current_piece {
-                    flush(vlog, &mut batch, p)?;
+                    Self::commit_piece(vlog, p)?;
                 }
                 vlog.alloc.set_avoid(None);
                 return Ok(false);
             }
             let piece = vlog.piece_of(lb);
-            if let Some(cur) = current_piece {
-                if cur != piece {
-                    flush(vlog, &mut batch, cur)?;
-                }
+            if let Some(cur) = current_piece.filter(|&cur| cur != piece) {
+                Self::commit_piece(vlog, cur)?;
             }
             current_piece = Some(piece);
-            let data = &track_buf[off..off + BLOCK_SECTORS as usize * SECTOR_BYTES];
-            vlog.relocate_block(lb, old_pb, data, (vc, vt))?;
+            vlog.relocate_block(lb, old_pb, &track_buf[off..off + BLOCK_BYTES], (vc, vt))?;
             self.stats.blocks_moved += 1;
-            batch.push((lb, off));
         }
         if let Some(p) = current_piece {
-            flush(vlog, &mut batch, p)?;
+            Self::commit_piece(vlog, p)?;
         }
 
         // Relocate any live map sectors still on the victim track by
         // re-appending their pieces; a checkpoint then releases the
         // superseded blocks (they are pending until one covers them).
-        let resident: Vec<u32> = vlog.pieces_on_track(vc, vt, &vlog.disk().spec().geometry);
-        let relocated = !resident.is_empty();
-        for piece in resident {
+        resident.clear();
+        vlog.pieces_on_track(&track_lbas, resident);
+        for &piece in resident.iter() {
             if clock.now() >= deadline {
                 vlog.alloc.set_avoid(None);
                 return Ok(false);
             }
-            vlog.append_piece(piece, MapFlags::EMPTY, None)?;
-            vlog.release_superseded();
+            Self::commit_piece(vlog, piece)?;
             self.stats.pieces_relocated += 1;
         }
-        if relocated || vlog.pending_recycle_on_track(vc, vt, &vlog.disk().spec().geometry) {
+        if !resident.is_empty() || vlog.pending_recycle_on_track(&track_lbas) {
             vlog.checkpoint()?;
         }
         vlog.alloc.set_avoid(None);
         Ok(vlog.free_map().free_in_track(vc, vt) == spt)
+    }
+
+    /// Append `piece` to the log — committing every block relocated into it
+    /// since its last append — and release what that supersedes.
+    fn commit_piece(vlog: &mut VirtualLog, piece: u32) -> Result<()> {
+        vlog.append_piece(piece, MapFlags::EMPTY, None)?;
+        vlog.release_superseded();
+        Ok(())
     }
 }
 
@@ -401,23 +426,95 @@ pub mod reference {
     }
 }
 
+/// One hole-plug search in progress (see
+/// [`VirtualLog::find_plug_destination`]).
+struct PlugSearch<'a> {
+    log: &'a VirtualLog,
+    /// The head's (cylinder, track) when the search began.
+    head: (u32, u32),
+    victim: (u32, u32),
+    /// The first free block seen on an *empty* track.
+    last_resort: Option<(u32, u32, u32)>,
+    /// Tracks that survived the index and had a candidate located.
+    tracks_priced: u64,
+    /// Cylinders rejected on the per-cylinder summary alone.
+    cyls_skipped: u64,
+}
+
+impl PlugSearch<'_> {
+    /// The strictly cheapest free aligned block on the non-empty,
+    /// non-victim tracks of `cyl` (lowest track on a tie), noting the first
+    /// empty-track candidate passed on the way.
+    fn best_in_cylinder(&mut self, cyl: u32) -> Option<(u32, u32, u32)> {
+        let (disk, free) = (&self.log.disk, &self.log.free);
+        if !free.cylinder_has_candidate(cyl, BLOCK_SECTORS) {
+            self.cyls_skipped += 1;
+            return None;
+        }
+        let plan = disk.cylinder_pricer(cyl).ok()?;
+        let is_empty =
+            |t| free.free_in_track(cyl, t) == free.sectors_per_track(free.track_index(cyl, t));
+        // The head's own track goes first when it can take the block: every
+        // other track of the cylinder costs at least a head switch, so a
+        // cheaper candidate here wins outright and nothing else is priced.
+        // (An empty head track keeps its place in track order, so "first
+        // empty track seen" still means the lowest-numbered one.)
+        let own = Some(self.head.1).filter(|&t| cyl == self.head.0 && !is_empty(t));
+        let switch_ns = disk.spec().mech.head_switch_ns;
+        let mut best: Option<(u64, u32, u32)> = None; // (cost, track, sector)
+        for t in own
+            .into_iter()
+            .chain((0..free.tracks_in_cylinder()).filter(|&t| Some(t) != own))
+        {
+            if (cyl, t) == self.victim || !free.track_has_candidate(cyl, t, BLOCK_SECTORS) {
+                continue;
+            }
+            let empty = is_empty(t);
+            if empty && self.last_resort.is_some() {
+                continue;
+            }
+            // The cylinder plan assumes a head switch, which the head's own
+            // track does not pay.
+            let pricer = if (cyl, t) == self.head {
+                disk.track_pricer(cyl, t).ok()?
+            } else {
+                disk.track_pricer_from(&plan, t)
+            };
+            let Some(sector) = free.first_aligned_from(cyl, t, pricer.arrival, BLOCK_SECTORS)
+            else {
+                continue;
+            };
+            self.tracks_priced += 1;
+            if empty {
+                self.last_resort = Some((cyl, t, sector));
+                continue;
+            }
+            let cost = disk.priced_cost(&pricer, sector).total_ns();
+            if Some(t) == own && cost < switch_ns {
+                return Some((cyl, t, sector));
+            }
+            if best.is_none_or(|(c, bt, _)| (cost, t) < (c, bt)) {
+                best = Some((cost, t, sector));
+            }
+        }
+        best.map(|(_, t, sector)| (cyl, t, sector))
+    }
+}
+
 impl VirtualLog {
     /// Reverse-map lookup: which logical block lives in physical block `pb`.
     pub(crate) fn rmap_lookup(&self, pb: u32) -> u32 {
         self.rmap[pb as usize]
     }
 
-    /// Pieces whose live map sector sits on the given track.
-    pub(crate) fn pieces_on_track(&self, cyl: u32, track: u32, g: &disksim::Geometry) -> Vec<u32> {
-        self.pieces
-            .iter()
-            .enumerate()
-            .filter_map(|(i, loc)| {
-                let loc = loc.as_ref()?;
-                let p = g.lba_to_phys(loc.lba).ok()?;
-                (p.cyl == cyl && p.track == track).then_some(i as u32)
-            })
-            .collect()
+    /// Append to `out` the pieces whose live map sector sits on the track
+    /// occupying the LBA range `track` (a track's sectors are contiguous in
+    /// LBA space), in piece order.
+    pub(crate) fn pieces_on_track(&self, track: &Range<u64>, out: &mut Vec<u32>) {
+        out.extend(self.pieces.iter().enumerate().filter_map(|(i, loc)| {
+            loc.is_some_and(|loc| track.contains(&loc.lba))
+                .then_some(i as u32)
+        }));
     }
 
     /// Move one live data block off a victim track into a hole elsewhere
@@ -450,10 +547,57 @@ impl VirtualLog {
         Ok(())
     }
 
-    /// A hole-plugging destination: cheapest free aligned block on a
-    /// *non-empty*, non-victim track, widening outward from the head; empty
-    /// tracks are used only as a last resort.
-    fn find_plug_destination(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
+    /// A hole-plugging destination for a block leaving `victim`, as
+    /// `(cyl, track, sector)`: cylinders are visited outward from the head
+    /// (`cyl - d` before `cyl + d`) and the first one holding a free aligned
+    /// block on a *non-empty*, non-victim track wins; within it the
+    /// strictly cheapest track does (the lowest track on a cost tie). Empty
+    /// tracks are used only as a last resort — the first one seen.
+    ///
+    /// The search goes through the same index and pricers as the eager
+    /// allocator: full cylinders and tracks are skipped on the free map's
+    /// O(1) summaries, one repositioning plan serves every track of a
+    /// visited cylinder, each surviving track costs one word-level scan
+    /// from the plan's arrival sector plus one priced candidate, and a
+    /// candidate on the head's own track that beats a head switch ends the
+    /// search at once.
+    pub fn find_plug_destination(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
+        let head = self.disk.head();
+        let cyls = self.free.cylinders();
+        let mut search = PlugSearch {
+            log: self,
+            head: (head.cyl, head.track),
+            victim,
+            last_resort: None,
+            tracks_priced: 0,
+            cyls_skipped: 0,
+        };
+        let found = (0..cyls)
+            .flat_map(|d| {
+                [
+                    head.cyl.checked_sub(d),
+                    (d > 0 && head.cyl + d < cyls).then_some(head.cyl + d),
+                ]
+            })
+            .flatten()
+            .find_map(|cyl| search.best_in_cylinder(cyl));
+        if self.metrics.is_enabled() {
+            self.metrics.inc("compact.plug_searches");
+            self.metrics
+                .add("compact.plug_tracks_priced", search.tracks_priced);
+            self.metrics
+                .add("compact.plug_cyls_skipped", search.cyls_skipped);
+        }
+        found.or(search.last_resort)
+    }
+
+    /// The exhaustive hole-plug scan [`Self::find_plug_destination`]
+    /// replaced — every track of every visited cylinder pays an arrival
+    /// computation, a per-slot free-list scan and an exact positioning cost,
+    /// consulting no summary and no plan — kept as the oracle the indexed
+    /// search is tested against.
+    #[cfg(test)]
+    fn find_plug_destination_scan(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
         let head = self.disk.head();
         let cyls = self.free.cylinders();
         let tracks = self.free.tracks_in_cylinder();
@@ -712,5 +856,146 @@ mod tests {
         });
         c.run(&mut v, 60_000_000_000);
         assert!(v.free_map().empty_tracks() >= before + 2);
+    }
+    /// A log on `spec` whose free map is replaced by `free` — the plug
+    /// search reads only the disk's head/clock and the free map.
+    fn log_with_map(spec: &DiskSpec, free: crate::freemap::FreeMap) -> VirtualLog {
+        let mut spec = spec.clone();
+        spec.command_overhead_ns = 0;
+        let mut v = VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
+        v.free = free;
+        v
+    }
+
+    /// Every block allocated except the listed `(cyl, track, sector)` ones.
+    fn full_map_except(spec: &DiskSpec, holes: &[(u32, u32, u32)]) -> crate::freemap::FreeMap {
+        let g = &spec.geometry;
+        let mut free = crate::freemap::FreeMap::new(g);
+        for c in 0..g.cylinders() {
+            for t in 0..g.tracks_per_cylinder() {
+                free.allocate(c, t, 0, g.sectors_per_track(c).unwrap())
+                    .unwrap();
+            }
+        }
+        for &(c, t, s) in holes {
+            free.release(c, t, s, BLOCK_SECTORS).unwrap();
+        }
+        free
+    }
+
+    /// The indexed hole-plug search picks exactly what the exhaustive scan
+    /// it replaced picks: both drives, aged maps (overfilled, then randomly
+    /// freed back down) from 25 to 97 % full, random head positions and
+    /// rotational phases, and the victim on the head's track, elsewhere in
+    /// the head's cylinder, and far away.
+    #[test]
+    fn indexed_plug_search_matches_exhaustive_scan() {
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            let g = spec.geometry.clone();
+            let (cyls, tracks) = (g.cylinders(), g.tracks_per_cylinder());
+            let mut rng = StdRng::seed_from_u64(0x9106 ^ cyls as u64);
+            for util in [0.25f64, 0.5, 0.75, 0.9, 0.97] {
+                let mut free = crate::freemap::FreeMap::new(&g);
+                let mut used = Vec::new();
+                while free.utilization() < (util + 0.08).min(0.98) {
+                    let (c, t) = (rng.gen_range(0..cyls), rng.gen_range(0..tracks));
+                    let slots = g.sectors_per_track(c).unwrap() / BLOCK_SECTORS;
+                    let s = rng.gen_range(0..slots) * BLOCK_SECTORS;
+                    if free.run_free(c, t, s, BLOCK_SECTORS) {
+                        free.allocate(c, t, s, BLOCK_SECTORS).unwrap();
+                        used.push((c, t, s));
+                    }
+                }
+                while free.utilization() > util {
+                    let (c, t, s) = used.swap_remove(rng.gen_range(0..used.len()));
+                    free.release(c, t, s, BLOCK_SECTORS).unwrap();
+                }
+                let mut v = log_with_map(&spec, free);
+                for _ in 0..40 {
+                    let (hc, ht) = (rng.gen_range(0..cyls), rng.gen_range(0..tracks));
+                    v.disk.seek_to(hc, ht).unwrap();
+                    v.disk
+                        .advance_ns(rng.gen_range(0..spec.mech.revolution_ns()));
+                    let far = ((hc + cyls / 2) % cyls, rng.gen_range(0..tracks));
+                    for victim in [(hc, ht), (hc, (ht + 1) % tracks), far] {
+                        assert_eq!(
+                            v.find_plug_destination(victim),
+                            v.find_plug_destination_scan(victim),
+                            "cyls={cyls} util={util} head=({hc},{ht}) victim={victim:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// With room only on empty tracks the search falls back to one — the
+    /// first the outward scan passes, not the cheapest — and the work
+    /// counters show the full cylinders it never opened.
+    #[test]
+    fn plug_search_last_resort_is_first_empty_track_seen() {
+        let spec = DiskSpec::hp97560_sim();
+        let spt = spec.geometry.sectors_per_track(0).unwrap();
+        let mut free = full_map_except(&spec, &[]);
+        for (c, t) in [(11, 0), (9, 5), (9, 2)] {
+            free.release(c, t, 0, spt).unwrap();
+        }
+        let mut v = log_with_map(&spec, free);
+        let m = Metrics::enabled();
+        v.set_metrics(m.clone());
+        v.disk.seek_to(10, 3).unwrap();
+        let got = v
+            .find_plug_destination((10, 3))
+            .expect("empty tracks exist");
+        assert_eq!(
+            (got.0, got.1),
+            (9, 2),
+            "cylinder 9 precedes 11, track 2 precedes 5"
+        );
+        assert_eq!(Some(got), v.find_plug_destination_scan((10, 3)));
+        assert_eq!(m.counter_value("compact.plug_searches"), 1);
+        assert_eq!(
+            m.counter_value("compact.plug_tracks_priced"),
+            1,
+            "later empty tracks are not priced"
+        );
+        assert_eq!(
+            m.counter_value("compact.plug_cyls_skipped"),
+            spec.geometry.cylinders() as u64 - 2
+        );
+        // Nor does an empty track jump the queue by being under the head.
+        v.free.release(10, 7, 0, spt).unwrap();
+        v.free.release(10, 4, 0, spt).unwrap();
+        v.disk.seek_to(10, 7).unwrap();
+        let got = v.find_plug_destination((3, 3)).expect("empty tracks exist");
+        assert_eq!((got.0, got.1), (10, 4));
+        assert_eq!(Some(got), v.find_plug_destination_scan((3, 3)));
+    }
+
+    #[test]
+    fn plug_search_never_lands_on_the_victim() {
+        let spec = DiskSpec::hp97560_sim();
+        let mut v = log_with_map(&spec, full_map_except(&spec, &[(4, 6, 16), (4, 6, 40)]));
+        v.disk.seek_to(4, 1).unwrap();
+        assert_eq!(v.find_plug_destination((4, 6)), None);
+        assert_eq!(v.find_plug_destination_scan((4, 6)), None);
+        assert!(v.find_plug_destination((4, 5)).is_some());
+    }
+
+    /// Two tracks of the head's cylinder offering a block at the same
+    /// angle cost the same (the HP's track skew is 13 of 72 sectors, so
+    /// 40 + 13·2 ≡ 8 + 13·10 mod 72): the lower track wins.
+    #[test]
+    fn plug_search_breaks_cost_ties_toward_the_lowest_track() {
+        let spec = DiskSpec::hp97560_sim();
+        let mut v = log_with_map(&spec, full_map_except(&spec, &[(0, 10, 8), (0, 2, 40)]));
+        v.disk.seek_to(0, 15).unwrap();
+        let (a, b) = (
+            v.disk.position_cost(0, 2, 40).unwrap(),
+            v.disk.position_cost(0, 10, 8).unwrap(),
+        );
+        assert_eq!(a.total_ns(), b.total_ns(), "the construction must tie");
+        assert_eq!(v.find_plug_destination((5, 5)), Some((0, 2, 40)));
+        assert_eq!(v.find_plug_destination_scan((5, 5)), Some((0, 2, 40)));
     }
 }

@@ -106,9 +106,10 @@ pub struct VirtualLog {
     /// Metrics handle (disabled by default): log-depth / pending-recycle
     /// gauges and the map-sector chain-length histogram.
     pub(crate) metrics: disksim::Metrics,
-    /// Scratch buffer for encoding map sectors: taken, filled and put back
-    /// by every append, so the write hot path performs no heap allocation
-    /// (the same pooling idiom as `disksim`'s track buffers).
+    /// Scratch buffer for encoding map sectors and checkpoint slots: taken,
+    /// filled and put back by every append and checkpoint, so neither
+    /// performs a heap allocation (the same pooling idiom as `disksim`'s
+    /// track buffers).
     append_buf: Vec<u8>,
 }
 
@@ -676,16 +677,14 @@ impl VirtualLog {
                 .observe("vlog.chain_len", self.next_seq - self.checkpoint_seq);
             self.metrics.inc("vlog.checkpoints");
         }
-        let ck = Checkpoint {
-            seq: self.next_seq,
-            pieces: self.pieces.clone(),
-        };
+        let seq = self.next_seq;
         let slot = if self.ckpt_use_b {
             self.ckpt_region.slot_b
         } else {
             self.ckpt_region.slot_a
         };
-        let image = ck.encode(self.ckpt_region.sectors);
+        let mut image = std::mem::take(&mut self.append_buf);
+        Checkpoint::encode_into(seq, &self.pieces, self.ckpt_region.sectors, &mut image);
         let sp = if self.disk.spans().is_enabled() {
             self.disk.spans().open(
                 disksim::SpanKind::LogAppend,
@@ -699,9 +698,10 @@ impl VirtualLog {
         if sp != 0 {
             self.disk.spans().close(sp, self.disk.now_ns());
         }
+        self.append_buf = image;
         let t = t?;
         self.ckpt_use_b = !self.ckpt_use_b;
-        self.checkpoint_seq = ck.seq;
+        self.checkpoint_seq = seq;
         let g = &self.disk.spec().geometry;
         for lba in self.pending_recycle.drain(..) {
             let p = g
@@ -739,18 +739,10 @@ impl VirtualLog {
         self.pending_recycle.len()
     }
 
-    /// Does any pending-recycle block sit on the given track?
-    pub(crate) fn pending_recycle_on_track(
-        &self,
-        cyl: u32,
-        track: u32,
-        g: &disksim::Geometry,
-    ) -> bool {
-        self.pending_recycle.iter().any(|&lba| {
-            g.lba_to_phys(lba)
-                .map(|p| p.cyl == cyl && p.track == track)
-                .unwrap_or(false)
-        })
+    /// Does any pending-recycle block sit on the track occupying the LBA
+    /// range `track` (a track's sectors are contiguous in LBA space)?
+    pub(crate) fn pending_recycle_on_track(&self, track: &std::ops::Range<u64>) -> bool {
+        self.pending_recycle.iter().any(|lba| track.contains(lba))
     }
 
     /// The log-time horizon of the last checkpoint.

@@ -19,7 +19,7 @@
 //! whose commit record never made it to disk, giving atomic multi-block
 //! writes with no extra I/O.
 
-use crate::checksum::crc32;
+use crate::checksum::{seal, seal_holds};
 use disksim::{DiskError, Result, SECTOR_BYTES};
 
 /// Magic number identifying a virtual-log map sector ("VLOG").
@@ -43,6 +43,8 @@ pub const UNMAPPED: u32 = u32::MAX;
 pub const NO_LBA: u64 = u64::MAX;
 
 const HEADER_BYTES: usize = 72;
+/// Byte offset of the checksum word within the header.
+const SUM_OFFSET: usize = 68;
 
 /// Map entries that fit in a piece of `bytes` bytes.
 pub const fn piece_capacity(bytes: usize) -> usize {
@@ -207,14 +209,12 @@ impl MapSectorRef<'_> {
         buf[48..56].copy_from_slice(&bseq.to_le_bytes());
         buf[56..64].copy_from_slice(&txn_id.to_le_bytes());
         buf[64..66].copy_from_slice(&txn_total.to_le_bytes());
-        // buf[66..68] reserved, zero. Checksum goes in 68..72, computed with
-        // the field itself zeroed.
-        for (i, e) in self.entries.iter().enumerate() {
-            let o = HEADER_BYTES + i * 4;
-            buf[o..o + 4].copy_from_slice(&e.to_le_bytes());
+        // buf[66..68] reserved, zero; the checksum word stays zero until
+        // the record is sealed.
+        for (slot, e) in buf[HEADER_BYTES..].chunks_exact_mut(4).zip(self.entries) {
+            slot.copy_from_slice(&e.to_le_bytes());
         }
-        let sum = crc32(buf);
-        buf[68..72].copy_from_slice(&sum.to_le_bytes());
+        seal(buf, SUM_OFFSET);
         Ok(())
     }
 }
@@ -231,10 +231,7 @@ impl MapSector {
         if magic != MAP_MAGIC || version != MAP_VERSION {
             return None;
         }
-        let stored_sum = u32::from_le_bytes(buf[68..72].try_into().ok()?);
-        let mut copy = buf.to_vec();
-        copy[68..72].fill(0);
-        if crc32(&copy) != stored_sum {
+        if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
         let n = u16::from_le_bytes(buf[20..22].try_into().ok()?) as usize;
@@ -249,11 +246,10 @@ impl MapSector {
         let prev_seq = u64::from_le_bytes(buf[32..40].try_into().ok()?);
         let bypass_lba = u64::from_le_bytes(buf[40..48].try_into().ok()?);
         let bypass_seq = u64::from_le_bytes(buf[48..56].try_into().ok()?);
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let o = HEADER_BYTES + i * 4;
-            entries.push(u32::from_le_bytes(buf[o..o + 4].try_into().ok()?));
-        }
+        let entries = buf[HEADER_BYTES..HEADER_BYTES + n * 4]
+            .chunks_exact(4)
+            .map(|e| u32::from_le_bytes([e[0], e[1], e[2], e[3]]))
+            .collect();
         Some(MapSector {
             seq: u64::from_le_bytes(buf[8..16].try_into().ok()?),
             piece: u32::from_le_bytes(buf[16..20].try_into().ok()?),

@@ -11,7 +11,7 @@
 //! record is absent or corrupt and recovery falls back to scanning the disk
 //! for self-identifying map sectors.
 
-use crate::checksum::crc32;
+use crate::checksum::{seal, seal_holds};
 use disksim::SECTOR_BYTES;
 
 /// Magic number for the tail record ("VTAL").
@@ -21,6 +21,9 @@ pub const TAIL_LBA: u64 = 0;
 /// Number of sectors reserved for firmware use at the start of the disk
 /// (one aligned 4 KB physical block).
 pub const FIRMWARE_SECTORS: u64 = 8;
+
+/// Byte offset of the checksum word within the record.
+const SUM_OFFSET: usize = 32;
 
 /// A decoded tail record: where the virtual-log root lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +47,7 @@ impl TailRecord {
         buf[8..16].copy_from_slice(&lba.to_le_bytes());
         buf[16..24].copy_from_slice(&seq.to_le_bytes());
         buf[24..32].copy_from_slice(&self.next_seq.to_le_bytes());
-        let sum = crc32(&buf);
-        buf[32..36].copy_from_slice(&sum.to_le_bytes());
+        seal(&mut buf, SUM_OFFSET);
         buf
     }
 
@@ -61,11 +63,7 @@ impl TailRecord {
         if u16::from_le_bytes(buf[4..6].try_into().ok()?) != 1 {
             return None;
         }
-        let stored = u32::from_le_bytes(buf[32..36].try_into().ok()?);
-        let mut copy = [0u8; SECTOR_BYTES];
-        copy.copy_from_slice(buf);
-        copy[32..36].fill(0);
-        if crc32(&copy) != stored {
+        if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
         let flags = u16::from_le_bytes(buf[6..8].try_into().ok()?);
