@@ -87,9 +87,8 @@ fn aged_map(spec: &DiskSpec, util: f64) -> FreeMap {
     free
 }
 
-/// The three `VLFS_ALLOC` modes side by side on aged disks: the indexed
-/// best-first path must beat the pruned scan, which must beat the naive
-/// oracle, at every fill level.
+/// The two allocator modes side by side on aged disks: the indexed
+/// best-first path must beat the naive oracle at every fill level.
 fn bench_modes_aged(c: &mut Criterion) {
     for pct in [25u32, 50, 75, 90] {
         let mut spec = DiskSpec::st19101_sim();
@@ -98,7 +97,6 @@ fn bench_modes_aged(c: &mut Criterion) {
         let disk = Disk::new(spec, SimClock::new());
         for (label, mode) in [
             ("fast", AllocMode::Fast),
-            ("pruned", AllocMode::Pruned),
             ("reference", AllocMode::Reference),
         ] {
             let mut alloc = EagerAllocator::with_mode(

@@ -70,7 +70,7 @@ pub fn run(trials: u32) -> String {
         .iter()
         .flat_map(|&p| [1u64, 2, 4, 8].iter().map(move |&b| (p, b)))
         .collect();
-    let rows = crate::par::pmap(points, |(p, b)| {
+    let rows = disksim::par::pmap(points, |(p, b)| {
         let m = model(n, p, b, logical);
         let s = simulate(n, p, b, logical, trials, 0xA1 ^ b ^ (p * 100.0) as u64);
         vec![

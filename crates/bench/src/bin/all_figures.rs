@@ -3,9 +3,9 @@
 //!
 //! Sections run in their fixed order on the main thread; within each
 //! section the figure modules fan their independent simulation points
-//! across a scoped thread pool (`vlfs_bench::par`), so stdout is
+//! across a scoped thread pool (`disksim::par`), so stdout is
 //! byte-identical to a fully sequential run. `--threads N` (or the
-//! `VLFS_BENCH_THREADS` env var) pins the pool width; `--timing-json PATH`
+//! `VLFS_THREADS` env var) pins the pool width; `--timing-json PATH`
 //! writes the per-section wall-clock / simulated-event record that
 //! `BENCH_all_figures.json` archives. The human-readable timing report
 //! goes to stderr so it never perturbs the figure text.
@@ -15,22 +15,57 @@
 //! trace (analysed by the `vlstat` binary) and a metrics document; figure
 //! stdout is unaffected.
 
-use vlfs_bench::{par, timing};
+use disksim::par;
+use vlfs_bench::timing;
+
+const USAGE: &str = "usage: all_figures [--quick] [--threads N] [--timing-json PATH] \
+                     [--trace PATH] [--metrics-json PATH]";
+
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    quick: bool,
+    threads: Option<usize>,
+    timing_json: Option<String>,
+    trace: Option<String>,
+    metrics_json: Option<String>,
+}
+
+/// Parse the command line (program name already stripped). Anything not
+/// listed in [`USAGE`] is an error: a mistyped `--quik` must not silently
+/// run the full suite.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut out = Args::default();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--quick" => out.quick = true,
+            "--threads" => {
+                out.threads =
+                    Some(par::parse_threads(&value()?).map_err(|e| format!("--threads: {e}"))?)
+            }
+            "--timing-json" => out.timing_json = Some(value()?),
+            "--trace" => out.trace = Some(value()?),
+            "--metrics-json" => out.metrics_json = Some(value()?),
+            _ => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok(out)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    if let Some(n) = flag_value("--threads").and_then(|v| v.parse::<usize>().ok()) {
+    let Args {
+        quick,
+        threads,
+        timing_json,
+        trace: trace_path,
+        metrics_json: metrics_path,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("all_figures: {e}; {USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(n) = threads {
         par::set_threads(n);
     }
-    let timing_json = flag_value("--timing-json");
-    let trace_path = flag_value("--trace");
-    let metrics_path = flag_value("--metrics-json");
 
     let (w1, t2, files, mb, u8_, u9, b10, b11) = if quick {
         (120, 40, 200, 4, 400, 200, 1200, 800)
@@ -79,6 +114,45 @@ fn main() {
     if let Some(path) = timing_json {
         if let Err(e) = std::fs::write(&path, rec.to_json() + "\n") {
             eprintln!("# failed to write {path}: {e}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn accepts_the_documented_flags() {
+        assert_eq!(parse(""), Ok(Args::default()));
+        assert_eq!(
+            parse("--quick --threads 4 --timing-json t.json --trace t.jsonl --metrics-json m.json"),
+            Ok(Args {
+                quick: true,
+                threads: Some(4),
+                timing_json: Some("t.json".into()),
+                trace: Some("t.jsonl".into()),
+                metrics_json: Some("m.json".into()),
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_junk_zero_and_missing_values() {
+        for (line, needle) in [
+            ("--quik", "unknown argument"),
+            ("quick", "unknown argument"),
+            ("--threads four", "positive integer"),
+            ("--threads 0", "positive integer"),
+            ("--quick --threads", "--threads needs a value"),
+            ("--timing-json", "--timing-json needs a value"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(needle), "{line:?}: {err}");
         }
     }
 }

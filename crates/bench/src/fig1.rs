@@ -31,7 +31,7 @@ pub fn series(spec: disksim::DiskSpec, writes: u32, seed: u64) -> Vec<Point> {
     let switch_sectors = convert::head_switch_sectors(&spec);
     let tracks = spec.geometry.tracks_per_cylinder();
     let pcts: Vec<u64> = (5..=95).step_by(5).collect();
-    crate::par::pmap(pcts, |free_pct| {
+    disksim::par::pmap(pcts, |free_pct| {
         let p = free_pct as f64 / 100.0;
         let model_sectors = cylinder::expected_latency(p, switch_sectors, tracks);
         let model_ms = convert::sectors_to_ms(&spec, model_sectors);

@@ -97,7 +97,7 @@ pub fn run(total_blocks: u64) -> String {
         .iter()
         .flat_map(|&b| idles.iter().map(move |&idle| (b, idle)))
         .collect();
-    let cells = crate::par::pmap(points, |(b, idle)| {
+    let cells = disksim::par::pmap(points, |(b, idle)| {
         series(b, &[idle], total_blocks, host)[0].1
     });
     let rows: Vec<Vec<String>> = idles

@@ -88,7 +88,7 @@ pub fn series(spec: DiskSpec, tracks_sampled: u32) -> Vec<Point> {
         .step_by(5)
         .filter(|&pct| compactor::threshold_to_m(spt, pct as f64) < spt)
         .collect();
-    crate::par::pmap(pcts, |pct| {
+    disksim::par::pmap(pcts, |pct| {
         let m = compactor::threshold_to_m(spt, pct as f64);
         let model_ms =
             compactor::avg_latency_model_ns(spt, m, spec.mech.head_switch_ns, sector_ns) / 1e6;

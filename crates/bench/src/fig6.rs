@@ -75,7 +75,7 @@ pub fn run(files: u32) -> String {
         (FsKind::Lfs, DevKind::Regular),
         (FsKind::Lfs, DevKind::Vld),
     ];
-    let results: Vec<(String, SmallFileResult)> = crate::par::pmap(combos.to_vec(), |(f, d)| {
+    let results: Vec<(String, SmallFileResult)> = disksim::par::pmap(combos.to_vec(), |(f, d)| {
         (
             combo_label(f, d),
             measure(f, d, DiskKind::Seagate, files, host)

@@ -131,7 +131,7 @@ pub fn run(mb: u64) -> String {
         (FsKind::Lfs, DevKind::Regular),
         (FsKind::Lfs, DevKind::Vld),
     ];
-    let rows: Vec<Vec<String>> = crate::par::pmap(combos.to_vec(), |(fk, dk)| {
+    let rows: Vec<Vec<String>> = disksim::par::pmap(combos.to_vec(), |(fk, dk)| {
         {
             let r = measure(fk, dk, DiskKind::Seagate, mb, host)
                 .unwrap_or_else(|e| panic!("{}: {e}", combo_label(fk, dk)));

@@ -100,7 +100,7 @@ pub fn run(updates: u64) -> String {
         .iter()
         .flat_map(|&frac| systems.iter().map(move |&sys| (frac, sys)))
         .collect();
-    let cells = crate::par::pmap(points, |(frac, sys)| {
+    let cells = disksim::par::pmap(points, |(frac, sys)| {
         match measure_point(sys, DiskKind::Seagate, frac, updates, host) {
             Ok(p) => format!("{:.0}%:{:.2}", p.util_pct, p.latency_ms),
             Err(e) => format!("err:{e}"),

@@ -39,8 +39,8 @@ impl Breakdown {
 /// results instead of re-simulating them. A hit credits the recorded
 /// simulated-event count back to the global counter (the same discipline as
 /// the aged-system snapshot cache), so per-section event totals match a
-/// from-scratch run exactly. Gated on the snapshot switch: with
-/// `VLFS_SNAPSHOT=0` every call measures from scratch.
+/// from-scratch run exactly. Reference mode measures every call from
+/// scratch.
 type MeasureKey = (DevKind, DiskKind, HostModel, u64);
 fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
     static MEMO: OnceLock<Mutex<HashMap<MeasureKey, (Breakdown, u64)>>> = OnceLock::new();
@@ -49,7 +49,7 @@ fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
 
 /// Measure the breakdown for UFS on the given device at ~80 % utilisation.
 pub fn measure(dev: DevKind, disk: DiskKind, host: HostModel, updates: u64) -> FsResult<Breakdown> {
-    let use_memo = crate::setup::snapshots_enabled();
+    let use_memo = !disksim::reference_mode();
     let key = (dev, disk, host, updates);
     if use_memo {
         if let Some(&(b, events)) = memo().lock().expect("measure memo lock").get(&key) {
@@ -170,7 +170,7 @@ pub fn run(updates: u64) -> String {
                 .map(move |dev| (name, disk, host, dev))
         })
         .collect();
-    let rows = crate::par::pmap(points, |(name, disk, host, dev)| {
+    let rows = disksim::par::pmap(points, |(name, disk, host, dev)| {
         let b = measure(dev, disk, host, updates)
             .unwrap_or_else(|e| panic!("{name}/{}: {e}", dev.label()));
         let total = b.total_ms();

@@ -28,7 +28,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod obs;
-pub mod par;
 pub mod setup;
 pub mod timing;
 pub mod table1;

@@ -190,80 +190,26 @@ struct CachedAged {
 /// one `OnceLock` while the first builds (the build is deterministic, so it
 /// does not matter which worker wins). `None` records a state whose device
 /// stack cannot snapshot — those keys fall back to rebuilding per cell.
-struct CacheEntry {
-    cell: Arc<OnceLock<Option<CachedAged>>>,
-    last_use: u64,
-}
+///
+/// The map is unbounded because its callers are: Figures 10 and 11 each
+/// fork one key across all their cells, and cells whose spec is used once
+/// (Figure 8, Figure 9 / Table 2) call [`build_aged`] and never enter it.
+/// A snapshot retains the aged system's full media image and buffer cache
+/// (tens of MB), so a caller that mints many keys should do the same.
+type AgedCell = Arc<OnceLock<Option<CachedAged>>>;
 
-/// The aged cache holds at most this many snapshots. A snapshot retains
-/// the aged system's full media image and buffer cache (tens of MB), so an
-/// unbounded cache would let a caller that mints many keys pin hundreds of
-/// MB of dead state for the rest of the run, whose live heap chunks
-/// measurably slow every later build. The figure suite itself stays far
-/// below the cap: Figures 10 and 11 each fork one key across all their
-/// cells, and cells whose spec is used once (Figure 8, Figure 9 / Table 2)
-/// call [`build_aged`] and never enter the cache. Eviction can never
-/// change results, only cost a rebuild on a later miss.
-const AGED_CACHE_CAP: usize = 8;
-
-struct AgedCache {
-    map: HashMap<AgedKey, CacheEntry>,
-    tick: u64,
-}
-
-fn cache() -> &'static Mutex<AgedCache> {
-    static CACHE: OnceLock<Mutex<AgedCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(AgedCache {
-            map: HashMap::new(),
-            tick: 0,
-        })
-    })
-}
-
-/// Fetch (or insert) the build cell for `key`, bumping its LRU stamp and
-/// evicting the stalest *initialised* entry if the cache is over
-/// [`AGED_CACHE_CAP`]. In-flight cells (some worker is still building) are
-/// never evicted; a worker already holding an evicted cell's `Arc` simply
-/// finishes with it.
-fn cache_cell(key: AgedKey) -> Arc<OnceLock<Option<CachedAged>>> {
-    let mut c = cache().lock().expect("aged cache poisoned");
-    c.tick += 1;
-    let tick = c.tick;
-    if !c.map.contains_key(&key) && c.map.len() >= AGED_CACHE_CAP {
-        let evict = c
-            .map
-            .iter()
-            .filter(|(_, e)| e.cell.get().is_some())
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(k, _)| *k);
-        if let Some(k) = evict {
-            c.map.remove(&k);
-        }
-    }
-    let entry = c.map.entry(key).or_insert_with(|| CacheEntry {
-        cell: Arc::default(),
-        last_use: tick,
-    });
-    entry.last_use = tick;
-    Arc::clone(&entry.cell)
-}
-
-/// Snapshot forking is on by default. `VLFS_SNAPSHOT=0` — or reference mode
-/// (`VLFS_REFERENCE=1`), which selects every pre-optimisation oracle path —
-/// rebuilds each cell from scratch instead; the CI identity gate diffs the
-/// two modes byte-for-byte. Read once per process.
-pub fn snapshots_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !disksim::reference_mode()
-            && std::env::var("VLFS_SNAPSHOT").map_or(true, |v| v != "0")
-    })
+fn cache_cell(key: AgedKey) -> AgedCell {
+    static CACHE: OnceLock<Mutex<HashMap<AgedKey, AgedCell>>> = OnceLock::new();
+    let mut map = CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("aged cache poisoned");
+    Arc::clone(map.entry(key).or_default())
 }
 
 /// Build the aged state described by `spec` from scratch, bypassing the
-/// snapshot cache. This is the per-cell path when snapshots are disabled,
-/// and the oracle the fork-identity tests compare against.
+/// snapshot cache. This is the per-cell path in reference mode, and the
+/// oracle the fork-identity tests compare against.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = match (spec.dev, spec.vld_target_empty_tracks) {
         (DevKind::Vld, Some(target)) => {
@@ -301,10 +247,10 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
 /// are subtracted once and re-credited by every fork, so per-figure event
 /// totals match a mode where each cell rebuilds from scratch.
 ///
-/// With snapshots disabled ([`snapshots_enabled`]) every call is a plain
+/// In reference mode ([`disksim::reference_mode`]) every call is a plain
 /// from-scratch build — the oracle the CI identity gate compares against.
 pub fn aged_system(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
-    if !snapshots_enabled() {
+    if disksim::reference_mode() {
         return build_aged(spec);
     }
     let cell = cache_cell(spec.key());

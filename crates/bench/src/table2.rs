@@ -16,7 +16,7 @@ pub fn speedups(updates: u64) -> Vec<(&'static str, f64, f64, f64)> {
                 .map(move |dev| (name, disk, host, dev))
         })
         .collect();
-    let totals = crate::par::pmap(points, |(name, disk, host, dev)| {
+    let totals = disksim::par::pmap(points, |(name, disk, host, dev)| {
         measure(dev, disk, host, updates)
             .unwrap_or_else(|e| panic!("{name} {}: {e}", dev.label()))
             .total_ms()

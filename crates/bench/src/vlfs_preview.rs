@@ -127,7 +127,7 @@ pub fn run(updates: u64) -> String {
         .iter()
         .flat_map(|&frac| (0u8..3).map(move |sys| (frac, sys)))
         .collect();
-    let cells = crate::par::pmap(points, |(frac, sys)| match sys {
+    let cells = disksim::par::pmap(points, |(frac, sys)| match sys {
         0 => ufs_on_vld_ms(frac, updates, host),
         1 => vlfs_ms(frac, updates, host),
         _ => lfs_sync_ms(frac, updates / 2, host),

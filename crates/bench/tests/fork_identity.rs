@@ -6,7 +6,7 @@
 //! same logical media contents, same disk statistics — across all four
 //! FS/device stacks, under fault injection, and regardless of how many
 //! workers fork concurrently. These tests pin that contract; the CI figure
-//! gate (`VLFS_SNAPSHOT=0` diff) checks the same property end-to-end.
+//! gate (`VLFS_REFERENCE=1` diff) checks the same property end-to-end.
 
 use disksim::fault::content_hash;
 use disksim::{par, FaultDisk, FaultPlan, RegularDisk, SimClock};

@@ -19,9 +19,8 @@
 
 use crate::freemap::FreeMap;
 use disksim::{CylinderPricer, Disk, Metrics, ServiceTime, TrackPricer};
-use std::sync::OnceLock;
 
-/// Which greedy-search implementation answers allocation queries. All three
+/// Which greedy-search implementation answers allocation queries. Both
 /// provably pick the same sector; they differ only in how much work they do
 /// to find it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,33 +28,9 @@ pub enum AllocMode {
     /// Best-first over the [`FreeMap::frontier`] with early exit: stop at
     /// the first candidate whose exact cost meets its frontier lower bound.
     Fast,
-    /// The PR 2 pruned scan: sweep cylinders, reject tracks whose
-    /// repositioning lower bound cannot beat the incumbent.
-    Pruned,
     /// The naive exhaustive oracle: price every reachable slot, take the
     /// `min_by_key`.
     Reference,
-}
-
-/// The process-wide allocator mode: `VLFS_ALLOC={fast,pruned,reference}`,
-/// defaulting to [`AllocMode::Fast`] — or to [`AllocMode::Reference`] when
-/// reference mode (`VLFS_REFERENCE=1`) selects every pre-optimisation
-/// oracle path and `VLFS_ALLOC` is not set explicitly. Read once.
-pub fn alloc_mode() -> AllocMode {
-    static MODE: OnceLock<AllocMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("VLFS_ALLOC") {
-        Ok(v) if v == "fast" => AllocMode::Fast,
-        Ok(v) if v == "pruned" => AllocMode::Pruned,
-        Ok(v) if v == "reference" => AllocMode::Reference,
-        Ok(v) => panic!("VLFS_ALLOC: unknown mode {v:?} (expected fast|pruned|reference)"),
-        Err(_) => {
-            if disksim::reference_mode() {
-                AllocMode::Reference
-            } else {
-                AllocMode::Fast
-            }
-        }
-    })
 }
 
 /// A chosen allocation target and its predicted positioning cost.
@@ -126,14 +101,20 @@ pub struct AllocatorState {
 }
 
 impl EagerAllocator {
-    /// Create an allocator with the given configuration, in the
-    /// process-wide [`alloc_mode`].
+    /// Create an allocator with the given configuration: the naive oracle
+    /// in reference mode ([`disksim::reference_mode`]), the fast search
+    /// otherwise.
     pub fn new(cfg: AllocConfig) -> Self {
-        Self::with_mode(cfg, alloc_mode())
+        let mode = if disksim::reference_mode() {
+            AllocMode::Reference
+        } else {
+            AllocMode::Fast
+        };
+        Self::with_mode(cfg, mode)
     }
 
     /// Create an allocator pinned to an explicit search mode, regardless of
-    /// the `VLFS_ALLOC` environment (equivalence tests and microbenchmarks
+    /// the process-wide switch (equivalence tests and microbenchmarks
     /// compare the modes side by side within one process).
     pub fn with_mode(cfg: AllocConfig, mode: AllocMode) -> Self {
         Self {
@@ -249,9 +230,7 @@ impl EagerAllocator {
             AllocMode::Reference => {
                 reference::best_in_track(disk, free, self.avoid, cyl, track, align)
             }
-            AllocMode::Fast | AllocMode::Pruned => {
-                self.best_in_track(disk, free, cyl, track, align, u64::MAX)
-            }
+            AllocMode::Fast => self.price_track(disk, free, cyl, track, align),
         }
     }
 
@@ -325,8 +304,7 @@ impl EagerAllocator {
         })
     }
 
-    /// Cheapest candidate within one cylinder (all tracks considered),
-    /// keeping only candidates strictly cheaper than `incumbent_ns`. The
+    /// Cheapest candidate within one cylinder (all tracks considered). The
     /// per-cylinder summary counts reject cylinders with no usable space in
     /// O(1), and the running best feeds the per-track lower-bound prune.
     fn best_in_cylinder(
@@ -335,14 +313,13 @@ impl EagerAllocator {
         free: &FreeMap,
         cyl: u32,
         align: u32,
-        incumbent_ns: u64,
     ) -> Option<Candidate> {
         if !free.cylinder_has_candidate(cyl, align) {
             return None;
         }
         let tracks = free.tracks_in_cylinder();
         let mut best: Option<Candidate> = None;
-        let mut bound = incumbent_ns;
+        let mut bound = u64::MAX;
         for t in 0..tracks {
             if let Some(c) = self.best_in_track(disk, free, cyl, t, align, bound) {
                 // The prune used a lower bound; the exact cost can still
@@ -361,13 +338,12 @@ impl EagerAllocator {
     /// walks forward (wrapping) and takes the first cylinder with space;
     /// two-way mode alternates ±d and stops once no unvisited location can
     /// beat the best candidate found. Dispatches on the allocator's mode;
-    /// all three implementations return the identical candidate.
+    /// both implementations return the identical candidate.
     fn greedy(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
         match self.mode {
             AllocMode::Reference => {
                 reference::greedy(disk, free, self.avoid, align, self.cfg.one_way_sweep)
             }
-            AllocMode::Pruned => self.greedy_pruned(disk, free, align),
             AllocMode::Fast => {
                 if self.cfg.one_way_sweep {
                     self.greedy_fast_one_way(disk, free, align)
@@ -375,46 +351,6 @@ impl EagerAllocator {
                     self.greedy_fast_two_way(disk, free, align)
                 }
             }
-        }
-    }
-
-    /// The PR 2 pruned scan (retained behind `VLFS_ALLOC=pruned`): sweep
-    /// cylinders in search order, thread the incumbent's cost through the
-    /// per-track repositioning lower bound.
-    fn greedy_pruned(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        let cyls = free.cylinders();
-        let cur = disk.head().cyl;
-        if self.cfg.one_way_sweep {
-            for w in 0..cyls {
-                let c = (cur + w) % cyls;
-                if let Some(cand) = self.best_in_cylinder(disk, free, c, align, u64::MAX) {
-                    return Some(cand);
-                }
-            }
-            None
-        } else {
-            let mut best: Option<Candidate> = None;
-            for d in 0..cyls {
-                if let Some(b) = &best {
-                    // Any candidate at distance >= d costs at least seek(d).
-                    if b.cost.total_ns() < disk.seek_ns(d) {
-                        break;
-                    }
-                }
-                for c in [cur.checked_sub(d), (cur + d < cyls).then_some(cur + d)]
-                    .into_iter()
-                    .flatten()
-                {
-                    let bound = best.as_ref().map(|b| b.cost.total_ns()).unwrap_or(u64::MAX);
-                    if let Some(cand) = self.best_in_cylinder(disk, free, c, align, bound) {
-                        best = Some(cand);
-                    }
-                    if d == 0 {
-                        break;
-                    }
-                }
-            }
-            best
         }
     }
 
@@ -496,7 +432,7 @@ impl EagerAllocator {
             let cand = if c == head.cyl {
                 self.best_first_in_head_cylinder(disk, free, align)
             } else {
-                self.best_in_cylinder(disk, free, c, align, u64::MAX)
+                self.best_in_cylinder(disk, free, c, align)
             };
             if cand.is_some() {
                 return cand;
@@ -576,7 +512,7 @@ impl EagerAllocator {
 }
 
 /// The pre-index exhaustive greedy search, retained as the oracle the
-/// pruned fast path is verified against: it prices every reachable free
+/// fast path is verified against: it prices every reachable free
 /// slot with the exact mechanical model and never consults the summary
 /// counts, lower bounds or word-level scans. Equivalence tests (and the
 /// microbenchmarks' before/after comparison) call these directly.
@@ -823,11 +759,11 @@ mod tests {
 
     /// The tentpole's safety net: across random fill patterns, head
     /// positions, rotation phases, disks, sweep modes, alignments and avoid
-    /// tracks, all three allocator modes — best-first indexed, pruned scan,
-    /// naive reference — must choose *exactly* the same candidate: same
-    /// sector, same predicted cost. All searches resolve ties to the
-    /// reference scan's first-wins order, so equality is full, not just
-    /// cost equality.
+    /// tracks, both allocator modes — best-first indexed and naive
+    /// reference — must choose *exactly* the same candidate: same sector,
+    /// same predicted cost. The fast search resolves ties to the reference
+    /// scan's first-wins order, so equality is full, not just cost
+    /// equality.
     #[test]
     fn allocator_modes_choose_identically() {
         use rand::rngs::StdRng;
@@ -879,7 +815,7 @@ mod tests {
                         };
                         for align in [8u32, 1] {
                             let picks: Vec<Option<Candidate>> =
-                                [AllocMode::Fast, AllocMode::Pruned, AllocMode::Reference]
+                                [AllocMode::Fast, AllocMode::Reference]
                                     .into_iter()
                                     .map(|mode| {
                                         let mut a = EagerAllocator::with_mode(cfg, mode);
@@ -892,14 +828,13 @@ mod tests {
                                     })
                                     .collect();
                             assert!(
-                                picks[0] == picks[2] && picks[1] == picks[2],
+                                picks[0] == picks[1],
                                 "divergence: cyls={cyls} util={util} one_way={one_way} \
                                  align={align} avoid={avoid:?} head={:?} \
-                                 fast={:?} pruned={:?} reference={:?}",
+                                 fast={:?} reference={:?}",
                                 disk.head(),
                                 picks[0],
-                                picks[1],
-                                picks[2]
+                                picks[1]
                             );
                         }
                     }
@@ -908,11 +843,11 @@ mod tests {
         }
     }
 
-    /// Hand-built equal-cost ties: every mode must resolve them to the
+    /// Hand-built equal-cost ties: both modes must resolve them to the
     /// track the reference scan visits first.
     #[test]
     fn tie_breaking_matches_reference_scan_order() {
-        let modes = [AllocMode::Fast, AllocMode::Pruned, AllocMode::Reference];
+        let modes = [AllocMode::Fast, AllocMode::Reference];
         // Mirrored cylinders: the head sits on cylinder 10 with its own
         // cylinder (and everything within distance 2) full; cylinders 8 and
         // 12 each keep one identical free block. Seek, arrival sector and
@@ -943,7 +878,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(picks[0], picks[1]);
-            assert_eq!(picks[1], picks[2]);
             if !one_way {
                 assert_eq!(
                     (picks[0].cyl, picks[0].track),
@@ -983,7 +917,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(picks[0], picks[1], "one_way={one_way}");
-            assert_eq!(picks[1], picks[2], "one_way={one_way}");
             assert_eq!((picks[0].cyl, picks[0].track), (0, 2), "one_way={one_way}");
         }
     }

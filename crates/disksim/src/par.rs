@@ -29,22 +29,30 @@ use std::thread;
 /// Number of worker threads `pmap` uses.
 ///
 /// Resolution order: [`set_threads`] (a driver's `--threads` flag), the
-/// `VLFS_THREADS` environment variable, the older `VLFS_BENCH_THREADS`
-/// spelling (kept so existing CI and scripts don't break), then the
-/// machine's available parallelism. A value of 1 disables threading
-/// entirely (pure sequential execution on the calling thread).
+/// `VLFS_THREADS` environment variable, then the machine's available
+/// parallelism. A value of 1 disables threading entirely (pure sequential
+/// execution on the calling thread).
+///
+/// # Panics
+/// If `VLFS_THREADS` is set to anything [`parse_threads`] rejects: a
+/// mistyped knob must not silently run at machine parallelism.
 pub fn threads() -> usize {
     if let Some(&n) = CONFIGURED.get() {
         return n.max(1);
     }
-    for var in ["VLFS_THREADS", "VLFS_BENCH_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
+    if let Ok(v) = std::env::var("VLFS_THREADS") {
+        return parse_threads(&v).unwrap_or_else(|e| panic!("VLFS_THREADS: {e}"));
     }
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Parse a worker count as given to `VLFS_THREADS` or `--threads`: a
+/// positive decimal integer (surrounding whitespace ignored).
+pub fn parse_threads(s: &str) -> Result<usize, String> {
+    match s.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("expected a positive integer, got {s:?}")),
+    }
 }
 
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
@@ -135,6 +143,16 @@ mod tests {
         for width in [1, 2, 4, 8] {
             let par = pmap_in(width, (0..40u64).collect(), |i| i * i + 1);
             assert_eq!(seq, par, "width {width}");
+        }
+    }
+
+    #[test]
+    fn parse_threads_accepts_only_positive_integers() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 4\n"), Ok(4));
+        for bad in ["", " ", "0", "four", "-2", "4x", "1.5"] {
+            let err = parse_threads(bad).expect_err(bad);
+            assert!(err.contains("positive integer"), "{bad:?}: {err}");
         }
     }
 

@@ -517,14 +517,6 @@ impl LogDisk {
             // very situation Figure 8's high-utilisation cliff measures.
             // The cleaner's own appends must never recurse into cleaning.
             if self.cleaning || attempt == 1 {
-                if std::env::var("VLOG_TRACE").is_ok() {
-                    eprintln!(
-                        "LLD acquire failed: cleaning={} free={} dirty_live={:?}",
-                        self.cleaning,
-                        self.free_segments(),
-                        &self.seg_live[..8.min(self.seg_live.len())]
-                    );
-                }
                 return Err(FsError::NoSpace);
             }
             self.stats.on_demand += 1;
@@ -837,12 +829,6 @@ impl LogDisk {
             .map(|o| SEG_DATA as u32 - o.summary.fill)
             .unwrap_or(0);
         if live.len() as u32 > open_room && self.free_segments() == 0 {
-            if std::env::var("VLOG_TRACE").is_ok() {
-                eprintln!(
-                    "LLD clean_segment {victim}: live={} room={open_room} no free",
-                    live.len()
-                );
-            }
             return Err(FsError::NoSpace);
         }
         // Read the whole victim in one command (cleaning is segment-sized

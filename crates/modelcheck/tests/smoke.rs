@@ -13,9 +13,10 @@ use modelcheck::{
 
 const DEFAULT_BASE: u64 = 0x0D15_C0DE_5EED_0001;
 
-fn env_count(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
+/// Takes the `env::var` result rather than the name so each knob is read
+/// by a literal name at its call site, where `tests/knobs.rs` can see it.
+fn count_or(var: Result<String, std::env::VarError>, default: u64) -> u64 {
+    var.ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default)
 }
@@ -26,7 +27,7 @@ fn env_count(var: &str, default: u64) -> u64 {
 #[test]
 fn smoke_episodes_all_stacks() {
     let base = env_seed().unwrap_or(DEFAULT_BASE);
-    let seeds = env_count("VLFS_MC_SMOKE_SEEDS", 16);
+    let seeds = count_or(std::env::var("VLFS_MC_SMOKE_SEEDS"), 16);
     let mut crashes = 0u32;
     let mut cuts = 0u32;
     // Episodes fan out over the shared pool (VLFS_THREADS); outcomes come
@@ -52,7 +53,7 @@ fn smoke_episodes_all_stacks() {
 /// -- long_run`. Longer traces, as many episodes as requested.
 #[test]
 fn long_run_soak_when_requested() {
-    let episodes = env_count("VLFS_MC_EPISODES", 0);
+    let episodes = count_or(std::env::var("VLFS_MC_EPISODES"), 0);
     if episodes == 0 {
         return;
     }

@@ -1,0 +1,99 @@
+//! Knob inventory: the workspace reads exactly five environment variables,
+//! and README's "Environment" table documents each of them.
+//!
+//! Every independent knob doubles the configurations tests and CI must
+//! cover, so adding one has to be a deliberate, reviewed edit of the list
+//! below — not a stray `env::var` deep in a crate.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const KNOBS: [&str; 5] = [
+    "VLFS_MC_EPISODES",
+    "VLFS_MC_SMOKE_SEEDS",
+    "VLFS_REFERENCE",
+    "VLFS_SEED",
+    "VLFS_THREADS",
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return; // not every crate has tests/ or benches/
+    };
+    for entry in entries {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every variable name passed to `env::var` / `env::var_os` in `src`. The
+/// name must be a string literal at the call site, or this inventory could
+/// not see it.
+fn env_reads(file: &Path, src: &str, out: &mut BTreeSet<String>) {
+    // Assembled at run time so this file does not match its own search.
+    for call in ["var(", "var_os("].map(|f| format!("env::{f}")) {
+        for (at, _) in src.match_indices(&call) {
+            let arg = src[at + call.len()..].trim_start();
+            let name = arg
+                .strip_prefix('"')
+                .and_then(|rest| rest.split_once('"'))
+                .map(|(name, _)| name)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "{}: {call}..) takes a non-literal name: {:?}",
+                        file.display(),
+                        arg.lines().next().unwrap_or("")
+                    )
+                });
+            out.insert(name.to_owned());
+        }
+    }
+}
+
+#[test]
+fn the_workspace_reads_exactly_the_documented_env_vars() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("readable directory entry").path();
+        for sub in ["src", "tests", "benches"] {
+            rust_files(&krate.join(sub), &mut files);
+        }
+    }
+    assert!(files.len() > 50, "walked only {} files", files.len());
+
+    let mut found = BTreeSet::new();
+    for file in &files {
+        let src = fs::read_to_string(file).expect("readable source file");
+        env_reads(file, &src, &mut found);
+    }
+    let expected: BTreeSet<String> = KNOBS.iter().map(|k| k.to_string()).collect();
+    assert_eq!(
+        found, expected,
+        "environment variables read in the workspace changed; a new knob \
+         needs a row in README's Environment table and an entry in KNOBS"
+    );
+
+    let readme = fs::read_to_string(root.join("README.md")).expect("README.md");
+    let table = readme
+        .split_once("\n## Environment\n")
+        .expect("README has an Environment section")
+        .1;
+    let table = table
+        .split("\n## ")
+        .next()
+        .expect("split yields a first item");
+    for knob in KNOBS {
+        assert!(
+            table.lines().any(|l| l.starts_with(&format!("| `{knob}`"))),
+            "{knob} has no row in README's Environment table"
+        );
+    }
+}
