@@ -30,6 +30,50 @@ use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
 /// Inode number of the root directory.
 const ROOT_INO: u32 = 0;
 
+/// What a freshly allocated pointer block, or a data block about to be
+/// overwritten, is filled with.
+static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+/// A zero-filled block buffer nothing else holds yet.
+fn zeroed_block() -> Arc<[u8]> {
+    Arc::from(&ZERO_BLOCK[..])
+}
+
+/// Slot occupancy of one directory, with the lowest free slot kept current
+/// so a create does not rescan the occupied prefix.
+#[derive(Debug, Clone, Default)]
+struct DirSlots {
+    used: Vec<bool>,
+    /// Lowest `i` with `!used[i]`, or `used.len()` when every slot is taken.
+    first_free: usize,
+}
+
+impl DirSlots {
+    fn from_occupancy(used: Vec<bool>) -> Self {
+        let first_free = used.iter().position(|u| !u).unwrap_or(used.len());
+        Self { used, first_free }
+    }
+
+    /// The slot the next entry goes in, growing the directory when full.
+    fn lowest_free(&mut self) -> u64 {
+        if self.first_free == self.used.len() {
+            self.used.push(false);
+        }
+        self.first_free as u64
+    }
+
+    fn set(&mut self, slot: u64, used: bool) {
+        let slot = slot as usize;
+        self.used[slot] = used;
+        if !used {
+            self.first_free = self.first_free.min(slot);
+        } else if slot == self.first_free {
+            let free_after = self.used[slot..].iter().position(|u| !u);
+            self.first_free = free_after.map_or(self.used.len(), |d| slot + d);
+        }
+    }
+}
+
 /// Where a named object lives: its inode, and the directory slot naming it.
 #[derive(Debug, Clone, Copy)]
 struct PathEntry {
@@ -86,11 +130,13 @@ pub struct Ufs {
     /// Directory index: normalised path → entry location.
     names: HashMap<String, PathEntry>,
     /// Per-directory slot occupancy for O(1) free-slot search.
-    dir_slots: HashMap<u32, Vec<bool>>,
+    dir_slots: HashMap<u32, DirSlots>,
     /// Children per directory inode (for empty-directory checks).
     child_count: HashMap<u32, u32>,
-    handles: HashMap<FileId, u32>,
-    next_handle: FileId,
+    /// Open-file table: handle `h` names the inode at index `h - 1`. The
+    /// `FileSystem` interface has no close, so handles are issued in
+    /// sequence and never retired — a flat table, four bytes a handle.
+    handles: Vec<u32>,
     /// ino → (last file block read, first un-prefetched file block), for
     /// sequential-read detection and windowed read-ahead.
     seq_state: HashMap<u32, (u64, u64)>,
@@ -100,6 +146,11 @@ pub struct Ufs {
     /// end of the operation (see [`Ufs::flush_pointer_blocks`]).
     dirty_ptrs: std::collections::BTreeSet<u64>,
     sync_data: bool,
+    /// Whole-block payload copies made outside the cache (the cache counts
+    /// its own copy-on-write): see [`Ufs::update_cache_gauges`].
+    copies: u64,
+    /// `(cache probes, block copies)` already added to the metrics counters.
+    work_published: (u64, u64),
     /// Observability sink (disabled by default — a single branch per use).
     metrics: disksim::Metrics,
     /// Causal-span handle shared with the device stack below (cloned from
@@ -129,12 +180,13 @@ impl Ufs {
             names: HashMap::new(),
             dir_slots: HashMap::new(),
             child_count: HashMap::new(),
-            handles: HashMap::new(),
-            next_handle: 1,
+            handles: Vec::new(),
             seq_state: HashMap::new(),
             alloc_hint: 0,
             dirty_ptrs: std::collections::BTreeSet::new(),
             sync_data: cfg.sync_data,
+            copies: 0,
+            work_published: (0, 0),
             metrics: disksim::Metrics::default(),
             spans,
         };
@@ -143,7 +195,7 @@ impl Ufs {
         fs.dev.write_block(0, &layout.encode())?;
         fs.inode_bm.set(ROOT_INO as u64);
         fs.put_inode(ROOT_INO, &Inode::empty_dir(), true)?;
-        fs.dir_slots.insert(ROOT_INO, Vec::new());
+        fs.dir_slots.insert(ROOT_INO, DirSlots::default());
         fs.child_count.insert(ROOT_INO, 0);
         fs.flush_bitmaps()?;
         fs.span_close(sp);
@@ -172,7 +224,6 @@ impl Ufs {
             dir_slots: self.dir_slots.clone(),
             child_count: self.child_count.clone(),
             handles: self.handles.clone(),
-            next_handle: self.next_handle,
             seq_state: self.seq_state.clone(),
             alloc_hint: self.alloc_hint,
             dirty_ptrs: self.dirty_ptrs.clone(),
@@ -222,12 +273,13 @@ impl Ufs {
             names: HashMap::new(),
             dir_slots: HashMap::new(),
             child_count: HashMap::new(),
-            handles: HashMap::new(),
-            next_handle: 1,
+            handles: Vec::new(),
             seq_state: HashMap::new(),
             alloc_hint: 0,
             dirty_ptrs: std::collections::BTreeSet::new(),
             sync_data: cfg.sync_data,
+            copies: 0,
+            work_published: (0, 0),
             metrics: disksim::Metrics::default(),
             spans: spans.clone(),
         };
@@ -321,8 +373,9 @@ impl Ufs {
         &self.layout
     }
 
-    /// Attach a metrics registry; buffer-cache hit/miss/dirty gauges are
-    /// refreshed on flush and idle (cold paths only).
+    /// Attach a metrics registry; the buffer-cache hit/miss/dirty gauges
+    /// and the `ufs.cache_probes` / `ufs.block_copies` work counters are
+    /// brought up to date here, on flush and on idle (cold paths only).
     pub fn set_metrics(&mut self, metrics: disksim::Metrics) {
         self.metrics = metrics;
         self.update_cache_gauges();
@@ -345,15 +398,28 @@ impl Ufs {
         }
     }
 
-    /// Refresh the cache gauges from the buffer cache's own counters.
-    fn update_cache_gauges(&self) {
+    /// Refresh the cache gauges from the buffer cache's own counters, and
+    /// add the file layer's deterministic work since the last refresh to
+    /// its two counters: `ufs.cache_probes` (keyed buffer-cache calls) and
+    /// `ufs.block_copies` (whole-block payload copies: caller data into the
+    /// cache, cached data out to the caller, copy-on-write, cluster
+    /// assembly, read-ahead splitting). The hot paths only bump plain
+    /// integers; the one `is_enabled` branch is here.
+    fn update_cache_gauges(&mut self) {
         if !self.metrics.is_enabled() {
             return;
         }
         let (hits, misses) = self.cache.stats();
         self.metrics.gauge("ufs.cache_hits", hits as i64);
         self.metrics.gauge("ufs.cache_misses", misses as i64);
-        self.metrics.gauge("ufs.cache_dirty", self.cache.dirty_count() as i64);
+        self.metrics
+            .gauge("ufs.cache_dirty", self.cache.dirty_count() as i64);
+        let work = (self.cache.probes(), self.copies + self.cache.cow_copies());
+        self.metrics
+            .add("ufs.cache_probes", work.0 - self.work_published.0);
+        self.metrics
+            .add("ufs.block_copies", work.1 - self.work_published.1);
+        self.work_published = work;
     }
 
     // ----- low-level block helpers ------------------------------------
@@ -388,28 +454,61 @@ impl Ufs {
         Ok(())
     }
 
+    /// Read a device block into a fresh buffer, bypassing the cache.
+    fn load_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
+        let mut data = zeroed_block();
+        let buf = Arc::get_mut(&mut data).expect("fresh buffer is unshared");
+        self.dev.read_block(blk, buf)?;
+        Ok(data)
+    }
+
     /// Read a device block through the cache. The returned handle shares
     /// the cached payload — a hit costs an `Arc` clone, not a 4 KB copy.
+    /// Drop it before editing the block, or the edit copies-on-write.
     fn get_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
         if let Some(d) = self.cache.get_rc(blk) {
             return Ok(d);
         }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        self.dev.read_block(blk, &mut buf)?;
-        let data: Arc<[u8]> = buf.into();
+        let data = self.load_block(blk)?;
         self.cache_insert(blk, Arc::clone(&data), false)?;
         Ok(data)
     }
 
-    /// Write a device block: synchronously (write-through) or delayed.
-    fn put_block(&mut self, blk: u64, data: Vec<u8>, sync: bool) -> FsResult<()> {
-        let data: Arc<[u8]> = data.into();
+    /// Overwrite a whole device block from the caller's slice:
+    /// synchronously (write-through) or delayed. The bytes go straight to
+    /// the device and are copied once, into the cached buffer.
+    fn put_block(&mut self, blk: u64, data: &[u8], sync: bool) -> FsResult<()> {
+        if sync {
+            self.dev.write_block(blk, data)?;
+        }
+        self.copies += 1;
+        if self.cache.overwrite(blk, data, !sync) {
+            return Ok(());
+        }
+        self.cache_insert(blk, Arc::from(data), !sync)
+    }
+
+    /// Read-modify-write part of a device block, in place in the cache:
+    /// `edit` gets the block's current bytes, and the result is written
+    /// through (`sync`) or left dirty. A failed write-through leaves the
+    /// cached copy ahead of the media, as a failed delayed flush does.
+    fn update_block(&mut self, blk: u64, sync: bool, edit: impl FnOnce(&mut [u8])) -> FsResult<()> {
+        if let Some(buf) = self.cache.get_mut(blk, !sync) {
+            edit(buf);
+            if sync {
+                self.dev.write_block(blk, buf)?;
+            }
+            return Ok(());
+        }
+        let mut data = self.load_block(blk)?;
+        edit(Arc::get_mut(&mut data).expect("fresh buffer is unshared"));
+        // Make room (possibly writing a dirty victim) before this block's
+        // own write-through, the order a read followed by a write has.
+        self.cache_insert(blk, Arc::clone(&data), !sync)?;
         if sync {
             self.dev.write_block(blk, &data)?;
-            self.cache_insert(blk, data, false)
-        } else {
-            self.cache_insert(blk, data, true)
         }
+        Ok(())
     }
 
     // ----- inode helpers ----------------------------------------------
@@ -423,9 +522,9 @@ impl Ufs {
     fn put_inode(&mut self, ino: u32, inode: &Inode, sync: bool) -> FsResult<()> {
         let (blk, off) = self.layout.inode_location(ino);
         // The block holds other inodes too, so read-modify-write.
-        let mut buf = self.get_block(blk)?.to_vec();
-        inode.encode_into(&mut buf[off..off + INODE_SIZE]);
-        self.put_block(blk, buf, sync)
+        self.update_block(blk, sync, |buf| {
+            inode.encode_into(&mut buf[off..off + INODE_SIZE])
+        })
     }
 
     // ----- allocation ---------------------------------------------------
@@ -456,24 +555,28 @@ impl Ufs {
     }
 
     /// Resolve the device block backing `file_block` of `inode`, allocating
-    /// data and indirect blocks as needed. Returns the device block and
-    /// whether the inode itself changed.
+    /// data and indirect blocks as needed when `allocate` is set. Returns
+    /// the device block and whether this call allocated it — a fresh block
+    /// holds nothing worth reading back, and the pointer to it (in the
+    /// inode or in a pointer block) is new. `None` means a hole, and is
+    /// only returned when `allocate` is false.
     fn resolve_block(
         &mut self,
         inode: &mut Inode,
         file_block: u64,
         allocate: bool,
-    ) -> FsResult<Option<u64>> {
+    ) -> FsResult<Option<(u64, bool)>> {
         let hint = self.alloc_hint;
         match classify(file_block)? {
             BlockPath::Direct(i) => {
-                if inode.direct[i] == NO_BLOCK {
+                let fresh = inode.direct[i] == NO_BLOCK;
+                if fresh {
                     if !allocate {
                         return Ok(None);
                     }
                     inode.direct[i] = self.alloc_data_block(hint)? as u32;
                 }
-                Ok(Some(inode.direct[i] as u64))
+                Ok(Some((inode.direct[i] as u64, fresh)))
             }
             BlockPath::Indirect(i) => {
                 if inode.indirect == NO_BLOCK {
@@ -487,7 +590,7 @@ impl Ufs {
                     // neighbouring inode carries the whole block), so a
                     // cached-only pointer block would leave an on-media
                     // inode pointing at stale garbage after a crash.
-                    self.put_block(b, vec![0u8; BLOCK_SIZE], true)?;
+                    self.put_block(b, &ZERO_BLOCK, true)?;
                     inode.indirect = b as u32;
                 }
                 self.resolve_via(inode.indirect as u64, i, allocate, false)
@@ -498,34 +601,36 @@ impl Ufs {
                         return Ok(None);
                     }
                     let b = self.alloc_data_block(hint)?;
-                    self.put_block(b, vec![0u8; BLOCK_SIZE], true)?;
+                    self.put_block(b, &ZERO_BLOCK, true)?;
                     inode.dindirect = b as u32;
                 }
-                let l1 = match self.resolve_via(inode.dindirect as u64, i, allocate, true)? {
-                    Some(b) => b,
-                    None => return Ok(None),
+                let Some((l1, _)) = self.resolve_via(inode.dindirect as u64, i, allocate, true)?
+                else {
+                    return Ok(None);
                 };
                 self.resolve_via(l1, j, allocate, false)
             }
         }
     }
 
-    /// Look up (or allocate) slot `idx` inside the pointer block `ptr_blk`.
-    /// `child_is_ptr` says whether a freshly allocated child is itself a
-    /// pointer block (a level-1 indirect) rather than a data block.
+    /// Look up (or allocate) slot `idx` inside the pointer block `ptr_blk`;
+    /// the result reads as [`Ufs::resolve_block`]'s. `child_is_ptr` says
+    /// whether a freshly allocated child is itself a pointer block (a
+    /// level-1 indirect) rather than a data block.
     fn resolve_via(
         &mut self,
         ptr_blk: u64,
         idx: u64,
         allocate: bool,
         child_is_ptr: bool,
-    ) -> FsResult<Option<u64>> {
+    ) -> FsResult<Option<(u64, bool)>> {
         debug_assert!(idx < PTRS_PER_BLOCK);
-        let mut buf = self.get_block(ptr_blk)?.to_vec();
+        // The common case reads four bytes through the shared handle.
+        let mut ptrs = self.get_block(ptr_blk)?;
         let o = idx as usize * 4;
-        let cur = u32::from_le_bytes(buf[o..o + 4].try_into().expect("slice of 4"));
+        let cur = u32::from_le_bytes(ptrs[o..o + 4].try_into().expect("slice of 4"));
         if cur != NO_BLOCK {
-            return Ok(Some(cur as u64));
+            return Ok(Some((cur as u64, false)));
         }
         if !allocate {
             return Ok(None);
@@ -535,15 +640,25 @@ impl Ufs {
         // reference it; data children are overwritten by the caller and may
         // stay delayed (a crash then leaves a pointer to stale data in an
         // unsynced file, which recovery semantics allow).
-        self.put_block(b, vec![0u8; BLOCK_SIZE], child_is_ptr)?;
-        buf[o..o + 4].copy_from_slice(&(b as u32).to_le_bytes());
+        self.put_block(b, &ZERO_BLOCK, child_is_ptr)?;
+        // Caching the child may just have evicted the pointer block, so the
+        // handle is what carries its bytes. Take the cache's reference away
+        // (if it still has one) and the handle is the sole owner unless a
+        // snapshot shares the payload: only then is the block copied.
+        drop(self.cache.remove(ptr_blk));
+        if Arc::get_mut(&mut ptrs).is_none() {
+            ptrs = Arc::from(&*ptrs);
+            self.copies += 1;
+        }
+        let slot = &mut Arc::get_mut(&mut ptrs).expect("sole owner")[o..o + 4];
+        slot.copy_from_slice(&(b as u32).to_le_bytes());
         // The slot update is metadata but need not hit the media per slot:
         // it is delayed here and written through once per operation
         // ([`Ufs::flush_pointer_blocks`]), before the inode that leads to
         // it can reach the media.
-        self.put_block(ptr_blk, buf, false)?;
+        self.cache_insert(ptr_blk, ptrs, true)?;
         self.dirty_ptrs.insert(ptr_blk);
-        Ok(Some(b))
+        Ok(Some((b, true)))
     }
 
     /// Write through every pointer block with delayed slot updates. Called
@@ -553,8 +668,7 @@ impl Ufs {
     /// the whole block, and cache pressure evicts dirty blocks), and the
     /// pointer chain it references must already be there.
     fn flush_pointer_blocks(&mut self) -> FsResult<()> {
-        while let Some(&blk) = self.dirty_ptrs.iter().next() {
-            self.dirty_ptrs.remove(&blk);
+        while let Some(blk) = self.dirty_ptrs.pop_first() {
             if let Some((data, dirty)) = self.cache.remove(blk) {
                 if dirty {
                     self.dev.write_block(blk, &data)?;
@@ -605,7 +719,7 @@ impl Ufs {
     /// Rebuild the in-memory directory index by walking the tree from the
     /// root (used at mount).
     fn load_directories(&mut self) -> FsResult<()> {
-        self.dir_slots.insert(ROOT_INO, Vec::new());
+        self.dir_slots.insert(ROOT_INO, DirSlots::default());
         self.child_count.insert(ROOT_INO, 0);
         let mut stack: Vec<(u32, String)> = vec![(ROOT_INO, String::new())];
         while let Some((dir_ino, prefix)) = stack.pop() {
@@ -641,8 +755,8 @@ impl Ufs {
                     stack.push((e.ino, path));
                 }
             }
-            let occ = self.dir_slots.entry(dir_ino).or_default();
-            *occ = occupancy;
+            self.dir_slots
+                .insert(dir_ino, DirSlots::from_occupancy(occupancy));
         }
         Ok(())
     }
@@ -654,7 +768,7 @@ impl Ufs {
         let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
         let mut out = Vec::new();
         for blk_idx in 0..dir.blocks() {
-            let Some(dev_blk) = self.resolve_block(&mut dir, blk_idx, false)? else {
+            let Some((dev_blk, _)) = self.resolve_block(&mut dir, blk_idx, false)? else {
                 continue;
             };
             let buf = self.get_block(dev_blk)?;
@@ -683,16 +797,14 @@ impl Ufs {
         let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
         let file_block = slot_idx / per_block;
         let mut dir = self.get_inode(dir_ino)?;
-        let dev_blk = self
+        let (dev_blk, _) = self
             .resolve_block(&mut dir, file_block, true)?
             .ok_or(FsError::NoSpace)?;
-        let mut buf = self.get_block(dev_blk)?.to_vec();
         let o = (slot_idx % per_block) as usize * DIRENT_SIZE;
-        match entry {
+        self.update_block(dev_blk, true, |buf| match entry {
             Some(e) => e.encode_into(&mut buf[o..o + DIRENT_SIZE]),
             None => Dirent::clear_slot(&mut buf[o..o + DIRENT_SIZE]),
-        }
-        self.put_block(dev_blk, buf, true)?;
+        })?;
         let needed = (slot_idx + 1) * DIRENT_SIZE as u64;
         if needed > dir.size {
             dir.size = needed;
@@ -701,15 +813,13 @@ impl Ufs {
         Ok(())
     }
 
-    fn free_dir_slot(&mut self, dir_ino: u32) -> u64 {
-        let occ = self.dir_slots.entry(dir_ino).or_default();
-        match occ.iter().position(|used| !used) {
-            Some(i) => i as u64,
-            None => {
-                occ.push(false);
-                (occ.len() - 1) as u64
-            }
-        }
+    /// Record that `slot` of directory `dir_ino` now holds an entry (or
+    /// no longer does), once the slot write has reached the device.
+    fn set_dir_slot(&mut self, dir_ino: u32, slot: u64, used: bool) {
+        self.dir_slots
+            .get_mut(&dir_ino)
+            .expect("parent indexed")
+            .set(slot, used);
     }
 
     /// Allocate an inode + directory entry for `path` (file or directory).
@@ -729,9 +839,9 @@ impl Ufs {
             Inode::empty()
         };
         self.put_inode(ino, &inode, true)?;
-        let slot = self.free_dir_slot(parent);
+        let slot = self.dir_slots.entry(parent).or_default().lowest_free();
         self.write_dir_slot(parent, slot, Some(&Dirent { ino, name: leaf }))?;
-        self.dir_slots.get_mut(&parent).expect("parent indexed")[slot as usize] = true;
+        self.set_dir_slot(parent, slot, true);
         *self.child_count.entry(parent).or_insert(0) += 1;
         let entry = PathEntry {
             ino,
@@ -741,7 +851,7 @@ impl Ufs {
         };
         self.names.insert(path, entry);
         if is_dir {
-            self.dir_slots.insert(ino, Vec::new());
+            self.dir_slots.insert(ino, DirSlots::default());
             self.child_count.insert(ino, 0);
         }
         Ok(entry)
@@ -770,8 +880,16 @@ impl Ufs {
 
     // ----- misc -----------------------------------------------------------
 
+    /// Issue the next handle for inode `ino`.
+    fn open_handle(&mut self, ino: u32) -> FileId {
+        self.handles.push(ino);
+        self.handles.len() as FileId
+    }
+
     fn ino_of(&self, f: FileId) -> FsResult<u32> {
-        self.handles.get(&f).copied().ok_or(FsError::BadHandle)
+        let slot = usize::try_from(f).ok().and_then(|f| f.checked_sub(1));
+        slot.and_then(|i| self.handles.get(i).copied())
+            .ok_or(FsError::BadHandle)
     }
 
     fn flush_bitmaps(&mut self) -> FsResult<()> {
@@ -811,19 +929,27 @@ impl Ufs {
     /// Write a sorted dirty-block list as clustered runs (the I/O half of
     /// [`Ufs::flush_dirty_sorted`], split out so the flush span brackets it).
     fn flush_runs(&mut self, dirty: &[u64]) -> FsResult<()> {
+        // One cluster buffer serves every multi-block run of this flush; a
+        // lone block is written straight out of the cache.
+        let mut run = Vec::new();
         let mut i = 0;
         while i < dirty.len() {
             let mut j = i + 1;
             while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 {
                 j += 1;
             }
-            // Assemble the cluster straight out of the cache — the payloads
-            // were never cloned out of it.
-            let mut run = Vec::with_capacity((j - i) * BLOCK_SIZE);
-            for &blk in &dirty[i..j] {
-                run.extend_from_slice(self.cache.peek(blk).expect("flushed block cached"));
+            if j - i == 1 {
+                let data = self.cache.peek(dirty[i]).expect("flushed block cached");
+                self.dev.write_blocks(dirty[i], data)?;
+            } else {
+                run.clear();
+                run.reserve_exact((j - i) * BLOCK_SIZE);
+                for &blk in &dirty[i..j] {
+                    run.extend_from_slice(self.cache.peek(blk).expect("flushed block cached"));
+                }
+                self.copies += (j - i) as u64;
+                self.dev.write_blocks(dirty[i], &run)?;
             }
-            self.dev.write_blocks(dirty[i], &run)?;
             i = j;
         }
         Ok(())
@@ -833,7 +959,7 @@ impl Ufs {
     fn readahead(&mut self, inode: &mut Inode, from: u64, to: u64) -> FsResult<()> {
         let mut targets = Vec::new();
         for fb in from..to {
-            if let Some(db) = self.resolve_block(inode, fb, false)? {
+            if let Some((db, _)) = self.resolve_block(inode, fb, false)? {
                 if !self.cache.contains(db) {
                     targets.push(db);
                 }
@@ -841,17 +967,28 @@ impl Ufs {
         }
         targets.sort_unstable();
         targets.dedup();
+        // One staging buffer serves every multi-block run; a lone block is
+        // read straight into the buffer the cache will hold.
+        let mut staging = Vec::new();
         let mut i = 0;
         while i < targets.len() {
             let mut j = i + 1;
             while j < targets.len() && targets[j] == targets[j - 1] + 1 {
                 j += 1;
             }
-            let n = j - i;
-            let mut buf = vec![0u8; n * BLOCK_SIZE];
-            self.dev.read_blocks(targets[i], &mut buf)?;
-            for (k, chunk) in buf.chunks(BLOCK_SIZE).enumerate() {
-                self.cache_insert(targets[i] + k as u64, chunk.into(), false)?;
+            if j - i == 1 {
+                let mut data = zeroed_block();
+                let buf = Arc::get_mut(&mut data).expect("fresh buffer is unshared");
+                self.dev.read_blocks(targets[i], buf)?;
+                self.cache_insert(targets[i], data, false)?;
+            } else {
+                staging.clear();
+                staging.resize((j - i) * BLOCK_SIZE, 0);
+                self.dev.read_blocks(targets[i], &mut staging)?;
+                for (k, chunk) in staging.chunks(BLOCK_SIZE).enumerate() {
+                    self.cache_insert(targets[i] + k as u64, chunk.into(), false)?;
+                }
+                self.copies += (j - i) as u64;
             }
             i = j;
         }
@@ -890,7 +1027,7 @@ impl Ufs {
         if offset > inode.size {
             let bs = BLOCK_SIZE as u64;
             for fb in inode.size / bs..=(offset - 1) / bs {
-                let Some(dev_blk) = self.resolve_block(&mut inode, fb, false)? else {
+                let Some((dev_blk, _)) = self.resolve_block(&mut inode, fb, false)? else {
                     continue;
                 };
                 let lo = inode.size.saturating_sub(fb * bs).min(bs) as usize;
@@ -898,9 +1035,7 @@ impl Ufs {
                 if lo >= hi {
                     continue;
                 }
-                let mut buf = self.get_block(dev_blk)?.to_vec();
-                buf[lo..hi].fill(0);
-                self.put_block(dev_blk, buf, self.sync_data)?;
+                self.update_block(dev_blk, self.sync_data, |buf| buf[lo..hi].fill(0))?;
             }
         }
         let mut pos = 0usize;
@@ -910,27 +1045,29 @@ impl Ufs {
             let fb = off / BLOCK_SIZE as u64;
             let in_block = (off % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min(data.len() - pos);
-            let had = {
-                // Track whether this write allocates, to know the inode changed.
-                let before = self.resolve_block(&mut inode, fb, false)?;
-                before.is_some()
-            };
-            let dev_blk = self
+            let (dev_blk, fresh) = self
                 .resolve_block(&mut inode, fb, true)?
                 .ok_or(FsError::NoSpace)?;
-            if !had {
-                inode_dirty = true;
-            }
-            let mut buf = if n == BLOCK_SIZE {
-                vec![0u8; BLOCK_SIZE]
-            } else if had {
-                // Partial overwrite: read-modify-write needs its own copy.
-                self.get_block(dev_blk)?.to_vec()
+            // An allocation changed the inode or a pointer block under it.
+            inode_dirty |= fresh;
+            let piece = &data[pos..pos + n];
+            if n == BLOCK_SIZE {
+                self.put_block(dev_blk, piece, self.sync_data)?;
+            } else if !fresh {
+                // Partial overwrite: read-modify-write in the cached block.
+                self.update_block(dev_blk, self.sync_data, |buf| {
+                    buf[in_block..in_block + n].copy_from_slice(piece)
+                })?;
             } else {
-                vec![0u8; BLOCK_SIZE]
-            };
-            buf[in_block..in_block + n].copy_from_slice(&data[pos..pos + n]);
-            self.put_block(dev_blk, buf, self.sync_data)?;
+                // Part of a fresh block: the rest of it reads as zeros.
+                let mut block = zeroed_block();
+                let buf = Arc::get_mut(&mut block).expect("fresh buffer is unshared");
+                buf[in_block..in_block + n].copy_from_slice(piece);
+                if self.sync_data {
+                    self.dev.write_block(dev_blk, &block)?;
+                }
+                self.cache_insert(dev_blk, block, !self.sync_data)?;
+            }
             pos += n;
             off += n as u64;
         }
@@ -965,9 +1102,10 @@ impl Ufs {
             let in_block = (off % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min(want - pos);
             match self.resolve_block(&mut inode, fb, false)? {
-                Some(dev_blk) => {
+                Some((dev_blk, _)) => {
                     let buf = self.get_block(dev_blk)?;
                     out[pos..pos + n].copy_from_slice(&buf[in_block..in_block + n]);
+                    self.copies += (n == BLOCK_SIZE) as u64;
                 }
                 None => out[pos..pos + n].fill(0), // hole
             }
@@ -1005,7 +1143,7 @@ impl Ufs {
         // and blocks.
         self.write_dir_slot(e.parent, slot, None)?;
         self.names.remove(&path);
-        self.dir_slots.get_mut(&e.parent).expect("parent indexed")[slot as usize] = false;
+        self.set_dir_slot(e.parent, slot, false);
         *self.child_count.entry(e.parent).or_insert(1) -= 1;
         if e.is_dir {
             self.dir_slots.remove(&ino);
@@ -1072,12 +1210,19 @@ impl Ufs {
         // Synchronous metadata, safe ordering: the new entry lands first,
         // then the old one is cleared — a crash in between leaves the file
         // reachable under both names, never under none.
-        let slot = self.free_dir_slot(new_parent);
-        self.write_dir_slot(new_parent, slot, Some(&Dirent { ino: e.ino, name: leaf }))?;
-        self.dir_slots.get_mut(&new_parent).expect("parent indexed")[slot as usize] = true;
+        let slot = self.dir_slots.entry(new_parent).or_default().lowest_free();
+        self.write_dir_slot(
+            new_parent,
+            slot,
+            Some(&Dirent {
+                ino: e.ino,
+                name: leaf,
+            }),
+        )?;
+        self.set_dir_slot(new_parent, slot, true);
         *self.child_count.entry(new_parent).or_insert(0) += 1;
         self.write_dir_slot(e.parent, e.slot, None)?;
-        self.dir_slots.get_mut(&e.parent).expect("parent indexed")[e.slot as usize] = false;
+        self.set_dir_slot(e.parent, e.slot, false);
         *self.child_count.entry(e.parent).or_insert(1) -= 1;
         self.names.remove(&from);
         self.names.insert(
@@ -1107,10 +1252,9 @@ pub struct UfsSnapshot {
     block_bm: Bitmap,
     cache: BufferCache,
     names: HashMap<String, PathEntry>,
-    dir_slots: HashMap<u32, Vec<bool>>,
+    dir_slots: HashMap<u32, DirSlots>,
     child_count: HashMap<u32, u32>,
-    handles: HashMap<FileId, u32>,
-    next_handle: FileId,
+    handles: Vec<u32>,
     seq_state: HashMap<u32, (u64, u64)>,
     alloc_hint: u64,
     dirty_ptrs: std::collections::BTreeSet<u64>,
@@ -1141,11 +1285,13 @@ impl UfsSnapshot {
             dir_slots: self.dir_slots.clone(),
             child_count: self.child_count.clone(),
             handles: self.handles.clone(),
-            next_handle: self.next_handle,
             seq_state: self.seq_state.clone(),
             alloc_hint: self.alloc_hint,
             dirty_ptrs: self.dirty_ptrs.clone(),
             sync_data: self.sync_data,
+            // A fork's work counters start at the fork.
+            copies: 0,
+            work_published: (self.cache.probes(), self.cache.cow_copies()),
             metrics: disksim::Metrics::disabled(),
             spans,
         }
@@ -1166,10 +1312,7 @@ impl FileSystem for Ufs {
         let r = self.create_entry(name, false);
         self.span_close(sp);
         let entry = r?;
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, entry.ino);
-        Ok(h)
+        Ok(self.open_handle(entry.ino))
     }
 
     fn mkdir(&mut self, path: &str) -> FsResult<()> {
@@ -1188,10 +1331,7 @@ impl FileSystem for Ufs {
         if e.is_dir {
             return Err(FsError::Invalid("is a directory"));
         }
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, e.ino);
-        Ok(h)
+        Ok(self.open_handle(e.ino))
     }
 
     fn write(&mut self, f: FileId, offset: u64, data: &[u8]) -> FsResult<()> {
@@ -1258,20 +1398,25 @@ impl FileSystem for Ufs {
                 0
             };
             while clock.now() < end && self.cache.dirty_count() > 0 {
-                let dirty = self.cache.take_dirty_sorted();
-                for blk in dirty {
+                let mut dirty = self.cache.take_dirty_sorted();
+                let taken = dirty.len();
+                // Keep the blocks that stay unwritten: out of idle budget,
+                // or refused by the device.
+                dirty.retain(|&blk| {
                     if clock.now() >= end {
-                        // Out of idle budget: re-dirty in place, no copy.
-                        self.cache.mark_dirty(blk);
-                        continue;
+                        return true;
                     }
                     self.host.charge(&clock, 1);
                     let data = self.cache.peek(blk).expect("flushed block cached");
-                    if self.dev.write_block(blk, data).is_err() {
-                        self.cache.mark_dirty(blk);
-                    }
-                }
-                if clock.now() >= end {
+                    self.dev.write_block(blk, data).is_err()
+                });
+                // Re-dirty them in place (no copy, recency intact), all in
+                // one pass of the cache's lists.
+                self.cache.mark_dirty(&dirty);
+                // A pass that wrote nothing will not do better next time:
+                // with a dead device and a host model that charges no time,
+                // neither the clock nor the dirty count would ever move.
+                if dirty.len() == taken {
                     break;
                 }
             }
@@ -1295,5 +1440,37 @@ impl FileSystem for Ufs {
 
     fn free_blocks(&self) -> u64 {
         self.usable_free()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::DirSlots;
+
+    /// The cursor must name the slot a scan from index 0 finds, through any
+    /// mix of creates and deletes.
+    #[test]
+    fn dir_slot_cursor_matches_a_scan_from_zero() {
+        let mut slots = DirSlots::default();
+        let mut x: u64 = 0xD15C;
+        for step in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let scan = slots.used.iter().position(|u| !u);
+            if !x.is_multiple_of(3) || slots.used.is_empty() {
+                let slot = slots.lowest_free();
+                assert_eq!(slot as usize, scan.unwrap_or(slots.used.len() - 1));
+                // A failed slot write leaves the slot free for the next try.
+                if step % 17 != 0 {
+                    slots.set(slot, true);
+                }
+            } else {
+                slots.set((x >> 8) % slots.used.len() as u64, false);
+            }
+            let rebuilt = DirSlots::from_occupancy(slots.used.clone());
+            assert_eq!(slots.first_free, rebuilt.first_free);
+        }
+        assert!(slots.used.len() > 1000, "the directory must have grown");
     }
 }
