@@ -23,7 +23,6 @@ use disksim::SECTOR_BYTES;
 /// What a sector is owned by, for the accounting pass.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Owner {
-    None,
     Firmware,
     Checkpoint,
     Data(u32),
@@ -35,13 +34,73 @@ enum Owner {
 impl Owner {
     fn describe(self) -> String {
         match self {
-            Owner::None => "unowned".into(),
             Owner::Firmware => "firmware area".into(),
             Owner::Checkpoint => "checkpoint region".into(),
             Owner::Data(lb) => format!("data block of lb {lb}"),
             Owner::Piece(p) => format!("map piece {p}"),
             Owner::PendingRecycle => "pending-recycle map block".into(),
             Owner::DeferredData => "deferred-release data block".into(),
+        }
+    }
+}
+
+/// The accounting pass's table: one bit per sector for "owned", and who
+/// owns what as the list of sector runs the claims were granted — one
+/// entry per claim, so its size follows the live data, not the device.
+/// Only a complaint needs to search it.
+struct OwnerTable {
+    total: u64,
+    owned: Vec<u64>,
+    runs: Vec<(u64, u64, Owner)>,
+}
+
+impl OwnerTable {
+    fn new(total: u64) -> Self {
+        Self {
+            total,
+            owned: vec![0; total.div_ceil(64) as usize],
+            runs: Vec::new(),
+        }
+    }
+
+    fn is_owned(&self, sector: u64) -> bool {
+        self.owned[(sector / 64) as usize] >> (sector % 64) & 1 == 1
+    }
+
+    fn owner(&self, sector: u64) -> Option<Owner> {
+        self.runs
+            .iter()
+            .find(|&&(start, len, _)| (start..start + len).contains(&sector))
+            .map(|&(_, _, who)| who)
+    }
+
+    /// Give `count` sectors from `lba` to `who`, stopping with a complaint
+    /// at the first one beyond the device or already owned.
+    fn claim(&mut self, errs: &mut Vec<String>, lba: u64, count: u64, who: Owner) {
+        let mut granted = count;
+        for s in lba..lba + count {
+            if s >= self.total {
+                errs.push(format!(
+                    "{} claims sector {s} beyond device",
+                    who.describe()
+                ));
+                granted = s - lba;
+                break;
+            }
+            if self.is_owned(s) {
+                let prev = self.owner(s).expect("an owned sector is in a run");
+                errs.push(format!(
+                    "sector {s} claimed by both {} and {}",
+                    prev.describe(),
+                    who.describe()
+                ));
+                granted = s - lba;
+                break;
+            }
+            self.owned[(s / 64) as usize] |= 1 << (s % 64);
+        }
+        if granted > 0 {
+            self.runs.push((lba, granted, who));
         }
     }
 }
@@ -155,33 +214,9 @@ impl VirtualLog {
 
         // --- free map agrees with reachability ---------------------------
         let g = &self.disk.spec().geometry;
-        let total = g.total_sectors();
-        let mut owner = vec![Owner::None; total as usize];
-        let claim = |owner: &mut Vec<Owner>,
-                         errs: &mut Vec<String>,
-                         lba: u64,
-                         count: u64,
-                         who: Owner| {
-            for s in lba..lba + count {
-                if s >= total {
-                    errs.push(format!("{} claims sector {s} beyond device", who.describe()));
-                    return;
-                }
-                let prev = owner[s as usize];
-                if prev != Owner::None {
-                    errs.push(format!(
-                        "sector {s} claimed by both {} and {}",
-                        prev.describe(),
-                        who.describe()
-                    ));
-                    return;
-                }
-                owner[s as usize] = who;
-            }
-        };
-        claim(&mut owner, &mut errs, 0, FIRMWARE_SECTORS, Owner::Firmware);
-        claim(
-            &mut owner,
+        let mut owners = OwnerTable::new(g.total_sectors());
+        owners.claim(&mut errs, 0, FIRMWARE_SECTORS, Owner::Firmware);
+        owners.claim(
             &mut errs,
             self.ckpt_region.slot_a,
             self.ckpt_region.end() - self.ckpt_region.slot_a,
@@ -190,37 +225,44 @@ impl VirtualLog {
         let bs = BLOCK_SECTORS as u64;
         for (lb, pb) in self.map.iter().enumerate() {
             if pb != UNMAPPED {
-                claim(&mut owner, &mut errs, pb as u64 * bs, bs, Owner::Data(lb as u32));
+                owners.claim(&mut errs, pb as u64 * bs, bs, Owner::Data(lb as u32));
             }
         }
         for (idx, loc) in self.pieces.iter().enumerate() {
             if let Some(loc) = loc {
-                claim(&mut owner, &mut errs, loc.lba, bs, Owner::Piece(idx as u32));
+                owners.claim(&mut errs, loc.lba, bs, Owner::Piece(idx as u32));
             }
         }
         for &lba in &self.pending_recycle {
-            claim(&mut owner, &mut errs, lba, bs, Owner::PendingRecycle);
+            owners.claim(&mut errs, lba, bs, Owner::PendingRecycle);
         }
         for &pb in &self.deferred_blocks {
-            claim(&mut owner, &mut errs, pb as u64 * bs, bs, Owner::DeferredData);
+            owners.claim(&mut errs, pb as u64 * bs, bs, Owner::DeferredData);
         }
         if cap(&errs) {
             return errs;
         }
-        for s in 0..total {
-            let p = g.lba_to_phys(s).expect("sector within geometry");
-            let free = self.free.is_free(p.cyl, p.track, p.sector);
-            let owned = owner[s as usize] != Owner::None;
-            if free && owned {
-                errs.push(format!(
-                    "sector {s} is owned ({}) but marked free",
-                    owner[s as usize].describe()
-                ));
-            } else if !free && !owned {
-                errs.push(format!("sector {s} is allocated but unreachable"));
-            }
-            if cap(&errs) {
-                return errs;
+        // LBAs run cylinder by cylinder, track by track, sector by sector,
+        // so the walk needs no address translation.
+        let mut s = 0u64;
+        for cyl in 0..g.cylinders() {
+            let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
+            for track in 0..g.tracks_per_cylinder() {
+                for sector in 0..spt {
+                    let free = self.free.is_free(cyl, track, sector);
+                    if free == owners.is_owned(s) {
+                        errs.push(match owners.owner(s) {
+                            Some(who) => {
+                                format!("sector {s} is owned ({}) but marked free", who.describe())
+                            }
+                            None => format!("sector {s} is allocated but unreachable"),
+                        });
+                    }
+                    if cap(&errs) {
+                        return errs;
+                    }
+                    s += 1;
+                }
             }
         }
         errs
@@ -267,6 +309,55 @@ mod tests {
         let errs = v.check_consistency();
         assert!(!errs.is_empty());
         assert!(errs.iter().any(|e| e.contains("rmap")), "{errs:?}");
+    }
+
+    /// The free-map pass walks tracks instead of translating each LBA; on
+    /// a zoned disk (the sectors-per-track changes mid-walk) every
+    /// complaint must still name the right LBA and owner, in LBA order.
+    #[test]
+    fn freemap_complaints_name_lba_and_owner_in_lba_order() {
+        use disksim::{Geometry, Zone};
+        let mut spec = DiskSpec::hp97560_sim();
+        spec.command_overhead_ns = 0;
+        let zone = |first_cyl, cylinders, sectors_per_track| Zone {
+            first_cyl,
+            cylinders,
+            sectors_per_track,
+        };
+        spec.geometry = Geometry::zoned(4, vec![zone(0, 6, 96), zone(6, 10, 64)]);
+        let mut v = VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
+        v.write(0, &vec![1u8; BLOCK_BYTES]).unwrap();
+        assert_eq!(v.check_consistency(), Vec::<String>::new());
+
+        let g = v.disk.spec().geometry.clone();
+        // Free lb 0's block behind the log's back, and allocate the last
+        // sector of the inner zone.
+        let block = v.translate(0).unwrap() * BLOCK_SECTORS as u64;
+        let p = g.lba_to_phys(block).unwrap();
+        v.free
+            .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
+            .unwrap();
+        let last = g.total_sectors() - 1;
+        let p = g.lba_to_phys(last).unwrap();
+        assert_eq!((p.cyl, p.sector), (15, 63), "inner zone");
+        v.free.allocate(p.cyl, p.track, p.sector, 1).unwrap();
+
+        let mut want: Vec<String> = (block..block + BLOCK_SECTORS as u64)
+            .map(|s| format!("sector {s} is owned (data block of lb 0) but marked free"))
+            .collect();
+        want.push(format!("sector {last} is allocated but unreachable"));
+        assert_eq!(v.check_consistency(), want);
+
+        // A second claim on the block is refused at its first sector, names
+        // the first claimant, and leaves the block with it.
+        v.pending_recycle.push(block);
+        want.insert(
+            0,
+            format!(
+                "sector {block} claimed by both data block of lb 0 and pending-recycle map block"
+            ),
+        );
+        assert_eq!(v.check_consistency(), want);
     }
 
     #[test]

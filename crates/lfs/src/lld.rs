@@ -16,22 +16,26 @@
 //!   owner of every slot, and a checkpoint area at the end of the device
 //!   persists the block map on `sync`, making volumes remountable.
 //!
+//! Host-side, the open segment's buffer *is* the flush image (summary
+//! block, then data slots): an append copies and digests its block once,
+//! and every flush writes the used prefix straight from that buffer.
+//!
 //! The LLD runs over any raw [`BlockDevice`] — a regular disk, or a VLD for
 //! the paper's "LFS on VLD" configuration.
 
 use crate::seg::{
-    fnv64, seg_to_slot, slot_device_block, slot_to_seg, summary_block, SegState, Summary, NONE,
-    SEG_BLOCKS, SEG_DATA,
+    checkpoint_map, digest, encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg,
+    summary_block, validate_checkpoint, Digest, SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS,
+    SEG_DATA,
 };
-use disksim::{BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime, SimClock};
+use disksim::{
+    BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime, SimClock,
+};
 use fscore::{FsError, FsResult};
 
 /// Segments kept back from the advertised capacity so the cleaner always
 /// has room to work.
 const RESERVE_SEGS: u64 = 4;
-
-/// Checkpoint magic ("LCKP").
-const CKPT_MAGIC: u32 = 0x4C43_4B50;
 
 /// Tuning knobs for the logical disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,13 +76,45 @@ pub struct CleanerStats {
 }
 
 /// The in-memory open segment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenSeg {
     seg: u32,
     summary: Summary,
-    data: Vec<u8>,
+    /// The segment exactly as a flush writes it: block 0 is the summary
+    /// (encoded in place just before each write), block `1 + i` is data
+    /// slot `i`. Always a whole segment long; only the prefix up to the
+    /// last appended slot is ever read, so a recycled buffer is not
+    /// cleared.
+    image: Vec<u8>,
+    /// Running digest of data slots `0..summary.fill`, so a flush reads
+    /// the checksum instead of re-hashing the prefix.
+    digest: Digest,
     /// Slots already written to the device by a partial flush.
     flushed: u32,
+}
+
+impl OpenSeg {
+    /// Bytes of `image` holding the summary block and the appended slots.
+    fn used_bytes(&self) -> usize {
+        let bs = self.image.len() / SEG_BLOCKS as usize;
+        (1 + self.summary.fill as usize) * bs
+    }
+}
+
+impl Clone for OpenSeg {
+    /// Copies the used prefix only; the rest of the clone's image is fresh.
+    fn clone(&self) -> Self {
+        let used = self.used_bytes();
+        let mut image = vec![0u8; self.image.len()];
+        image[..used].copy_from_slice(&self.image[..used]);
+        Self {
+            seg: self.seg,
+            summary: self.summary.clone(),
+            image,
+            digest: self.digest,
+            flushed: self.flushed,
+        }
+    }
 }
 
 /// The log-structured logical disk.
@@ -123,8 +159,32 @@ pub struct LogDisk {
     dirty_index: std::collections::BTreeSet<(u32, u32)>,
     stats: CleanerStats,
     /// Metrics handle (disabled by default): cleaner counters, free-segment
-    /// gauge and log utilisation.
+    /// gauge, log utilisation and the two work counters below.
     metrics: disksim::Metrics,
+    /// Host-side scratch, reused across calls and never part of a
+    /// snapshot (a restored log starts without it).
+    scratch: Scratch,
+    /// Bytes folded into a segment digest, and bytes copied into a flush
+    /// image by anything but `append` (only a snapshot restore does), since
+    /// [`LogDisk::update_gauges`] last moved them to the
+    /// `lld.bytes_digested` / `lld.bytes_staged` counters. Plain integers
+    /// on the hot path.
+    digested: u64,
+    staged: u64,
+}
+
+/// Buffers a [`LogDisk`] keeps between calls so the segment path allocates
+/// nothing in steady state. All start empty and are sized on first use.
+#[derive(Default)]
+struct Scratch {
+    /// The image of the last sealed segment, for the next one to open on.
+    spare_image: Option<Vec<u8>>,
+    /// The cleaner's victim segment image.
+    victim_image: Vec<u8>,
+    /// The cleaner's `(slot index, owner)` list of the victim's live slots.
+    live: Vec<(u32, u32)>,
+    /// One checkpoint slot image.
+    ckpt_image: Vec<u8>,
 }
 
 impl LogDisk {
@@ -134,7 +194,7 @@ impl LogDisk {
         let mut nsegs = dev_blocks / SEG_BLOCKS;
         for _ in 0..3 {
             let logical = (nsegs.saturating_sub(RESERVE_SEGS)) * SEG_DATA;
-            let ckpt_bytes = 24 + 4 * logical;
+            let ckpt_bytes = CKPT_HEAD as u64 + 4 * logical;
             let ckpt_blocks = ckpt_bytes.div_ceil(block_size as u64);
             // Two checkpoint slots (A/B): syncs alternate between them, so
             // a power cut tearing one leaves the other valid.
@@ -144,7 +204,7 @@ impl LogDisk {
             return Err(FsError::Invalid("device too small for a log"));
         }
         let logical = (nsegs - RESERVE_SEGS) * SEG_DATA;
-        let ckpt_blocks = (24 + 4 * logical).div_ceil(block_size as u64);
+        let ckpt_blocks = (CKPT_HEAD as u64 + 4 * logical).div_ceil(block_size as u64);
         Ok((nsegs as u32, logical, nsegs * SEG_BLOCKS, ckpt_blocks))
     }
 
@@ -175,28 +235,12 @@ impl LogDisk {
             dirty_index: std::collections::BTreeSet::new(),
             stats: CleanerStats::default(),
             metrics: disksim::Metrics::disabled(),
+            scratch: Scratch::default(),
+            digested: 0,
+            staged: 0,
         };
         lld.write_checkpoint()?;
         Ok(lld)
-    }
-
-    /// Validate one checkpoint slot image; returns its flush sequence if
-    /// the magic, checksum and geometry all check out.
-    fn validate_checkpoint(raw: &[u8], logical: u64) -> Option<u64> {
-        if u32::from_le_bytes(raw[0..4].try_into().expect("slice of 4")) != CKPT_MAGIC {
-            return None;
-        }
-        let stored = u32::from_le_bytes(raw[4..8].try_into().expect("slice of 4"));
-        let h = fnv64(&[&raw[0..4], &[0u8; 4], &raw[8..]]);
-        if (h ^ (h >> 32)) as u32 != stored {
-            return None;
-        }
-        if u64::from_le_bytes(raw[8..16].try_into().expect("slice of 8")) != logical {
-            return None;
-        }
-        Some(u64::from_le_bytes(
-            raw[16..24].try_into().expect("slice of 8"),
-        ))
     }
 
     /// Mount an existing log from its checkpoint.
@@ -217,37 +261,28 @@ impl LogDisk {
         // *both* are unreadable (corrupted media), fall back to a full
         // summary scan — start from an empty map and let roll-forward
         // re-apply every valid summary ever flushed.
-        let mut best: Option<(u64, bool, Vec<u8>)> = None;
+        let mut best: Option<(u64, bool)> = None;
+        let mut best_raw = Vec::new();
+        let mut raw = vec![0u8; (ckpt_blocks as usize) * block_size];
         for slot in 0..2u64 {
-            let mut raw = vec![0u8; (ckpt_blocks as usize) * block_size];
             if dev
                 .read_blocks(ckpt_start + slot * ckpt_blocks, &mut raw)
                 .is_err()
             {
                 continue;
             }
-            if let Some(seq) = Self::validate_checkpoint(&raw, logical) {
-                if best.as_ref().is_none_or(|(s, _, _)| seq > *s) {
-                    best = Some((seq, slot == 1, raw));
+            if let Some(seq) = validate_checkpoint(&raw, logical) {
+                if best.is_none_or(|(s, _)| seq > s) {
+                    best = Some((seq, slot == 1));
+                    std::mem::swap(&mut raw, &mut best_raw);
+                    raw.resize(best_raw.len(), 0);
                 }
             }
         }
         // The next checkpoint must not overwrite the copy we just trusted.
-        let ckpt_next_b = match &best {
-            Some((_, is_b, _)) => !*is_b,
-            None => false,
-        };
+        let ckpt_next_b = best.is_some_and(|(_, is_b)| !is_b);
         let (ckpt_flush_seq, mut map) = match best {
-            Some((seq, _, raw)) => {
-                let mut map = Vec::with_capacity(logical as usize);
-                for i in 0..logical as usize {
-                    let off = 24 + i * 4;
-                    map.push(u32::from_le_bytes(
-                        raw[off..off + 4].try_into().expect("slice of 4"),
-                    ));
-                }
-                (seq, map)
-            }
+            Some((seq, _)) => (seq, checkpoint_map(&best_raw, logical)),
             None => (0, vec![NONE; logical as usize]),
         };
         // Roll forward: apply every segment summary flushed after the
@@ -261,17 +296,24 @@ impl LogDisk {
         // hold exclusively unacknowledged state.
         let mut summaries: Vec<(u64, u32, Summary)> = Vec::new();
         let mut max_flush_seq = ckpt_flush_seq;
+        // One summary-block and one data scratch for the whole scan; the
+        // data scratch grows to the fullest candidate and goes when mount
+        // returns.
+        let mut sbuf = vec![0u8; block_size];
+        let mut data = Vec::new();
         for seg in 0..nsegs {
-            let mut sbuf = vec![0u8; block_size];
             dev.read_block(summary_block(seg), &mut sbuf)?;
             if let Ok(sum) = Summary::decode(&sbuf) {
                 max_flush_seq = max_flush_seq.max(sum.seq);
                 if sum.seq > ckpt_flush_seq {
-                    let mut data = vec![0u8; sum.fill as usize * block_size];
-                    if sum.fill > 0 {
-                        dev.read_blocks(summary_block(seg) + 1, &mut data)?;
+                    let covered = sum.fill as usize * block_size;
+                    if data.len() < covered {
+                        data.resize(covered, 0);
                     }
-                    if fnv64(&[&data]) == sum.data_csum {
+                    if sum.fill > 0 {
+                        dev.read_blocks(summary_block(seg) + 1, &mut data[..covered])?;
+                    }
+                    if digest(&data[..covered]) == sum.data_csum {
                         summaries.push((sum.seq, seg, sum));
                     }
                 }
@@ -365,6 +407,12 @@ impl LogDisk {
             dirty_index,
             stats: CleanerStats::default(),
             metrics: disksim::Metrics::disabled(),
+            scratch: Scratch {
+                ckpt_image: raw,
+                ..Scratch::default()
+            },
+            digested: 0,
+            staged: 0,
         })
     }
 
@@ -376,7 +424,9 @@ impl LogDisk {
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach). The
     /// log records cleaner counters (`lld.segments_cleaned`,
     /// `lld.blocks_copied`, on-demand vs. idle passes), a `lld.victim_live`
-    /// histogram, and free-segment / utilisation gauges.
+    /// histogram, free-segment / utilisation gauges, and the work counters
+    /// `lld.bytes_digested` / `lld.bytes_staged`, brought up to date here,
+    /// after each cleaned segment and on idle (cold paths only).
     pub fn set_metrics(&mut self, metrics: disksim::Metrics) {
         self.metrics = metrics;
         self.update_gauges();
@@ -401,9 +451,10 @@ impl LogDisk {
         }
     }
 
-    /// Refresh the slow-moving gauges; called from cold paths only (the
-    /// cleaner and idle), never per append.
-    fn update_gauges(&self) {
+    /// Refresh the slow-moving gauges and publish the work done since the
+    /// last refresh; called from cold paths only (the cleaner and idle),
+    /// never per append.
+    fn update_gauges(&mut self) {
         if self.metrics.is_enabled() {
             self.metrics
                 .gauge("lld.free_segments", self.free_count as i64);
@@ -411,6 +462,10 @@ impl LogDisk {
             let cap = self.nsegs as u64 * SEG_DATA;
             self.metrics
                 .gauge("lld.utilization_pct", (live * 100 / cap.max(1)) as i64);
+            self.metrics
+                .add("lld.bytes_digested", std::mem::take(&mut self.digested));
+            self.metrics
+                .add("lld.bytes_staged", std::mem::take(&mut self.staged));
         }
     }
 
@@ -530,10 +585,15 @@ impl LogDisk {
         if self.open.is_none() {
             let seg = self.acquire_segment()?;
             self.set_seg_state(seg, SegState::Open);
+            let image = match self.scratch.spare_image.take() {
+                Some(image) => image,
+                None => vec![0u8; SEG_BLOCKS as usize * self.block_size],
+            };
             self.open = Some(OpenSeg {
                 seg,
                 summary: Summary::empty(),
-                data: vec![0u8; (SEG_DATA as usize) * self.block_size],
+                image,
+                digest: Digest::new(),
                 flushed: 0,
             });
         }
@@ -553,8 +613,10 @@ impl LogDisk {
         let bs = self.block_size;
         let open = self.open_mut()?;
         let idx = open.summary.fill;
-        let off = idx as usize * bs;
-        open.data[off..off + bs].copy_from_slice(buf);
+        let off = (1 + idx as usize) * bs;
+        // The one copy and the one digest pass a block ever gets here.
+        open.image[off..off + bs].copy_from_slice(buf);
+        open.digest.update(buf);
         open.summary.owners[idx as usize] = lb as u32;
         open.summary.fill += 1;
         let seg = open.seg;
@@ -563,6 +625,7 @@ impl LogDisk {
         self.map[lb as usize] = slot as u32;
         self.rmap[slot as usize] = lb as u32;
         self.set_seg_live(seg, self.seg_live[seg as usize] + 1);
+        self.digested += bs as u64;
         if full {
             self.seal()?;
         }
@@ -610,17 +673,6 @@ impl LogDisk {
         self.flush_seq
     }
 
-    /// Assemble the one-command write image for a segment flush: the
-    /// encoded summary followed by the first `fill` data slots. Built with
-    /// two bulk copies — this runs on every seal/flush, where an
-    /// element-wise iterator collect of the ~512 KB image was measurable.
-    fn seg_image(summary: &Summary, data: &[u8], fill: usize, bs: usize) -> Vec<u8> {
-        let mut image = Vec::with_capacity((1 + fill) * bs);
-        image.extend_from_slice(&summary.encode(bs));
-        image.extend_from_slice(&data[..fill * bs]);
-        image
-    }
-
     /// The open segment's contents just reached the platter: everything it
     /// superseded is now safely dead, so parked segments become free.
     fn promote_pending_frees(&mut self) {
@@ -637,27 +689,40 @@ impl LogDisk {
         }
     }
 
+    /// Write the open segment as it stands — summary plus every appended
+    /// slot — in one command, straight from its image: stamp a fresh flush
+    /// sequence and the running data digest into the summary and encode it
+    /// into block 0 in place.
+    fn flush_image(&mut self) -> FsResult<()> {
+        let seq = self.next_flush_seq();
+        let bs = self.block_size;
+        let open = self
+            .open
+            .as_mut()
+            .expect("caller checked for an open segment");
+        open.summary.seq = seq;
+        open.summary.data_csum = open.digest.finish();
+        open.flushed = open.summary.fill;
+        open.summary.encode_into(&mut open.image[..bs]);
+        let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
+        let open = self.open.as_ref().expect("checked above");
+        let r = self
+            .dev
+            .write_blocks(summary_block(open.seg), &open.image[..open.used_bytes()]);
+        self.close_span(&spans, sp);
+        r?;
+        Ok(())
+    }
+
     /// Force the open segment's current contents to disk without sealing,
     /// so that frees depending on them can be promoted.
     fn flush_open_now(&mut self) -> FsResult<()> {
-        if let Some(open) = self.open.as_mut() {
-            if open.summary.fill > open.flushed {
-                let seq = self.flush_seq + 1;
-                self.flush_seq = seq;
-                let open = self.open.as_mut().expect("checked above");
-                open.summary.seq = seq;
-                let fill = open.summary.fill;
-                open.summary.data_csum =
-                    fnv64(&[&open.data[..fill as usize * self.block_size]]);
-                let image =
-                    Self::seg_image(&open.summary, &open.data, fill as usize, self.block_size);
-                let start = summary_block(open.seg);
-                open.flushed = fill;
-                let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-                let r = self.dev.write_blocks(start, &image);
-                self.close_span(&spans, sp);
-                r?;
-            }
+        if self
+            .open
+            .as_ref()
+            .is_some_and(|open| open.summary.fill > open.flushed)
+        {
+            self.flush_image()?;
         }
         self.promote_pending_frees();
         Ok(())
@@ -665,14 +730,15 @@ impl LogDisk {
 
     /// Write the open segment (summary + all appended slots) and seal it.
     fn seal(&mut self) -> FsResult<()> {
-        let Some(mut open) = self.open.take() else {
+        if self.open.is_none() {
             return Ok(());
-        };
-        open.summary.seq = self.next_flush_seq();
-        open.summary.data_csum = fnv64(&[
-            &open.data[..open.summary.fill as usize * self.block_size]
-        ]);
-        self.write_open_image(&open)?;
+        }
+        let r = self.flush_image();
+        // The segment closes whether or not the write went through; its
+        // image is what the next segment opens on.
+        let open = self.open.take().expect("checked above");
+        self.scratch.spare_image = Some(open.image);
+        r?;
         self.promote_pending_frees();
         let new = if self.seg_live[open.seg as usize] > 0 {
             SegState::Dirty
@@ -696,57 +762,23 @@ impl LogDisk {
         if frac >= self.cfg.partial_threshold {
             self.seal()
         } else {
-            let open = self.open.as_mut().expect("checked above");
-            let fill = open.summary.fill;
-            open.summary.seq = self.flush_seq + 1;
-            self.flush_seq += 1;
-            let open = self.open.as_mut().expect("checked above");
-            open.summary.data_csum =
-                fnv64(&[&open.data[..fill as usize * self.block_size]]);
-            // Write summary + filled slots in one command.
-            let image =
-                Self::seg_image(&open.summary, &open.data, fill as usize, self.block_size);
-            let start = summary_block(open.seg);
-            open.flushed = fill;
-            let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-            let r = self.dev.write_blocks(start, &image);
-            self.close_span(&spans, sp);
-            r?;
+            self.flush_image()?;
             self.promote_pending_frees();
             Ok(())
         }
     }
 
-    fn write_open_image(&mut self, open: &OpenSeg) -> FsResult<()> {
-        let fill = open.summary.fill as usize;
-        let image = Self::seg_image(&open.summary, &open.data, fill, self.block_size);
-        let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-        let r = self.dev.write_blocks(summary_block(open.seg), &image);
-        self.close_span(&spans, sp);
-        r?;
-        Ok(())
-    }
-
     fn write_checkpoint(&mut self) -> FsResult<()> {
-        let mut raw = vec![0u8; (self.ckpt_blocks as usize) * self.block_size];
-        raw[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
-        raw[8..16].copy_from_slice(&self.logical_blocks.to_le_bytes());
-        raw[16..24].copy_from_slice(&self.flush_seq.to_le_bytes());
-        for (i, &slot) in self.map.iter().enumerate() {
-            let off = 24 + i * 4;
-            raw[off..off + 4].copy_from_slice(&slot.to_le_bytes());
-        }
-        // Checksum (folded FNV over the image with the csum field zeroed),
-        // so mount can reject a checkpoint torn by a power cut.
-        let h = fnv64(&[&raw[0..4], &[0u8; 4], &raw[8..]]);
-        raw[4..8].copy_from_slice(&((h ^ (h >> 32)) as u32).to_le_bytes());
+        let raw = &mut self.scratch.ckpt_image;
+        raw.resize((self.ckpt_blocks as usize) * self.block_size, 0);
+        encode_checkpoint(raw, self.flush_seq, &self.map);
         let slot_start = if self.ckpt_next_b {
             self.ckpt_start + self.ckpt_blocks
         } else {
             self.ckpt_start
         };
         let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.checkpoint");
-        let r = self.dev.write_blocks(slot_start, &raw);
+        let r = self.dev.write_blocks(slot_start, &self.scratch.ckpt_image);
         self.close_span(&spans, sp);
         r?;
         // Only alternate once the write completed: a failed/torn write
@@ -814,13 +846,41 @@ impl LogDisk {
             self.metrics
                 .observe("lld.victim_live", self.seg_live[victim as usize] as u64);
         }
-        let live: Vec<(u32, u32)> = (0..SEG_DATA as u32)
-            .filter_map(|idx| {
-                let slot = seg_to_slot(victim, idx);
-                let owner = self.rmap[slot as usize];
-                (owner != NONE).then_some((idx, owner))
-            })
-            .collect();
+        // Both scratch buffers leave `self` for the copy (whose appends need
+        // all of it) and come back whatever its outcome.
+        let mut live = std::mem::take(&mut self.scratch.live);
+        let mut image = std::mem::take(&mut self.scratch.victim_image);
+        let r = self.copy_live_forward(victim, &mut live, &mut image);
+        self.scratch.live = live;
+        self.scratch.victim_image = image;
+        r?;
+        debug_assert_eq!(self.seg_live[victim as usize], 0);
+        // The victim may only be reused once the copies are durable.
+        if !self.pending_free.contains(&victim) {
+            self.pending_free.push(victim);
+        }
+        self.flush_open_now()?;
+        self.stats.segments_cleaned += 1;
+        if self.metrics.is_enabled() {
+            self.metrics.inc("lld.segments_cleaned");
+            self.update_gauges();
+        }
+        Ok(())
+    }
+
+    /// Read `victim` into `image` and append each of its live blocks to the
+    /// log head. `cleaning` is set for exactly the duration of the appends.
+    fn copy_live_forward(
+        &mut self,
+        victim: u32,
+        live: &mut Vec<(u32, u32)>,
+        image: &mut Vec<u8>,
+    ) -> FsResult<()> {
+        live.clear();
+        live.extend((0..SEG_DATA as u32).filter_map(|idx| {
+            let owner = self.rmap[seg_to_slot(victim, idx) as usize];
+            (owner != NONE).then_some((idx, owner))
+        }));
         // The copies must fit in the open segment plus (at most) one fresh
         // one; refuse up front rather than wedge mid-copy.
         let open_room = self
@@ -834,34 +894,19 @@ impl LogDisk {
         // Read the whole victim in one command (cleaning is segment-sized
         // I/O — the reason it needs long idle windows, unlike the VLD's
         // track-sized compactor).
-        let mut image = vec![0u8; SEG_BLOCKS as usize * self.block_size];
-        self.dev.read_blocks(summary_block(victim), &mut image)?;
+        let bs = self.block_size;
+        image.resize(SEG_BLOCKS as usize * bs, 0);
+        self.dev.read_blocks(summary_block(victim), image)?;
         self.cleaning = true;
-        for (idx, owner) in live {
-            let off = (1 + idx as usize) * self.block_size;
-            // `image` is a local buffer, so it can be lent to `append`
-            // directly — no per-block copy.
-            let r = self.append(owner as u64, &image[off..off + self.block_size]);
-            if r.is_err() {
-                self.cleaning = false;
-            }
-            r?;
+        let copied = live.iter().try_for_each(|&(idx, owner)| {
+            let off = (1 + idx as usize) * bs;
+            self.append(owner as u64, &image[off..off + bs])?;
             self.stats.blocks_copied += 1;
             self.metrics.inc("lld.blocks_copied");
-        }
+            Ok(())
+        });
         self.cleaning = false;
-        debug_assert_eq!(self.seg_live[victim as usize], 0);
-        // The victim may only be reused once the copies are durable.
-        if !self.pending_free.contains(&victim) {
-            self.pending_free.push(victim);
-        }
-        self.flush_open_now()?;
-        self.stats.segments_cleaned += 1;
-        if self.metrics.is_enabled() {
-            self.metrics.inc("lld.segments_cleaned");
-            self.update_gauges();
-        }
-        Ok(())
+        copied
     }
 }
 
@@ -888,8 +933,8 @@ impl BlockDevice for LogDisk {
         if let Some(open) = &self.open {
             let (seg, idx) = slot_to_seg(slot as u64);
             if seg == open.seg {
-                let off = idx as usize * self.block_size;
-                buf.copy_from_slice(&open.data[off..off + self.block_size]);
+                let off = (1 + idx as usize) * self.block_size;
+                buf.copy_from_slice(&open.image[off..off + self.block_size]);
                 return Ok(ServiceTime::ZERO);
             }
         }
@@ -899,7 +944,6 @@ impl BlockDevice for LogDisk {
     fn write_block(&mut self, block: u64, buf: &[u8]) -> DiskResult<ServiceTime> {
         let clock = self.dev.clock();
         let t0 = clock.now();
-        let t0_busy = self.dev.disk_stats().busy;
         self.append(block, buf).map_err(|e| match e {
             FsError::NoSpace => disksim::DiskError::NoSpace,
             FsError::Disk(d) => d,
@@ -907,7 +951,6 @@ impl BlockDevice for LogDisk {
         })?;
         // Report the device time this append actually triggered (zero for
         // a pure buffer append; a sealed segment's flush otherwise).
-        let _ = t0_busy;
         Ok(ServiceTime {
             overhead_ns: 0,
             seek_ns: 0,
@@ -999,9 +1042,12 @@ impl BlockDevice for LogDisk {
 }
 
 /// Snapshot of a [`LogDisk`]: the wrapped device's snapshot plus every
-/// piece of log bookkeeping, including the in-memory open segment. The
-/// `cleaning` re-entrancy guard is transient (always false between calls)
-/// and restores false; the metrics handle restores detached.
+/// piece of log bookkeeping, including the in-memory open segment (the
+/// used prefix of its image and its running digest). The `cleaning`
+/// re-entrancy guard is transient (always false between calls) and
+/// restores false; the metrics handle restores detached, the scratch
+/// buffers empty, and the only work on the books is the open image's
+/// prefix, which the restore staged.
 pub struct LogDiskSnapshot {
     dev: Box<dyn DeviceSnapshot>,
     cfg: LldConfig,
@@ -1026,6 +1072,7 @@ pub struct LogDiskSnapshot {
 
 impl DeviceSnapshot for LogDiskSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
+        let staged = self.open.as_ref().map_or(0, |o| o.used_bytes() as u64);
         Box::new(LogDisk {
             dev: self.dev.restore(),
             cfg: self.cfg,
@@ -1048,6 +1095,9 @@ impl DeviceSnapshot for LogDiskSnapshot {
             dirty_index: self.dirty_index.clone(),
             stats: self.stats,
             metrics: disksim::Metrics::disabled(),
+            scratch: Scratch::default(),
+            digested: 0,
+            staged,
         })
     }
 
@@ -1428,7 +1478,8 @@ mod tests {
         }
         torn.seq = 99;
         torn.data_csum = 0x1234_5678; // data never written: csum can't match
-        let img = torn.encode(4096);
+        let mut img = vec![0u8; 4096];
+        torn.encode_into(&mut img);
         let mut dev = l.crash();
         dev.write_block(summary_block(1), &img).unwrap();
         let mut l2 = LogDisk::mount(dev, LldConfig::default()).unwrap();

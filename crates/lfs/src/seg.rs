@@ -20,52 +20,109 @@ pub const SUMMARY_MAGIC: u32 = 0x4C53_4547;
 /// table and data checksum.
 const HEAD_BYTES: usize = 16 + SEG_DATA as usize * 4 + 8;
 
-/// The checksum protecting summaries and checkpoints. A crash can tear the
-/// multi-block segment flush (summary first, data after); the checksums let
-/// mount detect and discard such segments instead of replaying garbage.
+/// 64-bit lanes folded side by side by [`Digest`].
+const LANES: usize = 4;
+/// Bytes one round of [`Digest::update`] consumes: one word per lane.
+const STRIPE: usize = LANES * 8;
+/// Odd multiplier of the lane step (2^64 / golden ratio).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Distinct lane seeds, so the lanes are not interchangeable.
+const SEEDS: [u64; LANES] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2545_f491_4f6c_dd1d,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// One lane step: xor the word in, multiply by an odd constant, rotate so
+/// high input bits reach the low half before the next multiply. Each of
+/// the three is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so a stream differing from another in exactly one
+/// word can never digest the same.
+#[inline(always)]
+fn step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(MUL).rotate_left(29)
+}
+
+/// The one checksum of the logical disk: segment data, summary headers and
+/// checkpoints. A crash can tear the multi-block segment flush (summary
+/// first, data after); the checksums let mount detect and discard such
+/// segments instead of replaying garbage.
 ///
-/// This is FNV-1a lifted from bytes to 64-bit words: the byte-serial
-/// multiply chain priced every 512 KB seal at a millisecond of host time,
-/// so each step folds in eight bytes at once. The digest is a pure function
-/// of the concatenated byte stream (chunk boundaries never change it — a
-/// carry buffer regroups bytes across chunks), and the total length is
-/// folded into the final step so streams differing only in trailing zeros
-/// stay distinct.
-pub fn fnv64(chunks: &[&[u8]]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut carry = [0u8; 8];
-    let mut pending = 0usize;
-    let mut total = 0u64;
-    for chunk in chunks {
-        total += chunk.len() as u64;
-        let mut rest = *chunk;
-        if pending > 0 {
-            let take = (8 - pending).min(rest.len());
-            carry[pending..pending + take].copy_from_slice(&rest[..take]);
-            pending += take;
-            rest = &rest[take..];
-            if pending < 8 {
-                // The chunk ran out before completing a word; keep the
-                // partial carry for the next chunk.
-                continue;
+/// The stream is cut into 32-byte stripes; word `k` of every stripe feeds
+/// lane `k`, so four independent multiply chains are in flight and the
+/// fold runs at memory speed rather than at one multiply latency per word.
+/// A ragged tail is zero-padded to a stripe, and [`Digest::finish`] folds
+/// the lanes and the total length together, so the value is a pure
+/// function of the byte stream and its length: cutting the stream into
+/// `update` calls at any stripe boundary (every block boundary is one)
+/// gives the same digest as one call over the concatenation, and streams
+/// differing only by trailing zeros differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digest {
+    lanes: [u64; LANES],
+    len: u64,
+}
+
+impl Default for Digest {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Digest {
+    /// The digest of the empty stream.
+    pub const fn new() -> Self {
+        Self {
+            lanes: SEEDS,
+            len: 0,
+        }
+    }
+
+    /// Fold `bytes` onto the end of the stream. Only the last call of a
+    /// stream may pass a length that is not a multiple of 32.
+    pub fn update(&mut self, bytes: &[u8]) {
+        assert!(
+            self.len.is_multiple_of(STRIPE as u64),
+            "Digest::update after a ragged update"
+        );
+        self.len += bytes.len() as u64;
+        let mut lanes = self.lanes;
+        let mut fold = |stripe: &[u8]| {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = step(
+                    *lane,
+                    u64::from_le_bytes(word.try_into().expect("chunk of 8")),
+                );
             }
-            h = (h ^ u64::from_le_bytes(carry)).wrapping_mul(PRIME);
+        };
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            fold(stripe);
         }
-        let mut words = rest.chunks_exact(8);
-        for w in &mut words {
-            let word = u64::from_le_bytes(w.try_into().expect("chunk of 8"));
-            h = (h ^ word).wrapping_mul(PRIME);
+        let tail = stripes.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; STRIPE];
+            padded[..tail.len()].copy_from_slice(tail);
+            fold(&padded);
         }
-        let tail = words.remainder();
-        carry[..tail.len()].copy_from_slice(tail);
-        pending = tail.len();
+        self.lanes = lanes;
     }
-    if pending > 0 {
-        carry[pending..].fill(0);
-        h = (h ^ u64::from_le_bytes(carry)).wrapping_mul(PRIME);
+
+    /// The digest of everything folded so far; the stream can go on.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.lanes.iter().fold(self.len, |h, &lane| step(h, lane));
+        h ^= h >> 32;
+        h = h.wrapping_mul(MUL);
+        h ^ (h >> 29)
     }
-    (h ^ total).wrapping_mul(PRIME)
+}
+
+/// Digest of one contiguous byte string.
+pub fn digest(bytes: &[u8]) -> u64 {
+    let mut d = Digest::new();
+    d.update(bytes);
+    d.finish()
 }
 
 /// Per-segment bookkeeping state.
@@ -83,14 +140,14 @@ pub enum SegState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Summary {
     /// Logical owner of each data slot (NONE = never written).
-    pub owners: Vec<u32>,
+    pub owners: [u32; SEG_DATA as usize],
     /// Number of slots actually appended.
     pub fill: u32,
     /// Monotonic flush sequence: every summary written to disk (partial
     /// flush or seal) gets a fresh value, so mount-time roll-forward can
     /// order segments and skip ones older than the checkpoint.
     pub seq: u64,
-    /// Checksum over the `fill` data blocks flushed with this summary.
+    /// [`Digest`] of the `fill` data blocks flushed with this summary.
     /// Roll-forward verifies it before trusting the segment: if the crash
     /// tore the flush after the summary block but before (all of) the data
     /// landed, the mismatch exposes it.
@@ -101,30 +158,27 @@ impl Summary {
     /// An empty summary.
     pub fn empty() -> Self {
         Self {
-            owners: vec![NONE; SEG_DATA as usize],
+            owners: [NONE; SEG_DATA as usize],
             fill: 0,
             seq: 0,
             data_csum: 0,
         }
     }
 
-    /// Serialise into a block image of `block_size` bytes. The header is
-    /// sealed with its own checksum so a torn summary write (partial
-    /// sectors of the summary block itself) is detectable.
-    pub fn encode(&self, block_size: usize) -> Vec<u8> {
-        let mut b = vec![0u8; block_size];
-        b[0..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
-        b[4..8].copy_from_slice(&self.fill.to_le_bytes());
-        b[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        for (i, o) in self.owners.iter().enumerate() {
-            let off = 16 + i * 4;
-            b[off..off + 4].copy_from_slice(&o.to_le_bytes());
+    /// Serialise into `block` (one device block), overwriting all of it.
+    /// The header is sealed with its own checksum so a torn summary write
+    /// (partial sectors of the summary block itself) is detectable.
+    pub fn encode_into(&self, block: &mut [u8]) {
+        block[0..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
+        block[4..8].copy_from_slice(&self.fill.to_le_bytes());
+        block[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        for (dst, owner) in block[16..].chunks_exact_mut(4).zip(&self.owners) {
+            dst.copy_from_slice(&owner.to_le_bytes());
         }
-        let data_off = 16 + SEG_DATA as usize * 4;
-        b[data_off..data_off + 8].copy_from_slice(&self.data_csum.to_le_bytes());
-        let head_csum = fnv64(&[&b[..HEAD_BYTES]]);
-        b[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&head_csum.to_le_bytes());
-        b
+        block[HEAD_BYTES - 8..HEAD_BYTES].copy_from_slice(&self.data_csum.to_le_bytes());
+        let head_csum = digest(&block[..HEAD_BYTES]);
+        block[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&head_csum.to_le_bytes());
+        block[HEAD_BYTES + 8..].fill(0);
     }
 
     /// Decode a summary block, verifying the header checksum.
@@ -140,7 +194,7 @@ impl Summary {
                 .try_into()
                 .expect("slice of 8"),
         );
-        if fnv64(&[&buf[..HEAD_BYTES]]) != stored {
+        if digest(&buf[..HEAD_BYTES]) != stored {
             return Err(FsError::Invalid("segment summary checksum mismatch"));
         }
         let fill = u32::from_le_bytes(buf[4..8].try_into().expect("slice of 4"));
@@ -148,16 +202,12 @@ impl Summary {
             return Err(FsError::Invalid("summary fill out of range"));
         }
         let seq = u64::from_le_bytes(buf[8..16].try_into().expect("slice of 8"));
-        let mut owners = Vec::with_capacity(SEG_DATA as usize);
-        for i in 0..SEG_DATA as usize {
-            let off = 16 + i * 4;
-            owners.push(u32::from_le_bytes(
-                buf[off..off + 4].try_into().expect("slice of 4"),
-            ));
+        let mut owners = [NONE; SEG_DATA as usize];
+        for (owner, src) in owners.iter_mut().zip(buf[16..].chunks_exact(4)) {
+            *owner = u32::from_le_bytes(src.try_into().expect("chunk of 4"));
         }
-        let data_off = 16 + SEG_DATA as usize * 4;
         let data_csum = u64::from_le_bytes(
-            buf[data_off..data_off + 8]
+            buf[HEAD_BYTES - 8..HEAD_BYTES]
                 .try_into()
                 .expect("slice of 8"),
         );
@@ -168,6 +218,59 @@ impl Summary {
             data_csum,
         })
     }
+}
+
+/// Checkpoint magic ("LCKP").
+const CKPT_MAGIC: u32 = 0x4C43_4B50;
+/// Bytes before the block map in a checkpoint image: magic, checksum,
+/// logical block count, flush sequence.
+pub(crate) const CKPT_HEAD: usize = 24;
+
+/// The checkpoint's 32-bit checksum: the [`Digest`] of everything after
+/// the magic and the checksum field itself, folded in half.
+fn checkpoint_csum(raw: &[u8]) -> u32 {
+    let h = digest(&raw[8..]);
+    (h ^ (h >> 32)) as u32
+}
+
+/// Fill `raw` (one whole checkpoint slot) with the image of `map`.
+pub(crate) fn encode_checkpoint(raw: &mut [u8], flush_seq: u64, map: &[u32]) {
+    let map_end = CKPT_HEAD + 4 * map.len();
+    raw[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
+    raw[8..16].copy_from_slice(&(map.len() as u64).to_le_bytes());
+    raw[16..24].copy_from_slice(&flush_seq.to_le_bytes());
+    for (dst, slot) in raw[CKPT_HEAD..map_end].chunks_exact_mut(4).zip(map) {
+        dst.copy_from_slice(&slot.to_le_bytes());
+    }
+    raw[map_end..].fill(0);
+    let csum = checkpoint_csum(raw);
+    raw[4..8].copy_from_slice(&csum.to_le_bytes());
+}
+
+/// Validate one checkpoint slot image; returns its flush sequence if the
+/// magic, checksum and geometry all check out, so mount can reject a
+/// checkpoint torn by a power cut.
+pub(crate) fn validate_checkpoint(raw: &[u8], logical: u64) -> Option<u64> {
+    if u32::from_le_bytes(raw[0..4].try_into().expect("slice of 4")) != CKPT_MAGIC {
+        return None;
+    }
+    if u32::from_le_bytes(raw[4..8].try_into().expect("slice of 4")) != checkpoint_csum(raw) {
+        return None;
+    }
+    if u64::from_le_bytes(raw[8..16].try_into().expect("slice of 8")) != logical {
+        return None;
+    }
+    Some(u64::from_le_bytes(
+        raw[16..24].try_into().expect("slice of 8"),
+    ))
+}
+
+/// The block map stored in a validated checkpoint image.
+pub(crate) fn checkpoint_map(raw: &[u8], logical: u64) -> Vec<u32> {
+    raw[CKPT_HEAD..CKPT_HEAD + 4 * logical as usize]
+        .chunks_exact(4)
+        .map(|e| u32::from_le_bytes(e.try_into().expect("chunk of 4")))
+        .collect()
 }
 
 /// Map a global data-slot number to its segment and slot index.
@@ -199,48 +302,142 @@ pub fn summary_block(seg: u32) -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn summary_roundtrip() {
+    const BS: usize = 4096;
+
+    /// Deterministic, non-repeating filler.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(MUL) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    fn sample() -> Summary {
         let mut s = Summary::empty();
         s.owners[0] = 5;
         s.owners[126] = 99;
         s.fill = 2;
         s.seq = 77;
         s.data_csum = 0xDEAD_BEEF_F00D;
-        let img = s.encode(4096);
-        assert_eq!(Summary::decode(&img).unwrap(), s);
+        s
+    }
+
+    fn encode(s: &Summary) -> Vec<u8> {
+        // Dirty on purpose: `encode_into` must overwrite the whole block.
+        let mut block = vec![0xA5u8; BS];
+        s.encode_into(&mut block);
+        block
     }
 
     #[test]
-    fn tampered_summary_header_rejected() {
-        let mut img = Summary::empty().encode(4096);
-        img[20] ^= 0x01; // flip one owner bit
-        assert!(Summary::decode(&img).is_err(), "checksum must catch tamper");
+    fn summary_roundtrip() {
+        let s = sample();
+        let img = encode(&s);
+        assert_eq!(Summary::decode(&img).unwrap(), s);
+        assert!(img[HEAD_BYTES + 8..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn bad_summary_rejected() {
-        assert!(Summary::decode(&vec![0u8; 4096]).is_err());
+        assert!(Summary::decode(&vec![0u8; BS]).is_err());
         assert!(Summary::decode(&[0u8; 10]).is_err());
-        let mut s = Summary::empty().encode(4096);
-        s[4] = 0xFF; // fill > SEG_DATA
-        s[5] = 0xFF;
-        assert!(Summary::decode(&s).is_err());
+        // A fill beyond the segment is refused even under a valid seal.
+        let mut s = Summary::empty();
+        s.fill = SEG_DATA as u32 + 1;
+        assert!(Summary::decode(&encode(&s)).is_err());
     }
 
     #[test]
-    fn fnv64_depends_only_on_the_byte_stream() {
-        let data: Vec<u8> = (0..100u8).collect();
-        let whole = fnv64(&[&data]);
-        // Any chunking of the same stream must digest identically.
-        assert_eq!(fnv64(&[&data[..3], &data[3..]]), whole);
-        assert_eq!(fnv64(&[&data[..8], &data[8..64], &data[64..]]), whole);
-        assert_eq!(fnv64(&[&[], &data, &[]]), whole);
-        // Different streams must (overwhelmingly) differ — including ones
-        // that only differ by trailing zeros.
-        assert_ne!(fnv64(&[&data[..99]]), whole);
-        assert_ne!(fnv64(&[&[0u8; 8]]), fnv64(&[&[0u8; 16]]));
-        assert_ne!(fnv64(&[&[]]), fnv64(&[&[0u8]]));
+    fn summary_header_rejects_every_single_bit_flip() {
+        let img = encode(&sample());
+        for bit in 0..(HEAD_BYTES + 8) * 8 {
+            let mut torn = img.clone();
+            torn[bit / 8] ^= 1 << (bit % 8);
+            assert!(Summary::decode(&torn).is_err(), "bit {bit} went unnoticed");
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_every_single_bit_flip() {
+        let map: Vec<u32> = (0..254u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let logical = map.len() as u64;
+        let mut raw = vec![0xA5u8; BS];
+        encode_checkpoint(&mut raw, 41, &map);
+        assert_eq!(validate_checkpoint(&raw, logical), Some(41));
+        assert_eq!(checkpoint_map(&raw, logical), map);
+        assert_eq!(
+            validate_checkpoint(&raw, logical + 1),
+            None,
+            "other geometry"
+        );
+        for bit in 0..raw.len() * 8 {
+            let mut torn = raw.clone();
+            torn[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(validate_checkpoint(&torn, logical), None, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn digest_streams_block_by_block() {
+        let data = noise(SEG_DATA as usize * BS, 1);
+        let mut running = Digest::new();
+        for fill in 0..=SEG_DATA as usize {
+            // `finish` does not consume: the same state keeps streaming.
+            assert_eq!(running.finish(), digest(&data[..fill * BS]), "fill {fill}");
+            if fill < SEG_DATA as usize {
+                running.update(&data[fill * BS..(fill + 1) * BS]);
+            }
+        }
+    }
+
+    #[test]
+    fn digest_folds_the_length() {
+        let zeros = vec![0u8; 3 * BS];
+        let mut seen = std::collections::BTreeSet::new();
+        for blocks in 0..=3 {
+            assert!(
+                seen.insert(digest(&zeros[..blocks * BS])),
+                "{blocks} zero blocks"
+            );
+        }
+        // Ragged lengths (the header and checkpoint cases) too.
+        assert_ne!(digest(&[]), digest(&[0]));
+        assert_ne!(digest(&[0; 31]), digest(&[0; 32]));
+        assert_ne!(digest(&[0; 33]), digest(&[0; 32]));
+        let data = noise(100, 2);
+        assert_ne!(digest(&data[..99]), digest(&data));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged")]
+    fn digest_refuses_to_stream_past_a_ragged_update() {
+        let mut d = Digest::new();
+        d.update(&[1, 2, 3]);
+        d.update(&[4]);
+    }
+
+    #[test]
+    fn digest_notices_every_single_sector_substitution() {
+        // What a torn flush leaves behind: one sector of the covered range
+        // still holding something else (zeros, or the previous generation).
+        const SECTOR: usize = 512;
+        let fill = 9;
+        let data = noise(fill * BS, 3);
+        let stale = noise(fill * BS, 4);
+        let want = digest(&data);
+        for sector in 0..fill * BS / SECTOR {
+            let range = sector * SECTOR..(sector + 1) * SECTOR;
+            let mut torn = data.clone();
+            torn[range.clone()].fill(0);
+            assert_ne!(digest(&torn), want, "zeroed sector {sector}");
+            torn[range.clone()].copy_from_slice(&stale[range]);
+            assert_ne!(digest(&torn), want, "stale sector {sector}");
+        }
     }
 
     #[test]
