@@ -6,11 +6,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fscore::HostModel;
+use modelcheck::stack::{DevKind, DiskKind, FsKind, StackSpec};
 use vlfs_bench::*;
 
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
+    let ufs_on_vld = StackSpec::paper(
+        FsKind::Ufs,
+        DevKind::Vld,
+        DiskKind::Seagate,
+        HostModel::instant(),
+    );
     g.bench_function("table1", |b| b.iter(table1::run));
     g.bench_function("fig1_small", |b| {
         b.iter(|| fig1::series(disksim::DiskSpec::st19101_sim(), 40, 1))
@@ -19,34 +26,16 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| fig2::series(disksim::DiskSpec::st19101_sim(), 10))
     });
     g.bench_function("fig6_small", |b| {
-        b.iter(|| {
-            fig6::measure(
-                setup::FsKind::Ufs,
-                setup::DevKind::Vld,
-                setup::DiskKind::Seagate,
-                60,
-                HostModel::instant(),
-            )
-            .expect("fig6")
-        })
+        b.iter(|| fig6::measure(ufs_on_vld, 60).expect("fig6"))
     });
     g.bench_function("fig7_small", |b| {
-        b.iter(|| {
-            fig7::measure(
-                setup::FsKind::Ufs,
-                setup::DevKind::Vld,
-                setup::DiskKind::Seagate,
-                2,
-                HostModel::instant(),
-            )
-            .expect("fig7")
-        })
+        b.iter(|| fig7::measure(ufs_on_vld, 2).expect("fig7"))
     });
     g.bench_function("fig8_point", |b| {
         b.iter(|| {
             fig8::measure_point(
                 fig8::System::UfsVld,
-                setup::DiskKind::Seagate,
+                DiskKind::Seagate,
                 0.5,
                 100,
                 HostModel::instant(),
@@ -57,8 +46,8 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("fig9_point", |b| {
         b.iter(|| {
             fig9::measure(
-                setup::DevKind::Vld,
-                setup::DiskKind::Seagate,
+                DevKind::Vld,
+                DiskKind::Seagate,
                 HostModel::sparcstation_10(),
                 60,
             )

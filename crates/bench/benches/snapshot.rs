@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fscore::{FileSystem, HostModel};
-use vlfs_bench::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind};
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
+use vlfs_bench::setup::{build_aged, AgedSpec};
 use vlfs_bench::workload::BLOCK;
 
 /// A small but representative aged state: log-structured stack at 30 %

@@ -8,9 +8,10 @@
 //! intervals".
 
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{aged_system, AgedSpec};
 use crate::workload::{rng, BLOCK};
 use fscore::{FileId, FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
 use rand::Rng;
 
 /// The paper's burst sizes (KB). 504/1008/… are multiples of the 508 KB

@@ -8,9 +8,10 @@
 
 use crate::fig10::burst_idle_bench;
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{aged_system, AgedSpec};
 use crate::workload::BLOCK;
 use fscore::HostModel;
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// The paper's burst sizes for this figure (KB).
 pub const BURSTS_KB: [u64; 6] = [128, 256, 512, 1024, 2048, 4096];

@@ -7,9 +7,9 @@
 //! flushed between phases. Run on empty disks.
 
 use crate::format_table;
-use crate::setup::{combo_label, make_system, DevKind, DiskKind, FsKind};
 use crate::workload::timed;
 use fscore::{FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DiskKind, FsKind, Obs, StackSpec};
 
 /// Per-phase simulated times for one system, in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -23,15 +23,9 @@ pub struct SmallFileResult {
 }
 
 /// Run the small-file benchmark on one system.
-pub fn measure(
-    fs_kind: FsKind,
-    dev: DevKind,
-    disk: DiskKind,
-    files: u32,
-    host: HostModel,
-) -> FsResult<SmallFileResult> {
-    let mut fs = make_system(fs_kind, dev, disk, host)?;
-    if fs_kind == FsKind::Ufs {
+pub fn measure(spec: StackSpec, files: u32) -> FsResult<SmallFileResult> {
+    let mut fs = spec.build(None, &Obs::default())?;
+    if spec.fs == FsKind::Ufs {
         fs.set_sync_writes(true); // "Under UFS, updates are synchronous."
     }
     let clock = fs.clock();
@@ -69,17 +63,11 @@ pub fn measure(
 /// normalised to UFS/regular (higher is better).
 pub fn run(files: u32) -> String {
     let host = HostModel::sparcstation_10();
-    let combos = [
-        (FsKind::Ufs, DevKind::Regular),
-        (FsKind::Ufs, DevKind::Vld),
-        (FsKind::Lfs, DevKind::Regular),
-        (FsKind::Lfs, DevKind::Vld),
-    ];
-    let results: Vec<(String, SmallFileResult)> = disksim::par::pmap(combos.to_vec(), |(f, d)| {
+    let specs = StackSpec::ALL.map(|s| StackSpec::paper(s.fs, s.dev, DiskKind::Seagate, host));
+    let results: Vec<(String, SmallFileResult)> = disksim::par::pmap(specs.to_vec(), |spec| {
         (
-            combo_label(f, d),
-            measure(f, d, DiskKind::Seagate, files, host)
-                .unwrap_or_else(|e| panic!("{}: {e}", combo_label(f, d))),
+            spec.label(),
+            measure(spec, files).unwrap_or_else(|e| panic!("{}: {e}", spec.label())),
         )
     });
     let base = results[0].1;
@@ -117,12 +105,20 @@ pub fn run(files: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modelcheck::stack::DevKind;
+
+    fn quick(fs: FsKind, dev: DevKind) -> SmallFileResult {
+        measure(
+            StackSpec::paper(fs, dev, DiskKind::Seagate, HostModel::instant()),
+            150,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn vld_speeds_up_ufs_creates_and_deletes() {
-        let host = HostModel::instant();
-        let reg = measure(FsKind::Ufs, DevKind::Regular, DiskKind::Seagate, 150, host).unwrap();
-        let vld = measure(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate, 150, host).unwrap();
+        let reg = quick(FsKind::Ufs, DevKind::Regular);
+        let vld = quick(FsKind::Ufs, DevKind::Vld);
         assert!(
             vld.create_ns * 2 < reg.create_ns,
             "create: VLD {} vs regular {}",
@@ -141,9 +137,8 @@ mod tests {
 
     #[test]
     fn lfs_create_is_fast_on_both_devices() {
-        let host = HostModel::instant();
-        let ufs = measure(FsKind::Ufs, DevKind::Regular, DiskKind::Seagate, 150, host).unwrap();
-        let lfs = measure(FsKind::Lfs, DevKind::Regular, DiskKind::Seagate, 150, host).unwrap();
+        let ufs = quick(FsKind::Ufs, DevKind::Regular);
+        let lfs = quick(FsKind::Lfs, DevKind::Regular);
         assert!(
             lfs.create_ns < ufs.create_ns,
             "buffered LFS creates must win"

@@ -4,9 +4,9 @@
 //! randomly. Bandwidth in MB/s per phase, on all four systems.
 
 use crate::format_table;
-use crate::setup::{combo_label, make_system, DevKind, DiskKind, FsKind};
 use crate::workload::{mb_per_s, rng, timed, BLOCK};
 use fscore::{FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DiskKind, FsKind, Obs, StackSpec};
 use rand::seq::SliceRandom;
 
 /// Per-phase bandwidths (MB/s).
@@ -27,14 +27,8 @@ pub struct LargeFileResult {
 }
 
 /// Run the benchmark on one system with a file of `mb` megabytes.
-pub fn measure(
-    fs_kind: FsKind,
-    dev: DevKind,
-    disk: DiskKind,
-    mb: u64,
-    host: HostModel,
-) -> FsResult<LargeFileResult> {
-    let mut fs = make_system(fs_kind, dev, disk, host)?;
+pub fn measure(spec: StackSpec, mb: u64) -> FsResult<LargeFileResult> {
+    let mut fs = spec.build(None, &Obs::default())?;
     let clock = fs.clock();
     let bytes = mb << 20;
     let nblocks = bytes / BLOCK as u64;
@@ -75,7 +69,7 @@ pub fn measure(
     })?;
     fs.drop_caches();
 
-    let rand_write_sync_ns = if fs_kind == FsKind::Ufs {
+    let rand_write_sync_ns = if spec.fs == FsKind::Ufs {
         fs.set_sync_writes(true);
         order.shuffle(&mut rng(0x717));
         let ns = timed(&clock, || {
@@ -125,30 +119,22 @@ pub fn measure(
 /// Regenerate Figure 7.
 pub fn run(mb: u64) -> String {
     let host = HostModel::sparcstation_10();
-    let combos = [
-        (FsKind::Ufs, DevKind::Regular),
-        (FsKind::Ufs, DevKind::Vld),
-        (FsKind::Lfs, DevKind::Regular),
-        (FsKind::Lfs, DevKind::Vld),
-    ];
-    let rows: Vec<Vec<String>> = disksim::par::pmap(combos.to_vec(), |(fk, dk)| {
-        {
-            let r = measure(fk, dk, DiskKind::Seagate, mb, host)
-                .unwrap_or_else(|e| panic!("{}: {e}", combo_label(fk, dk)));
-            vec![
-                combo_label(fk, dk),
-                format!("{:.2}", r.seq_write),
-                format!("{:.2}", r.seq_read),
-                format!("{:.2}", r.rand_write_async),
-                if r.rand_write_sync > 0.0 {
-                    format!("{:.2}", r.rand_write_sync)
-                } else {
-                    "-".into()
-                },
-                format!("{:.2}", r.seq_read_again),
-                format!("{:.2}", r.rand_read),
-            ]
-        }
+    let specs = StackSpec::ALL.map(|s| StackSpec::paper(s.fs, s.dev, DiskKind::Seagate, host));
+    let rows: Vec<Vec<String>> = disksim::par::pmap(specs.to_vec(), |spec| {
+        let r = measure(spec, mb).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
+        vec![
+            spec.label(),
+            format!("{:.2}", r.seq_write),
+            format!("{:.2}", r.seq_read),
+            format!("{:.2}", r.rand_write_async),
+            if r.rand_write_sync > 0.0 {
+                format!("{:.2}", r.rand_write_sync)
+            } else {
+                "-".into()
+            },
+            format!("{:.2}", r.seq_read_again),
+            format!("{:.2}", r.rand_read),
+        ]
     });
     format_table(
         &format!("Figure 7: large-file bandwidth (MB/s), {mb} MB file"),
@@ -168,9 +154,14 @@ pub fn run(mb: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modelcheck::stack::DevKind;
 
     fn quick(fs: FsKind, dev: DevKind) -> LargeFileResult {
-        measure(fs, dev, DiskKind::Seagate, 4, HostModel::instant()).unwrap()
+        measure(
+            StackSpec::paper(fs, dev, DiskKind::Seagate, HostModel::instant()),
+            4,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! being updated and reported `df`-style.
 
 use crate::format_table;
-use crate::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{build_aged, AgedSpec};
 use crate::workload::steady_state_update_ms;
 use fscore::{FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// One measured point for one system.
 #[derive(Debug, Clone, Copy)]

@@ -10,9 +10,10 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::format_table;
-use crate::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{build_aged, AgedSpec};
 use crate::workload::{random_updates, rng};
 use fscore::{FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// Mean per-update latency components, in milliseconds.
 #[derive(Debug, Clone, Copy)]
@@ -78,14 +79,12 @@ fn measure_fresh(
     // Footnote 1 of the paper: the VLD is measured "immediately after
     // running a compactor" — so provision an empty-track pool large enough
     // to cover the measured window.
-    let spec = AgedSpec {
+    let mut spec = AgedSpec {
         sync_writes: true,
-        vld_target_empty_tracks: match dev {
-            DevKind::Regular => None,
-            DevKind::Vld => Some(40),
-        },
         ..AgedSpec::new(FsKind::Ufs, dev, disk, host, 0.8)
     };
+    // (A VLD setting: no effect on the regular disk.)
+    spec.stack.vld_target_empty_tracks = Some(40);
     // The measure memo already dedups Table 2 against Figure 9, so each of
     // the six specs is built exactly once: no snapshot to amortise.
     let (mut fs, f, file_blocks) = build_aged(&spec)?;

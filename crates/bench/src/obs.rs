@@ -16,10 +16,10 @@
 
 use std::fmt::Write as _;
 
-use crate::setup::{DevKind, DiskKind};
 use crate::workload::{make_file, random_updates, rng, BLOCK};
-use disksim::{Metrics, ServiceTime, SimClock, Spans, Tracer};
+use disksim::{Metrics, ServiceTime, Spans, Tracer};
 use fscore::{FileSystem, FsResult, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
 
 /// Ring capacity for exhibit traces: large enough that a quick run never
 /// drops an event (drops would break the busy-sum invariant check).
@@ -35,7 +35,9 @@ pub struct StackObs {
     pub metrics: Metrics,
     /// The causal-span table shared with the disk at the bottom of the stack.
     pub spans: Spans,
-    /// Disk busy breakdown accumulated while the tracer was attached.
+    /// Disk busy breakdown of the run. The handles are attached before the
+    /// first timed command (creating a device only pokes the media), so
+    /// this is also what accumulated while the tracer was attached.
     pub busy_delta: ServiceTime,
     /// Simulated end time of the run (the stack's own virtual clock).
     pub end_ns: u64,
@@ -75,16 +77,6 @@ impl StackObs {
     }
 }
 
-fn busy_minus(a: ServiceTime, b: ServiceTime) -> ServiceTime {
-    ServiceTime {
-        overhead_ns: a.overhead_ns - b.overhead_ns,
-        seek_ns: a.seek_ns - b.seek_ns,
-        head_switch_ns: a.head_switch_ns - b.head_switch_ns,
-        rotation_ns: a.rotation_ns - b.rotation_ns,
-        transfer_ns: a.transfer_ns - b.transfer_ns,
-    }
-}
-
 /// Run the traced Figure 9 workload on one stack.
 pub fn trace_stack(dev: DevKind, updates: u64) -> FsResult<StackObs> {
     stack_run(dev, updates, true)
@@ -100,52 +92,23 @@ fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<StackObs> {
         DevKind::Vld => "ufs-vld",
     };
     let tracer = Tracer::with_capacity(RING);
-    let metrics = if observed {
-        Metrics::enabled()
-    } else {
-        Metrics::default()
-    };
-    let spans = if observed {
-        Spans::enabled()
-    } else {
-        Spans::disabled()
-    };
-    let host = HostModel::sparcstation_10();
-    let disk = DiskKind::Hp;
-    let (mut fs, busy0) = match dev {
-        DevKind::Regular => {
-            let mut rd = disksim::RegularDisk::new(disk.spec(), SimClock::new(), BLOCK);
-            if observed {
-                rd.disk_mut().set_tracer(Some(tracer.clone()));
-                rd.disk_mut().set_metrics(metrics.clone());
-                rd.disk_mut().set_spans(spans.clone());
-            }
-            let busy0 = rd.disk().stats().busy;
-            (
-                ufs::Ufs::format(Box::new(rd), host, ufs::UfsConfig::default())?,
-                busy0,
-            )
+    let obs = if observed {
+        Obs {
+            tracer: Some(tracer.clone()),
+            metrics: Metrics::enabled(),
+            spans: Spans::enabled(),
         }
-        DevKind::Vld => {
-            // As in Figure 9: the VLD is measured right after a compactor
-            // run, so provision an empty-track pool covering the window.
-            let mut cfg = vlog_core::VldConfig::default();
-            cfg.compactor.target_empty_tracks = 40;
-            let mut vld = vlog_core::Vld::format(disk.spec(), SimClock::new(), cfg);
-            if observed {
-                vld.set_observability(Some(tracer.clone()), metrics.clone());
-                vld.set_spans(spans.clone());
-            }
-            let busy0 = disksim::BlockDevice::disk_stats(&vld).busy;
-            (
-                ufs::Ufs::format(Box::new(vld), host, ufs::UfsConfig::default())?,
-                busy0,
-            )
-        }
+    } else {
+        Obs::default()
     };
-    if observed {
-        fs.set_metrics(metrics.clone());
-    }
+    // As in Figure 9: the VLD is measured right after a compactor run, so
+    // provision an empty-track pool covering the window.
+    let spec = StackSpec {
+        vld_target_empty_tracks: Some(40),
+        ..StackSpec::paper(FsKind::Ufs, dev, DiskKind::Hp, HostModel::sparcstation_10())
+    };
+    let mut fs = spec.build(None, &obs)?;
+    let Obs { metrics, spans, .. } = obs;
 
     let scope = |phase: &str| format!("{label}/{phase}");
     tracer.set_scope(&scope("setup"));
@@ -168,7 +131,6 @@ fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<StackObs> {
         done += chunk;
     }
     let stats = fs.device().disk_stats();
-    let busy_delta = busy_minus(stats.busy, busy0);
     if spans.is_enabled() && metrics.is_enabled() {
         // Cleaning tax (paper Table 2 / Figure 8 territory): the ratio of
         // background (compaction/recovery subtree) to foreground disk time.
@@ -184,7 +146,7 @@ fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<StackObs> {
         tracer,
         metrics,
         spans,
-        busy_delta,
+        busy_delta: stats.busy,
         end_ns: fs.clock().now(),
         disk_ops: stats.reads + stats.writes,
         updates,

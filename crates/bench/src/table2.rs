@@ -4,7 +4,7 @@
 
 use crate::fig9::{measure, platforms};
 use crate::format_table;
-use crate::setup::DevKind;
+use modelcheck::stack::DevKind;
 
 /// Speedups per platform: (name, UFS/regular ms, UFS/VLD ms, speedup).
 pub fn speedups(updates: u64) -> Vec<(&'static str, f64, f64, f64)> {

@@ -16,16 +16,17 @@
 //! 3. LFS with synchronous flushes (the case the paper says hurts).
 
 use crate::format_table;
-use crate::setup::{make_system, DevKind, DiskKind, FsKind};
 use crate::workload::{make_file, rng, BLOCK};
 use disksim::{Disk, SimClock};
 use fscore::{FileSystem, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
 use rand::Rng;
 use vlog_core::{AllocConfig, VlfsLayer, INODE_DIRECT};
 
 /// Mean random-sync-update latency on UFS-over-VLD at `frac` of capacity.
 fn ufs_on_vld_ms(frac: f64, updates: u64, host: HostModel) -> f64 {
-    let mut fs = make_system(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate, host).expect("format");
+    let spec = StackSpec::paper(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate, host);
+    let mut fs = spec.build(None, &Obs::default()).expect("format");
     let usable = fs.free_blocks();
     let file_blocks = (usable as f64 * frac) as u64;
     let f = make_file(&mut fs, "t", file_blocks * BLOCK as u64).expect("fill");
@@ -97,8 +98,8 @@ fn vlfs_ms(frac: f64, updates: u64, host: HostModel) -> f64 {
 /// LFS with `sync` after every update — the paper's "frequent fsync" pain
 /// case.
 fn lfs_sync_ms(frac: f64, updates: u64, host: HostModel) -> f64 {
-    let mut fs =
-        make_system(FsKind::Lfs, DevKind::Regular, DiskKind::Seagate, host).expect("format");
+    let spec = StackSpec::paper(FsKind::Lfs, DevKind::Regular, DiskKind::Seagate, host);
+    let mut fs = spec.build(None, &Obs::default()).expect("format");
     let usable = fs.free_blocks();
     let file_blocks = (usable as f64 * frac) as u64;
     let f = make_file(&mut fs, "t", file_blocks * BLOCK as u64).expect("fill");

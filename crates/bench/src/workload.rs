@@ -80,18 +80,18 @@ pub fn mb_per_s(bytes: u64, ns: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{make_system, DevKind, DiskKind, FsKind};
     use fscore::HostModel;
+    use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
 
     #[test]
     fn make_file_and_update() {
-        let mut fs = make_system(
+        let spec = StackSpec::paper(
             FsKind::Ufs,
             DevKind::Regular,
             DiskKind::Seagate,
             HostModel::instant(),
-        )
-        .unwrap();
+        );
+        let mut fs = spec.build(None, &Obs::default()).unwrap();
         let f = make_file(&mut fs, "w", 1 << 20).unwrap();
         assert_eq!(fs.file_size(f).unwrap(), 1 << 20);
         fs.set_sync_writes(true);

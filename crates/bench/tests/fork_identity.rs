@@ -11,8 +11,9 @@
 use disksim::fault::content_hash;
 use disksim::{par, FaultDisk, FaultPlan, RegularDisk, SimClock};
 use fscore::{FileId, FileSystem, HostModel};
+use modelcheck::stack::{DevKind, DiskKind, FsKind};
 use ufs::{Ufs, UfsConfig};
-use vlfs_bench::setup::{aged_system, build_aged, AgedSpec, DevKind, DiskKind, FsKind};
+use vlfs_bench::setup::{aged_system, build_aged, AgedSpec};
 use vlfs_bench::workload::{make_file, steady_state_update_ms, BLOCK};
 
 /// A behavioural fingerprint of a system: everything a figure cell could

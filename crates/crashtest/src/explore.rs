@@ -13,10 +13,11 @@
 //! * **Acknowledged writes are on the media.** Every write the fault layer
 //!   acknowledged must read back (by content hash) from the surviving
 //!   state — raw sectors for the regular-disk stacks, the recovered
-//!   indirection map for the VLD.
+//!   indirection map for the VLD (probed in place, beneath the logical disk
+//!   on the LFS stack).
 //! * **Recovery succeeds** and, for the VLD, does **not** claim a firmware
 //!   tail record (a power cut never leaves one).
-//! * **`fsck` finds no structural damage.** All three stacks write
+//! * **`fsck` finds no structural damage.** All four stacks write
 //!   metadata synchronously (UFS semantics), so a crash may leak blocks or
 //!   orphan inodes — the classes `fsck` exists to mop up — but must never
 //!   produce a dangling name, a doubly-referenced block, an out-of-range
@@ -24,15 +25,17 @@
 //! * **Completed syncs are durable.** For every frontier at or before the
 //!   cut, files untouched after that frontier read back byte-exact, and
 //!   names deleted before it stay gone.
-//! * **Recovery paths converge.** For the VLD: audit the recovered log's
-//!   map/free-map/piece consistency, then shut down in an orderly fashion
-//!   and recover again — the tail-record path must be taken and must
-//!   produce the identical map the scan produced. For the LLD: remounting
+//! * **Recovery paths converge.** For the VLD (after the audit of the
+//!   recovered log's map/free-map/piece consistency): shut down in an
+//!   orderly fashion and recover again — the tail-record path must be taken
+//!   and must produce the identical map the scan produced. For the LLD: remounting
 //!   the same image twice must give the identical block map at every
 //!   point, and at durability frontiers (where every on-media segment
 //!   summary is whole) scribbling over both checkpoint slots and
-//!   remounting must too — the summary-scan fallback rebuilds the same
-//!   state the checkpoint held. The scan check is restricted to frontiers
+//!   remounting must agree on every block the checkpoint maps — the
+//!   summary-scan fallback rebuilds the state the checkpoint held, except
+//!   that a trimmed block's dead slot may come back (summaries record no
+//!   trims), never aliased onto a live one. The scan check is restricted to frontiers
 //!   because it is only *guaranteed* there: a cut mid-way through the
 //!   re-flush of a partial segment tears that segment's summary, and a
 //!   scan without any checkpoint then legitimately loses the segment's
@@ -41,15 +44,15 @@
 use std::collections::BTreeSet;
 
 use disksim::fault::content_hash;
-use disksim::{downcast_device, FaultPlan};
+use disksim::{downcast_device, probe_device, BlockDevice, FaultPlan};
 use fscore::FileSystem;
-use lfs::{LldConfig, LogDisk};
-use ufs::FsckError;
+use lfs::seg::NONE;
+use lfs::LogDisk;
+use modelcheck::stack::{
+    self, CrashState, DevKind, FsKind, Obs, StackSpec, BLOCK, SECTORS_PER_BLOCK,
+};
 use vlog_core::Vld;
 
-use crate::stack::{
-    build, build_recorded, remount, spec, teardown, vld_cfg, CrashState, StackKind, BLOCK,
-};
 use crate::workload::{apply, splitmix64, Workload};
 
 /// Event-ring capacity of the failure flight recorder: the last N disk
@@ -60,14 +63,14 @@ const FLIGHT_EVENTS: usize = 256;
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// The stack under test.
-    pub kind: StackKind,
+    pub spec: StackSpec,
     /// The scripted workload.
     pub workload: Workload,
     /// `None` = every crash point; `Some((n, seed))` = `n` seeded sample
     /// points (endpoints always included).
     pub sample: Option<(usize, u64)>,
     /// Also run torn-write variants (a partially persisted final write) at
-    /// each explored point. Skipped for the VLD stack, whose fault layer
+    /// each explored point. Skipped on the VLD stacks, whose fault layer
     /// sits at the command boundary.
     pub torn: bool,
     /// Run the recovery-path convergence checks at each point.
@@ -76,9 +79,9 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// Exhaustive sweep with every check enabled.
-    pub fn exhaustive(kind: StackKind) -> Self {
+    pub fn exhaustive(spec: StackSpec) -> Self {
         SweepConfig {
-            kind,
+            spec,
             workload: Workload::small_mixed(),
             sample: None,
             torn: true,
@@ -87,10 +90,10 @@ impl SweepConfig {
     }
 
     /// Seeded sampling sweep (for larger configurations).
-    pub fn sampled(kind: StackKind, points: usize, seed: u64) -> Self {
+    pub fn sampled(spec: StackSpec, points: usize, seed: u64) -> Self {
         SweepConfig {
             sample: Some((points, seed)),
-            ..Self::exhaustive(kind)
+            ..Self::exhaustive(spec)
         }
     }
 }
@@ -99,7 +102,7 @@ impl SweepConfig {
 #[derive(Debug)]
 pub struct SweepReport {
     /// The stack swept.
-    pub kind: StackKind,
+    pub spec: StackSpec,
     /// Device-write ordinal at which each `Sync` frontier completed.
     pub frontier_ops: Vec<u64>,
     /// Total device writes of the full workload.
@@ -115,8 +118,8 @@ impl SweepReport {
     pub fn assert_clean(&self) {
         assert!(
             self.failures.is_empty(),
-            "{:?}: {} invariant violations:\n{}",
-            self.kind,
+            "{}: {} invariant violations:\n{}",
+            self.spec,
             self.failures.len(),
             self.failures.join("\n")
         );
@@ -125,10 +128,12 @@ impl SweepReport {
 
 /// Reference-run a prefix of the workload with no faults and count the
 /// device writes it completes.
-fn reference_ops(kind: StackKind, w: &Workload, prefix: usize) -> u64 {
-    let mut fs = build(kind, FaultPlan::none()).expect("reference format failed");
+fn reference_ops(spec: StackSpec, w: &Workload, prefix: usize) -> u64 {
+    let mut fs = spec
+        .build(Some(FaultPlan::none()), &Obs::default())
+        .expect("reference format failed");
     apply(&mut fs, &w.ops[..prefix]).expect("reference run failed");
-    teardown(kind, fs).ops
+    spec.crash(fs).write_ops
 }
 
 /// Sweep crash points over one stack and check every invariant. Crash
@@ -151,9 +156,9 @@ pub fn run_sweep_in(width: usize, cfg: &SweepConfig) -> SweepReport {
     );
     let frontier_ops: Vec<u64> = frontiers
         .iter()
-        .map(|&p| reference_ops(cfg.kind, w, p))
+        .map(|&p| reference_ops(cfg.spec, w, p))
         .collect();
-    let total_ops = reference_ops(cfg.kind, w, w.ops.len());
+    let total_ops = reference_ops(cfg.spec, w, w.ops.len());
     let mut failures = Vec::new();
     // Non-decreasing: a Sync with nothing dirty adds no device writes.
     for pair in frontier_ops.windows(2) {
@@ -189,7 +194,7 @@ pub fn run_sweep_in(width: usize, cfg: &SweepConfig) -> SweepReport {
     let variants: Vec<(u64, Option<u32>)> = points
         .iter()
         .flat_map(|&k| {
-            let torn = (cfg.torn && cfg.kind != StackKind::UfsVld && k < total_ops)
+            let torn = (cfg.torn && cfg.spec.dev != DevKind::Vld && k < total_ops)
                 .then_some([Some(1u32), Some(3u32)])
                 .into_iter()
                 .flatten();
@@ -204,7 +209,7 @@ pub fn run_sweep_in(width: usize, cfg: &SweepConfig) -> SweepReport {
     }
 
     SweepReport {
-        kind: cfg.kind,
+        spec: cfg.spec,
         frontier_ops,
         total_ops,
         points_run,
@@ -256,12 +261,12 @@ fn point_plan(k: u64, survivors: Option<u32>) -> FaultPlan {
 /// device and return the span-annotated JSONL dump, recovery included.
 fn flight_dump(cfg: &SweepConfig, plan: FaultPlan) -> String {
     let rec = disksim::FlightRecorder::with_capacity(FLIGHT_EVENTS);
-    let Ok(mut fs) = build_recorded(cfg.kind, plan, Some(&rec)) else {
+    let Ok(mut fs) = cfg.spec.build(Some(plan), &Obs::from(&rec)) else {
         return rec.dump();
     };
     let _ = apply(&mut fs, &cfg.workload.ops);
-    let st = teardown(cfg.kind, fs);
-    let _ = remount(cfg.kind, st.disk);
+    let st = cfg.spec.crash(fs);
+    let _ = cfg.spec.remount(st.disk, None);
     rec.dump()
 }
 
@@ -275,12 +280,12 @@ fn run_point_inner(
 ) -> Vec<String> {
     let tag = point_tag(k, survivors);
     let plan = point_plan(k, survivors);
-    let mut fs = match build(cfg.kind, plan) {
+    let mut fs = match cfg.spec.build(Some(plan), &Obs::default()) {
         Ok(fs) => fs,
         Err(e) => return vec![format!("{tag}: format failed under plan: {e}")],
     };
     let ran = apply(&mut fs, &cfg.workload.ops);
-    let st = teardown(cfg.kind, fs);
+    let st = cfg.spec.crash(fs);
 
     let mut errs = Vec::new();
     if k < total_ops {
@@ -289,15 +294,18 @@ fn run_point_inner(
             // broken and every later conclusion would be unsound.
             return vec![format!(
                 "{tag}: cut never fired ({} ops completed, expected cut at {})",
-                st.ops,
+                st.write_ops,
                 k + 1
             )];
         }
         if ran.is_ok() {
             errs.push(format!("{tag}: workload completed despite a power cut"));
         }
-        if st.ops != k {
-            errs.push(format!("{tag}: {} writes acknowledged, expected {k}", st.ops));
+        if st.write_ops != k {
+            errs.push(format!(
+                "{tag}: {} writes acknowledged, expected {k}",
+                st.write_ops
+            ));
         }
     } else if let Err((i, e)) = ran {
         return vec![format!("{tag}: op {i} failed with no fault armed: {e}")];
@@ -314,12 +322,13 @@ fn check_point(
     st: CrashState,
 ) -> Vec<String> {
     let mut errs = Vec::new();
-    let k = st.ops;
+    let k = st.write_ops;
+    let on_vld = cfg.spec.dev == DevKind::Vld;
 
-    // 1. Acknowledged writes on raw media (the VLD variant reads through
-    // the recovered map below, since its blocks live wherever the eager
+    // 1. Acknowledged writes on raw media (the VLD stacks read through the
+    // recovered map below, since their blocks live wherever the eager
     // allocator put them).
-    if cfg.kind != StackKind::UfsVld {
+    if !on_vld {
         for (&blk, &h) in &st.acked {
             if st.log.torn_block == Some(blk) {
                 continue; // superseded by an unacknowledged torn write
@@ -335,30 +344,39 @@ fn check_point(
     }
 
     // 2. Recovery must bring the stack back up.
-    let CrashState { disk, acked, log, .. } = st;
-    let mut rm = match remount(cfg.kind, disk) {
+    let CrashState {
+        disk, acked, log, ..
+    } = st;
+    let (mut fs, vld_report) = match cfg.spec.remount(disk, None) {
         Ok(rm) => rm,
         Err(e) => {
             errs.push(format!("{tag}: remount failed: {e}"));
             return errs;
         }
     };
-    if let Some(rep) = &rm.vld_report {
-        if log.power_cuts > 0 && rep.used_tail {
-            errs.push(format!(
-                "{tag}: recovery claims a firmware tail record after a power cut"
-            ));
-        }
+    if vld_report.is_some_and(|rep| log.power_cuts > 0 && rep.used_tail) {
+        errs.push(format!(
+            "{tag}: recovery claims a firmware tail record after a power cut"
+        ));
     }
 
-    // 1b. VLD acknowledged writes, through the recovered indirection map.
-    if cfg.kind == StackKind::UfsVld {
-        let dev = rm.fs.device_mut();
+    // 1b. VLD acknowledged writes, through the recovered indirection map —
+    // of the VLD itself, wherever in the stack it sits.
+    if let Some(vld) = probe_device::<Vld>(fs.device()) {
         let mut buf = vec![0u8; BLOCK];
         for (&blk, &h) in &acked {
-            match dev.read_block(blk, &mut buf) {
-                Ok(_) if content_hash(&buf) == h => {}
-                Ok(_) => errs.push(format!(
+            // Unmapped blocks read as zeros, as the drive would answer.
+            buf.fill(0);
+            let read = match vld.vlog().translate(blk) {
+                Some(pb) => vld
+                    .vlog()
+                    .disk()
+                    .peek_sectors(pb * SECTORS_PER_BLOCK, &mut buf),
+                None => Ok(()),
+            };
+            match read {
+                Ok(()) if content_hash(&buf) == h => {}
+                Ok(()) => errs.push(format!(
                     "{tag}: acknowledged write to logical block {blk} lost after recovery"
                 )),
                 Err(e) => errs.push(format!(
@@ -368,17 +386,12 @@ fn check_point(
         }
     }
 
-    // 3. No structural damage.
-    match ufs::fsck(rm.fs.device_mut()) {
-        Ok(report) => {
-            for e in &report.errors {
-                if severe(e) {
-                    errs.push(format!("{tag}: fsck: {e:?}"));
-                }
-            }
-        }
-        Err(e) => errs.push(format!("{tag}: fsck failed: {e}")),
-    }
+    // 3. No structural damage, in the virtual log or the file system.
+    errs.extend(
+        stack::audit(&mut fs)
+            .into_iter()
+            .map(|c| format!("{tag}: {c}")),
+    );
 
     // 4. Every completed frontier's promises hold.
     for (i, &wf) in frontier_ops.iter().enumerate() {
@@ -387,7 +400,7 @@ fn check_point(
         }
         let exp = cfg.workload.expectations(frontiers[i]);
         for (name, content) in &exp.present {
-            match read_file(&mut rm.fs, name) {
+            match read_file(&mut fs, name) {
                 Ok(got) if got == *content => {}
                 Ok(got) => errs.push(format!(
                     "{tag}: durable file {name} corrupt ({} bytes, expected {})",
@@ -398,41 +411,50 @@ fn check_point(
             }
         }
         for name in &exp.absent {
-            if rm.fs.open(name).is_ok() {
+            if fs.open(name).is_ok() {
                 errs.push(format!("{tag}: durably deleted file {name} still visible"));
             }
         }
     }
 
-    // 5. Recovery paths converge. The full summary-scan check is sound
-    // only in clean states: exactly at a frontier, with no torn write on
-    // the media.
+    // 5. Recovery paths converge, layer by layer from the top: the LLD
+    // check hands back the device beneath it for the VLD check. The full
+    // summary-scan check is sound only in clean states: exactly at a
+    // frontier, with no torn write on the media.
     if cfg.convergence {
         let clean_frontier = log.torn_block.is_none() && frontier_ops.contains(&k);
-        match cfg.kind {
-            StackKind::UfsRegular => {}
-            StackKind::UfsVld => errs.extend(vld_convergence(tag, rm.fs)),
-            StackKind::UfsLfs => errs.extend(lld_convergence(tag, rm.fs, clean_frontier)),
+        let dev = fs.into_device();
+        let dev = match cfg.spec.fs {
+            FsKind::Ufs => Some(dev),
+            FsKind::Lfs => lld_convergence(
+                cfg.spec,
+                tag,
+                downcast_device(dev),
+                clean_frontier,
+                &mut errs,
+            ),
+        };
+        if let (true, Some(dev)) = (on_vld, dev) {
+            vld_convergence(cfg.spec, tag, downcast_device(dev), &mut errs);
         }
     }
     errs
 }
 
-/// Audit the recovered virtual log, then take the *other* recovery path
-/// (orderly shutdown → tail record) and demand the identical map.
-fn vld_convergence(tag: &str, fs: ufs::Ufs) -> Vec<String> {
-    let mut errs = Vec::new();
-    let mut vld: Vld = downcast_device(fs.into_device());
-    for msg in vld.vlog().check_consistency() {
-        errs.push(format!("{tag}: vlog audit: {msg}"));
-    }
+/// Take the *other* VLD recovery path (orderly shutdown → tail record) and
+/// demand the identical map the scan produced.
+fn vld_convergence(spec: StackSpec, tag: &str, mut vld: Vld, errs: &mut Vec<String>) {
     let n = vld.vlog().num_blocks();
     let map1: Vec<Option<u64>> = (0..n).map(|lb| vld.vlog().translate(lb)).collect();
     if let Err(e) = vld.shutdown() {
         errs.push(format!("{tag}: shutdown failed: {e}"));
-        return errs;
+        return;
     }
-    match Vld::recover(vld.crash(), spec().command_overhead_ns, vld_cfg()) {
+    match Vld::recover(
+        vld.crash(),
+        spec.disk.spec().command_overhead_ns,
+        spec.vld_config(),
+    ) {
         Ok((v2, rep2)) => {
             if !rep2.used_tail {
                 errs.push(format!(
@@ -449,64 +471,76 @@ fn vld_convergence(tag: &str, fs: ufs::Ufs) -> Vec<String> {
                 errs.push(format!("{tag}: vlog audit after second recovery: {msg}"));
             }
         }
-        Err(e) => errs.push(format!("{tag}: recovery after orderly shutdown failed: {e}")),
+        Err(e) => errs.push(format!(
+            "{tag}: recovery after orderly shutdown failed: {e}"
+        )),
     }
-    errs
 }
 
 /// LLD convergence: remounting the same image again must be a no-op, and
 /// in clean states the summary-scan fallback (both checkpoint slots
 /// destroyed) must rebuild the same block map the checkpoint path held.
-fn lld_convergence(tag: &str, fs: ufs::Ufs, full_scan: bool) -> Vec<String> {
-    let mut errs = Vec::new();
-    let lld: LogDisk = downcast_device(fs.into_device());
+/// Returns the device beneath the logical disk unless a mount lost it.
+fn lld_convergence(
+    spec: StackSpec,
+    tag: &str,
+    lld: LogDisk,
+    full_scan: bool,
+    errs: &mut Vec<String>,
+) -> Option<Box<dyn BlockDevice>> {
     let map1 = lld.map_snapshot();
     let (ck_start, ck_len) = lld.checkpoint_region();
-    let l2 = match LogDisk::mount(lld.crash(), LldConfig::default()) {
+    let l2 = match LogDisk::mount(lld.crash(), spec.lld_config()) {
         Ok(l2) => l2,
         Err(e) => {
             errs.push(format!("{tag}: second LLD mount failed: {e}"));
-            return errs;
+            return None;
         }
     };
     if l2.map_snapshot() != map1 {
         errs.push(format!("{tag}: LLD recovery is not idempotent"));
     }
-    if !full_scan {
-        return errs;
-    }
     let mut inner = l2.crash();
+    if !full_scan {
+        return Some(inner);
+    }
     let junk = vec![0xA5u8; BLOCK];
     for b in 0..ck_len {
         if let Err(e) = inner.write_block(ck_start + b, &junk) {
             errs.push(format!("{tag}: cannot overwrite checkpoint slot: {e}"));
-            return errs;
+            return Some(inner);
         }
     }
-    match LogDisk::mount(inner, LldConfig::default()) {
+    match LogDisk::mount(inner, spec.lld_config()) {
         Ok(l3) => {
-            if l3.map_snapshot() != map1 {
+            // A trim is durable only through the checkpoint (summaries
+            // carry no trim record), so the scan may bring a trimmed
+            // block's dead slot back. Every block the checkpoint maps must
+            // return in the same slot, and no slot may be claimed twice.
+            let map3 = l3.map_snapshot();
+            if map1
+                .iter()
+                .zip(&map3)
+                .any(|(&ck, &scan)| ck != NONE && ck != scan)
+            {
                 errs.push(format!(
                     "{tag}: checkpoint and summary-scan recovery disagree on the LLD map"
                 ));
             }
+            let mut slots: Vec<u32> = map3.into_iter().filter(|&s| s != NONE).collect();
+            slots.sort_unstable();
+            if slots.windows(2).any(|w| w[0] == w[1]) {
+                errs.push(format!(
+                    "{tag}: summary-scan recovery aliased two blocks onto one slot"
+                ));
+            }
+            Some(l3.crash())
         }
-        Err(e) => errs.push(format!("{tag}: summary-scan mount failed: {e}")),
+        Err(e) => {
+            errs.push(format!("{tag}: summary-scan mount failed: {e}"));
+            None
+        }
     }
-    errs
-}
-
-/// The fsck classes a crash must never produce on a sync-metadata file
-/// system. Leaks, orphans and stale bitmap bits are the expected debris of
-/// delayed bitmap/inode-growth writes; these four mean structure was lost.
-fn severe(e: &FsckError) -> bool {
-    matches!(
-        e,
-        FsckError::PointerOutOfRange { .. }
-            | FsckError::DoubleReference { .. }
-            | FsckError::DanglingDirent { .. }
-            | FsckError::SizeBeyondPointers { .. }
-    )
 }
 
 fn read_file(fs: &mut ufs::Ufs, name: &str) -> Result<Vec<u8>, fscore::FsError> {
@@ -526,18 +560,18 @@ mod tests {
     /// the workspace-level integration tests.
     #[test]
     fn sampled_sweep_is_clean_on_every_stack() {
-        for kind in crate::stack::ALL_STACKS {
-            let mut cfg = SweepConfig::sampled(kind, 4, 0xc0ffee);
+        for spec in crate::ALL_STACKS {
+            let mut cfg = SweepConfig::sampled(spec, 4, 0xc0ffee);
             cfg.torn = false;
             let rep = run_sweep(&cfg);
-            assert!(rep.points_run >= 2, "{kind:?}: no points explored");
+            assert!(rep.points_run >= 2, "{spec}: no points explored");
             rep.assert_clean();
         }
     }
 
     #[test]
     fn torn_variants_run_on_raw_stacks() {
-        let cfg = SweepConfig::sampled(StackKind::UfsRegular, 3, 7);
+        let cfg = SweepConfig::sampled(StackSpec::harness(FsKind::Ufs, DevKind::Regular), 3, 7);
         let rep = run_sweep(&cfg);
         // Each interior point adds two torn variants.
         assert!(rep.points_run > 3);
@@ -548,14 +582,14 @@ mod tests {
     /// identical report: same points, same failure list, same order.
     #[test]
     fn sweep_report_identical_across_pool_widths() {
-        for kind in crate::stack::ALL_STACKS {
-            let cfg = SweepConfig::sampled(kind, 3, 0xD15C);
+        for spec in crate::ALL_STACKS {
+            let cfg = SweepConfig::sampled(spec, 3, 0xD15C);
             let one = run_sweep_in(1, &cfg);
             let four = run_sweep_in(4, &cfg);
             assert_eq!(
                 format!("{one:?}"),
                 format!("{four:?}"),
-                "{kind:?}: pool width changed the sweep report"
+                "{spec}: pool width changed the sweep report"
             );
         }
     }

@@ -25,14 +25,17 @@
 //!    state.
 //!
 //! The modules split along those lines: [`workload`] scripts the file
-//! system activity and predicts what must survive, [`stack`] builds,
-//! crashes and remounts the three device stacks of the paper's Figure 5,
-//! and [`explore`] sweeps the crash points and runs the invariant checks.
+//! system activity and predicts what must survive, and [`explore`] sweeps
+//! the crash points and runs the invariant checks. Building, crashing and
+//! remounting the four device stacks of the paper's Figure 5 is
+//! [`modelcheck::stack`]'s job — the one recipe the workspace has.
 
 pub mod explore;
-pub mod stack;
 pub mod workload;
 
 pub use explore::{run_sweep, SweepConfig, SweepReport};
-pub use stack::{build, remount, teardown, CrashState, Remounted, StackKind, ALL_STACKS};
+pub use modelcheck::stack::{CrashState, DevKind, DiskKind, FsKind, Obs, StackSpec};
 pub use workload::{apply, file_data, Expectations, Op, Workload};
+
+/// All four stacks (harness-sized, HP drive), sweep order.
+pub const ALL_STACKS: [StackSpec; 4] = StackSpec::ALL;

@@ -14,7 +14,7 @@
 //!   torn write; `survivors == 0` is a clean cut losing the whole block),
 //!   then the device is dead: the op and everything after it fails with
 //!   [`DiskError::PowerFailure`]. The media keeps what was acknowledged;
-//!   [`FaultDisk::into_inner`] hands it back for recovery/remount.
+//!   [`FaultDisk::into_parts`] hands it back for recovery/remount.
 //! * **Silent corruption** — op *k*'s buffer is deterministically mutated
 //!   (seeded) before it reaches the media, and the op still succeeds. This
 //!   models a firmware/transfer bug; it exists to exercise checksum and
@@ -240,16 +240,9 @@ impl FaultDisk {
         &self.acked
     }
 
-    /// Unwrap, handing back the (possibly "powerless") inner device — the
-    /// surviving media, for recovery or remounting.
-    pub fn into_inner(self) -> Box<dyn BlockDevice> {
-        self.inner
-    }
-
     /// Unwrap, handing back everything a crash harness needs in one move:
     /// acknowledged-op count, fault log, the acknowledged-write journal,
-    /// and the surviving media. Avoids cloning the journal just to keep it
-    /// alive across [`FaultDisk::into_inner`].
+    /// and the (possibly "powerless") inner device — the surviving media.
     pub fn into_parts(self) -> (u64, FaultLog, HashMap<u64, u64>, Box<dyn BlockDevice>) {
         (self.acked_ops, self.log, self.acked, self.inner)
     }
@@ -530,7 +523,7 @@ mod tests {
         assert_eq!(d.idle(1_000_000), 0);
         assert!(d.fault_log().refused_after_cut >= 2);
         // The media survives: acked writes are there, the cut one is not.
-        let mut raw = d.into_inner();
+        let mut raw = d.into_parts().3;
         let mut r = vec![0u8; BS];
         raw.read_block(1, &mut r).unwrap();
         assert_eq!(r, block(2));
@@ -543,7 +536,7 @@ mod tests {
         let mut d = dev(FaultPlan::none());
         d.write_block(7, &block(0xAA)).unwrap();
         let mut d = {
-            let raw = d.into_inner();
+            let raw = d.into_parts().3;
             FaultDisk::new(raw, FaultPlan::torn_power_cut(1, 3))
         };
         assert_eq!(
@@ -551,7 +544,7 @@ mod tests {
             DiskError::PowerFailure
         );
         assert_eq!(d.fault_log().torn_sectors, 3);
-        let mut raw = d.into_inner();
+        let mut raw = d.into_parts().3;
         let mut r = vec![0u8; BS];
         raw.read_block(7, &mut r).unwrap();
         let keep = 3 * SECTOR_BYTES;
@@ -564,7 +557,7 @@ mod tests {
         let mut d = dev(FaultPlan::power_cut_after(2));
         let buf = [block(1), block(2), block(3), block(4)].concat();
         assert!(d.write_blocks(20, &buf).is_err());
-        let mut raw = d.into_inner();
+        let mut raw = d.into_parts().3;
         let mut r = vec![0u8; BS];
         raw.read_block(20, &mut r).unwrap();
         assert_eq!(r, block(1));
@@ -620,7 +613,7 @@ mod tests {
                     break;
                 }
             }
-            let raw: RegularDisk = crate::device::downcast_device(d.into_inner());
+            let raw: RegularDisk = crate::device::downcast_device(d.into_parts().3);
             let mut img = Vec::new();
             raw.disk().save_image(&mut img).unwrap();
             img

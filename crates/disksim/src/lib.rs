@@ -36,7 +36,6 @@ pub mod image;
 pub mod mech;
 pub mod par;
 pub mod refmode;
-pub mod sched;
 pub mod service;
 pub mod spec;
 pub mod trackbuf;
@@ -50,7 +49,6 @@ pub use fault::{FaultDisk, FaultLog, FaultPlan, WriteFault};
 pub use geometry::{Geometry, PhysAddr, Zone};
 pub use mech::{MechModel, SeekTable};
 pub use refmode::reference_mode;
-pub use sched::SchedPolicy;
 pub use service::ServiceTime;
 pub use spec::DiskSpec;
 

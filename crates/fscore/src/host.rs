@@ -49,7 +49,7 @@ impl HostModel {
     }
 
     /// An idealised infinitely fast host (for isolating device behaviour).
-    pub fn instant() -> Self {
+    pub const fn instant() -> Self {
         Self {
             name: "instant",
             per_call_ns: 0,

@@ -50,29 +50,40 @@ impl Default for LfsConfig {
     }
 }
 
+impl LfsConfig {
+    /// The logical-disk settings as run under `host`. The LLD and its
+    /// cleaner run at user level: cleaning copies cost the host CPU, not
+    /// just the disk.
+    pub fn lld_for(&self, host: HostModel) -> LldConfig {
+        let mut lld = self.lld;
+        if lld.cpu_per_block_ns == 0 {
+            lld.cpu_per_block_ns = host.per_block_ns;
+        }
+        lld
+    }
+
+    /// The file-layer settings that make the stack "LFS" (§4.3).
+    pub fn file_layer(&self) -> UfsConfig {
+        UfsConfig {
+            inode_count: self.inode_count,
+            cache_bytes: self.cache_bytes,
+            sync_data: false,
+            // "The implementors of LLD has disabled read-ahead in MinixUFS".
+            readahead_blocks: 0,
+            // Deletes propagate to the log so dead segments become cleanable
+            // (the file layer *can* see deletes, unlike the device driver).
+            trim_on_delete: true,
+            // The NVRAM discipline: buffer until full, then drain in bulk.
+            flush_on_full: true,
+        }
+    }
+}
+
 /// Build the complete LFS stack (file layer over log-structured logical
 /// disk) on a raw device.
 pub fn lfs_filesystem(raw: Box<dyn BlockDevice>, host: HostModel, cfg: LfsConfig) -> FsResult<Ufs> {
-    let mut lld_cfg = cfg.lld;
-    // The LLD and its cleaner run at user level: cleaning copies cost the
-    // host CPU, not just the disk.
-    if lld_cfg.cpu_per_block_ns == 0 {
-        lld_cfg.cpu_per_block_ns = host.per_block_ns;
-    }
-    let lld = LogDisk::format(raw, lld_cfg)?;
-    let ufs_cfg = UfsConfig {
-        inode_count: cfg.inode_count,
-        cache_bytes: cfg.cache_bytes,
-        sync_data: false,
-        // "The implementors of LLD has disabled read-ahead in MinixUFS".
-        readahead_blocks: 0,
-        // Deletes propagate to the log so dead segments become cleanable
-        // (the file layer *can* see deletes, unlike the device driver).
-        trim_on_delete: true,
-        // The NVRAM discipline: buffer until full, then drain in bulk.
-        flush_on_full: true,
-    };
-    Ufs::format(Box::new(lld), host, ufs_cfg)
+    let lld = LogDisk::format(raw, cfg.lld_for(host))?;
+    Ufs::format(Box::new(lld), host, cfg.file_layer())
 }
 
 #[cfg(test)]

@@ -10,17 +10,18 @@
 //! The episode always finishes with a final `sync` + crash + remount +
 //! full durable comparison, so buffered state never escapes scrutiny.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Mutex, OnceLock};
 
-use disksim::{probe_device, DiskError, FaultDisk, WriteFault};
+use disksim::{probe_device, DiskError, FaultDisk, FaultPlan, WriteFault};
 use fscore::{FileSystem, FsError, FsResult};
 use ufs::Ufs;
 
 use crate::gen::{name, McOp, TraceSpec, NAME_POOL};
 use crate::model::RefModel;
 use crate::rng::fill;
-use crate::stack::{self, StackConfig};
+use crate::stack::{self, Obs, StackSpec};
 
 /// A mutation planted in the device stack, used by the self-test to prove
 /// the whole pipeline (detect → shrink → replay) actually fires. `None` in
@@ -84,7 +85,7 @@ pub struct RunStats {
 /// every step. `seed` is only echoed into failure text; the trace itself
 /// carries all the entropy.
 pub fn run_trace(
-    cfg: StackConfig,
+    cfg: StackSpec,
     trace: &TraceSpec,
     planted: &PlantedBug,
 ) -> Result<RunStats, Divergence> {
@@ -95,19 +96,18 @@ pub fn run_trace(
 /// device, so a failing episode leaves behind its span-annotated disk
 /// history (see [`crate::shrink::Reproducer`]).
 pub fn run_trace_recorded(
-    cfg: StackConfig,
+    cfg: StackSpec,
     trace: &TraceSpec,
     planted: &PlantedBug,
     rec: Option<&disksim::FlightRecorder>,
 ) -> Result<RunStats, Divergence> {
-    let mut plan = trace.fault_plan(stack::format_writes(cfg));
+    let format = format_writes(cfg);
+    let mut plan = trace.fault_plan(format);
     if let PlantedBug::SilentCorruption { op, seed } = planted {
-        plan = plan.with(
-            stack::format_writes(cfg) + op,
-            WriteFault::Corrupt { seed: *seed },
-        );
+        plan = plan.with(format + op, WriteFault::Corrupt { seed: *seed });
     }
-    let fs = stack::build_recorded(cfg, plan, rec).map_err(|e| Divergence {
+    let obs = rec.map(Obs::from).unwrap_or_default();
+    let fs = build_synced(cfg, plan, &obs).map_err(|e| Divergence {
         step: None,
         op: None,
         what: format!("initial format failed: {e}"),
@@ -128,6 +128,38 @@ pub fn run_trace_recorded(
     Ok(exec.stats)
 }
 
+/// Format `cfg` with `plan` armed and make mkfs durable: a crash before
+/// the first operation must find a mountable file system even on stacks
+/// that buffer writes (the LLD's partial segment is volatile until the
+/// first sync).
+fn build_synced(cfg: StackSpec, plan: FaultPlan, obs: &Obs) -> FsResult<Ufs> {
+    let mut fs = cfg.build(Some(plan), obs)?;
+    fs.sync()?;
+    Ok(fs)
+}
+
+/// Device write ops a clean [`build_synced`] of `cfg` performs — the
+/// deterministic offset seeded cuts are expressed relative to. Measured
+/// once per spec.
+fn format_writes(cfg: StackSpec) -> u64 {
+    static CACHE: OnceLock<Mutex<HashMap<StackSpec, u64>>> = OnceLock::new();
+    let cache = || {
+        CACHE
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("format-writes cache poisoned")
+    };
+    if let Some(&n) = cache().get(&cfg) {
+        return n;
+    }
+    // Measured outside the lock: concurrent first callers each build once
+    // and insert the same deterministic count.
+    let fs = build_synced(cfg, FaultPlan::none(), &Obs::default()).expect("clean format");
+    let n = cfg.crash(fs).write_ops;
+    cache().insert(cfg, n);
+    n
+}
+
 fn is_power(e: &FsError) -> bool {
     matches!(e, FsError::Disk(DiskError::PowerFailure))
 }
@@ -141,7 +173,7 @@ enum Outcome<T> {
 }
 
 struct Exec {
-    cfg: StackConfig,
+    cfg: StackSpec,
     fs: Option<Ufs>,
     model: RefModel,
     stats: RunStats,
@@ -462,8 +494,8 @@ impl Exec {
     /// audits + durability reconciliation.
     fn crash_remount(&mut self, step: usize, op: Option<&McOp>) -> Result<(), Divergence> {
         self.stats.crashes += 1;
-        let st = stack::teardown(self.cfg, self.fs.take().expect("stack mounted"));
-        self.stats.cut_fired |= st.cut_fired;
+        let st = self.cfg.crash(self.fs.take().expect("stack mounted"));
+        self.stats.cut_fired |= st.log.power_cuts > 0;
         // The seeded cut lives in the first incarnation only: after any
         // crash the rebuilt fault layer cannot cut again, so an episode sees
         // at most one cut and recovery always runs on a working device. A
@@ -471,14 +503,14 @@ impl Exec {
         // re-armed, or a single lying write would be healed by the cache's
         // good copy on the next flush and the self-test would be vacuous.
         let plan = match self.planted {
-            PlantedBug::SilentCorruption { op, seed } => {
-                disksim::FaultPlan::corrupt_write(op, seed)
-            }
-            PlantedBug::None => disksim::FaultPlan::none(),
+            PlantedBug::SilentCorruption { op, seed } => FaultPlan::corrupt_write(op, seed),
+            PlantedBug::None => FaultPlan::none(),
         };
-        let (mut fs, _report) = stack::remount(self.cfg, st.disk, plan)
+        let (mut fs, _report) = self
+            .cfg
+            .remount(st.disk, Some(plan))
             .map_err(|e| self.div(step, op, format!("remount after crash failed: {e}")))?;
-        let complaints = stack::post_recovery_audit(&mut fs);
+        let complaints = stack::audit(&mut fs);
         if !complaints.is_empty() {
             return Err(self.div(step, op, format!(
                 "post-recovery audit: {}",

@@ -38,7 +38,7 @@ pub use diff::{run_trace, run_trace_recorded, Divergence, PlantedBug, RunStats};
 pub use gen::{generate, McOp, TraceSpec};
 pub use model::RefModel;
 pub use shrink::{shrink, Reproducer};
-pub use stack::{StackConfig, ALL_CONFIGS};
+pub use stack::StackSpec;
 
 /// The `VLFS_SEED` environment variable, decimal or `0x`-hex. The single
 /// documented entry point for reseeding the generator and the fault layer.
@@ -53,15 +53,15 @@ pub fn env_seed() -> Option<u64> {
 
 /// Derive episode seed `i` of stack `cfg` from a base seed, so sweeps
 /// decorrelate across both axes while staying replayable from the base.
-pub fn episode_seed(base: u64, cfg: StackConfig, i: u64) -> u64 {
-    let mut s = base ^ (cfg as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ i.wrapping_mul(0xE703_7ED1_A0B4_28DB);
+pub fn episode_seed(base: u64, cfg: StackSpec, i: u64) -> u64 {
+    let mut s = base ^ (cfg.index() as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ i.wrapping_mul(0xE703_7ED1_A0B4_28DB);
     rng::splitmix64(&mut s)
 }
 
 /// Generate, run, and on divergence shrink one episode: the main entry
 /// point the test suites use. `len` is the trace length in ops.
 pub fn check_seed(
-    cfg: StackConfig,
+    cfg: StackSpec,
     seed: u64,
     len: usize,
 ) -> Result<RunStats, Box<Reproducer>> {
@@ -76,7 +76,7 @@ pub fn check_seed(
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Which stack the episode drove.
-    pub cfg: StackConfig,
+    pub cfg: StackSpec,
     /// Episode index within the stack's seed range.
     pub index: u64,
     /// The derived episode seed ([`episode_seed`]).
@@ -85,7 +85,7 @@ pub struct SweepOutcome {
     pub result: Result<RunStats, Box<Reproducer>>,
 }
 
-/// Fan a seeded sweep — every stack in [`ALL_CONFIGS`] × `seeds` episodes
+/// Fan a seeded sweep — every stack in [`StackSpec::ALL`] × `seeds` episodes
 /// of `len` ops each — over the shared worker pool ([`disksim::par`]).
 ///
 /// Each episode builds its own clock, disk and file system and is seeded
@@ -100,7 +100,7 @@ pub fn sweep_all_stacks(base: u64, seeds: u64, len: usize) -> Vec<SweepOutcome> 
 /// [`sweep_all_stacks`] at an explicit pool width, for tests comparing a
 /// 1-wide and an N-wide run in one process (the global knob is set-once).
 pub fn sweep_all_stacks_in(width: usize, base: u64, seeds: u64, len: usize) -> Vec<SweepOutcome> {
-    let episodes: Vec<(StackConfig, u64)> = ALL_CONFIGS
+    let episodes: Vec<(StackSpec, u64)> = StackSpec::ALL
         .into_iter()
         .flat_map(|cfg| (0..seeds).map(move |i| (cfg, i)))
         .collect();

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::diff::{run_trace, run_trace_recorded, Divergence, PlantedBug};
 use crate::gen::TraceSpec;
-use crate::stack::StackConfig;
+use crate::stack::StackSpec;
 
 /// Ceiling on shrink re-executions, so pathological episodes still return
 /// promptly with a partially shrunk trace.
@@ -27,7 +27,7 @@ const FLIGHT_EVENTS: usize = 256;
 #[derive(Debug, Clone)]
 pub struct Reproducer {
     /// The stack configuration the divergence occurred on.
-    pub cfg: StackConfig,
+    pub cfg: StackSpec,
     /// The episode seed (regenerates the *original* trace; the shrunk
     /// trace below is what minimal replay uses).
     pub seed: u64,
@@ -78,7 +78,7 @@ impl fmt::Display for Reproducer {
 /// Minimize a failing trace. `trace` must already fail (the caller
 /// observed `run_trace(cfg, trace, planted).is_err()`).
 pub fn shrink(
-    cfg: StackConfig,
+    cfg: StackSpec,
     seed: u64,
     trace: &TraceSpec,
     planted: &PlantedBug,

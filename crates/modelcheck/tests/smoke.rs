@@ -6,9 +6,10 @@
 //! replaying a failure report; `VLFS_MC_SMOKE_SEEDS` widens the smoke
 //! sweep (CI pins 64); `VLFS_MC_EPISODES` opts into the long-run soak.
 
+use modelcheck::stack::{DevKind, FsKind};
 use modelcheck::{
     check_seed, env_seed, episode_seed, gen, run_trace, shrink, sweep_all_stacks,
-    sweep_all_stacks_in, PlantedBug, SweepOutcome, ALL_CONFIGS,
+    sweep_all_stacks_in, PlantedBug, StackSpec, SweepOutcome,
 };
 
 const DEFAULT_BASE: u64 = 0x0D15_C0DE_5EED_0001;
@@ -59,7 +60,7 @@ fn long_run_soak_when_requested() {
     }
     let base = env_seed().unwrap_or(DEFAULT_BASE ^ 0x4C4F_4E47); // "LONG"
     for i in 0..episodes {
-        let cfg = ALL_CONFIGS[(i % 4) as usize];
+        let cfg = StackSpec::ALL[(i % 4) as usize];
         let seed = episode_seed(base, cfg, i);
         if let Err(repro) = check_seed(cfg, seed, 96) {
             panic!("{repro}");
@@ -93,7 +94,7 @@ fn sweep_is_deterministic_across_pool_widths() {
 #[test]
 fn shrunk_reproducers_identical_across_pool_widths() {
     let seed = env_seed().unwrap_or(0xBAD_CAB1E);
-    let cfg = modelcheck::StackConfig::UfsRegular;
+    let cfg = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
     let mut trace = gen::generate(seed, 40);
     trace.cut = None;
     let reproduce = |op: u64| -> Option<String> {
@@ -119,7 +120,7 @@ fn shrunk_reproducers_identical_across_pool_widths() {
 #[test]
 fn planted_corruption_is_caught_shrunk_and_replayable() {
     let seed = env_seed().unwrap_or(0xBAD_CAB1E);
-    let cfg = modelcheck::StackConfig::UfsRegular;
+    let cfg = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
     // A trace with no seeded cut, so the only anomaly is the planted one.
     let mut trace = gen::generate(seed, 40);
     trace.cut = None;

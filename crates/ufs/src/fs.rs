@@ -231,8 +231,20 @@ impl Ufs {
         })
     }
 
+    /// Mount an existing file system with the default configuration.
+    pub fn mount(dev: Box<dyn BlockDevice>, host: HostModel) -> FsResult<Ufs> {
+        Self::mount_with(dev, host, UfsConfig::default())
+    }
+
     /// Mount an existing file system, rebuilding in-memory state from disk.
-    pub fn mount(mut dev: Box<dyn BlockDevice>, host: HostModel) -> FsResult<Ufs> {
+    /// `inode_count` comes from the superblock; every other setting (cache
+    /// size, read-ahead, trim, bulk flush) is volatile and taken from `cfg`,
+    /// so a remount can run the configuration the system was formatted with.
+    pub fn mount_with(
+        mut dev: Box<dyn BlockDevice>,
+        host: HostModel,
+        cfg: UfsConfig,
+    ) -> FsResult<Ufs> {
         assert_eq!(dev.block_size(), BLOCK_SIZE);
         // Superblock/bitmap loads, the directory walk and the bitmap
         // reconciliation are all recovery-path reads.
@@ -247,7 +259,7 @@ impl Ufs {
         let layout = Layout::decode(&sb)?;
         let cfg = UfsConfig {
             inode_count: layout.inode_count,
-            ..UfsConfig::default()
+            ..cfg
         };
         // Load the bitmaps.
         let mut ibm_bytes = Vec::new();

@@ -8,40 +8,25 @@
 //!
 //! Run with: `cargo run --release --example mail_server`
 
-use vlfs::disksim::{BlockDevice, DiskSpec, RegularDisk, SimClock};
+use modelcheck::stack::{DiskKind, FsKind, Obs, StackSpec};
 use vlfs::fscore::{FileSystem, HostModel};
-use vlfs::lfs::{lfs_filesystem, LfsConfig};
-use vlfs::ufs::{Ufs, UfsConfig};
-use vlfs::vlog::{Vld, VldConfig};
 
 const MESSAGES: u32 = 400;
-
-fn stack(fs_kind: &str, dev_kind: &str) -> Ufs {
-    let spec = DiskSpec::st19101_sim();
-    let dev: Box<dyn BlockDevice> = match dev_kind {
-        "regular" => Box::new(RegularDisk::new(spec, SimClock::new(), 4096)),
-        _ => Box::new(Vld::format(spec, SimClock::new(), VldConfig::default())),
-    };
-    let host = HostModel::sparcstation_10();
-    match fs_kind {
-        "ufs" => Ufs::format(dev, host, UfsConfig::default()).expect("format"),
-        _ => lfs_filesystem(dev, host, LfsConfig::default()).expect("format"),
-    }
-}
 
 fn main() {
     println!(
         "{:<18} {:>12} {:>12} {:>12}",
         "system", "deliver (s)", "scan (s)", "expunge (s)"
     );
-    for (fs_kind, dev_kind) in [
-        ("ufs", "regular"),
-        ("ufs", "vld"),
-        ("lfs", "regular"),
-        ("lfs", "vld"),
-    ] {
-        let mut fs = stack(fs_kind, dev_kind);
-        if fs_kind == "ufs" {
+    for stack in StackSpec::ALL {
+        let spec = StackSpec::paper(
+            stack.fs,
+            stack.dev,
+            DiskKind::Seagate,
+            HostModel::sparcstation_10(),
+        );
+        let mut fs = spec.build(None, &Obs::default()).expect("format");
+        if spec.fs == FsKind::Ufs {
             fs.set_sync_writes(true); // durable before the SMTP ack
         }
         let clock = fs.clock();
@@ -76,7 +61,7 @@ fn main() {
 
         println!(
             "{:<18} {:>12.3} {:>12.3} {:>12.3}",
-            format!("{fs_kind} on {dev_kind}"),
+            spec.label(),
             deliver as f64 / 1e9,
             scan as f64 / 1e9,
             expunge as f64 / 1e9

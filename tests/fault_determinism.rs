@@ -6,16 +6,18 @@
 
 use proptest::prelude::*;
 
-use crashtest::{apply, build, teardown, StackKind, Workload};
+use crashtest::{apply, DevKind, FsKind, Obs, StackSpec, Workload};
 use vlfs::disksim::{FaultPlan, WriteFault};
 
 /// Run the standard workload to the crash (or the end) and serialize the
 /// surviving media.
-fn image_after(kind: StackKind, plan: &FaultPlan) -> Vec<u8> {
+fn image_after(spec: StackSpec, plan: &FaultPlan) -> Vec<u8> {
     let w = Workload::small_mixed();
-    let mut fs = build(kind, plan.clone()).expect("format under plan");
+    let mut fs = spec
+        .build(Some(plan.clone()), &Obs::default())
+        .expect("format under plan");
     let _ = apply(&mut fs, &w.ops); // a power cut aborts the script mid-way
-    let st = teardown(kind, fs);
+    let st = spec.crash(fs);
     let mut img = Vec::new();
     st.disk.save_image(&mut img).expect("image serializes");
     img
@@ -23,10 +25,14 @@ fn image_after(kind: StackKind, plan: &FaultPlan) -> Vec<u8> {
 
 /// Device writes the format itself performs, per stack — cut points are
 /// offset past this so `build` always succeeds.
-fn format_ops(kind: StackKind) -> u64 {
-    let fs = build(kind, FaultPlan::none()).expect("format");
-    teardown(kind, fs).ops
+fn format_ops(spec: StackSpec) -> u64 {
+    let fs = spec
+        .build(Some(FaultPlan::none()), &Obs::default())
+        .expect("format");
+    spec.crash(fs).write_ops
 }
+
+const UFS_REGULAR: StackSpec = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -35,25 +41,26 @@ proptest! {
     /// image, twice over.
     #[test]
     fn torn_cut_images_are_reproducible(cut in 1u64..50, survivors in 0u32..8) {
-        for kind in [StackKind::UfsRegular, StackKind::UfsLfs] {
-            let plan = FaultPlan::torn_power_cut(format_ops(kind) + cut, survivors);
+        for spec in [UFS_REGULAR, StackSpec::harness(FsKind::Lfs, DevKind::Regular)] {
+            let plan = FaultPlan::torn_power_cut(format_ops(spec) + cut, survivors);
             prop_assert_eq!(
-                image_after(kind, &plan),
-                image_after(kind, &plan),
-                "{:?}: same plan, different image",
-                kind
+                image_after(spec, &plan),
+                image_after(spec, &plan),
+                "{}: same plan, different image",
+                spec
             );
         }
     }
 
-    /// Clean cuts at the VLD command boundary are just as reproducible.
+    /// Clean cuts at the VLD command boundary are just as reproducible,
+    /// under either file system.
     #[test]
     fn vld_cut_images_are_reproducible(cut in 0u64..50) {
-        let plan = FaultPlan::power_cut_after(format_ops(StackKind::UfsVld) + cut);
-        prop_assert_eq!(
-            image_after(StackKind::UfsVld, &plan),
-            image_after(StackKind::UfsVld, &plan)
-        );
+        for fs in [FsKind::Ufs, FsKind::Lfs] {
+            let spec = StackSpec::harness(fs, DevKind::Vld);
+            let plan = FaultPlan::power_cut_after(format_ops(spec) + cut);
+            prop_assert_eq!(image_after(spec, &plan), image_after(spec, &plan), "{}", spec);
+        }
     }
 
     /// Corruption faults derive their byte flips from the seed alone:
@@ -63,13 +70,13 @@ proptest! {
     /// otherwise the workload's later writes can paper over it.
     #[test]
     fn corruption_is_seed_deterministic(op in 1u64..30, seed in any::<u64>()) {
-        let kind = StackKind::UfsRegular;
-        let target = format_ops(kind) + op;
+        let spec = UFS_REGULAR;
+        let target = format_ops(spec) + op;
         let cut = WriteFault::PowerCut { survivors: 0 };
         let plan = FaultPlan::corrupt_write(target, seed).with(target + 1, cut);
-        let a = image_after(kind, &plan);
-        prop_assert_eq!(&a, &image_after(kind, &plan));
+        let a = image_after(spec, &plan);
+        prop_assert_eq!(&a, &image_after(spec, &plan));
         let other = FaultPlan::corrupt_write(target, seed ^ 0x1234_5678).with(target + 1, cut);
-        prop_assert_ne!(&a, &image_after(kind, &other));
+        prop_assert_ne!(&a, &image_after(spec, &other));
     }
 }

@@ -4,6 +4,10 @@
 //! Every independent knob doubles the configurations tests and CI must
 //! cover, so adding one has to be a deliberate, reviewed edit of the list
 //! below — not a stray `env::var` deep in a crate.
+//!
+//! Recipe inventory, same idea: the harness crates format and mount file
+//! systems in exactly one module, so every harness crash-checks and measures
+//! the same stacks.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -96,4 +100,54 @@ fn the_workspace_reads_exactly_the_documented_env_vars() {
             "{knob} has no row in README's Environment table"
         );
     }
+}
+
+/// The calls that assemble or remount a file-system stack.
+const RECIPE_CALLS: [&str; 5] = [
+    "Ufs::format(",
+    "Ufs::mount",
+    "LogDisk::format(",
+    "LogDisk::mount(",
+    "lfs_filesystem(",
+];
+
+/// The one module that may make them.
+const RECIPE: &str = "crates/modelcheck/src/stack.rs";
+
+/// Places where the call *is* the thing under test, `(file, call, count)`:
+/// the LLD convergence check remounts the logical disk twice over one
+/// image (again as-is, then with both checkpoint slots destroyed).
+const RECIPE_EXCEPTIONS: [(&str, &str, usize); 1] =
+    [("crates/crashtest/src/explore.rs", "LogDisk::mount(", 2)];
+
+#[test]
+fn the_harness_crates_build_stacks_in_one_module() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in ["crashtest", "modelcheck", "bench"] {
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+    }
+    assert!(files.len() > 25, "walked only {} files", files.len());
+
+    let mut found = BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("walked from root");
+        let rel = rel.to_str().expect("UTF-8 path").to_owned();
+        let src = fs::read_to_string(file).expect("readable source file");
+        for call in RECIPE_CALLS {
+            let count = src.matches(call).count();
+            if count > 0 && rel != RECIPE {
+                found.insert((rel.clone(), call, count));
+            }
+        }
+    }
+    let allowed: BTreeSet<(String, &str, usize)> = RECIPE_EXCEPTIONS
+        .iter()
+        .map(|&(file, call, count)| (file.to_owned(), call, count))
+        .collect();
+    assert_eq!(
+        found, allowed,
+        "a harness crate formats or mounts a stack outside {RECIPE}; describe \
+         the stack as a StackSpec instead, or add a reviewed exception"
+    );
 }
