@@ -248,8 +248,9 @@ impl VirtualLog {
         for cyl in 0..g.cylinders() {
             let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
             for track in 0..g.tracks_per_cylinder() {
+                let words = self.free.words(self.free.track_index(cyl, track));
                 for sector in 0..spt {
-                    let free = self.free.is_free(cyl, track, sector);
+                    let free = words[sector as usize / 64] >> (sector % 64) & 1 == 1;
                     if free == owners.is_owned(s) {
                         errs.push(match owners.owner(s) {
                             Some(who) => {

@@ -249,12 +249,9 @@ impl Compactor {
     /// Pick a victim track containing live data (or live map sectors), per
     /// policy. Never picks the allocator's current fill track.
     ///
-    /// `Random` rejection-samples eligible tracks exactly as before (O(1)
-    /// on any non-sparse disk); its sparse-disk fallback and the whole
-    /// `LeastUtilized` policy go through the free map's utilization index —
-    /// O(1) amortized instead of a `cylinders × tracks` scan per round.
-    /// `VLFS_REFERENCE=1` (and the equivalence tests) route the pick
-    /// through [`reference::least_utilized_rescan`] instead.
+    /// `Random` rejection-samples eligible tracks (O(1) on any non-sparse
+    /// disk); its sparse-disk fallback and the whole `LeastUtilized` policy
+    /// are the free map's on-demand scan of the per-track counts.
     fn choose_victim(&mut self, vlog: &VirtualLog) -> Option<(u32, u32)> {
         let free = vlog.free_map();
         let cyls = free.cylinders();
@@ -267,17 +264,10 @@ impl Compactor {
                     return Some((c, t));
                 }
             }
-            // Sparse disk: fall back to the deterministic indexed pick.
+            // Sparse disk: fall back to the deterministic pick.
         }
-        if disksim::reference_mode() {
-            reference::least_utilized_rescan(vlog)
-        } else {
-            self.metrics.inc("compact.victim_index_picks");
-            let fill = vlog.alloc.fill_track();
-            free.least_utilized_nonempty(|c, t| {
-                Some((c, t)) == fill || Self::is_firmware_track(c, t)
-            })
-        }
+        let fill = vlog.alloc.fill_track();
+        free.least_utilized_nonempty(|c, t| Some((c, t)) == fill || Self::is_firmware_track(c, t))
     }
 
     /// Is (`cyl`, `track`) a permissible victim right now: holds live data,
@@ -391,38 +381,6 @@ impl Compactor {
         vlog.append_piece(piece, MapFlags::EMPTY, None)?;
         vlog.release_superseded();
         Ok(())
-    }
-}
-
-/// The pre-index full-rescan victim picker, retained as the oracle the
-/// utilization-indexed pick is verified against (same pattern as
-/// `alloc::reference`): it walks every `(cyl, track)` pair and takes the
-/// first minimum of the f64 utilization. `VLFS_REFERENCE=1` routes
-/// [`Compactor`] victim selection through here so CI can diff figure
-/// output byte-for-byte between the two implementations.
-pub mod reference {
-    use crate::log::VirtualLog;
-
-    /// Least-utilized eligible track by exhaustive scan in `(cyl, track)`
-    /// order, first minimum wins — exactly the pre-index `LeastUtilized`
-    /// pick (and the sparse-disk fallback of `Random`).
-    pub fn least_utilized_rescan(vlog: &VirtualLog) -> Option<(u32, u32)> {
-        let free = vlog.free_map();
-        let fill = vlog.alloc.fill_track();
-        let cyls = free.cylinders();
-        let tracks = free.tracks_in_cylinder();
-        (0..cyls)
-            .flat_map(|c| (0..tracks).map(move |t| (c, t)))
-            .filter(|&(c, t)| {
-                let ti = free.track_index(c, t);
-                let used = free.sectors_per_track(ti) - free.free_in_track(c, t);
-                used > 0 && Some((c, t)) != fill && !(c == 0 && t == 0)
-            })
-            .min_by(|&(c1, t1), &(c2, t2)| {
-                free.track_utilization(c1, t1)
-                    .partial_cmp(&free.track_utilization(c2, t2))
-                    .expect("utilisations are finite")
-            })
     }
 }
 
@@ -769,41 +727,6 @@ mod tests {
             ..CompactorConfig::default()
         });
         assert_eq!(c.run(&mut v, 1_000_000_000), 0, "pool already at target");
-    }
-
-    /// The O(1) indexed victim pick returns exactly what the retained
-    /// full-rescan oracle returns, across random write / overwrite /
-    /// compaction interleavings (the alloc/free/clean churn the index must
-    /// track incrementally).
-    #[test]
-    fn indexed_victim_pick_matches_rescan_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut v = fresh();
-        let mut c = Compactor::new(CompactorConfig {
-            policy: VictimPolicy::LeastUtilized,
-            target_empty_tracks: u32::MAX,
-            seed: 3,
-        });
-        let mut rng = StdRng::seed_from_u64(0x5617);
-        let n = v.num_blocks();
-        let buf = vec![0x55u8; crate::log::BLOCK_BYTES];
-        for round in 0..40 {
-            // A burst of writes/overwrites (allocs + frees), then sometimes
-            // a budgeted compaction slice (cleaning).
-            for _ in 0..rng.gen_range(5..60) {
-                let lb = rng.gen_range(0..n / 2);
-                v.write(lb, &buf).unwrap();
-            }
-            if rng.gen_bool(0.4) {
-                c.run(&mut v, rng.gen_range(0..40_000_000u64));
-            }
-            assert_eq!(
-                c.choose_victim(&v),
-                reference::least_utilized_rescan(&v),
-                "round {round}"
-            );
-        }
     }
 
     /// A budget expiry mid-track carries the victim into the next run

@@ -1,8 +1,8 @@
 //! Sector-granularity free-space accounting, organised by track.
 //!
 //! Eager writing is all about knowing, cheaply, which sectors near the head
-//! are free. [`FreeMap`] keeps one bitmap per track plus per-track free
-//! counts, so the allocator can ask:
+//! are free. [`FreeMap`] keeps one flat bitmap (each track a run of whole
+//! words) plus per-track free counts, so the allocator can ask:
 //!
 //! * is this sector (or 8-sector-aligned block) free?
 //! * how full is this track? (drives the fill-to-threshold policy of §2.3)
@@ -11,8 +11,6 @@
 //! The map is an in-memory structure; after a crash it is reconstructed from
 //! the recovered indirection map (everything not live is free).
 
-use std::collections::BTreeSet;
-
 use disksim::{Geometry, Result};
 
 /// The block alignment the hierarchical index tracks exactly: the paper's
@@ -20,7 +18,7 @@ use disksim::{Geometry, Result};
 /// aligned slot is one byte of a word.
 pub const INDEX_ALIGN: u32 = 8;
 
-/// Fixed-point scale of the utilization-index key. Two distinct track
+/// Fixed-point scale of the utilization key. Two distinct track
 /// utilizations `a/s1 != b/s2` differ by at least `1/(s1*s2)`, so with
 /// `s <= 2^(SHIFT/2)` sectors per track the scaled keys differ by ≥ 1 and
 /// integer truncation preserves the exact rational order (equal fractions
@@ -30,8 +28,12 @@ const UTIL_KEY_SHIFT: u32 = 20;
 /// Bitmapped free-sector map over an entire disk.
 #[derive(Debug, Clone)]
 pub struct FreeMap {
-    /// One bitmap word-vector per track, indexed by global track number.
-    bits: Vec<Vec<u64>>,
+    /// Every track's bitmap words, concatenated in global track order: one
+    /// allocation, so a clone is a memcpy and a figure-sized map (≈ 6 KB)
+    /// stays in L1. Bits beyond a track's end are always zero.
+    bits: Vec<u64>,
+    /// Track `ti` owns `bits[word_off[ti]..word_off[ti + 1]]`.
+    word_off: Vec<u32>,
     /// Free sectors per track.
     free_count: Vec<u32>,
     /// Sectors per track, per global track (varies across zones).
@@ -52,12 +54,18 @@ pub struct FreeMap {
     cyl_aligned: Vec<u32>,
     /// Completely empty tracks per cylinder.
     cyl_empty: Vec<u32>,
-    /// Utilization-ordered index of the *non-empty* tracks:
-    /// `(util_key, global track index)`, maintained incrementally by
-    /// [`FreeMap::set`]. `first()` is the least-utilized track holding live
-    /// data, with ties resolved to the lowest track index — the same answer
-    /// a full `(cyl, track)` scan taking the first minimum would give.
-    occ_by_util: BTreeSet<(u64, u32)>,
+}
+
+/// The `(word index, mask)` pairs covering sectors `start..end` of one
+/// track's bitmap, `start < end`: one mask per touched 64-bit word.
+#[inline]
+fn word_masks(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
+    let (first, last) = (start / 64, (end - 1) / 64);
+    (first..=last).map(move |wi| {
+        let lo = if wi == first { start % 64 } else { 0 };
+        let hi = if wi == last { (end - 1) % 64 } else { 63 };
+        (wi as usize, (u64::MAX << lo) & (u64::MAX >> (63 - hi)))
+    })
 }
 
 impl FreeMap {
@@ -65,50 +73,38 @@ impl FreeMap {
     pub fn new(geometry: &Geometry) -> Self {
         let tracks_per_cyl = geometry.tracks_per_cylinder();
         let n_tracks = geometry.cylinders() as usize * tracks_per_cyl as usize;
-        let mut bits = Vec::with_capacity(n_tracks);
-        let mut free_count = Vec::with_capacity(n_tracks);
+        // Each track wastes less than one word, so this never regrows.
+        let mut bits = Vec::with_capacity((geometry.total_sectors() / 64) as usize + n_tracks);
+        let mut word_off = Vec::with_capacity(n_tracks + 1);
         let mut spt_v = Vec::with_capacity(n_tracks);
         for cyl in 0..geometry.cylinders() {
             let spt = geometry
                 .sectors_per_track(cyl)
                 .expect("cylinder in range by construction");
             for _ in 0..tracks_per_cyl {
-                let words = (spt as usize).div_ceil(64);
-                let mut v = vec![u64::MAX; words];
-                // Mask off bits beyond the track end.
-                let excess = words * 64 - spt as usize;
-                if excess > 0 {
-                    *v.last_mut().expect("at least one word") >>= excess;
-                }
-                bits.push(v);
-                free_count.push(spt);
+                word_off.push(bits.len() as u32);
+                bits.extend(word_masks(0, spt).map(|(_, mask)| mask));
                 spt_v.push(spt);
             }
         }
-        let total = geometry.total_sectors();
+        word_off.push(bits.len() as u32);
         let n_cyls = geometry.cylinders() as usize;
-        let mut cyl_free = vec![0u64; n_cyls];
-        let mut cyl_aligned = vec![0u32; n_cyls];
-        let aligned_free: Vec<u32> = spt_v.iter().map(|&spt| spt / INDEX_ALIGN).collect();
-        for (ti, &spt) in spt_v.iter().enumerate() {
-            let cyl = ti / tracks_per_cyl as usize;
-            cyl_free[cyl] += spt as u64;
-            cyl_aligned[cyl] += aligned_free[ti];
-        }
-        Self {
+        let mut map = Self {
             bits,
-            free_count,
+            word_off,
+            free_count: vec![0; n_tracks],
             spt: spt_v,
             tracks_per_cyl,
-            total_free: total,
-            total,
-            empty_tracks: n_tracks as u32,
-            cyl_free,
-            aligned_free,
-            cyl_aligned,
-            cyl_empty: vec![tracks_per_cyl; n_cyls],
-            occ_by_util: BTreeSet::new(),
-        }
+            total_free: 0,
+            total: geometry.total_sectors(),
+            empty_tracks: 0,
+            cyl_free: vec![0; n_cyls],
+            aligned_free: vec![0; n_tracks],
+            cyl_aligned: vec![0; n_cyls],
+            cyl_empty: vec![0; n_cyls],
+        };
+        map.rebuild_summaries();
+        map
     }
 
     /// Fixed-point utilization key of a track with `free` of `spt` sectors
@@ -123,6 +119,12 @@ impl FreeMap {
     #[inline]
     pub fn track_index(&self, cyl: u32, track: u32) -> usize {
         cyl as usize * self.tracks_per_cyl as usize + track as usize
+    }
+
+    /// The bitmap words of global track `ti`.
+    #[inline]
+    pub(crate) fn words(&self, ti: usize) -> &[u64] {
+        &self.bits[self.word_off[ti] as usize..self.word_off[ti + 1] as usize]
     }
 
     /// Sectors per track at this global track index.
@@ -164,20 +166,13 @@ impl FreeMap {
     pub fn is_free(&self, cyl: u32, track: u32, sector: u32) -> bool {
         let ti = self.track_index(cyl, track);
         debug_assert!(sector < self.spt[ti]);
-        self.bits[ti][sector as usize / 64] >> (sector % 64) & 1 == 1
+        self.words(ti)[sector as usize / 64] >> (sector % 64) & 1 == 1
     }
 
     /// Are all `count` sectors starting at `sector` on this track free?
     pub fn run_free(&self, cyl: u32, track: u32, sector: u32, count: u32) -> bool {
-        (sector..sector + count).all(|s| self.is_free(cyl, track, s))
-    }
-
-    /// Is the [`INDEX_ALIGN`]-aligned slot `slot` of global track `ti`
-    /// entirely free? A slot is one byte of a bitmap word (8 divides 64),
-    /// so the test is a single byte compare.
-    #[inline]
-    fn slot_free(&self, ti: usize, slot: u32) -> bool {
-        (self.bits[ti][slot as usize / 8] >> ((slot % 8) * 8)) & 0xFF == 0xFF
+        let words = self.words(self.track_index(cyl, track));
+        count == 0 || word_masks(sector, sector + count).all(|(wi, mask)| words[wi] & mask == mask)
     }
 
     /// SWAR reduction of one bitmap word to its free-slot mask: bit `8k` of
@@ -191,73 +186,56 @@ impl FreeMap {
         (m & (m >> 1)) & 0x0101_0101_0101_0101
     }
 
+    /// Flip sectors `sector..sector + count` of one track to `free`, a
+    /// word at a time: the sectors that actually change are the set bits of
+    /// `before ^ after`, and the aligned-slot delta is the difference of the
+    /// two words' free-slot counts.
     fn set(&mut self, cyl: u32, track: u32, sector: u32, count: u32, free: bool) -> Result<()> {
         let ti = self.track_index(cyl, track);
         let spt = self.spt[ti];
-        if sector + count > spt {
+        let Some(end) = sector.checked_add(count).filter(|&end| end <= spt) else {
             return Err(disksim::DiskError::OutOfRange {
-                addr: (sector + count) as u64,
+                addr: sector as u64 + count as u64,
                 limit: spt as u64,
             });
+        };
+        if count == 0 {
+            return Ok(());
         }
+        let base = self.word_off[ti] as usize;
+        let (mut changed, mut aligned_before, mut aligned_after) = (0u32, 0u32, 0u32);
+        for (wi, mask) in word_masks(sector, end) {
+            let w = &mut self.bits[base + wi];
+            let before = *w;
+            *w = if free { before | mask } else { before & !mask };
+            changed += (before ^ *w).count_ones();
+            aligned_before += Self::free_slot_bits(before).count_ones();
+            aligned_after += Self::free_slot_bits(*w).count_ones();
+        }
+        if changed == 0 {
+            return Ok(());
+        }
+        let cyl = cyl as usize;
         let was_empty = self.free_count[ti] == spt;
-        let free_before = self.free_count[ti];
-        let slots = spt / INDEX_ALIGN;
-        for s in sector..sector + count {
-            let w = &mut self.bits[ti][s as usize / 64];
-            let mask = 1u64 << (s % 64);
-            let cur = *w & mask != 0;
-            if cur != free {
-                let slot = s / INDEX_ALIGN;
-                let slot_was = slot < slots && self.slot_free(ti, slot);
-                let w = &mut self.bits[ti][s as usize / 64];
-                if free {
-                    *w |= mask;
-                    self.free_count[ti] += 1;
-                    self.total_free += 1;
-                    self.cyl_free[cyl as usize] += 1;
-                } else {
-                    *w &= !mask;
-                    self.free_count[ti] -= 1;
-                    self.total_free -= 1;
-                    self.cyl_free[cyl as usize] -= 1;
-                }
-                if slot < slots {
-                    let slot_is = self.slot_free(ti, slot);
-                    match (slot_was, slot_is) {
-                        (true, false) => {
-                            self.aligned_free[ti] -= 1;
-                            self.cyl_aligned[cyl as usize] -= 1;
-                        }
-                        (false, true) => {
-                            self.aligned_free[ti] += 1;
-                            self.cyl_aligned[cyl as usize] += 1;
-                        }
-                        _ => {}
-                    }
-                }
-            }
+        if free {
+            self.free_count[ti] += changed;
+            self.total_free += changed as u64;
+            self.cyl_free[cyl] += changed as u64;
+        } else {
+            self.free_count[ti] -= changed;
+            self.total_free -= changed as u64;
+            self.cyl_free[cyl] -= changed as u64;
         }
-        let free_after = self.free_count[ti];
-        if free_before != free_after {
-            if free_before < spt {
-                self.occ_by_util
-                    .remove(&(Self::util_key(spt, free_before), ti as u32));
-            }
-            if free_after < spt {
-                self.occ_by_util
-                    .insert((Self::util_key(spt, free_after), ti as u32));
-            }
-        }
-        let now_empty = self.free_count[ti] == spt;
-        match (was_empty, now_empty) {
+        self.aligned_free[ti] = self.aligned_free[ti] + aligned_after - aligned_before;
+        self.cyl_aligned[cyl] = self.cyl_aligned[cyl] + aligned_after - aligned_before;
+        match (was_empty, self.free_count[ti] == spt) {
             (true, false) => {
                 self.empty_tracks -= 1;
-                self.cyl_empty[cyl as usize] -= 1;
+                self.cyl_empty[cyl] -= 1;
             }
             (false, true) => {
                 self.empty_tracks += 1;
-                self.cyl_empty[cyl as usize] += 1;
+                self.cyl_empty[cyl] += 1;
             }
             _ => {}
         }
@@ -278,15 +256,15 @@ impl FreeMap {
     /// pass. `used` is a flat LBA-indexed bitmap (bit `lba` of
     /// `used[lba / 64]`); LBAs enumerate `(cyl, track, sector)` in
     /// lexicographic order, so each track is a contiguous bit range that is
-    /// stitched into the per-track words with two shifts. Summaries are
+    /// stitched into the track's words with two shifts. Summaries are
     /// rebuilt once at the end instead of being maintained per sector,
     /// which is what makes this O(total/64) rather than O(total · log).
     /// Equivalent to calling [`FreeMap::allocate`] for each set bit.
     pub fn allocate_bulk(&mut self, used: &[u64]) {
         let mut base = 0u64; // LBA of this track's sector 0
-        for ti in 0..self.bits.len() {
-            let nwords = self.bits[ti].len();
-            for wi in 0..nwords {
+        for ti in 0..self.spt.len() {
+            let words = self.word_off[ti] as usize..self.word_off[ti + 1] as usize;
+            for (wi, w) in self.bits[words].iter_mut().enumerate() {
                 let bit = base + wi as u64 * 64;
                 let q = (bit / 64) as usize;
                 let r = (bit % 64) as u32;
@@ -298,30 +276,27 @@ impl FreeMap {
                 };
                 // Clearing positions beyond the track end is harmless: those
                 // bits are already zero by construction.
-                self.bits[ti][wi] &= !(lo | hi);
+                *w &= !(lo | hi);
             }
             base += self.spt[ti] as u64;
         }
         self.rebuild_summaries();
     }
 
-    /// Recompute every summary (counts, per-cylinder rollups, the
-    /// utilization index) from the bitmaps, after a bulk mutation.
+    /// Recompute every summary (counts, per-cylinder rollups) from the
+    /// bitmap: at construction and after a bulk mutation.
     fn rebuild_summaries(&mut self) {
         let tracks_per_cyl = self.tracks_per_cyl as usize;
-        let n_cyls = self.bits.len() / tracks_per_cyl;
         self.total_free = 0;
         self.empty_tracks = 0;
-        self.cyl_free = vec![0; n_cyls];
-        self.cyl_aligned = vec![0; n_cyls];
-        self.cyl_empty = vec![0; n_cyls];
-        self.occ_by_util.clear();
-        for ti in 0..self.bits.len() {
-            let spt = self.spt[ti];
+        self.cyl_free.fill(0);
+        self.cyl_aligned.fill(0);
+        self.cyl_empty.fill(0);
+        for ti in 0..self.spt.len() {
             let cyl = ti / tracks_per_cyl;
-            let free: u32 = self.bits[ti].iter().map(|w| w.count_ones()).sum();
-            let aligned: u32 = self
-                .bits[ti]
+            let words = self.words(ti);
+            let free: u32 = words.iter().map(|w| w.count_ones()).sum();
+            let aligned: u32 = words
                 .iter()
                 .map(|&w| Self::free_slot_bits(w).count_ones())
                 .sum();
@@ -330,12 +305,9 @@ impl FreeMap {
             self.total_free += free as u64;
             self.cyl_free[cyl] += free as u64;
             self.cyl_aligned[cyl] += aligned;
-            if free == spt {
+            if free == self.spt[ti] {
                 self.empty_tracks += 1;
                 self.cyl_empty[cyl] += 1;
-            } else {
-                self.occ_by_util
-                    .insert((Self::util_key(spt, free), ti as u32));
             }
         }
     }
@@ -351,7 +323,7 @@ impl FreeMap {
     ) -> impl Iterator<Item = u32> + '_ {
         let ti = self.track_index(cyl, track);
         let spt = self.spt[ti];
-        let bits = &self.bits[ti];
+        let bits = self.words(ti);
         (0..spt).filter_map(move |i| {
             let s = (from_sector + i) % spt;
             (bits[s as usize / 64] >> (s % 64) & 1 == 1).then_some(s)
@@ -400,7 +372,7 @@ impl FreeMap {
             return None;
         }
         let spt = self.spt[ti];
-        let bits = &self.bits[ti];
+        let bits = self.words(ti);
         let from = from_sector % spt;
         let wstart = from as usize / 64;
         // Bits beyond the track end are zero by construction, so a set bit
@@ -455,7 +427,7 @@ impl FreeMap {
         // words, start word (low slots).
         let slots = self.spt[ti] / align;
         let start_slot = from_sector.div_ceil(align) % slots;
-        let words = &self.bits[ti];
+        let words = self.words(ti);
         let ws = start_slot as usize / 8;
         let shift = (start_slot % 8) * 8;
         let m = Self::free_slot_bits(words[ws]) & (u64::MAX << shift);
@@ -513,7 +485,7 @@ impl FreeMap {
     /// cylinder distance. Returns (cyl, track). The per-cylinder empty-track
     /// summary skips cylinders with nothing to offer in O(1).
     pub fn nearest_empty_track(&self, cyl: u32) -> Option<(u32, u32)> {
-        let cyls = (self.bits.len() / self.tracks_per_cyl as usize) as u32;
+        let cyls = self.cylinders();
         if self.empty_tracks == 0 {
             return None;
         }
@@ -540,7 +512,7 @@ impl FreeMap {
 
     /// Number of cylinders under management.
     pub fn cylinders(&self) -> u32 {
-        (self.bits.len() / self.tracks_per_cyl as usize) as u32
+        (self.spt.len() / self.tracks_per_cyl as usize) as u32
     }
 
     /// Tracks per cylinder.
@@ -554,26 +526,31 @@ impl FreeMap {
         1.0 - self.free_count[ti] as f64 / self.spt[ti] as f64
     }
 
-    /// Number of tracks holding at least one live sector — the size of the
-    /// utilization index, O(1).
+    /// Number of tracks holding at least one live sector. O(1).
     pub fn nonempty_tracks(&self) -> u32 {
-        self.occ_by_util.len() as u32
+        self.spt.len() as u32 - self.empty_tracks
     }
 
     /// The least-utilized track holding at least one live sector, skipping
     /// tracks rejected by `exclude`; ties resolve to the lowest global
     /// track index, matching a first-minimum full scan in `(cyl, track)`
-    /// order. Cost is proportional to the number of excluded tracks
-    /// inspected before a hit — O(1) amortized for the compactor's fixed
-    /// exclusion set (the allocator fill track and the firmware track).
+    /// order. An O(tracks) scan of the per-track counts: no figure and no
+    /// benchmark workload reaches it (the paper's VLD picks victims at
+    /// random), so nothing is maintained for it on the mutation path.
     pub fn least_utilized_nonempty(
         &self,
         mut exclude: impl FnMut(u32, u32) -> bool,
     ) -> Option<(u32, u32)> {
-        self.occ_by_util
-            .iter()
-            .map(|&(_, ti)| (ti / self.tracks_per_cyl, ti % self.tracks_per_cyl))
-            .find(|&(c, t)| !exclude(c, t))
+        let tracks = self.tracks_per_cyl;
+        let cyl_track = |ti: usize| (ti as u32 / tracks, ti as u32 % tracks);
+        (0..self.spt.len())
+            .filter(|&ti| self.free_count[ti] < self.spt[ti])
+            .filter(|&ti| {
+                let (c, t) = cyl_track(ti);
+                !exclude(c, t)
+            })
+            .min_by_key(|&ti| Self::util_key(self.spt[ti], self.free_count[ti]))
+            .map(cyl_track)
     }
 
     /// Could this track possibly hold a free run of `align` sectors? Exact
@@ -848,6 +825,21 @@ mod tests {
     fn out_of_track_alloc_fails() {
         let mut m = map();
         assert!(m.allocate(0, 0, 14, 4).is_err());
+        // `sector + count` past `u32::MAX` is out of range, not a wrap to a
+        // small in-range end.
+        assert!(m.allocate(0, 0, 8, u32::MAX - 3).is_err());
+        assert!(m.release(0, 0, u32::MAX, 2).is_err());
+        assert_eq!(m.free_sectors(), 128);
+    }
+
+    #[test]
+    fn empty_range_is_a_no_op() {
+        let mut m = map();
+        m.allocate(0, 0, 5, 0).unwrap();
+        m.allocate(0, 0, 16, 0).unwrap();
+        assert!(m.allocate(0, 0, 17, 0).is_err());
+        assert_eq!((m.free_sectors(), m.empty_tracks()), (128, 8));
+        assert!(m.run_free(0, 0, 16, 0));
     }
 
     #[test]
@@ -906,9 +898,8 @@ mod tests {
         assert!((m.track_utilization(0, 0) - 0.5).abs() < 1e-12);
     }
 
-    /// Full-rescan oracle for the utilization index: the pre-index pick —
-    /// first minimum of the f64 utilization in `(cyl, track)` scan order,
-    /// over tracks with live data.
+    /// The least-utilized pick as first stated: first minimum of the f64
+    /// utilization in `(cyl, track)` scan order, over tracks with live data.
     fn least_utilized_rescan(
         m: &FreeMap,
         mut exclude: impl FnMut(u32, u32) -> bool,
@@ -930,42 +921,142 @@ mod tests {
         best.map(|(ct, _)| ct)
     }
 
-    #[test]
-    fn utilization_index_matches_rescan_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Mixed-width geometries exercise the cross-spt key ordering.
-        for (cyls, tracks, spt) in [(4u32, 2u32, 16u32), (6, 3, 72), (3, 2, 256)] {
-            let g = Geometry::uniform(cyls, tracks, spt);
-            let mut m = FreeMap::new(&g);
-            let mut rng = StdRng::seed_from_u64(0x0CCB ^ (cyls as u64) << 8 | spt as u64);
-            for step in 0..600 {
-                let c = rng.gen_range(0..cyls);
-                let t = rng.gen_range(0..tracks);
-                let s = rng.gen_range(0..spt);
-                let n = rng.gen_range(1..(spt - s).clamp(2, 9));
-                if rng.gen_bool(0.55) {
-                    m.allocate(c, t, s, n).unwrap();
-                } else {
-                    m.release(c, t, s, n).unwrap();
+    /// The per-sector `set` that the word-mask one replaced — one bit, one
+    /// count and two slot probes per sector — kept as its oracle.
+    fn set_per_sector(m: &mut FreeMap, cyl: u32, track: u32, sector: u32, count: u32, free: bool) {
+        let ti = m.track_index(cyl, track);
+        let (spt, base, cyl) = (m.spt[ti], m.word_off[ti] as usize, cyl as usize);
+        let slot_free = |m: &FreeMap, slot: u32| {
+            slot < spt / INDEX_ALIGN
+                && (m.bits[base + slot as usize / 8] >> ((slot % 8) * 8)) & 0xFF == 0xFF
+        };
+        let was_empty = m.free_count[ti] == spt;
+        for s in sector..sector + count {
+            let (wi, mask) = (base + s as usize / 64, 1u64 << (s % 64));
+            if (m.bits[wi] & mask != 0) == free {
+                continue;
+            }
+            let slot_was = slot_free(m, s / INDEX_ALIGN);
+            if free {
+                m.bits[wi] |= mask;
+                m.free_count[ti] += 1;
+                m.total_free += 1;
+                m.cyl_free[cyl] += 1;
+            } else {
+                m.bits[wi] &= !mask;
+                m.free_count[ti] -= 1;
+                m.total_free -= 1;
+                m.cyl_free[cyl] -= 1;
+            }
+            match (slot_was, slot_free(m, s / INDEX_ALIGN)) {
+                (true, false) => {
+                    m.aligned_free[ti] -= 1;
+                    m.cyl_aligned[cyl] -= 1;
+                }
+                (false, true) => {
+                    m.aligned_free[ti] += 1;
+                    m.cyl_aligned[cyl] += 1;
+                }
+                _ => {}
+            }
+        }
+        match (was_empty, m.free_count[ti] == spt) {
+            (true, false) => {
+                m.empty_tracks -= 1;
+                m.cyl_empty[cyl] -= 1;
+            }
+            (false, true) => {
+                m.empty_tracks += 1;
+                m.cyl_empty[cyl] += 1;
+            }
+            _ => {}
+        }
+    }
+
+    /// Two maps over one geometry agree on every bit and every summary.
+    fn assert_same(a: &FreeMap, b: &FreeMap, ctx: &str) {
+        assert_eq!(a.bits, b.bits, "{ctx}: bits");
+        assert_eq!(a.aligned_free, b.aligned_free, "{ctx}: aligned_free");
+        assert_eq!(a.free_sectors(), b.free_sectors(), "{ctx}");
+        assert_eq!(a.empty_tracks(), b.empty_tracks(), "{ctx}");
+        assert_eq!(a.nonempty_tracks(), b.nonempty_tracks(), "{ctx}");
+        for c in 0..a.cylinders() {
+            assert_eq!(
+                a.free_in_cylinder(c),
+                b.free_in_cylinder(c),
+                "{ctx}: cyl {c}"
+            );
+            assert_eq!(
+                a.aligned_in_cylinder(c),
+                b.aligned_in_cylinder(c),
+                "{ctx}: cyl {c}"
+            );
+            assert_eq!(
+                a.empty_in_cylinder(c),
+                b.empty_in_cylinder(c),
+                "{ctx}: cyl {c}"
+            );
+            for t in 0..a.tracks_in_cylinder() {
+                assert_eq!(
+                    a.free_in_track(c, t),
+                    b.free_in_track(c, t),
+                    "{ctx}: ({c},{t})"
+                );
+            }
+        }
+    }
+
+    /// Not a multiple of 64, nor of 8, and multi-word tracks beside the toy.
+    const GEOMETRIES: [(u32, u32, u32); 4] = [(4, 2, 16), (6, 3, 72), (3, 2, 100), (3, 2, 256)];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The word-mask `set` and the per-sector oracle, driven through one
+        /// random allocate / release stream — ranges that cross word
+        /// boundaries, overlap earlier ones and repeat — leave identical
+        /// bits and summaries after every step; a mid-stream clone is its
+        /// original; and the least-utilized scan is the f64 first-minimum
+        /// rescan, with and without an exclusion.
+        #[test]
+        fn word_mask_set_matches_per_sector_oracle(
+            geo in 0usize..4,
+            ops in proptest::collection::vec(
+                (0u32..6, 0u32..3, 0u32..256, 0u32..1024, any::<bool>(), any::<bool>()),
+                1..120,
+            ),
+        ) {
+            let (cyls, tracks, spt) = GEOMETRIES[geo];
+            let mut m = FreeMap::new(&Geometry::uniform(cyls, tracks, spt));
+            let mut oracle = m.clone();
+            let mut last = (0, 0, 0, 1, false);
+            for (step, &(c, t, s, n, free, repeat)) in ops.iter().enumerate() {
+                let s = s % spt;
+                // Mostly block-sized runs, sometimes up to the whole track.
+                let n = 1 + n % if n % 4 == 0 { spt - s } else { (spt - s).min(12) };
+                let op = if repeat { last } else { (c % cyls, t % tracks, s, n, free) };
+                last = op;
+                let (c, t, s, n, free) = op;
+                let was_free = (s..s + n).all(|x| m.is_free(c, t, x));
+                prop_assert_eq!(m.run_free(c, t, s, n), was_free);
+                m.set(c, t, s, n, free).unwrap();
+                set_per_sector(&mut oracle, c, t, s, n, free);
+                let ctx = format!("step {step} {cyls}x{tracks}x{spt} {op:?}");
+                assert_same(&m, &oracle, &ctx);
+                prop_assert_eq!(m.run_free(c, t, s, n), free);
+                if step == ops.len() / 2 {
+                    assert_same(&m.clone(), &m, "clone");
                 }
                 let no_excl = |_: u32, _: u32| false;
-                assert_eq!(
-                    m.least_utilized_nonempty(no_excl),
-                    least_utilized_rescan(&m, no_excl),
-                    "step {step} on {cyls}x{tracks}x{spt}"
-                );
-                // And with an exclusion, as the compactor applies one.
                 let excl = |cc: u32, tt: u32| (cc, tt) == (0, 0);
-                assert_eq!(
+                prop_assert_eq!(
+                    m.least_utilized_nonempty(no_excl),
+                    least_utilized_rescan(&m, no_excl)
+                );
+                prop_assert_eq!(
                     m.least_utilized_nonempty(excl),
                     least_utilized_rescan(&m, excl)
                 );
-                let nonempty = (0..cyls)
-                    .flat_map(|c| (0..tracks).map(move |t| (c, t)))
-                    .filter(|&(c, t)| m.free_in_track(c, t) < spt)
-                    .count() as u32;
-                assert_eq!(m.nonempty_tracks(), nonempty);
             }
         }
     }
@@ -1005,7 +1096,7 @@ mod tests {
     fn allocate_bulk_matches_per_sector_allocate() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for (cyls, tracks, spt) in [(4u32, 2u32, 16u32), (6, 3, 72), (3, 2, 256)] {
+        for (cyls, tracks, spt) in GEOMETRIES {
             let g = Geometry::uniform(cyls, tracks, spt);
             let total = g.total_sectors();
             let mut rng = StdRng::seed_from_u64(0xB01C ^ total);
@@ -1020,23 +1111,14 @@ mod tests {
             }
             let mut bulk = FreeMap::new(&g);
             bulk.allocate_bulk(&used);
-            assert_eq!(bulk.free_sectors(), seq.free_sectors());
-            assert_eq!(bulk.empty_tracks(), seq.empty_tracks());
-            assert_eq!(bulk.nonempty_tracks(), seq.nonempty_tracks());
+            assert_same(&bulk, &seq, &format!("{cyls}x{tracks}x{spt}"));
             let no_excl = |_: u32, _: u32| false;
             assert_eq!(
                 bulk.least_utilized_nonempty(no_excl),
                 seq.least_utilized_nonempty(no_excl)
             );
             for c in 0..cyls {
-                assert_eq!(bulk.free_in_cylinder(c), seq.free_in_cylinder(c));
-                assert_eq!(bulk.aligned_in_cylinder(c), seq.aligned_in_cylinder(c));
-                assert_eq!(bulk.empty_in_cylinder(c), seq.empty_in_cylinder(c));
                 for t in 0..tracks {
-                    assert_eq!(bulk.free_in_track(c, t), seq.free_in_track(c, t));
-                    for s in 0..spt {
-                        assert_eq!(bulk.is_free(c, t, s), seq.is_free(c, t, s));
-                    }
                     assert_eq!(
                         bulk.first_aligned_from(c, t, 3, INDEX_ALIGN),
                         seq.first_aligned_from(c, t, 3, INDEX_ALIGN)
@@ -1072,8 +1154,7 @@ mod tests {
             }
             for align in [1u32, INDEX_ALIGN] {
                 let (hc, ht) = (rng.gen_range(0..cyls), rng.gen_range(0..tracks));
-                let units: Vec<FrontierTrack> =
-                    m.frontier(hc, ht, switch, seek, align).collect();
+                let units: Vec<FrontierTrack> = m.frontier(hc, ht, switch, seek, align).collect();
                 let mut last = 0u64;
                 let mut seen = HashSet::new();
                 let mut ranks = HashSet::new();

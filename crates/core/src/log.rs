@@ -173,10 +173,17 @@ impl VirtualLog {
 
     pub(crate) fn reserve_meta(disk: &Disk, free: &mut FreeMap, ckpt: &CheckpointRegion) {
         let g = &disk.spec().geometry;
-        for s in (0..FIRMWARE_SECTORS).chain(ckpt.slot_a..ckpt.end()) {
-            let p = g.lba_to_phys(s).expect("metadata area within disk");
-            free.allocate(p.cyl, p.track, p.sector, 1)
-                .expect("metadata sector valid");
+        for area in [0..FIRMWARE_SECTORS, ckpt.slot_a..ckpt.end()] {
+            // One ranged allocate per track the area touches.
+            let mut lba = area.start;
+            while lba < area.end {
+                let p = g.lba_to_phys(lba).expect("metadata area within disk");
+                let spt = g.sectors_per_track(p.cyl).expect("cylinder just resolved");
+                let n = ((spt - p.sector) as u64).min(area.end - lba) as u32;
+                free.allocate(p.cyl, p.track, p.sector, n)
+                    .expect("metadata run within its track");
+                lba += n as u64;
+            }
         }
     }
 

@@ -19,7 +19,7 @@ use crate::cache::{CachePolicy, TrackCache};
 use crate::clock::SimClock;
 use crate::error::{DiskError, Result};
 use crate::geometry::PhysAddr;
-use crate::mech::SeekTable;
+use crate::mech::{sector_at_phase, SeekTable};
 use crate::service::ServiceTime;
 use crate::spec::DiskSpec;
 use crate::trackbuf::TrackBuf;
@@ -589,7 +589,7 @@ impl Disk {
         let in_rev = t_pos % rev_ns;
         // Same arrival rule as `arrival_sector`: the sector currently
         // passing is partially gone, so the next boundary is slot + 1.
-        let slot_plus1 = ((in_rev as u128 * spt as u128 / rev_ns as u128) as u32 + 1) % spt;
+        let slot_plus1 = (sector_at_phase(in_rev, spt, rev_ns) + 1) % spt;
         Ok(CylinderPricer {
             cyl,
             spt,
@@ -643,8 +643,7 @@ impl Disk {
             c.head_switch_ns = 0;
             let t_pos = self.clock.now() + c.seek_ns;
             c.in_rev = t_pos % c.rev_ns;
-            c.slot_plus1 =
-                ((c.in_rev as u128 * c.spt as u128 / c.rev_ns as u128) as u32 + 1) % c.spt;
+            c.slot_plus1 = (sector_at_phase(c.in_rev, c.spt, c.rev_ns) + 1) % c.spt;
         }
         Ok(self.track_pricer_from(&c, track))
     }

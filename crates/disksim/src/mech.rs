@@ -128,8 +128,7 @@ impl MechModel {
     #[inline]
     pub fn sector_under_head(&self, t_ns: u64, sectors_per_track: u32) -> u32 {
         let rev = self.revolution_ns();
-        let in_rev = t_ns % rev;
-        ((in_rev as u128 * sectors_per_track as u128) / rev as u128) as u32
+        sector_at_phase(t_ns % rev, sectors_per_track, rev)
     }
 
     /// Nanoseconds from absolute time `t_ns` until the *start* of sector
@@ -145,6 +144,17 @@ impl MechModel {
             rev - in_rev + target_start
         }
     }
+}
+
+/// The sector whose boundary most recently passed under the head `in_rev`
+/// nanoseconds into a revolution of `rev_ns`, on a track of `spt` sectors:
+/// `⌊in_rev · spt / rev_ns⌋`. `in_rev < rev_ns ≤ 6·10¹⁰` (one revolution at
+/// 1 rpm) and `spt` is a few hundred, so the product fits `u64` with room
+/// to spare and needs no 128-bit division.
+#[inline]
+pub(crate) fn sector_at_phase(in_rev: u64, spt: u32, rev_ns: u64) -> u32 {
+    debug_assert!(in_rev < rev_ns && spt <= 1 << 20);
+    (in_rev * spt as u64 / rev_ns) as u32
 }
 
 /// Precomputed seek times for every cylinder distance on one disk.
@@ -203,6 +213,31 @@ mod tests {
     fn revolution_time() {
         assert_eq!(model().revolution_ns(), 10_000_000);
         assert_eq!(model().sector_ns(100), 100_000);
+    }
+
+    /// The `u64` sector-phase arithmetic is the `u128` form it replaced, at
+    /// every sector boundary ± 1 ns of both drives (and the slowest spindle
+    /// with the widest track, where the product is largest).
+    #[test]
+    fn sector_phase_in_u64_matches_u128() {
+        use crate::DiskSpec;
+        let slow_wide = MechModel { rpm: 1, ..model() };
+        let drives = [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()];
+        let cases = drives
+            .iter()
+            .map(|d| (d.mech, d.geometry.sectors_per_track(0).unwrap()))
+            .chain([(slow_wide, 1024)]);
+        for (mech, spt) in cases {
+            let rev = mech.revolution_ns();
+            for k in 0..=spt as u64 {
+                let boundary = (k * rev).div_ceil(spt as u64);
+                for in_rev in boundary.saturating_sub(1)..=(boundary + 1).min(rev - 1) {
+                    let wide = (in_rev as u128 * spt as u128 / rev as u128) as u32;
+                    assert_eq!(sector_at_phase(in_rev, spt, rev), wide, "{spt} {in_rev}");
+                    assert_eq!(mech.sector_under_head(7 * rev + in_rev, spt), wide);
+                }
+            }
+        }
     }
 
     #[test]
