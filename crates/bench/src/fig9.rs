@@ -40,8 +40,7 @@ impl Breakdown {
 /// results instead of re-simulating them. A hit credits the recorded
 /// simulated-event count back to the global counter (the same discipline as
 /// the aged-system snapshot cache), so per-section event totals match a
-/// from-scratch run exactly. Reference mode measures every call from
-/// scratch.
+/// from-scratch run exactly.
 type MeasureKey = (DevKind, DiskKind, HostModel, u64);
 fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
     static MEMO: OnceLock<Mutex<HashMap<MeasureKey, (Breakdown, u64)>>> = OnceLock::new();
@@ -50,27 +49,24 @@ fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
 
 /// Measure the breakdown for UFS on the given device at ~80 % utilisation.
 pub fn measure(dev: DevKind, disk: DiskKind, host: HostModel, updates: u64) -> FsResult<Breakdown> {
-    let use_memo = !disksim::reference_mode();
     let key = (dev, disk, host, updates);
-    if use_memo {
-        if let Some(&(b, events)) = memo().lock().expect("measure memo lock").get(&key) {
-            disksim::clock::add_events(events);
-            return Ok(b);
-        }
+    if let Some(&(b, events)) = memo().lock().expect("measure memo lock").get(&key) {
+        disksim::clock::add_events(events);
+        return Ok(b);
     }
     let (b, events) = measure_fresh(dev, disk, host, updates)?;
-    if use_memo {
-        memo()
-            .lock()
-            .expect("measure memo lock")
-            .insert(key, (b, events));
-    }
+    memo()
+        .lock()
+        .expect("measure memo lock")
+        .insert(key, (b, events));
     Ok(b)
 }
 
-/// The actual measurement; returns the breakdown plus the simulated events
-/// the measured system consumed (for event crediting on memo hits).
-fn measure_fresh(
+/// The actual measurement, bypassing the memo; returns the breakdown plus
+/// the simulated events the measured system consumed (what a memo hit
+/// credits). Public as the oracle `tests/event_credit.rs` holds
+/// [`measure`] to.
+pub fn measure_fresh(
     dev: DevKind,
     disk: DiskKind,
     host: HostModel,

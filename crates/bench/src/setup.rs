@@ -91,7 +91,7 @@ fn cache_cell(key: AgedKey) -> AgedCell {
 }
 
 /// Build the aged state described by `spec` from scratch, bypassing the
-/// snapshot cache. This is the per-cell path in reference mode, and the
+/// snapshot cache. This is the path for a spec that is used once, and the
 /// oracle the fork-identity tests compare against.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = spec.stack.build(None, &Obs::default())?;
@@ -117,20 +117,14 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
 /// payloads stay shared copy-on-write until a fork writes them. Event
 /// accounting is rebuild-equivalent: the cached build's simulation events
 /// are subtracted once and re-credited by every fork, so per-figure event
-/// totals match a mode where each cell rebuilds from scratch.
-///
-/// In reference mode ([`disksim::reference_mode`]) every call is a plain
-/// from-scratch build — the oracle the CI identity gate compares against.
+/// totals match each cell rebuilding from scratch.
 pub fn aged_system(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
-    if disksim::reference_mode() {
-        return build_aged(spec);
-    }
     let cell = cache_cell(spec.key());
     let cached = cell.get_or_init(|| {
         let (fs, file, file_blocks) = build_aged(spec).ok()?;
         let snap = fs.snapshot()?;
         // The cached build's events are subtracted once here and re-credited
-        // by every fork below, so event totals match rebuild-per-cell mode.
+        // by every fork below, so event totals match a rebuild per cell.
         disksim::clock::sub_events(snap.local_events());
         Some(CachedAged {
             snap,

@@ -29,9 +29,6 @@ pub struct Recorder {
     pub mode: String,
     /// Worker threads the parallel harness was allowed.
     pub threads: usize,
-    /// Whether the process ran the reference configuration
-    /// ([`disksim::reference_mode`]) rather than the fast one.
-    pub reference: bool,
     started: Instant,
     events_at_start: u64,
     sections: Vec<Section>,
@@ -43,7 +40,6 @@ impl Recorder {
         Self {
             mode: mode.to_string(),
             threads,
-            reference: disksim::reference_mode(),
             started: Instant::now(),
             events_at_start: disksim::clock::events(),
             sections: Vec::new(),
@@ -120,10 +116,9 @@ impl Recorder {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"mode\":\"{}\",\"threads\":{},\"reference\":{},\"wall_ms\":{:.1},\"sim_events\":{},\"events_per_sec\":{:.0},\"sections\":[",
+            "{{\"mode\":\"{}\",\"threads\":{},\"wall_ms\":{:.1},\"sim_events\":{},\"events_per_sec\":{:.0},\"sections\":[",
             self.mode,
             self.threads,
-            self.reference,
             total_ms,
             events,
             events as f64 / (total_ms / 1e3)
@@ -170,7 +165,6 @@ mod tests {
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"mode\":\"full\""));
-        assert!(j.contains(&format!("\"reference\":{}", disksim::reference_mode())));
         assert!(j.contains("\"name\":\"fig1\""));
         assert_eq!(
             j.matches('{').count(),

@@ -5,8 +5,7 @@
 //! [`AgedSpec`]: same measured latencies (bit-for-bit), same virtual clock,
 //! same logical media contents, same disk statistics — across all four
 //! FS/device stacks, under fault injection, and regardless of how many
-//! workers fork concurrently. These tests pin that contract; the CI figure
-//! gate (`VLFS_REFERENCE=1` diff) checks the same property end-to-end.
+//! workers fork concurrently. These tests pin that contract.
 
 use disksim::fault::content_hash;
 use disksim::{par, FaultDisk, FaultPlan, RegularDisk, SimClock};
@@ -142,36 +141,48 @@ fn fork_matches_rebuild_under_fault_disk() {
 }
 
 /// Writes in one fork are invisible to the parent, to sibling forks, and
-/// to forks taken later from the same snapshot.
+/// to forks taken later from the same snapshot — on the media (cold reads)
+/// and in the buffer-cache payloads every fork shares with the snapshot
+/// (warm reads of blocks that were cached when it was taken).
 #[test]
 fn fork_mutation_is_isolated() {
     let s = spec(FsKind::Lfs, DevKind::Vld, DiskKind::Seagate);
     let (mut parent, f, fb) = build_aged(&s).expect("build");
+    let hot = 16.min(fb as usize) * BLOCK;
+    let warm_hash = |fs: &mut Ufs| {
+        let mut buf = vec![0u8; hot];
+        let n = fs.read(f, 0, &mut buf).expect("read");
+        content_hash(&buf[..n])
+    };
+    let warm = warm_hash(&mut parent); // now cached, so the snapshot shares it
     let snap = parent.snapshot().expect("snapshot");
 
-    let read_hash = |fs: &mut Ufs| {
+    let cold_hash = |fs: &mut Ufs| {
         fs.drop_caches();
         let mut buf = vec![0u8; (fb as usize) * BLOCK];
         let n = fs.read(f, 0, &mut buf).expect("read");
         content_hash(&buf[..n])
     };
+    let before = cold_hash(&mut snap.restore());
     let mut sibling = snap.restore();
-    let before = read_hash(&mut sibling);
 
     let mut mutant = snap.restore();
     let blot = vec![0xEEu8; 8 * BLOCK];
     for i in 0..16u64 {
-        let off = (i * 131 % fb) * BLOCK as u64;
+        let off = (i * 131 % fb) * BLOCK as u64; // i = 0 blots the hot blocks
         mutant.write(f, off, &blot).expect("mutate fork");
     }
-    mutant.sync().expect("sync fork");
-    let mutated = read_hash(&mut mutant);
-    assert_ne!(mutated, before, "mutation must be visible in the fork");
-
-    assert_eq!(read_hash(&mut parent), before, "parent saw fork writes");
-    assert_eq!(read_hash(&mut sibling), before, "sibling saw fork writes");
+    assert_ne!(warm_hash(&mut mutant), warm, "mutation must be visible in the fork");
     let mut late = snap.restore();
-    assert_eq!(read_hash(&mut late), before, "snapshot itself was mutated");
+    for (who, fs) in [("parent", &mut parent), ("sibling", &mut sibling), ("late fork", &mut late)] {
+        assert_eq!(warm_hash(fs), warm, "{who}'s cached blocks saw fork writes");
+    }
+
+    mutant.sync().expect("sync fork");
+    assert_ne!(cold_hash(&mut mutant), before, "mutation must reach the fork's media");
+    assert_eq!(cold_hash(&mut parent), before, "parent saw fork writes");
+    assert_eq!(cold_hash(&mut sibling), before, "sibling saw fork writes");
+    assert_eq!(cold_hash(&mut snap.restore()), before, "snapshot itself was mutated");
 }
 
 /// The cached path ([`aged_system`]) serves concurrent workers the same

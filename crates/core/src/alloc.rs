@@ -20,19 +20,6 @@
 use crate::freemap::FreeMap;
 use disksim::{CylinderPricer, Disk, Metrics, ServiceTime, TrackPricer};
 
-/// Which greedy-search implementation answers allocation queries. Both
-/// provably pick the same sector; they differ only in how much work they do
-/// to find it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocMode {
-    /// Best-first over the [`FreeMap::frontier`] with early exit: stop at
-    /// the first candidate whose exact cost meets its frontier lower bound.
-    Fast,
-    /// The naive exhaustive oracle: price every reachable slot, take the
-    /// `min_by_key`.
-    Reference,
-}
-
 /// A chosen allocation target and its predicted positioning cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
@@ -77,8 +64,6 @@ impl Default for AllocConfig {
 #[derive(Debug, Clone)]
 pub struct EagerAllocator {
     cfg: AllocConfig,
-    /// Which search implementation answers queries (identical answers).
-    mode: AllocMode,
     /// The empty track currently being filled under the threshold policy.
     fill_track: Option<(u32, u32)>,
     /// A track allocations must avoid (set while the compactor empties it,
@@ -95,47 +80,25 @@ pub struct EagerAllocator {
 #[derive(Debug, Clone, Copy)]
 pub struct AllocatorState {
     cfg: AllocConfig,
-    mode: AllocMode,
     fill_track: Option<(u32, u32)>,
     avoid: Option<(u32, u32)>,
 }
 
 impl EagerAllocator {
-    /// Create an allocator with the given configuration: the naive oracle
-    /// in reference mode ([`disksim::reference_mode`]), the fast search
-    /// otherwise.
+    /// Create an allocator with the given configuration.
     pub fn new(cfg: AllocConfig) -> Self {
-        let mode = if disksim::reference_mode() {
-            AllocMode::Reference
-        } else {
-            AllocMode::Fast
-        };
-        Self::with_mode(cfg, mode)
-    }
-
-    /// Create an allocator pinned to an explicit search mode, regardless of
-    /// the process-wide switch (equivalence tests and microbenchmarks
-    /// compare the modes side by side within one process).
-    pub fn with_mode(cfg: AllocConfig, mode: AllocMode) -> Self {
         Self {
             cfg,
-            mode,
             fill_track: None,
             avoid: None,
             metrics: Metrics::disabled(),
         }
     }
 
-    /// The search mode in force.
-    pub fn mode(&self) -> AllocMode {
-        self.mode
-    }
-
     /// Capture the mutable state for a later [`EagerAllocator::from_state`].
     pub fn state(&self) -> AllocatorState {
         AllocatorState {
             cfg: self.cfg,
-            mode: self.mode,
             fill_track: self.fill_track,
             avoid: self.avoid,
         }
@@ -145,7 +108,6 @@ impl EagerAllocator {
     pub fn from_state(state: &AllocatorState) -> Self {
         Self {
             cfg: state.cfg,
-            mode: state.mode,
             fill_track: state.fill_track,
             avoid: state.avoid,
             metrics: Metrics::disabled(),
@@ -199,7 +161,7 @@ impl EagerAllocator {
         // still has room for an aligned slot.
         if let Some((c, t)) = self.fill_track {
             if free.track_utilization(c, t) < self.cfg.threshold {
-                if let Some(cand) = self.track_candidate(disk, free, c, t, align) {
+                if let Some(cand) = self.price_track(disk, free, c, t, align) {
                     return Some(cand);
                 }
             }
@@ -212,26 +174,7 @@ impl EagerAllocator {
             return None;
         }
         self.fill_track = Some(next);
-        self.track_candidate(disk, free, next.0, next.1, align)
-    }
-
-    /// Price one track with no incumbent bound, through the primitive the
-    /// allocator's mode selects (the indexed word-scan, or the naive linear
-    /// scan in reference mode — same answer by the equivalence tests).
-    fn track_candidate(
-        &self,
-        disk: &Disk,
-        free: &FreeMap,
-        cyl: u32,
-        track: u32,
-        align: u32,
-    ) -> Option<Candidate> {
-        match self.mode {
-            AllocMode::Reference => {
-                reference::best_in_track(disk, free, self.avoid, cyl, track, align)
-            }
-            AllocMode::Fast => self.price_track(disk, free, cyl, track, align),
-        }
+        self.price_track(disk, free, next.0, next.1, align)
     }
 
     /// Cheapest candidate on one track: the first free (aligned) slot in
@@ -337,20 +280,13 @@ impl EagerAllocator {
     /// Greedy search: current cylinder first, then widening. One-way mode
     /// walks forward (wrapping) and takes the first cylinder with space;
     /// two-way mode alternates ±d and stops once no unvisited location can
-    /// beat the best candidate found. Dispatches on the allocator's mode;
-    /// both implementations return the identical candidate.
+    /// beat the best candidate found. Both pick exactly what the naive
+    /// `reference::greedy` scan picks (the equivalence tests below).
     fn greedy(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        match self.mode {
-            AllocMode::Reference => {
-                reference::greedy(disk, free, self.avoid, align, self.cfg.one_way_sweep)
-            }
-            AllocMode::Fast => {
-                if self.cfg.one_way_sweep {
-                    self.greedy_fast_one_way(disk, free, align)
-                } else {
-                    self.greedy_fast_two_way(disk, free, align)
-                }
-            }
+        if self.cfg.one_way_sweep {
+            self.greedy_one_way(disk, free, align)
+        } else {
+            self.greedy_two_way(disk, free, align)
         }
     }
 
@@ -364,7 +300,7 @@ impl EagerAllocator {
     /// tie is won by the track the reference scan visits first, which is
     /// what the lexicographic `(cost, rank)` replacement below decides.
     /// Hence the result equals the reference `min_by_key` pick exactly.
-    fn greedy_fast_two_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
+    fn greedy_two_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
         let head = disk.head();
         let switch = disk.spec().mech.head_switch_ns;
         let mut best: Option<(Candidate, u64, u64)> = None; // (cand, total_ns, rank)
@@ -421,7 +357,7 @@ impl EagerAllocator {
     /// priced first and wins outright when its candidate costs less than a
     /// head switch — the common mostly-empty-track case prices one track
     /// instead of scanning the cylinder.
-    fn greedy_fast_one_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
+    fn greedy_one_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
         let cyls = free.cylinders();
         let head = disk.head();
         for w in 0..cyls {
@@ -512,11 +448,12 @@ impl EagerAllocator {
 }
 
 /// The pre-index exhaustive greedy search, retained as the oracle the
-/// fast path is verified against: it prices every reachable free
+/// allocator is verified against: it prices every reachable free
 /// slot with the exact mechanical model and never consults the summary
-/// counts, lower bounds or word-level scans. Equivalence tests (and the
-/// microbenchmarks' before/after comparison) call these directly.
-pub mod reference {
+/// counts, lower bounds or word-level scans. The equivalence tests call
+/// these directly.
+#[cfg(test)]
+mod reference {
     use super::Candidate;
     use crate::freemap::FreeMap;
     use disksim::Disk;
@@ -757,13 +694,14 @@ mod tests {
         assert!(free.run_free(c.cyl, c.track, c.sector, 8));
     }
 
-    /// The tentpole's safety net: across random fill patterns, head
+    /// The allocator's safety net: across random fill patterns, head
     /// positions, rotation phases, disks, sweep modes, alignments and avoid
-    /// tracks, both allocator modes — best-first indexed and naive
-    /// reference — must choose *exactly* the same candidate: same sector,
-    /// same predicted cost. The fast search resolves ties to the reference
-    /// scan's first-wins order, so equality is full, not just cost
-    /// equality.
+    /// tracks, the best-first indexed search must choose *exactly* the
+    /// candidate the naive `reference::greedy` scan chooses — same sector,
+    /// same predicted cost; it resolves ties to the reference scan's
+    /// first-wins order, so equality is full, not just cost equality. The
+    /// same states also check `price_track` (all the threshold-fill path
+    /// calls) against `reference::best_in_track`.
     #[test]
     fn allocator_modes_choose_identically() {
         use rand::rngs::StdRng;
@@ -804,38 +742,45 @@ mod tests {
                     let avoid = rng
                         .gen_bool(0.5)
                         .then(|| (rng.gen_range(0..cyls), rng.gen_range(0..tracks)));
+                    let mut a = EagerAllocator::new(AllocConfig {
+                        one_way_sweep: one_way,
+                        threshold_fill: false,
+                        ..AllocConfig::default()
+                    });
+                    a.set_avoid(avoid);
                     for _ in 0..3 {
                         disk.seek_to(rng.gen_range(0..cyls), rng.gen_range(0..tracks))
                             .unwrap();
                         clock.advance(rng.gen_range(0..spec.mech.revolution_ns()));
-                        let cfg = AllocConfig {
-                            one_way_sweep: one_way,
-                            threshold_fill: false,
-                            ..AllocConfig::default()
-                        };
+                        // One random track, the head's own, and the avoided
+                        // one (which both sides must refuse).
+                        let h = disk.head();
+                        let priced = [
+                            Some((rng.gen_range(0..cyls), rng.gen_range(0..tracks))),
+                            Some((h.cyl, h.track)),
+                            avoid,
+                        ];
                         for align in [8u32, 1] {
-                            let picks: Vec<Option<Candidate>> =
-                                [AllocMode::Fast, AllocMode::Reference]
-                                    .into_iter()
-                                    .map(|mode| {
-                                        let mut a = EagerAllocator::with_mode(cfg, mode);
-                                        a.set_avoid(avoid);
-                                        if align == 8 {
-                                            a.find_block(&disk, &free)
-                                        } else {
-                                            a.find_sector(&disk, &free)
-                                        }
-                                    })
-                                    .collect();
+                            let fast = if align == 8 {
+                                a.find_block(&disk, &free)
+                            } else {
+                                a.find_sector(&disk, &free)
+                            };
+                            let naive = reference::greedy(&disk, &free, avoid, align, one_way);
                             assert!(
-                                picks[0] == picks[1],
+                                fast == naive,
                                 "divergence: cyls={cyls} util={util} one_way={one_way} \
-                                 align={align} avoid={avoid:?} head={:?} \
-                                 fast={:?} reference={:?}",
-                                disk.head(),
-                                picks[0],
-                                picks[1]
+                                 align={align} avoid={avoid:?} head={h:?} \
+                                 fast={fast:?} reference={naive:?}"
                             );
+                            for (c, t) in priced.into_iter().flatten() {
+                                assert_eq!(
+                                    a.price_track(&disk, &free, c, t, align),
+                                    reference::best_in_track(&disk, &free, avoid, c, t, align),
+                                    "price_track: cyls={cyls} util={util} align={align} \
+                                     avoid={avoid:?} head={h:?} track=({c},{t})"
+                                );
+                            }
                         }
                     }
                 }
@@ -843,11 +788,24 @@ mod tests {
         }
     }
 
-    /// Hand-built equal-cost ties: both modes must resolve them to the
+    /// Hand-built equal-cost ties: the allocator must resolve them to the
     /// track the reference scan visits first.
     #[test]
     fn tie_breaking_matches_reference_scan_order() {
-        let modes = [AllocMode::Fast, AllocMode::Reference];
+        let picks = |disk: &Disk, free: &FreeMap, one_way: bool| {
+            let mut a = greedy_alloc(one_way);
+            [
+                a.find_block(disk, free).unwrap(),
+                reference::greedy(disk, free, None, 8, one_way).unwrap(),
+            ]
+        };
+        let full = |free: &mut FreeMap| {
+            for cyl in 0..36 {
+                for t in 0..19 {
+                    free.allocate(cyl, t, 0, 72).unwrap();
+                }
+            }
+        };
         // Mirrored cylinders: the head sits on cylinder 10 with its own
         // cylinder (and everything within distance 2) full; cylinders 8 and
         // 12 each keep one identical free block. Seek, arrival sector and
@@ -856,27 +814,10 @@ mod tests {
         for one_way in [false, true] {
             let (mut disk, mut free) = setup();
             disk.seek_to(10, 3).unwrap();
-            for cyl in 0..36 {
-                for t in 0..19 {
-                    free.allocate(cyl, t, 0, 72).unwrap();
-                }
-            }
+            full(&mut free);
             free.release(8, 3, 16, 8).unwrap();
             free.release(12, 3, 16, 8).unwrap();
-            let picks: Vec<Candidate> = modes
-                .iter()
-                .map(|&m| {
-                    let mut a = EagerAllocator::with_mode(
-                        AllocConfig {
-                            one_way_sweep: one_way,
-                            threshold_fill: false,
-                            ..AllocConfig::default()
-                        },
-                        m,
-                    );
-                    a.find_block(&disk, &free).unwrap()
-                })
-                .collect();
+            let picks = picks(&disk, &free, one_way);
             assert_eq!(picks[0], picks[1]);
             if !one_way {
                 assert_eq!(
@@ -886,38 +827,40 @@ mod tests {
                 );
             }
         }
-        // Same-cylinder track tie: head on track 15 of cylinder 0, one free
-        // block each on tracks 2 and 10, placed at the *same angle* (the
-        // HP's track skew is 13 of 72 sectors, so tracks 8 apart with start
-        // sectors 32 apart coincide: 40 + 13·2 ≡ 8 + 13·10 (mod 72)). Head
-        // switch and rotation are then equal — first-wins goes to the
-        // lower track index.
-        let (mut disk, mut free) = setup();
-        disk.seek_to(0, 15).unwrap();
-        for cyl in 0..36 {
-            for t in 0..19 {
-                free.allocate(cyl, t, 0, 72).unwrap();
+        // Same-cylinder track tie: one free block each on tracks 2 and 10
+        // of cylinder 0, placed at the *same angle* (the HP's track skew is
+        // 13 of 72 sectors, so tracks 8 apart with start sectors 32 apart
+        // coincide: 40 + 13·2 ≡ 8 + 13·10 (mod 72)). From track 15 of the
+        // same cylinder both cost one head switch plus equal rotation; from
+        // cylinder 5 both cost the same seek plus equal rotation (the
+        // one-way sweep wraps round to them) — first-wins goes to the lower
+        // track index either way.
+        //
+        // From track 10 itself, with the phase set so its own block is
+        // exactly one head switch of rotation away, track 2's block costs
+        // the switch plus no wait at all: a tie in which the incumbent's
+        // cost *equals* the other track's lower bound — the boundary the
+        // best-first early exits must still price, not prune.
+        for (head_cyl, head_track) in [(0, 15), (5, 15), (0, 10)] {
+            let (mut disk, mut free) = setup();
+            disk.seek_to(head_cyl, head_track).unwrap();
+            full(&mut free);
+            free.release(0, 2, 40, 8).unwrap();
+            free.release(0, 10, 8, 8).unwrap();
+            if head_track == 10 {
+                let switch = disk.spec().mech.head_switch_ns;
+                let rev = disk.spec().mech.revolution_ns();
+                let wait = disk.position_cost(0, 10, 8).unwrap().rotation_ns;
+                disk.clock().advance((wait + rev - switch) % rev);
+                assert_eq!(disk.position_cost(0, 10, 8).unwrap().total_ns(), switch);
+                assert_eq!(disk.position_cost(0, 2, 40).unwrap().rotation_ns, 0);
             }
-        }
-        free.release(0, 2, 40, 8).unwrap();
-        free.release(0, 10, 8, 8).unwrap();
-        for one_way in [false, true] {
-            let picks: Vec<Candidate> = modes
-                .iter()
-                .map(|&m| {
-                    let mut a = EagerAllocator::with_mode(
-                        AllocConfig {
-                            one_way_sweep: one_way,
-                            threshold_fill: false,
-                            ..AllocConfig::default()
-                        },
-                        m,
-                    );
-                    a.find_block(&disk, &free).unwrap()
-                })
-                .collect();
-            assert_eq!(picks[0], picks[1], "one_way={one_way}");
-            assert_eq!((picks[0].cyl, picks[0].track), (0, 2), "one_way={one_way}");
+            for one_way in [false, true] {
+                let picks = picks(&disk, &free, one_way);
+                let at = format!("head=({head_cyl},{head_track}) one_way={one_way}");
+                assert_eq!(picks[0], picks[1], "{at}");
+                assert_eq!((picks[0].cyl, picks[0].track), (0, 2), "{at}");
+            }
         }
     }
 

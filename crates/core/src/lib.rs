@@ -49,7 +49,7 @@ pub mod tail;
 pub mod vld;
 pub mod vlfs;
 
-pub use alloc::{AllocConfig, AllocMode, AllocatorState, Candidate, EagerAllocator};
+pub use alloc::{AllocConfig, AllocatorState, Candidate, EagerAllocator};
 pub use checkpoint::{Checkpoint, CheckpointRegion};
 pub use compact::{CompactStats, Compactor, CompactorConfig, CompactorState, VictimPolicy};
 pub use freemap::{FreeMap, Frontier, FrontierTrack};

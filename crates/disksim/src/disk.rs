@@ -729,21 +729,8 @@ impl Disk {
     ///
     /// The whole command is planned against an absolute-time cursor (the
     /// same arithmetic as [`Self::preview_access`]) and charged to the
-    /// clock as **one** event, however many track runs it spans. With
-    /// `VLFS_REFERENCE=1` the pre-batching stepwise discipline (one clock
-    /// event per run) is used instead; both produce identical times.
+    /// clock as **one** event, however many track runs it spans.
     pub fn read_sectors(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
-        self.read_sectors_impl(lba, buf, crate::reference_mode())
-    }
-
-    /// The stepwise reference discipline, callable directly by equivalence
-    /// tests regardless of the `VLFS_REFERENCE` environment switch.
-    #[doc(hidden)]
-    pub fn read_sectors_stepwise(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
-        self.read_sectors_impl(lba, buf, true)
-    }
-
-    fn read_sectors_impl(&mut self, lba: u64, buf: &mut [u8], stepwise: bool) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
         if count == 0 {
             return Ok(ServiceTime::ZERO);
@@ -753,13 +740,10 @@ impl Disk {
             overhead_ns: self.spec.command_overhead_ns,
             ..ServiceTime::ZERO
         };
-        if stepwise {
-            self.clock.advance(self.spec.command_overhead_ns);
-        }
-        // Absolute-time cursor: in batched mode the clock itself stands
-        // still until the whole command is planned, so rotational phases
-        // are computed against `t` rather than `clock.now()`.
-        let mut t = self.clock.now() + if stepwise { 0 } else { self.spec.command_overhead_ns };
+        // Absolute-time cursor: the clock itself stands still until the
+        // whole command is planned, so rotational phases are computed
+        // against `t` rather than `clock.now()`.
+        let mut t = self.clock.now() + self.spec.command_overhead_ns;
         let from_cyl = self.cur_cyl;
         let mut off = 0usize;
         let mut next = lba;
@@ -774,38 +758,29 @@ impl Disk {
                 self.metrics.observe("disk.run_len", run.count as u64);
             }
             let part = &mut buf[off..off + run.count as usize * SECTOR_BYTES];
-            if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
+            let st = if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
                 // Buffer hit: deliver at media rate with no positioning and
                 // without moving the head.
-                let st = ServiceTime {
+                ServiceTime {
                     transfer_ns: self.spec.mech.transfer_ns(run.count, run.spt),
                     ..ServiceTime::ZERO
-                };
-                if stepwise {
-                    self.clock.advance(st.total_ns());
                 }
-                t += st.total_ns();
-                total += st;
             } else {
                 let st = self.plan_run(&run, self.cur_cyl, self.cur_track, t);
-                if stepwise {
-                    self.clock.advance(st.total_ns());
-                }
-                t += st.total_ns();
-                total += st;
                 self.cur_cyl = run.cyl;
                 self.cur_track = run.track;
                 self.cache
                     .on_media_read(run.cyl, run.track, run.sector, run.count, run.spt);
-            }
+                st
+            };
+            t += st.total_ns();
+            total += st;
             self.store.read(run.cyl, run.track, run.sector, part);
             off += part.len();
             next += run.count as u64;
             left -= run.count;
         }
-        if !stepwise {
-            self.clock.advance(total.total_ns());
-        }
+        self.clock.advance(total.total_ns());
         debug_assert_eq!(t, self.clock.now());
         self.observe_run_count(n_runs);
         self.stats.reads += 1;
@@ -827,21 +802,8 @@ impl Disk {
     /// the clock by the returned service time. Writes always reach the
     /// media; there is no write-back cache.
     ///
-    /// Like [`Self::read_sectors`], the whole command is one clock event in
-    /// the batched default and one event per track run under
-    /// `VLFS_REFERENCE=1`, with identical arithmetic either way.
+    /// Like [`Self::read_sectors`], the whole command is one clock event.
     pub fn write_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
-        self.write_sectors_impl(lba, buf, crate::reference_mode())
-    }
-
-    /// The stepwise reference discipline, callable directly by equivalence
-    /// tests regardless of the `VLFS_REFERENCE` environment switch.
-    #[doc(hidden)]
-    pub fn write_sectors_stepwise(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
-        self.write_sectors_impl(lba, buf, true)
-    }
-
-    fn write_sectors_impl(&mut self, lba: u64, buf: &[u8], stepwise: bool) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
         if count == 0 {
             return Ok(ServiceTime::ZERO);
@@ -851,10 +813,7 @@ impl Disk {
             overhead_ns: self.spec.command_overhead_ns,
             ..ServiceTime::ZERO
         };
-        if stepwise {
-            self.clock.advance(self.spec.command_overhead_ns);
-        }
-        let mut t = self.clock.now() + if stepwise { 0 } else { self.spec.command_overhead_ns };
+        let mut t = self.clock.now() + self.spec.command_overhead_ns;
         let from_cyl = self.cur_cyl;
         let mut off = 0usize;
         let mut next = lba;
@@ -869,9 +828,6 @@ impl Disk {
                 self.metrics.observe("disk.run_len", run.count as u64);
             }
             let st = self.plan_run(&run, self.cur_cyl, self.cur_track, t);
-            if stepwise {
-                self.clock.advance(st.total_ns());
-            }
             t += st.total_ns();
             total += st;
             self.cur_cyl = run.cyl;
@@ -884,9 +840,7 @@ impl Disk {
             next += run.count as u64;
             left -= run.count;
         }
-        if !stepwise {
-            self.clock.advance(total.total_ns());
-        }
+        self.clock.advance(total.total_ns());
         debug_assert_eq!(t, self.clock.now());
         self.observe_run_count(n_runs);
         self.stats.writes += 1;
@@ -1096,6 +1050,7 @@ impl DiskSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn disk() -> Disk {
         // 6000 RPM-style round numbers come from the HP spec; use the real
@@ -1337,5 +1292,146 @@ mod tests {
         d.clock().advance(d.spec().mech.sector_ns(72) * 7 / 2);
         let h1 = d.head();
         assert_eq!((h0.sector + 3) % 72, h1.sector);
+    }
+
+    /// A restored snapshot carries on exactly as the original would — same
+    /// read-ahead buffer, head, clock and media — and the two then diverge
+    /// without seeing each other's writes.
+    #[test]
+    fn restored_snapshot_continues_like_the_original() {
+        let mut d = disk();
+        d.write_sectors(0, &vec![7u8; 8 * SECTOR_BYTES]).unwrap();
+        let mut buf = vec![0u8; 2 * SECTOR_BYTES];
+        d.read_sectors(0, &mut buf).unwrap(); // leaves the track buffered
+        let mut f = d.snapshot().restore();
+        let (mut a, mut b) = (buf.clone(), buf);
+        let hit = d.read_sectors(2, &mut a).unwrap();
+        assert_eq!(hit.locate_ns(), 0, "sequential re-read is a buffer hit");
+        assert_eq!(f.read_sectors(2, &mut b).unwrap(), hit);
+        assert_eq!((a, d.now_ns(), d.head()), (b, f.now_ns(), f.head()));
+
+        f.write_sectors(4, &vec![9u8; SECTOR_BYTES]).unwrap();
+        let mut back = vec![0u8; 8 * SECTOR_BYTES];
+        d.peek_sectors(0, &mut back).unwrap();
+        assert!(back.iter().all(|&x| x == 7), "the original saw a fork's write");
+        f.peek_sectors(0, &mut back).unwrap();
+        assert_eq!(back[3 * SECTOR_BYTES], 7, "first write after a fork keeps the track");
+        assert_eq!(back[4 * SECTOR_BYTES], 9);
+    }
+
+    /// The pre-batching *stepwise* discipline, kept as the oracle of the
+    /// batched command loop: the clock is advanced once for the command
+    /// overhead and once per track run, and every run is planned against
+    /// the live `clock.now()` rather than a cursor. Same media, head,
+    /// read-ahead and statistics updates; no observability.
+    impl Disk {
+        fn read_sectors_stepwise(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
+            let count = Self::sector_count(buf.len())?;
+            self.check_range(lba, count)?;
+            self.clock.advance(self.spec.command_overhead_ns);
+            let mut total = ServiceTime {
+                overhead_ns: self.spec.command_overhead_ns,
+                ..ServiceTime::ZERO
+            };
+            let (mut off, mut next, mut left) = (0usize, lba, count);
+            while left > 0 {
+                let run = self.run_at(next, left)?;
+                let st = if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
+                    ServiceTime {
+                        transfer_ns: self.spec.mech.transfer_ns(run.count, run.spt),
+                        ..ServiceTime::ZERO
+                    }
+                } else {
+                    let st = self.plan_run(&run, self.cur_cyl, self.cur_track, self.clock.now());
+                    (self.cur_cyl, self.cur_track) = (run.cyl, run.track);
+                    self.cache
+                        .on_media_read(run.cyl, run.track, run.sector, run.count, run.spt);
+                    st
+                };
+                self.clock.advance(st.total_ns());
+                total += st;
+                let part = &mut buf[off..off + run.count as usize * SECTOR_BYTES];
+                self.store.read(run.cyl, run.track, run.sector, part);
+                off += part.len();
+                next += run.count as u64;
+                left -= run.count;
+            }
+            self.stats.reads += 1;
+            self.stats.sectors_read += count as u64;
+            self.stats.busy += total;
+            Ok(total)
+        }
+
+        fn write_sectors_stepwise(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
+            let count = Self::sector_count(buf.len())?;
+            self.check_range(lba, count)?;
+            self.clock.advance(self.spec.command_overhead_ns);
+            let mut total = ServiceTime {
+                overhead_ns: self.spec.command_overhead_ns,
+                ..ServiceTime::ZERO
+            };
+            let (mut off, mut next, mut left) = (0usize, lba, count);
+            while left > 0 {
+                let run = self.run_at(next, left)?;
+                let st = self.plan_run(&run, self.cur_cyl, self.cur_track, self.clock.now());
+                self.clock.advance(st.total_ns());
+                total += st;
+                (self.cur_cyl, self.cur_track) = (run.cyl, run.track);
+                self.cache.on_write(run.cyl, run.track);
+                let part = &buf[off..off + run.count as usize * SECTOR_BYTES];
+                self.store
+                    .write(run.cyl, run.track, run.sector, run.spt, part);
+                off += part.len();
+                next += run.count as u64;
+                left -= run.count;
+            }
+            self.stats.writes += 1;
+            self.stats.sectors_written += count as u64;
+            self.stats.busy += total;
+            Ok(total)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The batched single-event command path is arithmetically identical
+        /// to the stepwise per-run oracle: same service times, same clock,
+        /// same head position, same data, same busy total — only the event
+        /// count differs.
+        #[test]
+        fn batched_commands_match_stepwise_reference(
+            spec in prop_oneof![Just(DiskSpec::hp97560_sim()), Just(DiskSpec::st19101_sim())],
+            ops in proptest::collection::vec((any::<bool>(), 0u64..40_000, 1u32..80), 1..40),
+        ) {
+            let total = spec.geometry.total_sectors();
+            let mut fast = Disk::new(spec.clone(), SimClock::new());
+            let mut slow = Disk::new(spec, SimClock::new());
+            for (i, (write, lba, count)) in ops.into_iter().enumerate() {
+                let lba = lba % total;
+                let count = count.min((total - lba) as u32);
+                let bytes = count as usize * SECTOR_BYTES;
+                let (st_fast, st_slow) = if write {
+                    let data = vec![i as u8; bytes];
+                    (
+                        fast.write_sectors(lba, &data).expect("in range"),
+                        slow.write_sectors_stepwise(lba, &data).expect("in range"),
+                    )
+                } else {
+                    let mut a = vec![0u8; bytes];
+                    let mut b = vec![0u8; bytes];
+                    let r = (
+                        fast.read_sectors(lba, &mut a).expect("in range"),
+                        slow.read_sectors_stepwise(lba, &mut b).expect("in range"),
+                    );
+                    prop_assert_eq!(a, b);
+                    r
+                };
+                prop_assert_eq!(st_fast, st_slow);
+                prop_assert_eq!(fast.clock().now(), slow.clock().now());
+                prop_assert_eq!(fast.head(), slow.head());
+                prop_assert_eq!(fast.stats().busy, slow.stats().busy);
+            }
+        }
     }
 }

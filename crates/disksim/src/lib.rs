@@ -35,7 +35,6 @@ pub mod geometry;
 pub mod image;
 pub mod mech;
 pub mod par;
-pub mod refmode;
 pub mod service;
 pub mod spec;
 pub mod trackbuf;
@@ -48,7 +47,6 @@ pub use error::{DiskError, Result};
 pub use fault::{FaultDisk, FaultLog, FaultPlan, WriteFault};
 pub use geometry::{Geometry, PhysAddr, Zone};
 pub use mech::{MechModel, SeekTable};
-pub use refmode::reference_mode;
 pub use service::ServiceTime;
 pub use spec::DiskSpec;
 

@@ -92,45 +92,6 @@ proptest! {
         }
     }
 
-    /// The batched single-event command path is arithmetically identical to
-    /// the stepwise per-run reference discipline: same service times, same
-    /// clock, same head position, same data — only the event count differs.
-    #[test]
-    fn batched_commands_match_stepwise_reference(
-        spec in specs(),
-        ops in proptest::collection::vec((any::<bool>(), 0u64..40_000, 1u32..80), 1..40),
-    ) {
-        let total = spec.geometry.total_sectors();
-        let fast_clock = SimClock::new();
-        let slow_clock = SimClock::new();
-        let mut fast = Disk::new(spec.clone(), fast_clock.clone());
-        let mut slow = Disk::new(spec, slow_clock.clone());
-        for (i, (write, lba, count)) in ops.into_iter().enumerate() {
-            let lba = lba % total;
-            let count = count.min((total - lba) as u32);
-            let bytes = count as usize * SECTOR_BYTES;
-            let (st_fast, st_slow) = if write {
-                let data = vec![i as u8; bytes];
-                (
-                    fast.write_sectors(lba, &data).expect("in range"),
-                    slow.write_sectors_stepwise(lba, &data).expect("in range"),
-                )
-            } else {
-                let mut a = vec![0u8; bytes];
-                let mut b = vec![0u8; bytes];
-                let r = (
-                    fast.read_sectors(lba, &mut a).expect("in range"),
-                    slow.read_sectors_stepwise(lba, &mut b).expect("in range"),
-                );
-                prop_assert_eq!(a, b);
-                r
-            };
-            prop_assert_eq!(st_fast, st_slow);
-            prop_assert_eq!(fast_clock.now(), slow_clock.now());
-            prop_assert_eq!(fast.head(), slow.head());
-        }
-    }
-
     /// Data integrity under arbitrary interleavings: the store behaves as
     /// a byte array regardless of timing state.
     #[test]

@@ -794,9 +794,8 @@ impl LogDisk {
     ///
     /// The victim is the head of the `(live, seg)` dirty-segment index —
     /// O(log n) instead of the per-pass summary rescan, with identical
-    /// semantics (lowest live count, ties to the lowest segment number).
-    /// `VLFS_REFERENCE=1` routes the pick through the retained rescan
-    /// oracle instead; debug builds cross-check the two on every pass.
+    /// semantics (lowest live count, ties to the lowest segment number);
+    /// debug builds cross-check it against the rescan on every pass.
     pub fn clean_some(&mut self, want: u32) -> FsResult<u32> {
         // One span per cleaning pass; the victim reads, copy appends and
         // their segment flushes all hang off it (the copies' own
@@ -810,18 +809,10 @@ impl LogDisk {
     fn clean_some_inner(&mut self, want: u32) -> FsResult<u32> {
         let mut cleaned = 0;
         while cleaned < want {
-            let victim = if disksim::reference_mode() {
-                self.choose_victim_rescan()
-            } else {
-                self.metrics.inc("lld.victim_index_picks");
-                // Fully-live segments are never worth cleaning: copying
-                // them frees nothing.
-                self.dirty_index
-                    .first()
-                    .copied()
-                    .and_then(|(live, seg)| ((live as u64) < SEG_DATA).then_some(seg))
-            };
-            debug_assert_eq!(victim, self.choose_victim_rescan());
+            self.metrics.inc("lld.victim_index_picks");
+            let victim = self.choose_victim();
+            #[cfg(debug_assertions)]
+            assert_eq!(victim, self.choose_victim_rescan());
             let Some(victim) = victim else { break };
             self.clean_segment(victim)?;
             cleaned += 1;
@@ -829,10 +820,21 @@ impl LogDisk {
         Ok(cleaned)
     }
 
+    /// The least-utilised sealed segment: the head of the dirty index.
+    /// Fully-live segments are never worth cleaning — copying them frees
+    /// nothing.
+    fn choose_victim(&self) -> Option<u32> {
+        self.dirty_index
+            .first()
+            .copied()
+            .and_then(|(live, seg)| ((live as u64) < SEG_DATA).then_some(seg))
+    }
+
     /// The pre-index full-rescan victim pick — least-utilised sealed
-    /// segment by exhaustive `min_by_key` — retained as the oracle the
-    /// indexed pick is verified against (and used under `VLFS_REFERENCE=1`).
-    pub(crate) fn choose_victim_rescan(&self) -> Option<u32> {
+    /// segment by exhaustive `min_by_key` — the oracle the indexed pick is
+    /// verified against, compiled only where something checks it.
+    #[cfg(any(test, debug_assertions))]
+    fn choose_victim_rescan(&self) -> Option<u32> {
         (0..self.nsegs)
             .filter(|&s| {
                 self.seg_state[s as usize] == SegState::Dirty
@@ -1558,6 +1560,14 @@ mod tests {
         let mut l = lld();
         let mut rng = StdRng::seed_from_u64(0x11D);
         let n = l.num_blocks();
+        // First writes seal fully-live segments only: the index has a head,
+        // and it is not worth cleaning.
+        for lb in n / 4..n / 4 + 2 * SEG_DATA {
+            l.write_block(lb, &vec![lb as u8; 4096]).unwrap();
+        }
+        assert!(!l.dirty_index.is_empty());
+        assert_eq!(l.choose_victim(), None);
+        assert_eq!(l.choose_victim_rescan(), None);
         for round in 0..60 {
             for _ in 0..rng.gen_range(10..200) {
                 let lb = rng.gen_range(0..n / 4);
@@ -1583,12 +1593,7 @@ mod tests {
                 .map(|(i, _)| (l.seg_live[i], i as u32))
                 .collect();
             assert_eq!(l.dirty_index, recomputed, "round {round}");
-            let indexed = l
-                .dirty_index
-                .first()
-                .copied()
-                .and_then(|(live, seg)| ((live as u64) < SEG_DATA).then_some(seg));
-            assert_eq!(indexed, l.choose_victim_rescan(), "round {round}");
+            assert_eq!(l.choose_victim(), l.choose_victim_rescan(), "round {round}");
         }
     }
 }
