@@ -15,10 +15,14 @@
 //!   the checkpoint region, a mapped data block, a live piece block or a
 //!   block awaiting deferred release/recycling.
 
+use crate::freemap::{lba_bits, word_masks};
 use crate::log::{PieceLoc, VirtualLog, BLOCK_SECTORS};
 use crate::mapsector::{MapSector, PIECE_ENTRIES, UNMAPPED};
 use crate::tail::FIRMWARE_SECTORS;
 use disksim::SECTOR_BYTES;
+
+/// The audit stops describing a broken log after this many complaints.
+const MAX_COMPLAINTS: usize = 64;
 
 /// What a sector is owned by, for the accounting pass.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -77,32 +81,47 @@ impl OwnerTable {
     /// Give `count` sectors from `lba` to `who`, stopping with a complaint
     /// at the first one beyond the device or already owned.
     fn claim(&mut self, errs: &mut Vec<String>, lba: u64, count: u64, who: Owner) {
-        let mut granted = count;
-        for s in lba..lba + count {
-            if s >= self.total {
-                errs.push(format!(
-                    "{} claims sector {s} beyond device",
-                    who.describe()
-                ));
-                granted = s - lba;
-                break;
-            }
-            if self.is_owned(s) {
-                let prev = self.owner(s).expect("an owned sector is in a run");
-                errs.push(format!(
-                    "sector {s} claimed by both {} and {}",
-                    prev.describe(),
-                    who.describe()
-                ));
-                granted = s - lba;
-                break;
-            }
-            self.owned[(s / 64) as usize] |= 1 << (s % 64);
+        // The part of the run that is on the device, cut at its first
+        // sector somebody already owns.
+        let on_device = (lba + count).min(self.total).max(lba);
+        let clash = flat_masks(lba, on_device).find_map(|(wi, mask)| {
+            let taken = self.owned[wi] & mask;
+            (taken != 0).then(|| wi as u64 * 64 + taken.trailing_zeros() as u64)
+        });
+        let end = clash.unwrap_or(on_device);
+        for (wi, mask) in flat_masks(lba, end) {
+            self.owned[wi] |= mask;
         }
-        if granted > 0 {
-            self.runs.push((lba, granted, who));
+        if let Some(s) = clash {
+            let prev = self.owner(s).expect("an owned sector is in a run");
+            errs.push(format!(
+                "sector {s} claimed by both {} and {}",
+                prev.describe(),
+                who.describe()
+            ));
+        } else if end < lba + count {
+            errs.push(format!(
+                "{} claims sector {end} beyond device",
+                who.describe()
+            ));
+        }
+        if end > lba {
+            self.runs.push((lba, end - lba, who));
         }
     }
+}
+
+/// The `(word index, mask)` pairs covering sectors `start..end` of a flat
+/// LBA-indexed bitmap: [`word_masks`] counted from the run's first word.
+fn flat_masks(start: u64, end: u64) -> impl Iterator<Item = (usize, u64)> {
+    let (first, lo) = ((start / 64) as usize, (start % 64) as u32);
+    // Claims are a block, the firmware area or the checkpoint region.
+    let len = u32::try_from(end - start).expect("an owner's run is far below 2^32 sectors");
+    (len > 0)
+        .then(|| word_masks(lo, lo + len))
+        .into_iter()
+        .flatten()
+        .map(move |(wi, mask)| (first + wi, mask))
 }
 
 impl VirtualLog {
@@ -111,7 +130,7 @@ impl VirtualLog {
     /// side-effect-free peeks, so the simulated clock and head do not move.
     pub fn check_consistency(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        let cap = |errs: &Vec<String>| errs.len() >= 64;
+        let cap = |errs: &Vec<String>| errs.len() >= MAX_COMPLAINTS;
 
         // --- map ↔ rmap bijection ---------------------------------------
         for (lb, pb) in self.map.iter().enumerate() {
@@ -243,30 +262,55 @@ impl VirtualLog {
             return errs;
         }
         // LBAs run cylinder by cylinder, track by track, sector by sector,
-        // so the walk needs no address translation.
+        // so the walk needs no address translation: `s` is the LBA of the
+        // track's sector 0, and the track's owner bits start there.
         let mut s = 0u64;
         for cyl in 0..g.cylinders() {
             let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
             for track in 0..g.tracks_per_cylinder() {
                 let words = self.free.words(self.free.track_index(cyl, track));
-                for sector in 0..spt {
-                    let free = words[sector as usize / 64] >> (sector % 64) & 1 == 1;
-                    if free == owners.is_owned(s) {
-                        errs.push(match owners.owner(s) {
-                            Some(who) => {
-                                format!("sector {s} is owned ({}) but marked free", who.describe())
-                            }
-                            None => format!("sector {s} is allocated but unreachable"),
-                        });
-                    }
+                // Free exactly where unowned, a word at a time; only a track
+                // that disagrees somewhere is walked sector by sector.
+                let agrees = word_masks(0, spt).all(|(wi, valid)| {
+                    words[wi] == !lba_bits(&owners.owned, s + wi as u64 * 64) & valid
+                });
+                if !agrees {
+                    Self::freemap_complaints(&mut errs, &owners, words, s, spt);
                     if cap(&errs) {
                         return errs;
                     }
-                    s += 1;
                 }
+                s += spt as u64;
             }
         }
         errs
+    }
+
+    /// One track of the free-map walk, sector by sector: a complaint for
+    /// every sector (LBA `base` onward) that is free though owned or
+    /// allocated though unowned, up to the complaint cap.
+    fn freemap_complaints(
+        errs: &mut Vec<String>,
+        owners: &OwnerTable,
+        words: &[u64],
+        base: u64,
+        spt: u32,
+    ) {
+        for sector in 0..spt {
+            let s = base + sector as u64;
+            let free = words[sector as usize / 64] >> (sector % 64) & 1 == 1;
+            if free == owners.is_owned(s) {
+                errs.push(match owners.owner(s) {
+                    Some(who) => {
+                        format!("sector {s} is owned ({}) but marked free", who.describe())
+                    }
+                    None => format!("sector {s} is allocated but unreachable"),
+                });
+                if errs.len() >= MAX_COMPLAINTS {
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -359,6 +403,161 @@ mod tests {
             ),
         );
         assert_eq!(v.check_consistency(), want);
+    }
+
+    impl OwnerTable {
+        /// The per-sector `claim` the word-mask one replaced, kept as its
+        /// oracle: test, complain or set one bit at a time.
+        fn claim_per_sector(&mut self, errs: &mut Vec<String>, lba: u64, count: u64, who: Owner) {
+            let mut granted = count;
+            for s in lba..lba + count {
+                if s >= self.total {
+                    errs.push(format!(
+                        "{} claims sector {s} beyond device",
+                        who.describe()
+                    ));
+                    granted = s - lba;
+                    break;
+                }
+                if self.is_owned(s) {
+                    let prev = self.owner(s).expect("an owned sector is in a run");
+                    errs.push(format!(
+                        "sector {s} claimed by both {} and {}",
+                        prev.describe(),
+                        who.describe()
+                    ));
+                    granted = s - lba;
+                    break;
+                }
+                self.owned[(s / 64) as usize] |= 1 << (s % 64);
+            }
+            if granted > 0 {
+                self.runs.push((lba, granted, who));
+            }
+        }
+    }
+
+    /// The accounting pass as first written — per-sector claims, then the
+    /// sector-by-sector walk over every track of the device, agreeing or
+    /// not — kept as the oracle of the word-compare pass.
+    fn accounting_per_sector(v: &VirtualLog) -> Vec<String> {
+        let mut errs = Vec::new();
+        let g = &v.disk.spec().geometry;
+        let mut owners = OwnerTable::new(g.total_sectors());
+        owners.claim_per_sector(&mut errs, 0, FIRMWARE_SECTORS, Owner::Firmware);
+        owners.claim_per_sector(
+            &mut errs,
+            v.ckpt_region.slot_a,
+            v.ckpt_region.end() - v.ckpt_region.slot_a,
+            Owner::Checkpoint,
+        );
+        let bs = BLOCK_SECTORS as u64;
+        for (lb, pb) in v.map.iter().enumerate() {
+            if pb != UNMAPPED {
+                owners.claim_per_sector(&mut errs, pb as u64 * bs, bs, Owner::Data(lb as u32));
+            }
+        }
+        for (idx, loc) in v.pieces.iter().enumerate() {
+            if let Some(loc) = loc {
+                owners.claim_per_sector(&mut errs, loc.lba, bs, Owner::Piece(idx as u32));
+            }
+        }
+        for &lba in &v.pending_recycle {
+            owners.claim_per_sector(&mut errs, lba, bs, Owner::PendingRecycle);
+        }
+        for &pb in &v.deferred_blocks {
+            owners.claim_per_sector(&mut errs, pb as u64 * bs, bs, Owner::DeferredData);
+        }
+        if errs.len() >= MAX_COMPLAINTS {
+            return errs;
+        }
+        let mut s = 0u64;
+        for cyl in 0..g.cylinders() {
+            let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
+            for track in 0..g.tracks_per_cylinder() {
+                let words = v.free.words(v.free.track_index(cyl, track));
+                VirtualLog::freemap_complaints(&mut errs, &owners, words, s, spt);
+                if errs.len() >= MAX_COMPLAINTS {
+                    return errs;
+                }
+                s += spt as u64;
+            }
+        }
+        errs
+    }
+
+    /// Free maps and owner sets damaged at random — stray allocations and
+    /// releases of one sector to a whole track, recycle and deferred lists
+    /// naming owned blocks, unaligned sectors and blocks beyond the device —
+    /// draw the same complaints, in the same order and under the same cap,
+    /// from the word-compare pass and the per-sector one. Nothing else is
+    /// damaged, so the accounting complaints are the whole audit.
+    #[test]
+    fn word_compare_accounting_matches_the_per_sector_walk() {
+        use disksim::{Geometry, Zone};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let zone = |first_cyl, cylinders, sectors_per_track| Zone {
+            first_cyl,
+            cylinders,
+            sectors_per_track,
+        };
+        let geometries = [
+            DiskSpec::hp97560_sim().geometry,
+            // Sectors per track that change mid-walk: whole blocks (the log
+            // needs that) but not whole words, and more than two words.
+            Geometry::zoned(4, vec![zone(0, 5, 96), zone(5, 9, 72), zone(14, 6, 136)]),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xA0D1_7000);
+        let mut capped = 0;
+        for (round, geometry) in (0..40).map(|r| (r, geometries[r % 2].clone())) {
+            let mut spec = DiskSpec::hp97560_sim();
+            spec.command_overhead_ns = 0;
+            spec.geometry = geometry;
+            let g = spec.geometry.clone();
+            let mut v =
+                VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
+            for lb in 0..rng.gen_range(1..120u64) {
+                v.write(lb, &vec![lb as u8; BLOCK_BYTES]).unwrap();
+            }
+            assert_eq!(v.check_consistency(), Vec::<String>::new(), "round {round}");
+            assert_eq!(
+                accounting_per_sector(&v),
+                Vec::<String>::new(),
+                "round {round}"
+            );
+
+            let total = g.total_sectors();
+            // Light damage on most rounds, enough to hit the cap on some.
+            for _ in 0..rng.gen_range(0..if round % 4 == 3 { 30 } else { 4 }) {
+                let p = g.lba_to_phys(rng.gen_range(0..total)).unwrap();
+                let spt = g.sectors_per_track(p.cyl).unwrap();
+                let n = match rng.gen_range(0..3) {
+                    0 => 1,
+                    1 => rng.gen_range(1..=(spt - p.sector).min(12)),
+                    _ => spt - p.sector,
+                };
+                if rng.gen_bool(0.5) {
+                    v.free.allocate(p.cyl, p.track, p.sector, n).unwrap();
+                } else {
+                    v.free.release(p.cyl, p.track, p.sector, n).unwrap();
+                }
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                // Up to a block past the end: claims that start on the
+                // device and run off it, and ones that start beyond it.
+                v.pending_recycle
+                    .push(rng.gen_range(0..total + BLOCK_SECTORS as u64));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let blocks = (total / BLOCK_SECTORS as u64) as u32;
+                v.deferred_blocks.push(rng.gen_range(0..blocks + 2));
+            }
+            let got = v.check_consistency();
+            assert_eq!(got, accounting_per_sector(&v), "round {round}");
+            capped += (got.len() >= MAX_COMPLAINTS) as usize;
+        }
+        assert!(capped > 0, "no round reached the complaint cap");
     }
 
     #[test]

@@ -59,13 +59,29 @@ pub struct FreeMap {
 /// The `(word index, mask)` pairs covering sectors `start..end` of one
 /// track's bitmap, `start < end`: one mask per touched 64-bit word.
 #[inline]
-fn word_masks(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
+pub(crate) fn word_masks(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
     let (first, last) = (start / 64, (end - 1) / 64);
     (first..=last).map(move |wi| {
         let lo = if wi == first { start % 64 } else { 0 };
         let hi = if wi == last { (end - 1) % 64 } else { 63 };
         (wi as usize, (u64::MAX << lo) & (u64::MAX >> (63 - hi)))
     })
+}
+
+/// The 64 bits of a flat LBA-indexed bitmap (bit `lba` of `flat[lba / 64]`)
+/// that start at bit `lba`, stitched from the two words they straddle: how
+/// one word of a track's bitmap is cut out of a whole-device one. Bits past
+/// the end of `flat` read as zero.
+#[inline]
+pub(crate) fn lba_bits(flat: &[u64], lba: u64) -> u64 {
+    let (q, r) = ((lba / 64) as usize, (lba % 64) as u32);
+    let lo = flat.get(q).copied().unwrap_or(0) >> r;
+    let hi = if r == 0 {
+        0
+    } else {
+        flat.get(q + 1).copied().unwrap_or(0) << (64 - r)
+    };
+    lo | hi
 }
 
 impl FreeMap {
@@ -265,18 +281,9 @@ impl FreeMap {
         for ti in 0..self.spt.len() {
             let words = self.word_off[ti] as usize..self.word_off[ti + 1] as usize;
             for (wi, w) in self.bits[words].iter_mut().enumerate() {
-                let bit = base + wi as u64 * 64;
-                let q = (bit / 64) as usize;
-                let r = (bit % 64) as u32;
-                let lo = used.get(q).copied().unwrap_or(0) >> r;
-                let hi = if r == 0 {
-                    0
-                } else {
-                    used.get(q + 1).copied().unwrap_or(0) << (64 - r)
-                };
                 // Clearing positions beyond the track end is harmless: those
                 // bits are already zero by construction.
-                *w &= !(lo | hi);
+                *w &= !lba_bits(used, base + wi as u64 * 64);
             }
             base += self.spt[ti] as u64;
         }

@@ -40,7 +40,7 @@ use crate::log::{PieceLoc, VirtualLog, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, MapSector, PIECE_BYTES, PIECE_ENTRIES, UNMAPPED};
 use crate::piecetable::PieceTable;
 use crate::tail::{TailRecord, FIRMWARE_SECTORS, TAIL_LBA};
-use disksim::{Disk, Result, ServiceTime, SECTOR_BYTES};
+use disksim::{Disk, DiskError, Result, ServiceTime, SECTOR_BYTES};
 
 /// What happened during a recovery pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,6 +51,10 @@ pub struct RecoveryReport {
     pub checkpoint_seq: u64,
     /// Sectors read by the scan fallback (0 when the tail was valid).
     pub scanned_sectors: u64,
+    /// Tracks the scan fallback actually decoded: those holding bytes. A
+    /// never-written track is read (and charged) like any other but cannot
+    /// hold a map sector.
+    pub tracks_decoded: u64,
     /// Log sectors visited during traversal.
     pub sectors_traversed: u64,
     /// Branches pruned because the target was invalid.
@@ -122,9 +126,10 @@ impl VirtualLog {
         let (root, mut next_seq) = match tail {
             Some(t) => (t.root, t.next_seq),
             None => {
-                let (cache, scanned, t) = scan_disk(&mut disk)?;
-                report.scanned_sectors = scanned;
-                report.service += t;
+                let (cache, scan) = scan_disk(&mut disk)?;
+                report.scanned_sectors = scan.sectors;
+                report.tracks_decoded = scan.tracks_decoded;
+                report.service += scan.service;
                 let root = cache
                     .iter()
                     .max_by_key(|(_, m)| m.seq)
@@ -275,8 +280,12 @@ impl VirtualLog {
             for (i, &pb) in m.entries.iter().enumerate() {
                 let lb = base_lb + i;
                 if lb < map.len() && pb != UNMAPPED {
+                    // `pb` comes straight from a checksum-valid sector of
+                    // the image, which proves integrity, not sanity.
+                    *rmap
+                        .get_mut(pb as usize)
+                        .ok_or(DiskError::Corrupt("map entry beyond device"))? = lb as u32;
                     map.set(lb, pb);
-                    rmap[pb as usize] = lb as u32;
                 }
             }
         }
@@ -327,47 +336,205 @@ impl VirtualLog {
     }
 }
 
-/// Read every track once, decoding all block-aligned sectors. Returns the
-/// cache of valid map sectors keyed by LBA, the number of sectors scanned,
-/// and the time consumed.
-fn scan_disk(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, u64, ServiceTime)> {
-    // Enumerate every track's (start LBA, sectors-per-track) up front from
-    // an immutable borrow, so the read loop below can borrow the disk
-    // mutably without cloning the geometry.
-    let tracks: Vec<(u64, u32)> = {
-        let g = &disk.spec().geometry;
-        let mut v = Vec::with_capacity((g.cylinders() * g.tracks_per_cylinder()) as usize);
-        for cyl in 0..g.cylinders() {
-            let spt = g.sectors_per_track(cyl)?;
-            for track in 0..g.tracks_per_cylinder() {
-                v.push((g.track_start_lba(cyl, track)?, spt));
-            }
+/// What a disk scan cost.
+#[derive(Debug, Default, PartialEq)]
+struct ScanCost {
+    /// Sectors read: every sector of the device.
+    sectors: u64,
+    /// Tracks that had bytes to decode.
+    tracks_decoded: u64,
+    /// Simulated time consumed.
+    service: ServiceTime,
+}
+
+/// Every valid map sector of one track's bytes, keyed by LBA. Map pieces
+/// live in the first sector of 4 KB-aligned physical blocks, so only those
+/// offsets can hold one.
+fn decode_track(cache: &mut HashMap<u64, MapSector>, start: u64, bytes: &[u8]) {
+    for (block, sectors) in bytes
+        .chunks(BLOCK_SECTORS as usize * SECTOR_BYTES)
+        .enumerate()
+    {
+        if let Some(m) = sectors.get(..PIECE_BYTES).and_then(MapSector::decode) {
+            cache.insert(start + block as u64 * BLOCK_SECTORS as u64, m);
         }
-        v
-    };
+    }
+}
+
+/// Read every track once — one command per track, charged exactly as a
+/// copying read — and decode the block-aligned sectors of the tracks that
+/// hold bytes: a never-materialised track reads as zeros, and zeros cannot
+/// carry `MAP_MAGIC`. Returns the cache of valid map sectors keyed by LBA
+/// and what the scan cost.
+fn scan_disk(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
+    let g = &disk.spec().geometry;
+    let (cylinders, tracks) = (g.cylinders(), g.tracks_per_cylinder());
     // Valid map sectors found by a scan are bounded by the live pieces
     // plus their not-yet-recycled superseded versions — a few per piece.
     // Pre-sizing to that bound keeps the insert loop rehash-free.
-    let n_pieces = (VirtualLog::logical_capacity(disk.spec().geometry.total_sectors()) as usize)
-        .div_ceil(PIECE_ENTRIES);
+    let n_pieces =
+        (VirtualLog::logical_capacity(g.total_sectors()) as usize).div_ceil(PIECE_ENTRIES);
     let mut cache = HashMap::with_capacity(4 * n_pieces);
-    let mut scanned = 0u64;
-    let mut service = ServiceTime::ZERO;
-    let mut buf = Vec::new();
-    for (start, spt) in tracks {
-        buf.resize(spt as usize * SECTOR_BYTES, 0);
-        service += disk.read_sectors(start, &mut buf)?;
-        scanned += spt as u64;
-        // Map pieces live in the first sector of 4 KB-aligned physical
-        // blocks, so only those offsets can hold one.
-        for s in (0..spt).step_by(BLOCK_SECTORS as usize) {
-            let off = s as usize * SECTOR_BYTES;
-            if off + PIECE_BYTES <= buf.len() {
-                if let Some(m) = MapSector::decode(&buf[off..off + PIECE_BYTES]) {
-                    cache.insert(start + s as u64, m);
+    let mut cost = ScanCost::default();
+    for cyl in 0..cylinders {
+        let spt = disk.spec().geometry.sectors_per_track(cyl)?;
+        for track in 0..tracks {
+            let start = disk.spec().geometry.track_start_lba(cyl, track)?;
+            cost.service += disk.lend_sectors(start, spt, |_, bytes| {
+                if let Some(bytes) = bytes {
+                    cost.tracks_decoded += 1;
+                    decode_track(&mut cache, start, bytes);
+                }
+            })?;
+            cost.sectors += spt as u64;
+        }
+    }
+    Ok((cache, cost))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::log::BLOCK_BYTES;
+    use disksim::{DiskSpec, SimClock};
+
+    /// The copying scan the lending one replaced, kept as its oracle: every
+    /// track zero-filled or copied into a buffer and every block-aligned
+    /// sector of it decoded, blank track or not.
+    fn scan_disk_copying(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
+        let tracks: Vec<(u64, u32)> = {
+            let g = &disk.spec().geometry;
+            let mut v = Vec::new();
+            for cyl in 0..g.cylinders() {
+                let spt = g.sectors_per_track(cyl)?;
+                for track in 0..g.tracks_per_cylinder() {
+                    v.push((g.track_start_lba(cyl, track)?, spt));
+                }
+            }
+            v
+        };
+        let mut cache = HashMap::new();
+        let mut cost = ScanCost::default();
+        let mut buf = Vec::new();
+        for (start, spt) in tracks {
+            buf.resize(spt as usize * SECTOR_BYTES, 0);
+            cost.service += disk.read_sectors(start, &mut buf)?;
+            cost.sectors += spt as u64;
+            for s in (0..spt).step_by(BLOCK_SECTORS as usize) {
+                let off = s as usize * SECTOR_BYTES;
+                if off + PIECE_BYTES <= buf.len() {
+                    if let Some(m) = MapSector::decode(&buf[off..off + PIECE_BYTES]) {
+                        cache.insert(start + s as u64, m);
+                    }
+                }
+            }
+        }
+        Ok((cache, cost))
+    }
+
+    /// A crashed image with `blocks` logical blocks written (some twice):
+    /// 0 leaves only the format's tracks, a few leave partly written
+    /// tracks, many fill whole ones.
+    fn crashed_image(spec: DiskSpec, blocks: u64) -> Disk {
+        let mut v = VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
+        for lb in 0..blocks {
+            v.write(lb, &vec![lb as u8; BLOCK_BYTES]).expect("write");
+        }
+        for lb in (0..blocks).step_by(5) {
+            v.write(lb, &vec![!(lb as u8); BLOCK_BYTES])
+                .expect("rewrite");
+        }
+        let mut disk = v.crash();
+        if blocks > 0 {
+            // One track written end to end, a map sector in every block.
+            let g = disk.spec().geometry.clone();
+            let cyl = g.cylinders() - 1;
+            let spt = g.sectors_per_track(cyl).expect("last cylinder");
+            let mut track = vec![0xD7u8; spt as usize * SECTOR_BYTES];
+            for (i, block) in track.chunks_mut(BLOCK_BYTES).enumerate() {
+                let m = MapSector {
+                    seq: 1 << 40 | i as u64,
+                    piece: i as u32,
+                    flags: MapFlags::default(),
+                    prev: None,
+                    bypass: None,
+                    txn: None,
+                    entries: vec![UNMAPPED; 3],
+                };
+                block[..PIECE_BYTES].copy_from_slice(&m.encode().expect("encode"));
+            }
+            let start = g.track_start_lba(cyl, 0).expect("track start");
+            disk.poke_sectors(start, &track).expect("poke");
+        }
+        disk
+    }
+
+    /// The lending scan and the copying scan see the same map sectors at
+    /// the same simulated cost and leave the disk in the same state.
+    #[test]
+    fn lending_scan_matches_the_copying_scan() {
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            for blocks in [0u64, 7, 900] {
+                let restored = |d: Disk| d.snapshot().restore();
+                for (mut lend, mut copy) in [
+                    (
+                        crashed_image(spec.clone(), blocks),
+                        crashed_image(spec.clone(), blocks),
+                    ),
+                    (
+                        restored(crashed_image(spec.clone(), blocks)),
+                        restored(crashed_image(spec.clone(), blocks)),
+                    ),
+                ] {
+                    let ctx = format!("{} with {blocks} blocks", spec.name);
+                    let materialised = lend.materialised_tracks().len() as u64;
+                    let (got, got_cost) = scan_disk(&mut lend).expect("lending scan");
+                    let (want, want_cost) = scan_disk_copying(&mut copy).expect("copying scan");
+                    assert_eq!(got, want, "{ctx}: cache");
+                    assert_eq!(got.is_empty(), blocks == 0, "{ctx}: map sectors found");
+                    let full = spec.geometry.cylinders() - 1;
+                    let full = spec.geometry.track_start_lba(full, 0).expect("track start");
+                    assert_eq!(got.contains_key(&full), blocks > 0, "{ctx}: the full track");
+                    assert_eq!(got_cost.sectors, want_cost.sectors, "{ctx}");
+                    assert_eq!(got_cost.sectors, spec.geometry.total_sectors(), "{ctx}");
+                    assert_eq!(got_cost.service, want_cost.service, "{ctx}: service time");
+                    assert_eq!(lend.now_ns(), copy.now_ns(), "{ctx}: clock");
+                    assert_eq!(lend.head(), copy.head(), "{ctx}: head");
+                    assert_eq!(
+                        format!("{:?}", lend.stats()),
+                        format!("{:?}", copy.stats()),
+                        "{ctx}: stats"
+                    );
+                    assert_eq!(lend.cache_stats(), copy.cache_stats(), "{ctx}: read-ahead");
+                    assert_eq!(want_cost.tracks_decoded, 0, "the oracle does not count");
+                    assert!(got_cost.tracks_decoded > 0, "{ctx}: the format wrote");
+                    assert!(got_cost.tracks_decoded <= materialised, "{ctx}");
+                    let all = spec.geometry.cylinders() * spec.geometry.tracks_per_cylinder();
+                    assert!(materialised < all as u64, "{ctx}: some track stays blank");
                 }
             }
         }
     }
-    Ok((cache, scanned, service))
+
+    /// A map sector that passes its checksum but names a physical block
+    /// beyond the device is a bad image, not a reason to panic.
+    #[test]
+    fn map_entry_beyond_the_device_is_corruption_not_a_panic() {
+        let mut disk = crashed_image(DiskSpec::hp97560_sim(), 7);
+        let (cache, _) = scan_disk(&mut disk.snapshot().restore()).expect("scan");
+        let (&lba, newest) = cache
+            .iter()
+            .max_by_key(|(_, m)| m.seq)
+            .expect("a map sector");
+        let mut bad = newest.clone();
+        let total_pb = disk.spec().geometry.total_sectors() / BLOCK_SECTORS as u64;
+        bad.entries[0] = total_pb as u32;
+        disk.poke_sectors(lba, &bad.encode().expect("encode"))
+            .expect("poke");
+        match VirtualLog::recover(disk, AllocConfig::default()) {
+            Err(DiskError::Corrupt(what)) => assert_eq!(what, "map entry beyond device"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a map entry beyond the device was accepted"),
+        }
+    }
 }

@@ -732,6 +732,26 @@ impl Disk {
     /// clock as **one** event, however many track runs it spans.
     pub fn read_sectors(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
+        self.lend_sectors(lba, count, |range, bytes| match bytes {
+            Some(bytes) => buf[range].copy_from_slice(bytes),
+            None => buf[range].fill(0),
+        })
+    }
+
+    /// The *lending* read: the command [`Self::read_sectors`] would issue
+    /// for `count` sectors at `lba` — same plan, same [`ServiceTime`], one
+    /// clock event, same statistics, read-ahead state and trace record —
+    /// but instead of copying, each track run's bytes are lent to `each`
+    /// in request order, with the byte range of the request they cover.
+    /// `None` stands for a never-materialised track (it reads as zeros), so
+    /// a caller that only inspects written media pays for neither the
+    /// zero-fill nor the copy.
+    pub fn lend_sectors(
+        &mut self,
+        lba: u64,
+        count: u32,
+        mut each: impl FnMut(std::ops::Range<usize>, Option<&[u8]>),
+    ) -> Result<ServiceTime> {
         if count == 0 {
             return Ok(ServiceTime::ZERO);
         }
@@ -757,7 +777,6 @@ impl Disk {
             if self.obs_enabled && self.metrics.is_enabled() {
                 self.metrics.observe("disk.run_len", run.count as u64);
             }
-            let part = &mut buf[off..off + run.count as usize * SECTOR_BYTES];
             let st = if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
                 // Buffer hit: deliver at media rate with no positioning and
                 // without moving the head.
@@ -775,8 +794,11 @@ impl Disk {
             };
             t += st.total_ns();
             total += st;
-            self.store.read(run.cyl, run.track, run.sector, part);
-            off += part.len();
+            let len = run.count as usize * SECTOR_BYTES;
+            let start = run.sector as usize * SECTOR_BYTES;
+            let track = self.store.track_bytes(self.store.slot(run.cyl, run.track));
+            each(off..off + len, track.map(|t| &t[start..start + len]));
+            off += len;
             next += run.count as u64;
             left -= run.count;
         }
@@ -1389,6 +1411,64 @@ mod tests {
             self.stats.sectors_written += count as u64;
             self.stats.busy += total;
             Ok(total)
+        }
+    }
+
+    /// The lending read is the copying read minus the copy: the runs it
+    /// lends reassemble to `read_sectors`' buffer (`None` exactly on tracks
+    /// nothing ever wrote), and time, clock, head, statistics, read-ahead
+    /// hits and the trace record are the same — on live tracks, on a
+    /// snapshot-restored disk whose tracks sit in the shared base image,
+    /// and on a disk nothing was written to.
+    #[test]
+    fn lent_runs_reassemble_to_the_copying_read() {
+        let written = || {
+            let mut d = disk();
+            d.write_sectors(60, &vec![0xA7u8; 20 * SECTOR_BYTES])
+                .unwrap(); // tracks 0, 1
+            d.write_sectors(300, &vec![0x3Cu8; SECTOR_BYTES]).unwrap(); // track 4
+            d
+        };
+        // Within a track, across written tracks and blank ones, a
+        // read-ahead hit, nothing at all, and one whole blank track; with
+        // the blank runs each lends on a written and on an unwritten disk.
+        let reads = [(64u64, 4u32), (50, 300), (52, 8), (0, 0), (720, 72)];
+        for (mut copy, mut lend, blank_runs) in [
+            (written(), written(), [0, 2, 0, 0, 1]),
+            (
+                written().snapshot().restore(),
+                written().snapshot().restore(),
+                [0, 2, 0, 0, 1],
+            ),
+            (disk(), disk(), [1, 5, 1, 0, 1]),
+        ] {
+            let (tc, tl) = (Tracer::with_capacity(64), Tracer::with_capacity(64));
+            copy.set_tracer(Some(tc.clone()));
+            lend.set_tracer(Some(tl.clone()));
+            for ((lba, count), blank_want) in reads.into_iter().zip(blank_runs) {
+                let mut want = vec![0xEEu8; count as usize * SECTOR_BYTES];
+                let mut got = want.clone();
+                let mut blank = 0;
+                let st_copy = copy.read_sectors(lba, &mut want).unwrap();
+                let st_lend = lend
+                    .lend_sectors(lba, count, |range, bytes| match bytes {
+                        Some(b) => got[range].copy_from_slice(b),
+                        None => {
+                            blank += 1;
+                            got[range].fill(0)
+                        }
+                    })
+                    .unwrap();
+                assert_eq!(got, want, "({lba}, {count})");
+                assert_eq!(st_lend, st_copy, "({lba}, {count})");
+                assert_eq!(blank, blank_want, "({lba}, {count})");
+                assert_eq!((lend.now_ns(), lend.head()), (copy.now_ns(), copy.head()));
+                assert_eq!(lend.cache_stats(), copy.cache_stats());
+                assert_eq!(format!("{:?}", lend.stats()), format!("{:?}", copy.stats()));
+            }
+            assert_eq!(tl.events(), tc.events());
+            assert_eq!(lend.clock().local_events(), copy.clock().local_events());
+            assert!(lend.lend_sectors(u64::MAX, 1, |_, _| ()).is_err());
         }
     }
 

@@ -38,16 +38,11 @@ use crate::error::{DiskError, Result};
 use crate::service::ServiceTime;
 use crate::SECTOR_BYTES;
 
-/// FNV-1a over a byte slice — the content hash used for the acknowledged-
-/// write journal. Exposed so harnesses can hash their own buffers the same
-/// way.
+/// The content hash of the acknowledged-write journal: the workspace's
+/// word-wise [`crate::digest::Digest`] over the block. Exposed so harnesses
+/// can hash their own buffers the same way.
 pub fn content_hash(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::digest::digest(data)
 }
 
 /// SplitMix64 step, used to derive corruption offsets deterministically.

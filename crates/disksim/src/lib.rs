@@ -28,6 +28,7 @@
 pub mod cache;
 pub mod clock;
 pub mod device;
+pub mod digest;
 pub mod disk;
 pub mod error;
 pub mod fault;

@@ -425,7 +425,7 @@ impl Exec {
             let contents = self.read_whole(&nm);
             match (contents, self.model.live().get(&nm)) {
                 (Ok(Some(got)), Some(want)) => {
-                    if &got != want {
+                    if got != **want {
                         return Err(Divergence {
                             step: Some(i),
                             op: op.copied(),

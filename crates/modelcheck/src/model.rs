@@ -23,16 +23,22 @@
 //!   is a durability barrier (everything it reconstructs is on the media).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use fscore::{FsError, FsResult};
+
+/// A file's bytes, shared between the live state and the durability floor
+/// until a write to the live copy parts them.
+pub type Bytes = Arc<Vec<u8>>;
 
 /// In-memory reference state plus the durability snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct RefModel {
     /// Live state: what a crash-free file system must show right now.
-    files: BTreeMap<String, Vec<u8>>,
-    /// State at the last completed `sync` — the durability floor.
-    durable: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, Bytes>,
+    /// State at the last completed `sync` — the durability floor. Taking
+    /// it copies names and pointers, not file contents.
+    durable: BTreeMap<String, Bytes>,
     /// Names touched (created, written, deleted, renamed) since that sync.
     dirty: BTreeSet<String>,
 }
@@ -54,7 +60,7 @@ impl RefModel {
     }
 
     /// Live contents, for full-state comparisons.
-    pub fn live(&self) -> &BTreeMap<String, Vec<u8>> {
+    pub fn live(&self) -> &BTreeMap<String, Bytes> {
         &self.files
     }
 
@@ -63,7 +69,7 @@ impl RefModel {
         if self.files.contains_key(name) {
             return Err(FsError::Exists);
         }
-        self.files.insert(name.to_string(), Vec::new());
+        self.files.insert(name.to_string(), Bytes::default());
         self.dirty.insert(name.to_string());
         Ok(())
     }
@@ -71,7 +77,7 @@ impl RefModel {
     /// Mirror of `FileSystem::write` (on an open handle): extends with a
     /// zero-filled hole when `offset` is past the end.
     pub fn write(&mut self, name: &str, offset: u64, data: &[u8]) -> FsResult<()> {
-        let f = self.files.get_mut(name).ok_or(FsError::NotFound)?;
+        let f = Arc::make_mut(self.files.get_mut(name).ok_or(FsError::NotFound)?);
         let end = offset as usize + data.len();
         if f.len() < end {
             f.resize(end, 0);
@@ -144,15 +150,15 @@ impl RefModel {
         names.extend(self.durable.keys());
         names.extend(self.files.keys());
         names.extend(self.dirty.iter());
-        let mut adopted: Vec<(String, Option<Vec<u8>>)> = Vec::new();
+        let mut adopted: Vec<(String, Option<&Vec<u8>>)> = Vec::new();
         for n in names {
             if self.dirty.contains(n) {
-                adopted.push((n.clone(), actual.get(n).cloned()));
+                adopted.push((n.clone(), actual.get(n)));
                 continue;
             }
             match (self.durable.get(n), actual.get(n)) {
                 (Some(want), Some(got)) => {
-                    if want != got {
+                    if **want != *got {
                         return Err(format!(
                             "durability violated: '{n}' was synced with {} bytes but \
                              recovered with {} bytes{}",
@@ -182,7 +188,7 @@ impl RefModel {
         for (n, state) in adopted {
             match state {
                 Some(bytes) => {
-                    self.files.insert(n, bytes);
+                    self.files.insert(n, Arc::new(bytes.clone()));
                 }
                 None => {
                     self.files.remove(&n);

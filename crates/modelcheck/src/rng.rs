@@ -60,17 +60,24 @@ impl McRng {
 /// identical data from the compact `(tag, offset, len)` stored in the op,
 /// and two writes with different tags never collide byte-for-byte.
 pub fn fill(tag: u64, offset: u64, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    let mut i = 0usize;
-    while i < len {
-        let pos = offset + i as u64;
+    // The stream is 8-byte words keyed by `pos / 8`: a ragged head up to
+    // the next word boundary, whole words, a ragged tail.
+    let word = |pos: u64| {
         let mut s = tag ^ (pos / 8).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let word = splitmix64(&mut s).to_le_bytes();
-        let phase = (pos % 8) as usize;
-        let take = (8 - phase).min(len - i);
-        out.extend_from_slice(&word[phase..phase + take]);
-        i += take;
+        splitmix64(&mut s).to_le_bytes()
+    };
+    let mut out = vec![0u8; len];
+    let phase = (offset % 8) as usize;
+    let head = ((8 - phase) % 8).min(len);
+    out[..head].copy_from_slice(&word(offset)[phase..phase + head]);
+    let mut pos = offset + head as u64;
+    let mut words = out[head..].chunks_exact_mut(8);
+    for w in &mut words {
+        w.copy_from_slice(&word(pos));
+        pos += 8;
     }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&word(pos)[..tail.len()]);
     out
 }
 
@@ -99,6 +106,41 @@ mod tests {
         let whole = fill(99, 0, 64);
         let part = fill(99, 8, 16);
         assert_eq!(&whole[8..24], &part[..]);
+    }
+
+    /// `fill` as first written — a growing vector, one `extend_from_slice`
+    /// per word — kept as the oracle of the pre-sized one.
+    fn fill_per_word(tag: u64, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut i = 0usize;
+        while i < len {
+            let pos = offset + i as u64;
+            let mut s = tag ^ (pos / 8).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let word = splitmix64(&mut s).to_le_bytes();
+            let phase = (pos % 8) as usize;
+            let take = (8 - phase).min(len - i);
+            out.extend_from_slice(&word[phase..phase + take]);
+            i += take;
+        }
+        out
+    }
+
+    #[test]
+    fn fill_is_byte_identical_to_the_per_word_one() {
+        let mut r = McRng::new(0xF111);
+        for offset in 0..17 {
+            for len in 0..41 {
+                assert_eq!(
+                    fill(7, offset, len),
+                    fill_per_word(7, offset, len),
+                    "{offset}+{len}"
+                );
+            }
+        }
+        for _ in 0..200 {
+            let (tag, offset, len) = (r.next_u64(), r.below(1 << 20), r.below(9000) as usize);
+            assert_eq!(fill(tag, offset, len), fill_per_word(tag, offset, len));
+        }
     }
 
     #[test]

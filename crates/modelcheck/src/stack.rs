@@ -363,7 +363,7 @@ impl CrashState {
     /// bypassing every logical layer (the raw durability check of the
     /// regular-disk stacks).
     pub fn media_hash(&self, block: u64) -> Option<u64> {
-        let mut buf = vec![0u8; BLOCK];
+        let mut buf = [0u8; BLOCK];
         self.disk
             .peek_sectors(block * SECTORS_PER_BLOCK, &mut buf)
             .ok()?;

@@ -26,7 +26,7 @@ use crate::dir::{Dirent, DIRENT_SIZE};
 use crate::inode::{Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
 use disksim::BlockDevice;
-use fscore::FsResult;
+use fscore::{FsError, FsResult};
 
 /// The root directory's inode, mirrored here to keep `fsck` standalone.
 const ROOT_CHECK_INO: u32 = 0;
@@ -123,12 +123,16 @@ pub fn fsck_repair(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
     run(dev, true)
 }
 
-/// Record a block reference; `true` if it was accepted (in range and the
-/// first reference), `false` if it was reported as bad.
+/// "Nobody references this block" in the dense owner table.
+const NO_OWNER: u32 = u32::MAX;
+
+/// Record a block reference in `owner` (one slot per device block, holding
+/// the first inode to reference it); `true` if it was accepted (in range
+/// and the first reference), `false` if it was reported as bad.
 fn reference(
     layout: &Layout,
     report: &mut FsckReport,
-    owner: &mut HashMap<u64, u32>,
+    owner: &mut [u32],
     ino: u32,
     block: u64,
 ) -> bool {
@@ -138,7 +142,8 @@ fn reference(
             .push(FsckError::PointerOutOfRange { ino, block });
         return false;
     }
-    if let Some(&first) = owner.get(&block) {
+    let first = owner[block as usize];
+    if first != NO_OWNER {
         report.errors.push(FsckError::DoubleReference {
             block,
             first_ino: first,
@@ -146,7 +151,7 @@ fn reference(
         });
         return false;
     }
-    owner.insert(block, ino);
+    owner[block as usize] = ino;
     report.blocks_referenced += 1;
     true
 }
@@ -158,7 +163,7 @@ fn vet_ptr_block(
     dev: &mut dyn BlockDevice,
     layout: &Layout,
     report: &mut FsckReport,
-    owner: &mut HashMap<u64, u32>,
+    owner: &mut [u32],
     ino: u32,
     ptr_blk: u64,
     repair: bool,
@@ -196,24 +201,21 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     // Superblock → layout.
     dev.read_block(0, &mut buf)?;
     let layout = Layout::decode(&buf)?;
+    // The tables below are sized from the superblock: believe it only as
+    // far as the device goes.
+    if layout.total_blocks > dev.num_blocks() {
+        return Err(FsError::Invalid(
+            "superblock claims more blocks than the device has",
+        ));
+    }
 
     // Load the bitmaps.
-    let block_bm = read_bitmap(
-        dev,
-        layout.block_bitmap_start,
-        layout.block_bitmap_blocks,
-        layout.data_blocks(),
-    )?;
-    let inode_bm = read_bitmap(
-        dev,
-        layout.inode_bitmap_start,
-        layout.inode_bitmap_blocks,
-        layout.inode_count as u64,
-    )?;
+    let block_bm = read_bitmap(dev, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
+    let inode_bm = read_bitmap(dev, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
 
     // Walk every allocated inode's pointers, recording references (and, in
     // repair mode, dropping bad ones in place).
-    let mut owner: HashMap<u64, u32> = HashMap::new();
+    let mut owner = vec![NO_OWNER; layout.total_blocks as usize];
     let mut reachable_inodes = vec![false; layout.inode_count as usize];
     reachable_inodes[0] = true;
 
@@ -386,9 +388,10 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                 dev.read_block(blk, &mut buf)?;
                 buf[off..off + INODE_SIZE].fill(0);
                 dev.write_block(blk, &buf)?;
-                let before = owner.len();
-                owner.retain(|_, o| *o != ino as u32);
-                report.blocks_referenced -= (before - owner.len()) as u64;
+                for o in owner.iter_mut().filter(|o| **o == ino as u32) {
+                    *o = NO_OWNER;
+                    report.blocks_referenced -= 1;
+                }
                 inodes[ino] = None;
                 report
                     .repairs
@@ -397,51 +400,42 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
         }
     }
 
-    // Bitmap cross-check over the data area.
-    for block in layout.data_start..layout.total_blocks {
-        let bit = block_bm[(block - layout.data_start) as usize];
-        let referenced = owner.contains_key(&block);
-        match (bit, referenced) {
-            (false, true) => report.errors.push(FsckError::ReferencedButFree { block }),
-            (true, false) => report.errors.push(FsckError::Leaked { block }),
-            _ => {}
-        }
+    // Bitmap cross-check over the data area, then inode bitmap vs
+    // allocation: what each bitmap should say, rebuilt from the walk, is
+    // compared with what it does say a byte at a time.
+    let block_want = bitmap_of(
+        layout.block_bitmap_blocks,
+        owner[layout.data_start as usize..]
+            .iter()
+            .map(|&o| o != NO_OWNER),
+    );
+    for i in differing_bits(&block_bm, &block_want, layout.data_blocks()) {
+        let block = layout.data_start + i;
+        report.errors.push(if bit(&block_want, i) {
+            FsckError::ReferencedButFree { block }
+        } else {
+            FsckError::Leaked { block }
+        });
     }
-    // Inode bitmap vs allocation.
-    for ino in 0..layout.inode_count {
-        let bit = inode_bm[ino as usize];
-        let alloc = inodes[ino as usize].is_some();
-        if bit != alloc {
-            report.errors.push(if alloc {
-                FsckError::InodeMarkedFree { ino }
-            } else {
-                FsckError::InodeMarkedUsed { ino }
-            });
-        }
+    let inode_want = bitmap_of(
+        layout.inode_bitmap_blocks,
+        inodes.iter().map(Option::is_some),
+    );
+    for i in differing_bits(&inode_bm, &inode_want, layout.inode_count as u64) {
+        let ino = i as u32;
+        report.errors.push(if bit(&inode_want, i) {
+            FsckError::InodeMarkedFree { ino }
+        } else {
+            FsckError::InodeMarkedUsed { ino }
+        });
     }
     // In repair mode both bitmaps are rewritten from the reference walk
     // whenever anything at all was wrong: pointer/orphan fixes above change
     // what the correct bitmaps are, so recomputing is the only move that
     // converges.
     if repair && !report.errors.is_empty() {
-        let block_bits: Vec<bool> = (0..layout.data_blocks())
-            .map(|i| owner.contains_key(&(layout.data_start + i)))
-            .collect();
-        write_bitmap(
-            dev,
-            layout.block_bitmap_start,
-            layout.block_bitmap_blocks,
-            &block_bits,
-        )?;
-        let inode_bits: Vec<bool> = (0..layout.inode_count as usize)
-            .map(|i| inodes[i].is_some())
-            .collect();
-        write_bitmap(
-            dev,
-            layout.inode_bitmap_start,
-            layout.inode_bitmap_blocks,
-            &inode_bits,
-        )?;
+        write_bitmap(dev, layout.block_bitmap_start, &block_want)?;
+        write_bitmap(dev, layout.inode_bitmap_start, &inode_want)?;
         report
             .repairs
             .push("bitmaps rebuilt from the reference walk".into());
@@ -449,38 +443,46 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     Ok(report)
 }
 
-fn read_bitmap(
-    dev: &mut dyn BlockDevice,
-    start: u64,
-    blocks: u64,
-    bits: u64,
-) -> FsResult<Vec<bool>> {
-    let mut bytes = Vec::new();
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for b in 0..blocks {
-        dev.read_block(start + b, &mut buf)?;
-        bytes.extend_from_slice(&buf);
+/// The raw bytes of an on-disk bitmap of `blocks` blocks.
+fn read_bitmap(dev: &mut dyn BlockDevice, start: u64, blocks: u64) -> FsResult<Vec<u8>> {
+    let mut bytes = vec![0u8; blocks as usize * BLOCK_SIZE];
+    for (b, chunk) in bytes.chunks_mut(BLOCK_SIZE).enumerate() {
+        dev.read_block(start + b as u64, chunk)?;
     }
-    Ok((0..bits)
-        .map(|i| bytes[(i / 8) as usize] >> (i % 8) & 1 == 1)
-        .collect())
+    Ok(bytes)
 }
 
-fn write_bitmap(
-    dev: &mut dyn BlockDevice,
-    start: u64,
-    blocks: u64,
-    bits: &[bool],
-) -> FsResult<()> {
+/// The image of a `blocks`-block bitmap whose leading bits are `bits`.
+fn bitmap_of(blocks: u64, bits: impl Iterator<Item = bool>) -> Vec<u8> {
     let mut bytes = vec![0u8; blocks as usize * BLOCK_SIZE];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            bytes[i / 8] |= 1 << (i % 8);
-        }
+    for (i, b) in bits.enumerate() {
+        bytes[i / 8] |= (b as u8) << (i % 8);
     }
-    for blk in 0..blocks {
-        let chunk = &bytes[blk as usize * BLOCK_SIZE..(blk as usize + 1) * BLOCK_SIZE];
-        dev.write_block(start + blk, chunk)?;
+    bytes
+}
+
+fn bit(bitmap: &[u8], i: u64) -> bool {
+    bitmap[(i / 8) as usize] >> (i % 8) & 1 == 1
+}
+
+/// Indices below `bits` at which two bitmaps differ, ascending; bytes that
+/// agree are skipped whole.
+fn differing_bits<'a>(a: &'a [u8], b: &'a [u8], bits: u64) -> impl Iterator<Item = u64> + 'a {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .filter(|(_, (x, y))| x != y)
+        .flat_map(|(i, (x, y))| {
+            (0..8)
+                .filter(move |k| (x ^ y) >> k & 1 == 1)
+                .map(move |k| i as u64 * 8 + k)
+        })
+        .take_while(move |&i| i < bits)
+}
+
+fn write_bitmap(dev: &mut dyn BlockDevice, start: u64, bytes: &[u8]) -> FsResult<()> {
+    for (blk, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
+        dev.write_block(start + blk as u64, chunk)?;
     }
     Ok(())
 }
@@ -504,6 +506,429 @@ mod tests {
         fs.delete("f3").unwrap();
         fs.sync().unwrap();
         fs
+    }
+
+    // ---- The `HashMap<u64, u32>` + `Vec<bool>` walk the dense one replaced,
+    // kept verbatim as its oracle: every check and repair in this module
+    // runs both on forks of one image and compares the reports.
+
+    /// Record a block reference; `true` if it was accepted (in range and the
+    /// first reference), `false` if it was reported as bad.
+    fn reference_hashmap(
+        layout: &Layout,
+        report: &mut FsckReport,
+        owner: &mut HashMap<u64, u32>,
+        ino: u32,
+        block: u64,
+    ) -> bool {
+        if block < layout.data_start || block >= layout.total_blocks {
+            report
+                .errors
+                .push(FsckError::PointerOutOfRange { ino, block });
+            return false;
+        }
+        if let Some(&first) = owner.get(&block) {
+            report.errors.push(FsckError::DoubleReference {
+                block,
+                first_ino: first,
+                second_ino: ino,
+            });
+            return false;
+        }
+        owner.insert(block, ino);
+        report.blocks_referenced += 1;
+        true
+    }
+
+    /// Read a pointer block and vet its entries, returning the surviving
+    /// children. In repair mode bad entries are cleared on the media.
+    #[allow(clippy::too_many_arguments)]
+    fn vet_ptr_block_hashmap(
+        dev: &mut dyn BlockDevice,
+        layout: &Layout,
+        report: &mut FsckReport,
+        owner: &mut HashMap<u64, u32>,
+        ino: u32,
+        ptr_blk: u64,
+        repair: bool,
+    ) -> FsResult<Vec<u64>> {
+        let mut pbuf = vec![0u8; BLOCK_SIZE];
+        dev.read_block(ptr_blk, &mut pbuf)?;
+        let mut kids = Vec::new();
+        let mut dirty = false;
+        for i in 0..PTRS_PER_BLOCK as usize {
+            let b =
+                u32::from_le_bytes(pbuf[i * 4..i * 4 + 4].try_into().expect("slice of 4")) as u64;
+            if b == NO_BLOCK as u64 {
+                continue;
+            }
+            if reference_hashmap(layout, report, owner, ino, b) {
+                kids.push(b);
+            } else if repair {
+                pbuf[i * 4..i * 4 + 4].fill(0);
+                dirty = true;
+                report
+                    .repairs
+                    .push(format!("ino {ino}: cleared bad pointer to block {b}"));
+            }
+        }
+        if dirty {
+            dev.write_block(ptr_blk, &pbuf)?;
+        }
+        Ok(kids)
+    }
+
+    fn run_hashmap(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
+        let mut report = FsckReport::default();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+
+        // Superblock → layout.
+        dev.read_block(0, &mut buf)?;
+        let layout = Layout::decode(&buf)?;
+
+        // Load the bitmaps.
+        let block_bm = read_bitmap_hashmap(
+            dev,
+            layout.block_bitmap_start,
+            layout.block_bitmap_blocks,
+            layout.data_blocks(),
+        )?;
+        let inode_bm = read_bitmap_hashmap(
+            dev,
+            layout.inode_bitmap_start,
+            layout.inode_bitmap_blocks,
+            layout.inode_count as u64,
+        )?;
+
+        // Walk every allocated inode's pointers, recording references (and, in
+        // repair mode, dropping bad ones in place).
+        let mut owner: HashMap<u64, u32> = HashMap::new();
+        let mut reachable_inodes = vec![false; layout.inode_count as usize];
+        reachable_inodes[0] = true;
+
+        let mut inodes: Vec<Option<Inode>> = vec![None; layout.inode_count as usize];
+        // Data blocks of each inode in file order (needed to walk directories).
+        let mut file_blocks: HashMap<u32, Vec<u64>> = HashMap::new();
+        for ino in 0..layout.inode_count {
+            let (blk, off) = layout.inode_location(ino);
+            dev.read_block(blk, &mut buf)?;
+            let mut inode = Inode::decode(&buf[off..off + INODE_SIZE])?;
+            if !inode.allocated {
+                continue;
+            }
+            let mut ino_dirty = false;
+            if inode.blocks() > Inode::max_blocks() {
+                report.errors.push(FsckError::SizeBeyondPointers { ino });
+                if repair {
+                    inode.size = Inode::max_blocks() * BLOCK_SIZE as u64;
+                    ino_dirty = true;
+                    report
+                        .repairs
+                        .push(format!("ino {ino}: size clamped to pointer capacity"));
+                }
+            }
+            let mut data: Vec<u64> = Vec::new();
+            for d in inode.direct.iter_mut() {
+                if *d == NO_BLOCK {
+                    continue;
+                }
+                if reference_hashmap(&layout, &mut report, &mut owner, ino, *d as u64) {
+                    data.push(*d as u64);
+                } else if repair {
+                    report.repairs.push(format!(
+                        "ino {ino}: cleared bad direct pointer to block {d}"
+                    ));
+                    *d = NO_BLOCK;
+                    ino_dirty = true;
+                }
+            }
+            if inode.indirect != NO_BLOCK {
+                if reference_hashmap(&layout, &mut report, &mut owner, ino, inode.indirect as u64) {
+                    data.extend(vet_ptr_block_hashmap(
+                        dev,
+                        &layout,
+                        &mut report,
+                        &mut owner,
+                        ino,
+                        inode.indirect as u64,
+                        repair,
+                    )?);
+                } else if repair {
+                    report.repairs.push(format!(
+                        "ino {ino}: cleared bad indirect pointer to block {}",
+                        inode.indirect
+                    ));
+                    inode.indirect = NO_BLOCK;
+                    ino_dirty = true;
+                }
+            }
+            if inode.dindirect != NO_BLOCK {
+                if reference_hashmap(
+                    &layout,
+                    &mut report,
+                    &mut owner,
+                    ino,
+                    inode.dindirect as u64,
+                ) {
+                    let l1s = vet_ptr_block_hashmap(
+                        dev,
+                        &layout,
+                        &mut report,
+                        &mut owner,
+                        ino,
+                        inode.dindirect as u64,
+                        repair,
+                    )?;
+                    for l1 in l1s {
+                        data.extend(vet_ptr_block_hashmap(
+                            dev,
+                            &layout,
+                            &mut report,
+                            &mut owner,
+                            ino,
+                            l1,
+                            repair,
+                        )?);
+                    }
+                } else if repair {
+                    report.repairs.push(format!(
+                        "ino {ino}: cleared bad double-indirect pointer to block {}",
+                        inode.dindirect
+                    ));
+                    inode.dindirect = NO_BLOCK;
+                    ino_dirty = true;
+                }
+            }
+            if ino_dirty {
+                // `buf` still holds this inode's table block (pointer blocks
+                // were vetted through their own buffers), so neighbours in the
+                // same block are preserved.
+                inode.encode_into(&mut buf[off..off + INODE_SIZE]);
+                dev.write_block(blk, &buf)?;
+            }
+            file_blocks.insert(ino, data);
+            inodes[ino as usize] = Some(inode);
+        }
+
+        // Walk the directory tree: reachability + dangling entries. (Indirect
+        // directory blocks are handled through the per-inode block lists.)
+        let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
+        let mut queue: Vec<u32> = vec![ROOT_CHECK_INO];
+        let mut visited_dirs = vec![false; layout.inode_count as usize];
+        visited_dirs[ROOT_CHECK_INO as usize] = true;
+        while let Some(dir_ino) = queue.pop() {
+            let Some(dir) = inodes[dir_ino as usize] else {
+                continue;
+            };
+            let entries = dir.size / DIRENT_SIZE as u64;
+            let blocks = file_blocks.get(&dir_ino).cloned().unwrap_or_default();
+            for (blk_idx, dev_blk) in blocks.iter().enumerate() {
+                dev.read_block(*dev_blk, &mut buf)?;
+                let mut dirty = false;
+                for s in 0..per_block {
+                    let idx = blk_idx as u64 * per_block + s;
+                    if idx >= entries {
+                        break;
+                    }
+                    let o = s as usize * DIRENT_SIZE;
+                    if let Some(e) = Dirent::decode(&buf[o..o + DIRENT_SIZE]) {
+                        match inodes.get(e.ino as usize).and_then(|i| *i) {
+                            Some(child) => {
+                                reachable_inodes[e.ino as usize] = true;
+                                if child.is_dir {
+                                    if !visited_dirs[e.ino as usize] {
+                                        visited_dirs[e.ino as usize] = true;
+                                        queue.push(e.ino);
+                                    }
+                                } else {
+                                    report.files += 1;
+                                }
+                            }
+                            None => {
+                                report.errors.push(FsckError::DanglingDirent {
+                                    name: e.name.clone(),
+                                    ino: e.ino,
+                                });
+                                if repair {
+                                    Dirent::clear_slot(&mut buf[o..o + DIRENT_SIZE]);
+                                    dirty = true;
+                                    report.repairs.push(format!(
+                                        "dir ino {dir_ino}: removed dangling entry '{}' → ino {}",
+                                        e.name, e.ino
+                                    ));
+                                }
+                            }
+                        }
+                    }
+                }
+                if dirty {
+                    dev.write_block(*dev_blk, &buf)?;
+                }
+            }
+        }
+
+        // Orphans: allocated inodes no directory entry names. Repair releases
+        // them (inode slot zeroed, their blocks dropped from the reference set
+        // so the bitmap rebuild frees them). An orphaned directory's children
+        // are themselves unreachable and released by the same sweep.
+        for ino in 0..layout.inode_count as usize {
+            if inodes[ino].is_some() && !reachable_inodes[ino] {
+                report
+                    .errors
+                    .push(FsckError::OrphanInode { ino: ino as u32 });
+                if repair {
+                    let (blk, off) = layout.inode_location(ino as u32);
+                    dev.read_block(blk, &mut buf)?;
+                    buf[off..off + INODE_SIZE].fill(0);
+                    dev.write_block(blk, &buf)?;
+                    let before = owner.len();
+                    owner.retain(|_, o| *o != ino as u32);
+                    report.blocks_referenced -= (before - owner.len()) as u64;
+                    inodes[ino] = None;
+                    report
+                        .repairs
+                        .push(format!("ino {ino}: released orphan inode and its blocks"));
+                }
+            }
+        }
+
+        // Bitmap cross-check over the data area.
+        for block in layout.data_start..layout.total_blocks {
+            let bit = block_bm[(block - layout.data_start) as usize];
+            let referenced = owner.contains_key(&block);
+            match (bit, referenced) {
+                (false, true) => report.errors.push(FsckError::ReferencedButFree { block }),
+                (true, false) => report.errors.push(FsckError::Leaked { block }),
+                _ => {}
+            }
+        }
+        // Inode bitmap vs allocation.
+        for ino in 0..layout.inode_count {
+            let bit = inode_bm[ino as usize];
+            let alloc = inodes[ino as usize].is_some();
+            if bit != alloc {
+                report.errors.push(if alloc {
+                    FsckError::InodeMarkedFree { ino }
+                } else {
+                    FsckError::InodeMarkedUsed { ino }
+                });
+            }
+        }
+        // In repair mode both bitmaps are rewritten from the reference walk
+        // whenever anything at all was wrong: pointer/orphan fixes above change
+        // what the correct bitmaps are, so recomputing is the only move that
+        // converges.
+        if repair && !report.errors.is_empty() {
+            let block_bits: Vec<bool> = (0..layout.data_blocks())
+                .map(|i| owner.contains_key(&(layout.data_start + i)))
+                .collect();
+            write_bitmap_hashmap(
+                dev,
+                layout.block_bitmap_start,
+                layout.block_bitmap_blocks,
+                &block_bits,
+            )?;
+            let inode_bits: Vec<bool> = (0..layout.inode_count as usize)
+                .map(|i| inodes[i].is_some())
+                .collect();
+            write_bitmap_hashmap(
+                dev,
+                layout.inode_bitmap_start,
+                layout.inode_bitmap_blocks,
+                &inode_bits,
+            )?;
+            report
+                .repairs
+                .push("bitmaps rebuilt from the reference walk".into());
+        }
+        Ok(report)
+    }
+
+    fn read_bitmap_hashmap(
+        dev: &mut dyn BlockDevice,
+        start: u64,
+        blocks: u64,
+        bits: u64,
+    ) -> FsResult<Vec<bool>> {
+        let mut bytes = Vec::new();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for b in 0..blocks {
+            dev.read_block(start + b, &mut buf)?;
+            bytes.extend_from_slice(&buf);
+        }
+        Ok((0..bits)
+            .map(|i| bytes[(i / 8) as usize] >> (i % 8) & 1 == 1)
+            .collect())
+    }
+
+    fn write_bitmap_hashmap(
+        dev: &mut dyn BlockDevice,
+        start: u64,
+        blocks: u64,
+        bits: &[bool],
+    ) -> FsResult<()> {
+        let mut bytes = vec![0u8; blocks as usize * BLOCK_SIZE];
+        for (i, &b) in bits.iter().enumerate() {
+            if b {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        for blk in 0..blocks {
+            let chunk = &bytes[blk as usize * BLOCK_SIZE..(blk as usize + 1) * BLOCK_SIZE];
+            dev.write_block(start + blk, chunk)?;
+        }
+        Ok(())
+    }
+
+    /// Both walks over forks of one image: same counts, same errors in the
+    /// same order, same repairs, and the same media afterwards.
+    fn both_walks(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
+        let mut fork = dev.snapshot().expect("test devices fork").restore();
+        let got = run(dev, repair)?;
+        let want = run_hashmap(fork.as_mut(), repair)?;
+        assert_eq!(
+            (got.files, got.blocks_referenced, &got.errors, &got.repairs),
+            (
+                want.files,
+                want.blocks_referenced,
+                &want.errors,
+                &want.repairs
+            ),
+            "dense and HashMap walks disagree"
+        );
+        let (mut a, mut b) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);
+        for block in 0..dev.num_blocks() {
+            dev.read_block(block, &mut a)?;
+            fork.read_block(block, &mut b)?;
+            assert!(a == b, "block {block} differs after the two walks");
+        }
+        Ok(got)
+    }
+
+    /// Shadow the public entry points so that every test below checks the
+    /// dense walk against its oracle.
+    fn fsck(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
+        both_walks(dev, false)
+    }
+
+    fn fsck_repair(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
+        both_walks(dev, true)
+    }
+
+    /// A superblock is input: one that claims more blocks than the device
+    /// has is refused before anything is sized from it.
+    #[test]
+    fn oversized_superblock_is_refused() {
+        let mut fs = populated();
+        let dev = fs.device_mut();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        dev.read_block(0, &mut buf).unwrap();
+        let lying = Layout {
+            total_blocks: 1 << 40,
+            ..Layout::decode(&buf).unwrap()
+        };
+        dev.write_block(0, &lying.encode()).unwrap();
+        assert!(matches!(super::fsck(dev), Err(FsError::Invalid(_))));
     }
 
     /// Repair the volume and insist the second pass finds nothing.
