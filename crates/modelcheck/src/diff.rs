@@ -5,10 +5,13 @@
 //! A completed `Sync` additionally triggers a full live-state sweep, and
 //! every crash (explicit `CrashRemount`, or a seeded power cut firing
 //! mid-episode) ends in remount through the stack's real recovery path,
-//! structural audits, and the durability-oracle reconciliation.
+//! the cut's checks and structural audits, and the durability-oracle
+//! reconciliation.
 //!
-//! The episode always finishes with a final `sync` + crash + remount +
-//! full durable comparison, so buffered state never escapes scrutiny.
+//! An episode ([`run_trace`]) always finishes with a final `sync` + crash +
+//! remount + full durable comparison, so buffered state never escapes
+//! scrutiny. A cut point ([`run_point`]) instead ends at its one crash,
+//! with the recovery-path convergence checks on top.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -50,7 +53,8 @@ pub enum PlantedBug {
 /// finale), the op at that step, and what diverged.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// Index of the failing op, `None` when the finale barrier failed.
+    /// Index of the failing op, `None` when the run failed after its last
+    /// op (the episode's finale barrier, a cut point's cut check).
     pub step: Option<usize>,
     /// The op at that step.
     pub op: Option<McOp>,
@@ -63,7 +67,7 @@ impl fmt::Display for Divergence {
         match (self.step, &self.op) {
             (Some(i), Some(op)) => write!(f, "at step {i} ({op:?}): {}", self.what),
             (Some(i), None) => write!(f, "at step {i}: {}", self.what),
-            _ => write!(f, "at episode finale: {}", self.what),
+            _ => write!(f, "after the last op: {}", self.what),
         }
     }
 }
@@ -101,24 +105,7 @@ pub fn run_trace_recorded(
     planted: &PlantedBug,
     rec: Option<&disksim::FlightRecorder>,
 ) -> Result<RunStats, Divergence> {
-    let format = format_writes(cfg);
-    let mut plan = trace.fault_plan(format);
-    if let PlantedBug::SilentCorruption { op, seed } = planted {
-        plan = plan.with(format + op, WriteFault::Corrupt { seed: *seed });
-    }
-    let obs = rec.map(Obs::from).unwrap_or_default();
-    let fs = build_synced(cfg, plan, &obs).map_err(|e| Divergence {
-        step: None,
-        op: None,
-        what: format!("initial format failed: {e}"),
-    })?;
-    let mut exec = Exec {
-        cfg,
-        fs: Some(fs),
-        model: RefModel::new(),
-        stats: RunStats::default(),
-        planted: *planted,
-    };
+    let mut exec = Exec::start(cfg, trace, planted, rec, false)?;
     for (i, op) in trace.ops.iter().enumerate() {
         exec.stats.ops_run = i + 1;
         exec.step(i, op)?;
@@ -126,6 +113,43 @@ pub fn run_trace_recorded(
     exec.finale(trace.ops.len())?;
     exec.stats.final_files = exec.model.live().len();
     Ok(exec.stats)
+}
+
+/// Where a cut-point run stood, in device write ops acknowledged since a
+/// fresh build (mkfs included): the coordinates cut points are named by.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PointRun {
+    /// Acknowledged when mkfs's sync and each completed `Sync` returned.
+    pub frontier_ops: Vec<u64>,
+    /// Acknowledged when the power went.
+    pub write_ops: u64,
+    /// Did the seeded cut fire?
+    pub cut_fired: bool,
+}
+
+/// Run one cut point: `trace` through the same executor and model as an
+/// episode, but the first crash — the seeded cut, or a power loss right
+/// after the last op when the cut never fires — ends it. That crash checks
+/// the acknowledged writes even without a cut, and then the recovery paths
+/// must converge ([`StackSpec::converge`]), with the LLD's summary scan
+/// only at a clean cut on the last frontier.
+pub fn run_point(
+    cfg: StackSpec,
+    trace: &TraceSpec,
+    planted: &PlantedBug,
+    rec: Option<&disksim::FlightRecorder>,
+) -> Result<PointRun, Divergence> {
+    let mut exec = Exec::start(cfg, trace, planted, rec, true)?;
+    for (i, op) in trace.ops.iter().enumerate() {
+        exec.step(i, op)?;
+        if exec.fs.is_none() {
+            break;
+        }
+    }
+    if exec.fs.is_some() {
+        exec.crash_remount(trace.ops.len(), None)?;
+    }
+    Ok(exec.point.take().expect("a point run"))
 }
 
 /// Format `cfg` with `plan` armed and make mkfs durable: a crash before
@@ -172,22 +196,74 @@ enum Outcome<T> {
     Cut,
 }
 
+/// Write ops the fault layer has acknowledged so far.
+fn write_ops(fs: &Ufs) -> u64 {
+    probe_device::<FaultDisk>(fs.device()).map_or(0, FaultDisk::write_ops)
+}
+
 struct Exec {
     cfg: StackSpec,
+    /// `None` once a cut point's crash has ended the run.
     fs: Option<Ufs>,
     model: RefModel,
     stats: RunStats,
     planted: PlantedBug,
+    /// `Some` in cut-point mode ([`run_point`]): the coordinates so far.
+    point: Option<PointRun>,
 }
 
 impl Exec {
+    /// Format `cfg` under the trace's cut (and the planted lie), make mkfs
+    /// durable and start the model empty.
+    fn start(
+        cfg: StackSpec,
+        trace: &TraceSpec,
+        planted: &PlantedBug,
+        rec: Option<&disksim::FlightRecorder>,
+        point: bool,
+    ) -> Result<Exec, Divergence> {
+        let format = format_writes(cfg);
+        let mut plan = match *planted {
+            PlantedBug::SilentCorruption { op, seed } => {
+                FaultPlan::corrupt_write(format + op, seed)
+            }
+            PlantedBug::None => FaultPlan::none(),
+        };
+        // Added last, the cut wins a clash with the planted lie: the power
+        // dies during the write that would have been corrupted.
+        if let Some(c) = trace.cut {
+            let cut = WriteFault::PowerCut { survivors: c.survivors };
+            plan = plan.with(format + c.at_op, cut);
+        }
+        let obs = rec.map(Obs::from).unwrap_or_default();
+        let fs = build_synced(cfg, plan, &obs).map_err(|e| Divergence {
+            step: None,
+            op: None,
+            what: format!("initial format failed: {e}"),
+        })?;
+        let point = point.then(|| PointRun {
+            frontier_ops: vec![write_ops(&fs)],
+            ..PointRun::default()
+        });
+        Ok(Exec {
+            cfg,
+            fs: Some(fs),
+            model: RefModel::new(),
+            stats: RunStats::default(),
+            planted: *planted,
+            point,
+        })
+    }
+
     fn fs(&mut self) -> &mut Ufs {
         self.fs.as_mut().expect("stack mounted")
     }
 
     fn powered_off(&self) -> bool {
-        let fs = self.fs.as_ref().expect("stack mounted");
-        probe_device::<FaultDisk>(fs.device()).is_some_and(|f| f.is_powered_off())
+        self.fs
+            .as_ref()
+            .and_then(|fs| probe_device::<FaultDisk>(fs.device()))
+            .is_some_and(|f| f.is_powered_off())
     }
 
     fn div(&self, step: usize, op: Option<&McOp>, what: String) -> Divergence {
@@ -212,7 +288,8 @@ impl Exec {
                 fs.delete(nm)
             }, |m, nm| m.delete(nm))?,
             McOp::Rename { from, to } => self.rename(i, op, from, to)?,
-            McOp::Write { name: n, offset, len, tag } => {
+            McOp::Write { name: n, offset, len, tag, sync } => {
+                self.fs().set_sync_writes(sync);
                 self.write(i, op, n, offset as u64, len as usize, tag, false)?
             }
             McOp::Append { name: n, len, tag } => {
@@ -413,6 +490,9 @@ impl Exec {
             ))),
             Outcome::Ok(()) => {
                 self.model.commit_sync();
+                if let (Some(p), Some(fs)) = (&mut self.point, &self.fs) {
+                    p.frontier_ops.push(write_ops(fs));
+                }
                 self.live_compare(i, Some(op))
             }
         }
@@ -490,12 +570,20 @@ impl Exec {
         Ok(Some(buf))
     }
 
-    /// Power loss (simulated or seeded) + remount through recovery +
-    /// audits + durability reconciliation.
+    /// Power loss (simulated or seeded) + remount through recovery + the
+    /// cut's checks and the audits + durability reconciliation; in cut-point
+    /// mode, then the recovery-path convergence checks, which end the run.
     fn crash_remount(&mut self, step: usize, op: Option<&McOp>) -> Result<(), Divergence> {
         self.stats.crashes += 1;
         let st = self.cfg.crash(self.fs.take().expect("stack mounted"));
-        self.stats.cut_fired |= st.log.power_cuts > 0;
+        let cut = st.log.power_cuts > 0;
+        self.stats.cut_fired |= cut;
+        let mut at_frontier = false;
+        if let Some(p) = &mut self.point {
+            (p.write_ops, p.cut_fired) = (st.write_ops, cut);
+            let last_frontier = p.frontier_ops.last() == Some(&st.write_ops);
+            at_frontier = st.log.torn_block.is_none() && last_frontier;
+        }
         // The seeded cut lives in the first incarnation only: after any
         // crash the rebuilt fault layer cannot cut again, so an episode sees
         // at most one cut and recovery always runs on a working device. A
@@ -506,11 +594,11 @@ impl Exec {
             PlantedBug::SilentCorruption { op, seed } => FaultPlan::corrupt_write(op, seed),
             PlantedBug::None => FaultPlan::none(),
         };
-        let (mut fs, _report) = self
+        let (mut fs, mut complaints) = self
             .cfg
-            .remount(st.disk, Some(plan))
+            .recover(st, Some(plan), cut || self.point.is_some())
             .map_err(|e| self.div(step, op, format!("remount after crash failed: {e}")))?;
-        let complaints = stack::audit(&mut fs);
+        complaints.extend(stack::audit(&mut fs));
         if !complaints.is_empty() {
             return Err(self.div(step, op, format!(
                 "post-recovery audit: {}",
@@ -531,7 +619,18 @@ impl Exec {
         }
         self.model
             .crash_adopt(&actual)
-            .map_err(|msg| self.div(step, op, msg))
+            .map_err(|msg| self.div(step, op, msg))?;
+        if self.point.is_some() {
+            let fs = self.fs.take().expect("stack mounted");
+            let complaints = self.cfg.converge(fs, at_frontier);
+            if !complaints.is_empty() {
+                return Err(self.div(step, op, format!(
+                    "recovery paths diverge: {}",
+                    complaints.join("; ")
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Final barrier: sync everything, verify live state, then one last

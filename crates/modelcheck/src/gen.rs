@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use disksim::FaultPlan;
-
 use crate::rng::McRng;
 
 /// Number of distinct file names an episode may use. Small enough that the
@@ -52,6 +50,8 @@ pub enum McOp {
         len: u32,
         /// Payload tag (see [`crate::rng::fill`]).
         tag: u64,
+        /// Write data through (`set_sync_writes`) rather than delayed.
+        sync: bool,
     },
     /// Open and write `len` bytes at the current end of file.
     Append {
@@ -114,17 +114,6 @@ pub struct TraceSpec {
     pub cut: Option<Cut>,
 }
 
-impl TraceSpec {
-    /// The fault plan for the first incarnation, with the cut shifted past
-    /// the `format_writes` the freshly built stack spends before op 1.
-    pub fn fault_plan(&self, format_writes: u64) -> FaultPlan {
-        match self.cut {
-            Some(c) => FaultPlan::torn_power_cut(format_writes + c.at_op, c.survivors),
-            None => FaultPlan::none(),
-        }
-    }
-}
-
 impl fmt::Display for TraceSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.cut {
@@ -163,6 +152,7 @@ pub fn generate(seed: u64, len: usize) -> TraceSpec {
                 offset: gen_offset(&mut r),
                 len: gen_len(&mut r),
                 tag: r.next_u64(),
+                sync: false,
             }
         } else if roll < 46 {
             McOp::Append {
@@ -209,6 +199,79 @@ pub fn generate(seed: u64, len: usize) -> TraceSpec {
         None
     };
     TraceSpec { ops, cut }
+}
+
+/// The fixed op scripts whose every cut point [`crate::sweep_cut_points`]
+/// visits. Each `Sync` is a durability frontier (mkfs's own sync is the
+/// first); payload tags are per file, so a file's bytes are a function of
+/// their offset whichever write put them there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Script {
+    /// Three files made durable across one sync, then volatile churn (a
+    /// delayed-write file, a synchronous overwrite, a create-write-delete
+    /// cycle) across a second, then trailing writes no sync covers.
+    SmallMixed,
+    /// `rounds` rounds over eight names: create, write (synchronous in even
+    /// rounds), a second overlapping write in odd ones, a sync every third,
+    /// and delete + recreate once the names wrap.
+    Churn(usize),
+}
+
+impl Script {
+    /// The script as ops.
+    pub fn ops(self) -> Vec<McOp> {
+        let write = |name: u8, offset: u32, len: u32, sync: bool| McOp::Write {
+            name,
+            offset,
+            len,
+            tag: name.into(),
+            sync,
+        };
+        let create = |name| McOp::Create { name };
+        match self {
+            Script::SmallMixed => {
+                let [alpha, beta, gamma, delta, temp, late] = [0, 1, 2, 3, 4, 5];
+                vec![
+                    create(alpha),
+                    write(alpha, 0, 8192, true),
+                    create(beta),
+                    write(beta, 0, 4096, false),
+                    write(beta, 4096, 4096, false),
+                    create(gamma),
+                    write(gamma, 0, 2048, true),
+                    McOp::Sync, // alpha, beta, gamma durable
+                    create(delta),
+                    write(delta, 0, 12288, false),
+                    write(gamma, 2048, 4096, true),
+                    create(temp),
+                    write(temp, 0, 4096, false),
+                    McOp::Delete { name: temp },
+                    McOp::Sync, // delta, new gamma durable; temp durably gone
+                    create(late),
+                    write(late, 0, 4096, false),
+                ]
+            }
+            Script::Churn(rounds) => {
+                let mut ops = Vec::new();
+                for r in 0..rounds {
+                    let n = (r % 8) as u8;
+                    if r >= 8 {
+                        ops.push(McOp::Delete { name: n });
+                    }
+                    ops.push(create(n));
+                    ops.push(write(n, 0, 4096 * (1 + r as u32 % 3), r % 2 == 0));
+                    if r % 2 == 1 {
+                        ops.push(write(n, 2048, 4096, false));
+                    }
+                    if r % 3 == 2 {
+                        ops.push(McOp::Sync);
+                    }
+                }
+                ops.push(McOp::Sync);
+                ops
+            }
+        }
+    }
 }
 
 /// Pick a name, biased (85 %) toward ones whose mirror presence matches

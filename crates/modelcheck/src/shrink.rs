@@ -6,12 +6,15 @@
 //! come from per-op tags, appends from the model's size at execution — so
 //! removing one op never changes the meaning of the others. *Any*
 //! divergence counts as continued failure: shrinking is allowed to walk
-//! from the original symptom to a simpler one of the same episode.
+//! from the original symptom to a simpler one of the same episode. A
+//! failing cut point is not shrunk — dropping an op moves every later
+//! write ordinal, and with it the cut — so its reproducer is its script
+//! and cut as they ran.
 
 use std::fmt;
 
-use crate::diff::{run_trace, run_trace_recorded, Divergence, PlantedBug};
-use crate::gen::TraceSpec;
+use crate::diff::{run_point, run_trace, run_trace_recorded, Divergence, PlantedBug};
+use crate::gen::{Cut, Script, TraceSpec};
 use crate::stack::StackSpec;
 
 /// Ceiling on shrink re-executions, so pathological episodes still return
@@ -19,23 +22,44 @@ use crate::stack::StackSpec;
 const MAX_RUNS: u32 = 2000;
 
 /// Event-ring capacity of the failure flight recorder: the last N disk
-/// commands of the minimized episode, span-annotated. Shrunk traces are
-/// short, so this comfortably covers the interesting tail.
+/// commands of the failing run, span-annotated. Shrunk traces and cut
+/// points are short, so this comfortably covers the interesting tail.
 const FLIGHT_EVENTS: usize = 256;
+
+/// How a failure was found, which is how to rerun it from scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// The generated episode [`crate::check_seed`]`(cfg, seed, len)` runs.
+    Seed {
+        /// The episode seed.
+        seed: u64,
+        /// The episode length in ops.
+        len: usize,
+    },
+    /// One point of a cut-point sweep: [`crate::check_point`]`(cfg, script, cut, planted)`.
+    Point {
+        /// The script.
+        script: Script,
+        /// The cut, `None` for the run that is cut only after its last op.
+        cut: Option<Cut>,
+    },
+}
 
 /// Everything needed to replay a failure from scratch.
 #[derive(Debug, Clone)]
 pub struct Reproducer {
     /// The stack configuration the divergence occurred on.
     pub cfg: StackSpec,
-    /// The episode seed (regenerates the *original* trace; the shrunk
-    /// trace below is what minimal replay uses).
-    pub seed: u64,
-    /// The minimized trace.
+    /// How the failing run came about (regenerates the *original* trace;
+    /// the shrunk trace below is what minimal replay uses).
+    pub replay: Replay,
+    /// The mutation planted in the stack, if any.
+    pub planted: PlantedBug,
+    /// The minimized trace (a cut point's is its script, unshrunk).
     pub trace: TraceSpec,
     /// The divergence the minimized trace produces.
     pub failure: Divergence,
-    /// Episode re-executions the shrinker spent.
+    /// Re-executions the shrinker spent.
     pub runs: u32,
     /// Span-annotated JSONL flight-recorder dump of one replay of the
     /// minimized trace: span lines (keyed `"parent"`) then the last
@@ -44,14 +68,56 @@ pub struct Reproducer {
     pub flight: String,
 }
 
+impl Reproducer {
+    /// A reproducer whose flight dump comes from one more run of `trace`
+    /// with a recorder on the raw device. The run is deterministic, so the
+    /// dump is too.
+    pub fn recorded(
+        cfg: StackSpec,
+        replay: Replay,
+        planted: PlantedBug,
+        trace: TraceSpec,
+        failure: Divergence,
+        runs: u32,
+    ) -> Self {
+        let rec = disksim::FlightRecorder::with_capacity(FLIGHT_EVENTS);
+        match replay {
+            Replay::Seed { .. } => drop(run_trace_recorded(cfg, &trace, &planted, Some(&rec))),
+            Replay::Point { .. } => drop(run_point(cfg, &trace, &planted, Some(&rec))),
+        }
+        let flight = rec.dump();
+        Reproducer { cfg, replay, planted, trace, failure, runs, flight }
+    }
+
+    /// The Rust call that reruns the original failing run, in the form
+    /// `tests/pinned.rs` pins known divergences with.
+    pub fn replay_call(&self) -> String {
+        let i = self.cfg.index();
+        let spec = if self.cfg == StackSpec::ALL[i] {
+            format!("StackSpec::ALL[{i}]")
+        } else if self.cfg == (StackSpec { disk: self.cfg.disk, ..StackSpec::ALL[i] }) {
+            format!("StackSpec {{ disk: DiskKind::{:?}, ..StackSpec::ALL[{i}] }}", self.cfg.disk)
+        } else {
+            format!("{:?}", self.cfg)
+        };
+        match (self.replay, self.planted) {
+            (Replay::Seed { seed, len }, PlantedBug::None) => {
+                format!("check_seed({spec}, {seed:#x}, {len})")
+            }
+            (Replay::Seed { seed, len }, planted) => format!(
+                "run_trace({spec}, &gen::generate({seed:#x}, {len}), &PlantedBug::{planted:?})"
+            ),
+            (Replay::Point { script, cut }, planted) => format!(
+                "check_point({spec}, Script::{script:?}, {cut:?}, &PlantedBug::{planted:?})"
+            ),
+        }
+    }
+}
+
 impl fmt::Display for Reproducer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "modelcheck divergence on stack `{}`", self.cfg)?;
-        writeln!(
-            f,
-            "  seed: {:#018x}  (replay: VLFS_SEED={:#x} cargo test -p modelcheck)",
-            self.seed, self.seed
-        )?;
+        writeln!(f, "  replay: {}", self.replay_call())?;
         writeln!(f, "  failure: {}", self.failure)?;
         writeln!(
             f,
@@ -122,13 +188,6 @@ pub fn shrink(
         }
     }
 
-    // One last replay of the minimized trace with a flight recorder on the
-    // raw device: the report then shows the span-annotated disk history
-    // (which FS op or background pass issued each command) leading to the
-    // failure. The replay is deterministic, so the dump is too.
-    let recorder = disksim::FlightRecorder::with_capacity(FLIGHT_EVENTS);
-    let _ = run_trace_recorded(cfg, &best, planted, Some(&recorder));
-    let flight = recorder.dump();
-
-    Reproducer { cfg, seed, trace: best, failure, runs, flight }
+    let replay = Replay::Seed { seed, len: trace.ops.len() };
+    Reproducer::recorded(cfg, replay, *planted, best, failure, runs)
 }

@@ -19,6 +19,12 @@
 //! file layer's bitmap reconciliation) under the *same* file-layer
 //! configuration the spec formats with.
 //!
+//! The crash checks live here too, in three kinds by what they may touch:
+//! [`StackSpec::recover`] (what a power cut must keep: the acknowledged
+//! writes and no tail record) and [`audit`] (structure) only peek, so any
+//! crash can afford them; [`StackSpec::converge`] (the recovery paths agree)
+//! writes to the media and so ends the run it checks.
+//!
 //! A spec is `Copy + Send` so sweeps can fan it out over `disksim::par`;
 //! the per-incarnation attachments that are not (the `Rc`-backed [`Obs`]
 //! handles) or that differ between format and remount (the fault plan) are
@@ -33,6 +39,7 @@ use disksim::{
     FlightRecorder, Metrics, RegularDisk, SimClock, Spans, Tracer,
 };
 use fscore::{FsError, FsResult, HostModel};
+use lfs::seg::NONE;
 use lfs::{lfs_filesystem, LfsConfig, LldConfig, LogDisk};
 use ufs::{FsckError, Ufs, UfsConfig};
 use vlog_core::recovery::RecoveryReport;
@@ -333,6 +340,168 @@ impl StackSpec {
             dev = Box::new(LogDisk::mount(dev, self.lld_config())?);
         }
         Ok((Ufs::mount_with(dev, self.host, self.ufs_config())?, report))
+    }
+
+    /// [`StackSpec::remount`] a crash, and when `check` (the model checker
+    /// asks after a power cut, and at a cut point's one crash) check what
+    /// the power loss had to keep: every acknowledged write is on the media
+    /// — the raw sectors before remount on a regular disk, through the
+    /// recovered map after it on the VLD, whose journal is keyed by logical
+    /// block — and the VLD claims no firmware tail record. The torn block is
+    /// exempt on every stack: it holds an unacknowledged write, even when
+    /// all eight sectors landed. These checks only peek, so they move no
+    /// clock.
+    pub fn recover(
+        &self,
+        st: CrashState,
+        fault: Option<FaultPlan>,
+        check: bool,
+    ) -> FsResult<(Ufs, Vec<String>)> {
+        let mut complaints = Vec::new();
+        let mut acked: Vec<(u64, u64)> = Vec::new();
+        if check {
+            let torn = st.log.torn_block;
+            let kept = st.acked.iter().filter(|&(&b, _)| Some(b) != torn);
+            acked.extend(kept.map(|(&b, &h)| (b, h)));
+            // Sorted, so failure text does not depend on hash-map order.
+            acked.sort_unstable();
+        }
+        if self.dev == DevKind::Regular {
+            for &(blk, h) in &acked {
+                if st.media_hash(blk) != Some(h) {
+                    complaints.push(format!(
+                        "acknowledged write to device block {blk} lost from media"
+                    ));
+                }
+            }
+        }
+        let (fs, report) = self.remount(st.disk, fault)?;
+        if check && report.is_some_and(|rep| rep.used_tail) {
+            complaints.push("recovery claims a firmware tail record after a crash".into());
+        }
+        if let Some(vld) = probe_device::<Vld>(fs.device()) {
+            let mut buf = [0u8; BLOCK];
+            for (blk, h) in acked {
+                // Unmapped blocks read as zeros, as the drive would answer.
+                buf.fill(0);
+                let read = vld.vlog().translate(blk).map_or(Ok(()), |pb| {
+                    vld.vlog().disk().peek_sectors(pb * SECTORS_PER_BLOCK, &mut buf)
+                });
+                if read.is_err() || content_hash(&buf) != h {
+                    complaints.push(format!(
+                        "acknowledged write to logical block {blk} lost after recovery"
+                    ));
+                }
+            }
+        }
+        Ok((fs, complaints))
+    }
+
+    /// The recovery-path checks that write to the media, so a run ends with
+    /// them: layer by layer from the top, the LLD remounts its own image to
+    /// the identical map and — when `at_frontier` (a clean cut right after a
+    /// completed sync, where every segment summary is whole) — rebuilds
+    /// every checkpoint-mapped block from a summary scan with both
+    /// checkpoint slots destroyed; then the VLD, shut down in order, comes
+    /// back through its tail record to the map the scan built.
+    pub fn converge(&self, fs: Ufs, at_frontier: bool) -> Vec<String> {
+        let mut errs = Vec::new();
+        let mut dev = fs.into_device();
+        if self.fs == FsKind::Lfs {
+            match self.lld_converges(downcast_device(dev), at_frontier, &mut errs) {
+                Some(inner) => dev = inner,
+                None => return errs,
+            }
+        }
+        if self.dev == DevKind::Vld {
+            if probe_device::<FaultDisk>(dev.as_ref()).is_some() {
+                dev = downcast_device::<FaultDisk>(dev).into_parts().3;
+            }
+            self.vld_converges(downcast_device(dev), &mut errs);
+        }
+        errs
+    }
+
+    /// Remounting the same LLD image again must be a no-op, and the
+    /// summary-scan fallback must agree on every block the checkpoint maps.
+    /// A trim is durable only through the checkpoint (summaries carry no
+    /// trim record), so the scan may bring a trimmed block's dead slot back,
+    /// but never alias two blocks onto one slot. The scan is only sound at a
+    /// frontier: a cut mid-way through re-flushing a partial segment tears
+    /// its summary, and a scan without any checkpoint then legitimately
+    /// loses the segment's previous generation. Returns the device beneath
+    /// the logical disk unless a mount lost it.
+    fn lld_converges(
+        &self,
+        lld: LogDisk,
+        full_scan: bool,
+        errs: &mut Vec<String>,
+    ) -> Option<Box<dyn BlockDevice>> {
+        let map1 = lld.map_snapshot();
+        let (ck_start, ck_len) = lld.checkpoint_region();
+        let l2 = LogDisk::mount(lld.crash(), self.lld_config())
+            .map_err(|e| errs.push(format!("second LLD mount failed: {e}")))
+            .ok()?;
+        if l2.map_snapshot() != map1 {
+            errs.push("LLD recovery is not idempotent".into());
+        }
+        let mut inner = l2.crash();
+        if !full_scan {
+            return Some(inner);
+        }
+        let junk = [0xA5u8; BLOCK];
+        for b in 0..ck_len {
+            if let Err(e) = inner.write_block(ck_start + b, &junk) {
+                errs.push(format!("cannot overwrite checkpoint slot: {e}"));
+                return Some(inner);
+            }
+        }
+        let l3 = LogDisk::mount(inner, self.lld_config())
+            .map_err(|e| errs.push(format!("summary-scan mount failed: {e}")))
+            .ok()?;
+        let map3 = l3.map_snapshot();
+        if map1.iter().zip(&map3).any(|(&ck, &scan)| ck != NONE && ck != scan) {
+            errs.push("checkpoint and summary-scan recovery disagree on the LLD map".into());
+        }
+        let mut slots: Vec<u32> = map3.into_iter().filter(|&s| s != NONE).collect();
+        slots.sort_unstable();
+        if slots.windows(2).any(|w| w[0] == w[1]) {
+            errs.push("summary-scan recovery aliased two blocks onto one slot".into());
+        }
+        Some(l3.crash())
+    }
+
+    /// Take the VLD's other recovery path (orderly shutdown, then the tail
+    /// record) and demand the identical map the scan produced.
+    fn vld_converges(&self, mut vld: Vld, errs: &mut Vec<String>) {
+        let map = |v: &Vld| -> Vec<Option<u64>> {
+            (0..v.vlog().num_blocks()).map(|lb| v.vlog().translate(lb)).collect()
+        };
+        let scanned = map(&vld);
+        if let Err(e) = vld.shutdown() {
+            errs.push(format!("shutdown failed: {e}"));
+            return;
+        }
+        let overhead = self.disk.spec().command_overhead_ns;
+        match Vld::recover(vld.crash(), overhead, self.vld_config()) {
+            Ok((v2, rep)) => {
+                if !rep.used_tail {
+                    errs.push("tail-record path not taken after orderly shutdown".into());
+                }
+                if map(&v2) != scanned {
+                    errs.push(
+                        "tail-record and scan recovery disagree on the indirection map".into(),
+                    );
+                }
+                errs.extend(
+                    v2.vlog()
+                        .check_consistency()
+                        .into_iter()
+                        .map(|m| format!("vlog audit after second recovery: {m}")),
+                );
+            }
+            Err(e) => errs.push(format!("recovery after orderly shutdown failed: {e}")),
+        }
     }
 }
 

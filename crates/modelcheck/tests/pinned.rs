@@ -3,8 +3,7 @@
 //! it was, and a known divergence stays on file as a test, not as prose.
 
 use modelcheck::rng::splitmix64;
-use modelcheck::stack::{DevKind, FsKind};
-use modelcheck::{check_seed, sweep_all_stacks_in, StackSpec};
+use modelcheck::{check_seed, gen, sweep_all_stacks_in, StackSpec};
 
 /// The smoke sweep's default base: at 16 seeds per stack five of its
 /// episodes have their seeded power cut fire.
@@ -41,19 +40,40 @@ fn sweep_run_stats_are_pinned() {
     );
 }
 
-/// A real, open divergence (ROADMAP, robustness): on `ufs-regular` a power
-/// cut that tears the directory block `rename` is writing loses a synced
-/// name. About one random episode in 10⁴ finds it; these two do. Ignored
-/// while the bug is open — run with `-- --ignored` to see the reproducers —
-/// and to be un-ignored, with the assertion flipped, by the fix.
+/// A real, open divergence (ROADMAP, robustness): on both UFS stacks a
+/// power cut during `rename` loses the rename's atomicity — one inode ends
+/// up under both names, e.g. `'mc15' has 103499 bytes, model has 80660`
+/// after a cut inside `Rename { from: 5, to: 15 }`; the LFS stacks pass the
+/// same episodes. About one random episode in 10⁴ finds it; these three do
+/// (the third is episode 20 of ufs-vld from the tier-1 base at 64 seeds).
+/// Ignored while the bug is open — run with `-- --ignored` to see the
+/// reproducers — and to be un-ignored, with the assertion flipped, by the
+/// fix, which will move simulated numbers.
 #[test]
-#[ignore = "known torn-rename divergence on ufs-regular; see ROADMAP"]
-fn torn_rename_on_ufs_regular_still_diverges() {
-    let cfg = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
-    for seed in [0x921f_d645_b2a6_edc2u64, 0x45d5_02da_e848_a11b] {
-        let repro = check_seed(cfg, seed, 48).expect_err("the torn rename is fixed: un-ignore");
-        let report = repro.to_string();
-        assert!(report.contains("ufs-regular"), "{report}");
-        assert!(report.to_lowercase().contains("rename"), "{report}");
+#[ignore = "known torn-rename divergence on both UFS stacks; see ROADMAP"]
+fn torn_rename_on_ufs_still_diverges() {
+    for cfg in [StackSpec::ALL[0], StackSpec::ALL[1]] {
+        for seed in [0x921f_d645_b2a6_edc2u64, 0x45d5_02da_e848_a11b, 0x7d18_c4ea_3afa_3a74] {
+            let repro = check_seed(cfg, seed, 48).expect_err("the torn rename is fixed: un-ignore");
+            let report = repro.to_string();
+            let call = format!("check_seed(StackSpec::ALL[{}], {seed:#x}, 48)", cfg.index());
+            assert!(report.contains(&format!("replay: {call}")), "{report}");
+            assert!(report.to_lowercase().contains("rename"), "{report}");
+        }
+    }
+}
+
+/// A VLD torn cut whose eight sectors all land writes a whole block the
+/// fault layer never acknowledged, over a block whose *earlier* write it
+/// did: the ack-journal check exempts the torn block on every stack, or
+/// these two `mc_sweep` episodes (seeds 34 of ufs-vld and 27 of lfs-vld
+/// from its base) would count the unacknowledged write as a lost one.
+#[test]
+fn vld_torn_cut_of_eight_sectors_is_not_an_acked_loss() {
+    let episodes = [(1, 0x6301_251a_4985_705e), (3, 0xcc8d_e583_dadd_bdc1)];
+    for (cfg, seed) in episodes.map(|(i, seed)| (StackSpec::ALL[i], seed)) {
+        assert_eq!(gen::generate(seed, 48).cut.map(|c| c.survivors), Some(8));
+        let stats = check_seed(cfg, seed, 48).unwrap_or_else(|repro| panic!("{repro}"));
+        assert!(stats.cut_fired, "{cfg}: the torn cut must fire");
     }
 }

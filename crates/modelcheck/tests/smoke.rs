@@ -8,19 +8,11 @@
 
 use modelcheck::stack::{DevKind, FsKind};
 use modelcheck::{
-    check_seed, env_seed, episode_seed, gen, run_trace, shrink, sweep_all_stacks,
-    sweep_all_stacks_in, PlantedBug, StackSpec, SweepOutcome,
+    check_seed, env_seed, episode_seed, gen, knob, run_trace, shrink, sweep_all_stacks,
+    sweep_all_stacks_in, Divergence, PlantedBug, Replay, Reproducer, StackSpec, SweepOutcome,
 };
 
 const DEFAULT_BASE: u64 = 0x0D15_C0DE_5EED_0001;
-
-/// Takes the `env::var` result rather than the name so each knob is read
-/// by a literal name at its call site, where `tests/knobs.rs` can see it.
-fn count_or(var: Result<String, std::env::VarError>, default: u64) -> u64 {
-    var.ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// The acceptance sweep: N seeded episodes through every stack config,
 /// each ending in a crash + recovery + durability barrier. Any divergence
@@ -28,7 +20,7 @@ fn count_or(var: Result<String, std::env::VarError>, default: u64) -> u64 {
 #[test]
 fn smoke_episodes_all_stacks() {
     let base = env_seed().unwrap_or(DEFAULT_BASE);
-    let seeds = count_or(std::env::var("VLFS_MC_SMOKE_SEEDS"), 16);
+    let seeds = knob("VLFS_MC_SMOKE_SEEDS", std::env::var("VLFS_MC_SMOKE_SEEDS")).unwrap_or(16);
     let mut crashes = 0u32;
     let mut cuts = 0u32;
     // Episodes fan out over the shared pool (VLFS_THREADS); outcomes come
@@ -54,7 +46,7 @@ fn smoke_episodes_all_stacks() {
 /// -- long_run`. Longer traces, as many episodes as requested.
 #[test]
 fn long_run_soak_when_requested() {
-    let episodes = count_or(std::env::var("VLFS_MC_EPISODES"), 0);
+    let episodes = knob("VLFS_MC_EPISODES", std::env::var("VLFS_MC_EPISODES")).unwrap_or(0);
     if episodes == 0 {
         return;
     }
@@ -87,16 +79,65 @@ fn sweep_is_deterministic_across_pool_widths() {
     assert_eq!(one, four, "pool width changed sweep outcomes");
 }
 
+/// The first episode seed at or after the base whose trace arms no seeded
+/// cut, so a planted bug is the only anomaly. The default's first planted
+/// write already diverges.
+fn uncut_seed() -> u64 {
+    let base = env_seed().unwrap_or(0xBAD_CAB20);
+    (base..)
+        .find(|&s| gen::generate(s, 40).cut.is_none())
+        .expect("a seed without a cut")
+}
+
+/// `(i, seed, len)` of a printed `check_seed(StackSpec::ALL[i], 0x…, len)`
+/// or `run_trace(StackSpec::ALL[i], &gen::generate(0x…, len), …)`.
+fn parse_call(call: &str) -> (usize, u64, usize) {
+    let after = |pat: &str| call.split_once(pat).unwrap_or_else(|| panic!("no {pat} in {call}")).1;
+    let index = after("StackSpec::ALL[").split(']').next().expect("an index");
+    let (seed, rest) = after("0x").split_once(", ").expect("seed, len");
+    let len = rest.split(')').next().expect("a length");
+    let parsed = (index.parse(), u64::from_str_radix(seed, 16), len.parse());
+    match parsed {
+        (Ok(i), Ok(seed), Ok(len)) => (i, seed, len),
+        _ => panic!("unparsable replay call {call}"),
+    }
+}
+
+/// The call a seeded sweep's report prints reruns that one episode: the
+/// printed stack, seed and length regenerate the trace `check_seed` ran.
+#[test]
+fn printed_check_seed_call_regenerates_the_episode() {
+    for cfg in StackSpec::ALL {
+        for index in 0..4 {
+            let seed = episode_seed(DEFAULT_BASE, cfg, index);
+            let trace = gen::generate(seed, 48);
+            let repro = Reproducer {
+                cfg,
+                replay: Replay::Seed { seed, len: 48 },
+                planted: PlantedBug::None,
+                trace: trace.clone(),
+                failure: Divergence { step: None, op: None, what: "planted".into() },
+                runs: 0,
+                flight: String::new(),
+            };
+            let call = repro.replay_call();
+            assert!(call.starts_with("check_seed(StackSpec::ALL["), "{call}");
+            assert!(repro.to_string().contains(&format!("replay: {call}")));
+            let (i, printed, len) = parse_call(&call);
+            assert_eq!((StackSpec::ALL[i], gen::generate(printed, len)), (cfg, trace), "{call}");
+        }
+    }
+}
+
 /// Shrunk reproducers are byte-identical whether produced sequentially or
 /// on pool workers: the detect → shrink pipeline takes no input other than
 /// the seed and the trace, so four parallel copies must all match the
 /// sequential report text exactly.
 #[test]
 fn shrunk_reproducers_identical_across_pool_widths() {
-    let seed = env_seed().unwrap_or(0xBAD_CAB1E);
+    let seed = uncut_seed();
     let cfg = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
-    let mut trace = gen::generate(seed, 40);
-    trace.cut = None;
+    let trace = gen::generate(seed, 40);
     let reproduce = |op: u64| -> Option<String> {
         let planted = PlantedBug::SilentCorruption { op, seed: seed ^ op };
         let failure = run_trace(cfg, &trace, &planted).err()?;
@@ -119,11 +160,9 @@ fn shrunk_reproducers_identical_across_pool_widths() {
 /// the shrunk reproducer still fails when replayed from scratch.
 #[test]
 fn planted_corruption_is_caught_shrunk_and_replayable() {
-    let seed = env_seed().unwrap_or(0xBAD_CAB1E);
+    let seed = uncut_seed();
     let cfg = StackSpec::harness(FsKind::Ufs, DevKind::Regular);
-    // A trace with no seeded cut, so the only anomaly is the planted one.
-    let mut trace = gen::generate(seed, 40);
-    trace.cut = None;
+    let trace = gen::generate(seed, 40);
 
     // Corrupting some post-format writes is benign (the block is freed or
     // overwritten before anyone re-reads it from media); sweep op indexes
@@ -148,7 +187,14 @@ fn planted_corruption_is_caught_shrunk_and_replayable() {
         "shrunk reproducer did not replay:\n{repro}"
     );
     let report = repro.to_string();
-    assert!(report.contains("VLFS_SEED"), "report must echo the seed:\n{report}");
+    // The printed call names the stack and regenerates the failing trace.
+    let call = repro.replay_call();
+    assert!(report.contains(&call), "report must print the replay call:\n{report}");
+    let planted_call = call.starts_with("run_trace(") && call.contains("&PlantedBug::SilentCorruption");
+    assert!(planted_call, "{call}");
+    let (i, printed_seed, len) = parse_call(&call);
+    assert_eq!(StackSpec::ALL[i], cfg, "{call}");
+    assert_eq!(gen::generate(printed_seed, len), trace, "{call}");
     assert!(report.contains("ufs-regular"), "report must name the stack:\n{report}");
     // The flight recorder rode along on the final replay: the report must
     // carry span lines and span-stamped disk events from the failing run.

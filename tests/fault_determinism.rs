@@ -6,17 +6,40 @@
 
 use proptest::prelude::*;
 
-use crashtest::{apply, DevKind, FsKind, Obs, StackSpec, Workload};
+use modelcheck::gen::name;
+use modelcheck::rng::fill;
+use modelcheck::stack::{DevKind, FsKind, Obs};
+use modelcheck::{McOp, Script, StackSpec};
 use vlfs::disksim::{FaultPlan, WriteFault};
+use vlfs::fscore::{FileSystem, FsResult};
+use vlfs::ufs::Ufs;
 
-/// Run the standard workload to the crash (or the end) and serialize the
+/// One op of the script as the file system sees it — the fault layer's
+/// question, so no model rides along.
+fn apply(fs: &mut Ufs, op: &McOp) -> FsResult<()> {
+    match *op {
+        McOp::Create { name: n } => fs.create(&name(n)).map(drop),
+        McOp::Write { name: n, offset, len, tag, sync } => {
+            fs.set_sync_writes(sync);
+            let h = fs.open(&name(n))?;
+            fs.write(h, offset.into(), &fill(tag, offset.into(), len as usize))
+        }
+        McOp::Delete { name: n } => fs.delete(&name(n)),
+        McOp::Sync => fs.sync(),
+        _ => unreachable!("not in the small mixed script"),
+    }
+}
+
+/// Run the standard script to the crash (or the end) and serialize the
 /// surviving media.
 fn image_after(spec: StackSpec, plan: &FaultPlan) -> Vec<u8> {
-    let w = Workload::small_mixed();
     let mut fs = spec
         .build(Some(plan.clone()), &Obs::default())
         .expect("format under plan");
-    let _ = apply(&mut fs, &w.ops); // a power cut aborts the script mid-way
+    // A power cut aborts the script mid-way.
+    let _ = fs
+        .sync()
+        .and_then(|()| Script::SmallMixed.ops().iter().try_for_each(|op| apply(&mut fs, op)));
     let st = spec.crash(fs);
     let mut img = Vec::new();
     st.disk.save_image(&mut img).expect("image serializes");

@@ -118,20 +118,15 @@ const RECIPE_CALLS: [&str; 5] = [
     "lfs_filesystem(",
 ];
 
-/// The one module that may make them.
+/// The one module that may make them — the crash checks that remount the
+/// logical disk on its own included.
 const RECIPE: &str = "crates/modelcheck/src/stack.rs";
-
-/// Places where the call *is* the thing under test, `(file, call, count)`:
-/// the LLD convergence check remounts the logical disk twice over one
-/// image (again as-is, then with both checkpoint slots destroyed).
-const RECIPE_EXCEPTIONS: [(&str, &str, usize); 1] =
-    [("crates/crashtest/src/explore.rs", "LogDisk::mount(", 2)];
 
 #[test]
 fn the_harness_crates_build_stacks_in_one_module() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for krate in ["crashtest", "modelcheck", "bench"] {
+    for krate in ["modelcheck", "bench"] {
         rust_files(&root.join("crates").join(krate).join("src"), &mut files);
     }
     assert!(files.len() > 25, "walked only {} files", files.len());
@@ -148,13 +143,10 @@ fn the_harness_crates_build_stacks_in_one_module() {
             }
         }
     }
-    let allowed: BTreeSet<(String, &str, usize)> = RECIPE_EXCEPTIONS
-        .iter()
-        .map(|&(file, call, count)| (file.to_owned(), call, count))
-        .collect();
     assert_eq!(
-        found, allowed,
+        found,
+        BTreeSet::new(),
         "a harness crate formats or mounts a stack outside {RECIPE}; describe \
-         the stack as a StackSpec instead, or add a reviewed exception"
+         the stack as a StackSpec instead"
     );
 }
