@@ -4,20 +4,42 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use disksim::{BlockDevice, Disk, DiskSpec, SimClock};
+use vlog_core::mapsector::MapSectorRef;
 use vlog_core::{
-    AllocConfig, EagerAllocator, FreeMap, MapFlags, MapSector, VirtualLog, Vld, VldConfig,
-    BLOCK_BYTES,
+    AllocConfig, Checkpoint, EagerAllocator, FreeMap, MapFlags, MapSector, PieceLoc, VirtualLog,
+    Vld, VldConfig, BLOCK_BYTES,
 };
 
-fn bench_checksum(c: &mut Criterion) {
-    // 4 KB is a checkpoint slot; 512 B is a map sector — the checksum every
-    // log append pays.
-    for (name, len) in [("crc32_4k", 4096), ("crc32_512", 512)] {
-        let buf = vec![0xA5u8; len];
-        c.bench_function(name, |b| {
-            b.iter(|| vlog_core::checksum::crc32(std::hint::black_box(&buf)))
-        });
-    }
+/// The record seal through the public codecs: a 4 KB checkpoint slot, and
+/// a 512 B map sector — the seal every log append pays.
+fn bench_seal(c: &mut Criterion) {
+    let loc = PieceLoc {
+        lba: 4096,
+        seq: 122,
+        prev: Some((2048, 100)),
+    };
+    let pieces = vec![Some(loc); 100];
+    let mut buf = Vec::new();
+    c.bench_function("seal_4k", |b| {
+        b.iter(|| Checkpoint::encode_into(99, std::hint::black_box(&pieces), 8, &mut buf))
+    });
+    let entries = vec![5u32; vlog_core::PIECE_ENTRIES];
+    let piece = MapSectorRef {
+        seq: 123,
+        piece: 7,
+        flags: MapFlags::EMPTY,
+        prev: Some((4096, 122)),
+        bypass: Some((2048, 100)),
+        txn: None,
+        entries: &entries,
+    };
+    c.bench_function("seal_512", |b| {
+        b.iter(|| {
+            std::hint::black_box(piece)
+                .encode_into(&mut buf)
+                .expect("encode")
+        })
+    });
 }
 
 /// The compactor's hole-plug search on an aged log: overfilled to 88 %,
@@ -61,10 +83,10 @@ fn bench_mapsector_codec(c: &mut Criterion) {
         entries: vec![5; vlog_core::PIECE_ENTRIES],
     };
     let img = m.encode().expect("encode");
-    c.bench_function("mapsector_encode", |b| {
+    c.bench_function("map_sector_encode", |b| {
         b.iter(|| m.encode().expect("encode"))
     });
-    c.bench_function("mapsector_decode", |b| {
+    c.bench_function("map_sector_decode", |b| {
         b.iter(|| MapSector::decode(std::hint::black_box(&img)).expect("decode"))
     });
 }
@@ -157,7 +179,7 @@ fn bench_disk_mechanics(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_checksum,
+    bench_seal,
     bench_plug_destination,
     bench_mapsector_codec,
     bench_eager_alloc,

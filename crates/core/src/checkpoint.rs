@@ -25,7 +25,8 @@ pub const CKPT_MAGIC: u32 = 0x5643_4B50;
 
 const HEADER_BYTES: usize = 32;
 const ENTRY_BYTES: usize = 32;
-/// Byte offset of the checksum word within the header.
+/// Byte offset of the checksum word within the header: the seal of the
+/// whole slot (the folded digest of [`crate::checksum`]).
 const SUM_OFFSET: usize = 12;
 
 /// Placement of the two alternating checkpoint slots.
@@ -124,8 +125,11 @@ impl Checkpoint {
         if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
+        // The entry count is checked against the slot before anything is
+        // sized by it.
         let n = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
-        if HEADER_BYTES + n * ENTRY_BYTES > buf.len() {
+        let end = n.checked_mul(ENTRY_BYTES)?.checked_add(HEADER_BYTES)?;
+        if end > buf.len() {
             return None;
         }
         let seq = u64::from_le_bytes(buf[16..24].try_into().ok()?);

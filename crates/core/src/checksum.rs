@@ -1,138 +1,72 @@
-//! CRC-32 checksums for on-disk structures.
+//! Checksums for on-disk structures.
 //!
 //! The paper protects the firmware tail record with a checksum and relies on
 //! "cryptographically signed map entries" for the scan-recovery fallback. A
-//! CRC-32 (IEEE polynomial) over the sector payload plays both roles in the
-//! simulation: it reliably distinguishes map sectors from arbitrary data and
-//! detects torn or stale records.
+//! 32-bit seal over the whole record plays both roles in the simulation: it
+//! reliably distinguishes map sectors from arbitrary data and detects torn
+//! or stale records.
 //!
-//! Every map-sector append, checkpoint and scan-recovery probe checksums a
-//! whole record, so the kernel is slicing-by-8: eight table lookups consume
-//! eight input bytes per step instead of one. The polynomial, initial value
-//! and final inversion are the standard IEEE ones, so stored checksums are
-//! the same words a bytewise implementation produces.
+//! Every map-sector append, checkpoint and scan-recovery probe seals or
+//! checks a whole record, so the kernel is the workspace's one digest,
+//! [`disksim::digest::Digest`] (four word-wise lanes, one memory pass),
+//! folded to 32 bits. The seal covers the record with its own four-byte
+//! field reading as zeros; the field's stripe is the only part of the
+//! record that is copied, to the stack, to zero it.
 
-const POLY: u32 = 0xEDB8_8320;
+use disksim::digest::{Digest, STRIPE};
 
-/// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
-/// state after byte `b` followed by `k` zero bytes, which is what lets
-/// eight bytes be folded in with eight independent lookups.
-const TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
+/// The 32-bit seal of `record` with the four bytes at `field` read as
+/// zeros: whole stripes before the field's are folded as they are, the
+/// stripes holding the field from a stack copy with the field zeroed, and
+/// the rest of the record after them — so only the final update can be
+/// ragged, as [`Digest::update`] requires.
+fn sum(record: &[u8], field: usize) -> [u8; 4] {
+    let start = field - field % STRIPE;
+    let end = (field + 4).next_multiple_of(STRIPE).min(record.len());
+    // A field that straddles a stripe boundary spans two stripes.
+    let mut window = [0u8; 2 * STRIPE];
+    let window = &mut window[..end - start];
+    window.copy_from_slice(&record[start..end]);
+    window[field - start..field - start + 4].fill(0);
+    let mut d = Digest::new();
+    d.update(&record[..start]);
+    d.update(window);
+    if end < record.len() {
+        d.update(&record[end..]);
     }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// A running CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) over
-/// a message supplied in pieces: `Crc32::new().update(a).update(b).finish()`
-/// equals [`crc32`] of `a` followed by `b`. The decoders use it to checksum
-/// a record "with its checksum field zeroed" without copying the record.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// The state before any input.
-    pub const fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Fold `data` into the running checksum.
-    #[must_use]
-    pub fn update(self, data: &[u8]) -> Self {
-        let mut crc = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        Crc32(crc)
-    }
-
-    /// The checksum of everything supplied so far.
-    pub fn finish(self) -> u32 {
-        !self.0
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`).
-pub fn crc32(data: &[u8]) -> u32 {
-    Crc32::new().update(data).finish()
+    let h = d.finish();
+    ((h ^ (h >> 32)) as u32).to_le_bytes()
 }
 
 /// Seal an encoded record: store, in the (still zero) four-byte field at
 /// `field`, the checksum of the whole record.
 pub(crate) fn seal(record: &mut [u8], field: usize) {
     debug_assert_eq!(record[field..field + 4], [0; 4]);
-    let sum = crc32(record);
-    record[field..field + 4].copy_from_slice(&sum.to_le_bytes());
+    let sum = sum(record, field);
+    record[field..field + 4].copy_from_slice(&sum);
 }
 
 /// Does the checksum stored at `field` match the record? The checksum
 /// covers the record as it was when [`seal`]ed — with the field itself
-/// reading as zeros — which the streaming form supplies without copying
-/// the record to zero it.
+/// reading as zeros.
 pub(crate) fn seal_holds(record: &[u8], field: usize) -> bool {
-    let (before, rest) = record.split_at(field);
-    let (stored, after) = rest.split_at(4);
-    let sum = Crc32::new()
-        .update(before)
-        .update(&[0; 4])
-        .update(after)
-        .finish();
-    stored == sum.to_le_bytes()
+    record[field..field + 4] == sum(record, field)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disksim::digest::digest;
     use rand::rngs::StdRng;
-    use rand::{Rng, RngCore, SeedableRng};
+    use rand::{RngCore, SeedableRng};
 
-    /// The one-byte-per-step loop the sliced kernel replaced, kept as the
-    /// oracle it is tested against.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
+    /// The definition the kernel must meet: the folded digest of a copy of
+    /// the record with the field zeroed.
+    fn oracle(record: &[u8], field: usize) -> [u8; 4] {
+        let mut copy = record.to_vec();
+        copy[field..field + 4].fill(0);
+        let h = digest(&copy);
+        ((h ^ (h >> 32)) as u32).to_le_bytes()
     }
 
     fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
@@ -141,89 +75,68 @@ mod tests {
         buf
     }
 
-    #[test]
-    fn known_vectors() {
-        // Standard CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    /// Seal, check, tamper with and check again one record at one field.
+    fn seal_matches_oracle(record: &[u8], field: usize) {
+        let want = oracle(record, field);
+        let mut sealed = record.to_vec();
+        sealed[field..field + 4].fill(0);
+        seal(&mut sealed, field);
+        assert_eq!(
+            sealed[field..field + 4],
+            want,
+            "len {} field {field}",
+            record.len()
+        );
+        assert!(
+            seal_holds(&sealed, field),
+            "len {} field {field}",
+            record.len()
+        );
+        // The stored word itself is covered: any other word fails.
+        sealed[field] ^= 0x01;
+        assert!(
+            !seal_holds(&sealed, field),
+            "len {} field {field}",
+            record.len()
+        );
     }
 
+    /// Every field offset of every record length 36..=132 (ends inside and
+    /// on stripes, fields in the first, middle and last stripe, and fields
+    /// straddling two stripes).
     #[test]
-    fn sliced_matches_bytewise_on_every_length() {
-        let buf = random_bytes(0xC4C, 1100);
-        for len in 0..=buf.len() {
-            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len {len}");
+    fn seal_is_the_folded_digest_of_the_zeroed_record_short() {
+        let buf = random_bytes(0x5EA1, 132);
+        for len in 36..=buf.len() {
+            for field in 0..=len - 4 {
+                seal_matches_oracle(&buf[..len], field);
+            }
         }
     }
 
+    /// Every 4-byte-aligned field offset of longer records up to 4 100
+    /// bytes — on, one short of and one past stripe and sector boundaries,
+    /// and ending mid-stripe — plus the stripe-straddling offsets.
     #[test]
-    fn sliced_matches_bytewise_on_unaligned_subslices() {
-        let buf = random_bytes(0x51CE, 4096);
-        let mut rng = StdRng::seed_from_u64(0x0FF5);
-        for _ in 0..2000 {
-            let a = rng.gen_range(0..buf.len());
-            let b = rng.gen_range(a..=buf.len());
-            assert_eq!(crc32(&buf[a..b]), crc32_bytewise(&buf[a..b]), "[{a}..{b})");
+    fn seal_is_the_folded_digest_of_the_zeroed_record_long() {
+        let buf = random_bytes(0x5EA2, 4100);
+        for len in [
+            255, 256, 257, 511, 512, 513, 1000, 2047, 4064, 4095, 4096, 4100,
+        ] {
+            let aligned = (0..=len - 4).step_by(4);
+            let straddling = (STRIPE - 3..=len - 6)
+                .step_by(STRIPE)
+                .flat_map(|f| f..f + 3);
+            for field in aligned.chain(straddling) {
+                seal_matches_oracle(&buf[..len], field);
+            }
         }
     }
 
-    #[test]
-    fn streaming_over_any_split_matches_one_shot() {
-        let buf = random_bytes(0x5711, 600);
-        let mut rng = StdRng::seed_from_u64(0x3A7);
-        for _ in 0..2000 {
-            let len = rng.gen_range(0..=buf.len());
-            let whole = crc32_bytewise(&buf[..len]);
-            let a = rng.gen_range(0..=len);
-            let b = rng.gen_range(a..=len);
-            let one = Crc32::new().update(&buf[..len]).finish();
-            let two = Crc32::new().update(&buf[..a]).update(&buf[a..len]).finish();
-            let three = Crc32::new()
-                .update(&buf[..a])
-                .update(&buf[a..b])
-                .update(&buf[b..len])
-                .finish();
-            assert_eq!((one, two, three), (whole, whole, whole), "{a}/{b}/{len}");
-        }
-    }
-
-    #[test]
-    fn seal_stores_the_checksum_of_the_zero_field_record() {
-        for field in [0usize, 12, 32, 68, 508] {
-            let mut buf = random_bytes(0x2E0, 512);
-            buf[field..field + 4].fill(0);
-            let sum = crc32(&buf);
-            seal(&mut buf, field);
-            assert_eq!(buf[field..field + 4], sum.to_le_bytes(), "{field}");
-            assert!(seal_holds(&buf, field), "{field}");
-            buf[(field + 100) % 512] ^= 0x10;
-            assert!(!seal_holds(&buf, field), "{field}");
-        }
-    }
-
-    #[test]
-    fn detects_single_bit_flip() {
-        let mut buf = vec![0u8; 512];
-        buf[100] = 0x55;
-        let c0 = crc32(&buf);
-        buf[100] ^= 1;
-        assert_ne!(crc32(&buf), c0);
-    }
-
-    #[test]
-    fn zero_sector_checksum_is_stable_and_nonzero_elsewhere() {
-        let zeros = vec![0u8; 512];
-        let c = crc32(&zeros);
-        assert_eq!(c, crc32(&vec![0u8; 512]));
-        let ones = vec![0xFFu8; 512];
-        assert_ne!(crc32(&ones), c);
-    }
-
-    /// The on-disk format did not move: one fixed record of each
-    /// checksummed kind still stores the checksum word recorded before the
-    /// kernel changed, still decodes, and is rejected after any single-bit
-    /// flip.
+    /// The stored words of one fixed record of each sealed kind, recorded
+    /// when the seal became the folded digest (EXPERIMENTS.md lists them
+    /// beside the words of the checksum it replaced); each still decodes,
+    /// and is rejected after any single-bit flip.
     #[test]
     fn stored_checksums_are_pinned() {
         use crate::checkpoint::Checkpoint;
@@ -233,7 +146,7 @@ mod tests {
 
         fn check(image: &[u8], field: usize, pinned: u32, decodes: impl Fn(&[u8]) -> bool) {
             let stored = u32::from_le_bytes(image[field..field + 4].try_into().unwrap());
-            assert_eq!(stored, pinned, "stored checksum word moved");
+            assert_eq!(stored, pinned, "stored checksum word moved: {stored:#010x}");
             assert!(decodes(image));
             let mut flipped = image.to_vec();
             for bit in 0..image.len() * 8 {
@@ -256,7 +169,7 @@ mod tests {
             }),
             entries: vec![1, 2, UNMAPPED, 4],
         };
-        check(&map.encode().unwrap(), 68, 0x2CE9_2805, |b| {
+        check(&map.encode().unwrap(), 68, 0x21F6_80B0, |b| {
             MapSector::decode(b).is_some()
         });
 
@@ -276,7 +189,7 @@ mod tests {
                 }),
             ],
         };
-        check(&ckpt.encode(1), 12, 0xB1FA_E798, |b| {
+        check(&ckpt.encode(1), 12, 0xD1E2_DA3A, |b| {
             Checkpoint::decode(b).is_some()
         });
 
@@ -284,7 +197,7 @@ mod tests {
             root: Some((777, 42)),
             next_seq: 43,
         };
-        check(&tail.encode(), 32, 0x420F_3786, |b| {
+        check(&tail.encode(), 32, 0xB962_4912, |b| {
             TailRecord::decode(b).is_some()
         });
     }

@@ -43,7 +43,8 @@ pub const UNMAPPED: u32 = u32::MAX;
 pub const NO_LBA: u64 = u64::MAX;
 
 const HEADER_BYTES: usize = 72;
-/// Byte offset of the checksum word within the header.
+/// Byte offset of the checksum word within the header: the seal of the
+/// whole piece (the folded digest of [`crate::checksum`]).
 const SUM_OFFSET: usize = 68;
 
 /// Map entries that fit in a piece of `bytes` bytes.

@@ -22,7 +22,8 @@ pub const TAIL_LBA: u64 = 0;
 /// (one aligned 4 KB physical block).
 pub const FIRMWARE_SECTORS: u64 = 8;
 
-/// Byte offset of the checksum word within the record.
+/// Byte offset of the checksum word within the record: the seal of the
+/// whole sector (the folded digest of [`crate::checksum`]).
 const SUM_OFFSET: usize = 32;
 
 /// A decoded tail record: where the virtual-log root lives.

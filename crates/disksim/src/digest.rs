@@ -1,15 +1,18 @@
-//! The workspace's one non-CRC content digest.
+//! The workspace's one checksum and content digest.
 //!
 //! [`Digest`] seals the logical disk's segments, summaries and checkpoints
-//! (`lfs::seg`, where it was born) and is the content hash of the fault
-//! layer's acknowledged-write journal ([`crate::fault::content_hash`]). It
-//! lives here because `disksim` is the lowest crate both need it from, and a
-//! second word-wise kernel beside it would be one more thing to get wrong.
+//! (`lfs::seg`, where it was born), seals every record the virtual log
+//! writes — map sectors, checkpoint slots and the firmware tail record
+//! (`vlog_core::checksum`) — and is the content hash of the fault layer's
+//! acknowledged-write journal ([`crate::fault::content_hash`]). It lives
+//! here because `disksim` is the lowest crate all three need it from, and a
+//! second kernel beside it would be one more thing to get wrong.
 
 /// 64-bit lanes folded side by side by [`Digest`].
 const LANES: usize = 4;
-/// Bytes one round of [`Digest::update`] consumes: one word per lane.
-const STRIPE: usize = LANES * 8;
+/// Bytes one round of [`Digest::update`] consumes: one word per lane. Every
+/// `update` of a stream but the last must pass a multiple of this.
+pub const STRIPE: usize = LANES * 8;
 /// Odd multiplier of the lane step (2^64 / golden ratio).
 const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Distinct lane seeds, so the lanes are not interchangeable.

@@ -101,17 +101,6 @@ pub struct DiskStats {
     pub busy: ServiceTime,
 }
 
-/// Sparse per-track sector store; tracks are materialised (zero-filled) on
-/// first touch so full-size multi-gigabyte disks cost nothing until used.
-///
-/// Layout is a flat slot table indexed `cyl * tracks_per_cylinder + track`
-/// (the tracks-per-cylinder count is uniform across the disk, only the
-/// sectors per track vary by zone), so the per-access cost is one bounds-
-/// checked index instead of a hash probe — this sits under every simulated
-/// sector transfer. Unmaterialised tracks stay `None`, which preserves the
-/// sparse-image semantics: a slot's buffer is allocated (zero-filled, at
-/// that cylinder's zone size) only on first write.
-///
 /// A frozen disk image flattened into one contiguous allocation: every
 /// materialised track's bytes packed back-to-back in `data`, located by a
 /// per-slot offset table.
@@ -137,11 +126,23 @@ impl BaseImage {
     }
 }
 
-/// Tracks are held behind `Arc` so a snapshot of the whole store is one
-/// pointer clone per materialised track; a write to a track whose buffer is
-/// shared with a snapshot copies that one track first (copy-on-write at
-/// track granularity — the same discipline `fscore`'s buffer cache applies
-/// per block). The buffers themselves are [`TrackBuf`]s, whose allocations
+/// Sparse per-track sector store; tracks are materialised (zero-filled) on
+/// first write so full-size multi-gigabyte disks cost nothing until used.
+///
+/// Layout is a flat slot table indexed `cyl * tracks_per_cylinder + track`
+/// (the tracks-per-cylinder count is uniform across the disk, only the
+/// sectors per track vary by zone), so the per-access cost is one bounds-
+/// checked index instead of a hash probe — this sits under every simulated
+/// sector transfer. Unmaterialised tracks stay `None`, which preserves the
+/// sparse-image semantics: a slot's buffer is allocated (zero-filled, at
+/// that cylinder's zone size) only on first write.
+///
+/// Tracks are held behind `Arc` so a shared read ([`Disk::share_sectors`])
+/// can hand a reader the track itself rather than a copy. The store is the
+/// only other holder, and a write to a track a reader still holds copies
+/// that one track first (`Arc::make_mut`: copy-on-write at track
+/// granularity, counted in `shared_copies`), so the reader's bytes never
+/// change. The buffers themselves are [`TrackBuf`]s, whose allocations
 /// recycle through a process-wide pool so fork-heavy runs don't churn the
 /// global allocator with track-sized chunks.
 ///
@@ -155,6 +156,9 @@ struct TrackStore {
     tracks: Vec<Option<Arc<TrackBuf>>>,
     base: Option<Arc<BaseImage>>,
     tracks_per_cyl: u32,
+    /// Writes that found their track still held by a shared read's handle
+    /// and copied it first.
+    shared_copies: u64,
 }
 
 impl TrackStore {
@@ -165,6 +169,7 @@ impl TrackStore {
             tracks: vec![None; slots],
             base: None,
             tracks_per_cyl,
+            shared_copies: 0,
         }
     }
 
@@ -184,10 +189,26 @@ impl TrackStore {
                 None => TrackBuf::zeroed(spt as usize * SECTOR_BYTES),
             })
         });
-        // Shared with a snapshot (or a sibling fork): `make_mut` copies this
-        // one track before the first mutation so the sharers keep their
-        // bytes (`TrackBuf::clone` draws the copy from the buffer pool).
+        // Still held by a shared read's handle: `make_mut` copies this one
+        // track before the first mutation so the handle keeps its bytes
+        // (`TrackBuf::clone` draws the copy from the buffer pool).
+        if Arc::strong_count(arc) > 1 {
+            self.shared_copies += 1;
+        }
         &mut *Arc::make_mut(arc)
+    }
+
+    /// A handle on bytes `start..start + len` of the track in `slot` that
+    /// shares the overlay's buffer or the base image instead of copying.
+    fn share(&self, slot: usize, start: usize, len: usize) -> SharedSectors {
+        let media = match &self.tracks[slot] {
+            Some(t) => Some((SharedMedia::Track(Arc::clone(t)), start..start + len)),
+            None => self.base.as_ref().and_then(|b| {
+                let at = b.offsets[slot]?.0 as usize + start;
+                Some((SharedMedia::Base(Arc::clone(b)), at..at + len))
+            }),
+        };
+        SharedSectors { media }
     }
 
     /// The track's current bytes, overlay first, then the base image.
@@ -212,6 +233,37 @@ impl TrackStore {
         let t = self.track_mut(cyl, track, spt);
         let off = sector as usize * SECTOR_BYTES;
         t[off..off + buf.len()].copy_from_slice(buf);
+    }
+}
+
+/// Read-only sectors of one track, returned by [`Disk::share_sectors`]
+/// without a copy: the handle holds the track's buffer (or the snapshot
+/// image it sits in) alive. A write to that track while the handle lives
+/// copies the whole track first so the handle's bytes never change, so
+/// drop the handle before writing where it points.
+#[derive(Debug)]
+pub struct SharedSectors {
+    /// The holder and the byte range within it; `None` for a track nothing
+    /// ever wrote.
+    media: Option<(SharedMedia, std::ops::Range<usize>)>,
+}
+
+#[derive(Debug)]
+enum SharedMedia {
+    Track(Arc<TrackBuf>),
+    Base(Arc<BaseImage>),
+}
+
+impl SharedSectors {
+    /// The sectors' bytes, or `None` for a never-materialised track (which
+    /// reads as zeros), as [`Disk::lend_sectors`] lends them.
+    pub fn bytes(&self) -> Option<&[u8]> {
+        let (media, range) = self.media.as_ref()?;
+        let all: &[u8] = match media {
+            SharedMedia::Track(t) => t,
+            SharedMedia::Base(b) => &b.data,
+        };
+        Some(&all[range.clone()])
     }
 }
 
@@ -729,13 +781,47 @@ impl Disk {
     ///
     /// The whole command is planned against an absolute-time cursor (the
     /// same arithmetic as [`Self::preview_access`]) and charged to the
-    /// clock as **one** event, however many track runs it spans.
+    /// clock as **one** event, however many track runs it spans. With
+    /// metrics attached, the bytes delivered into `buf` count towards
+    /// `disk.read_bytes_copied` (the lending and shared reads add nothing).
     pub fn read_sectors(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
-        self.lend_sectors(lba, count, |range, bytes| match bytes {
+        let st = self.lend_sectors(lba, count, |range, bytes| match bytes {
             Some(bytes) => buf[range].copy_from_slice(bytes),
             None => buf[range].fill(0),
-        })
+        })?;
+        if count > 0 && self.obs_enabled && self.metrics.is_enabled() {
+            self.metrics.add("disk.read_bytes_copied", buf.len() as u64);
+        }
+        Ok(st)
+    }
+
+    /// The *shared* read: the command [`Self::read_sectors`] would issue
+    /// for `count` sectors at `lba` inside one track — same plan, same
+    /// [`ServiceTime`], one clock event, same statistics, read-ahead state
+    /// and trace record — returning a handle on the track's bytes
+    /// ([`SharedSectors`]) instead of a copy. A range that crosses a track
+    /// boundary is an error and issues nothing.
+    pub fn share_sectors(&mut self, lba: u64, count: u32) -> Result<(SharedSectors, ServiceTime)> {
+        self.check_range(lba, count)?;
+        let run = self.run_at(lba, count)?;
+        if run.count < count {
+            return Err(DiskError::Unsupported(
+                "shared read across a track boundary",
+            ));
+        }
+        let st = self.lend_sectors(lba, count, |_, _| ())?;
+        let slot = self.store.slot(run.cyl, run.track);
+        let start = run.sector as usize * SECTOR_BYTES;
+        let shared = self.store.share(slot, start, count as usize * SECTOR_BYTES);
+        Ok((shared, st))
+    }
+
+    /// Writes that had to copy their whole track first because a
+    /// [`SharedSectors`] handle still held it. Stays zero while every
+    /// handle is dropped before its track is written.
+    pub fn shared_track_copies(&self) -> u64 {
+        self.store.shared_copies
     }
 
     /// The *lending* read: the command [`Self::read_sectors`] would issue
@@ -1049,6 +1135,7 @@ impl DiskSnapshot {
                 tracks: vec![None; self.base.offsets.len()],
                 base: Some(Arc::clone(&self.base)),
                 tracks_per_cyl: self.tracks_per_cyl,
+                shared_copies: 0,
             },
             cur_cyl: self.cur_cyl,
             cur_track: self.cur_track,
@@ -1470,6 +1557,131 @@ mod tests {
             assert_eq!(lend.clock().local_events(), copy.clock().local_events());
             assert!(lend.lend_sectors(u64::MAX, 1, |_, _| ()).is_err());
         }
+    }
+
+    /// The shared read is the copying read minus the copy, on both drives:
+    /// the handle's bytes are `read_sectors`' buffer (`None` exactly on a
+    /// track nothing ever wrote), and time, clock, head, statistics,
+    /// read-ahead hits and the trace record are the same — on overlay
+    /// tracks, on a restored fork's base-image tracks and on blank tracks.
+    /// A range crossing a track boundary issues nothing and is `Err`.
+    #[test]
+    fn shared_read_matches_the_copying_read() {
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            let spt = spec.geometry.sectors_per_track(0).unwrap() as u64;
+            let written = || {
+                let mut d = Disk::new(spec.clone(), SimClock::new());
+                let track: Vec<u8> = (0..spt as usize * SECTOR_BYTES).map(|i| i as u8).collect();
+                d.write_sectors(spt, &track).unwrap(); // track 1, whole
+                d.write_sectors(3 * spt + 2, &[0x3Cu8; 4 * SECTOR_BYTES])
+                    .unwrap(); // track 3
+                d
+            };
+            // A whole track, part of one, a blank track (2), and a read
+            // followed by a sequential read-ahead hit.
+            let reads = [
+                (spt, spt as u32, false),
+                (spt + 5, 3, false),
+                (2 * spt, spt as u32, true),
+            ]
+            .into_iter()
+            .chain([(3 * spt, 4, false), (3 * spt + 4, 4, false)]);
+            for (mut copy, mut share) in [
+                (written(), written()),
+                (
+                    written().snapshot().restore(),
+                    written().snapshot().restore(),
+                ),
+            ] {
+                let (tc, ts) = (Tracer::with_capacity(64), Tracer::with_capacity(64));
+                copy.set_tracer(Some(tc.clone()));
+                share.set_tracer(Some(ts.clone()));
+                for (lba, count, blank) in reads.clone() {
+                    let mut want = vec![0xEEu8; count as usize * SECTOR_BYTES];
+                    let st_copy = copy.read_sectors(lba, &mut want).unwrap();
+                    let (shared, st_share) = share.share_sectors(lba, count).unwrap();
+                    assert_eq!(shared.bytes().is_none(), blank, "({lba}, {count})");
+                    let got = shared
+                        .bytes()
+                        .map_or_else(|| vec![0; want.len()], <[u8]>::to_vec);
+                    assert_eq!(got, want, "({lba}, {count})");
+                    assert_eq!(st_share, st_copy, "({lba}, {count})");
+                    assert_eq!((share.now_ns(), share.head()), (copy.now_ns(), copy.head()));
+                    assert_eq!(share.cache_stats(), copy.cache_stats());
+                    assert_eq!(
+                        format!("{:?}", share.stats()),
+                        format!("{:?}", copy.stats())
+                    );
+                }
+                assert_eq!(ts.events(), tc.events());
+                assert_eq!(share.clock().local_events(), copy.clock().local_events());
+
+                let (now, stats) = (share.now_ns(), format!("{:?}", share.stats()));
+                assert!(share.share_sectors(2 * spt - 1, 2).is_err());
+                assert!(share.share_sectors(u64::MAX, 1).is_err());
+                assert_eq!(
+                    (share.now_ns(), format!("{:?}", share.stats())),
+                    (now, stats)
+                );
+                assert_eq!(share.shared_track_copies(), 0);
+            }
+        }
+    }
+
+    /// A write to a track a shared read's handle still holds lands in the
+    /// store while the handle keeps the bytes it was given; only a live
+    /// overlay track needs the copy, and once the handle is gone writes
+    /// copy nothing.
+    #[test]
+    fn a_write_under_a_live_handle_leaves_the_handle_its_bytes() {
+        for fork in [false, true] {
+            let mut d = disk();
+            d.write_sectors(0, &[7u8; 72 * SECTOR_BYTES]).unwrap();
+            if fork {
+                d = d.snapshot().restore();
+            }
+            let (shared, _) = d.share_sectors(8, 8).unwrap();
+            d.write_sectors(10, &[9u8; SECTOR_BYTES]).unwrap();
+            let mut now = vec![0u8; 8 * SECTOR_BYTES];
+            d.peek_sectors(8, &mut now).unwrap();
+            assert_eq!(now[2 * SECTOR_BYTES], 9, "the write reached the media");
+            assert!(
+                shared.bytes().unwrap().iter().all(|&b| b == 7),
+                "fork {fork}"
+            );
+            // A fork's base image is never written, so only the live
+            // overlay track is copied for the handle's sake.
+            assert_eq!(d.shared_track_copies(), u64::from(!fork));
+            drop(shared);
+            d.write_sectors(12, &[9u8; SECTOR_BYTES]).unwrap();
+            assert_eq!(d.shared_track_copies(), u64::from(!fork));
+        }
+    }
+
+    /// `disk.read_bytes_copied` counts what the copying read delivers into
+    /// the caller's buffer, blank tracks included; the lending and shared
+    /// reads of the same sectors add nothing.
+    #[test]
+    fn only_the_copying_read_counts_copied_bytes() {
+        let mut d = disk();
+        let m = Metrics::enabled();
+        d.set_metrics(m.clone());
+        d.write_sectors(0, &[1u8; 8 * SECTOR_BYTES]).unwrap();
+        let mut buf = vec![0u8; 8 * SECTOR_BYTES];
+        d.read_sectors(0, &mut buf).unwrap();
+        d.read_sectors(72 * 5, &mut buf).unwrap(); // never written
+        d.read_sectors(0, &mut []).unwrap();
+        assert_eq!(
+            m.counter_value("disk.read_bytes_copied"),
+            16 * SECTOR_BYTES as u64
+        );
+        d.lend_sectors(0, 8, |_, _| ()).unwrap();
+        d.share_sectors(0, 8).unwrap();
+        assert_eq!(
+            m.counter_value("disk.read_bytes_copied"),
+            16 * SECTOR_BYTES as u64
+        );
+        assert_eq!(m.counter_value("disk.reads"), 4);
     }
 
     proptest! {

@@ -43,7 +43,9 @@ pub mod trackbuf;
 pub use cache::{CachePolicy, TrackCache};
 pub use clock::SimClock;
 pub use device::{downcast_device, probe_device, BlockDevice, DeviceSnapshot, RegularDisk};
-pub use disk::{CylinderPricer, Disk, DiskSnapshot, DiskStats, HeadPosition, TrackPricer};
+pub use disk::{
+    CylinderPricer, Disk, DiskSnapshot, DiskStats, HeadPosition, SharedSectors, TrackPricer,
+};
 pub use error::{DiskError, Result};
 pub use fault::{FaultDisk, FaultLog, FaultPlan, WriteFault};
 pub use geometry::{Geometry, PhysAddr, Zone};
