@@ -337,10 +337,10 @@ impl Compactor {
                 Self::commit_piece(vlog, cur)?;
             }
             current_piece = Some(piece);
-            let track = victim
-                .bytes()
+            let block = victim
+                .get(off..off + BLOCK_BYTES)
                 .ok_or(DiskError::Corrupt("live block on a never-written track"))?;
-            vlog.relocate_block(lb, old_pb, &track[off..off + BLOCK_BYTES], (vc, vt))?;
+            vlog.relocate_block(lb, old_pb, block, (vc, vt))?;
             self.stats.blocks_moved += 1;
         }
         if let Some(p) = current_piece {

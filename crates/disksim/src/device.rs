@@ -7,8 +7,10 @@
 //! the regular disk (logical blocks map linearly onto sectors and writes
 //! update in place). The VLD implementation lives in the `vlog-core` crate.
 
+use std::ops::Range;
+
 use crate::clock::SimClock;
-use crate::disk::{Disk, DiskSnapshot, DiskStats};
+use crate::disk::{Disk, DiskSnapshot, DiskStats, SharedSectors};
 use crate::error::{DiskError, Result};
 use crate::service::ServiceTime;
 use crate::spec::DiskSpec;
@@ -72,6 +74,23 @@ pub trait BlockDevice {
             total += self.read_block(start + i as u64, chunk)?;
         }
         Ok(total)
+    }
+
+    /// The *shared* read: what [`BlockDevice::read_blocks`] delivers for
+    /// `blocks` blocks at `start`, through the same command, lent instead
+    /// of copied where the device can lend its media ([`RegularDisk`]
+    /// does). The default reads into `spare`, resized to fit, and lends
+    /// that, so a caller reusing one spare buffer allocates nothing per
+    /// read.
+    fn share_blocks<'a>(
+        &mut self,
+        start: u64,
+        blocks: usize,
+        spare: &'a mut Vec<u8>,
+    ) -> Result<(SharedBlocks<'a>, ServiceTime)> {
+        spare.resize(blocks * self.block_size(), 0);
+        let st = self.read_blocks(start, spare)?;
+        Ok((SharedBlocks::Copied(spare), st))
     }
 
     /// Write a contiguous run of blocks. See [`BlockDevice::read_blocks`].
@@ -147,6 +166,34 @@ pub trait BlockDevice {
     /// layers return `None` when their inner device does.
     fn snapshot(&self) -> Option<Box<dyn DeviceSnapshot>> {
         None
+    }
+}
+
+/// The blocks a [`BlockDevice::share_blocks`] read delivered.
+#[derive(Debug)]
+pub enum SharedBlocks<'a> {
+    /// The drive's own tracks, lent without a copy.
+    Lent(SharedSectors),
+    /// The caller's spare buffer, filled by [`BlockDevice::read_blocks`].
+    Copied(&'a [u8]),
+}
+
+impl SharedBlocks<'_> {
+    /// Bytes `range` of the read: borrowed where they lie on one track (or
+    /// in the spare), else assembled in `scratch` — a range across a track
+    /// boundary, or on a never-written track, which reads as zeros.
+    pub fn get<'s>(&'s self, range: Range<usize>, scratch: &'s mut Vec<u8>) -> &'s [u8] {
+        match self {
+            SharedBlocks::Copied(bytes) => &bytes[range],
+            SharedBlocks::Lent(shared) => match shared.get(range.clone()) {
+                Some(bytes) => bytes,
+                None => {
+                    scratch.resize(range.len(), 0);
+                    shared.copy_to(range.start, scratch);
+                    scratch
+                }
+            },
+        }
     }
 }
 
@@ -296,6 +343,22 @@ impl BlockDevice for RegularDisk {
         }
         // One command for the whole physically contiguous run.
         self.disk.read_sectors(lba, buf)
+    }
+
+    fn share_blocks<'a>(
+        &mut self,
+        start: u64,
+        blocks: usize,
+        _spare: &'a mut Vec<u8>,
+    ) -> Result<(SharedBlocks<'a>, ServiceTime)> {
+        let lba = self.lba(start)?;
+        if blocks as u64 > self.num_blocks - start {
+            return Err(DiskError::TruncatedTransfer);
+        }
+        let count = u32::try_from(blocks as u64 * self.block_sectors as u64)
+            .map_err(|_| DiskError::TruncatedTransfer)?;
+        let (shared, st) = self.disk.share_sectors(lba, count)?;
+        Ok((SharedBlocks::Lent(shared), st))
     }
 
     fn write_blocks(&mut self, start: u64, buf: &[u8]) -> Result<ServiceTime> {

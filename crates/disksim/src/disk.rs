@@ -138,9 +138,9 @@ impl BaseImage {
 /// that cylinder's zone size) only on first write.
 ///
 /// Tracks are held behind `Arc` so a shared read ([`Disk::share_sectors`])
-/// can hand a reader the track itself rather than a copy. The store is the
-/// only other holder, and a write to a track a reader still holds copies
-/// that one track first (`Arc::make_mut`: copy-on-write at track
+/// can hand a reader the tracks themselves rather than a copy. The store is
+/// the only other holder, and a write to a track a reader still holds
+/// copies that one track first (`Arc::make_mut`: copy-on-write at track
 /// granularity, counted in `shared_copies`), so the reader's bytes never
 /// change. The buffers themselves are [`TrackBuf`]s, whose allocations
 /// recycle through a process-wide pool so fork-heavy runs don't churn the
@@ -198,17 +198,17 @@ impl TrackStore {
         &mut *Arc::make_mut(arc)
     }
 
-    /// A handle on bytes `start..start + len` of the track in `slot` that
-    /// shares the overlay's buffer or the base image instead of copying.
-    fn share(&self, slot: usize, start: usize, len: usize) -> SharedSectors {
-        let media = match &self.tracks[slot] {
-            Some(t) => Some((SharedMedia::Track(Arc::clone(t)), start..start + len)),
+    /// The holder of the track in `slot` — the overlay's buffer or the base
+    /// image, shared instead of copied — and where byte `start` of the
+    /// track sits in it; `None` for a track nothing ever wrote.
+    fn share(&self, slot: usize, start: usize) -> Option<(SharedMedia, usize)> {
+        match &self.tracks[slot] {
+            Some(t) => Some((SharedMedia::Track(Arc::clone(t)), start)),
             None => self.base.as_ref().and_then(|b| {
                 let at = b.offsets[slot]?.0 as usize + start;
-                Some((SharedMedia::Base(Arc::clone(b)), at..at + len))
+                Some((SharedMedia::Base(Arc::clone(b)), at))
             }),
-        };
-        SharedSectors { media }
+        }
     }
 
     /// The track's current bytes, overlay first, then the base image.
@@ -236,16 +236,31 @@ impl TrackStore {
     }
 }
 
-/// Read-only sectors of one track, returned by [`Disk::share_sectors`]
-/// without a copy: the handle holds the track's buffer (or the snapshot
-/// image it sits in) alive. A write to that track while the handle lives
-/// copies the whole track first so the handle's bytes never change, so
-/// drop the handle before writing where it points.
+/// Read-only sectors returned by [`Disk::share_sectors`] without a copy:
+/// one piece per track run of the request, each holding its track's
+/// buffer (or the snapshot image it sits in) alive. A write to a held
+/// track while the handle lives copies that one track first so the
+/// handle's bytes never change, so drop the handle before writing where
+/// it points.
 #[derive(Debug)]
 pub struct SharedSectors {
-    /// The holder and the byte range within it; `None` for a track nothing
-    /// ever wrote.
-    media: Option<(SharedMedia, std::ops::Range<usize>)>,
+    /// The first run's piece, inline, so a one-track read allocates
+    /// nothing.
+    first: Piece,
+    /// Every later run's piece, in request order.
+    rest: Vec<Piece>,
+    /// Bytes in the whole request.
+    len: usize,
+}
+
+/// One track run of a [`SharedSectors`]; it ends where the next begins.
+#[derive(Debug)]
+struct Piece {
+    /// Where the run starts in the request, in bytes.
+    at: usize,
+    /// The holder and where the run starts in it; `None` for a track
+    /// nothing ever wrote (it reads as zeros).
+    media: Option<(SharedMedia, usize)>,
 }
 
 #[derive(Debug)]
@@ -255,15 +270,49 @@ enum SharedMedia {
 }
 
 impl SharedSectors {
-    /// The sectors' bytes, or `None` for a never-materialised track (which
-    /// reads as zeros), as [`Disk::lend_sectors`] lends them.
-    pub fn bytes(&self) -> Option<&[u8]> {
-        let (media, range) = self.media.as_ref()?;
-        let all: &[u8] = match media {
-            SharedMedia::Track(t) => t,
-            SharedMedia::Base(b) => &b.data,
-        };
-        Some(&all[range.clone()])
+    /// Each track run's byte range of the request and its bytes (`None` on
+    /// a never-written track), in request order, as
+    /// [`Disk::lend_sectors`] lends them.
+    fn runs(&self) -> impl Iterator<Item = (std::ops::Range<usize>, Option<&[u8]>)> {
+        let ends = self.rest.iter().map(|p| p.at).chain([self.len]);
+        std::iter::once(&self.first)
+            .chain(&self.rest)
+            .zip(ends)
+            .map(|(p, end)| {
+                let bytes = p.media.as_ref().map(|(media, off)| {
+                    let all: &[u8] = match media {
+                        SharedMedia::Track(t) => t,
+                        SharedMedia::Base(b) => &b.data,
+                    };
+                    &all[*off..*off + end - p.at]
+                });
+                (p.at..end, bytes)
+            })
+    }
+
+    /// Bytes `range` of the read, borrowed from the one track they lie on;
+    /// `None` when they cross a track boundary or lie on a never-written
+    /// track (use [`Self::copy_to`] there).
+    pub fn get(&self, range: std::ops::Range<usize>) -> Option<&[u8]> {
+        let (run, bytes) = self.runs().find(|(run, _)| run.contains(&range.start))?;
+        let bytes = bytes.filter(|_| range.end <= run.end)?;
+        Some(&bytes[range.start - run.start..range.end - run.start])
+    }
+
+    /// Copy the read's bytes from `at` on into `out`, across any track
+    /// boundaries; never-written tracks read as zeros.
+    pub fn copy_to(&self, at: usize, out: &mut [u8]) {
+        let end = at + out.len();
+        for (run, bytes) in self.runs() {
+            let (lo, hi) = (run.start.max(at), run.end.min(end));
+            if lo < hi {
+                let dst = &mut out[lo - at..hi - at];
+                match bytes {
+                    Some(b) => dst.copy_from_slice(&b[lo - run.start..hi - run.start]),
+                    None => dst.fill(0),
+                }
+            }
+        }
     }
 }
 
@@ -797,23 +846,34 @@ impl Disk {
     }
 
     /// The *shared* read: the command [`Self::read_sectors`] would issue
-    /// for `count` sectors at `lba` inside one track — same plan, same
-    /// [`ServiceTime`], one clock event, same statistics, read-ahead state
-    /// and trace record — returning a handle on the track's bytes
-    /// ([`SharedSectors`]) instead of a copy. A range that crosses a track
-    /// boundary is an error and issues nothing.
+    /// for `count` sectors at `lba` — same plan, same [`ServiceTime`], one
+    /// clock event, same statistics, read-ahead state and trace record —
+    /// returning a handle on the tracks' bytes ([`SharedSectors`], one
+    /// piece per track run) instead of a copy.
     pub fn share_sectors(&mut self, lba: u64, count: u32) -> Result<(SharedSectors, ServiceTime)> {
-        self.check_range(lba, count)?;
-        let run = self.run_at(lba, count)?;
-        if run.count < count {
-            return Err(DiskError::Unsupported(
-                "shared read across a track boundary",
-            ));
-        }
         let st = self.lend_sectors(lba, count, |_, _| ())?;
-        let slot = self.store.slot(run.cyl, run.track);
-        let start = run.sector as usize * SECTOR_BYTES;
-        let shared = self.store.share(slot, start, count as usize * SECTOR_BYTES);
+        let mut shared = SharedSectors {
+            first: Piece { at: 0, media: None },
+            rest: Vec::new(),
+            len: 0,
+        };
+        let (mut next, mut left) = (lba, count);
+        while left > 0 {
+            let run = self.run_at(next, left)?;
+            let slot = self.store.slot(run.cyl, run.track);
+            let piece = Piece {
+                at: shared.len,
+                media: self.store.share(slot, run.sector as usize * SECTOR_BYTES),
+            };
+            if shared.len == 0 {
+                shared.first = piece;
+            } else {
+                shared.rest.push(piece);
+            }
+            shared.len += run.count as usize * SECTOR_BYTES;
+            next += run.count as u64;
+            left -= run.count;
+        }
         Ok((shared, st))
     }
 
@@ -1559,52 +1619,71 @@ mod tests {
         }
     }
 
-    /// The shared read is the copying read minus the copy, on both drives:
-    /// the handle's bytes are `read_sectors`' buffer (`None` exactly on a
-    /// track nothing ever wrote), and time, clock, head, statistics,
-    /// read-ahead hits and the trace record are the same — on overlay
-    /// tracks, on a restored fork's base-image tracks and on blank tracks.
-    /// A range crossing a track boundary issues nothing and is `Err`.
+    /// The shared read is the copying read minus the copy, on both drives
+    /// and from every start alignment within a track: the handle's runs
+    /// reassemble to `read_sectors`' buffer (`None` exactly on tracks
+    /// nothing ever wrote), `get` borrows exactly the windows inside one
+    /// written track, and time, clock, head, statistics, read-ahead hits
+    /// and the trace record are the same — across overlay tracks, a
+    /// restored fork's base-image tracks and blank tracks in one request.
     #[test]
     fn shared_read_matches_the_copying_read() {
         for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
             let spt = spec.geometry.sectors_per_track(0).unwrap() as u64;
+            let track_bytes = spt as usize * SECTOR_BYTES;
+            // Tracks 0 and 2 blank, 1 whole and 3 in part.
             let written = || {
                 let mut d = Disk::new(spec.clone(), SimClock::new());
-                let track: Vec<u8> = (0..spt as usize * SECTOR_BYTES).map(|i| i as u8).collect();
-                d.write_sectors(spt, &track).unwrap(); // track 1, whole
+                let track: Vec<u8> = (0..track_bytes).map(|i| (i / 7) as u8).collect();
+                d.write_sectors(spt, &track).unwrap();
                 d.write_sectors(3 * spt + 2, &[0x3Cu8; 4 * SECTOR_BYTES])
-                    .unwrap(); // track 3
+                    .unwrap();
                 d
             };
-            // A whole track, part of one, a blank track (2), and a read
-            // followed by a sequential read-ahead hit.
-            let reads = [
-                (spt, spt as u32, false),
-                (spt + 5, 3, false),
-                (2 * spt, spt as u32, true),
-            ]
-            .into_iter()
-            .chain([(3 * spt, 4, false), (3 * spt + 4, 4, false)]);
-            for (mut copy, mut share) in [
-                (written(), written()),
-                (
-                    written().snapshot().restore(),
-                    written().snapshot().restore(),
-                ),
-            ] {
-                let (tc, ts) = (Tracer::with_capacity(64), Tracer::with_capacity(64));
+            // The fork's tracks 1 and 3 stay in its base image; a write
+            // after the fork puts track 2 in its overlay.
+            let fork = || {
+                let mut d = written().snapshot().restore();
+                d.write_sectors(2 * spt + 9, &[0x81u8; SECTOR_BYTES])
+                    .unwrap();
+                d
+            };
+            for (mut copy, mut share, forked) in
+                [(written(), written(), false), (fork(), fork(), true)]
+            {
+                let blank = |track: u64| !(track == 1 || track == 3 || (forked && track == 2));
+                let (tc, ts) = (Tracer::with_capacity(1024), Tracer::with_capacity(1024));
                 copy.set_tracer(Some(tc.clone()));
                 share.set_tracer(Some(ts.clone()));
-                for (lba, count, blank) in reads.clone() {
+                // Tracks 0 to 3 from every start sector of track 0, each
+                // read followed by a sequential read-ahead hit.
+                let reads = (0..spt).flat_map(|s| [(s, 3 * spt as u32 + 1), (s + 3 * spt + 1, 2)]);
+                for (lba, count) in reads {
                     let mut want = vec![0xEEu8; count as usize * SECTOR_BYTES];
                     let st_copy = copy.read_sectors(lba, &mut want).unwrap();
                     let (shared, st_share) = share.share_sectors(lba, count).unwrap();
-                    assert_eq!(shared.bytes().is_none(), blank, "({lba}, {count})");
-                    let got = shared
-                        .bytes()
-                        .map_or_else(|| vec![0; want.len()], <[u8]>::to_vec);
+                    assert_eq!(shared.len, want.len());
+                    let mut got = vec![0xEEu8; want.len()];
+                    shared.copy_to(0, &mut got);
                     assert_eq!(got, want, "({lba}, {count})");
+                    let track_of = |byte: usize| (lba + (byte / SECTOR_BYTES) as u64) / spt;
+                    for (run, bytes) in shared.runs() {
+                        let track = track_of(run.start);
+                        assert_eq!(track, track_of(run.end - 1), "one run, one track");
+                        assert_eq!(
+                            bytes.is_none(),
+                            blank(track),
+                            "({lba}, {count}) track {track}"
+                        );
+                    }
+                    for start in (0..want.len()).step_by(8 * SECTOR_BYTES) {
+                        let end = (start + 4096).min(want.len());
+                        let (a, b) = (track_of(start), track_of(end - 1));
+                        let one_written = a == b && !blank(a);
+                        let window = shared.get(start..end);
+                        assert_eq!(window.is_some(), one_written, "({lba}, {count}) at {start}");
+                        assert!(window.is_none_or(|w| w == &want[start..end]));
+                    }
                     assert_eq!(st_share, st_copy, "({lba}, {count})");
                     assert_eq!((share.now_ns(), share.head()), (copy.now_ns(), copy.head()));
                     assert_eq!(share.cache_stats(), copy.cache_stats());
@@ -1617,8 +1696,10 @@ mod tests {
                 assert_eq!(share.clock().local_events(), copy.clock().local_events());
 
                 let (now, stats) = (share.now_ns(), format!("{:?}", share.stats()));
-                assert!(share.share_sectors(2 * spt - 1, 2).is_err());
+                let total = spec.geometry.total_sectors();
+                assert!(share.share_sectors(total - 1, 2).is_err());
                 assert!(share.share_sectors(u64::MAX, 1).is_err());
+                assert!(share.share_sectors(spt, 0).unwrap().0.len == 0);
                 assert_eq!(
                     (share.now_ns(), format!("{:?}", share.stats())),
                     (now, stats)
@@ -1629,32 +1710,33 @@ mod tests {
     }
 
     /// A write to a track a shared read's handle still holds lands in the
-    /// store while the handle keeps the bytes it was given; only a live
-    /// overlay track needs the copy, and once the handle is gone writes
-    /// copy nothing.
+    /// store while the handle keeps the bytes it was given, and copies only
+    /// the track it writes; a fork's base image is never written, so only
+    /// live overlay tracks need the copy, and once the handle is gone
+    /// writes copy nothing.
     #[test]
-    fn a_write_under_a_live_handle_leaves_the_handle_its_bytes() {
+    fn a_write_under_a_live_handle_copies_only_the_track_it_writes() {
         for fork in [false, true] {
             let mut d = disk();
-            d.write_sectors(0, &[7u8; 72 * SECTOR_BYTES]).unwrap();
+            d.write_sectors(0, &[7u8; 3 * 72 * SECTOR_BYTES]).unwrap();
             if fork {
                 d = d.snapshot().restore();
             }
-            let (shared, _) = d.share_sectors(8, 8).unwrap();
-            d.write_sectors(10, &[9u8; SECTOR_BYTES]).unwrap();
-            let mut now = vec![0u8; 8 * SECTOR_BYTES];
-            d.peek_sectors(8, &mut now).unwrap();
-            assert_eq!(now[2 * SECTOR_BYTES], 9, "the write reached the media");
-            assert!(
-                shared.bytes().unwrap().iter().all(|&b| b == 7),
-                "fork {fork}"
-            );
-            // A fork's base image is never written, so only the live
-            // overlay track is copied for the handle's sake.
+            // Tracks 0, 1 and 2, held by one handle.
+            let (shared, _) = d.share_sectors(8, 2 * 72 + 8).unwrap();
+            d.write_sectors(72 + 10, &[9u8; SECTOR_BYTES]).unwrap();
+            let mut now = vec![0u8; SECTOR_BYTES];
+            d.peek_sectors(72 + 10, &mut now).unwrap();
+            assert_eq!(now[0], 9, "the write reached the media");
             assert_eq!(d.shared_track_copies(), u64::from(!fork));
+            d.write_sectors(20, &[9u8; SECTOR_BYTES]).unwrap();
+            assert_eq!(d.shared_track_copies(), 2 * u64::from(!fork));
+            let mut held = vec![0u8; shared.len];
+            shared.copy_to(0, &mut held);
+            assert!(held.iter().all(|&b| b == 7), "fork {fork}");
             drop(shared);
-            d.write_sectors(12, &[9u8; SECTOR_BYTES]).unwrap();
-            assert_eq!(d.shared_track_copies(), u64::from(!fork));
+            d.write_sectors(2 * 72 + 3, &[9u8; SECTOR_BYTES]).unwrap();
+            assert_eq!(d.shared_track_copies(), 2 * u64::from(!fork));
         }
     }
 

@@ -42,7 +42,9 @@ pub mod trackbuf;
 
 pub use cache::{CachePolicy, TrackCache};
 pub use clock::SimClock;
-pub use device::{downcast_device, probe_device, BlockDevice, DeviceSnapshot, RegularDisk};
+pub use device::{
+    downcast_device, probe_device, BlockDevice, DeviceSnapshot, RegularDisk, SharedBlocks,
+};
 pub use disk::{
     CylinderPricer, Disk, DiskSnapshot, DiskStats, HeadPosition, SharedSectors, TrackPricer,
 };

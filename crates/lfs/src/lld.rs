@@ -151,12 +151,6 @@ pub struct LogDisk {
     /// Which checkpoint slot the next sync writes (alternating A/B, so a
     /// crash mid-checkpoint always leaves the other slot intact).
     ckpt_next_b: bool,
-    /// Utilization-ordered index of the `Dirty` segments:
-    /// `(live blocks, segment)`, kept in lockstep with `seg_state` /
-    /// `seg_live` by [`LogDisk::set_seg_state`] / [`LogDisk::set_seg_live`].
-    /// `first()` is the cleaner's victim — lowest live count, ties to the
-    /// lowest segment number, exactly the old full-rescan `min_by_key`.
-    dirty_index: std::collections::BTreeSet<(u32, u32)>,
     stats: CleanerStats,
     /// Metrics handle (disabled by default): cleaner counters, free-segment
     /// gauge, log utilisation and the two work counters below.
@@ -179,8 +173,11 @@ pub struct LogDisk {
 struct Scratch {
     /// The image of the last sealed segment, for the next one to open on.
     spare_image: Option<Vec<u8>>,
-    /// The cleaner's victim segment image.
+    /// The spare a device without a shared read copies the cleaner's
+    /// victim into (a regular disk lends its tracks and leaves it empty).
     victim_image: Vec<u8>,
+    /// One victim block assembled across a track boundary.
+    victim_block: Vec<u8>,
     /// The cleaner's `(slot index, owner)` list of the victim's live slots.
     live: Vec<(u32, u32)>,
     /// One checkpoint slot image.
@@ -232,7 +229,6 @@ impl LogDisk {
             flush_seq: 1,
             pending_free: Vec::new(),
             ckpt_next_b: false,
-            dirty_index: std::collections::BTreeSet::new(),
             stats: CleanerStats::default(),
             metrics: disksim::Metrics::disabled(),
             scratch: Scratch::default(),
@@ -281,8 +277,9 @@ impl LogDisk {
         }
         // The next checkpoint must not overwrite the copy we just trusted.
         let ckpt_next_b = best.is_some_and(|(_, is_b)| !is_b);
+        let slots = nsegs as u64 * SEG_DATA;
         let (ckpt_flush_seq, mut map) = match best {
-            Some((seq, _)) => (seq, checkpoint_map(&best_raw, logical)),
+            Some((seq, _)) => (seq, checkpoint_map(&best_raw, logical, slots)?),
             None => (0, vec![NONE; logical as usize]),
         };
         // Roll forward: apply every segment summary flushed after the
@@ -322,9 +319,9 @@ impl LogDisk {
         summaries.sort_by_key(|(seq, _, _)| *seq);
         // Working reverse map so stale mappings can be cleared as newer
         // summaries supersede them.
-        let mut work_rmap = vec![NONE; (nsegs as u64 * SEG_DATA) as usize];
+        let mut work_rmap = vec![NONE; slots as usize];
         for (lb, &slot) in map.iter().enumerate() {
-            if slot != NONE && (slot as usize) < work_rmap.len() {
+            if slot != NONE {
                 work_rmap[slot as usize] = lb as u32;
             }
         }
@@ -356,7 +353,7 @@ impl LogDisk {
             }
         }
         // Derive everything else from the (settled) map.
-        let mut rmap = vec![NONE; (nsegs as u64 * SEG_DATA) as usize];
+        let mut rmap = vec![NONE; slots as usize];
         let mut seg_live = vec![0u32; nsegs as usize];
         for (lb, &slot) in map.iter().enumerate() {
             if slot != NONE {
@@ -376,12 +373,6 @@ impl LogDisk {
             })
             .collect();
         let free_count = seg_state.iter().filter(|s| **s == SegState::Free).count() as u32;
-        let dirty_index = seg_state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == SegState::Dirty)
-            .map(|(i, _)| (seg_live[i], i as u32))
-            .collect();
         if sp != 0 {
             spans.close(sp, dev.clock().now());
         }
@@ -404,7 +395,6 @@ impl LogDisk {
             flush_seq: max_flush_seq + 1,
             pending_free: Vec::new(),
             ckpt_next_b,
-            dirty_index,
             stats: CleanerStats::default(),
             metrics: disksim::Metrics::disabled(),
             scratch: Scratch {
@@ -523,40 +513,15 @@ impl LogDisk {
 
     // ----- log mechanics -------------------------------------------------
 
-    /// Transition one segment's state, keeping `free_count` and the
-    /// dirty-segment index in lockstep. Every `seg_state` write (after
-    /// construction) must go through here.
+    /// Transition one segment's state, keeping `free_count` in lockstep.
+    /// Every `seg_state` write (after construction) must go through here.
     fn set_seg_state(&mut self, seg: u32, new: SegState) {
-        let old = self.seg_state[seg as usize];
-        if old == new {
-            return;
+        let old = std::mem::replace(&mut self.seg_state[seg as usize], new);
+        match (old == SegState::Free, new == SegState::Free) {
+            (true, false) => self.free_count -= 1,
+            (false, true) => self.free_count += 1,
+            _ => {}
         }
-        match old {
-            SegState::Free => self.free_count -= 1,
-            SegState::Dirty => {
-                self.dirty_index.remove(&(self.seg_live[seg as usize], seg));
-            }
-            SegState::Open => {}
-        }
-        match new {
-            SegState::Free => self.free_count += 1,
-            SegState::Dirty => {
-                self.dirty_index.insert((self.seg_live[seg as usize], seg));
-            }
-            SegState::Open => {}
-        }
-        self.seg_state[seg as usize] = new;
-    }
-
-    /// Adjust one segment's live-block count, re-keying the dirty index
-    /// when the segment is in it. Every `seg_live` write (after
-    /// construction) must go through here.
-    fn set_seg_live(&mut self, seg: u32, live: u32) {
-        if self.seg_state[seg as usize] == SegState::Dirty {
-            self.dirty_index.remove(&(self.seg_live[seg as usize], seg));
-            self.dirty_index.insert((live, seg));
-        }
-        self.seg_live[seg as usize] = live;
     }
 
     fn acquire_segment(&mut self) -> FsResult<u32> {
@@ -624,7 +589,7 @@ impl LogDisk {
         let slot = seg_to_slot(seg, idx);
         self.map[lb as usize] = slot as u32;
         self.rmap[slot as usize] = lb as u32;
-        self.set_seg_live(seg, self.seg_live[seg as usize] + 1);
+        self.seg_live[seg as usize] += 1;
         self.digested += bs as u64;
         if full {
             self.seal()?;
@@ -647,7 +612,7 @@ impl LogDisk {
             self.map[lb as usize] = NONE;
             self.rmap[old as usize] = NONE;
             let (seg, _) = slot_to_seg(old as u64);
-            self.set_seg_live(seg, self.seg_live[seg as usize] - 1);
+            self.seg_live[seg as usize] -= 1;
             if self.seg_live[seg as usize] == 0 && self.seg_state[seg as usize] == SegState::Dirty {
                 if self.cleaning {
                     // Mid-clean, the emptied segment is the victim (or holds
@@ -791,11 +756,6 @@ impl LogDisk {
 
     /// Reclaim up to `want` segments, greedily by lowest utilisation.
     /// Returns how many were reclaimed.
-    ///
-    /// The victim is the head of the `(live, seg)` dirty-segment index —
-    /// O(log n) instead of the per-pass summary rescan, with identical
-    /// semantics (lowest live count, ties to the lowest segment number);
-    /// debug builds cross-check it against the rescan on every pass.
     pub fn clean_some(&mut self, want: u32) -> FsResult<u32> {
         // One span per cleaning pass; the victim reads, copy appends and
         // their segment flushes all hang off it (the copies' own
@@ -809,32 +769,21 @@ impl LogDisk {
     fn clean_some_inner(&mut self, want: u32) -> FsResult<u32> {
         let mut cleaned = 0;
         while cleaned < want {
-            self.metrics.inc("lld.victim_index_picks");
-            let victim = self.choose_victim();
-            #[cfg(debug_assertions)]
-            assert_eq!(victim, self.choose_victim_rescan());
-            let Some(victim) = victim else { break };
+            self.metrics.inc("lld.victim_picks");
+            let Some(victim) = self.choose_victim() else {
+                break;
+            };
             self.clean_segment(victim)?;
             cleaned += 1;
         }
         Ok(cleaned)
     }
 
-    /// The least-utilised sealed segment: the head of the dirty index.
-    /// Fully-live segments are never worth cleaning — copying them frees
-    /// nothing.
+    /// The least-utilised sealed segment — lowest live count, ties to the
+    /// lowest segment number — by a plain scan of the segment table: a few
+    /// dozen entries per 512 KiB segment cleaned. Fully-live segments are
+    /// never worth cleaning — copying them frees nothing.
     fn choose_victim(&self) -> Option<u32> {
-        self.dirty_index
-            .first()
-            .copied()
-            .and_then(|(live, seg)| ((live as u64) < SEG_DATA).then_some(seg))
-    }
-
-    /// The pre-index full-rescan victim pick — least-utilised sealed
-    /// segment by exhaustive `min_by_key` — the oracle the indexed pick is
-    /// verified against, compiled only where something checks it.
-    #[cfg(any(test, debug_assertions))]
-    fn choose_victim_rescan(&self) -> Option<u32> {
         (0..self.nsegs)
             .filter(|&s| {
                 self.seg_state[s as usize] == SegState::Dirty
@@ -848,13 +797,15 @@ impl LogDisk {
             self.metrics
                 .observe("lld.victim_live", self.seg_live[victim as usize] as u64);
         }
-        // Both scratch buffers leave `self` for the copy (whose appends need
-        // all of it) and come back whatever its outcome.
+        // The cleaner's scratch buffers leave `self` for the copy (whose
+        // appends need all of it) and come back whatever its outcome.
         let mut live = std::mem::take(&mut self.scratch.live);
         let mut image = std::mem::take(&mut self.scratch.victim_image);
-        let r = self.copy_live_forward(victim, &mut live, &mut image);
+        let mut block = std::mem::take(&mut self.scratch.victim_block);
+        let r = self.copy_live_forward(victim, &mut live, &mut image, &mut block);
         self.scratch.live = live;
         self.scratch.victim_image = image;
+        self.scratch.victim_block = block;
         r?;
         debug_assert_eq!(self.seg_live[victim as usize], 0);
         // The victim may only be reused once the copies are durable.
@@ -870,13 +821,19 @@ impl LogDisk {
         Ok(())
     }
 
-    /// Read `victim` into `image` and append each of its live blocks to the
-    /// log head. `cleaning` is set for exactly the duration of the appends.
+    /// Read `victim` through the device's shared read (into `image` where
+    /// it has none) and append each of its live blocks to the log head
+    /// straight from it; `block` assembles one that straddles a track.
+    /// `cleaning` is set for exactly the duration of the appends. The
+    /// handle on the victim ends with this call, before `clean_segment`
+    /// flushes; a seal during the appends that writes a track it holds
+    /// copies that one track first.
     fn copy_live_forward(
         &mut self,
         victim: u32,
         live: &mut Vec<(u32, u32)>,
         image: &mut Vec<u8>,
+        block: &mut Vec<u8>,
     ) -> FsResult<()> {
         live.clear();
         live.extend((0..SEG_DATA as u32).filter_map(|idx| {
@@ -897,12 +854,12 @@ impl LogDisk {
         // I/O — the reason it needs long idle windows, unlike the VLD's
         // track-sized compactor).
         let bs = self.block_size;
-        image.resize(SEG_BLOCKS as usize * bs, 0);
-        self.dev.read_blocks(summary_block(victim), image)?;
+        let start = summary_block(victim);
+        let (image, _) = self.dev.share_blocks(start, SEG_BLOCKS as usize, image)?;
         self.cleaning = true;
         let copied = live.iter().try_for_each(|&(idx, owner)| {
             let off = (1 + idx as usize) * bs;
-            self.append(owner as u64, &image[off..off + bs])?;
+            self.append(owner as u64, image.get(off..off + bs, block))?;
             self.stats.blocks_copied += 1;
             self.metrics.inc("lld.blocks_copied");
             Ok(())
@@ -972,7 +929,7 @@ impl BlockDevice for LogDisk {
         let start = clock.now();
         let deadline = start + budget_ns;
         while clock.now() < deadline && self.free_segments() < self.cfg.idle_clean_target {
-            if self.dirty_index.is_empty() {
+            if !self.seg_state.contains(&SegState::Dirty) {
                 break;
             }
             self.stats.during_idle += 1;
@@ -1037,7 +994,6 @@ impl BlockDevice for LogDisk {
             flush_seq: self.flush_seq,
             pending_free: self.pending_free.clone(),
             ckpt_next_b: self.ckpt_next_b,
-            dirty_index: self.dirty_index.clone(),
             stats: self.stats,
         }))
     }
@@ -1068,7 +1024,6 @@ pub struct LogDiskSnapshot {
     flush_seq: u64,
     pending_free: Vec<u32>,
     ckpt_next_b: bool,
-    dirty_index: std::collections::BTreeSet<(u32, u32)>,
     stats: CleanerStats,
 }
 
@@ -1094,7 +1049,6 @@ impl DeviceSnapshot for LogDiskSnapshot {
             flush_seq: self.flush_seq,
             pending_free: self.pending_free.clone(),
             ckpt_next_b: self.ckpt_next_b,
-            dirty_index: self.dirty_index.clone(),
             stats: self.stats,
             metrics: disksim::Metrics::disabled(),
             scratch: Scratch::default(),
@@ -1294,6 +1248,26 @@ mod tests {
         // A tiny budget consumes at most one cleaning pass beyond it.
         let small = l.idle(1_000);
         assert!(small < 200_000_000, "budget wildly exceeded: {small}");
+    }
+
+    /// Idle time counts a cleaning pass when some segment is dirty, even
+    /// if every dirty segment is fully live and nothing gets cleaned, and
+    /// none when no segment is dirty.
+    #[test]
+    fn idle_counts_a_pass_only_when_a_segment_is_dirty() {
+        let cfg = LldConfig {
+            idle_clean_target: u32::MAX,
+            ..LldConfig::default()
+        };
+        let mut l = LogDisk::format(raw(), cfg).unwrap();
+        l.idle(1_000_000_000);
+        assert_eq!(l.cleaner_stats().during_idle, 0, "nothing dirty");
+        for i in 0..2 * SEG_DATA {
+            l.write_block(i, &vec![1u8; 4096]).unwrap();
+        }
+        l.idle(1_000_000_000);
+        let stats = l.cleaner_stats();
+        assert_eq!((stats.during_idle, stats.segments_cleaned), (1, 0));
     }
 
     #[test]
@@ -1550,50 +1524,150 @@ mod tests {
         assert!(r.iter().all(|&b| b == 0));
     }
 
-    /// The `(live, seg)` dirty index stays in lockstep with `seg_state` /
-    /// `seg_live`, and its head matches the retained full-rescan victim
-    /// oracle, across random write / trim / clean / sync interleavings.
+    /// A checksum-valid checkpoint naming a data slot past the end of the
+    /// log fails the mount with `Invalid` instead of indexing out of the
+    /// reverse map.
     #[test]
-    fn dirty_index_matches_rescan_oracle() {
+    fn a_checkpoint_naming_a_slot_beyond_the_log_is_refused() {
+        let l = lld();
+        let (ckpt_start, ckpt_total) = l.checkpoint_region();
+        let ckpt_blocks = ckpt_total / 2;
+        let mut map = vec![NONE; l.num_blocks() as usize];
+        map[3] = (l.segments() as u64 * SEG_DATA + 5) as u32;
+        let mut raw = vec![0u8; ckpt_blocks as usize * 4096];
+        encode_checkpoint(&mut raw, 7, &map);
+        let mut dev = l.crash();
+        for slot in 0..2 {
+            dev.write_blocks(ckpt_start + slot * ckpt_blocks, &raw)
+                .unwrap();
+        }
+        let refused = LogDisk::mount(dev, LldConfig::default()).err();
+        assert_eq!(
+            refused,
+            Some(FsError::Invalid("checkpoint slot beyond the log"))
+        );
+    }
+
+    fn drives() -> [DiskSpec; 3] {
+        // 75 sectors a track: every ninth 4 KB block straddles a track
+        // boundary, which neither paper drive produces.
+        let straddling = DiskSpec {
+            geometry: disksim::Geometry::uniform(36, 19, 75),
+            ..DiskSpec::hp97560_sim()
+        };
+        [DiskSpec::st19101_sim(), DiskSpec::hp97560_sim(), straddling]
+    }
+
+    /// A seeded episode of writes, trims, syncs, cleaning passes and idle
+    /// time on a log over `dev`, checked block by block against a shadow
+    /// copy of what was written.
+    fn episode(dev: Box<dyn BlockDevice>, seed: u64) -> LogDisk {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut l = lld();
-        let mut rng = StdRng::seed_from_u64(0x11D);
-        let n = l.num_blocks();
-        // First writes seal fully-live segments only: the index has a head,
-        // and it is not worth cleaning.
-        for lb in n / 4..n / 4 + 2 * SEG_DATA {
-            l.write_block(lb, &vec![lb as u8; 4096]).unwrap();
-        }
-        assert!(!l.dirty_index.is_empty());
-        assert_eq!(l.choose_victim(), None);
-        assert_eq!(l.choose_victim_rescan(), None);
-        for round in 0..60 {
-            for _ in 0..rng.gen_range(10..200) {
-                let lb = rng.gen_range(0..n / 4);
-                match rng.gen_range(0..10u32) {
-                    0 => l.trim(lb).unwrap(),
-                    _ => {
-                        l.write_block(lb, &vec![lb as u8; 4096]).unwrap();
-                    }
-                }
+        let mut l = LogDisk::format(dev, LldConfig::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = l.num_blocks() * 3 / 4;
+        let mut shadow = vec![0u8; n as usize];
+        for round in 0..40u64 {
+            for _ in 0..rng.gen_range(10..300) {
+                let lb = rng.gen_range(0..n);
+                shadow[lb as usize] = if rng.gen_range(0..10u32) == 0 {
+                    l.trim(lb).unwrap();
+                    0
+                } else {
+                    let v = (lb ^ round) as u8 | 1;
+                    l.write_block(lb, &vec![v; 4096]).unwrap();
+                    v
+                };
             }
-            match rng.gen_range(0..3u32) {
+            match rng.gen_range(0..4u32) {
                 0 => {
                     let _ = l.clean_some(rng.gen_range(1..3u32));
                 }
                 1 => l.sync().unwrap(),
+                2 => {
+                    l.idle(200_000_000);
+                }
                 _ => {}
             }
-            let recomputed: std::collections::BTreeSet<(u32, u32)> = l
-                .seg_state
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == SegState::Dirty)
-                .map(|(i, _)| (l.seg_live[i], i as u32))
-                .collect();
-            assert_eq!(l.dirty_index, recomputed, "round {round}");
-            assert_eq!(l.choose_victim(), l.choose_victim_rescan(), "round {round}");
+        }
+        let mut r = vec![0u8; 4096];
+        for (lb, &v) in shadow.iter().enumerate() {
+            l.read_block(lb as u64, &mut r).unwrap();
+            assert!(r.iter().all(|&b| b == v), "block {lb}");
+        }
+        l
+    }
+
+    /// The cleaner reads its victim through the device's shared read: a
+    /// regular disk lends its tracks and a `FaultDisk` (the default, copying
+    /// path) fills the spare buffer, and the same seeded episode ends with
+    /// the same clock, disk statistics, cleaner counters and map on both —
+    /// on both paper drives and on one whose blocks straddle tracks.
+    #[test]
+    fn the_lent_victim_and_the_copied_victim_clean_alike() {
+        for spec in drives() {
+            let regular = || Box::new(RegularDisk::new(spec.clone(), SimClock::new(), 4096));
+            let lent = episode(regular(), 0x5EED);
+            let fault = disksim::FaultDisk::new(regular(), disksim::FaultPlan::none());
+            let copied = episode(Box::new(fault), 0x5EED);
+            assert!(lent.cleaner_stats().blocks_copied > 0, "{}", spec.name);
+            assert_eq!(lent.dev.clock().now(), copied.dev.clock().now());
+            assert_eq!(
+                format!("{:?}", lent.disk_stats()),
+                format!("{:?}", copied.disk_stats())
+            );
+            assert_eq!(
+                format!("{:?}", lent.cleaner_stats()),
+                format!("{:?}", copied.cleaner_stats())
+            );
+            assert_eq!(lent.map_snapshot(), copied.map_snapshot());
+            assert!(
+                lent.scratch.victim_image.is_empty(),
+                "the spare stays unused"
+            );
+        }
+    }
+
+    /// Cleaning over a regular disk copies none of the victim's bytes out of
+    /// the drive (`disk.read_bytes_copied` stays put while the victim reads
+    /// are still issued); over a `FaultDisk` each victim costs a segment.
+    #[test]
+    fn cleaning_over_a_regular_disk_copies_no_victim_bytes() {
+        for wrap in [false, true] {
+            let m = disksim::Metrics::enabled();
+            let mut rd = RegularDisk::new(DiskSpec::st19101_sim(), SimClock::new(), 4096);
+            rd.disk_mut().set_metrics(m.clone());
+            let dev: Box<dyn BlockDevice> = if wrap {
+                Box::new(disksim::FaultDisk::new(
+                    Box::new(rd),
+                    disksim::FaultPlan::none(),
+                ))
+            } else {
+                Box::new(rd)
+            };
+            let mut l = LogDisk::format(dev, LldConfig::default()).unwrap();
+            let span = 5 * SEG_DATA;
+            for i in 0..span {
+                l.write_block(i, &vec![7u8; 4096]).unwrap();
+            }
+            for i in (0..span).step_by(2) {
+                l.write_block(i, &vec![8u8; 4096]).unwrap();
+            }
+            l.sync().unwrap();
+            let (copied, reads) = (
+                m.counter_value("disk.read_bytes_copied"),
+                m.counter_value("disk.reads"),
+            );
+            assert_eq!(l.clean_some(2).unwrap(), 2);
+            assert!(l.cleaner_stats().blocks_copied > 0);
+            assert_eq!(m.counter_value("disk.reads"), reads + 2);
+            let victims = if wrap { 2 * SEG_BLOCKS * 4096 } else { 0 };
+            assert_eq!(
+                m.counter_value("disk.read_bytes_copied"),
+                copied + victims,
+                "wrapped {wrap}"
+            );
         }
     }
 }

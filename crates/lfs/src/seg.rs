@@ -150,8 +150,12 @@ pub(crate) fn encode_checkpoint(raw: &mut [u8], flush_seq: u64, map: &[u32]) {
 
 /// Validate one checkpoint slot image; returns its flush sequence if the
 /// magic, checksum and geometry all check out, so mount can reject a
-/// checkpoint torn by a power cut.
+/// checkpoint torn by a power cut. An image too short for the header and
+/// a map of `logical` entries is refused before anything is read.
 pub(crate) fn validate_checkpoint(raw: &[u8], logical: u64) -> Option<u64> {
+    if raw.len() < CKPT_HEAD || logical > ((raw.len() - CKPT_HEAD) / 4) as u64 {
+        return None;
+    }
     if u32::from_le_bytes(raw[0..4].try_into().expect("slice of 4")) != CKPT_MAGIC {
         return None;
     }
@@ -166,12 +170,22 @@ pub(crate) fn validate_checkpoint(raw: &[u8], logical: u64) -> Option<u64> {
     ))
 }
 
-/// The block map stored in a validated checkpoint image.
-pub(crate) fn checkpoint_map(raw: &[u8], logical: u64) -> Vec<u32> {
-    raw[CKPT_HEAD..CKPT_HEAD + 4 * logical as usize]
+/// The block map stored in a validated checkpoint image, every entry
+/// unmapped or one of the log's `slots` data slots: a checksum-valid
+/// checkpoint can still name a slot the log does not have.
+pub(crate) fn checkpoint_map(raw: &[u8], logical: u64, slots: u64) -> FsResult<Vec<u32>> {
+    let entries = usize::try_from(logical)
+        .ok()
+        .and_then(|n| raw.get(CKPT_HEAD..CKPT_HEAD.checked_add(n.checked_mul(4)?)?))
+        .ok_or(FsError::Invalid("checkpoint shorter than its map"))?;
+    let map: Vec<u32> = entries
         .chunks_exact(4)
         .map(|e| u32::from_le_bytes(e.try_into().expect("chunk of 4")))
-        .collect()
+        .collect();
+    if map.iter().any(|&s| s != NONE && s as u64 >= slots) {
+        return Err(FsError::Invalid("checkpoint slot beyond the log"));
+    }
+    Ok(map)
 }
 
 /// Map a global data-slot number to its segment and slot index.
@@ -257,7 +271,7 @@ mod tests {
         let mut raw = vec![0xA5u8; BS];
         encode_checkpoint(&mut raw, 41, &map);
         assert_eq!(validate_checkpoint(&raw, logical), Some(41));
-        assert_eq!(checkpoint_map(&raw, logical), map);
+        assert_eq!(checkpoint_map(&raw, logical, u64::MAX), Ok(map));
         assert_eq!(
             validate_checkpoint(&raw, logical + 1),
             None,
@@ -267,6 +281,160 @@ mod tests {
             let mut torn = raw.clone();
             torn[bit / 8] ^= 1 << (bit % 8);
             assert_eq!(validate_checkpoint(&torn, logical), None, "bit {bit}");
+        }
+    }
+
+    /// The three LLD decoders parse whatever a crash, a torn write or a
+    /// damaged image left on the media: whatever they are handed, each
+    /// returns an error or a value and never panics.
+    mod decoders {
+        use super::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+            let mut buf = vec![0u8; len];
+            rng.fill_bytes(&mut buf);
+            buf
+        }
+
+        /// Seal a summary header the way `encode_into` does.
+        fn reseal_summary(block: &mut [u8]) {
+            let csum = digest(&block[..HEAD_BYTES]);
+            block[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&csum.to_le_bytes());
+        }
+
+        /// Seal a checkpoint image the way `encode_checkpoint` does.
+        fn reseal_checkpoint(raw: &mut [u8]) {
+            let csum = checkpoint_csum(raw);
+            raw[4..8].copy_from_slice(&csum.to_le_bytes());
+        }
+
+        /// Does a map of `logical` entries fit behind the header?
+        fn map_fits(raw: &[u8], logical: u64) -> bool {
+            raw.len() >= CKPT_HEAD && logical <= ((raw.len() - CKPT_HEAD) / 4) as u64
+        }
+
+        /// What `checkpoint_map` must answer, derived independently.
+        fn want_map(raw: &[u8], logical: u64, slots: u64) -> Option<Vec<u32>> {
+            if !map_fits(raw, logical) {
+                return None;
+            }
+            let map: Vec<u32> = (0..logical as usize)
+                .map(|i| u32::from_le_bytes(raw[CKPT_HEAD + 4 * i..][..4].try_into().unwrap()))
+                .collect();
+            map.iter()
+                .all(|&s| s == NONE || (s as u64) < slots)
+                .then_some(map)
+        }
+
+        #[test]
+        fn random_bytes_of_every_length_are_refused() {
+            let mut rng = StdRng::seed_from_u64(0x15E6);
+            for len in 0..=4200 {
+                let bytes = random_bytes(&mut rng, len);
+                assert!(Summary::decode(&bytes).is_err(), "len {len}");
+                for logical in [0, 1, len.saturating_sub(CKPT_HEAD) as u64 / 4, u64::MAX] {
+                    assert_eq!(validate_checkpoint(&bytes, logical), None, "len {len}");
+                    for slots in [0, 1 << 20, u64::MAX] {
+                        let got = checkpoint_map(&bytes, logical, slots).ok();
+                        assert_eq!(got, want_map(&bytes, logical, slots), "len {len}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn truncated_valid_images_are_refused() {
+            let mut s = Summary::empty();
+            s.fill = 3;
+            s.owners[..3].copy_from_slice(&[4, NONE, 9]);
+            let mut summary = vec![0u8; BS];
+            s.encode_into(&mut summary);
+            for len in 0..BS {
+                // The seal covers the header only; zeros follow it.
+                let got = Summary::decode(&summary[..len]);
+                assert_eq!(
+                    got.ok(),
+                    (len >= HEAD_BYTES + 8).then(|| s.clone()),
+                    "len {len}"
+                );
+            }
+
+            let map: Vec<u32> = (0..300u32)
+                .map(|i| if i % 3 == 0 { NONE } else { i })
+                .collect();
+            let logical = map.len() as u64;
+            let mut ckpt = vec![0u8; BS];
+            encode_checkpoint(&mut ckpt, 5, &map);
+            assert_eq!(validate_checkpoint(&ckpt, logical), Some(5));
+            for len in 0..BS {
+                let mut cut = ckpt[..len].to_vec();
+                assert_eq!(validate_checkpoint(&cut, logical), None, "len {len}");
+                // Resealed at its new length, a truncated checkpoint holds
+                // iff its map still fits.
+                if len >= CKPT_HEAD {
+                    reseal_checkpoint(&mut cut);
+                    let fits = map_fits(&cut, logical);
+                    assert_eq!(
+                        validate_checkpoint(&cut, logical).is_some(),
+                        fits,
+                        "len {len}"
+                    );
+                }
+                let got = checkpoint_map(&cut, logical, 300).ok();
+                assert_eq!(
+                    got,
+                    map_fits(&cut, logical).then(|| map.clone()),
+                    "len {len}"
+                );
+            }
+        }
+
+        #[test]
+        fn random_images_behind_a_valid_header_never_panic() {
+            let mut rng = StdRng::seed_from_u64(0x4EAD);
+            for round in 0..3000 {
+                // Summary: random owners and fill, half the time in range.
+                let mut block = random_bytes(&mut rng, BS);
+                block[0..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
+                if round % 2 == 0 {
+                    let fill = rng.gen_range(0..=SEG_DATA as u32 + 1);
+                    block[4..8].copy_from_slice(&fill.to_le_bytes());
+                }
+                assert!(Summary::decode(&block).is_err(), "unsealed, round {round}");
+                reseal_summary(&mut block);
+                let fill = u32::from_le_bytes(block[4..8].try_into().unwrap());
+                let got = Summary::decode(&block);
+                assert_eq!(got.is_ok(), fill <= SEG_DATA as u32, "round {round}");
+
+                // Checkpoint: random length, a random claimed map size, half
+                // the time one that fits, and random slot bounds.
+                let len = rng.gen_range(CKPT_HEAD..=4200);
+                let mut raw = random_bytes(&mut rng, len);
+                raw[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
+                let logical = if round % 2 == 0 {
+                    rng.gen_range(0..=((len - CKPT_HEAD) / 4) as u64)
+                } else {
+                    rng.gen()
+                };
+                raw[8..16].copy_from_slice(&logical.to_le_bytes());
+                assert_eq!(validate_checkpoint(&raw, logical), None, "round {round}");
+                reseal_checkpoint(&mut raw);
+                let fits = map_fits(&raw, logical);
+                assert_eq!(
+                    validate_checkpoint(&raw, logical).is_some(),
+                    fits,
+                    "round {round}"
+                );
+                let slots = if rng.gen() {
+                    u64::MAX
+                } else {
+                    rng.gen_range(0..1u64 << 24)
+                };
+                let got = checkpoint_map(&raw, logical, slots).ok();
+                assert_eq!(got, want_map(&raw, logical, slots), "round {round}");
+            }
         }
     }
 
