@@ -15,9 +15,9 @@
 //! piece is. Sectors older than the checkpoint are recycled freely; the
 //! traversal never descends below the checkpoint sequence.
 
-use crate::checksum::{seal, seal_holds};
 use crate::log::PieceLoc;
 use crate::mapsector::NO_LBA;
+use disksim::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, seal, seal_holds};
 use disksim::SECTOR_BYTES;
 
 /// Magic for a checkpoint slot ("VCKP").
@@ -26,7 +26,7 @@ pub const CKPT_MAGIC: u32 = 0x5643_4B50;
 const HEADER_BYTES: usize = 32;
 const ENTRY_BYTES: usize = 32;
 /// Byte offset of the checksum word within the header: the seal of the
-/// whole slot (the folded digest of [`crate::checksum`]).
+/// whole slot ([`disksim::codec::seal`]).
 const SUM_OFFSET: usize = 12;
 
 /// Placement of the two alternating checkpoint slots.
@@ -90,10 +90,10 @@ impl Checkpoint {
             HEADER_BYTES + pieces.len() * ENTRY_BYTES <= buf.len(),
             "piece directory outgrew its checkpoint slot"
         );
-        buf[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
-        buf[4..6].copy_from_slice(&1u16.to_le_bytes()); // version
-        buf[8..12].copy_from_slice(&(pieces.len() as u32).to_le_bytes());
-        buf[16..24].copy_from_slice(&seq.to_le_bytes());
+        put_u32(buf, 0, CKPT_MAGIC);
+        put_u16(buf, 4, 1); // version
+        put_u32(buf, 8, pieces.len() as u32);
+        put_u64(buf, 16, seq);
         for (entry, p) in buf[HEADER_BYTES..]
             .chunks_exact_mut(ENTRY_BYTES)
             .zip(pieces)
@@ -103,10 +103,10 @@ impl Checkpoint {
                 None => (NO_LBA, 0, None),
             };
             let (plba, pseq) = prev.unwrap_or((NO_LBA, 0));
-            entry[0..8].copy_from_slice(&lba.to_le_bytes());
-            entry[8..16].copy_from_slice(&seq.to_le_bytes());
-            entry[16..24].copy_from_slice(&plba.to_le_bytes());
-            entry[24..32].copy_from_slice(&pseq.to_le_bytes());
+            put_u64(entry, 0, lba);
+            put_u64(entry, 8, seq);
+            put_u64(entry, 16, plba);
+            put_u64(entry, 24, pseq);
         }
         seal(buf, SUM_OFFSET);
     }
@@ -116,10 +116,7 @@ impl Checkpoint {
         if buf.len() < HEADER_BYTES {
             return None;
         }
-        if u32::from_le_bytes(buf[0..4].try_into().ok()?) != CKPT_MAGIC {
-            return None;
-        }
-        if u16::from_le_bytes(buf[4..6].try_into().ok()?) != 1 {
+        if get_u32(buf, 0).ok()? != CKPT_MAGIC || get_u16(buf, 4).ok()? != 1 {
             return None;
         }
         if !seal_holds(buf, SUM_OFFSET) {
@@ -127,27 +124,25 @@ impl Checkpoint {
         }
         // The entry count is checked against the slot before anything is
         // sized by it.
-        let n = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
+        let n = get_u32(buf, 8).ok()? as usize;
         let end = n.checked_mul(ENTRY_BYTES)?.checked_add(HEADER_BYTES)?;
         if end > buf.len() {
             return None;
         }
-        let seq = u64::from_le_bytes(buf[16..24].try_into().ok()?);
+        let seq = get_u64(buf, 16).ok()?;
         let mut pieces = Vec::with_capacity(n);
         for i in 0..n {
             let o = HEADER_BYTES + i * ENTRY_BYTES;
-            let lba = u64::from_le_bytes(buf[o..o + 8].try_into().ok()?);
+            let lba = get_u64(buf, o).ok()?;
             if lba == NO_LBA {
                 pieces.push(None);
                 continue;
             }
-            let pseq = u64::from_le_bytes(buf[o + 8..o + 16].try_into().ok()?);
-            let plba = u64::from_le_bytes(buf[o + 16..o + 24].try_into().ok()?);
-            let ppseq = u64::from_le_bytes(buf[o + 24..o + 32].try_into().ok()?);
+            let plba = get_u64(buf, o + 16).ok()?;
             pieces.push(Some(PieceLoc {
                 lba,
-                seq: pseq,
-                prev: (plba != NO_LBA).then_some((plba, ppseq)),
+                seq: get_u64(buf, o + 8).ok()?,
+                prev: (plba != NO_LBA).then_some((plba, get_u64(buf, o + 24).ok()?)),
             }));
         }
         Some(Checkpoint { seq, pieces })

@@ -38,7 +38,6 @@
 pub mod alloc;
 pub mod audit;
 pub mod checkpoint;
-pub mod checksum;
 pub mod compact;
 pub mod freemap;
 pub mod log;

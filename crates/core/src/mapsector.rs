@@ -19,7 +19,9 @@
 //! whose commit record never made it to disk, giving atomic multi-block
 //! writes with no extra I/O.
 
-use crate::checksum::{seal, seal_holds};
+use disksim::codec::{
+    get_u16, get_u32, get_u32s, get_u64, put_u16, put_u32, put_u32s, put_u64, seal, seal_holds,
+};
 use disksim::{DiskError, Result, SECTOR_BYTES};
 
 /// Magic number identifying a virtual-log map sector ("VLOG").
@@ -44,7 +46,7 @@ pub const NO_LBA: u64 = u64::MAX;
 
 const HEADER_BYTES: usize = 72;
 /// Byte offset of the checksum word within the header: the seal of the
-/// whole piece (the folded digest of [`crate::checksum`]).
+/// whole piece ([`disksim::codec::seal`]).
 const SUM_OFFSET: usize = 68;
 
 /// Map entries that fit in a piece of `bytes` bytes.
@@ -191,30 +193,28 @@ impl MapSectorRef<'_> {
         }
         buf.clear();
         buf.resize(PIECE_BYTES, 0);
-        buf[0..4].copy_from_slice(&MAP_MAGIC.to_le_bytes());
-        buf[4..6].copy_from_slice(&MAP_VERSION.to_le_bytes());
-        buf[6..8].copy_from_slice(&self.flags.0.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        buf[16..20].copy_from_slice(&self.piece.to_le_bytes());
-        buf[20..22].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
+        put_u32(buf, 0, MAP_MAGIC);
+        put_u16(buf, 4, MAP_VERSION);
+        put_u16(buf, 6, self.flags.0);
+        put_u64(buf, 8, self.seq);
+        put_u32(buf, 16, self.piece);
+        put_u16(buf, 20, self.entries.len() as u16);
         let (txn_id, txn_index, txn_total) = match self.txn {
             Some(t) => (t.id, t.index, t.total),
             None => (0, 0, 0),
         };
-        buf[22..24].copy_from_slice(&txn_index.to_le_bytes());
+        put_u16(buf, 22, txn_index);
         let (plba, pseq) = self.prev.unwrap_or((NO_LBA, 0));
-        buf[24..32].copy_from_slice(&plba.to_le_bytes());
-        buf[32..40].copy_from_slice(&pseq.to_le_bytes());
+        put_u64(buf, 24, plba);
+        put_u64(buf, 32, pseq);
         let (blba, bseq) = self.bypass.unwrap_or((NO_LBA, 0));
-        buf[40..48].copy_from_slice(&blba.to_le_bytes());
-        buf[48..56].copy_from_slice(&bseq.to_le_bytes());
-        buf[56..64].copy_from_slice(&txn_id.to_le_bytes());
-        buf[64..66].copy_from_slice(&txn_total.to_le_bytes());
+        put_u64(buf, 40, blba);
+        put_u64(buf, 48, bseq);
+        put_u64(buf, 56, txn_id);
+        put_u16(buf, 64, txn_total);
         // buf[66..68] reserved, zero; the checksum word stays zero until
         // the record is sealed.
-        for (slot, e) in buf[HEADER_BYTES..].chunks_exact_mut(4).zip(self.entries) {
-            slot.copy_from_slice(&e.to_le_bytes());
-        }
+        put_u32s(buf, HEADER_BYTES, self.entries);
         seal(buf, SUM_OFFSET);
         Ok(())
     }
@@ -227,33 +227,28 @@ impl MapSector {
         if buf.len() != PIECE_BYTES {
             return None;
         }
-        let magic = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-        let version = u16::from_le_bytes(buf[4..6].try_into().ok()?);
-        if magic != MAP_MAGIC || version != MAP_VERSION {
+        if get_u32(buf, 0).ok()? != MAP_MAGIC || get_u16(buf, 4).ok()? != MAP_VERSION {
             return None;
         }
         if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
-        let n = u16::from_le_bytes(buf[20..22].try_into().ok()?) as usize;
+        let n = get_u16(buf, 20).ok()? as usize;
         if n > PIECE_ENTRIES {
             return None;
         }
-        let flags = MapFlags(u16::from_le_bytes(buf[6..8].try_into().ok()?));
-        let txn_id = u64::from_le_bytes(buf[56..64].try_into().ok()?);
-        let txn_index = u16::from_le_bytes(buf[22..24].try_into().ok()?);
-        let txn_total = u16::from_le_bytes(buf[64..66].try_into().ok()?);
-        let prev_lba = u64::from_le_bytes(buf[24..32].try_into().ok()?);
-        let prev_seq = u64::from_le_bytes(buf[32..40].try_into().ok()?);
-        let bypass_lba = u64::from_le_bytes(buf[40..48].try_into().ok()?);
-        let bypass_seq = u64::from_le_bytes(buf[48..56].try_into().ok()?);
-        let entries = buf[HEADER_BYTES..HEADER_BYTES + n * 4]
-            .chunks_exact(4)
-            .map(|e| u32::from_le_bytes([e[0], e[1], e[2], e[3]]))
-            .collect();
+        let flags = MapFlags(get_u16(buf, 6).ok()?);
+        let txn_id = get_u64(buf, 56).ok()?;
+        let txn_index = get_u16(buf, 22).ok()?;
+        let txn_total = get_u16(buf, 64).ok()?;
+        let prev_lba = get_u64(buf, 24).ok()?;
+        let prev_seq = get_u64(buf, 32).ok()?;
+        let bypass_lba = get_u64(buf, 40).ok()?;
+        let bypass_seq = get_u64(buf, 48).ok()?;
+        let entries = get_u32s(buf, HEADER_BYTES, n).ok()?.collect();
         Some(MapSector {
-            seq: u64::from_le_bytes(buf[8..16].try_into().ok()?),
-            piece: u32::from_le_bytes(buf[16..20].try_into().ok()?),
+            seq: get_u64(buf, 8).ok()?,
+            piece: get_u32(buf, 16).ok()?,
             flags,
             prev: (prev_lba != NO_LBA).then_some((prev_lba, prev_seq)),
             bypass: (bypass_lba != NO_LBA).then_some((bypass_lba, bypass_seq)),

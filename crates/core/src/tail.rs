@@ -11,7 +11,7 @@
 //! record is absent or corrupt and recovery falls back to scanning the disk
 //! for self-identifying map sectors.
 
-use crate::checksum::{seal, seal_holds};
+use disksim::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, seal, seal_holds};
 use disksim::SECTOR_BYTES;
 
 /// Magic number for the tail record ("VTAL").
@@ -23,7 +23,7 @@ pub const TAIL_LBA: u64 = 0;
 pub const FIRMWARE_SECTORS: u64 = 8;
 
 /// Byte offset of the checksum word within the record: the seal of the
-/// whole sector (the folded digest of [`crate::checksum`]).
+/// whole sector ([`disksim::codec::seal`]).
 const SUM_OFFSET: usize = 32;
 
 /// A decoded tail record: where the virtual-log root lives.
@@ -40,14 +40,13 @@ impl TailRecord {
     /// Serialise to a sector image.
     pub fn encode(&self) -> [u8; SECTOR_BYTES] {
         let mut buf = [0u8; SECTOR_BYTES];
-        buf[0..4].copy_from_slice(&TAIL_MAGIC.to_le_bytes());
-        buf[4..6].copy_from_slice(&1u16.to_le_bytes()); // version
-        let flags: u16 = if self.root.is_some() { 1 } else { 0 };
-        buf[6..8].copy_from_slice(&flags.to_le_bytes());
+        put_u32(&mut buf, 0, TAIL_MAGIC);
+        put_u16(&mut buf, 4, 1); // version
+        put_u16(&mut buf, 6, u16::from(self.root.is_some())); // flags
         let (lba, seq) = self.root.unwrap_or((0, 0));
-        buf[8..16].copy_from_slice(&lba.to_le_bytes());
-        buf[16..24].copy_from_slice(&seq.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.next_seq.to_le_bytes());
+        put_u64(&mut buf, 8, lba);
+        put_u64(&mut buf, 16, seq);
+        put_u64(&mut buf, 24, self.next_seq);
         seal(&mut buf, SUM_OFFSET);
         buf
     }
@@ -58,19 +57,16 @@ impl TailRecord {
         if buf.len() != SECTOR_BYTES {
             return None;
         }
-        if u32::from_le_bytes(buf[0..4].try_into().ok()?) != TAIL_MAGIC {
-            return None;
-        }
-        if u16::from_le_bytes(buf[4..6].try_into().ok()?) != 1 {
+        if get_u32(buf, 0).ok()? != TAIL_MAGIC || get_u16(buf, 4).ok()? != 1 {
             return None;
         }
         if !seal_holds(buf, SUM_OFFSET) {
             return None;
         }
-        let flags = u16::from_le_bytes(buf[6..8].try_into().ok()?);
-        let lba = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-        let seq = u64::from_le_bytes(buf[16..24].try_into().ok()?);
-        let next_seq = u64::from_le_bytes(buf[24..32].try_into().ok()?);
+        let flags = get_u16(buf, 6).ok()?;
+        let lba = get_u64(buf, 8).ok()?;
+        let seq = get_u64(buf, 16).ok()?;
+        let next_seq = get_u64(buf, 24).ok()?;
         Some(TailRecord {
             root: (flags & 1 == 1).then_some((lba, seq)),
             next_seq,

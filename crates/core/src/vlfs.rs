@@ -31,10 +31,13 @@ use crate::alloc::AllocConfig;
 use crate::log::{VirtualLog, BLOCK_BYTES};
 use crate::mapsector::UNMAPPED;
 use crate::recovery::RecoveryReport;
+use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64};
 use disksim::{Disk, DiskError, Result, ServiceTime};
 
 /// Direct block pointers per inode (one 4 KB inode block).
 pub const INODE_DIRECT: usize = (BLOCK_BYTES - 16) / 4;
+/// Magic at byte 8 of every inode block ("VLFS").
+const VLFS_MAGIC: u32 = 0x564C_4653;
 
 /// An in-memory inode: file size plus direct pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,28 +58,20 @@ impl VlfsInode {
 
     fn encode(&self) -> Vec<u8> {
         let mut b = vec![0u8; BLOCK_BYTES];
-        b[0..8].copy_from_slice(&self.size.to_le_bytes());
-        b[8..12].copy_from_slice(&0x564C_4653u32.to_le_bytes()); // "VLFS"
-        for (i, d) in self.direct.iter().enumerate() {
-            let o = 16 + i * 4;
-            b[o..o + 4].copy_from_slice(&d.to_le_bytes());
-        }
+        put_u64(&mut b, 0, self.size);
+        put_u32(&mut b, 8, VLFS_MAGIC);
+        put_u32s(&mut b, 16, &self.direct);
         b
     }
 
     fn decode(buf: &[u8]) -> Result<VlfsInode> {
-        if buf.len() != BLOCK_BYTES
-            || u32::from_le_bytes(buf[8..12].try_into().expect("slice")) != 0x564C_4653
-        {
+        if buf.len() != BLOCK_BYTES || get_u32(buf, 8)? != VLFS_MAGIC {
             return Err(DiskError::Corrupt("VLFS inode"));
         }
-        let size = u64::from_le_bytes(buf[0..8].try_into().expect("slice"));
-        let mut direct = Vec::with_capacity(INODE_DIRECT);
-        for i in 0..INODE_DIRECT {
-            let o = 16 + i * 4;
-            direct.push(u32::from_le_bytes(buf[o..o + 4].try_into().expect("slice")));
-        }
-        Ok(VlfsInode { size, direct })
+        Ok(VlfsInode {
+            size: get_u64(buf, 0)?,
+            direct: get_u32s(buf, 16, INODE_DIRECT)?.collect(),
+        })
     }
 
     /// Number of data blocks the file spans.

@@ -2,9 +2,9 @@
 //! record — parse whatever a crash, a torn write or a damaged image left on
 //! the media. Whatever they are handed, each returns `None` or a value and
 //! never panics, and nothing is sized by an on-disk count before the count
-//! is checked against the record.
+//! is checked against the record. The words their seals store are pinned.
 
-use disksim::digest::digest;
+use disksim::codec::seal;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use vlog_core::checkpoint::CKPT_MAGIC;
@@ -22,12 +22,10 @@ const TAIL_SUM: usize = 32;
 const CKPT_HEAD: usize = 32;
 const CKPT_ENTRY: usize = 32;
 
-/// Seal `record` at `field` the way the encoders do: the folded digest of
-/// the record with the field zeroed.
+/// Seal `record` at `field` the way the encoders do.
 fn reseal(record: &mut [u8], field: usize) {
     record[field..field + 4].fill(0);
-    let h = digest(record);
-    record[field..field + 4].copy_from_slice(&((h ^ (h >> 32)) as u32).to_le_bytes());
+    seal(record, field);
 }
 
 /// Stamp magic and version (`u16` 1 unless given) at the front.
@@ -169,4 +167,68 @@ fn checkpoint_claiming_u32_max_entries_is_refused() {
         reseal(&mut slot, CKPT_SUM);
         assert_eq!(Checkpoint::decode(&slot), None, "len {len}");
     }
+}
+
+/// The stored words of one fixed record of each sealed kind, recorded
+/// when the seal became the folded digest (EXPERIMENTS.md lists them
+/// beside the words of the checksum it replaced); each still decodes,
+/// and is rejected after any single-bit flip.
+#[test]
+fn stored_checksums_are_pinned() {
+    fn check(image: &[u8], field: usize, pinned: u32, decodes: impl Fn(&[u8]) -> bool) {
+        let stored = u32::from_le_bytes(image[field..field + 4].try_into().unwrap());
+        assert_eq!(stored, pinned, "stored checksum word moved: {stored:#010x}");
+        assert!(decodes(image));
+        let mut flipped = image.to_vec();
+        for bit in 0..image.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(!decodes(&flipped), "bit {bit} flip accepted");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    let map = MapSector {
+        seq: 42,
+        piece: 7,
+        flags: MapFlags::TXN_COMMIT,
+        prev: Some((1234, 41)),
+        bypass: Some((99, 17)),
+        txn: Some(TxnInfo {
+            id: 9,
+            index: 2,
+            total: 3,
+        }),
+        entries: vec![1, 2, UNMAPPED, 4],
+    };
+    check(&map.encode().unwrap(), 68, 0x21F6_80B0, |b| {
+        MapSector::decode(b).is_some()
+    });
+
+    let ckpt = Checkpoint {
+        seq: 99,
+        pieces: vec![
+            Some(PieceLoc {
+                lba: 800,
+                seq: 42,
+                prev: Some((640, 41)),
+            }),
+            None,
+            Some(PieceLoc {
+                lba: 1600,
+                seq: 77,
+                prev: None,
+            }),
+        ],
+    };
+    check(&ckpt.encode(1), 12, 0xD1E2_DA3A, |b| {
+        Checkpoint::decode(b).is_some()
+    });
+
+    let tail = TailRecord {
+        root: Some((777, 42)),
+        next_seq: 43,
+    };
+    check(&tail.encode(), 32, 0xB962_4912, |b| {
+        TailRecord::decode(b).is_some()
+    });
 }

@@ -1,10 +1,11 @@
 //! The workspace's one checksum and content digest.
 //!
-//! [`Digest`] seals the logical disk's segments, summaries and checkpoints
-//! (`lfs::seg`, where it was born), seals every record the virtual log
-//! writes — map sectors, checkpoint slots and the firmware tail record
-//! (`vlog_core::checksum`) — and is the content hash of the fault layer's
-//! acknowledged-write journal ([`crate::fault::content_hash`]). It lives
+//! [`Digest`] seals the logical disk's segments and summaries (`lfs::seg`,
+//! where it was born), is the 32-bit record seal of [`crate::codec::seal`]
+//! — the virtual log's map sectors, checkpoint slots and firmware tail
+//! record, and the logical disk's checkpoints — and is the content hash of
+//! the fault layer's acknowledged-write journal
+//! ([`crate::fault::content_hash`]). It lives
 //! here because `disksim` is the lowest crate all three need it from, and a
 //! second kernel beside it would be one more thing to get wrong.
 

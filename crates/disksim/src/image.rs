@@ -12,35 +12,43 @@
 use std::io::{self, Read, Write};
 
 use crate::clock::SimClock;
+use crate::codec::{get_u16, get_u32, put_u16, put_u32};
 use crate::disk::Disk;
 use crate::spec::DiskSpec;
 use crate::SECTOR_BYTES;
 
 const IMAGE_MAGIC: &[u8; 4] = b"VDSK";
 const IMAGE_VERSION: u16 = 1;
+/// Header bytes after the magic: version, cylinders, tracks per cylinder,
+/// track count.
+const HEADER_BYTES: usize = 14;
+
+/// Any failure to make sense of an image, or of the disk behind it.
+fn invalid(e: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
 
 impl Disk {
     /// Write the disk's contents as an image.
     pub fn save_image<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let g = &self.spec().geometry;
-        w.write_all(IMAGE_MAGIC)?;
-        w.write_all(&IMAGE_VERSION.to_le_bytes())?;
-        w.write_all(&g.cylinders().to_le_bytes())?;
-        w.write_all(&g.tracks_per_cylinder().to_le_bytes())?;
         let tracks = self.materialised_tracks();
-        w.write_all(&(tracks.len() as u32).to_le_bytes())?;
+        let mut header = [0u8; HEADER_BYTES];
+        put_u16(&mut header, 0, IMAGE_VERSION);
+        put_u32(&mut header, 2, g.cylinders());
+        put_u32(&mut header, 6, g.tracks_per_cylinder());
+        put_u32(&mut header, 10, tracks.len() as u32);
+        w.write_all(IMAGE_MAGIC)?;
+        w.write_all(&header)?;
         for (cyl, track) in tracks {
-            let spt = g
-                .sectors_per_track(cyl)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            let spt = g.sectors_per_track(cyl).map_err(invalid)?;
             let mut buf = vec![0u8; spt as usize * SECTOR_BYTES];
-            let start = g
-                .track_start_lba(cyl, track)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            self.peek_sectors(start, &mut buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            w.write_all(&cyl.to_le_bytes())?;
-            w.write_all(&track.to_le_bytes())?;
+            let start = g.track_start_lba(cyl, track).map_err(invalid)?;
+            self.peek_sectors(start, &mut buf).map_err(invalid)?;
+            let mut at = [0u8; 8];
+            put_u32(&mut at, 0, cyl);
+            put_u32(&mut at, 4, track);
+            w.write_all(&at)?;
             w.write_all(&buf)?;
         }
         Ok(())
@@ -52,60 +60,33 @@ impl Disk {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != IMAGE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a disk image",
-            ));
+            return Err(invalid("not a disk image"));
         }
-        let version = read_u16(r)?;
-        if version != IMAGE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unknown image version",
-            ));
+        let mut header = [0u8; HEADER_BYTES];
+        r.read_exact(&mut header)?;
+        if get_u16(&header, 0).map_err(invalid)? != IMAGE_VERSION {
+            return Err(invalid("unknown image version"));
         }
-        let cyls = read_u32(r)?;
-        let tpc = read_u32(r)?;
+        let cyls = get_u32(&header, 2).map_err(invalid)?;
+        let tpc = get_u32(&header, 6).map_err(invalid)?;
         if cyls != spec.geometry.cylinders() || tpc != spec.geometry.tracks_per_cylinder() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "image geometry does not match the spec",
-            ));
+            return Err(invalid("image geometry does not match the spec"));
         }
         let mut disk = Disk::new(spec, clock);
-        let n = read_u32(r)?;
-        for _ in 0..n {
-            let cyl = read_u32(r)?;
-            let track = read_u32(r)?;
-            let spt = disk
-                .spec()
-                .geometry
-                .sectors_per_track(cyl)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        for _ in 0..get_u32(&header, 10).map_err(invalid)? {
+            let mut at = [0u8; 8];
+            r.read_exact(&mut at)?;
+            let cyl = get_u32(&at, 0).map_err(invalid)?;
+            let track = get_u32(&at, 4).map_err(invalid)?;
+            let g = &disk.spec().geometry;
+            let spt = g.sectors_per_track(cyl).map_err(invalid)?;
+            let start = g.track_start_lba(cyl, track).map_err(invalid)?;
             let mut buf = vec![0u8; spt as usize * SECTOR_BYTES];
             r.read_exact(&mut buf)?;
-            let start = disk
-                .spec()
-                .geometry
-                .track_start_lba(cyl, track)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            disk.poke_sectors(start, &buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            disk.poke_sectors(start, &buf).map_err(invalid)?;
         }
         Ok(disk)
     }
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -155,6 +136,26 @@ mod tests {
             &mut img.as_slice(),
         );
         assert!(err.is_err());
+    }
+
+    /// The header is the documented layout, and every truncation of an
+    /// image is an error rather than a panic or a short disk.
+    #[test]
+    fn header_layout_and_truncations() {
+        let mut d = Disk::new(DiskSpec::hp97560_sim(), SimClock::new());
+        d.write_sectors(0, &[7u8; SECTOR_BYTES]).unwrap();
+        let mut img = Vec::new();
+        d.save_image(&mut img).unwrap();
+        let g = &d.spec().geometry;
+        let mut want = b"VDSK\x01\x00".to_vec();
+        for v in [g.cylinders(), g.tracks_per_cylinder(), 1, 0, 0] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(img[..want.len()], want[..]);
+        for len in (0..want.len()).chain([img.len() - 1]) {
+            let cut = Disk::load_image(DiskSpec::hp97560_sim(), SimClock::new(), &mut &img[..len]);
+            assert!(cut.is_err(), "len {len}");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 pub mod cache;
 pub mod clock;
+pub mod codec;
 pub mod device;
 pub mod digest;
 pub mod disk;

@@ -5,12 +5,13 @@
 //! is its *summary*: the logical owner of every data slot, so a mounted
 //! volume (or a cleaner) can tell live blocks from dead ones.
 
+use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64, seal, seal_holds};
 use fscore::{FsError, FsResult};
 
-/// The one checksum of the logical disk: segment data, summary headers and
-/// checkpoints. A crash can tear the multi-block segment flush (summary
-/// first, data after); the checksums let mount detect and discard such
-/// segments instead of replaying garbage.
+/// The one checksum of the logical disk: segment data and summary headers,
+/// and, folded to 32 bits by [`seal`], checkpoints. A crash can tear the
+/// multi-block segment flush (summary first, data after); the checksums let
+/// mount detect and discard such segments instead of replaying garbage.
 pub use disksim::digest::{digest, Digest};
 
 /// Device blocks per segment (512 KB / 4 KB).
@@ -70,15 +71,12 @@ impl Summary {
     /// The header is sealed with its own checksum so a torn summary write
     /// (partial sectors of the summary block itself) is detectable.
     pub fn encode_into(&self, block: &mut [u8]) {
-        block[0..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
-        block[4..8].copy_from_slice(&self.fill.to_le_bytes());
-        block[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        for (dst, owner) in block[16..].chunks_exact_mut(4).zip(&self.owners) {
-            dst.copy_from_slice(&owner.to_le_bytes());
-        }
-        block[HEAD_BYTES - 8..HEAD_BYTES].copy_from_slice(&self.data_csum.to_le_bytes());
-        let head_csum = digest(&block[..HEAD_BYTES]);
-        block[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&head_csum.to_le_bytes());
+        put_u32(block, 0, SUMMARY_MAGIC);
+        put_u32(block, 4, self.fill);
+        put_u64(block, 8, self.seq);
+        put_u32s(block, 16, &self.owners);
+        put_u64(block, HEAD_BYTES - 8, self.data_csum);
+        put_u64(block, HEAD_BYTES, digest(&block[..HEAD_BYTES]));
         block[HEAD_BYTES + 8..].fill(0);
     }
 
@@ -87,100 +85,74 @@ impl Summary {
         if buf.len() < HEAD_BYTES + 8 {
             return Err(FsError::Invalid("summary block too small"));
         }
-        if u32::from_le_bytes(buf[0..4].try_into().expect("slice of 4")) != SUMMARY_MAGIC {
+        if get_u32(buf, 0)? != SUMMARY_MAGIC {
             return Err(FsError::Invalid("bad segment summary magic"));
         }
-        let stored = u64::from_le_bytes(
-            buf[HEAD_BYTES..HEAD_BYTES + 8]
-                .try_into()
-                .expect("slice of 8"),
-        );
-        if digest(&buf[..HEAD_BYTES]) != stored {
+        if digest(&buf[..HEAD_BYTES]) != get_u64(buf, HEAD_BYTES)? {
             return Err(FsError::Invalid("segment summary checksum mismatch"));
         }
-        let fill = u32::from_le_bytes(buf[4..8].try_into().expect("slice of 4"));
+        let fill = get_u32(buf, 4)?;
         if fill > SEG_DATA as u32 {
             return Err(FsError::Invalid("summary fill out of range"));
         }
-        let seq = u64::from_le_bytes(buf[8..16].try_into().expect("slice of 8"));
         let mut owners = [NONE; SEG_DATA as usize];
-        for (owner, src) in owners.iter_mut().zip(buf[16..].chunks_exact(4)) {
-            *owner = u32::from_le_bytes(src.try_into().expect("chunk of 4"));
+        for (owner, stored) in owners.iter_mut().zip(get_u32s(buf, 16, SEG_DATA as usize)?) {
+            *owner = stored;
         }
-        let data_csum = u64::from_le_bytes(
-            buf[HEAD_BYTES - 8..HEAD_BYTES]
-                .try_into()
-                .expect("slice of 8"),
-        );
         Ok(Summary {
             owners,
             fill,
-            seq,
-            data_csum,
+            seq: get_u64(buf, 8)?,
+            data_csum: get_u64(buf, HEAD_BYTES - 8)?,
         })
     }
 }
 
 /// Checkpoint magic ("LCKP").
 const CKPT_MAGIC: u32 = 0x4C43_4B50;
-/// Bytes before the block map in a checkpoint image: magic, checksum,
-/// logical block count, flush sequence.
+/// Bytes before the block map in a checkpoint image: magic, seal, logical
+/// block count, flush sequence.
 pub(crate) const CKPT_HEAD: usize = 24;
-
-/// The checkpoint's 32-bit checksum: the [`Digest`] of everything after
-/// the magic and the checksum field itself, folded in half.
-fn checkpoint_csum(raw: &[u8]) -> u32 {
-    let h = digest(&raw[8..]);
-    (h ^ (h >> 32)) as u32
-}
+/// Byte offset of the checkpoint's seal ([`seal`]) over the whole slot.
+const CKPT_SEAL: usize = 4;
 
 /// Fill `raw` (one whole checkpoint slot) with the image of `map`.
 pub(crate) fn encode_checkpoint(raw: &mut [u8], flush_seq: u64, map: &[u32]) {
     let map_end = CKPT_HEAD + 4 * map.len();
-    raw[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
-    raw[8..16].copy_from_slice(&(map.len() as u64).to_le_bytes());
-    raw[16..24].copy_from_slice(&flush_seq.to_le_bytes());
-    for (dst, slot) in raw[CKPT_HEAD..map_end].chunks_exact_mut(4).zip(map) {
-        dst.copy_from_slice(&slot.to_le_bytes());
-    }
+    put_u32(raw, 0, CKPT_MAGIC);
+    put_u32(raw, CKPT_SEAL, 0);
+    put_u64(raw, 8, map.len() as u64);
+    put_u64(raw, 16, flush_seq);
+    put_u32s(raw, CKPT_HEAD, map);
     raw[map_end..].fill(0);
-    let csum = checkpoint_csum(raw);
-    raw[4..8].copy_from_slice(&csum.to_le_bytes());
+    seal(raw, CKPT_SEAL);
 }
 
 /// Validate one checkpoint slot image; returns its flush sequence if the
-/// magic, checksum and geometry all check out, so mount can reject a
+/// magic, seal and geometry all check out, so mount can reject a
 /// checkpoint torn by a power cut. An image too short for the header and
 /// a map of `logical` entries is refused before anything is read.
 pub(crate) fn validate_checkpoint(raw: &[u8], logical: u64) -> Option<u64> {
     if raw.len() < CKPT_HEAD || logical > ((raw.len() - CKPT_HEAD) / 4) as u64 {
         return None;
     }
-    if u32::from_le_bytes(raw[0..4].try_into().expect("slice of 4")) != CKPT_MAGIC {
+    if get_u32(raw, 0).ok()? != CKPT_MAGIC || !seal_holds(raw, CKPT_SEAL) {
         return None;
     }
-    if u32::from_le_bytes(raw[4..8].try_into().expect("slice of 4")) != checkpoint_csum(raw) {
+    if get_u64(raw, 8).ok()? != logical {
         return None;
     }
-    if u64::from_le_bytes(raw[8..16].try_into().expect("slice of 8")) != logical {
-        return None;
-    }
-    Some(u64::from_le_bytes(
-        raw[16..24].try_into().expect("slice of 8"),
-    ))
+    get_u64(raw, 16).ok()
 }
 
 /// The block map stored in a validated checkpoint image, every entry
 /// unmapped or one of the log's `slots` data slots: a checksum-valid
 /// checkpoint can still name a slot the log does not have.
 pub(crate) fn checkpoint_map(raw: &[u8], logical: u64, slots: u64) -> FsResult<Vec<u32>> {
-    let entries = usize::try_from(logical)
+    let map: Vec<u32> = usize::try_from(logical)
         .ok()
-        .and_then(|n| raw.get(CKPT_HEAD..CKPT_HEAD.checked_add(n.checked_mul(4)?)?))
-        .ok_or(FsError::Invalid("checkpoint shorter than its map"))?;
-    let map: Vec<u32> = entries
-        .chunks_exact(4)
-        .map(|e| u32::from_le_bytes(e.try_into().expect("chunk of 4")))
+        .and_then(|n| get_u32s(raw, CKPT_HEAD, n).ok())
+        .ok_or(FsError::Invalid("checkpoint shorter than its map"))?
         .collect();
     if map.iter().any(|&s| s != NONE && s as u64 >= slots) {
         return Err(FsError::Invalid("checkpoint slot beyond the log"));
@@ -284,6 +256,27 @@ mod tests {
         }
     }
 
+    /// The word the shared seal stores for one fixed checkpoint. It moved
+    /// (from 0x22FDB2F2) when the checkpoint's own folded digest of the
+    /// bytes after the seal gave way to the record seal, which also covers
+    /// the magic; the summary's 64-bit header digest is the one it was.
+    #[test]
+    fn checkpoint_seal_word_is_pinned() {
+        let map: Vec<u32> = (0..254u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let mut raw = vec![0xA5u8; BS];
+        encode_checkpoint(&mut raw, 41, &map);
+        let stored = get_u32(&raw, CKPT_SEAL).unwrap();
+        assert_eq!(
+            stored, 0x8229_622D,
+            "checkpoint seal word moved: {stored:#010x}"
+        );
+        let head = get_u64(&encode(&sample()), HEAD_BYTES).unwrap();
+        assert_eq!(
+            head, 0x4FBE_36E2_8A88_7BA9,
+            "summary header digest moved: {head:#018x}"
+        );
+    }
+
     /// The three LLD decoders parse whatever a crash, a torn write or a
     /// damaged image left on the media: whatever they are handed, each
     /// returns an error or a value and never panics.
@@ -300,14 +293,13 @@ mod tests {
 
         /// Seal a summary header the way `encode_into` does.
         fn reseal_summary(block: &mut [u8]) {
-            let csum = digest(&block[..HEAD_BYTES]);
-            block[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&csum.to_le_bytes());
+            put_u64(block, HEAD_BYTES, digest(&block[..HEAD_BYTES]));
         }
 
         /// Seal a checkpoint image the way `encode_checkpoint` does.
         fn reseal_checkpoint(raw: &mut [u8]) {
-            let csum = checkpoint_csum(raw);
-            raw[4..8].copy_from_slice(&csum.to_le_bytes());
+            put_u32(raw, CKPT_SEAL, 0);
+            seal(raw, CKPT_SEAL);
         }
 
         /// Does a map of `logical` entries fit behind the header?

@@ -5,6 +5,7 @@
 //! entries. A zero name length marks a free slot, so freshly allocated
 //! directory blocks are valid empty directories.
 
+use disksim::codec::{get_u32, put_u32};
 use fscore::{FsError, FsResult};
 
 /// Bytes per directory entry.
@@ -37,7 +38,7 @@ impl Dirent {
     pub fn encode_into(&self, slot: &mut [u8]) {
         assert_eq!(slot.len(), DIRENT_SIZE);
         slot.fill(0);
-        slot[0..4].copy_from_slice(&self.ino.to_le_bytes());
+        put_u32(slot, 0, self.ino);
         let bytes = self.name.as_bytes();
         slot[4] = bytes.len() as u8;
         slot[5..5 + bytes.len()].copy_from_slice(bytes);
@@ -54,7 +55,7 @@ impl Dirent {
         }
         let name = String::from_utf8(slot[5..5 + len].to_vec()).ok()?;
         Some(Dirent {
-            ino: u32::from_le_bytes(slot[0..4].try_into().expect("slice of 4")),
+            ino: get_u32(slot, 0).ok()?,
             name,
         })
     }

@@ -24,6 +24,7 @@ use crate::bitmap::Bitmap;
 use crate::dir::{Dirent, DIRENT_SIZE};
 use crate::inode::{classify, BlockPath, Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
+use disksim::codec::{get_u32, get_u32s, put_u32};
 use disksim::{BlockDevice, DeviceSnapshot, SimClock};
 use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
 
@@ -256,7 +257,7 @@ impl Ufs {
         };
         let mut sb = vec![0u8; BLOCK_SIZE];
         dev.read_block(0, &mut sb)?;
-        let layout = Layout::decode(&sb)?;
+        let layout = Layout::decode(&sb, dev.num_blocks())?;
         let cfg = UfsConfig {
             inode_count: layout.inode_count,
             ..cfg
@@ -355,14 +356,8 @@ impl Ufs {
     /// The non-empty pointers stored in an indirect block.
     fn pointer_targets(&mut self, blk: u64) -> FsResult<Vec<u64>> {
         let buf = self.get_block(blk)?;
-        let mut ptrs = Vec::new();
-        for o in (0..BLOCK_SIZE).step_by(4) {
-            let b = u32::from_le_bytes(buf[o..o + 4].try_into().expect("slice of 4"));
-            if b != NO_BLOCK {
-                ptrs.push(b as u64);
-            }
-        }
-        Ok(ptrs)
+        let ptrs = get_u32s(&buf, 0, PTRS_PER_BLOCK as usize)?;
+        Ok(ptrs.filter(|&b| b != NO_BLOCK).map(u64::from).collect())
     }
 
     /// Access the underlying device (e.g. to harvest statistics).
@@ -640,7 +635,7 @@ impl Ufs {
         // The common case reads four bytes through the shared handle.
         let mut ptrs = self.get_block(ptr_blk)?;
         let o = idx as usize * 4;
-        let cur = u32::from_le_bytes(ptrs[o..o + 4].try_into().expect("slice of 4"));
+        let cur = get_u32(&ptrs, o)?;
         if cur != NO_BLOCK {
             return Ok(Some((cur as u64, false)));
         }
@@ -662,8 +657,7 @@ impl Ufs {
             ptrs = Arc::from(&*ptrs);
             self.copies += 1;
         }
-        let slot = &mut Arc::get_mut(&mut ptrs).expect("sole owner")[o..o + 4];
-        slot.copy_from_slice(&(b as u32).to_le_bytes());
+        put_u32(Arc::get_mut(&mut ptrs).expect("sole owner"), o, b as u32);
         // The slot update is metadata but need not hit the media per slot:
         // it is delayed here and written through once per operation
         // ([`Ufs::flush_pointer_blocks`]), before the inode that leads to
@@ -744,6 +738,12 @@ impl Ufs {
                 .unwrap_or(0);
             let mut occupancy = vec![false; slots as usize];
             for (slot, e) in entries {
+                // Entries are input: one naming an inode past the table is
+                // `fsck_repair`'s to mend, not ours to follow, and a
+                // directory reached a second time would be walked forever.
+                if e.ino >= self.layout.inode_count {
+                    return Err(FsError::Invalid("dirent names an inode past the table"));
+                }
                 occupancy[slot as usize] = true;
                 let path = if prefix.is_empty() {
                     e.name.clone()
@@ -762,7 +762,9 @@ impl Ufs {
                 );
                 *self.child_count.entry(dir_ino).or_insert(0) += 1;
                 if child.is_dir {
-                    self.dir_slots.entry(e.ino).or_default();
+                    if self.dir_slots.insert(e.ino, DirSlots::default()).is_some() {
+                        return Err(FsError::Invalid("directory reached by two names"));
+                    }
                     self.child_count.entry(e.ino).or_insert(0);
                     stack.push((e.ino, path));
                 }
@@ -1169,29 +1171,17 @@ impl Ufs {
             }
         }
         if inode.indirect != NO_BLOCK {
-            let buf = self.get_block(inode.indirect as u64)?;
-            for o in (0..BLOCK_SIZE).step_by(4) {
-                let b = u32::from_le_bytes(buf[o..o + 4].try_into().expect("slice of 4"));
-                if b != NO_BLOCK {
-                    self.free_data_block(b as u64);
-                }
+            for b in self.pointer_targets(inode.indirect as u64)? {
+                self.free_data_block(b);
             }
             self.free_data_block(inode.indirect as u64);
         }
         if inode.dindirect != NO_BLOCK {
-            let l1 = self.get_block(inode.dindirect as u64)?;
-            for o in (0..BLOCK_SIZE).step_by(4) {
-                let p = u32::from_le_bytes(l1[o..o + 4].try_into().expect("slice of 4"));
-                if p != NO_BLOCK {
-                    let l2 = self.get_block(p as u64)?;
-                    for o2 in (0..BLOCK_SIZE).step_by(4) {
-                        let b = u32::from_le_bytes(l2[o2..o2 + 4].try_into().expect("slice of 4"));
-                        if b != NO_BLOCK {
-                            self.free_data_block(b as u64);
-                        }
-                    }
-                    self.free_data_block(p as u64);
+            for p in self.pointer_targets(inode.dindirect as u64)? {
+                for b in self.pointer_targets(p)? {
+                    self.free_data_block(b);
                 }
+                self.free_data_block(p);
             }
             self.free_data_block(inode.dindirect as u64);
         }

@@ -25,8 +25,9 @@ use std::collections::HashMap;
 use crate::dir::{Dirent, DIRENT_SIZE};
 use crate::inode::{Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
+use disksim::codec::{get_u32, put_u32};
 use disksim::BlockDevice;
-use fscore::{FsError, FsResult};
+use fscore::FsResult;
 
 /// The root directory's inode, mirrored here to keep `fsck` standalone.
 const ROOT_CHECK_INO: u32 = 0;
@@ -172,16 +173,15 @@ fn vet_ptr_block(
     dev.read_block(ptr_blk, &mut pbuf)?;
     let mut kids = Vec::new();
     let mut dirty = false;
-    for i in 0..PTRS_PER_BLOCK as usize {
-        let b =
-            u32::from_le_bytes(pbuf[i * 4..i * 4 + 4].try_into().expect("slice of 4")) as u64;
+    for o in (0..PTRS_PER_BLOCK as usize).map(|i| i * 4) {
+        let b = get_u32(&pbuf, o)? as u64;
         if b == NO_BLOCK as u64 {
             continue;
         }
         if reference(layout, report, owner, ino, b) {
             kids.push(b);
         } else if repair {
-            pbuf[i * 4..i * 4 + 4].fill(0);
+            put_u32(&mut pbuf, o, NO_BLOCK);
             dirty = true;
             report
                 .repairs
@@ -198,16 +198,10 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let mut report = FsckReport::default();
     let mut buf = vec![0u8; BLOCK_SIZE];
 
-    // Superblock → layout.
+    // Superblock → layout. The tables below are sized from it, so
+    // `Layout::decode` believes it only as far as the device goes.
     dev.read_block(0, &mut buf)?;
-    let layout = Layout::decode(&buf)?;
-    // The tables below are sized from the superblock: believe it only as
-    // far as the device goes.
-    if layout.total_blocks > dev.num_blocks() {
-        return Err(FsError::Invalid(
-            "superblock claims more blocks than the device has",
-        ));
-    }
+    let layout = Layout::decode(&buf, dev.num_blocks())?;
 
     // Load the bitmaps.
     let block_bm = read_bitmap(dev, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
@@ -492,7 +486,7 @@ mod tests {
     use super::*;
     use crate::{Ufs, UfsConfig};
     use disksim::{DiskSpec, RegularDisk, SimClock};
-    use fscore::{FileSystem, HostModel};
+    use fscore::{FileSystem, FsError, HostModel};
 
     fn populated() -> Ufs {
         let dev = RegularDisk::new(DiskSpec::st19101_sim(), SimClock::new(), BLOCK_SIZE);
@@ -556,16 +550,15 @@ mod tests {
         dev.read_block(ptr_blk, &mut pbuf)?;
         let mut kids = Vec::new();
         let mut dirty = false;
-        for i in 0..PTRS_PER_BLOCK as usize {
-            let b =
-                u32::from_le_bytes(pbuf[i * 4..i * 4 + 4].try_into().expect("slice of 4")) as u64;
+        for o in (0..PTRS_PER_BLOCK as usize).map(|i| i * 4) {
+            let b = get_u32(&pbuf, o)? as u64;
             if b == NO_BLOCK as u64 {
                 continue;
             }
             if reference_hashmap(layout, report, owner, ino, b) {
                 kids.push(b);
             } else if repair {
-                pbuf[i * 4..i * 4 + 4].fill(0);
+                put_u32(&mut pbuf, o, NO_BLOCK);
                 dirty = true;
                 report
                     .repairs
@@ -584,7 +577,7 @@ mod tests {
 
         // Superblock → layout.
         dev.read_block(0, &mut buf)?;
-        let layout = Layout::decode(&buf)?;
+        let layout = Layout::decode(&buf, dev.num_blocks())?;
 
         // Load the bitmaps.
         let block_bm = read_bitmap_hashmap(
@@ -925,7 +918,7 @@ mod tests {
         dev.read_block(0, &mut buf).unwrap();
         let lying = Layout {
             total_blocks: 1 << 40,
-            ..Layout::decode(&buf).unwrap()
+            ..Layout::decode(&buf, dev.num_blocks()).unwrap()
         };
         dev.write_block(0, &lying.encode()).unwrap();
         assert!(matches!(super::fsck(dev), Err(FsError::Invalid(_))));

@@ -5,6 +5,7 @@
 //! the paper's large-file and utilisation benchmarks use.
 
 use crate::layout::{BLOCK_SIZE, INODE_SIZE};
+use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64};
 use fscore::{FsError, FsResult};
 
 /// Number of direct block pointers.
@@ -66,15 +67,12 @@ impl Inode {
     pub fn encode_into(&self, slot: &mut [u8]) {
         assert_eq!(slot.len(), INODE_SIZE);
         slot.fill(0);
-        slot[0..8].copy_from_slice(&self.size.to_le_bytes());
+        put_u64(slot, 0, self.size);
         slot[8] = u8::from(self.allocated);
         slot[9] = u8::from(self.is_dir);
-        for (i, d) in self.direct.iter().enumerate() {
-            let o = 16 + i * 4;
-            slot[o..o + 4].copy_from_slice(&d.to_le_bytes());
-        }
-        slot[64..68].copy_from_slice(&self.indirect.to_le_bytes());
-        slot[68..72].copy_from_slice(&self.dindirect.to_le_bytes());
+        put_u32s(slot, 16, &self.direct);
+        put_u32(slot, 64, self.indirect);
+        put_u32(slot, 68, self.dindirect);
     }
 
     /// Decode from an [`INODE_SIZE`]-byte slot.
@@ -83,17 +81,16 @@ impl Inode {
             return Err(FsError::Invalid("inode slot size"));
         }
         let mut direct = [NO_BLOCK; NDIRECT];
-        for (i, d) in direct.iter_mut().enumerate() {
-            let o = 16 + i * 4;
-            *d = u32::from_le_bytes(slot[o..o + 4].try_into().expect("slice of 4"));
+        for (d, stored) in direct.iter_mut().zip(get_u32s(slot, 16, NDIRECT)?) {
+            *d = stored;
         }
         Ok(Inode {
-            size: u64::from_le_bytes(slot[0..8].try_into().expect("slice of 8")),
+            size: get_u64(slot, 0)?,
             allocated: slot[8] != 0,
             is_dir: slot[9] != 0,
             direct,
-            indirect: u32::from_le_bytes(slot[64..68].try_into().expect("slice of 4")),
-            dindirect: u32::from_le_bytes(slot[68..72].try_into().expect("slice of 4")),
+            indirect: get_u32(slot, 64)?,
+            dindirect: get_u32(slot, 68)?,
         })
     }
 }

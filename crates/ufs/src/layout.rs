@@ -13,6 +13,7 @@
 //! utilisation counts it as used — the paper notes its Figure 8 x-axis
 //! "includes about 12% of reserved free space that is not usable".
 
+use disksim::codec::{get_u32, get_u64, put_u32, put_u64};
 use fscore::{FsError, FsResult};
 
 /// Bytes per file-system block (fixed, matching the paper's configuration).
@@ -97,21 +98,26 @@ impl Layout {
     /// Serialise as a superblock image.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = vec![0u8; BLOCK_SIZE];
-        b[0..4].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        b[4..12].copy_from_slice(&self.total_blocks.to_le_bytes());
-        b[12..16].copy_from_slice(&self.inode_count.to_le_bytes());
+        put_u32(&mut b, 0, SUPER_MAGIC);
+        put_u64(&mut b, 4, self.total_blocks);
+        put_u32(&mut b, 12, self.inode_count);
         b
     }
 
-    /// Decode and re-derive a layout from a superblock image.
-    pub fn decode(buf: &[u8]) -> FsResult<Layout> {
-        if buf.len() < 16
-            || u32::from_le_bytes(buf[0..4].try_into().expect("len checked")) != SUPER_MAGIC
-        {
+    /// Decode and re-derive a layout from the superblock of a device of
+    /// `device_blocks` blocks. Mount and `fsck` size their tables from it,
+    /// so it is believed only within the device and with a root inode.
+    pub fn decode(buf: &[u8], device_blocks: u64) -> FsResult<Layout> {
+        if get_u32(buf, 0).ok() != Some(SUPER_MAGIC) {
             return Err(FsError::Invalid("bad superblock"));
         }
-        let total = u64::from_le_bytes(buf[4..12].try_into().expect("len checked"));
-        let inodes = u32::from_le_bytes(buf[12..16].try_into().expect("len checked"));
+        let (total, inodes) = (get_u64(buf, 4)?, get_u32(buf, 12)?);
+        if total > device_blocks {
+            return Err(FsError::Invalid("superblock larger than the device"));
+        }
+        if inodes == 0 {
+            return Err(FsError::Invalid("superblock has no root inode"));
+        }
         Layout::compute(total, inodes)
     }
 }
@@ -146,8 +152,11 @@ mod tests {
     fn superblock_roundtrip() {
         let l = Layout::compute(6156, 2048).unwrap();
         let img = l.encode();
-        assert_eq!(Layout::decode(&img).unwrap(), l);
-        assert!(Layout::decode(&[0u8; 16]).is_err());
+        assert_eq!(Layout::decode(&img, 6156).unwrap(), l);
+        // A volume may be smaller than its device, never larger.
+        assert_eq!(Layout::decode(&img, 6157).unwrap(), l);
+        assert!(Layout::decode(&img, 6155).is_err());
+        assert!(Layout::decode(&[0u8; 16], 6156).is_err());
     }
 
     #[test]

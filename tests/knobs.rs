@@ -8,6 +8,11 @@
 //! Recipe inventory, same idea: the harness crates format and mount file
 //! systems in exactly one module, so every harness crash-checks and measures
 //! the same stacks.
+//!
+//! Codec inventory, same idea again: every on-disk field is read and written
+//! through `disksim::codec`, so byte order, field width and what a short
+//! buffer means are decided in one place, and a parse path cannot panic on
+//! a short field.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -148,5 +153,128 @@ fn the_harness_crates_build_stacks_in_one_module() {
         BTreeSet::new(),
         "a harness crate formats or mounts a stack outside {RECIPE}; describe \
          the stack as a StackSpec instead"
+    );
+}
+
+/// `src` without its `#[cfg(test)]` items: from each attribute to the end
+/// of the item it guards (a `;`, or the brace matching the item's first
+/// `{`, skipping line comments and string and character literals).
+fn non_test(src: &str) -> String {
+    const ATTR: &str = "#[cfg(test)]";
+    let mut out = String::new();
+    let mut rest = src;
+    while let Some(at) = rest.find(ATTR) {
+        out.push_str(&rest[..at]);
+        let item = &rest[at + ATTR.len()..];
+        let bytes = item.as_bytes();
+        let (mut i, mut depth) = (0, 0usize);
+        let end = loop {
+            match bytes.get(i).copied() {
+                None => break bytes.len(),
+                Some(b';') if depth == 0 => break i + 1,
+                Some(b'{') => depth += 1,
+                Some(b'}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break i + 1;
+                    }
+                }
+                Some(b'/') if bytes.get(i + 1) == Some(&b'/') => {
+                    while bytes.get(i + 1).is_some_and(|&b| b != b'\n') {
+                        i += 1;
+                    }
+                }
+                Some(b'"') => {
+                    i += 1;
+                    while bytes[i] != b'"' {
+                        i += if bytes[i] == b'\\' { 2 } else { 1 };
+                    }
+                }
+                Some(b'\'') if bytes.get(i + 2) == Some(&b'\'') => i += 2,
+                Some(b'\'') if bytes.get(i + 1) == Some(&b'\\') => {
+                    i += 2;
+                    while bytes[i] != b'\'' {
+                        i += 1;
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        };
+        rest = &item[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The one module that turns bytes into integers, and the digest kernel,
+/// which folds whole words at memory speed.
+const DECODES: [&str; 2] = [
+    "crates/disksim/src/codec.rs",
+    "crates/disksim/src/digest.rs",
+];
+
+/// The modules that lay out an on-disk record.
+const RECORD_MODULES: [&str; 11] = [
+    "crates/core/src/checkpoint.rs",
+    "crates/core/src/mapsector.rs",
+    "crates/core/src/tail.rs",
+    "crates/core/src/vlfs.rs",
+    "crates/disksim/src/image.rs",
+    "crates/lfs/src/seg.rs",
+    "crates/ufs/src/dir.rs",
+    "crates/ufs/src/fs.rs",
+    "crates/ufs/src/fsck.rs",
+    "crates/ufs/src/inode.rs",
+    "crates/ufs/src/layout.rs",
+];
+
+#[test]
+fn every_record_field_goes_through_the_codec() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("readable directory entry").path().join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() > 50, "walked only {} files", files.len());
+
+    let mut found = BTreeSet::new();
+    let mut records = BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("walked from root");
+        let rel = rel.to_str().expect("UTF-8 path").to_owned();
+        let src = fs::read_to_string(file).expect("readable source file");
+        let code = non_test(&src);
+        assert!(
+            !code.contains("cfg(test)]"),
+            "{rel}: a test item was not stripped"
+        );
+        // Whitespace out, so a call split over lines still matches.
+        let code: String = code.split_whitespace().collect();
+        if code.contains("from_le_bytes") && !DECODES.contains(&rel.as_str()) {
+            found.insert((rel.clone(), "from_le_bytes"));
+        }
+        if RECORD_MODULES.contains(&rel.as_str()) {
+            records.insert(rel.clone());
+            for call in ["to_le_bytes", "try_into().expect(", "try_into().unwrap("] {
+                if code.contains(call) {
+                    found.insert((rel.clone(), call));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        records.len(),
+        RECORD_MODULES.len(),
+        "a record module moved: walked {records:?}"
+    );
+    assert_eq!(
+        found,
+        BTreeSet::new(),
+        "a record field is read or written outside disksim::codec; use its \
+         get_/put_ functions, which make a short field Corrupt"
     );
 }
