@@ -27,6 +27,19 @@ fn field<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N]> {
     bytes.copied().ok_or(SHORT)
 }
 
+/// The `len` bytes from byte `at` on: a fixed-size slot or a name.
+#[inline]
+pub fn get_bytes(buf: &[u8], at: usize, len: usize) -> Result<&[u8]> {
+    let end = at.checked_add(len).ok_or(SHORT)?;
+    buf.get(at..end).ok_or(SHORT)
+}
+
+/// The byte at `at`.
+#[inline]
+pub fn get_u8(buf: &[u8], at: usize) -> Result<u8> {
+    field(buf, at).map(u8::from_le_bytes)
+}
+
 /// The `u16` at byte `at`.
 #[inline]
 pub fn get_u16(buf: &[u8], at: usize) -> Result<u16> {
@@ -170,6 +183,24 @@ mod tests {
                     assert_eq!(get_u16(&buf, at), Err(SHORT));
                 }
             }
+        }
+    }
+
+    /// A byte run or a byte reads back what the buffer holds when it fits,
+    /// and is `Corrupt` when it does not, whatever the offset and length.
+    #[test]
+    fn byte_runs_read_back_or_are_corrupt() {
+        let buf = random_bytes(0xB17E5, 40);
+        for at in (0..50).chain([usize::MAX - 1, usize::MAX]) {
+            for len in (0..50).chain([usize::MAX - 1, usize::MAX]) {
+                let fits = at.checked_add(len).is_some_and(|end| end <= buf.len());
+                let want = fits.then(|| &buf[at..at + len]);
+                assert_eq!(get_bytes(&buf, at, len).ok(), want, "at {at} len {len}");
+                if !fits {
+                    assert_eq!(get_bytes(&buf, at, len), Err(SHORT));
+                }
+            }
+            assert_eq!(get_u8(&buf, at).ok(), buf.get(at).copied(), "at {at}");
         }
     }
 

@@ -25,7 +25,7 @@
 //! ([`episode_seed`]), so a failure report prints the call that replays the
 //! one failing episode, not the variable. `VLFS_MC_EPISODES` opts into the
 //! long-run soak test; the smoke sweep's width is `VLFS_MC_SMOKE_SEEDS`
-//! (CI pins 64). All three take a decimal or `0x`-hex `u64` ([`knob`]).
+//! (CI runs 64 and 1 024). All three take a decimal or `0x`-hex `u64` ([`knob`]).
 //!
 //! ```text
 //! VLFS_SEED=0xdeadbeef cargo test -p modelcheck        # re-base the sweeps

@@ -320,37 +320,58 @@ impl StackSpec {
         disk: Disk,
         fault: Option<FaultPlan>,
     ) -> FsResult<(Ufs, Option<RecoveryReport>)> {
+        let tracer = disk.tracer().cloned();
+        let (raw, report) = self.recover_device(disk)?;
+        Ok((self.mount_on(raw, fault, tracer)?, report))
+    }
+
+    /// The raw device's half of [`StackSpec::remount`]: the VLD's recovery,
+    /// or the regular disk as it lies.
+    fn recover_device(
+        &self,
+        disk: Disk,
+    ) -> FsResult<(Box<dyn BlockDevice>, Option<RecoveryReport>)> {
         // Spans left open by the crash (an interrupted FsOp, a mid-flight
         // compaction) are closed here so the recovery spans opened below
         // attach at the root rather than under a dead foreground op. No-op
         // when no span table is attached.
         disk.spans().close_all(disk.clock().now());
-        let tracer = disk.tracer().cloned();
-        let (raw, report): (Box<dyn BlockDevice>, _) = match self.dev {
-            DevKind::Regular => (Box::new(RegularDisk::from_disk(disk, BLOCK)), None),
+        match self.dev {
+            DevKind::Regular => Ok((Box::new(RegularDisk::from_disk(disk, BLOCK)), None)),
             DevKind::Vld => {
                 let overhead = self.disk.spec().command_overhead_ns;
                 let (vld, rep) =
                     Vld::recover(disk, overhead, self.vld_config()).map_err(FsError::Disk)?;
-                (Box::new(vld), Some(rep))
+                Ok((Box::new(vld), Some(rep)))
             }
-        };
+        }
+    }
+
+    /// The rest of [`StackSpec::remount`]: the fault layer, the LLD's
+    /// recovery and the file layer's mount over a recovered raw device.
+    fn mount_on(
+        &self,
+        raw: Box<dyn BlockDevice>,
+        fault: Option<FaultPlan>,
+        tracer: Option<Tracer>,
+    ) -> FsResult<Ufs> {
         let mut dev = Self::faulted(raw, fault, tracer);
         if self.fs == FsKind::Lfs {
             dev = Box::new(LogDisk::mount(dev, self.lld_config())?);
         }
-        Ok((Ufs::mount_with(dev, self.host, self.ufs_config())?, report))
+        Ufs::mount_with(dev, self.host, self.ufs_config())
     }
 
     /// [`StackSpec::remount`] a crash, and when `check` (the model checker
     /// asks after a power cut, and at a cut point's one crash) check what
     /// the power loss had to keep: every acknowledged write is on the media
-    /// — the raw sectors before remount on a regular disk, through the
-    /// recovered map after it on the VLD, whose journal is keyed by logical
-    /// block — and the VLD claims no firmware tail record. The torn block is
-    /// exempt on every stack: it holds an unacknowledged write, even when
-    /// all eight sectors landed. These checks only peek, so they move no
-    /// clock.
+    /// — the raw sectors on a regular disk, through the recovered map on the
+    /// VLD, whose journal is keyed by logical block — and the VLD claims no
+    /// firmware tail record. Both are read before the layers above mount,
+    /// because mount may write (it clears a torn rename's second name). The
+    /// torn block is exempt on every stack: it holds an unacknowledged
+    /// write, even when all eight sectors landed. These checks only peek,
+    /// so they move no clock.
     pub fn recover(
         &self,
         st: CrashState,
@@ -375,11 +396,12 @@ impl StackSpec {
                 }
             }
         }
-        let (fs, report) = self.remount(st.disk, fault)?;
+        let tracer = st.disk.tracer().cloned();
+        let (raw, report) = self.recover_device(st.disk)?;
         if check && report.is_some_and(|rep| rep.used_tail) {
             complaints.push("recovery claims a firmware tail record after a crash".into());
         }
-        if let Some(vld) = probe_device::<Vld>(fs.device()) {
+        if let Some(vld) = probe_device::<Vld>(raw.as_ref()) {
             let mut buf = [0u8; BLOCK];
             for (blk, h) in acked {
                 // Unmapped blocks read as zeros, as the drive would answer.
@@ -394,7 +416,7 @@ impl StackSpec {
                 }
             }
         }
-        Ok((fs, complaints))
+        Ok((self.mount_on(raw, fault, tracer)?, complaints))
     }
 
     /// The recovery-path checks that write to the media, so a run ends with
@@ -566,9 +588,10 @@ pub fn audit(fs: &mut Ufs) -> Vec<String> {
     complaints
 }
 
-/// The fsck classes a crash must never produce on a sync-metadata file
-/// system. Leaks, orphans and stale bitmap bits are the expected debris of
-/// delayed bitmap/inode-growth writes; these four mean structure was lost.
+/// The fsck classes a recovered sync-metadata file system must never show.
+/// Leaks, orphans and stale bitmap bits are the expected debris of delayed
+/// bitmap/inode-growth writes; these mean structure was lost. A second name
+/// is what a cut inside `rename` leaves, and mount has cleared it by now.
 fn severe(e: &FsckError) -> bool {
     matches!(
         e,
@@ -576,6 +599,8 @@ fn severe(e: &FsckError) -> bool {
             | FsckError::DoubleReference { .. }
             | FsckError::DanglingDirent { .. }
             | FsckError::SizeBeyondPointers { .. }
+            | FsckError::DirectoryNamedTwice { .. }
+            | FsckError::InodeNamedTwice { .. }
     )
 }
 

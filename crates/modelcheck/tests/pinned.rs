@@ -1,6 +1,7 @@
 //! What the sweep computes, pinned: a host-only change (a faster hash, a
 //! cheaper audit, a different buffer) must leave every episode exactly as
-//! it was, and a known divergence stays on file as a test, not as prose.
+//! it was, and a divergence once found stays on file as a test, not as
+//! prose.
 
 use modelcheck::rng::splitmix64;
 use modelcheck::{check_seed, gen, sweep_all_stacks_in, StackSpec};
@@ -40,26 +41,31 @@ fn sweep_run_stats_are_pinned() {
     );
 }
 
-/// A real, open divergence (ROADMAP, robustness): on both UFS stacks a
-/// power cut during `rename` loses the rename's atomicity — one inode ends
-/// up under both names, e.g. `'mc15' has 103499 bytes, model has 80660`
-/// after a cut inside `Rename { from: 5, to: 15 }`; the LFS stacks pass the
-/// same episodes. About one random episode in 10⁴ finds it; these three do
-/// (the third is episode 20 of ufs-vld from the tier-1 base at 64 seeds).
-/// Ignored while the bug is open — run with `-- --ignored` to see the
-/// reproducers — and to be un-ignored, with the assertion flipped, by the
-/// fix, which will move simulated numbers.
+/// The torn rename, closed: on both UFS stacks a power cut between
+/// `rename`'s two directory writes leaves one inode under both names. These
+/// episodes used to diverge — e.g. `'mc15' has 103499 bytes, model has
+/// 80660` after a cut inside `Rename { from: 5, to: 15 }` — three on both
+/// UFS stacks (the third is episode 20 of ufs-vld from the tier-1 base at
+/// 64 seeds) and one on ufs-regular found by the smoke sweep at 1 024 seeds.
+/// Mount now keeps the namespace walk's first name and clears the other;
+/// both names are dirty in the model, so the survivor is adopted.
 #[test]
-#[ignore = "known torn-rename divergence on both UFS stacks; see ROADMAP"]
-fn torn_rename_on_ufs_still_diverges() {
-    for cfg in [StackSpec::ALL[0], StackSpec::ALL[1]] {
-        for seed in [0x921f_d645_b2a6_edc2u64, 0x45d5_02da_e848_a11b, 0x7d18_c4ea_3afa_3a74] {
-            let repro = check_seed(cfg, seed, 48).expect_err("the torn rename is fixed: un-ignore");
-            let report = repro.to_string();
-            let call = format!("check_seed(StackSpec::ALL[{}], {seed:#x}, 48)", cfg.index());
-            assert!(report.contains(&format!("replay: {call}")), "{report}");
-            assert!(report.to_lowercase().contains("rename"), "{report}");
-        }
+fn torn_rename_on_ufs_is_repaired_at_mount() {
+    let both = [
+        0x921f_d645_b2a6_edc2u64,
+        0x45d5_02da_e848_a11b,
+        0x7d18_c4ea_3afa_3a74,
+    ];
+    let episodes = both
+        .iter()
+        .flat_map(|&seed| [(0, seed), (1, seed)])
+        .chain([(0, 0x758c_d584_e6d2_f7f7)]);
+    for (cfg, seed) in episodes.map(|(i, seed)| (StackSpec::ALL[i], seed)) {
+        let stats = check_seed(cfg, seed, 48).unwrap_or_else(|repro| panic!("{repro}"));
+        assert!(
+            stats.cut_fired,
+            "{cfg} {seed:#x}: the cut inside the rename must fire"
+        );
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Knobs (see the crate docs): `VLFS_SEED` re-bases every sweep for
 //! replaying a failure report; `VLFS_MC_SMOKE_SEEDS` widens the smoke
-//! sweep (CI pins 64); `VLFS_MC_EPISODES` opts into the long-run soak.
+//! sweep (CI runs 64 and 1 024); `VLFS_MC_EPISODES` opts into the long-run soak.
 
 use modelcheck::stack::{DevKind, FsKind};
 use modelcheck::{

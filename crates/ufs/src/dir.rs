@@ -1,11 +1,12 @@
-//! Flat root-directory entries.
+//! Directory entries.
 //!
-//! The benchmarks use a single namespace, so the file system keeps one root
-//! directory whose data is an ordinary file (inode 0) of fixed 32-byte
-//! entries. A zero name length marks a free slot, so freshly allocated
-//! directory blocks are valid empty directories.
+//! A directory's data is an ordinary file of fixed 32-byte entries; the
+//! root directory is inode 0. A zero name length marks a free slot, so
+//! freshly allocated directory blocks are valid empty directories. Which
+//! slots of a directory are live is the `tree` module's to say.
 
-use disksim::codec::{get_u32, put_u32};
+use disksim::codec::{get_bytes, get_u32, get_u8, put_u32};
+use disksim::DiskError;
 use fscore::{FsError, FsResult};
 
 /// Bytes per directory entry.
@@ -44,20 +45,19 @@ impl Dirent {
         slot[5..5 + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Decode a slot; `None` for a free slot.
-    pub fn decode(slot: &[u8]) -> Option<Dirent> {
+    /// Decode a [`DIRENT_SIZE`]-byte slot: `None` for a free slot (or one
+    /// whose name is not a name). A buffer of any other length is `Corrupt`.
+    pub fn decode(slot: &[u8]) -> FsResult<Option<Dirent>> {
         if slot.len() != DIRENT_SIZE {
-            return None;
+            return Err(DiskError::Corrupt("directory slot of the wrong size").into());
         }
-        let len = slot[4] as usize;
+        let len = get_u8(slot, 4)? as usize;
         if len == 0 || len > MAX_NAME {
-            return None;
+            return Ok(None);
         }
-        let name = String::from_utf8(slot[5..5 + len].to_vec()).ok()?;
-        Some(Dirent {
-            ino: get_u32(slot, 0).ok()?,
-            name,
-        })
+        let ino = get_u32(slot, 0)?;
+        let name = String::from_utf8(get_bytes(slot, 5, len)?.to_vec());
+        Ok(name.ok().map(|name| Dirent { ino, name }))
     }
 
     /// Write a free-slot marker.
@@ -78,12 +78,12 @@ mod tests {
         };
         let mut slot = vec![0u8; DIRENT_SIZE];
         d.encode_into(&mut slot);
-        assert_eq!(Dirent::decode(&slot), Some(d));
+        assert_eq!(Dirent::decode(&slot).unwrap(), Some(d));
     }
 
     #[test]
     fn zero_slot_is_free() {
-        assert_eq!(Dirent::decode(&[0u8; DIRENT_SIZE]), None);
+        assert_eq!(Dirent::decode(&[0u8; DIRENT_SIZE]).unwrap(), None);
     }
 
     #[test]
@@ -95,7 +95,7 @@ mod tests {
         let mut slot = vec![0u8; DIRENT_SIZE];
         d.encode_into(&mut slot);
         Dirent::clear_slot(&mut slot);
-        assert_eq!(Dirent::decode(&slot), None);
+        assert_eq!(Dirent::decode(&slot).unwrap(), None);
     }
 
     #[test]

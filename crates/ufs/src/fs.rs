@@ -22,14 +22,13 @@ use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::dir::{Dirent, DIRENT_SIZE};
+use crate::fsck::read_blocks;
 use crate::inode::{classify, BlockPath, Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
-use disksim::codec::{get_u32, get_u32s, put_u32};
+use crate::tree::{self, Named, Namespace, Node, TreeVisitor, Verdict, ROOT_INO};
+use disksim::codec::{get_bytes, get_u32, put_u32};
 use disksim::{BlockDevice, DeviceSnapshot, SimClock};
 use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
-
-/// Inode number of the root directory.
-const ROOT_INO: u32 = 0;
 
 /// What a freshly allocated pointer block, or a data block about to be
 /// overwritten, is filled with.
@@ -50,11 +49,6 @@ struct DirSlots {
 }
 
 impl DirSlots {
-    fn from_occupancy(used: Vec<bool>) -> Self {
-        let first_free = used.iter().position(|u| !u).unwrap_or(used.len());
-        Self { used, first_free }
-    }
-
     /// The slot the next entry goes in, growing the directory when full.
     fn lowest_free(&mut self) -> u64 {
         if self.first_free == self.used.len() {
@@ -63,8 +57,12 @@ impl DirSlots {
         self.first_free as u64
     }
 
+    /// Mark `slot` used or free, growing the directory to reach it.
     fn set(&mut self, slot: u64, used: bool) {
         let slot = slot as usize;
+        if slot >= self.used.len() {
+            self.used.resize(slot + 1, false);
+        }
         self.used[slot] = used;
         if !used {
             self.first_free = self.first_free.min(slot);
@@ -130,10 +128,9 @@ pub struct Ufs {
     cache: BufferCache,
     /// Directory index: normalised path → entry location.
     names: HashMap<String, PathEntry>,
-    /// Per-directory slot occupancy for O(1) free-slot search.
+    /// Per-directory slot occupancy for O(1) free-slot search. A directory
+    /// no entry has been written to has none.
     dir_slots: HashMap<u32, DirSlots>,
-    /// Children per directory inode (for empty-directory checks).
-    child_count: HashMap<u32, u32>,
     /// Open-file table: handle `h` names the inode at index `h - 1`. The
     /// `FileSystem` interface has no close, so handles are issued in
     /// sequence and never retired — a flat table, four bytes a handle.
@@ -180,7 +177,6 @@ impl Ufs {
             cache: BufferCache::with_bytes(cfg.cache_bytes, BLOCK_SIZE),
             names: HashMap::new(),
             dir_slots: HashMap::new(),
-            child_count: HashMap::new(),
             handles: Vec::new(),
             seq_state: HashMap::new(),
             alloc_hint: 0,
@@ -196,8 +192,6 @@ impl Ufs {
         fs.dev.write_block(0, &layout.encode())?;
         fs.inode_bm.set(ROOT_INO as u64);
         fs.put_inode(ROOT_INO, &Inode::empty_dir(), true)?;
-        fs.dir_slots.insert(ROOT_INO, DirSlots::default());
-        fs.child_count.insert(ROOT_INO, 0);
         fs.flush_bitmaps()?;
         fs.span_close(sp);
         Ok(fs)
@@ -223,7 +217,6 @@ impl Ufs {
             cache: self.cache.clone(),
             names: self.names.clone(),
             dir_slots: self.dir_slots.clone(),
-            child_count: self.child_count.clone(),
             handles: self.handles.clone(),
             seq_state: self.seq_state.clone(),
             alloc_hint: self.alloc_hint,
@@ -262,30 +255,19 @@ impl Ufs {
             inode_count: layout.inode_count,
             ..cfg
         };
-        // Load the bitmaps.
-        let mut ibm_bytes = Vec::new();
-        for b in 0..layout.inode_bitmap_blocks {
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            dev.read_block(layout.inode_bitmap_start + b, &mut buf)?;
-            ibm_bytes.extend_from_slice(&buf);
-        }
-        let mut bbm_bytes = Vec::new();
-        for b in 0..layout.block_bitmap_blocks {
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            dev.read_block(layout.block_bitmap_start + b, &mut buf)?;
-            bbm_bytes.extend_from_slice(&buf);
-        }
+        let d = dev.as_mut();
+        let ibm = read_blocks(d, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
+        let bbm = read_blocks(d, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
         let mut fs = Ufs {
             dev,
             host,
             layout,
             cfg,
-            inode_bm: Bitmap::from_bytes(layout.inode_count as u64, &ibm_bytes),
-            block_bm: Bitmap::from_bytes(layout.data_blocks(), &bbm_bytes),
+            inode_bm: Bitmap::from_bytes(layout.inode_count as u64, &ibm),
+            block_bm: Bitmap::from_bytes(layout.data_blocks(), &bbm),
             cache: BufferCache::with_bytes(cfg.cache_bytes, BLOCK_SIZE),
             names: HashMap::new(),
             dir_slots: HashMap::new(),
-            child_count: HashMap::new(),
             handles: Vec::new(),
             seq_state: HashMap::new(),
             alloc_hint: 0,
@@ -296,68 +278,115 @@ impl Ufs {
             metrics: disksim::Metrics::default(),
             spans: spans.clone(),
         };
-        fs.load_directories()?;
-        fs.reconcile_bitmaps()?;
+        fs.index_tree()?;
         fs.span_close(sp);
         Ok(fs)
     }
 
-    /// Crash recovery for the delayed-bitmap discipline: inode and
-    /// directory updates are synchronous but bitmap flushes wait for
-    /// `sync`, so after a power loss the on-media bitmaps can lag the
+    /// Rebuild the directory index from the media: walk the namespace from
+    /// the root ([`tree::Namespace`]), clearing every second name of a
+    /// file, then reconcile the bitmaps with what the walk reached.
+    ///
+    /// The bitmaps are crash recovery for the delayed-bitmap discipline:
+    /// inode and directory updates are synchronous but bitmap flushes wait
+    /// for `sync`, so after a power loss the on-media bitmaps can lag the
     /// metadata. Trusting a stale *free* bit would hand out an inode or
     /// block that reachable metadata already owns (double allocation, then
     /// a dangling dirent once either owner is deleted) — so re-mark
     /// everything reachable from the root as allocated. The opposite
     /// staleness (bits still set for freed objects) is harmless: those
     /// leak until `fsck` reclaims them.
-    fn reconcile_bitmaps(&mut self) -> FsResult<()> {
-        let mut inos: Vec<u32> = vec![ROOT_INO];
-        inos.extend(self.names.values().map(|e| e.ino));
-        for ino in inos {
+    ///
+    /// A second name of a file is what a power cut between `rename`'s two
+    /// directory writes leaves. Either name is the file, so the walk's first
+    /// is kept and the other cleared, synchronously, as `fsck_repair` would.
+    fn index_tree(&mut self) -> FsResult<()> {
+        let mut ns = Namespace::new(self.layout.inode_count);
+        // The path of each directory reached below the root, `/`-terminated.
+        let mut paths = HashMap::new();
+        while let Some(dir) = ns.next_dir() {
+            let Some(inode) = self.allocated_inode(dir)? else {
+                continue;
+            };
+            for (slot, e) in self.dir_entries(inode)? {
+                // Entries are input. Mount refuses what only `fsck_repair`
+                // should mend (a directory reached twice would be walked
+                // forever), and clears a file's second name.
+                let is_dir = match ns.judge(e.ino, |ino| self.allocated_inode(ino))? {
+                    Named::Dir => true,
+                    Named::File => false,
+                    Named::FileAgain => {
+                        self.write_dir_slot(dir, slot, None)?;
+                        continue;
+                    }
+                    Named::Dangling => return Err(FsError::Invalid("dangling dirent")),
+                    Named::DirAgain => return Err(FsError::Invalid("directory named twice")),
+                };
+                let prefix = paths.get(&dir).map_or("", String::as_str);
+                let path = format!("{prefix}{}", e.name);
+                self.dir_slots.entry(dir).or_default().set(slot, true);
+                if is_dir {
+                    paths.insert(e.ino, format!("{path}/"));
+                }
+                let entry = PathEntry {
+                    ino: e.ino,
+                    parent: dir,
+                    slot,
+                    is_dir,
+                };
+                self.names.insert(path, entry);
+            }
+        }
+        for ino in (0..self.layout.inode_count).filter(|&ino| ns.reached[ino as usize]) {
             self.inode_bm.set(ino as u64);
             let inode = self.get_inode(ino)?;
-            for blk in self.referenced_blocks(&inode)? {
+            let mark = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
                 // Out-of-range pointers are fsck's to report, not ours to
                 // mirror into the bitmap.
-                if blk >= self.layout.data_start
-                    && blk - self.layout.data_start < self.block_bm.len()
-                {
-                    self.block_bm.set(blk - self.layout.data_start);
+                let bit = n.block.checked_sub(fs.layout.data_start);
+                if let Some(bit) = bit.filter(|&b| b < fs.block_bm.len()) {
+                    fs.block_bm.set(bit);
                 }
-            }
+                Ok(Verdict::Follow)
+            };
+            self.cache_walk(inode, mark, |_, _| {})?;
         }
         Ok(())
     }
 
-    /// Every device block `inode` references: data blocks plus the
-    /// indirect pointer blocks themselves.
-    fn referenced_blocks(&mut self, inode: &Inode) -> FsResult<Vec<u64>> {
-        let mut out = Vec::new();
-        for &d in &inode.direct {
-            if d != NO_BLOCK {
-                out.push(d as u64);
-            }
-        }
-        if inode.indirect != NO_BLOCK {
-            out.push(inode.indirect as u64);
-            out.extend(self.pointer_targets(inode.indirect as u64)?);
-        }
-        if inode.dindirect != NO_BLOCK {
-            out.push(inode.dindirect as u64);
-            for p in self.pointer_targets(inode.dindirect as u64)? {
-                out.push(p);
-                out.extend(self.pointer_targets(p)?);
-            }
-        }
-        Ok(out)
+    /// Inode `ino`, or `None` if it is not allocated.
+    fn allocated_inode(&mut self, ino: u32) -> FsResult<Option<Inode>> {
+        Ok(Some(self.get_inode(ino)?).filter(|i| i.allocated))
     }
 
-    /// The non-empty pointers stored in an indirect block.
-    fn pointer_targets(&mut self, blk: u64) -> FsResult<Vec<u64>> {
-        let buf = self.get_block(blk)?;
-        let ptrs = get_u32s(&buf, 0, PTRS_PER_BLOCK as usize)?;
-        Ok(ptrs.filter(|&b| b != NO_BLOCK).map(u64::from).collect())
+    /// The live entries of directory `dir` ([`tree::live_slots`]), its
+    /// blocks read through the cache in file order.
+    fn dir_entries(&mut self, dir: Inode) -> FsResult<Vec<(u64, Dirent)>> {
+        let mut entries = Vec::new();
+        let read = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
+            if n.file_block >= dir.blocks() {
+                return Ok(Verdict::Skip);
+            }
+            if n.level == 0 {
+                let buf = fs.get_block(n.block)?;
+                entries.extend(tree::live_slots(dir.size, n.file_block, &buf)?);
+            }
+            Ok(Verdict::Follow)
+        };
+        self.cache_walk(dir, read, |_, _| {})?;
+        Ok(entries)
+    }
+
+    /// Walk `inode`'s pointer tree through the buffer cache
+    /// ([`tree::walk`]): `visit` judges each pointer on the way down, and
+    /// `leave` hears of each followed pointer block on the way up.
+    fn cache_walk(
+        &mut self,
+        mut inode: Inode,
+        visit: impl FnMut(&mut Ufs, Node) -> FsResult<Verdict>,
+        leave: impl FnMut(&mut Ufs, Node),
+    ) -> FsResult<()> {
+        tree::walk(&mut inode, &mut CacheWalk(self, visit, leave)).map(drop)
     }
 
     /// Access the underlying device (e.g. to harvest statistics).
@@ -523,7 +552,7 @@ impl Ufs {
     fn get_inode(&mut self, ino: u32) -> FsResult<Inode> {
         let (blk, off) = self.layout.inode_location(ino);
         let buf = self.get_block(blk)?;
-        Inode::decode(&buf[off..off + INODE_SIZE])
+        Inode::decode(get_bytes(&buf, off, INODE_SIZE)?)
     }
 
     fn put_inode(&mut self, ino: u32, inode: &Inode, sync: bool) -> FsResult<()> {
@@ -722,99 +751,20 @@ impl Ufs {
         }
     }
 
-    /// Rebuild the in-memory directory index by walking the tree from the
-    /// root (used at mount).
-    fn load_directories(&mut self) -> FsResult<()> {
-        self.dir_slots.insert(ROOT_INO, DirSlots::default());
-        self.child_count.insert(ROOT_INO, 0);
-        let mut stack: Vec<(u32, String)> = vec![(ROOT_INO, String::new())];
-        while let Some((dir_ino, prefix)) = stack.pop() {
-            let entries = self.read_dir_entries(dir_ino)?;
-            let slots = entries
-                .iter()
-                .map(|(s, _)| *s)
-                .max()
-                .map(|m| m + 1)
-                .unwrap_or(0);
-            let mut occupancy = vec![false; slots as usize];
-            for (slot, e) in entries {
-                // Entries are input: one naming an inode past the table is
-                // `fsck_repair`'s to mend, not ours to follow, and a
-                // directory reached a second time would be walked forever.
-                if e.ino >= self.layout.inode_count {
-                    return Err(FsError::Invalid("dirent names an inode past the table"));
-                }
-                occupancy[slot as usize] = true;
-                let path = if prefix.is_empty() {
-                    e.name.clone()
-                } else {
-                    format!("{prefix}/{}", e.name)
-                };
-                let child = self.get_inode(e.ino)?;
-                self.names.insert(
-                    path.clone(),
-                    PathEntry {
-                        ino: e.ino,
-                        parent: dir_ino,
-                        slot,
-                        is_dir: child.is_dir,
-                    },
-                );
-                *self.child_count.entry(dir_ino).or_insert(0) += 1;
-                if child.is_dir {
-                    if self.dir_slots.insert(e.ino, DirSlots::default()).is_some() {
-                        return Err(FsError::Invalid("directory reached by two names"));
-                    }
-                    self.child_count.entry(e.ino).or_insert(0);
-                    stack.push((e.ino, path));
-                }
-            }
-            self.dir_slots
-                .insert(dir_ino, DirSlots::from_occupancy(occupancy));
-        }
-        Ok(())
-    }
-
-    /// All live entries of a directory, as (slot, entry).
-    fn read_dir_entries(&mut self, dir_ino: u32) -> FsResult<Vec<(u64, Dirent)>> {
-        let mut dir = self.get_inode(dir_ino)?;
-        let entries = dir.size / DIRENT_SIZE as u64;
-        let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
-        let mut out = Vec::new();
-        for blk_idx in 0..dir.blocks() {
-            let Some((dev_blk, _)) = self.resolve_block(&mut dir, blk_idx, false)? else {
-                continue;
-            };
-            let buf = self.get_block(dev_blk)?;
-            for s in 0..per_block {
-                let slot_idx = blk_idx * per_block + s;
-                if slot_idx >= entries {
-                    break;
-                }
-                let o = s as usize * DIRENT_SIZE;
-                if let Some(e) = Dirent::decode(&buf[o..o + DIRENT_SIZE]) {
-                    out.push((slot_idx, e));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Write a directory slot (synchronously — metadata) and keep the
-    /// directory inode's size current.
+    /// Write a directory slot (synchronously — metadata), keep the
+    /// directory inode's size current, and record the slot as used or free
+    /// once the write has reached the device.
     fn write_dir_slot(
         &mut self,
         dir_ino: u32,
         slot_idx: u64,
         entry: Option<&Dirent>,
     ) -> FsResult<()> {
-        let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
-        let file_block = slot_idx / per_block;
+        let (file_block, o) = tree::slot_place(slot_idx);
         let mut dir = self.get_inode(dir_ino)?;
         let (dev_blk, _) = self
             .resolve_block(&mut dir, file_block, true)?
             .ok_or(FsError::NoSpace)?;
-        let o = (slot_idx % per_block) as usize * DIRENT_SIZE;
         self.update_block(dev_blk, true, |buf| match entry {
             Some(e) => e.encode_into(&mut buf[o..o + DIRENT_SIZE]),
             None => Dirent::clear_slot(&mut buf[o..o + DIRENT_SIZE]),
@@ -824,16 +774,9 @@ impl Ufs {
             dir.size = needed;
             self.put_inode(dir_ino, &dir, true)?;
         }
+        let slots = self.dir_slots.entry(dir_ino).or_default();
+        slots.set(slot_idx, entry.is_some());
         Ok(())
-    }
-
-    /// Record that `slot` of directory `dir_ino` now holds an entry (or
-    /// no longer does), once the slot write has reached the device.
-    fn set_dir_slot(&mut self, dir_ino: u32, slot: u64, used: bool) {
-        self.dir_slots
-            .get_mut(&dir_ino)
-            .expect("parent indexed")
-            .set(slot, used);
     }
 
     /// Allocate an inode + directory entry for `path` (file or directory).
@@ -855,8 +798,6 @@ impl Ufs {
         self.put_inode(ino, &inode, true)?;
         let slot = self.dir_slots.entry(parent).or_default().lowest_free();
         self.write_dir_slot(parent, slot, Some(&Dirent { ino, name: leaf }))?;
-        self.set_dir_slot(parent, slot, true);
-        *self.child_count.entry(parent).or_insert(0) += 1;
         let entry = PathEntry {
             ino,
             parent,
@@ -864,10 +805,6 @@ impl Ufs {
             is_dir,
         };
         self.names.insert(path, entry);
-        if is_dir {
-            self.dir_slots.insert(ino, DirSlots::default());
-            self.child_count.insert(ino, 0);
-        }
         Ok(entry)
     }
 
@@ -1149,7 +1086,8 @@ impl Ufs {
         self.host.charge(&self.dev.clock(), 0);
         let path = Self::normalize(name)?;
         let e = *self.names.get(&path).ok_or(FsError::NotFound)?;
-        if e.is_dir && self.child_count.get(&e.ino).copied().unwrap_or(0) > 0 {
+        let slots = self.dir_slots.get(&e.ino);
+        if e.is_dir && slots.is_some_and(|s| s.used.contains(&true)) {
             return Err(FsError::Invalid("directory not empty"));
         }
         let (ino, slot) = (e.ino, e.slot);
@@ -1157,34 +1095,19 @@ impl Ufs {
         // and blocks.
         self.write_dir_slot(e.parent, slot, None)?;
         self.names.remove(&path);
-        self.set_dir_slot(e.parent, slot, false);
-        *self.child_count.entry(e.parent).or_insert(1) -= 1;
         if e.is_dir {
             self.dir_slots.remove(&ino);
-            self.child_count.remove(&ino);
         }
         let mut inode = self.get_inode(ino)?;
-        // Free all data + indirect blocks.
-        for i in 0..crate::inode::NDIRECT {
-            if inode.direct[i] != NO_BLOCK {
-                self.free_data_block(inode.direct[i] as u64);
+        // Free every data and pointer block, each pointer block after the
+        // blocks it names.
+        let free_data = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
+            if n.level == 0 {
+                fs.free_data_block(n.block);
             }
-        }
-        if inode.indirect != NO_BLOCK {
-            for b in self.pointer_targets(inode.indirect as u64)? {
-                self.free_data_block(b);
-            }
-            self.free_data_block(inode.indirect as u64);
-        }
-        if inode.dindirect != NO_BLOCK {
-            for p in self.pointer_targets(inode.dindirect as u64)? {
-                for b in self.pointer_targets(p)? {
-                    self.free_data_block(b);
-                }
-                self.free_data_block(p);
-            }
-            self.free_data_block(inode.dindirect as u64);
-        }
+            Ok(Verdict::Follow)
+        };
+        self.cache_walk(inode, free_data, |fs, n| fs.free_data_block(n.block))?;
         inode = Inode::empty();
         inode.allocated = false;
         self.put_inode(ino, &inode, true)?;
@@ -1221,11 +1144,7 @@ impl Ufs {
                 name: leaf,
             }),
         )?;
-        self.set_dir_slot(new_parent, slot, true);
-        *self.child_count.entry(new_parent).or_insert(0) += 1;
         self.write_dir_slot(e.parent, e.slot, None)?;
-        self.set_dir_slot(e.parent, e.slot, false);
-        *self.child_count.entry(e.parent).or_insert(1) -= 1;
         self.names.remove(&from);
         self.names.insert(
             to,
@@ -1237,6 +1156,29 @@ impl Ufs {
             },
         );
         Ok(())
+    }
+}
+
+/// A pointer-tree walk through the buffer cache (see [`Ufs::cache_walk`]).
+struct CacheWalk<'a, V, L>(&'a mut Ufs, V, L);
+
+impl<V, L> TreeVisitor for CacheWalk<'_, V, L>
+where
+    V: FnMut(&mut Ufs, Node) -> FsResult<Verdict>,
+    L: FnMut(&mut Ufs, Node),
+{
+    type Block = Arc<[u8]>;
+
+    fn read(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
+        self.0.get_block(blk)
+    }
+
+    fn visit(&mut self, node: Node) -> FsResult<Verdict> {
+        (self.1)(self.0, node)
+    }
+
+    fn leave(&mut self, node: Node) {
+        (self.2)(self.0, node)
     }
 }
 
@@ -1255,7 +1197,6 @@ pub struct UfsSnapshot {
     cache: BufferCache,
     names: HashMap<String, PathEntry>,
     dir_slots: HashMap<u32, DirSlots>,
-    child_count: HashMap<u32, u32>,
     handles: Vec<u32>,
     seq_state: HashMap<u32, (u64, u64)>,
     alloc_hint: u64,
@@ -1285,7 +1226,6 @@ impl UfsSnapshot {
             cache: self.cache.clone(),
             names: self.names.clone(),
             dir_slots: self.dir_slots.clone(),
-            child_count: self.child_count.clone(),
             handles: self.handles.clone(),
             seq_state: self.seq_state.clone(),
             alloc_hint: self.alloc_hint,
@@ -1470,8 +1410,8 @@ mod tests {
             } else {
                 slots.set((x >> 8) % slots.used.len() as u64, false);
             }
-            let rebuilt = DirSlots::from_occupancy(slots.used.clone());
-            assert_eq!(slots.first_free, rebuilt.first_free);
+            let lowest = slots.used.iter().position(|u| !u);
+            assert_eq!(slots.first_free, lowest.unwrap_or(slots.used.len()));
         }
         assert!(slots.used.len() > 1000, "the directory must have grown");
     }

@@ -20,17 +20,13 @@
 //! appear when the media itself lies, which is exactly what the
 //! model-checking harness's fault layer injects.)
 
-use std::collections::HashMap;
-
 use crate::dir::{Dirent, DIRENT_SIZE};
-use crate::inode::{Inode, NO_BLOCK, PTRS_PER_BLOCK};
+use crate::inode::Inode;
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
-use disksim::codec::{get_u32, put_u32};
+use crate::tree::{self, Named, Namespace, Node, TreeVisitor, Verdict};
+use disksim::codec::get_bytes;
 use disksim::BlockDevice;
 use fscore::FsResult;
-
-/// The root directory's inode, mirrored here to keep `fsck` standalone.
-const ROOT_CHECK_INO: u32 = 0;
 
 /// One consistency violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,6 +84,22 @@ pub enum FsckError {
         /// The inode.
         ino: u32,
     },
+    /// A directory reached by a second name: an entry naming the root, an
+    /// ancestor (a cycle) or a directory an earlier entry named.
+    DirectoryNamedTwice {
+        /// The second name.
+        name: String,
+        /// The directory.
+        ino: u32,
+    },
+    /// A non-directory inode reached by a second name — what a power cut
+    /// between a rename's two directory writes leaves.
+    InodeNamedTwice {
+        /// The second name.
+        name: String,
+        /// The inode.
+        ino: u32,
+    },
 }
 
 /// Result of a check: counts plus the detailed errors.
@@ -95,6 +107,8 @@ pub enum FsckError {
 pub struct FsckReport {
     /// Files reachable from the root directory.
     pub files: u32,
+    /// Directories reachable from the root directory, the root not counted.
+    pub dirs: u32,
     /// Data blocks referenced (including indirect blocks).
     pub blocks_referenced: u64,
     /// Violations found (empty = consistent).
@@ -118,8 +132,10 @@ pub fn fsck(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
 
 /// Check the volume on `dev` and repair every violation found. The report
 /// lists the errors as detected (pre-repair) and the actions taken; a
-/// subsequent [`fsck`] pass over the repaired volume is clean. Must not be
-/// run under a mounted file system (a mounted cache would go stale).
+/// subsequent [`fsck`] pass over the repaired volume is clean. An entry
+/// naming an inode an earlier entry of the namespace walk named is
+/// cleared: the rule mount applies to a file's second name. Must not be run
+/// under a mounted file system (a mounted cache would go stale).
 pub fn fsck_repair(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
     run(dev, true)
 }
@@ -127,71 +143,68 @@ pub fn fsck_repair(dev: &mut dyn BlockDevice) -> FsResult<FsckReport> {
 /// "Nobody references this block" in the dense owner table.
 const NO_OWNER: u32 = u32::MAX;
 
-/// Record a block reference in `owner` (one slot per device block, holding
-/// the first inode to reference it); `true` if it was accepted (in range
-/// and the first reference), `false` if it was reported as bad.
-fn reference(
-    layout: &Layout,
-    report: &mut FsckReport,
-    owner: &mut [u32],
+/// `fsck`'s side of a pointer-tree walk: every pointer is checked against
+/// the data area and the owner table, and in repair mode a bad one is
+/// cleared on the media.
+struct Vet<'a> {
+    dev: &'a mut dyn BlockDevice,
+    layout: &'a Layout,
+    report: &'a mut FsckReport,
+    /// One slot per device block, holding the first inode to reference it.
+    owner: &'a mut [u32],
     ino: u32,
-    block: u64,
-) -> bool {
-    if block < layout.data_start || block >= layout.total_blocks {
-        report
-            .errors
-            .push(FsckError::PointerOutOfRange { ino, block });
-        return false;
-    }
-    let first = owner[block as usize];
-    if first != NO_OWNER {
-        report.errors.push(FsckError::DoubleReference {
-            block,
-            first_ino: first,
-            second_ino: ino,
-        });
-        return false;
-    }
-    owner[block as usize] = ino;
-    report.blocks_referenced += 1;
-    true
+    repair: bool,
+    /// The accepted data blocks, `(file block, device block)`.
+    data: Vec<(u64, u64)>,
 }
 
-/// Read a pointer block and vet its entries, returning the surviving
-/// children. In repair mode bad entries are cleared on the media.
-#[allow(clippy::too_many_arguments)]
-fn vet_ptr_block(
-    dev: &mut dyn BlockDevice,
-    layout: &Layout,
-    report: &mut FsckReport,
-    owner: &mut [u32],
-    ino: u32,
-    ptr_blk: u64,
-    repair: bool,
-) -> FsResult<Vec<u64>> {
-    let mut pbuf = vec![0u8; BLOCK_SIZE];
-    dev.read_block(ptr_blk, &mut pbuf)?;
-    let mut kids = Vec::new();
-    let mut dirty = false;
-    for o in (0..PTRS_PER_BLOCK as usize).map(|i| i * 4) {
-        let b = get_u32(&pbuf, o)? as u64;
-        if b == NO_BLOCK as u64 {
-            continue;
-        }
-        if reference(layout, report, owner, ino, b) {
-            kids.push(b);
-        } else if repair {
-            put_u32(&mut pbuf, o, NO_BLOCK);
-            dirty = true;
-            report
-                .repairs
-                .push(format!("ino {ino}: cleared bad pointer to block {b}"));
-        }
+impl TreeVisitor for Vet<'_> {
+    type Block = Vec<u8>;
+
+    fn read(&mut self, blk: u64) -> FsResult<Vec<u8>> {
+        read_blocks(self.dev, blk, 1)
     }
-    if dirty {
-        dev.write_block(ptr_blk, &pbuf)?;
+
+    /// Accept a pointer into the data area that is its block's first
+    /// reference; report any other.
+    fn visit(&mut self, node: Node) -> FsResult<Verdict> {
+        let (ino, block) = (self.ino, node.block);
+        let owner = self.owner.get_mut(block as usize);
+        let error = match owner.filter(|_| block >= self.layout.data_start) {
+            None => FsckError::PointerOutOfRange { ino, block },
+            Some(&mut first) if first != NO_OWNER => FsckError::DoubleReference {
+                block,
+                first_ino: first,
+                second_ino: ino,
+            },
+            Some(owner) => {
+                *owner = ino;
+                self.report.blocks_referenced += 1;
+                if node.level == 0 {
+                    self.data.push((node.file_block, block));
+                }
+                return Ok(Verdict::Follow);
+            }
+        };
+        self.report.errors.push(error);
+        if !self.repair {
+            return Ok(Verdict::Skip);
+        }
+        let which = match (node.in_inode, node.level) {
+            (false, _) => "",
+            (true, 0) => "direct ",
+            (true, 1) => "indirect ",
+            _ => "double-indirect ",
+        };
+        let repair = format!("ino {ino}: cleared bad {which}pointer to block {block}");
+        self.report.repairs.push(repair);
+        Ok(Verdict::Clear)
     }
-    Ok(kids)
+
+    fn rewrite(&mut self, blk: u64, bytes: &[u8]) -> FsResult<()> {
+        self.dev.write_block(blk, bytes)?;
+        Ok(())
+    }
 }
 
 fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
@@ -204,22 +217,19 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let layout = Layout::decode(&buf, dev.num_blocks())?;
 
     // Load the bitmaps.
-    let block_bm = read_bitmap(dev, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
-    let inode_bm = read_bitmap(dev, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
+    let block_bm = read_blocks(dev, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
+    let inode_bm = read_blocks(dev, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
 
-    // Walk every allocated inode's pointers, recording references (and, in
-    // repair mode, dropping bad ones in place).
+    // Walk every allocated inode's pointer tree, recording references (and,
+    // in repair mode, dropping bad ones in place).
     let mut owner = vec![NO_OWNER; layout.total_blocks as usize];
-    let mut reachable_inodes = vec![false; layout.inode_count as usize];
-    reachable_inodes[0] = true;
-
     let mut inodes: Vec<Option<Inode>> = vec![None; layout.inode_count as usize];
-    // Data blocks of each inode in file order (needed to walk directories).
-    let mut file_blocks: HashMap<u32, Vec<u64>> = HashMap::new();
+    // Each inode's data blocks, for the namespace walk.
+    let mut file_blocks = vec![Vec::new(); layout.inode_count as usize];
     for ino in 0..layout.inode_count {
         let (blk, off) = layout.inode_location(ino);
         dev.read_block(blk, &mut buf)?;
-        let mut inode = Inode::decode(&buf[off..off + INODE_SIZE])?;
+        let mut inode = Inode::decode(get_bytes(&buf, off, INODE_SIZE)?)?;
         if !inode.allocated {
             continue;
         }
@@ -234,72 +244,17 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                     .push(format!("ino {ino}: size clamped to pointer capacity"));
             }
         }
-        let mut data: Vec<u64> = Vec::new();
-        for d in inode.direct.iter_mut() {
-            if *d == NO_BLOCK {
-                continue;
-            }
-            if reference(&layout, &mut report, &mut owner, ino, *d as u64) {
-                data.push(*d as u64);
-            } else if repair {
-                report
-                    .repairs
-                    .push(format!("ino {ino}: cleared bad direct pointer to block {d}"));
-                *d = NO_BLOCK;
-                ino_dirty = true;
-            }
-        }
-        if inode.indirect != NO_BLOCK {
-            if reference(&layout, &mut report, &mut owner, ino, inode.indirect as u64) {
-                data.extend(vet_ptr_block(
-                    dev,
-                    &layout,
-                    &mut report,
-                    &mut owner,
-                    ino,
-                    inode.indirect as u64,
-                    repair,
-                )?);
-            } else if repair {
-                report.repairs.push(format!(
-                    "ino {ino}: cleared bad indirect pointer to block {}",
-                    inode.indirect
-                ));
-                inode.indirect = NO_BLOCK;
-                ino_dirty = true;
-            }
-        }
-        if inode.dindirect != NO_BLOCK {
-            if reference(&layout, &mut report, &mut owner, ino, inode.dindirect as u64) {
-                let l1s = vet_ptr_block(
-                    dev,
-                    &layout,
-                    &mut report,
-                    &mut owner,
-                    ino,
-                    inode.dindirect as u64,
-                    repair,
-                )?;
-                for l1 in l1s {
-                    data.extend(vet_ptr_block(
-                        dev,
-                        &layout,
-                        &mut report,
-                        &mut owner,
-                        ino,
-                        l1,
-                        repair,
-                    )?);
-                }
-            } else if repair {
-                report.repairs.push(format!(
-                    "ino {ino}: cleared bad double-indirect pointer to block {}",
-                    inode.dindirect
-                ));
-                inode.dindirect = NO_BLOCK;
-                ino_dirty = true;
-            }
-        }
+        let mut vet = Vet {
+            dev: &mut *dev,
+            layout: &layout,
+            report: &mut report,
+            owner: &mut owner,
+            ino,
+            repair,
+            data: Vec::new(),
+        };
+        ino_dirty |= tree::walk(&mut inode, &mut vet)?;
+        file_blocks[ino as usize] = vet.data;
         if ino_dirty {
             // `buf` still holds this inode's table block (pointer blocks
             // were vetted through their own buffers), so neighbours in the
@@ -307,73 +262,62 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
             inode.encode_into(&mut buf[off..off + INODE_SIZE]);
             dev.write_block(blk, &buf)?;
         }
-        file_blocks.insert(ino, data);
         inodes[ino as usize] = Some(inode);
     }
 
-    // Walk the directory tree: reachability + dangling entries. (Indirect
-    // directory blocks are handled through the per-inode block lists.)
-    let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
-    let mut queue: Vec<u32> = vec![ROOT_CHECK_INO];
-    let mut visited_dirs = vec![false; layout.inode_count as usize];
-    visited_dirs[ROOT_CHECK_INO as usize] = true;
-    while let Some(dir_ino) = queue.pop() {
-        let Some(dir) = inodes[dir_ino as usize] else {
+    // Walk the namespace: reachability, dangling entries, second names. In
+    // repair mode a directory block whose entries were cleared is written
+    // once, before the next block is read.
+    let mut ns = Namespace::new(layout.inode_count);
+    while let Some(dir) = ns.next_dir() {
+        let Some(inode) = inodes[dir as usize] else {
             continue;
         };
-        let entries = dir.size / DIRENT_SIZE as u64;
-        let blocks = file_blocks.get(&dir_ino).cloned().unwrap_or_default();
-        for (blk_idx, dev_blk) in blocks.iter().enumerate() {
-            dev.read_block(*dev_blk, &mut buf)?;
+        for &(file_block, blk) in &file_blocks[dir as usize] {
+            dev.read_block(blk, &mut buf)?;
             let mut dirty = false;
-            for s in 0..per_block {
-                let idx = blk_idx as u64 * per_block + s;
-                if idx >= entries {
-                    break;
-                }
-                let o = s as usize * DIRENT_SIZE;
-                if let Some(e) = Dirent::decode(&buf[o..o + DIRENT_SIZE]) {
-                    match inodes.get(e.ino as usize).and_then(|i| *i) {
-                        Some(child) => {
-                            reachable_inodes[e.ino as usize] = true;
-                            if child.is_dir {
-                                if !visited_dirs[e.ino as usize] {
-                                    visited_dirs[e.ino as usize] = true;
-                                    queue.push(e.ino);
-                                }
-                            } else {
-                                report.files += 1;
-                            }
-                        }
-                        None => {
-                            report.errors.push(FsckError::DanglingDirent {
-                                name: e.name.clone(),
-                                ino: e.ino,
-                            });
-                            if repair {
-                                Dirent::clear_slot(&mut buf[o..o + DIRENT_SIZE]);
-                                dirty = true;
-                                report.repairs.push(format!(
-                                    "dir ino {dir_ino}: removed dangling entry '{}' → ino {}",
-                                    e.name, e.ino
-                                ));
-                            }
-                        }
+            for (slot, Dirent { ino, name }) in tree::live_slots(inode.size, file_block, &buf)? {
+                let named = ns.judge(ino, |ino| Ok(inodes[ino as usize]))?;
+                let what = match named {
+                    Named::Dir => {
+                        report.dirs += 1;
+                        continue;
                     }
+                    Named::File => {
+                        report.files += 1;
+                        continue;
+                    }
+                    Named::Dangling => "dangling entry",
+                    Named::DirAgain | Named::FileAgain => "second name",
+                };
+                if repair {
+                    let at = tree::slot_place(slot).1;
+                    Dirent::clear_slot(&mut buf[at..at + DIRENT_SIZE]);
+                    dirty = true;
+                    report.repairs.push(format!(
+                        "dir ino {dir}: removed {what} '{name}' → ino {ino}"
+                    ));
                 }
+                report.errors.push(match named {
+                    Named::DirAgain => FsckError::DirectoryNamedTwice { name, ino },
+                    Named::FileAgain => FsckError::InodeNamedTwice { name, ino },
+                    _ => FsckError::DanglingDirent { name, ino },
+                });
             }
             if dirty {
-                dev.write_block(*dev_blk, &buf)?;
+                dev.write_block(blk, &buf)?;
             }
         }
     }
+
+    let reachable = ns.reached;
 
     // Orphans: allocated inodes no directory entry names. Repair releases
     // them (inode slot zeroed, their blocks dropped from the reference set
     // so the bitmap rebuild frees them). An orphaned directory's children
     // are themselves unreachable and released by the same sweep.
     for ino in 0..layout.inode_count as usize {
-        if inodes[ino].is_some() && !reachable_inodes[ino] {
+        if inodes[ino].is_some() && !reachable[ino] {
             report
                 .errors
                 .push(FsckError::OrphanInode { ino: ino as u32 });
@@ -437,8 +381,9 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     Ok(report)
 }
 
-/// The raw bytes of an on-disk bitmap of `blocks` blocks.
-fn read_bitmap(dev: &mut dyn BlockDevice, start: u64, blocks: u64) -> FsResult<Vec<u8>> {
+/// The bytes of `blocks` device blocks from `start` on, one read a block:
+/// a bitmap, a pointer block, a directory block.
+pub(crate) fn read_blocks(dev: &mut dyn BlockDevice, start: u64, blocks: u64) -> FsResult<Vec<u8>> {
     let mut bytes = vec![0u8; blocks as usize * BLOCK_SIZE];
     for (b, chunk) in bytes.chunks_mut(BLOCK_SIZE).enumerate() {
         dev.read_block(start + b as u64, chunk)?;
@@ -484,9 +429,13 @@ fn write_bitmap(dev: &mut dyn BlockDevice, start: u64, bytes: &[u8]) -> FsResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inode::{NO_BLOCK, PTRS_PER_BLOCK};
+    use crate::tree::ROOT_INO;
     use crate::{Ufs, UfsConfig};
+    use disksim::codec::{get_u32, put_u32};
     use disksim::{DiskSpec, RegularDisk, SimClock};
     use fscore::{FileSystem, FsError, HostModel};
+    use std::collections::HashMap;
 
     fn populated() -> Ufs {
         let dev = RegularDisk::new(DiskSpec::st19101_sim(), SimClock::new(), BLOCK_SIZE);
@@ -706,9 +655,9 @@ mod tests {
         // Walk the directory tree: reachability + dangling entries. (Indirect
         // directory blocks are handled through the per-inode block lists.)
         let per_block = (BLOCK_SIZE / DIRENT_SIZE) as u64;
-        let mut queue: Vec<u32> = vec![ROOT_CHECK_INO];
+        let mut queue: Vec<u32> = vec![ROOT_INO];
         let mut visited_dirs = vec![false; layout.inode_count as usize];
-        visited_dirs[ROOT_CHECK_INO as usize] = true;
+        visited_dirs[ROOT_INO as usize] = true;
         while let Some(dir_ino) = queue.pop() {
             let Some(dir) = inodes[dir_ino as usize] else {
                 continue;
@@ -724,7 +673,7 @@ mod tests {
                         break;
                     }
                     let o = s as usize * DIRENT_SIZE;
-                    if let Some(e) = Dirent::decode(&buf[o..o + DIRENT_SIZE]) {
+                    if let Some(e) = Dirent::decode(&buf[o..o + DIRENT_SIZE])? {
                         match inodes.get(e.ino as usize).and_then(|i| *i) {
                             Some(child) => {
                                 reachable_inodes[e.ino as usize] = true;
@@ -1045,7 +994,7 @@ mod tests {
         // but unreachable. The root's entries live in inode 0's first data
         // block at this fill level.
         let mut buf = vec![0u8; BLOCK_SIZE];
-        let (blk, off) = layout.inode_location(ROOT_CHECK_INO);
+        let (blk, off) = layout.inode_location(ROOT_INO);
         dev.read_block(blk, &mut buf).unwrap();
         let root = Inode::decode(&buf[off..off + INODE_SIZE]).unwrap();
         let dir_blk = root.direct[0] as u64;
@@ -1053,6 +1002,7 @@ mod tests {
         let slot = (0..BLOCK_SIZE / DIRENT_SIZE)
             .find(|s| {
                 Dirent::decode(&buf[s * DIRENT_SIZE..(s + 1) * DIRENT_SIZE])
+                    .unwrap()
                     .is_some_and(|e| e.name == "f5")
             })
             .expect("'f5' present in the root block");
@@ -1089,7 +1039,7 @@ mod tests {
         assert!(report.is_clean());
         // Find f7's ino through the root directory.
         let mut buf = vec![0u8; BLOCK_SIZE];
-        let (blk, off) = layout.inode_location(ROOT_CHECK_INO);
+        let (blk, off) = layout.inode_location(ROOT_INO);
         dev.read_block(blk, &mut buf).unwrap();
         let root = Inode::decode(&buf[off..off + INODE_SIZE]).unwrap();
         let dir_blk = root.direct[0] as u64;
@@ -1097,6 +1047,7 @@ mod tests {
         let ino = (0..BLOCK_SIZE / DIRENT_SIZE)
             .find_map(|s| {
                 Dirent::decode(&buf[s * DIRENT_SIZE..(s + 1) * DIRENT_SIZE])
+                    .unwrap()
                     .filter(|e| e.name == "f7")
                     .map(|e| e.ino)
             })

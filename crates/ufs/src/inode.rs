@@ -5,7 +5,8 @@
 //! the paper's large-file and utilisation benchmarks use.
 
 use crate::layout::{BLOCK_SIZE, INODE_SIZE};
-use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64};
+use disksim::codec::{get_u32, get_u32s, get_u64, get_u8, put_u32, put_u32s, put_u64};
+use disksim::DiskError;
 use fscore::{FsError, FsResult};
 
 /// Number of direct block pointers.
@@ -75,10 +76,11 @@ impl Inode {
         put_u32(slot, 68, self.dindirect);
     }
 
-    /// Decode from an [`INODE_SIZE`]-byte slot.
+    /// Decode from an [`INODE_SIZE`]-byte slot; a buffer of any other
+    /// length is `Corrupt`.
     pub fn decode(slot: &[u8]) -> FsResult<Inode> {
         if slot.len() != INODE_SIZE {
-            return Err(FsError::Invalid("inode slot size"));
+            return Err(DiskError::Corrupt("inode slot of the wrong size").into());
         }
         let mut direct = [NO_BLOCK; NDIRECT];
         for (d, stored) in direct.iter_mut().zip(get_u32s(slot, 16, NDIRECT)?) {
@@ -86,8 +88,8 @@ impl Inode {
         }
         Ok(Inode {
             size: get_u64(slot, 0)?,
-            allocated: slot[8] != 0,
-            is_dir: slot[9] != 0,
+            allocated: get_u8(slot, 8)? != 0,
+            is_dir: get_u8(slot, 9)? != 0,
             direct,
             indirect: get_u32(slot, 64)?,
             dindirect: get_u32(slot, 68)?,

@@ -28,6 +28,7 @@ pub mod fs;
 pub mod fsck;
 pub mod inode;
 pub mod layout;
+mod tree;
 
 pub use fs::{Ufs, UfsConfig, UfsSnapshot};
 pub use fsck::{fsck, fsck_repair, FsckError, FsckReport};

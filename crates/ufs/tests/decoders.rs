@@ -15,6 +15,9 @@ use ufs::inode::Inode;
 use ufs::layout::{INODE_SIZE, SUPER_MAGIC};
 use ufs::{fsck, fsck_repair, FsckError, Layout, Ufs, UfsConfig, BLOCK_SIZE};
 
+mod common;
+use common::{count_names, inode, layout, read};
+
 /// Blocks of the HP97560 slice the volumes below are formatted on.
 const HP_BLOCKS: u64 = 6156;
 /// What the codec says of a field that does not fit.
@@ -31,7 +34,7 @@ fn decode_all(bytes: &[u8]) -> (bool, bool, bool) {
     (
         Layout::decode(bytes, HP_BLOCKS).is_ok(),
         Inode::decode(bytes).is_ok(),
-        Dirent::decode(bytes).is_some(),
+        Dirent::decode(bytes).is_ok_and(|e| e.is_some()),
     )
 }
 
@@ -66,10 +69,13 @@ fn truncated_valid_images_never_panic() {
     inode.size = 123_456;
     inode.direct = [7; 12];
     inode.indirect = 99;
-    let mut slot = vec![0u8; INODE_SIZE];
-    inode.encode_into(&mut slot);
+    let mut slot = [0u8; INODE_SIZE + 1];
+    inode.encode_into(&mut slot[..INODE_SIZE]);
     for len in 0..=slot.len() {
         let got = Inode::decode(&slot[..len]);
+        if len != INODE_SIZE {
+            assert!(is_corrupt(&got), "len {len}: {got:?}");
+        }
         assert_eq!(got.ok(), (len == INODE_SIZE).then_some(inode), "len {len}");
     }
 
@@ -77,16 +83,21 @@ fn truncated_valid_images_never_panic() {
         ino: 2047,
         name: "a-name-of-twenty-seven-byte".into(),
     };
-    let mut slot = vec![0u8; DIRENT_SIZE];
-    entry.encode_into(&mut slot);
+    let mut slot = [0u8; DIRENT_SIZE + 1];
+    entry.encode_into(&mut slot[..DIRENT_SIZE]);
     for len in 0..=slot.len() {
         let got = Dirent::decode(&slot[..len]);
-        assert_eq!(
-            got,
-            (len == DIRENT_SIZE).then(|| entry.clone()),
-            "len {len}"
-        );
+        if len != DIRENT_SIZE {
+            assert!(is_corrupt(&got), "len {len}: {got:?}");
+        }
+        let want = (len == DIRENT_SIZE).then(|| entry.clone());
+        assert_eq!(got.ok().flatten(), want, "len {len}");
     }
+}
+
+/// A slot decoder's answer to a buffer that is not one slot long.
+fn is_corrupt<T>(got: &Result<T, FsError>) -> bool {
+    matches!(got, Err(FsError::Disk(DiskError::Corrupt(_))))
 }
 
 /// A formatted, populated HP97560 volume with a subdirectory, synced: its
@@ -112,31 +123,29 @@ fn hp_volume() -> Box<dyn DeviceSnapshot> {
         .expect("a regular disk snapshots")
 }
 
-fn read(dev: &mut dyn BlockDevice, blk: u64) -> Vec<u8> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    dev.read_block(blk, &mut buf).unwrap();
-    buf
-}
-
 /// The superblock, the root inode's table block and the root directory's
 /// first block of the volume on `dev`.
 fn targets(dev: &mut dyn BlockDevice) -> [u64; 3] {
-    let layout = Layout::decode(&read(dev, 0), HP_BLOCKS).unwrap();
-    let (blk, off) = layout.inode_location(0);
-    let root = Inode::decode(&read(dev, blk)[off..off + INODE_SIZE]).unwrap();
-    [0, blk, root.direct[0] as u64]
+    let (blk, _) = layout(dev).inode_location(0);
+    [0, blk, inode(dev, 0).direct[0] as u64]
 }
 
 /// Check, repair and mount a damaged volume: each may succeed or fail,
-/// none may panic. A repaired volume must mount.
+/// none may panic. A repaired volume must mount, and mount must index
+/// exactly the files and directories the clean pass reached.
 fn check_repair_mount(snap: &dyn DeviceSnapshot, what: &str) {
     let _ = fsck(snap.restore().as_mut());
     let mut dev = snap.restore();
     if fsck_repair(dev.as_mut()).is_ok() {
         let second = fsck(dev.as_mut()).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert!(second.is_clean(), "{what}: repair left {:?}", second.errors);
-        if let Err(e) = Ufs::mount(dev, HostModel::instant()) {
-            panic!("{what}: a repaired volume does not mount: {e}");
+        match Ufs::mount(dev, HostModel::instant()) {
+            Ok(fs) => assert_eq!(
+                count_names(&fs),
+                (second.files, second.dirs),
+                "{what}: mount and fsck reach different inodes"
+            ),
+            Err(e) => panic!("{what}: a repaired volume does not mount: {e}"),
         }
     }
     let _ = Ufs::mount(snap.restore(), HostModel::instant());
@@ -183,7 +192,7 @@ fn damaged_volumes_never_panic_mount_or_fsck() {
 fn rename_root_entry_to(dev: &mut dyn BlockDevice, ino: u32) {
     let dir_blk = targets(dev)[2];
     let mut buf = read(dev, dir_blk);
-    assert!(Dirent::decode(&buf[..DIRENT_SIZE]).is_some());
+    assert!(Dirent::decode(&buf[..DIRENT_SIZE]).unwrap().is_some());
     put_u32(&mut buf, 0, ino);
     dev.write_block(dir_blk, &buf).unwrap();
 }
@@ -215,16 +224,25 @@ fn a_dirent_naming_an_inode_beyond_the_table_is_refused_by_mount() {
 }
 
 /// A directory entry naming the root directory is a cycle: mount refuses
-/// it rather than walking the tree forever.
+/// it rather than walking the tree forever, and `fsck` reports the root's
+/// second name.
 #[test]
 fn a_directory_cycle_is_refused_by_mount() {
     let mut dev = hp_volume().restore();
     let dir_blk = targets(dev.as_mut())[2];
     let buf = read(dev.as_mut(), dir_blk);
     // The first entry is the subdirectory `d`; point it at the root.
-    assert_eq!(Dirent::decode(&buf[..DIRENT_SIZE]).unwrap().name, "d");
+    assert_eq!(
+        Dirent::decode(&buf[..DIRENT_SIZE]).unwrap().unwrap().name,
+        "d"
+    );
     assert_ne!(get_u32(&buf, 0).unwrap(), 0);
     rename_root_entry_to(dev.as_mut(), 0);
+    let twice = FsckError::DirectoryNamedTwice {
+        name: "d".into(),
+        ino: 0,
+    };
+    assert!(fsck(dev.as_mut()).unwrap().errors.contains(&twice));
     assert!(matches!(
         Ufs::mount(dev, HostModel::instant()),
         Err(FsError::Invalid(_))
