@@ -8,12 +8,14 @@
 //! workers fork concurrently. These tests pin that contract.
 
 use disksim::fault::content_hash;
-use disksim::{par, FaultDisk, FaultPlan, RegularDisk, SimClock};
+use disksim::{par, probe_device, FaultDisk, FaultPlan, RegularDisk, SimClock, WriteFault};
 use fscore::{FileId, FileSystem, HostModel};
-use modelcheck::stack::{DevKind, DiskKind, FsKind};
+use lfs::{CleanerStats, LogDisk};
+use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec, SECTORS_PER_BLOCK};
 use ufs::{Ufs, UfsConfig};
 use vlfs_bench::setup::{aged_system, build_aged, AgedSpec};
 use vlfs_bench::workload::{make_file, steady_state_update_ms, BLOCK};
+use vlog_core::{CompactStats, Vld};
 
 /// A behavioural fingerprint of a system: everything a figure cell could
 /// observe. Two systems in byte-identical states produce equal
@@ -91,8 +93,12 @@ fn fork_matches_rebuild_across_all_stacks() {
 fn faulty_system(plan: FaultPlan) -> (Ufs, FileId, u64) {
     let raw = RegularDisk::new(DiskKind::Seagate.spec(), SimClock::new(), 4096);
     let dev = FaultDisk::new(Box::new(raw), plan);
-    let mut fs =
-        Ufs::format(Box::new(dev), HostModel::sparcstation_10(), UfsConfig::default()).unwrap();
+    let mut fs = Ufs::format(
+        Box::new(dev),
+        HostModel::sparcstation_10(),
+        UfsConfig::default(),
+    )
+    .unwrap();
     let file_blocks = (fs.free_blocks() as f64 * 0.2) as u64;
     let f = make_file(&mut fs, "target", file_blocks * BLOCK as u64).unwrap();
     fs.set_sync_writes(true);
@@ -172,17 +178,33 @@ fn fork_mutation_is_isolated() {
         let off = (i * 131 % fb) * BLOCK as u64; // i = 0 blots the hot blocks
         mutant.write(f, off, &blot).expect("mutate fork");
     }
-    assert_ne!(warm_hash(&mut mutant), warm, "mutation must be visible in the fork");
+    assert_ne!(
+        warm_hash(&mut mutant),
+        warm,
+        "mutation must be visible in the fork"
+    );
     let mut late = snap.restore();
-    for (who, fs) in [("parent", &mut parent), ("sibling", &mut sibling), ("late fork", &mut late)] {
+    for (who, fs) in [
+        ("parent", &mut parent),
+        ("sibling", &mut sibling),
+        ("late fork", &mut late),
+    ] {
         assert_eq!(warm_hash(fs), warm, "{who}'s cached blocks saw fork writes");
     }
 
     mutant.sync().expect("sync fork");
-    assert_ne!(cold_hash(&mut mutant), before, "mutation must reach the fork's media");
+    assert_ne!(
+        cold_hash(&mut mutant),
+        before,
+        "mutation must reach the fork's media"
+    );
     assert_eq!(cold_hash(&mut parent), before, "parent saw fork writes");
     assert_eq!(cold_hash(&mut sibling), before, "sibling saw fork writes");
-    assert_eq!(cold_hash(&mut snap.restore()), before, "snapshot itself was mutated");
+    assert_eq!(
+        cold_hash(&mut snap.restore()),
+        before,
+        "snapshot itself was mutated"
+    );
 }
 
 /// The cached path ([`aged_system`]) serves concurrent workers the same
@@ -205,5 +227,154 @@ fn cached_forks_match_rebuilds_under_parallel_workers() {
             fingerprint(fs, f, fb, 60)
         });
         assert_eq!(got, oracle, "width {width}: cached fork diverged");
+    }
+}
+
+/// Simulated nanoseconds per millisecond.
+const MS: u64 = 1_000_000;
+
+/// The idle grant for `spec`. The compactor stops a victim when its grant
+/// runs out, so UFS on the VLD gets grants shorter than a track's worth of
+/// moves. The LLD cleaner may start a segment just before its grant ends,
+/// and on the VLD one segment takes over a second, so LFS gets grants long
+/// enough for such an overrun to stay within what [`FileSystem::idle`]
+/// allows.
+fn grant(spec: StackSpec) -> u64 {
+    match spec.fs {
+        FsKind::Ufs => 60 * MS,
+        FsKind::Lfs => 10_000 * MS,
+    }
+}
+
+/// The background work done so far: the compactor's and the cleaner's.
+fn work(fs: &Ufs) -> (Option<CompactStats>, Option<CleanerStats>) {
+    let dev = fs.device();
+    (
+        probe_device::<Vld>(dev).map(|v| v.compactor().stats()),
+        probe_device::<LogDisk>(dev).map(|l| l.cleaner_stats()),
+    )
+}
+
+/// Op indices the fault layer of `fs` has consumed: acknowledged writes
+/// plus faulted ones.
+fn ops_used(fs: &Ufs) -> u64 {
+    let fault = probe_device::<FaultDisk>(fs.device()).expect("a fault layer");
+    fault.write_ops() + fault.fault_log().transients
+}
+
+/// A fragmented volume after a synced burst of overwrites. Returns the
+/// system, its file and the file's size in blocks.
+fn burst(spec: StackSpec, plan: FaultPlan) -> (Ufs, FileId, u64) {
+    let mut fs = spec.build(Some(plan), &Obs::default()).expect("build");
+    let blocks = fs.free_blocks() * 7 / 10;
+    let f = make_file(&mut fs, "target", blocks * BLOCK as u64).expect("fill");
+    fs.sync().expect("sync");
+    let data = vec![0x5Au8; BLOCK];
+    for i in 0..blocks / 2 {
+        let off = (i * 7919 % blocks) * BLOCK as u64;
+        fs.write(f, off, &data).expect("burst");
+    }
+    fs.sync().expect("sync");
+    (fs, f, blocks)
+}
+
+/// [`burst`], then idle grants until one ends mid-way through background
+/// work. On UFS over the VLD the compactor holds a half-moved victim. On
+/// LFS over the VLD, `plan`'s transient fails the cleaner's flush: its
+/// victim is parked in `pending_free` and its copies sit in the open
+/// segment, past what the last partial flush wrote.
+fn mid_idle(spec: StackSpec, plan: FaultPlan) -> (Ufs, FileId, u64) {
+    let (mut fs, f, blocks) = burst(spec, plan);
+    for _ in 0..400 {
+        let before = work(&fs);
+        fs.idle(grant(spec));
+        let expired = match (before, work(&fs)) {
+            ((_, Some(before)), (_, Some(after))) => {
+                after.during_idle > before.during_idle
+                    && after.segments_cleaned == before.segments_cleaned
+            }
+            ((Some(before), None), (Some(after), None)) => {
+                after.blocks_moved > before.blocks_moved
+                    && after.tracks_emptied == before.tracks_emptied
+            }
+            _ => unreachable!("{spec} is a VLD stack"),
+        };
+        if expired {
+            return (fs, f, blocks);
+        }
+    }
+    panic!("{spec}: no idle grant ended mid-way through background work");
+}
+
+/// Overwrites, with a sync and an idle grant every 64th op, until an op
+/// fails; returns that op's index.
+fn continue_until_cut(spec: StackSpec, fs: &mut Ufs, f: FileId, blocks: u64) -> Option<u64> {
+    let data = vec![0xC3u8; BLOCK];
+    (0..4_000u64).find(|&i| {
+        let step = if i % 64 == 63 {
+            fs.sync().map(|()| fs.idle(grant(spec)))
+        } else {
+            fs.write(f, (i * 104_729 % blocks) * BLOCK as u64, &data)
+        };
+        step.is_err()
+    })
+}
+
+/// A fork taken while background work is half done continues exactly
+/// like the system it was taken from: the same op fails at the same power
+/// cut, with the same clock, drive counters, compactor and cleaner work,
+/// and the same bytes in every block of the media.
+#[test]
+fn fork_mid_idle_continues_like_the_original() {
+    for spec in [
+        // A compactor that always has work: its pool target is the whole
+        // free space.
+        StackSpec {
+            vld_target_empty_tracks: Some(u32::MAX),
+            ..StackSpec::harness(FsKind::Ufs, DevKind::Vld)
+        },
+        StackSpec::harness(FsKind::Lfs, DevKind::Vld),
+    ] {
+        // The cleaner's first write after the burst fails; the compactor
+        // needs no fault to stop mid-victim.
+        let plan = match spec.fs {
+            FsKind::Ufs => FaultPlan::none(),
+            FsKind::Lfs => FaultPlan::transient(ops_used(&burst(spec, FaultPlan::none()).0) + 1),
+        };
+        // A dry run finds how many ops the continuation takes; the power
+        // cut goes half-way through them, past the snapshot.
+        let (mut fs, f, blocks) = mid_idle(spec, plan.clone());
+        let at_snapshot = ops_used(&fs);
+        assert_eq!(continue_until_cut(spec, &mut fs, f, blocks), None, "{spec}");
+        let cut = at_snapshot + (ops_used(&fs) - at_snapshot) / 2;
+        let plan = plan.with(cut, WriteFault::PowerCut { survivors: 3 });
+
+        let (mut original, f, blocks) = mid_idle(spec, plan);
+        let mut fork = original
+            .snapshot()
+            .expect("a VLD stack snapshots")
+            .restore();
+        let mut ends = Vec::new();
+        for fs in [&mut original, &mut fork] {
+            let cut_at = continue_until_cut(spec, fs, f, blocks);
+            assert!(cut_at.is_some(), "{spec}: the power cut must fire");
+            let stats = fs.device().disk_stats();
+            ends.push(format!(
+                "{cut_at:?} {} {stats:?} {:?}",
+                fs.clock().now(),
+                work(fs)
+            ));
+        }
+        assert_eq!(ends[0], ends[1], "{spec}: the fork diverged");
+        let (a, b) = (spec.crash(original), spec.crash(fork));
+        assert_eq!((a.write_ops, a.log), (b.write_ops, b.log), "{spec}");
+        let blocks = a.disk.spec().geometry.total_sectors() / SECTORS_PER_BLOCK;
+        for block in 0..blocks {
+            assert_eq!(
+                a.media_hash(block),
+                b.media_hash(block),
+                "{spec}: block {block}"
+            );
+        }
     }
 }

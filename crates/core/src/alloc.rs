@@ -63,12 +63,7 @@ impl Default for AllocConfig {
 /// Stateful eager allocator.
 #[derive(Debug, Clone)]
 pub struct EagerAllocator {
-    cfg: AllocConfig,
-    /// The empty track currently being filled under the threshold policy.
-    fill_track: Option<(u32, u32)>,
-    /// A track allocations must avoid (set while the compactor empties it,
-    /// so fresh writes don't re-pollute the victim).
-    avoid: Option<(u32, u32)>,
+    state: AllocatorState,
     /// Metrics handle (disabled by default). Counts fast-path vs. fallback
     /// decisions; never influences them.
     metrics: Metrics,
@@ -80,36 +75,32 @@ pub struct EagerAllocator {
 #[derive(Debug, Clone, Copy)]
 pub struct AllocatorState {
     cfg: AllocConfig,
+    /// The empty track currently being filled under the threshold policy.
     fill_track: Option<(u32, u32)>,
+    /// A track allocations must avoid (set while the compactor empties it,
+    /// so fresh writes don't re-pollute the victim).
     avoid: Option<(u32, u32)>,
 }
 
 impl EagerAllocator {
     /// Create an allocator with the given configuration.
     pub fn new(cfg: AllocConfig) -> Self {
-        Self {
+        Self::from_state(&AllocatorState {
             cfg,
             fill_track: None,
             avoid: None,
-            metrics: Metrics::disabled(),
-        }
+        })
     }
 
     /// Capture the mutable state for a later [`EagerAllocator::from_state`].
     pub fn state(&self) -> AllocatorState {
-        AllocatorState {
-            cfg: self.cfg,
-            fill_track: self.fill_track,
-            avoid: self.avoid,
-        }
+        self.state
     }
 
     /// Rebuild an allocator from captured state (metrics detached).
     pub fn from_state(state: &AllocatorState) -> Self {
         Self {
-            cfg: state.cfg,
-            fill_track: state.fill_track,
-            avoid: state.avoid,
+            state: *state,
             metrics: Metrics::disabled(),
         }
     }
@@ -123,22 +114,22 @@ impl EagerAllocator {
 
     /// Forbid allocations on one track (compaction victim); `None` clears.
     pub fn set_avoid(&mut self, track: Option<(u32, u32)>) {
-        self.avoid = track;
-        if self.avoid.is_some() && self.fill_track == self.avoid {
-            self.fill_track = None;
+        self.state.avoid = track;
+        if self.state.avoid.is_some() && self.state.fill_track == self.state.avoid {
+            self.state.fill_track = None;
         }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &AllocConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// Choose a free aligned data block near the head. Returns `None` only
     /// when no aligned block is free anywhere.
     pub fn find_block(&mut self, disk: &Disk, free: &FreeMap) -> Option<Candidate> {
-        let align = self.cfg.block_sectors;
-        if self.cfg.threshold_fill {
+        let align = self.state.cfg.block_sectors;
+        if self.state.cfg.threshold_fill {
             if let Some(c) = self.fill_candidate(disk, free, align) {
                 self.metrics.inc("alloc.fast_path");
                 return Some(c);
@@ -159,21 +150,21 @@ impl EagerAllocator {
     fn fill_candidate(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
         // Keep filling the current track while it is under the threshold and
         // still has room for an aligned slot.
-        if let Some((c, t)) = self.fill_track {
-            if free.track_utilization(c, t) < self.cfg.threshold {
+        if let Some((c, t)) = self.state.fill_track {
+            if free.track_utilization(c, t) < self.state.cfg.threshold {
                 if let Some(cand) = self.price_track(disk, free, c, t, align) {
                     return Some(cand);
                 }
             }
-            self.fill_track = None;
+            self.state.fill_track = None;
         }
         // Grab the nearest empty track from the compactor's pool; if the
         // pool is dry, the caller falls back to greedy.
         let next = free.nearest_empty_track(disk.head().cyl)?;
-        if Some(next) == self.avoid {
+        if Some(next) == self.state.avoid {
             return None;
         }
-        self.fill_track = Some(next);
+        self.state.fill_track = Some(next);
         self.price_track(disk, free, next.0, next.1, align)
     }
 
@@ -234,7 +225,7 @@ impl EagerAllocator {
         align: u32,
         plan: &TrackPricer,
     ) -> Option<Candidate> {
-        if self.avoid == Some((cyl, track)) {
+        if self.state.avoid == Some((cyl, track)) {
             return None;
         }
         let sector = free.first_aligned_from(cyl, track, plan.arrival, align)?;
@@ -283,7 +274,7 @@ impl EagerAllocator {
     /// beat the best candidate found. Both pick exactly what the naive
     /// `reference::greedy` scan picks (the equivalence tests below).
     fn greedy(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        if self.cfg.one_way_sweep {
+        if self.state.cfg.one_way_sweep {
             self.greedy_one_way(disk, free, align)
         } else {
             self.greedy_two_way(disk, free, align)
@@ -437,13 +428,13 @@ impl EagerAllocator {
     /// Forget the current fill track (e.g. after a compaction pass changed
     /// the landscape).
     pub fn reset_fill(&mut self) {
-        self.fill_track = None;
+        self.state.fill_track = None;
     }
 
     /// The empty track currently being filled, if the threshold policy has
     /// one in hand. The compactor avoids choosing it as a victim.
     pub fn fill_track(&self) -> Option<(u32, u32)> {
-        self.fill_track
+        self.state.fill_track
     }
 }
 

@@ -133,11 +133,11 @@ impl VirtualLog {
         let cap = |errs: &Vec<String>| errs.len() >= MAX_COMPLAINTS;
 
         // --- map ↔ rmap bijection ---------------------------------------
-        for (lb, pb) in self.map.iter().enumerate() {
+        for (lb, pb) in self.state.map.iter().enumerate() {
             if pb == UNMAPPED {
                 continue;
             }
-            match self.rmap.get(pb as usize) {
+            match self.state.rmap.get(pb as usize) {
                 Some(&back) if back as usize == lb => {}
                 Some(&back) => errs.push(format!(
                     "map[{lb}] = pb {pb}, but rmap[{pb}] = {back}"
@@ -148,11 +148,11 @@ impl VirtualLog {
                 return errs;
             }
         }
-        for (pb, &lb) in self.rmap.iter().enumerate() {
+        for (pb, &lb) in self.state.rmap.iter().enumerate() {
             if lb == UNMAPPED {
                 continue;
             }
-            match self.map.try_get(lb as usize) {
+            match self.state.map.try_get(lb as usize) {
                 Some(fwd) if fwd as usize == pb => {}
                 Some(fwd) => errs.push(format!(
                     "rmap[{pb}] = lb {lb}, but map[{lb}] = {fwd}"
@@ -166,7 +166,7 @@ impl VirtualLog {
 
         // --- on-disk pieces match the directory and the map --------------
         let mut newest: Option<(u32, PieceLoc)> = None;
-        for (idx, loc) in self.pieces.iter().enumerate() {
+        for (idx, loc) in self.state.pieces.iter().enumerate() {
             let Some(loc) = *loc else { continue };
             if newest.is_none_or(|(_, n)| loc.seq > n.seq) {
                 newest = Some((idx as u32, loc));
@@ -197,7 +197,7 @@ impl VirtualLog {
             }
             let start = idx * PIECE_ENTRIES;
             for (k, &entry) in sector.entries.iter().enumerate() {
-                let want = self.map.try_get(start + k).unwrap_or(UNMAPPED);
+                let want = self.state.map.try_get(start + k).unwrap_or(UNMAPPED);
                 if entry != want {
                     errs.push(format!(
                         "piece {idx} entry {k} (lb {}): on-disk {entry} vs memory {want}",
@@ -212,7 +212,7 @@ impl VirtualLog {
         }
 
         // --- the newest piece is the root --------------------------------
-        match (self.root, newest) {
+        match (self.state.root, newest) {
             (Some((lba, seq)), Some((idx, loc))) => {
                 if loc.seq != seq || loc.lba != lba {
                     errs.push(format!(
@@ -237,25 +237,25 @@ impl VirtualLog {
         owners.claim(&mut errs, 0, FIRMWARE_SECTORS, Owner::Firmware);
         owners.claim(
             &mut errs,
-            self.ckpt_region.slot_a,
-            self.ckpt_region.end() - self.ckpt_region.slot_a,
+            self.state.ckpt_region.slot_a,
+            self.state.ckpt_region.end() - self.state.ckpt_region.slot_a,
             Owner::Checkpoint,
         );
         let bs = BLOCK_SECTORS as u64;
-        for (lb, pb) in self.map.iter().enumerate() {
+        for (lb, pb) in self.state.map.iter().enumerate() {
             if pb != UNMAPPED {
                 owners.claim(&mut errs, pb as u64 * bs, bs, Owner::Data(lb as u32));
             }
         }
-        for (idx, loc) in self.pieces.iter().enumerate() {
+        for (idx, loc) in self.state.pieces.iter().enumerate() {
             if let Some(loc) = loc {
                 owners.claim(&mut errs, loc.lba, bs, Owner::Piece(idx as u32));
             }
         }
-        for &lba in &self.pending_recycle {
+        for &lba in &self.state.pending_recycle {
             owners.claim(&mut errs, lba, bs, Owner::PendingRecycle);
         }
-        for &pb in &self.deferred_blocks {
+        for &pb in &self.state.deferred_blocks {
             owners.claim(&mut errs, pb as u64 * bs, bs, Owner::DeferredData);
         }
         if cap(&errs) {
@@ -268,7 +268,10 @@ impl VirtualLog {
         for cyl in 0..g.cylinders() {
             let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
             for track in 0..g.tracks_per_cylinder() {
-                let words = self.free.words(self.free.track_index(cyl, track));
+                let words = self
+                    .state
+                    .free
+                    .words(self.state.free.track_index(cyl, track));
                 // Free exactly where unowned, a word at a time; only a track
                 // that disagrees somewhere is walked sector by sector.
                 let agrees = word_masks(0, spt).all(|(wi, valid)| {
@@ -350,7 +353,7 @@ mod tests {
         let mut v = fresh();
         v.write(0, &vec![1u8; BLOCK_BYTES]).unwrap();
         let pb = v.translate(0).unwrap();
-        v.rmap[pb as usize] = 12345;
+        v.state.rmap[pb as usize] = 12345;
         let errs = v.check_consistency();
         assert!(!errs.is_empty());
         assert!(errs.iter().any(|e| e.contains("rmap")), "{errs:?}");
@@ -379,13 +382,14 @@ mod tests {
         // sector of the inner zone.
         let block = v.translate(0).unwrap() * BLOCK_SECTORS as u64;
         let p = g.lba_to_phys(block).unwrap();
-        v.free
+        v.state
+            .free
             .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
             .unwrap();
         let last = g.total_sectors() - 1;
         let p = g.lba_to_phys(last).unwrap();
         assert_eq!((p.cyl, p.sector), (15, 63), "inner zone");
-        v.free.allocate(p.cyl, p.track, p.sector, 1).unwrap();
+        v.state.free.allocate(p.cyl, p.track, p.sector, 1).unwrap();
 
         let mut want: Vec<String> = (block..block + BLOCK_SECTORS as u64)
             .map(|s| format!("sector {s} is owned (data block of lb 0) but marked free"))
@@ -395,7 +399,7 @@ mod tests {
 
         // A second claim on the block is refused at its first sector, names
         // the first claimant, and leaves the block with it.
-        v.pending_recycle.push(block);
+        v.state.pending_recycle.push(block);
         want.insert(
             0,
             format!(
@@ -447,25 +451,25 @@ mod tests {
         owners.claim_per_sector(&mut errs, 0, FIRMWARE_SECTORS, Owner::Firmware);
         owners.claim_per_sector(
             &mut errs,
-            v.ckpt_region.slot_a,
-            v.ckpt_region.end() - v.ckpt_region.slot_a,
+            v.state.ckpt_region.slot_a,
+            v.state.ckpt_region.end() - v.state.ckpt_region.slot_a,
             Owner::Checkpoint,
         );
         let bs = BLOCK_SECTORS as u64;
-        for (lb, pb) in v.map.iter().enumerate() {
+        for (lb, pb) in v.state.map.iter().enumerate() {
             if pb != UNMAPPED {
                 owners.claim_per_sector(&mut errs, pb as u64 * bs, bs, Owner::Data(lb as u32));
             }
         }
-        for (idx, loc) in v.pieces.iter().enumerate() {
+        for (idx, loc) in v.state.pieces.iter().enumerate() {
             if let Some(loc) = loc {
                 owners.claim_per_sector(&mut errs, loc.lba, bs, Owner::Piece(idx as u32));
             }
         }
-        for &lba in &v.pending_recycle {
+        for &lba in &v.state.pending_recycle {
             owners.claim_per_sector(&mut errs, lba, bs, Owner::PendingRecycle);
         }
-        for &pb in &v.deferred_blocks {
+        for &pb in &v.state.deferred_blocks {
             owners.claim_per_sector(&mut errs, pb as u64 * bs, bs, Owner::DeferredData);
         }
         if errs.len() >= MAX_COMPLAINTS {
@@ -475,7 +479,7 @@ mod tests {
         for cyl in 0..g.cylinders() {
             let spt = g.sectors_per_track(cyl).expect("cylinder within geometry");
             for track in 0..g.tracks_per_cylinder() {
-                let words = v.free.words(v.free.track_index(cyl, track));
+                let words = v.state.free.words(v.state.free.track_index(cyl, track));
                 VirtualLog::freemap_complaints(&mut errs, &owners, words, s, spt);
                 if errs.len() >= MAX_COMPLAINTS {
                     return errs;
@@ -538,20 +542,21 @@ mod tests {
                     _ => spt - p.sector,
                 };
                 if rng.gen_bool(0.5) {
-                    v.free.allocate(p.cyl, p.track, p.sector, n).unwrap();
+                    v.state.free.allocate(p.cyl, p.track, p.sector, n).unwrap();
                 } else {
-                    v.free.release(p.cyl, p.track, p.sector, n).unwrap();
+                    v.state.free.release(p.cyl, p.track, p.sector, n).unwrap();
                 }
             }
             for _ in 0..rng.gen_range(0..3) {
                 // Up to a block past the end: claims that start on the
                 // device and run off it, and ones that start beyond it.
-                v.pending_recycle
+                v.state
+                    .pending_recycle
                     .push(rng.gen_range(0..total + BLOCK_SECTORS as u64));
             }
             for _ in 0..rng.gen_range(0..3) {
                 let blocks = (total / BLOCK_SECTORS as u64) as u32;
-                v.deferred_blocks.push(rng.gen_range(0..blocks + 2));
+                v.state.deferred_blocks.push(rng.gen_range(0..blocks + 2));
             }
             let got = v.check_consistency();
             assert_eq!(got, accounting_per_sector(&v), "round {round}");
@@ -568,8 +573,8 @@ mod tests {
         let g = v.disk.spec().geometry.clone();
         let total = g.total_sectors();
         let p = g.lba_to_phys(total - 1).unwrap();
-        if v.free.is_free(p.cyl, p.track, p.sector) {
-            v.free.allocate(p.cyl, p.track, p.sector, 1).unwrap();
+        if v.state.free.is_free(p.cyl, p.track, p.sector) {
+            v.state.free.allocate(p.cyl, p.track, p.sector, 1).unwrap();
         }
         let errs = v.check_consistency();
         assert!(

@@ -13,7 +13,7 @@
 
 use crate::log::{VirtualLog, BLOCK_BYTES, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, UNMAPPED};
-use disksim::{DiskError, Metrics, PhysAddr, Result, SECTOR_BYTES};
+use disksim::{DiskError, PhysAddr, Result, SECTOR_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -63,15 +63,16 @@ pub struct CompactStats {
     pub pieces_relocated: u64,
 }
 
-/// The idle-time free-space compactor.
-#[derive(Debug)]
+/// The idle-time free-space compactor. A plain value: cloning it is its
+/// snapshot, and the restored RNG resumes exactly where the captured
+/// stream stopped, so a fork picks the same victim sequence a continued
+/// original would. It counts into the metrics handle of the log it runs
+/// on.
+#[derive(Debug, Clone)]
 pub struct Compactor {
     cfg: CompactorConfig,
     rng: StdRng,
     stats: CompactStats,
-    /// Metrics handle (disabled by default): rounds, tracks emptied, bytes
-    /// moved, and idle time consumed.
-    metrics: Metrics,
     /// Victim whose track was partially compacted when the idle budget
     /// expired; the next [`Compactor::run`] resumes it (re-validated
     /// against the current free map) instead of re-picking from scratch.
@@ -81,8 +82,8 @@ pub struct Compactor {
     /// first use.
     spt0: u64,
     /// Working memory reused across victims and runs, so a compaction
-    /// round performs no heap allocation. Not part of [`CompactorState`]:
-    /// a restored compactor regrows it on first use.
+    /// round performs no heap allocation. A clone starts without it and
+    /// regrows it on first use.
     scratch: Scratch,
 }
 
@@ -96,17 +97,10 @@ struct Scratch {
     resident: Vec<u32>,
 }
 
-/// Plain-data image of a compactor's mutable state (`Send + Sync`),
-/// including the RNG stream position, used by the snapshot/fork engine.
-/// The metrics handle is deliberately not captured: a restored compactor
-/// starts detached.
-#[derive(Debug, Clone)]
-pub struct CompactorState {
-    cfg: CompactorConfig,
-    rng: StdRng,
-    stats: CompactStats,
-    pending_victim: Option<(u32, u32)>,
-    spt0: u64,
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Compactor {
@@ -116,35 +110,8 @@ impl Compactor {
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: CompactStats::default(),
-            metrics: Metrics::disabled(),
             pending_victim: None,
             spt0: 0,
-            scratch: Scratch::default(),
-        }
-    }
-
-    /// Capture the mutable state for a later [`Compactor::from_state`].
-    pub fn state(&self) -> CompactorState {
-        CompactorState {
-            cfg: self.cfg,
-            rng: self.rng.clone(),
-            stats: self.stats,
-            pending_victim: self.pending_victim,
-            spt0: self.spt0,
-        }
-    }
-
-    /// Rebuild a compactor from captured state (metrics detached). The
-    /// restored RNG resumes exactly where the captured stream stopped, so a
-    /// fork picks the same victim sequence a continued original would.
-    pub fn from_state(state: &CompactorState) -> Self {
-        Self {
-            cfg: state.cfg,
-            rng: state.rng.clone(),
-            stats: state.stats,
-            metrics: Metrics::disabled(),
-            pending_victim: state.pending_victim,
-            spt0: state.spt0,
             scratch: Scratch::default(),
         }
     }
@@ -152,11 +119,6 @@ impl Compactor {
     /// Cumulative statistics.
     pub fn stats(&self) -> CompactStats {
         self.stats
-    }
-
-    /// Attach a metrics handle (pass `Metrics::disabled()` to detach).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
     }
 
     /// Run for at most `budget_ns` of simulated time; returns the time
@@ -203,7 +165,7 @@ impl Compactor {
                 .take()
                 .filter(|&(c, t)| Self::victim_eligible(vlog, c, t));
             if resumed.is_some() {
-                self.metrics.inc("compact.victims_resumed");
+                vlog.metrics.inc("compact.victims_resumed");
             }
             let Some(victim) = resumed.or_else(|| self.choose_victim(vlog)) else {
                 break;
@@ -214,8 +176,8 @@ impl Compactor {
             match outcome {
                 Ok(true) => {
                     self.stats.tracks_emptied += 1;
-                    vlog.stats.tracks_emptied += 1;
-                    self.metrics.inc("compact.tracks_emptied");
+                    vlog.state.stats.tracks_emptied += 1;
+                    vlog.metrics.inc("compact.tracks_emptied");
                 }
                 Ok(false) => {
                     // Out of budget mid-track: carry the victim over to the
@@ -231,10 +193,10 @@ impl Compactor {
         }
         let consumed = clock.now() - start;
         self.stats.consumed_ns += consumed;
-        if self.metrics.is_enabled() && consumed > 0 {
-            self.metrics.inc("compact.rounds");
-            self.metrics.add("compact.consumed_ns", consumed);
-            self.metrics.add(
+        if vlog.metrics.is_enabled() && consumed > 0 {
+            vlog.metrics.inc("compact.rounds");
+            vlog.metrics.add("compact.consumed_ns", consumed);
+            vlog.metrics.add(
                 "compact.bytes_moved",
                 (self.stats.blocks_moved - blocks_before) * crate::log::BLOCK_BYTES as u64,
             );
@@ -399,7 +361,7 @@ impl PlugSearch<'_> {
     /// non-victim tracks of `cyl` (lowest track on a tie), noting the first
     /// empty-track candidate passed on the way.
     fn best_in_cylinder(&mut self, cyl: u32) -> Option<(u32, u32, u32)> {
-        let (disk, free) = (&self.log.disk, &self.log.free);
+        let (disk, free) = (&self.log.disk, &self.log.state.free);
         if !free.cylinder_has_candidate(cyl, BLOCK_SECTORS) {
             self.cyls_skipped += 1;
             return None;
@@ -457,14 +419,14 @@ impl PlugSearch<'_> {
 impl VirtualLog {
     /// Reverse-map lookup: which logical block lives in physical block `pb`.
     pub(crate) fn rmap_lookup(&self, pb: u32) -> u32 {
-        self.rmap[pb as usize]
+        self.state.rmap[pb as usize]
     }
 
     /// Append to `out` the pieces whose live map sector sits on the track
     /// occupying the LBA range `track` (a track's sectors are contiguous in
     /// LBA space), in piece order.
     pub(crate) fn pieces_on_track(&self, track: &Range<u64>, out: &mut Vec<u32>) {
-        out.extend(self.pieces.iter().enumerate().filter_map(|(i, loc)| {
+        out.extend(self.state.pieces.iter().enumerate().filter_map(|(i, loc)| {
             loc.is_some_and(|loc| track.contains(&loc.lba))
                 .then_some(i as u32)
         }));
@@ -489,14 +451,16 @@ impl VirtualLog {
             sector: cand.2,
         })?;
         self.disk.write_sectors(lba, data)?;
-        self.free.allocate(cand.0, cand.1, cand.2, BLOCK_SECTORS)?;
+        self.state
+            .free
+            .allocate(cand.0, cand.1, cand.2, BLOCK_SECTORS)?;
         let new_pb = (lba / BLOCK_SECTORS as u64) as u32;
-        self.map.set(lb as usize, new_pb);
-        self.rmap[new_pb as usize] = lb as u32;
+        self.state.map.set(lb as usize, new_pb);
+        self.state.rmap[new_pb as usize] = lb as u32;
         // The old copy is dead the moment the covering map piece commits;
         // defer its release exactly like an overwrite.
         self.defer_block_release(old_pb);
-        self.stats.blocks_moved += 1;
+        self.state.stats.blocks_moved += 1;
         Ok(())
     }
 
@@ -516,7 +480,7 @@ impl VirtualLog {
     /// search at once.
     pub fn find_plug_destination(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
         let head = self.disk.head();
-        let cyls = self.free.cylinders();
+        let cyls = self.state.free.cylinders();
         let mut search = PlugSearch {
             log: self,
             head: (head.cyl, head.track),
@@ -552,8 +516,8 @@ impl VirtualLog {
     #[cfg(test)]
     fn find_plug_destination_scan(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
         let head = self.disk.head();
-        let cyls = self.free.cylinders();
-        let tracks = self.free.tracks_in_cylinder();
+        let cyls = self.state.free.cylinders();
+        let tracks = self.state.free.tracks_in_cylinder();
         let mut last_resort: Option<(u32, u32, u32)> = None;
         for d in 0..cyls {
             for cyl in [
@@ -571,12 +535,16 @@ impl VirtualLog {
                     let Ok(arrival) = self.disk.arrival_sector(cyl, t) else {
                         continue;
                     };
-                    let Some(sector) = self.free.free_aligned_from(cyl, t, arrival, BLOCK_SECTORS)
+                    let Some(sector) =
+                        self.state
+                            .free
+                            .free_aligned_from(cyl, t, arrival, BLOCK_SECTORS)
                     else {
                         continue;
                     };
-                    let ti = self.free.track_index(cyl, t);
-                    let empty = self.free.free_in_track(cyl, t) == self.free.sectors_per_track(ti);
+                    let ti = self.state.free.track_index(cyl, t);
+                    let empty = self.state.free.free_in_track(cyl, t)
+                        == self.state.free.sectors_per_track(ti);
                     if empty {
                         if last_resort.is_none() {
                             last_resort = Some((cyl, t, sector));
@@ -604,7 +572,7 @@ impl VirtualLog {
 
     /// Queue a physical block for release at the next commit point.
     pub(crate) fn defer_block_release(&mut self, pb: u32) {
-        self.deferred_blocks.push(pb);
+        self.state.deferred_blocks.push(pb);
     }
 }
 
@@ -612,7 +580,7 @@ impl VirtualLog {
 mod tests {
     use super::*;
     use crate::alloc::AllocConfig;
-    use disksim::{Disk, DiskSpec, SimClock};
+    use disksim::{Disk, DiskSpec, Metrics, SimClock};
 
     fn fresh() -> VirtualLog {
         let mut spec = DiskSpec::hp97560_sim();
@@ -750,7 +718,7 @@ mod tests {
         let vic = carried.expect("some 3 ms grant should expire mid-track");
         // The next grant must pick up the same track, not start elsewhere.
         let m = disksim::Metrics::enabled();
-        c.set_metrics(m.clone());
+        v.set_metrics(m.clone());
         c.run(&mut v, 2_000_000_000);
         assert!(
             m.counter_value("compact.victims_resumed") >= 1,
@@ -835,7 +803,7 @@ mod tests {
         let mut spec = spec.clone();
         spec.command_overhead_ns = 0;
         let mut v = VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default());
-        v.free = free;
+        v.state.free = free;
         v
     }
 
@@ -936,8 +904,8 @@ mod tests {
             spec.geometry.cylinders() as u64 - 2
         );
         // Nor does an empty track jump the queue by being under the head.
-        v.free.release(10, 7, 0, spt).unwrap();
-        v.free.release(10, 4, 0, spt).unwrap();
+        v.state.free.release(10, 7, 0, spt).unwrap();
+        v.state.free.release(10, 4, 0, spt).unwrap();
         v.disk.seek_to(10, 7).unwrap();
         let got = v.find_plug_destination((3, 3)).expect("empty tracks exist");
         assert_eq!((got.0, got.1), (10, 4));

@@ -63,12 +63,27 @@ pub struct VlogStats {
     pub checkpoints: u64,
 }
 
-/// The virtual log and everything it owns: the disk, the free map, the
-/// indirection map, and the eager allocator.
+/// The virtual log and everything it owns: the disk, the eager allocator,
+/// and the log's state (free map, indirection map, chain bookkeeping).
 #[derive(Debug)]
 pub struct VirtualLog {
     pub(crate) disk: Disk,
     pub(crate) alloc: EagerAllocator,
+    pub(crate) state: LogState,
+    /// Metrics handle (disabled by default): log-depth / pending-recycle
+    /// gauges and the map-sector chain-length histogram.
+    pub(crate) metrics: disksim::Metrics,
+    /// Scratch buffer for encoding map sectors and checkpoint slots: taken,
+    /// filled and put back by every append and checkpoint, so neither
+    /// performs a heap allocation (the same pooling idiom as `disksim`'s
+    /// track buffers).
+    append_buf: Vec<u8>,
+}
+
+/// Everything a [`VirtualLog`] holds beside its disk and allocator: the
+/// value a snapshot carries, and the one format and recovery compute.
+#[derive(Debug, Clone)]
+pub(crate) struct LogState {
     pub(crate) free: FreeMap,
     /// Logical block → physical block ([`UNMAPPED`] = hole), paged by
     /// map piece so lookup is two array indexes.
@@ -80,8 +95,8 @@ pub struct VirtualLog {
     /// Current log tail (root): (lba, seq).
     pub(crate) root: Option<(u64, u64)>,
     pub(crate) next_seq: u64,
-    next_txn: u64,
-    num_logical: u64,
+    pub(crate) next_txn: u64,
+    pub(crate) num_logical: u64,
     /// Physical blocks whose old contents become free once the in-flight
     /// commit is durable.
     pub(crate) deferred_blocks: Vec<u32>,
@@ -94,48 +109,37 @@ pub struct VirtualLog {
     /// Entries with `seq <` this are covered by the last checkpoint.
     pub(crate) checkpoint_seq: u64,
     /// Which slot the next checkpoint writes to.
-    ckpt_use_b: bool,
+    pub(crate) ckpt_use_b: bool,
     pub(crate) stats: VlogStats,
-    /// Metrics handle (disabled by default): log-depth / pending-recycle
-    /// gauges and the map-sector chain-length histogram.
-    pub(crate) metrics: disksim::Metrics,
-    /// Scratch buffer for encoding map sectors and checkpoint slots: taken,
-    /// filled and put back by every append and checkpoint, so neither
-    /// performs a heap allocation (the same pooling idiom as `disksim`'s
-    /// track buffers).
-    append_buf: Vec<u8>,
 }
 
-impl VirtualLog {
-    /// Format a fresh virtual log on `disk`: reserves the firmware area and
-    /// starts with an empty map. The disk's own command overhead is zeroed —
-    /// the log *is* the drive's firmware; per-command overhead is charged by
-    /// the logical-disk layer ([`crate::Vld`]).
-    pub fn format(mut disk: Disk, alloc_cfg: AllocConfig) -> Self {
+impl LogState {
+    /// The state of an empty log on `disk`: nothing mapped, the firmware
+    /// area and the checkpoint region allocated.
+    pub(crate) fn empty(disk: &Disk) -> Self {
         let total_sectors = disk.spec().geometry.total_sectors();
-        let num_logical = Self::logical_capacity(total_sectors);
-        let total_pb = total_sectors / BLOCK_SECTORS as u64;
+        let num_logical = VirtualLog::logical_capacity(total_sectors);
         let n_pieces = (num_logical as usize).div_ceil(PIECE_ENTRIES);
         let ckpt_region =
             CheckpointRegion::layout(FIRMWARE_SECTORS, n_pieces, BLOCK_SECTORS as u64);
-        let mut free = FreeMap::new(&disk.spec().geometry);
-        Self::reserve_meta(&disk, &mut free, &ckpt_region);
-        // Ensure the firmware tail slot starts unambiguously cleared and
-        // slot A holds a valid (empty) checkpoint to boot from.
-        disk.poke_sectors(TAIL_LBA, &TailRecord::cleared())
-            .expect("firmware area exists on any disk");
-        let initial = Checkpoint {
-            seq: 0,
-            pieces: vec![None; n_pieces],
-        };
-        disk.poke_sectors(ckpt_region.slot_a, &initial.encode(ckpt_region.sectors))
-            .expect("checkpoint region exists on any disk");
+        let g = &disk.spec().geometry;
+        let mut free = FreeMap::new(g);
+        for area in [0..FIRMWARE_SECTORS, ckpt_region.slot_a..ckpt_region.end()] {
+            // One ranged allocate per track the area touches.
+            let mut lba = area.start;
+            while lba < area.end {
+                let p = g.lba_to_phys(lba).expect("metadata area within disk");
+                let spt = g.sectors_per_track(p.cyl).expect("cylinder just resolved");
+                let n = ((spt - p.sector) as u64).min(area.end - lba) as u32;
+                free.allocate(p.cyl, p.track, p.sector, n)
+                    .expect("metadata run within its track");
+                lba += n as u64;
+            }
+        }
         Self {
-            disk,
-            alloc: EagerAllocator::new(alloc_cfg),
             free,
             map: PieceTable::new(num_logical as usize),
-            rmap: vec![UNMAPPED; total_pb as usize],
+            rmap: vec![UNMAPPED; (total_sectors / BLOCK_SECTORS as u64) as usize],
             pieces: vec![None; n_pieces],
             root: None,
             next_seq: 1,
@@ -147,9 +151,29 @@ impl VirtualLog {
             checkpoint_seq: 0,
             ckpt_use_b: true,
             stats: VlogStats::default(),
-            metrics: disksim::Metrics::disabled(),
-            append_buf: Vec::new(),
         }
+    }
+}
+
+impl VirtualLog {
+    /// Format a fresh virtual log on `disk`: reserves the firmware area and
+    /// starts with an empty map. The disk's own command overhead is zeroed —
+    /// the log *is* the drive's firmware; per-command overhead is charged by
+    /// the logical-disk layer ([`crate::Vld`]).
+    pub fn format(mut disk: Disk, alloc_cfg: AllocConfig) -> Self {
+        let state = LogState::empty(&disk);
+        // Ensure the firmware tail slot starts unambiguously cleared and
+        // slot A holds a valid (empty) checkpoint to boot from.
+        disk.poke_sectors(TAIL_LBA, &TailRecord::cleared())
+            .expect("firmware area exists on any disk");
+        let initial = Checkpoint {
+            seq: 0,
+            pieces: state.pieces.clone(),
+        };
+        let region = state.ckpt_region;
+        disk.poke_sectors(region.slot_a, &initial.encode(region.sectors))
+            .expect("checkpoint region exists on any disk");
+        Self::assemble(disk, EagerAllocator::new(alloc_cfg), state)
     }
 
     /// How many logical 4 KB blocks a disk with `total_sectors` sectors can
@@ -171,55 +195,12 @@ impl VirtualLog {
         n
     }
 
-    pub(crate) fn reserve_meta(disk: &Disk, free: &mut FreeMap, ckpt: &CheckpointRegion) {
-        let g = &disk.spec().geometry;
-        for area in [0..FIRMWARE_SECTORS, ckpt.slot_a..ckpt.end()] {
-            // One ranged allocate per track the area touches.
-            let mut lba = area.start;
-            while lba < area.end {
-                let p = g.lba_to_phys(lba).expect("metadata area within disk");
-                let spt = g.sectors_per_track(p.cyl).expect("cylinder just resolved");
-                let n = ((spt - p.sector) as u64).min(area.end - lba) as u32;
-                free.allocate(p.cyl, p.track, p.sector, n)
-                    .expect("metadata run within its track");
-                lba += n as u64;
-            }
-        }
-    }
-
-    /// Assemble a log from state rebuilt by recovery.
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the struct
-    pub(crate) fn from_recovered(
-        disk: Disk,
-        alloc: EagerAllocator,
-        free: FreeMap,
-        map: PieceTable,
-        rmap: Vec<u32>,
-        pieces: Vec<Option<PieceLoc>>,
-        root: Option<(u64, u64)>,
-        next_seq: u64,
-        num_logical: u64,
-        ckpt_region: CheckpointRegion,
-        checkpoint_seq: u64,
-        ckpt_use_b: bool,
-    ) -> Self {
+    /// The live log over `disk` and `alloc` in `state`, metrics detached.
+    pub(crate) fn assemble(disk: Disk, alloc: EagerAllocator, state: LogState) -> Self {
         Self {
             disk,
             alloc,
-            free,
-            map,
-            rmap,
-            pieces,
-            root,
-            next_seq,
-            next_txn: next_seq,
-            num_logical,
-            deferred_blocks: Vec::new(),
-            pending_recycle: Vec::new(),
-            ckpt_region,
-            checkpoint_seq,
-            ckpt_use_b,
-            stats: VlogStats::default(),
+            state,
             metrics: disksim::Metrics::disabled(),
             append_buf: Vec::new(),
         }
@@ -227,7 +208,7 @@ impl VirtualLog {
 
     /// Number of logical blocks exposed.
     pub fn num_blocks(&self) -> u64 {
-        self.num_logical
+        self.state.num_logical
     }
 
     /// The simulated disk (e.g. for cache policy or statistics).
@@ -242,7 +223,7 @@ impl VirtualLog {
 
     /// Activity counters.
     pub fn stats(&self) -> VlogStats {
-        self.stats
+        self.state.stats
     }
 
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach).
@@ -255,25 +236,25 @@ impl VirtualLog {
 
     /// Fraction of disk sectors in use (data + map + firmware).
     pub fn utilization(&self) -> f64 {
-        self.free.utilization()
+        self.state.free.utilization()
     }
 
     /// Free-space map (read-only view).
     pub fn free_map(&self) -> &FreeMap {
-        &self.free
+        &self.state.free
     }
 
     /// Current physical block of a logical block, if mapped.
     pub fn translate(&self, lb: u64) -> Option<u64> {
-        let pb = self.map.try_get(lb as usize)?;
+        let pb = self.state.map.try_get(lb as usize)?;
         (pb != UNMAPPED).then_some(pb as u64)
     }
 
     fn check_lb(&self, lb: u64) -> Result<()> {
-        if lb >= self.num_logical {
+        if lb >= self.state.num_logical {
             return Err(DiskError::OutOfRange {
                 addr: lb,
-                limit: self.num_logical,
+                limit: self.state.num_logical,
             });
         }
         Ok(())
@@ -294,7 +275,7 @@ impl VirtualLog {
     pub fn read(&mut self, lb: u64, buf: &mut [u8]) -> Result<ServiceTime> {
         self.check_lb(lb)?;
         Self::check_buf(buf.len())?;
-        self.stats.data_reads += 1;
+        self.state.stats.data_reads += 1;
         match self.translate(lb) {
             Some(pb) => self.disk.read_sectors(pb * BLOCK_SECTORS as u64, buf),
             None => {
@@ -355,8 +336,8 @@ impl VirtualLog {
         if pieces.len() == 1 {
             total += self.append_piece(pieces[0], MapFlags::EMPTY, None)?;
         } else {
-            let id = self.next_txn;
-            self.next_txn += 1;
+            let id = self.state.next_txn;
+            self.state.next_txn += 1;
             let n = pieces.len() as u16;
             for (i, piece) in pieces.iter().enumerate() {
                 let last = i + 1 == pieces.len();
@@ -372,7 +353,7 @@ impl VirtualLog {
                 };
                 total += self.append_piece(*piece, flags, Some(txn))?;
             }
-            self.stats.txns += 1;
+            self.state.stats.txns += 1;
         }
         self.release_superseded();
         total += self.maybe_checkpoint()?;
@@ -417,9 +398,9 @@ impl VirtualLog {
         if self.translate(lb).is_none() {
             return Ok(ServiceTime::ZERO);
         }
-        let old = self.map.get(lb as usize);
-        self.map.set(lb as usize, UNMAPPED);
-        self.deferred_blocks.push(old);
+        let old = self.state.map.get(lb as usize);
+        self.state.map.set(lb as usize, UNMAPPED);
+        self.state.deferred_blocks.push(old);
         let piece = self.piece_of(lb);
         let mut t = self.append_piece(piece, MapFlags::EMPTY, None)?;
         self.release_superseded();
@@ -437,11 +418,12 @@ impl VirtualLog {
         Self::check_buf(buf.len())?;
         let cand = self
             .alloc
-            .find_block(&self.disk, &self.free)
+            .find_block(&self.disk, &self.state.free)
             .ok_or(DiskError::NoSpace)?;
         let lba = self.cand_lba(&cand)?;
         let t = self.disk.write_sectors(lba, buf)?;
-        self.free
+        self.state
+            .free
             .allocate(cand.cyl, cand.track, cand.sector, BLOCK_SECTORS)?;
         Ok(((lba / BLOCK_SECTORS as u64) as u32, t))
     }
@@ -458,7 +440,9 @@ impl VirtualLog {
     pub fn free_raw(&mut self, pb: u32) -> Result<()> {
         let g = &self.disk.spec().geometry;
         let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
-        self.free.release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
+        self.state
+            .free
+            .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
     }
 
     /// After recovery, re-register an externally tracked block (recovered
@@ -466,7 +450,9 @@ impl VirtualLog {
     pub fn reserve_external_block(&mut self, pb: u32) -> Result<()> {
         let g = &self.disk.spec().geometry;
         let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
-        self.free.allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)
+        self.state
+            .free
+            .allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)
     }
 
     /// Fault-injection hook for crash tests: eager-write a data block and
@@ -490,8 +476,8 @@ impl VirtualLog {
     /// (with checksum) and park. Recovery boots from this record.
     pub fn shutdown(&mut self) -> Result<ServiceTime> {
         let rec = TailRecord {
-            root: self.root,
-            next_seq: self.next_seq,
+            root: self.state.root,
+            next_seq: self.state.next_seq,
         };
         let mut total = self.disk.seek_to(0, 0)?;
         total += self.disk.write_sectors(TAIL_LBA, &rec.encode())?;
@@ -513,20 +499,21 @@ impl VirtualLog {
     fn write_data_block(&mut self, lb: u64, buf: &[u8]) -> Result<ServiceTime> {
         let cand = self
             .alloc
-            .find_block(&self.disk, &self.free)
+            .find_block(&self.disk, &self.state.free)
             .ok_or(DiskError::NoSpace)?;
         let lba = self.cand_lba(&cand)?;
         let t = self.disk.write_sectors(lba, buf)?;
-        self.free
+        self.state
+            .free
             .allocate(cand.cyl, cand.track, cand.sector, BLOCK_SECTORS)?;
         let new_pb = (lba / BLOCK_SECTORS as u64) as u32;
-        let old_pb = self.map.get(lb as usize);
-        self.map.set(lb as usize, new_pb);
-        self.rmap[new_pb as usize] = lb as u32;
+        let old_pb = self.state.map.get(lb as usize);
+        self.state.map.set(lb as usize, new_pb);
+        self.state.rmap[new_pb as usize] = lb as u32;
         if old_pb != UNMAPPED {
-            self.deferred_blocks.push(old_pb);
+            self.state.deferred_blocks.push(old_pb);
         }
-        self.stats.data_writes += 1;
+        self.state.stats.data_writes += 1;
         Ok(t)
     }
 
@@ -554,23 +541,23 @@ impl VirtualLog {
         // aligned free pool unfragmented.
         let cand = self
             .alloc
-            .find_block(&self.disk, &self.free)
+            .find_block(&self.disk, &self.state.free)
             .ok_or(DiskError::NoSpace)?;
         let lba = self.cand_lba(&cand)?;
-        let old = self.pieces[piece as usize];
+        let old = self.state.pieces[piece as usize];
         // Encode straight from the piece's page into the reusable scratch
         // buffer. The final piece may be shorter than PIECE_ENTRIES;
         // recovery treats absent trailing entries and UNMAPPED padding
         // identically.
         let mut image = std::mem::take(&mut self.append_buf);
         let sector = MapSectorRef {
-            seq: self.next_seq,
+            seq: self.state.next_seq,
             piece,
             flags,
-            prev: self.root,
+            prev: self.state.root,
             bypass: old.and_then(|o| o.prev),
             txn,
-            entries: self.map.piece_entries(piece),
+            entries: self.state.map.piece_entries(piece),
         };
         sector.encode_into(&mut image)?;
         // Attribute the map commit to the log machinery, not to whichever
@@ -590,28 +577,33 @@ impl VirtualLog {
         }
         self.append_buf = image;
         let t = t?;
-        self.free
+        self.state
+            .free
             .allocate(cand.cyl, cand.track, cand.sector, BLOCK_SECTORS)?;
         if let Some(o) = old {
             // Superseded piece blocks are recycled only once the next
             // checkpoint covers them, so the backward chain inside the
             // traversal window is never broken.
-            self.pending_recycle.push(o.lba);
+            self.state.pending_recycle.push(o.lba);
         }
-        self.pieces[piece as usize] = Some(PieceLoc {
+        self.state.pieces[piece as usize] = Some(PieceLoc {
             lba,
-            seq: self.next_seq,
-            prev: self.root,
+            seq: self.state.next_seq,
+            prev: self.state.root,
         });
-        self.root = Some((lba, self.next_seq));
-        self.next_seq += 1;
-        self.stats.map_writes += 1;
+        self.state.root = Some((lba, self.state.next_seq));
+        self.state.next_seq += 1;
+        self.state.stats.map_writes += 1;
         if self.metrics.is_enabled() {
             self.metrics.inc("vlog.map_writes");
-            self.metrics
-                .gauge("vlog.depth", (self.next_seq - self.checkpoint_seq) as i64);
-            self.metrics
-                .gauge("vlog.pending_recycle", self.pending_recycle.len() as i64);
+            self.metrics.gauge(
+                "vlog.depth",
+                (self.state.next_seq - self.state.checkpoint_seq) as i64,
+            );
+            self.metrics.gauge(
+                "vlog.pending_recycle",
+                self.state.pending_recycle.len() as i64,
+            );
         }
         Ok(t)
     }
@@ -620,12 +612,13 @@ impl VirtualLog {
     /// blocks and old map-piece sectors queued during the current operation.
     pub(crate) fn release_superseded(&mut self) {
         let g = &self.disk.spec().geometry;
-        for pb in self.deferred_blocks.drain(..) {
-            self.rmap[pb as usize] = UNMAPPED;
+        for pb in self.state.deferred_blocks.drain(..) {
+            self.state.rmap[pb as usize] = UNMAPPED;
             let p = g
                 .lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)
                 .expect("previously allocated block is in range");
-            self.free
+            self.state
+                .free
                 .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
                 .expect("release of an allocated block cannot fail");
         }
@@ -638,18 +631,25 @@ impl VirtualLog {
         if self.metrics.is_enabled() {
             // Chain length the checkpoint truncates: map sectors a scan
             // recovery would have had to traverse had we crashed now.
-            self.metrics
-                .observe("vlog.chain_len", self.next_seq - self.checkpoint_seq);
+            self.metrics.observe(
+                "vlog.chain_len",
+                self.state.next_seq - self.state.checkpoint_seq,
+            );
             self.metrics.inc("vlog.checkpoints");
         }
-        let seq = self.next_seq;
-        let slot = if self.ckpt_use_b {
-            self.ckpt_region.slot_b
+        let seq = self.state.next_seq;
+        let slot = if self.state.ckpt_use_b {
+            self.state.ckpt_region.slot_b
         } else {
-            self.ckpt_region.slot_a
+            self.state.ckpt_region.slot_a
         };
         let mut image = std::mem::take(&mut self.append_buf);
-        Checkpoint::encode_into(seq, &self.pieces, self.ckpt_region.sectors, &mut image);
+        Checkpoint::encode_into(
+            seq,
+            &self.state.pieces,
+            self.state.ckpt_region.sectors,
+            &mut image,
+        );
         let sp = if self.disk.spans().is_enabled() {
             self.disk.spans().open(
                 disksim::SpanKind::LogAppend,
@@ -665,21 +665,24 @@ impl VirtualLog {
         }
         self.append_buf = image;
         let t = t?;
-        self.ckpt_use_b = !self.ckpt_use_b;
-        self.checkpoint_seq = seq;
+        self.state.ckpt_use_b = !self.state.ckpt_use_b;
+        self.state.checkpoint_seq = seq;
         let g = &self.disk.spec().geometry;
-        for lba in self.pending_recycle.drain(..) {
+        for lba in self.state.pending_recycle.drain(..) {
             let p = g
                 .lba_to_phys(lba)
                 .expect("previously written map piece is in range");
-            self.free
+            self.state
+                .free
                 .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
                 .expect("release of an allocated block cannot fail");
         }
-        self.stats.checkpoints += 1;
+        self.state.stats.checkpoints += 1;
         if self.metrics.is_enabled() {
-            self.metrics
-                .gauge("vlog.depth", (self.next_seq - self.checkpoint_seq) as i64);
+            self.metrics.gauge(
+                "vlog.depth",
+                (self.state.next_seq - self.state.checkpoint_seq) as i64,
+            );
             self.metrics.gauge("vlog.pending_recycle", 0);
         }
         Ok(t)
@@ -689,10 +692,14 @@ impl VirtualLog {
     /// sooner when free space is tight, so pending blocks don't squeeze the
     /// eager-writing slack at high utilisation.
     pub(crate) fn maybe_checkpoint(&mut self) -> Result<ServiceTime> {
-        let pending_sectors = self.pending_recycle.len() as u64 * BLOCK_SECTORS as u64;
-        let tight = self.free.free_sectors() < 4 * pending_sectors;
-        let threshold = if tight { 8 } else { self.pieces.len().max(16) };
-        if self.pending_recycle.len() >= threshold {
+        let pending_sectors = self.state.pending_recycle.len() as u64 * BLOCK_SECTORS as u64;
+        let tight = self.state.free.free_sectors() < 4 * pending_sectors;
+        let threshold = if tight {
+            8
+        } else {
+            self.state.pieces.len().max(16)
+        };
+        if self.state.pending_recycle.len() >= threshold {
             self.checkpoint()
         } else {
             Ok(ServiceTime::ZERO)
@@ -701,18 +708,21 @@ impl VirtualLog {
 
     /// Superseded map blocks waiting for the next checkpoint.
     pub fn pending_recycle_len(&self) -> usize {
-        self.pending_recycle.len()
+        self.state.pending_recycle.len()
     }
 
     /// Does any pending-recycle block sit on the track occupying the LBA
     /// range `track` (a track's sectors are contiguous in LBA space)?
     pub(crate) fn pending_recycle_on_track(&self, track: &std::ops::Range<u64>) -> bool {
-        self.pending_recycle.iter().any(|lba| track.contains(lba))
+        self.state
+            .pending_recycle
+            .iter()
+            .any(|lba| track.contains(lba))
     }
 
     /// The log-time horizon of the last checkpoint.
     pub fn checkpoint_seq(&self) -> u64 {
-        self.checkpoint_seq
+        self.state.checkpoint_seq
     }
 
     /// Capture the complete mutable state of the log — disk image (shared
@@ -725,20 +735,7 @@ impl VirtualLog {
         VlogSnapshot {
             disk: self.disk.snapshot(),
             alloc: self.alloc.state(),
-            free: self.free.clone(),
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            pieces: self.pieces.clone(),
-            root: self.root,
-            next_seq: self.next_seq,
-            next_txn: self.next_txn,
-            num_logical: self.num_logical,
-            deferred_blocks: self.deferred_blocks.clone(),
-            pending_recycle: self.pending_recycle.clone(),
-            ckpt_region: self.ckpt_region,
-            checkpoint_seq: self.checkpoint_seq,
-            ckpt_use_b: self.ckpt_use_b,
-            stats: self.stats,
+            state: self.state.clone(),
         }
     }
 }
@@ -750,45 +747,14 @@ impl VirtualLog {
 pub struct VlogSnapshot {
     disk: DiskSnapshot,
     alloc: AllocatorState,
-    free: FreeMap,
-    map: PieceTable,
-    rmap: Vec<u32>,
-    pieces: Vec<Option<PieceLoc>>,
-    root: Option<(u64, u64)>,
-    next_seq: u64,
-    next_txn: u64,
-    num_logical: u64,
-    deferred_blocks: Vec<u32>,
-    pending_recycle: Vec<u64>,
-    ckpt_region: CheckpointRegion,
-    checkpoint_seq: u64,
-    ckpt_use_b: bool,
-    stats: VlogStats,
+    state: LogState,
 }
 
 impl VlogSnapshot {
     /// Materialise an independent [`VirtualLog`] from this snapshot.
     pub fn restore(&self) -> VirtualLog {
-        VirtualLog {
-            disk: self.disk.restore(),
-            alloc: EagerAllocator::from_state(&self.alloc),
-            free: self.free.clone(),
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            pieces: self.pieces.clone(),
-            root: self.root,
-            next_seq: self.next_seq,
-            next_txn: self.next_txn,
-            num_logical: self.num_logical,
-            deferred_blocks: self.deferred_blocks.clone(),
-            pending_recycle: self.pending_recycle.clone(),
-            ckpt_region: self.ckpt_region,
-            checkpoint_seq: self.checkpoint_seq,
-            ckpt_use_b: self.ckpt_use_b,
-            stats: self.stats,
-            metrics: disksim::Metrics::disabled(),
-            append_buf: Vec::new(),
-        }
+        let alloc = EagerAllocator::from_state(&self.alloc);
+        VirtualLog::assemble(self.disk.restore(), alloc, self.state.clone())
     }
 
     /// Simulation events the captured system had consumed — forks credit
@@ -852,16 +818,16 @@ mod tests {
         let mut v = fresh();
         v.write(3, &block(1)).unwrap();
         let first_pb = v.translate(3).unwrap();
-        let free_after_first = v.free.free_sectors();
+        let free_after_first = v.state.free.free_sectors();
         v.write(3, &block(2)).unwrap();
         let second_pb = v.translate(3).unwrap();
         assert_ne!(first_pb, second_pb, "eager writing never updates in place");
         // The old data block was released at commit; the superseded map
         // block waits for the next checkpoint (8 sectors outstanding).
-        assert_eq!(v.free.free_sectors(), free_after_first - 8);
+        assert_eq!(v.state.free.free_sectors(), free_after_first - 8);
         assert_eq!(v.pending_recycle_len(), 1);
         v.checkpoint().unwrap();
-        assert_eq!(v.free.free_sectors(), free_after_first);
+        assert_eq!(v.state.free.free_sectors(), free_after_first);
         assert_eq!(v.pending_recycle_len(), 0);
         let mut buf = block(0);
         v.read(3, &mut buf).unwrap();
@@ -917,13 +883,13 @@ mod tests {
     fn trim_unmaps_and_frees() {
         let mut v = fresh();
         v.write(9, &block(7)).unwrap();
-        let free_before_trim = v.free.free_sectors();
+        let free_before_trim = v.state.free.free_sectors();
         v.trim(9).unwrap();
         assert_eq!(v.translate(9), None);
         // 8 data sectors came back; the superseded map block (also 8
         // sectors) waits for a checkpoint — net zero until then.
         v.checkpoint().unwrap();
-        assert_eq!(v.free.free_sectors(), free_before_trim + 8);
+        assert_eq!(v.state.free.free_sectors(), free_before_trim + 8);
         let mut buf = block(0xFF);
         v.read(9, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
@@ -963,9 +929,9 @@ mod tests {
     fn sequence_numbers_strictly_increase() {
         let mut v = fresh();
         v.write(0, &block(1)).unwrap();
-        let s1 = v.root.unwrap().1;
+        let s1 = v.state.root.unwrap().1;
         v.write(1, &block(1)).unwrap();
-        let s2 = v.root.unwrap().1;
+        let s2 = v.state.root.unwrap().1;
         assert!(s2 > s1);
     }
 
@@ -973,7 +939,7 @@ mod tests {
     fn shutdown_writes_valid_tail() {
         let mut v = fresh();
         v.write(0, &block(1)).unwrap();
-        let root = v.root;
+        let root = v.state.root;
         v.shutdown().unwrap();
         let disk = v.crash();
         let mut buf = [0u8; disksim::SECTOR_BYTES];

@@ -34,12 +34,10 @@
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use crate::alloc::{AllocConfig, EagerAllocator};
-use crate::checkpoint::{Checkpoint, CheckpointRegion};
-use crate::freemap::FreeMap;
-use crate::log::{PieceLoc, VirtualLog, BLOCK_SECTORS};
+use crate::checkpoint::Checkpoint;
+use crate::log::{LogState, PieceLoc, VirtualLog, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, MapSector, PIECE_BYTES, PIECE_ENTRIES, UNMAPPED};
-use crate::piecetable::PieceTable;
-use crate::tail::{TailRecord, FIRMWARE_SECTORS, TAIL_LBA};
+use crate::tail::{TailRecord, TAIL_LBA};
 use disksim::{Disk, DiskError, Result, ServiceTime, SECTOR_BYTES};
 
 /// What happened during a recovery pass.
@@ -90,10 +88,8 @@ impl VirtualLog {
             0
         };
 
-        let total_sectors = disk.spec().geometry.total_sectors();
-        let num_logical = Self::logical_capacity(total_sectors);
-        let n_pieces = (num_logical as usize).div_ceil(PIECE_ENTRIES);
-        let region = CheckpointRegion::layout(FIRMWARE_SECTORS, n_pieces, BLOCK_SECTORS as u64);
+        let mut state = LogState::empty(&disk);
+        let (n_pieces, region) = (state.pieces.len(), state.ckpt_region);
 
         // 1. The firmware tail record.
         let mut tail_buf = [0u8; SECTOR_BYTES];
@@ -145,7 +141,8 @@ impl VirtualLog {
         // rather than hashed — the traversal probes this on every sector.
         let mut resolved: Vec<Option<MapSector>> = vec![None; n_pieces];
         let mut resolved_n = 0usize;
-        let mut piece_locs: Vec<Option<PieceLoc>> = vec![None; n_pieces];
+        // The empty state's directory, filled in and handed back in step 7.
+        let mut piece_locs = std::mem::take(&mut state.pieces);
         let mut committed: HashSet<u64> = HashSet::new();
         let mut visited: HashSet<u64> = HashSet::new();
         let mut heap: BinaryHeap<(u64, u64)> = BinaryHeap::new(); // (seq, lba)
@@ -271,34 +268,34 @@ impl VirtualLog {
         next_seq = next_seq.max(max_seen + 1);
 
         // 7. Rebuild the volatile state.
-        let total_pb = total_sectors / BLOCK_SECTORS as u64;
-        let mut map = PieceTable::new(num_logical as usize);
-        let mut rmap = vec![UNMAPPED; total_pb as usize];
         for (piece, m) in resolved.iter().enumerate() {
             let Some(m) = m else { continue };
             let base_lb = piece * PIECE_ENTRIES;
             for (i, &pb) in m.entries.iter().enumerate() {
                 let lb = base_lb + i;
-                if lb < map.len() && pb != UNMAPPED {
+                if lb < state.map.len() && pb != UNMAPPED {
                     // `pb` comes straight from a checksum-valid sector of
                     // the image, which proves integrity, not sanity.
-                    *rmap
+                    *state
+                        .rmap
                         .get_mut(pb as usize)
                         .ok_or(DiskError::Corrupt("map entry beyond device"))? = lb as u32;
-                    map.set(lb, pb);
+                    state.map.set(lb, pb);
                 }
             }
         }
-        let mut free = FreeMap::new(&disk.spec().geometry);
-        Self::reserve_meta(&disk, &mut free, &region);
         let g = &disk.spec().geometry;
         for loc in piece_locs.iter().flatten() {
             let p = g.lba_to_phys(loc.lba)?;
-            free.allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)?;
+            state
+                .free
+                .allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)?;
         }
-        for pb in map.iter().filter(|&pb| pb != UNMAPPED) {
+        for pb in state.map.iter().filter(|&pb| pb != UNMAPPED) {
             let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
-            free.allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)?;
+            state
+                .free
+                .allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)?;
         }
 
         // 8. Clear the tail record so it is never trusted stale.
@@ -306,25 +303,15 @@ impl VirtualLog {
 
         // The recovered root is the youngest live piece: chaining future
         // writes from it keeps every live entry reachable.
-        let new_root = piece_locs
+        state.root = piece_locs
             .iter()
             .flatten()
             .max_by_key(|l| l.seq)
             .map(|l| (l.lba, l.seq));
-        let mut vlog = Self::from_recovered(
-            disk,
-            EagerAllocator::new(alloc_cfg),
-            free,
-            map,
-            rmap,
-            piece_locs,
-            new_root,
-            next_seq,
-            num_logical,
-            region,
-            base.seq,
-            !base_was_b,
-        );
+        state.pieces = piece_locs;
+        (state.next_seq, state.next_txn) = (next_seq, next_seq);
+        (state.checkpoint_seq, state.ckpt_use_b) = (base.seq, !base_was_b);
+        let mut vlog = Self::assemble(disk, EagerAllocator::new(alloc_cfg), state);
 
         // 9. A fresh checkpoint re-establishes the recycling invariant:
         // everything stale from before the crash is genuinely free now.

@@ -25,7 +25,7 @@
 //! block-device call.
 
 use crate::alloc::AllocConfig;
-use crate::compact::{Compactor, CompactorConfig, CompactorState};
+use crate::compact::{Compactor, CompactorConfig};
 use crate::log::{VirtualLog, VlogSnapshot, BLOCK_BYTES};
 use crate::recovery::RecoveryReport;
 use disksim::{
@@ -62,6 +62,12 @@ impl Default for VldConfig {
 #[derive(Debug)]
 pub struct Vld {
     vlog: VirtualLog,
+    state: VldState,
+}
+
+/// Everything a [`Vld`] adds to its virtual log.
+#[derive(Debug, Clone)]
+struct VldState {
     compactor: Compactor,
     cfg: VldConfig,
     /// Host-visible per-command overhead (the drive spec's *o*).
@@ -78,12 +84,7 @@ impl Vld {
         if cfg.aggressive_readahead {
             disk.set_cache_policy(CachePolicy::AggressiveTrack);
         }
-        Self {
-            vlog: VirtualLog::format(disk, cfg.alloc),
-            compactor: Compactor::new(cfg.compactor),
-            cfg,
-            host_overhead_ns,
-        }
+        Self::started(VirtualLog::format(disk, cfg.alloc), cfg, host_overhead_ns)
     }
 
     /// Recover a VLD from a disk image (after a crash or orderly shutdown).
@@ -98,15 +99,17 @@ impl Vld {
             disk.set_cache_policy(CachePolicy::AggressiveTrack);
         }
         let (vlog, report) = VirtualLog::recover(disk, cfg.alloc)?;
-        Ok((
-            Self {
-                vlog,
-                compactor: Compactor::new(cfg.compactor),
-                cfg,
-                host_overhead_ns,
-            },
-            report,
-        ))
+        Ok((Self::started(vlog, cfg, host_overhead_ns), report))
+    }
+
+    /// A VLD over `vlog` whose compactor starts from its seed.
+    fn started(vlog: VirtualLog, cfg: VldConfig, host_overhead_ns: u64) -> Self {
+        let state = VldState {
+            compactor: Compactor::new(cfg.compactor),
+            cfg,
+            host_overhead_ns,
+        };
+        Self { vlog, state }
     }
 
     /// Orderly power-down: persist the log tail for fast recovery.
@@ -132,24 +135,23 @@ impl Vld {
 
     /// The compactor (for statistics).
     pub fn compactor(&self) -> &Compactor {
-        &self.compactor
+        &self.state.compactor
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &VldConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// Attach an event tracer and metrics handle to the whole VLD stack:
-    /// the internal disk (per-op trace events and latency histograms), the
-    /// virtual log (depth/chain gauges), the eager allocator (fast-path
-    /// counters) and the compactor. Pass `None` / `Metrics::disabled()` to
-    /// detach.
+    /// the internal disk (per-op trace events and latency histograms) and
+    /// the virtual log (depth/chain gauges), whose handle the eager
+    /// allocator (fast-path counters) and the compactor count into. Pass
+    /// `None` / `Metrics::disabled()` to detach.
     pub fn set_observability(&mut self, tracer: Option<Tracer>, metrics: Metrics) {
         self.vlog.disk_mut().set_tracer(tracer);
         self.vlog.disk_mut().set_metrics(metrics.clone());
-        self.vlog.set_metrics(metrics.clone());
-        self.compactor.set_metrics(metrics);
+        self.vlog.set_metrics(metrics);
     }
 
     /// Attach a causal-span handle to the internal disk. The VLD's own
@@ -169,32 +171,10 @@ impl Vld {
         Ok(host + self.vlog.write_many(batch)?)
     }
 
-    /// Capture the whole VLD — virtual log, compactor (RNG position
-    /// included) and configuration — as a `Send + Sync` snapshot.
-    pub fn snapshot_state(&self) -> VldSnapshot {
-        VldSnapshot {
-            vlog: self.vlog.snapshot(),
-            compactor: self.compactor.state(),
-            cfg: self.cfg,
-            host_overhead_ns: self.host_overhead_ns,
-        }
-    }
-
-    /// Materialise an independent VLD from a snapshot (observability
-    /// detached).
-    pub fn from_snapshot(snap: &VldSnapshot) -> Self {
-        Self {
-            vlog: snap.vlog.restore(),
-            compactor: Compactor::from_state(&snap.compactor),
-            cfg: snap.cfg,
-            host_overhead_ns: snap.host_overhead_ns,
-        }
-    }
-
     fn charge_host_overhead(&mut self) -> ServiceTime {
-        self.vlog.disk().advance_ns(self.host_overhead_ns);
+        self.vlog.disk().advance_ns(self.state.host_overhead_ns);
         ServiceTime {
-            overhead_ns: self.host_overhead_ns,
+            overhead_ns: self.state.host_overhead_ns,
             ..ServiceTime::ZERO
         }
     }
@@ -263,11 +243,11 @@ impl BlockDevice for Vld {
         if budget_ns >= reserve_ns && self.vlog.pending_recycle_len() >= 8 {
             let _ = self.vlog.checkpoint();
         }
-        if self.cfg.compaction_enabled {
+        if self.state.cfg.compaction_enabled {
             let used = self.vlog.disk().now_ns() - start;
             let spendable = budget_ns.saturating_sub(used + reserve_ns);
             if spendable > 0 {
-                self.compactor.run(&mut self.vlog, spendable);
+                self.state.compactor.run(&mut self.vlog, spendable);
                 // Compaction reshapes the free space; let the allocator
                 // re-pick its fill track.
                 self.vlog.alloc.reset_fill();
@@ -304,25 +284,30 @@ impl BlockDevice for Vld {
     }
 
     fn snapshot(&self) -> Option<Box<dyn DeviceSnapshot>> {
-        Some(Box::new(self.snapshot_state()))
+        Some(Box::new(VldSnapshot {
+            vlog: self.vlog.snapshot(),
+            state: self.state.clone(),
+        }))
     }
 }
 
 /// A point-in-time image of a [`Vld`]: the virtual-log snapshot (disk
-/// tracks and map pages `Arc`-shared, copy-on-write) plus the compactor's
-/// state and the device configuration. `Send + Sync`, so an aged system
-/// can be built once and forked inside parallel figure-cell workers.
+/// tracks and map pages `Arc`-shared, copy-on-write) plus the VLD's state
+/// (compactor, RNG position included, and configuration). `Send + Sync`,
+/// so an aged system can be built once and forked inside parallel
+/// figure-cell workers.
 #[derive(Debug, Clone)]
 pub struct VldSnapshot {
     vlog: VlogSnapshot,
-    compactor: CompactorState,
-    cfg: VldConfig,
-    host_overhead_ns: u64,
+    state: VldState,
 }
 
 impl DeviceSnapshot for VldSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
-        Box::new(Vld::from_snapshot(self))
+        Box::new(Vld {
+            vlog: self.vlog.restore(),
+            state: self.state.clone(),
+        })
     }
 
     fn local_events(&self) -> u64 {

@@ -19,11 +19,13 @@ use crate::SECTOR_BYTES;
 /// A frozen, independently-restorable copy of a device stack's mutable
 /// state.
 ///
-/// Each [`BlockDevice`] implementation owns its snapshot type (wrapping
-/// layers hold a boxed snapshot of their inner device, mirroring the live
-/// stack), which is why this is a trait rather than an enum: the crates
-/// implementing devices above `disksim` (the VLD, the log-structured
-/// logical disk) plug in without this crate knowing about them.
+/// Each [`BlockDevice`] implementation owns its snapshot type, which is
+/// why this is a trait rather than an enum: the crates implementing
+/// devices above `disksim` (the VLD, the log-structured logical disk) plug
+/// in without this crate knowing about them. A layer keeps what its
+/// snapshot carries in one `Clone` state value; its snapshot is that value
+/// plus its inner device's snapshot, and `restore` builds the layer from
+/// them through the same private assembler its constructors use.
 ///
 /// Snapshots are plain data and `Send + Sync`: captured once, they can be
 /// restored concurrently from many pool workers, each restore yielding a
@@ -234,6 +236,13 @@ fn check_chunks(block_size: usize, len: usize) -> Result<()> {
 #[derive(Debug)]
 pub struct RegularDisk {
     disk: Disk,
+    state: RegularState,
+}
+
+/// Everything a [`RegularDisk`] adds to its mechanical disk: the (fixed)
+/// logical-block parameters.
+#[derive(Debug, Clone, Copy)]
+struct RegularState {
     block_sectors: u32,
     num_blocks: u64,
 }
@@ -246,18 +255,7 @@ impl RegularDisk {
     /// Panics if `block_size` is not a positive multiple of the sector size
     /// (a configuration error).
     pub fn new(spec: DiskSpec, clock: SimClock, block_size: usize) -> Self {
-        assert!(
-            block_size > 0 && block_size.is_multiple_of(SECTOR_BYTES),
-            "block size must be a multiple of {SECTOR_BYTES}"
-        );
-        let block_sectors = (block_size / SECTOR_BYTES) as u32;
-        let disk = Disk::new(spec, clock);
-        let num_blocks = disk.spec().geometry.total_sectors() / block_sectors as u64;
-        Self {
-            disk,
-            block_sectors,
-            num_blocks,
-        }
+        Self::from_disk(Disk::new(spec, clock), block_size)
     }
 
     /// Wrap an *existing* mechanical disk (surviving media, e.g. after a
@@ -273,12 +271,11 @@ impl RegularDisk {
             "block size must be a multiple of {SECTOR_BYTES}"
         );
         let block_sectors = (block_size / SECTOR_BYTES) as u32;
-        let num_blocks = disk.spec().geometry.total_sectors() / block_sectors as u64;
-        Self {
-            disk,
+        let state = RegularState {
             block_sectors,
-            num_blocks,
-        }
+            num_blocks: disk.spec().geometry.total_sectors() / block_sectors as u64,
+        };
+        Self { disk, state }
     }
 
     /// Unwrap, yielding the mechanical disk (for crash-test remounts and
@@ -299,23 +296,23 @@ impl RegularDisk {
     }
 
     fn lba(&self, block: u64) -> Result<u64> {
-        if block >= self.num_blocks {
+        if block >= self.state.num_blocks {
             return Err(DiskError::OutOfRange {
                 addr: block,
-                limit: self.num_blocks,
+                limit: self.state.num_blocks,
             });
         }
-        Ok(block * self.block_sectors as u64)
+        Ok(block * self.state.block_sectors as u64)
     }
 }
 
 impl BlockDevice for RegularDisk {
     fn block_size(&self) -> usize {
-        self.block_sectors as usize * SECTOR_BYTES
+        self.state.block_sectors as usize * SECTOR_BYTES
     }
 
     fn num_blocks(&self) -> u64 {
-        self.num_blocks
+        self.state.num_blocks
     }
 
     fn clock(&self) -> SimClock {
@@ -338,7 +335,7 @@ impl BlockDevice for RegularDisk {
         check_chunks(self.block_size(), buf.len())?;
         let lba = self.lba(start)?;
         let last = start + (buf.len() / self.block_size()) as u64;
-        if last > self.num_blocks {
+        if last > self.state.num_blocks {
             return Err(DiskError::TruncatedTransfer);
         }
         // One command for the whole physically contiguous run.
@@ -352,10 +349,10 @@ impl BlockDevice for RegularDisk {
         _spare: &'a mut Vec<u8>,
     ) -> Result<(SharedBlocks<'a>, ServiceTime)> {
         let lba = self.lba(start)?;
-        if blocks as u64 > self.num_blocks - start {
+        if blocks as u64 > self.state.num_blocks - start {
             return Err(DiskError::TruncatedTransfer);
         }
-        let count = u32::try_from(blocks as u64 * self.block_sectors as u64)
+        let count = u32::try_from(blocks as u64 * self.state.block_sectors as u64)
             .map_err(|_| DiskError::TruncatedTransfer)?;
         let (shared, st) = self.disk.share_sectors(lba, count)?;
         Ok((SharedBlocks::Lent(shared), st))
@@ -365,7 +362,7 @@ impl BlockDevice for RegularDisk {
         check_chunks(self.block_size(), buf.len())?;
         let lba = self.lba(start)?;
         let last = start + (buf.len() / self.block_size()) as u64;
-        if last > self.num_blocks {
+        if last > self.state.num_blocks {
             return Err(DiskError::TruncatedTransfer);
         }
         self.disk.write_sectors(lba, buf)
@@ -386,27 +383,24 @@ impl BlockDevice for RegularDisk {
     fn snapshot(&self) -> Option<Box<dyn DeviceSnapshot>> {
         Some(Box::new(RegularDiskSnapshot {
             disk: self.disk.snapshot(),
-            block_sectors: self.block_sectors,
-            num_blocks: self.num_blocks,
+            state: self.state,
         }))
     }
 }
 
-/// Snapshot of a [`RegularDisk`]: the mechanical disk's state plus the
-/// (immutable) logical-block parameters.
+/// Snapshot of a [`RegularDisk`]: the mechanical disk's snapshot plus the
+/// layer's state.
 #[derive(Debug, Clone)]
 pub struct RegularDiskSnapshot {
     disk: DiskSnapshot,
-    block_sectors: u32,
-    num_blocks: u64,
+    state: RegularState,
 }
 
 impl DeviceSnapshot for RegularDiskSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
         Box::new(RegularDisk {
             disk: self.disk.restore(),
-            block_sectors: self.block_sectors,
-            num_blocks: self.num_blocks,
+            state: self.state,
         })
     }
 

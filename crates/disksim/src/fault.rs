@@ -145,6 +145,19 @@ pub struct FaultLog {
 /// A [`BlockDevice`] adapter that injects failures from a [`FaultPlan`].
 pub struct FaultDisk {
     inner: Box<dyn BlockDevice>,
+    state: FaultState,
+    /// Reusable buffer for the corrupt-write path, so repeated injected
+    /// corruptions don't allocate per write.
+    scratch: Vec<u8>,
+    /// Optional event tracer; injected faults are recorded as
+    /// [`OpKind::Fault`] events with a zero service-time breakdown.
+    tracer: Option<Tracer>,
+}
+
+/// The fault plan's progress: everything a [`FaultDisk`] adds to its inner
+/// device that a snapshot must carry.
+#[derive(Debug, Clone)]
+struct FaultState {
     plan: FaultPlan,
     /// 1-based index of the next write op.
     next_op: u64,
@@ -155,25 +168,27 @@ pub struct FaultDisk {
     log: FaultLog,
     /// Block → content hash of its last acknowledged write.
     acked: HashMap<u64, u64>,
-    /// Reusable buffer for the corrupt-write path, so repeated injected
-    /// corruptions don't allocate per write.
-    scratch: Vec<u8>,
-    /// Optional event tracer; injected faults are recorded as
-    /// [`OpKind::Fault`] events with a zero service-time breakdown.
-    tracer: Option<Tracer>,
 }
 
 impl FaultDisk {
     /// Wrap `inner`, injecting faults per `plan`.
     pub fn new(inner: Box<dyn BlockDevice>, plan: FaultPlan) -> Self {
-        Self {
-            inner,
+        let state = FaultState {
             plan,
             next_op: 1,
             acked_ops: 0,
             powered_off: false,
             log: FaultLog::default(),
             acked: HashMap::new(),
+        };
+        Self::assemble(inner, state)
+    }
+
+    /// The live layer over `inner` in `state`, tracer detached.
+    fn assemble(inner: Box<dyn BlockDevice>, state: FaultState) -> Self {
+        Self {
+            inner,
+            state,
             scratch: Vec::new(),
             tracer: None,
         }
@@ -216,35 +231,40 @@ impl FaultDisk {
     /// it as the cut point `k`). Faulted ops consume a plan index but do
     /// not count.
     pub fn write_ops(&self) -> u64 {
-        self.acked_ops
+        self.state.acked_ops
     }
 
     /// Has the power cut fired?
     pub fn is_powered_off(&self) -> bool {
-        self.powered_off
+        self.state.powered_off
     }
 
     /// What faults were actually injected.
     pub fn fault_log(&self) -> FaultLog {
-        self.log
+        self.state.log
     }
 
     /// Content hashes of every acknowledged write, by block. Corrupted
     /// writes are deliberately excluded (the caller was lied to).
     pub fn acked_blocks(&self) -> &HashMap<u64, u64> {
-        &self.acked
+        &self.state.acked
     }
 
     /// Unwrap, handing back everything a crash harness needs in one move:
     /// acknowledged-op count, fault log, the acknowledged-write journal,
     /// and the (possibly "powerless") inner device — the surviving media.
     pub fn into_parts(self) -> (u64, FaultLog, HashMap<u64, u64>, Box<dyn BlockDevice>) {
-        (self.acked_ops, self.log, self.acked, self.inner)
+        (
+            self.state.acked_ops,
+            self.state.log,
+            self.state.acked,
+            self.inner,
+        )
     }
 
     fn check_power(&mut self) -> Result<()> {
-        if self.powered_off {
-            self.log.refused_after_cut += 1;
+        if self.state.powered_off {
+            self.state.log.refused_after_cut += 1;
             return Err(DiskError::PowerFailure);
         }
         Ok(())
@@ -254,17 +274,17 @@ impl FaultDisk {
     /// run per-block when a fault falls inside its range.
     fn write_one(&mut self, block: u64, buf: &[u8]) -> Result<ServiceTime> {
         self.check_power()?;
-        let op = self.next_op;
-        self.next_op += 1;
-        match self.plan.events.get(&op).copied() {
+        let op = self.state.next_op;
+        self.state.next_op += 1;
+        match self.state.plan.events.get(&op).copied() {
             None => {
                 let t = self.inner.write_block(block, buf)?;
-                self.acked.insert(block, content_hash(buf));
-                self.acked_ops += 1;
+                self.state.acked.insert(block, content_hash(buf));
+                self.state.acked_ops += 1;
                 Ok(t)
             }
             Some(WriteFault::Transient) => {
-                self.log.transients += 1;
+                self.state.log.transients += 1;
                 self.trace_fault(block, (buf.len() / SECTOR_BYTES) as u32);
                 Err(DiskError::Transient)
             }
@@ -278,16 +298,16 @@ impl FaultDisk {
                     let pos = (r as usize) % self.scratch.len();
                     self.scratch[pos] ^= (r >> 32) as u8 | 1;
                 }
-                self.log.corruptions += 1;
-                self.acked_ops += 1;
+                self.state.log.corruptions += 1;
+                self.state.acked_ops += 1;
                 self.trace_fault(block, (buf.len() / SECTOR_BYTES) as u32);
                 self.inner.write_block(block, &self.scratch)
                 // The op is acknowledged (the caller saw success) but its
                 // content hash is deliberately not: the caller was lied to.
             }
             Some(WriteFault::PowerCut { survivors }) => {
-                self.powered_off = true;
-                self.log.power_cuts += 1;
+                self.state.powered_off = true;
+                self.state.log.power_cuts += 1;
                 let spb = (buf.len() / SECTOR_BYTES) as u32;
                 let survivors = survivors.min(spb);
                 self.trace_fault(block, survivors);
@@ -295,8 +315,8 @@ impl FaultDisk {
                     // A torn write: blend the new prefix over the block's
                     // old contents, sector-granular, and let that reach the
                     // media before the lights go out.
-                    self.log.torn_sectors = survivors;
-                    self.log.torn_block = Some(block);
+                    self.state.log.torn_sectors = survivors;
+                    self.state.log.torn_block = Some(block);
                     let mut old = vec![0u8; buf.len()];
                     self.inner.read_block(block, &mut old)?;
                     let keep = survivors as usize * SECTOR_BYTES;
@@ -312,10 +332,10 @@ impl FaultDisk {
 impl std::fmt::Debug for FaultDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultDisk")
-            .field("plan", &self.plan)
-            .field("next_op", &self.next_op)
-            .field("powered_off", &self.powered_off)
-            .field("log", &self.log)
+            .field("plan", &self.state.plan)
+            .field("next_op", &self.state.next_op)
+            .field("powered_off", &self.state.powered_off)
+            .field("log", &self.state.log)
             .finish_non_exhaustive()
     }
 }
@@ -357,15 +377,21 @@ impl BlockDevice for FaultDisk {
             });
         }
         let n = (buf.len() / bs) as u64;
-        if !self.plan.intersects(self.next_op, self.next_op + n) {
+        if !self
+            .state
+            .plan
+            .intersects(self.state.next_op, self.state.next_op + n)
+        {
             // No fault in range: forward the whole run (preserves the
             // device's clustering/timing behaviour) and ack every block.
             let t = self.inner.write_blocks(start, buf)?;
             for (i, chunk) in buf.chunks(bs).enumerate() {
-                self.acked.insert(start + i as u64, content_hash(chunk));
+                self.state
+                    .acked
+                    .insert(start + i as u64, content_hash(chunk));
             }
-            self.next_op += n;
-            self.acked_ops += n;
+            self.state.next_op += n;
+            self.state.acked_ops += n;
             return Ok(t);
         }
         // A fault lands inside this run: apply it block by block, in
@@ -384,7 +410,7 @@ impl BlockDevice for FaultDisk {
     }
 
     fn idle(&mut self, budget_ns: u64) -> u64 {
-        if self.powered_off {
+        if self.state.powered_off {
             return 0;
         }
         self.inner.idle(budget_ns)
@@ -418,44 +444,25 @@ impl BlockDevice for FaultDisk {
     fn snapshot(&self) -> Option<Box<dyn DeviceSnapshot>> {
         Some(Box::new(FaultDiskSnapshot {
             inner: self.inner.snapshot()?,
-            plan: self.plan.clone(),
-            next_op: self.next_op,
-            acked_ops: self.acked_ops,
-            powered_off: self.powered_off,
-            log: self.log,
-            acked: self.acked.clone(),
+            state: self.state.clone(),
         }))
     }
 }
 
 /// Snapshot of a [`FaultDisk`]: the wrapped device's snapshot plus the
 /// fault plan's progress (op cursor, power state, acknowledged-write
-/// journal). The scratch buffer is working space, not state, and is not
-/// captured; the tracer, like every observability handle, is restored
-/// detached.
+/// journal).
 pub struct FaultDiskSnapshot {
     inner: Box<dyn DeviceSnapshot>,
-    plan: FaultPlan,
-    next_op: u64,
-    acked_ops: u64,
-    powered_off: bool,
-    log: FaultLog,
-    acked: HashMap<u64, u64>,
+    state: FaultState,
 }
 
 impl DeviceSnapshot for FaultDiskSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
-        Box::new(FaultDisk {
-            inner: self.inner.restore(),
-            plan: self.plan.clone(),
-            next_op: self.next_op,
-            acked_ops: self.acked_ops,
-            powered_off: self.powered_off,
-            log: self.log,
-            acked: self.acked.clone(),
-            scratch: Vec::new(),
-            tracer: None,
-        })
+        Box::new(FaultDisk::assemble(
+            self.inner.restore(),
+            self.state.clone(),
+        ))
     }
 
     fn local_events(&self) -> u64 {

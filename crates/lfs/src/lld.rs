@@ -120,6 +120,31 @@ impl Clone for OpenSeg {
 /// The log-structured logical disk.
 pub struct LogDisk {
     dev: Box<dyn BlockDevice>,
+    state: LldState,
+    /// Re-entrancy guard: the cleaner's own appends must never trigger
+    /// another on-demand clean. Always false between calls.
+    cleaning: bool,
+    /// Metrics handle (disabled by default): cleaner counters, free-segment
+    /// gauge, log utilisation and the two work counters below.
+    metrics: disksim::Metrics,
+    /// Host-side scratch, reused across calls and never part of a
+    /// snapshot (a restored log starts without it).
+    scratch: Scratch,
+    /// Bytes folded into a segment digest, and bytes copied into a flush
+    /// image by anything but `append` (only a snapshot restore does), since
+    /// [`LogDisk::update_gauges`] last moved them to the
+    /// `lld.bytes_digested` / `lld.bytes_staged` counters. Plain integers
+    /// on the hot path.
+    digested: u64,
+    staged: u64,
+}
+
+/// Every piece of log bookkeeping a [`LogDisk`] adds to its device,
+/// including the in-memory open segment (the used prefix of its image and
+/// its running digest): the value a snapshot carries, and the one format
+/// and mount compute.
+#[derive(Clone)]
+struct LldState {
     cfg: LldConfig,
     block_size: usize,
     nsegs: u32,
@@ -139,9 +164,6 @@ pub struct LogDisk {
     next_seg: u32,
     ckpt_start: u64,
     ckpt_blocks: u64,
-    /// Re-entrancy guard: the cleaner's own appends must never trigger
-    /// another on-demand clean.
-    cleaning: bool,
     /// Monotonic flush-sequence counter (stamped into every summary).
     flush_seq: u64,
     /// Segments with no live blocks whose reuse must wait until the open
@@ -152,19 +174,6 @@ pub struct LogDisk {
     /// crash mid-checkpoint always leaves the other slot intact).
     ckpt_next_b: bool,
     stats: CleanerStats,
-    /// Metrics handle (disabled by default): cleaner counters, free-segment
-    /// gauge, log utilisation and the two work counters below.
-    metrics: disksim::Metrics,
-    /// Host-side scratch, reused across calls and never part of a
-    /// snapshot (a restored log starts without it).
-    scratch: Scratch,
-    /// Bytes folded into a segment digest, and bytes copied into a flush
-    /// image by anything but `append` (only a snapshot restore does), since
-    /// [`LogDisk::update_gauges`] last moved them to the
-    /// `lld.bytes_digested` / `lld.bytes_staged` counters. Plain integers
-    /// on the hot path.
-    digested: u64,
-    staged: u64,
 }
 
 /// Buffers a [`LogDisk`] keeps between calls so the segment path allocates
@@ -182,6 +191,59 @@ struct Scratch {
     live: Vec<(u32, u32)>,
     /// One checkpoint slot image.
     ckpt_image: Vec<u8>,
+}
+
+impl LldState {
+    /// A log holding `map`, on a device of the given
+    /// [`LogDisk::geometry`], with no segment open: every other piece of
+    /// bookkeeping is derived from the map.
+    fn from_map(
+        cfg: LldConfig,
+        block_size: usize,
+        geometry: (u32, u64, u64, u64),
+        map: Vec<u32>,
+    ) -> Self {
+        let (nsegs, logical_blocks, ckpt_start, ckpt_blocks) = geometry;
+        let mut rmap = vec![NONE; (nsegs as u64 * SEG_DATA) as usize];
+        let mut seg_live = vec![0u32; nsegs as usize];
+        for (lb, &slot) in map.iter().enumerate() {
+            if slot != NONE {
+                rmap[slot as usize] = lb as u32;
+                let (seg, _) = slot_to_seg(slot as u64);
+                seg_live[seg as usize] += 1;
+            }
+        }
+        let seg_state: Vec<SegState> = seg_live
+            .iter()
+            .map(|&l| {
+                if l > 0 {
+                    SegState::Dirty
+                } else {
+                    SegState::Free
+                }
+            })
+            .collect();
+        let free_count = seg_state.iter().filter(|s| **s == SegState::Free).count() as u32;
+        Self {
+            cfg,
+            block_size,
+            nsegs,
+            logical_blocks,
+            map,
+            rmap,
+            seg_state,
+            free_count,
+            seg_live,
+            open: None,
+            next_seg: 0,
+            ckpt_start,
+            ckpt_blocks,
+            flush_seq: 1,
+            pending_free: Vec::new(),
+            ckpt_next_b: false,
+            stats: CleanerStats::default(),
+        }
+    }
 }
 
 impl LogDisk {
@@ -208,33 +270,10 @@ impl LogDisk {
     /// Format a fresh log on `dev`.
     pub fn format(dev: Box<dyn BlockDevice>, cfg: LldConfig) -> FsResult<LogDisk> {
         let block_size = dev.block_size();
-        let (nsegs, logical, ckpt_start, ckpt_blocks) =
-            Self::geometry(dev.num_blocks(), block_size)?;
-        let mut lld = LogDisk {
-            dev,
-            cfg,
-            block_size,
-            nsegs,
-            logical_blocks: logical,
-            map: vec![NONE; logical as usize],
-            rmap: vec![NONE; (nsegs as u64 * SEG_DATA) as usize],
-            seg_state: vec![SegState::Free; nsegs as usize],
-            free_count: nsegs,
-            seg_live: vec![0; nsegs as usize],
-            open: None,
-            next_seg: 0,
-            ckpt_start,
-            ckpt_blocks,
-            cleaning: false,
-            flush_seq: 1,
-            pending_free: Vec::new(),
-            ckpt_next_b: false,
-            stats: CleanerStats::default(),
-            metrics: disksim::Metrics::disabled(),
-            scratch: Scratch::default(),
-            digested: 0,
-            staged: 0,
-        };
+        let geometry = Self::geometry(dev.num_blocks(), block_size)?;
+        let map = vec![NONE; geometry.1 as usize];
+        let state = LldState::from_map(cfg, block_size, geometry, map);
+        let mut lld = Self::assemble(dev, state);
         lld.write_checkpoint()?;
         Ok(lld)
     }
@@ -352,63 +391,43 @@ impl LogDisk {
                 }
             }
         }
-        // Derive everything else from the (settled) map.
-        let mut rmap = vec![NONE; slots as usize];
-        let mut seg_live = vec![0u32; nsegs as usize];
-        for (lb, &slot) in map.iter().enumerate() {
-            if slot != NONE {
-                rmap[slot as usize] = lb as u32;
-                let (seg, _) = slot_to_seg(slot as u64);
-                seg_live[seg as usize] += 1;
-            }
-        }
-        let seg_state: Vec<SegState> = seg_live
-            .iter()
-            .map(|&l| {
-                if l > 0 {
-                    SegState::Dirty
-                } else {
-                    SegState::Free
-                }
-            })
-            .collect();
-        let free_count = seg_state.iter().filter(|s| **s == SegState::Free).count() as u32;
         if sp != 0 {
             spans.close(sp, dev.clock().now());
         }
-        Ok(LogDisk {
-            dev,
-            cfg,
-            block_size,
-            nsegs,
-            logical_blocks: logical,
-            map,
-            rmap,
-            seg_state,
-            free_count,
-            seg_live,
-            open: None,
-            next_seg: 0,
-            ckpt_start,
-            ckpt_blocks,
-            cleaning: false,
+        let state = LldState {
             flush_seq: max_flush_seq + 1,
-            pending_free: Vec::new(),
             ckpt_next_b,
-            stats: CleanerStats::default(),
+            ..LldState::from_map(
+                cfg,
+                block_size,
+                (nsegs, logical, ckpt_start, ckpt_blocks),
+                map,
+            )
+        };
+        let mut lld = Self::assemble(dev, state);
+        lld.scratch.ckpt_image = raw;
+        Ok(lld)
+    }
+
+    /// The live log over `dev` in `state`: metrics detached, scratch empty,
+    /// and the open image's prefix, which the caller's copy of `state`
+    /// staged, the only work on the books.
+    fn assemble(dev: Box<dyn BlockDevice>, state: LldState) -> Self {
+        let staged = state.open.as_ref().map_or(0, |o| o.used_bytes() as u64);
+        LogDisk {
+            dev,
+            state,
+            cleaning: false,
             metrics: disksim::Metrics::disabled(),
-            scratch: Scratch {
-                ckpt_image: raw,
-                ..Scratch::default()
-            },
+            scratch: Scratch::default(),
             digested: 0,
-            staged: 0,
-        })
+            staged,
+        }
     }
 
     /// Cleaner activity so far.
     pub fn cleaner_stats(&self) -> CleanerStats {
-        self.stats
+        self.state.stats
     }
 
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach). The
@@ -447,9 +466,9 @@ impl LogDisk {
     fn update_gauges(&mut self) {
         if self.metrics.is_enabled() {
             self.metrics
-                .gauge("lld.free_segments", self.free_count as i64);
-            let live: u64 = self.seg_live.iter().map(|&l| l as u64).sum();
-            let cap = self.nsegs as u64 * SEG_DATA;
+                .gauge("lld.free_segments", self.state.free_count as i64);
+            let live: u64 = self.state.seg_live.iter().map(|&l| l as u64).sum();
+            let cap = self.state.nsegs as u64 * SEG_DATA;
             self.metrics
                 .gauge("lld.utilization_pct", (live * 100 / cap.max(1)) as i64);
             self.metrics
@@ -464,19 +483,20 @@ impl LogDisk {
     /// builds only).
     pub fn free_segments(&self) -> u32 {
         debug_assert_eq!(
-            self.free_count,
-            self.seg_state
+            self.state.free_count,
+            self.state
+                .seg_state
                 .iter()
                 .filter(|s| **s == SegState::Free)
                 .count() as u32,
             "free_count out of sync with seg_state"
         );
-        self.free_count
+        self.state.free_count
     }
 
     /// Total segments in the log.
     pub fn segments(&self) -> u32 {
-        self.nsegs
+        self.state.nsegs
     }
 
     /// The raw device below the log.
@@ -487,14 +507,14 @@ impl LogDisk {
     /// Snapshot of the logical-block → data-slot map (crash-test harnesses
     /// compare these across recovery paths).
     pub fn map_snapshot(&self) -> Vec<u32> {
-        self.map.clone()
+        self.state.map.clone()
     }
 
     /// The checkpoint region on the raw device: (first block, total blocks
     /// covering both slots). Crash tests corrupt it to force the
     /// summary-scan recovery path.
     pub fn checkpoint_region(&self) -> (u64, u64) {
-        (self.ckpt_start, 2 * self.ckpt_blocks)
+        (self.state.ckpt_start, 2 * self.state.ckpt_blocks)
     }
 
     /// Simulate a crash: drop the in-memory log state (open segment, map)
@@ -516,20 +536,20 @@ impl LogDisk {
     /// Transition one segment's state, keeping `free_count` in lockstep.
     /// Every `seg_state` write (after construction) must go through here.
     fn set_seg_state(&mut self, seg: u32, new: SegState) {
-        let old = std::mem::replace(&mut self.seg_state[seg as usize], new);
+        let old = std::mem::replace(&mut self.state.seg_state[seg as usize], new);
         match (old == SegState::Free, new == SegState::Free) {
-            (true, false) => self.free_count -= 1,
-            (false, true) => self.free_count += 1,
+            (true, false) => self.state.free_count -= 1,
+            (false, true) => self.state.free_count += 1,
             _ => {}
         }
     }
 
     fn acquire_segment(&mut self) -> FsResult<u32> {
         for attempt in 0..2 {
-            for i in 0..self.nsegs {
-                let seg = (self.next_seg + i) % self.nsegs;
-                if self.seg_state[seg as usize] == SegState::Free {
-                    self.next_seg = (seg + 1) % self.nsegs;
+            for i in 0..self.state.nsegs {
+                let seg = (self.state.next_seg + i) % self.state.nsegs;
+                if self.state.seg_state[seg as usize] == SegState::Free {
+                    self.state.next_seg = (seg + 1) % self.state.nsegs;
                     return Ok(seg);
                 }
             }
@@ -539,7 +559,7 @@ impl LogDisk {
             if self.cleaning || attempt == 1 {
                 return Err(FsError::NoSpace);
             }
-            self.stats.on_demand += 1;
+            self.state.stats.on_demand += 1;
             self.metrics.inc("lld.clean_on_demand");
             self.clean_some(2)?;
         }
@@ -547,14 +567,14 @@ impl LogDisk {
     }
 
     fn open_mut(&mut self) -> FsResult<&mut OpenSeg> {
-        if self.open.is_none() {
+        if self.state.open.is_none() {
             let seg = self.acquire_segment()?;
             self.set_seg_state(seg, SegState::Open);
             let image = match self.scratch.spare_image.take() {
                 Some(image) => image,
-                None => vec![0u8; SEG_BLOCKS as usize * self.block_size],
+                None => vec![0u8; SEG_BLOCKS as usize * self.state.block_size],
             };
-            self.open = Some(OpenSeg {
+            self.state.open = Some(OpenSeg {
                 seg,
                 summary: Summary::empty(),
                 image,
@@ -562,7 +582,7 @@ impl LogDisk {
                 flushed: 0,
             });
         }
-        Ok(self.open.as_mut().expect("just ensured"))
+        Ok(self.state.open.as_mut().expect("just ensured"))
     }
 
     /// Append one block to the log; seals the segment when it fills.
@@ -570,12 +590,12 @@ impl LogDisk {
         // User-level logical disk: each block through it costs host CPU.
         // (A zero-cost configuration skips the clock call entirely so it
         // doesn't inflate the simulation event count.)
-        if self.cfg.cpu_per_block_ns > 0 {
-            self.dev.clock().advance(self.cfg.cpu_per_block_ns);
+        if self.state.cfg.cpu_per_block_ns > 0 {
+            self.dev.clock().advance(self.state.cfg.cpu_per_block_ns);
         }
         // Drop the old mapping first.
         self.unmap(lb);
-        let bs = self.block_size;
+        let bs = self.state.block_size;
         let open = self.open_mut()?;
         let idx = open.summary.fill;
         let off = (1 + idx as usize) * bs;
@@ -587,9 +607,9 @@ impl LogDisk {
         let seg = open.seg;
         let full = open.summary.fill as u64 == SEG_DATA;
         let slot = seg_to_slot(seg, idx);
-        self.map[lb as usize] = slot as u32;
-        self.rmap[slot as usize] = lb as u32;
-        self.seg_live[seg as usize] += 1;
+        self.state.map[lb as usize] = slot as u32;
+        self.state.rmap[slot as usize] = lb as u32;
+        self.state.seg_live[seg as usize] += 1;
         self.digested += bs as u64;
         if full {
             self.seal()?;
@@ -599,7 +619,7 @@ impl LogDisk {
         // utilisation). The guard stops the cleaner's own appends from
         // recursing here.
         if !self.cleaning && self.free_segments() <= 2 {
-            self.stats.on_demand += 1;
+            self.state.stats.on_demand += 1;
             self.metrics.inc("lld.clean_on_demand");
             let _ = self.clean_some(2);
         }
@@ -607,21 +627,23 @@ impl LogDisk {
     }
 
     fn unmap(&mut self, lb: u64) {
-        let old = self.map[lb as usize];
+        let old = self.state.map[lb as usize];
         if old != NONE {
-            self.map[lb as usize] = NONE;
-            self.rmap[old as usize] = NONE;
+            self.state.map[lb as usize] = NONE;
+            self.state.rmap[old as usize] = NONE;
             let (seg, _) = slot_to_seg(old as u64);
-            self.seg_live[seg as usize] -= 1;
-            if self.seg_live[seg as usize] == 0 && self.seg_state[seg as usize] == SegState::Dirty {
+            self.state.seg_live[seg as usize] -= 1;
+            if self.state.seg_live[seg as usize] == 0
+                && self.state.seg_state[seg as usize] == SegState::Dirty
+            {
                 if self.cleaning {
                     // Mid-clean, the emptied segment is the victim (or holds
                     // data whose only durable copy the open segment hasn't
                     // flushed yet): reusing it now would overwrite that copy,
                     // and a torn flush would lose both versions. Park it
                     // until the open segment is durable.
-                    if !self.pending_free.contains(&seg) {
-                        self.pending_free.push(seg);
+                    if !self.state.pending_free.contains(&seg) {
+                        self.state.pending_free.push(seg);
                     }
                 } else {
                     // A sealed segment emptied by overwrites is safe to free:
@@ -634,8 +656,8 @@ impl LogDisk {
     }
 
     fn next_flush_seq(&mut self) -> u64 {
-        self.flush_seq += 1;
-        self.flush_seq
+        self.state.flush_seq += 1;
+        self.state.flush_seq
     }
 
     /// The open segment's contents just reached the platter: everything it
@@ -647,8 +669,10 @@ impl LogDisk {
             // flush instead.
             return;
         }
-        for seg in std::mem::take(&mut self.pending_free) {
-            if self.seg_live[seg as usize] == 0 && self.seg_state[seg as usize] == SegState::Dirty {
+        for seg in std::mem::take(&mut self.state.pending_free) {
+            if self.state.seg_live[seg as usize] == 0
+                && self.state.seg_state[seg as usize] == SegState::Dirty
+            {
                 self.set_seg_state(seg, SegState::Free);
             }
         }
@@ -660,8 +684,9 @@ impl LogDisk {
     /// into block 0 in place.
     fn flush_image(&mut self) -> FsResult<()> {
         let seq = self.next_flush_seq();
-        let bs = self.block_size;
+        let bs = self.state.block_size;
         let open = self
+            .state
             .open
             .as_mut()
             .expect("caller checked for an open segment");
@@ -670,7 +695,7 @@ impl LogDisk {
         open.flushed = open.summary.fill;
         open.summary.encode_into(&mut open.image[..bs]);
         let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-        let open = self.open.as_ref().expect("checked above");
+        let open = self.state.open.as_ref().expect("checked above");
         let r = self
             .dev
             .write_blocks(summary_block(open.seg), &open.image[..open.used_bytes()]);
@@ -683,6 +708,7 @@ impl LogDisk {
     /// so that frees depending on them can be promoted.
     fn flush_open_now(&mut self) -> FsResult<()> {
         if self
+            .state
             .open
             .as_ref()
             .is_some_and(|open| open.summary.fill > open.flushed)
@@ -695,17 +721,17 @@ impl LogDisk {
 
     /// Write the open segment (summary + all appended slots) and seal it.
     fn seal(&mut self) -> FsResult<()> {
-        if self.open.is_none() {
+        if self.state.open.is_none() {
             return Ok(());
         }
         let r = self.flush_image();
         // The segment closes whether or not the write went through; its
         // image is what the next segment opens on.
-        let open = self.open.take().expect("checked above");
+        let open = self.state.open.take().expect("checked above");
         self.scratch.spare_image = Some(open.image);
         r?;
         self.promote_pending_frees();
-        let new = if self.seg_live[open.seg as usize] > 0 {
+        let new = if self.state.seg_live[open.seg as usize] > 0 {
             SegState::Dirty
         } else {
             SegState::Free
@@ -717,14 +743,14 @@ impl LogDisk {
     /// Partial-segment handling on sync: above the threshold, seal; below
     /// it, write out what exists but keep accepting appends.
     fn flush_partial(&mut self) -> FsResult<()> {
-        let Some(open) = self.open.as_ref() else {
+        let Some(open) = self.state.open.as_ref() else {
             return Ok(());
         };
         if open.summary.fill == 0 {
             return Ok(());
         }
         let frac = open.summary.fill as f64 / SEG_DATA as f64;
-        if frac >= self.cfg.partial_threshold {
+        if frac >= self.state.cfg.partial_threshold {
             self.seal()
         } else {
             self.flush_image()?;
@@ -735,12 +761,12 @@ impl LogDisk {
 
     fn write_checkpoint(&mut self) -> FsResult<()> {
         let raw = &mut self.scratch.ckpt_image;
-        raw.resize((self.ckpt_blocks as usize) * self.block_size, 0);
-        encode_checkpoint(raw, self.flush_seq, &self.map);
-        let slot_start = if self.ckpt_next_b {
-            self.ckpt_start + self.ckpt_blocks
+        raw.resize((self.state.ckpt_blocks as usize) * self.state.block_size, 0);
+        encode_checkpoint(raw, self.state.flush_seq, &self.state.map);
+        let slot_start = if self.state.ckpt_next_b {
+            self.state.ckpt_start + self.state.ckpt_blocks
         } else {
-            self.ckpt_start
+            self.state.ckpt_start
         };
         let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.checkpoint");
         let r = self.dev.write_blocks(slot_start, &self.scratch.ckpt_image);
@@ -748,7 +774,7 @@ impl LogDisk {
         r?;
         // Only alternate once the write completed: a failed/torn write
         // leaves the other (older but valid) slot as the fallback.
-        self.ckpt_next_b = !self.ckpt_next_b;
+        self.state.ckpt_next_b = !self.state.ckpt_next_b;
         Ok(())
     }
 
@@ -784,18 +810,20 @@ impl LogDisk {
     /// dozen entries per 512 KiB segment cleaned. Fully-live segments are
     /// never worth cleaning — copying them frees nothing.
     fn choose_victim(&self) -> Option<u32> {
-        (0..self.nsegs)
+        (0..self.state.nsegs)
             .filter(|&s| {
-                self.seg_state[s as usize] == SegState::Dirty
-                    && (self.seg_live[s as usize] as u64) < SEG_DATA
+                self.state.seg_state[s as usize] == SegState::Dirty
+                    && (self.state.seg_live[s as usize] as u64) < SEG_DATA
             })
-            .min_by_key(|&s| self.seg_live[s as usize])
+            .min_by_key(|&s| self.state.seg_live[s as usize])
     }
 
     fn clean_segment(&mut self, victim: u32) -> FsResult<()> {
         if self.metrics.is_enabled() {
-            self.metrics
-                .observe("lld.victim_live", self.seg_live[victim as usize] as u64);
+            self.metrics.observe(
+                "lld.victim_live",
+                self.state.seg_live[victim as usize] as u64,
+            );
         }
         // The cleaner's scratch buffers leave `self` for the copy (whose
         // appends need all of it) and come back whatever its outcome.
@@ -807,13 +835,13 @@ impl LogDisk {
         self.scratch.victim_image = image;
         self.scratch.victim_block = block;
         r?;
-        debug_assert_eq!(self.seg_live[victim as usize], 0);
+        debug_assert_eq!(self.state.seg_live[victim as usize], 0);
         // The victim may only be reused once the copies are durable.
-        if !self.pending_free.contains(&victim) {
-            self.pending_free.push(victim);
+        if !self.state.pending_free.contains(&victim) {
+            self.state.pending_free.push(victim);
         }
         self.flush_open_now()?;
-        self.stats.segments_cleaned += 1;
+        self.state.stats.segments_cleaned += 1;
         if self.metrics.is_enabled() {
             self.metrics.inc("lld.segments_cleaned");
             self.update_gauges();
@@ -837,12 +865,13 @@ impl LogDisk {
     ) -> FsResult<()> {
         live.clear();
         live.extend((0..SEG_DATA as u32).filter_map(|idx| {
-            let owner = self.rmap[seg_to_slot(victim, idx) as usize];
+            let owner = self.state.rmap[seg_to_slot(victim, idx) as usize];
             (owner != NONE).then_some((idx, owner))
         }));
         // The copies must fit in the open segment plus (at most) one fresh
         // one; refuse up front rather than wedge mid-copy.
         let open_room = self
+            .state
             .open
             .as_ref()
             .map(|o| SEG_DATA as u32 - o.summary.fill)
@@ -853,14 +882,14 @@ impl LogDisk {
         // Read the whole victim in one command (cleaning is segment-sized
         // I/O — the reason it needs long idle windows, unlike the VLD's
         // track-sized compactor).
-        let bs = self.block_size;
+        let bs = self.state.block_size;
         let start = summary_block(victim);
         let (image, _) = self.dev.share_blocks(start, SEG_BLOCKS as usize, image)?;
         self.cleaning = true;
         let copied = live.iter().try_for_each(|&(idx, owner)| {
             let off = (1 + idx as usize) * bs;
             self.append(owner as u64, image.get(off..off + bs, block))?;
-            self.stats.blocks_copied += 1;
+            self.state.stats.blocks_copied += 1;
             self.metrics.inc("lld.blocks_copied");
             Ok(())
         });
@@ -871,11 +900,11 @@ impl LogDisk {
 
 impl BlockDevice for LogDisk {
     fn block_size(&self) -> usize {
-        self.block_size
+        self.state.block_size
     }
 
     fn num_blocks(&self) -> u64 {
-        self.logical_blocks
+        self.state.logical_blocks
     }
 
     fn clock(&self) -> SimClock {
@@ -883,17 +912,17 @@ impl BlockDevice for LogDisk {
     }
 
     fn read_block(&mut self, block: u64, buf: &mut [u8]) -> DiskResult<ServiceTime> {
-        let slot = self.map[block as usize];
+        let slot = self.state.map[block as usize];
         if slot == NONE {
             buf.fill(0);
             return Ok(ServiceTime::ZERO);
         }
         // Serve from the open segment buffer when possible.
-        if let Some(open) = &self.open {
+        if let Some(open) = &self.state.open {
             let (seg, idx) = slot_to_seg(slot as u64);
             if seg == open.seg {
-                let off = (1 + idx as usize) * self.block_size;
-                buf.copy_from_slice(&open.image[off..off + self.block_size]);
+                let off = (1 + idx as usize) * self.state.block_size;
+                buf.copy_from_slice(&open.image[off..off + self.state.block_size]);
                 return Ok(ServiceTime::ZERO);
             }
         }
@@ -928,11 +957,11 @@ impl BlockDevice for LogDisk {
         let clock = self.dev.clock();
         let start = clock.now();
         let deadline = start + budget_ns;
-        while clock.now() < deadline && self.free_segments() < self.cfg.idle_clean_target {
-            if !self.seg_state.contains(&SegState::Dirty) {
+        while clock.now() < deadline && self.free_segments() < self.state.cfg.idle_clean_target {
+            if !self.state.seg_state.contains(&SegState::Dirty) {
                 break;
             }
-            self.stats.during_idle += 1;
+            self.state.stats.during_idle += 1;
             self.metrics.inc("lld.clean_during_idle");
             if self.clean_some(1).unwrap_or(0) == 0 {
                 break;
@@ -978,83 +1007,21 @@ impl BlockDevice for LogDisk {
     fn snapshot(&self) -> Option<Box<dyn DeviceSnapshot>> {
         Some(Box::new(LogDiskSnapshot {
             dev: self.dev.snapshot()?,
-            cfg: self.cfg,
-            block_size: self.block_size,
-            nsegs: self.nsegs,
-            logical_blocks: self.logical_blocks,
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            seg_state: self.seg_state.clone(),
-            free_count: self.free_count,
-            seg_live: self.seg_live.clone(),
-            open: self.open.clone(),
-            next_seg: self.next_seg,
-            ckpt_start: self.ckpt_start,
-            ckpt_blocks: self.ckpt_blocks,
-            flush_seq: self.flush_seq,
-            pending_free: self.pending_free.clone(),
-            ckpt_next_b: self.ckpt_next_b,
-            stats: self.stats,
+            state: self.state.clone(),
         }))
     }
 }
 
-/// Snapshot of a [`LogDisk`]: the wrapped device's snapshot plus every
-/// piece of log bookkeeping, including the in-memory open segment (the
-/// used prefix of its image and its running digest). The `cleaning`
-/// re-entrancy guard is transient (always false between calls) and
-/// restores false; the metrics handle restores detached, the scratch
-/// buffers empty, and the only work on the books is the open image's
-/// prefix, which the restore staged.
+/// Snapshot of a [`LogDisk`]: the wrapped device's snapshot plus the log's
+/// state.
 pub struct LogDiskSnapshot {
     dev: Box<dyn DeviceSnapshot>,
-    cfg: LldConfig,
-    block_size: usize,
-    nsegs: u32,
-    logical_blocks: u64,
-    map: Vec<u32>,
-    rmap: Vec<u32>,
-    seg_state: Vec<SegState>,
-    free_count: u32,
-    seg_live: Vec<u32>,
-    open: Option<OpenSeg>,
-    next_seg: u32,
-    ckpt_start: u64,
-    ckpt_blocks: u64,
-    flush_seq: u64,
-    pending_free: Vec<u32>,
-    ckpt_next_b: bool,
-    stats: CleanerStats,
+    state: LldState,
 }
 
 impl DeviceSnapshot for LogDiskSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
-        let staged = self.open.as_ref().map_or(0, |o| o.used_bytes() as u64);
-        Box::new(LogDisk {
-            dev: self.dev.restore(),
-            cfg: self.cfg,
-            block_size: self.block_size,
-            nsegs: self.nsegs,
-            logical_blocks: self.logical_blocks,
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            seg_state: self.seg_state.clone(),
-            free_count: self.free_count,
-            seg_live: self.seg_live.clone(),
-            open: self.open.clone(),
-            next_seg: self.next_seg,
-            ckpt_start: self.ckpt_start,
-            ckpt_blocks: self.ckpt_blocks,
-            cleaning: false,
-            flush_seq: self.flush_seq,
-            pending_free: self.pending_free.clone(),
-            ckpt_next_b: self.ckpt_next_b,
-            stats: self.stats,
-            metrics: disksim::Metrics::disabled(),
-            scratch: Scratch::default(),
-            digested: 0,
-            staged,
-        })
+        Box::new(LogDisk::assemble(self.dev.restore(), self.state.clone()))
     }
 
     fn local_events(&self) -> u64 {
@@ -1087,7 +1054,7 @@ mod tests {
             l.num_blocks(),
             (l.segments() as u64 - RESERVE_SEGS) * SEG_DATA
         );
-        assert!(l.ckpt_start >= l.segments() as u64 * SEG_BLOCKS);
+        assert!(l.state.ckpt_start >= l.segments() as u64 * SEG_BLOCKS);
     }
 
     #[test]
@@ -1145,13 +1112,13 @@ mod tests {
             l.write_block(i, &vec![3u8; 4096]).unwrap();
         }
         l.sync().unwrap();
-        assert!(l.open.is_some(), "10/127 < 75%: memory copy retained");
+        assert!(l.state.open.is_some(), "10/127 < 75%: memory copy retained");
         // Above threshold: sealed.
         for i in 10..100u64 {
             l.write_block(i, &vec![4u8; 4096]).unwrap();
         }
         l.sync().unwrap();
-        assert!(l.open.is_none(), "100/127 >= 75%: flushed as if full");
+        assert!(l.state.open.is_none(), "100/127 >= 75%: flushed as if full");
     }
 
     #[test]
@@ -1485,14 +1452,22 @@ mod tests {
         }
         // Steer the allocator back to the emptied segment and seal a fresh
         // generation of data into it.
-        assert_eq!(l.seg_state[0], SegState::Free, "trim must free segment 0");
-        l.next_seg = 0;
+        assert_eq!(
+            l.state.seg_state[0],
+            SegState::Free,
+            "trim must free segment 0"
+        );
+        l.state.next_seg = 0;
         let hi = l.num_blocks() - SEG_DATA;
         for i in 0..SEG_DATA {
             l.write_block(hi + i, &vec![10u8; 4096]).unwrap();
         }
-        assert_eq!(l.seg_state[0], SegState::Dirty, "segment 0 never reused");
-        assert!(l.seg_live[0] > 0);
+        assert_eq!(
+            l.state.seg_state[0],
+            SegState::Dirty,
+            "segment 0 never reused"
+        );
+        assert!(l.state.seg_live[0] > 0);
         let (ckpt_start, ckpt_total) = l.checkpoint_region();
         let ckpt_blocks = ckpt_total / 2;
         let mut dev = l.crash();

@@ -7,6 +7,7 @@
 //! on an update-in-place disk.)
 
 use crate::layout::BLOCK_SIZE;
+use disksim::codec::{get_u64, put_u64};
 
 /// A bitmap with per-disk-block dirty tracking. Bit set = in use.
 #[derive(Debug, Clone)]
@@ -31,21 +32,29 @@ impl Bitmap {
         }
     }
 
-    /// Rebuild from on-disk bytes.
+    /// Rebuild from on-disk bytes: bit `i` in byte `i/8`, LSB-first, so
+    /// word `w` is bytes `8w..8w+8` read little-endian. Missing bytes read
+    /// as zeros, and bits at or past `len` are dropped, so a damaged tail
+    /// cannot set one.
     pub fn from_bytes(len: u64, bytes: &[u8]) -> Self {
         let mut bm = Self::new(len);
-        for i in 0..len {
-            let byte = bytes.get(i as usize / 8).copied().unwrap_or(0);
-            if byte >> (i % 8) & 1 == 1 {
-                bm.set(i);
-            }
+        for (i, w) in bm.bits.iter_mut().enumerate() {
+            let src = bytes.get(i * 8..).unwrap_or_default();
+            let mut word = [0u8; 8];
+            let n = src.len().min(8);
+            word[..n].copy_from_slice(&src[..n]);
+            *w = get_u64(&word, 0).unwrap_or_default();
         }
-        bm.clear_dirty();
+        if let Some(last) = bm.bits.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last &= (1 << (len % 64)) - 1;
+        }
+        bm.used = bm.bits.iter().map(|w| u64::from(w.count_ones())).sum();
         bm
     }
 
     /// Serialise bit `i` into byte `i/8`, LSB-first (matching
     /// [`Bitmap::from_bytes`]).
+    #[cfg(test)]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![0u8; (self.len as usize).div_ceil(8)];
         for i in 0..self.len {
@@ -148,6 +157,7 @@ impl Bitmap {
     }
 
     /// Any dirty chunks pending?
+    #[cfg(test)]
     pub fn has_dirty(&self) -> bool {
         self.dirty.iter().any(|&d| d)
     }
@@ -156,14 +166,15 @@ impl Bitmap {
         self.dirty.iter_mut().for_each(|d| *d = false);
     }
 
-    /// One BLOCK_SIZE-sized chunk of the serialised bitmap (zero-padded).
+    /// One BLOCK_SIZE-sized chunk of the serialised bitmap (zero-padded):
+    /// its words, little-endian, which is the byte layout
+    /// [`Bitmap::from_bytes`] reads (bits at or past `len` are never set).
     pub fn chunk_bytes(&self, chunk: usize) -> Vec<u8> {
-        let all = self.to_bytes();
-        let start = chunk * BLOCK_SIZE;
+        const WORDS: usize = BLOCK_SIZE / 8;
         let mut out = vec![0u8; BLOCK_SIZE];
-        if start < all.len() {
-            let end = (start + BLOCK_SIZE).min(all.len());
-            out[..end - start].copy_from_slice(&all[start..end]);
+        let words = self.bits.iter().skip(chunk * WORDS).take(WORDS);
+        for (i, &w) in words.enumerate() {
+            put_u64(&mut out, i * 8, w);
         }
         out
     }
@@ -201,15 +212,31 @@ mod tests {
 
     #[test]
     fn byte_roundtrip() {
-        let mut b = Bitmap::new(77);
-        for i in [0u64, 7, 8, 63, 64, 76] {
-            b.set(i);
+        for len in [1u64, 63, 64, 65, 77, 128, 200, 4096 * 8 + 3] {
+            let mut b = Bitmap::new(len);
+            for i in [0, 7, 8, 63, 64, 76, 127, 199, len - 1] {
+                if i < len {
+                    b.set(i);
+                }
+            }
+            // Word-wise chunks are the bytes `to_bytes` lays out, padded.
+            let mut bytes: Vec<u8> = (0..b.dirty.len()).flat_map(|c| b.chunk_bytes(c)).collect();
+            assert_eq!(bytes[..b.to_bytes().len()], b.to_bytes(), "len {len}");
+            // Garbage past `len` must not come back as set bits.
+            let last = (len as usize - 1) / 8;
+            bytes[last] |= !0u8 << ((len - 1) % 8) << 1;
+            bytes[last + 1..].fill(0xFF);
+            for again in [
+                Bitmap::from_bytes(len, &bytes),
+                Bitmap::from_bytes(len, &b.to_bytes()),
+            ] {
+                for i in 0..len {
+                    assert_eq!(b.get(i), again.get(i), "len {len}, bit {i}");
+                }
+                assert_eq!(again.used(), b.used(), "len {len}");
+                assert!(!again.has_dirty());
+            }
         }
-        let again = Bitmap::from_bytes(77, &b.to_bytes());
-        for i in 0..77 {
-            assert_eq!(b.get(i), again.get(i), "bit {i}");
-        }
-        assert_eq!(again.used(), 6);
     }
 
     #[test]

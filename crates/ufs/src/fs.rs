@@ -119,6 +119,25 @@ impl Default for UfsConfig {
 /// The update-in-place file system over any block device.
 pub struct Ufs {
     dev: Box<dyn BlockDevice>,
+    state: UfsState,
+    /// Whole-block payload copies made outside the cache (the cache counts
+    /// its own copy-on-write): see [`Ufs::update_cache_gauges`].
+    copies: u64,
+    /// `(cache probes, block copies)` already added to the metrics counters.
+    work_published: (u64, u64),
+    /// Observability sink (disabled by default — a single branch per use).
+    metrics: disksim::Metrics,
+    /// Causal-span handle shared with the device stack below (cloned from
+    /// [`BlockDevice::spans`] at construction, so spans opened here are the
+    /// attribution targets for the disk commands the stack issues).
+    spans: disksim::Spans,
+}
+
+/// Every piece of file-system state a [`Ufs`] holds above its device
+/// (bitmaps, buffer cache, directory index, handles, allocation hints):
+/// the value a snapshot carries.
+#[derive(Clone)]
+struct UfsState {
     host: HostModel,
     layout: Layout,
     cfg: UfsConfig,
@@ -144,17 +163,32 @@ pub struct Ufs {
     /// end of the operation (see [`Ufs::flush_pointer_blocks`]).
     dirty_ptrs: std::collections::BTreeSet<u64>,
     sync_data: bool,
-    /// Whole-block payload copies made outside the cache (the cache counts
-    /// its own copy-on-write): see [`Ufs::update_cache_gauges`].
-    copies: u64,
-    /// `(cache probes, block copies)` already added to the metrics counters.
-    work_published: (u64, u64),
-    /// Observability sink (disabled by default — a single branch per use).
-    metrics: disksim::Metrics,
-    /// Causal-span handle shared with the device stack below (cloned from
-    /// [`BlockDevice::spans`] at construction, so spans opened here are the
-    /// attribution targets for the disk commands the stack issues).
-    spans: disksim::Spans,
+}
+
+impl UfsState {
+    /// A volume with nothing indexed or cached yet. `inode_count` comes
+    /// from `layout`; every other setting from `cfg`.
+    fn new(host: HostModel, layout: Layout, cfg: UfsConfig, bitmaps: (Bitmap, Bitmap)) -> Self {
+        let cfg = UfsConfig {
+            inode_count: layout.inode_count,
+            ..cfg
+        };
+        Self {
+            host,
+            layout,
+            cfg,
+            inode_bm: bitmaps.0,
+            block_bm: bitmaps.1,
+            cache: BufferCache::with_bytes(cfg.cache_bytes, BLOCK_SIZE),
+            names: HashMap::new(),
+            dir_slots: HashMap::new(),
+            handles: Vec::new(),
+            seq_state: HashMap::new(),
+            alloc_hint: 0,
+            dirty_ptrs: std::collections::BTreeSet::new(),
+            sync_data: cfg.sync_data,
+        }
+    }
 }
 
 impl Ufs {
@@ -166,35 +200,34 @@ impl Ufs {
             "UFS expects 4 KB device blocks"
         );
         let layout = Layout::compute(dev.num_blocks(), cfg.inode_count)?;
-        let spans = dev.spans();
-        let mut fs = Ufs {
-            dev,
-            host,
-            layout,
-            cfg,
-            inode_bm: Bitmap::new(cfg.inode_count as u64),
-            block_bm: Bitmap::new(layout.data_blocks()),
-            cache: BufferCache::with_bytes(cfg.cache_bytes, BLOCK_SIZE),
-            names: HashMap::new(),
-            dir_slots: HashMap::new(),
-            handles: Vec::new(),
-            seq_state: HashMap::new(),
-            alloc_hint: 0,
-            dirty_ptrs: std::collections::BTreeSet::new(),
-            sync_data: cfg.sync_data,
-            copies: 0,
-            work_published: (0, 0),
-            metrics: disksim::Metrics::default(),
-            spans,
-        };
+        let bitmaps = (
+            Bitmap::new(cfg.inode_count as u64),
+            Bitmap::new(layout.data_blocks()),
+        );
+        let mut fs = Self::assemble(dev, UfsState::new(host, layout, cfg, bitmaps));
         // Superblock, root inode, bitmaps.
         let sp = fs.span_open(disksim::SpanKind::FsOp, "ufs.format");
         fs.dev.write_block(0, &layout.encode())?;
-        fs.inode_bm.set(ROOT_INO as u64);
+        fs.state.inode_bm.set(ROOT_INO as u64);
         fs.put_inode(ROOT_INO, &Inode::empty_dir(), true)?;
         fs.flush_bitmaps()?;
         fs.span_close(sp);
         Ok(fs)
+    }
+
+    /// The live system over `dev` in `state`: metrics detached, spans
+    /// shared with the device stack, and the work counters starting here.
+    fn assemble(dev: Box<dyn BlockDevice>, state: UfsState) -> Self {
+        let spans = dev.spans();
+        let work_published = (state.cache.probes(), state.cache.cow_copies());
+        Ufs {
+            dev,
+            state,
+            copies: 0,
+            work_published,
+            metrics: disksim::Metrics::disabled(),
+            spans,
+        }
     }
 
     /// Capture the whole mounted system — the device stack below (down to
@@ -209,19 +242,7 @@ impl Ufs {
     pub fn snapshot(&self) -> Option<UfsSnapshot> {
         Some(UfsSnapshot {
             dev: self.dev.snapshot()?,
-            host: self.host,
-            layout: self.layout,
-            cfg: self.cfg,
-            inode_bm: self.inode_bm.clone(),
-            block_bm: self.block_bm.clone(),
-            cache: self.cache.clone(),
-            names: self.names.clone(),
-            dir_slots: self.dir_slots.clone(),
-            handles: self.handles.clone(),
-            seq_state: self.seq_state.clone(),
-            alloc_hint: self.alloc_hint,
-            dirty_ptrs: self.dirty_ptrs.clone(),
-            sync_data: self.sync_data,
+            state: self.state.clone(),
         })
     }
 
@@ -251,33 +272,14 @@ impl Ufs {
         let mut sb = vec![0u8; BLOCK_SIZE];
         dev.read_block(0, &mut sb)?;
         let layout = Layout::decode(&sb, dev.num_blocks())?;
-        let cfg = UfsConfig {
-            inode_count: layout.inode_count,
-            ..cfg
-        };
         let d = dev.as_mut();
         let ibm = read_blocks(d, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
         let bbm = read_blocks(d, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
-        let mut fs = Ufs {
-            dev,
-            host,
-            layout,
-            cfg,
-            inode_bm: Bitmap::from_bytes(layout.inode_count as u64, &ibm),
-            block_bm: Bitmap::from_bytes(layout.data_blocks(), &bbm),
-            cache: BufferCache::with_bytes(cfg.cache_bytes, BLOCK_SIZE),
-            names: HashMap::new(),
-            dir_slots: HashMap::new(),
-            handles: Vec::new(),
-            seq_state: HashMap::new(),
-            alloc_hint: 0,
-            dirty_ptrs: std::collections::BTreeSet::new(),
-            sync_data: cfg.sync_data,
-            copies: 0,
-            work_published: (0, 0),
-            metrics: disksim::Metrics::default(),
-            spans: spans.clone(),
-        };
+        let bitmaps = (
+            Bitmap::from_bytes(layout.inode_count as u64, &ibm),
+            Bitmap::from_bytes(layout.data_blocks(), &bbm),
+        );
+        let mut fs = Self::assemble(dev, UfsState::new(host, layout, cfg, bitmaps));
         fs.index_tree()?;
         fs.span_close(sp);
         Ok(fs)
@@ -301,7 +303,7 @@ impl Ufs {
     /// directory writes leaves. Either name is the file, so the walk's first
     /// is kept and the other cleared, synchronously, as `fsck_repair` would.
     fn index_tree(&mut self) -> FsResult<()> {
-        let mut ns = Namespace::new(self.layout.inode_count);
+        let mut ns = Namespace::new(self.state.layout.inode_count);
         // The path of each directory reached below the root, `/`-terminated.
         let mut paths = HashMap::new();
         while let Some(dir) = ns.next_dir() {
@@ -324,7 +326,7 @@ impl Ufs {
                 };
                 let prefix = paths.get(&dir).map_or("", String::as_str);
                 let path = format!("{prefix}{}", e.name);
-                self.dir_slots.entry(dir).or_default().set(slot, true);
+                self.state.dir_slots.entry(dir).or_default().set(slot, true);
                 if is_dir {
                     paths.insert(e.ino, format!("{path}/"));
                 }
@@ -334,19 +336,20 @@ impl Ufs {
                     slot,
                     is_dir,
                 };
-                self.names.insert(path, entry);
+                self.state.names.insert(path, entry);
             }
         }
-        for ino in (0..self.layout.inode_count).filter(|&ino| ns.reached[ino as usize]) {
-            self.inode_bm.set(ino as u64);
+        for ino in (0..self.state.layout.inode_count).filter(|&ino| ns.reached[ino as usize]) {
+            self.state.inode_bm.set(ino as u64);
             let inode = self.get_inode(ino)?;
             let mark = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
-                // Out-of-range pointers are fsck's to report, not ours to
-                // mirror into the bitmap.
-                let bit = n.block.checked_sub(fs.layout.data_start);
-                if let Some(bit) = bit.filter(|&b| b < fs.block_bm.len()) {
-                    fs.block_bm.set(bit);
-                }
+                // A pointer outside the data area is `fsck_repair`'s to
+                // clear: `delete` would free a bit the data bitmap does not
+                // have, and a write through it would land on metadata.
+                let bit = n.block.checked_sub(fs.state.layout.data_start);
+                let bit = bit.filter(|&b| b < fs.state.block_bm.len());
+                let outside = FsError::Invalid("block pointer outside the data area");
+                fs.state.block_bm.set(bit.ok_or(outside)?);
                 Ok(Verdict::Follow)
             };
             self.cache_walk(inode, mark, |_, _| {})?;
@@ -406,7 +409,7 @@ impl Ufs {
 
     /// The computed on-disk layout.
     pub fn layout(&self) -> &Layout {
-        &self.layout
+        &self.state.layout
     }
 
     /// Attach a metrics registry; the buffer-cache hit/miss/dirty gauges
@@ -445,12 +448,15 @@ impl Ufs {
         if !self.metrics.is_enabled() {
             return;
         }
-        let (hits, misses) = self.cache.stats();
+        let (hits, misses) = self.state.cache.stats();
         self.metrics.gauge("ufs.cache_hits", hits as i64);
         self.metrics.gauge("ufs.cache_misses", misses as i64);
         self.metrics
-            .gauge("ufs.cache_dirty", self.cache.dirty_count() as i64);
-        let work = (self.cache.probes(), self.copies + self.cache.cow_copies());
+            .gauge("ufs.cache_dirty", self.state.cache.dirty_count() as i64);
+        let work = (
+            self.state.cache.probes(),
+            self.copies + self.state.cache.cow_copies(),
+        );
         self.metrics
             .add("ufs.cache_probes", work.0 - self.work_published.0);
         self.metrics
@@ -461,18 +467,19 @@ impl Ufs {
     // ----- low-level block helpers ------------------------------------
 
     fn cache_insert(&mut self, blk: u64, data: Arc<[u8]>, dirty: bool) -> FsResult<()> {
-        if self.cache.is_full()
-            && !self.cache.contains(blk)
-            && self.cfg.flush_on_full
-            && self.cache.dirty_count() * 4 >= self.cache.capacity() * 3
+        if self.state.cache.is_full()
+            && !self.state.cache.contains(blk)
+            && self.state.cfg.flush_on_full
+            && self.state.cache.dirty_count() * 4 >= self.state.cache.capacity() * 3
         {
             // NVRAM discipline: once the buffer is substantially dirty,
             // drain it all at once; clean blocks then evict for free.
             self.flush_dirty_sorted()?;
         }
         let mut sp = 0;
-        while self.cache.is_full() && !self.cache.contains(blk) {
+        while self.state.cache.is_full() && !self.state.cache.contains(blk) {
             let (vb, vd, vdirty) = self
+                .state
                 .cache
                 .evict_lru_prefer_clean()
                 .expect("full cache is non-empty");
@@ -486,7 +493,7 @@ impl Ufs {
             }
         }
         self.span_close(sp);
-        self.cache.insert(blk, data, dirty);
+        self.state.cache.insert(blk, data, dirty);
         Ok(())
     }
 
@@ -502,7 +509,7 @@ impl Ufs {
     /// the cached payload — a hit costs an `Arc` clone, not a 4 KB copy.
     /// Drop it before editing the block, or the edit copies-on-write.
     fn get_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
-        if let Some(d) = self.cache.get_rc(blk) {
+        if let Some(d) = self.state.cache.get_rc(blk) {
             return Ok(d);
         }
         let data = self.load_block(blk)?;
@@ -518,7 +525,7 @@ impl Ufs {
             self.dev.write_block(blk, data)?;
         }
         self.copies += 1;
-        if self.cache.overwrite(blk, data, !sync) {
+        if self.state.cache.overwrite(blk, data, !sync) {
             return Ok(());
         }
         self.cache_insert(blk, Arc::from(data), !sync)
@@ -529,7 +536,7 @@ impl Ufs {
     /// through (`sync`) or left dirty. A failed write-through leaves the
     /// cached copy ahead of the media, as a failed delayed flush does.
     fn update_block(&mut self, blk: u64, sync: bool, edit: impl FnOnce(&mut [u8])) -> FsResult<()> {
-        if let Some(buf) = self.cache.get_mut(blk, !sync) {
+        if let Some(buf) = self.state.cache.get_mut(blk, !sync) {
             edit(buf);
             if sync {
                 self.dev.write_block(blk, buf)?;
@@ -550,13 +557,13 @@ impl Ufs {
     // ----- inode helpers ----------------------------------------------
 
     fn get_inode(&mut self, ino: u32) -> FsResult<Inode> {
-        let (blk, off) = self.layout.inode_location(ino);
+        let (blk, off) = self.state.layout.inode_location(ino);
         let buf = self.get_block(blk)?;
         Inode::decode(get_bytes(&buf, off, INODE_SIZE)?)
     }
 
     fn put_inode(&mut self, ino: u32, inode: &Inode, sync: bool) -> FsResult<()> {
-        let (blk, off) = self.layout.inode_location(ino);
+        let (blk, off) = self.state.layout.inode_location(ino);
         // The block holds other inodes too, so read-modify-write.
         self.update_block(blk, sync, |buf| {
             inode.encode_into(&mut buf[off..off + INODE_SIZE])
@@ -566,26 +573,33 @@ impl Ufs {
     // ----- allocation ---------------------------------------------------
 
     fn usable_free(&self) -> u64 {
-        self.block_bm
+        self.state
+            .block_bm
             .free()
-            .saturating_sub(self.layout.reserved_blocks)
+            .saturating_sub(self.state.layout.reserved_blocks)
     }
 
     fn alloc_data_block(&mut self, hint: u64) -> FsResult<u64> {
         if self.usable_free() == 0 {
             return Err(FsError::NoSpace);
         }
-        let idx = self.block_bm.alloc_from(hint).ok_or(FsError::NoSpace)?;
-        self.alloc_hint = idx + 1;
-        Ok(self.layout.data_start + idx)
+        let idx = self
+            .state
+            .block_bm
+            .alloc_from(hint)
+            .ok_or(FsError::NoSpace)?;
+        self.state.alloc_hint = idx + 1;
+        Ok(self.state.layout.data_start + idx)
     }
 
     fn free_data_block(&mut self, blk: u64) {
-        debug_assert!(blk >= self.layout.data_start);
-        self.block_bm.clear(blk - self.layout.data_start);
-        self.cache.remove(blk);
-        self.dirty_ptrs.remove(&blk);
-        if self.cfg.trim_on_delete {
+        debug_assert!(blk >= self.state.layout.data_start);
+        self.state
+            .block_bm
+            .clear(blk - self.state.layout.data_start);
+        self.state.cache.remove(blk);
+        self.state.dirty_ptrs.remove(&blk);
+        if self.state.cfg.trim_on_delete {
             let _ = self.dev.trim(blk);
         }
     }
@@ -602,7 +616,7 @@ impl Ufs {
         file_block: u64,
         allocate: bool,
     ) -> FsResult<Option<(u64, bool)>> {
-        let hint = self.alloc_hint;
+        let hint = self.state.alloc_hint;
         match classify(file_block)? {
             BlockPath::Direct(i) => {
                 let fresh = inode.direct[i] == NO_BLOCK;
@@ -671,7 +685,7 @@ impl Ufs {
         if !allocate {
             return Ok(None);
         }
-        let b = self.alloc_data_block(self.alloc_hint)?;
+        let b = self.alloc_data_block(self.state.alloc_hint)?;
         // A pointer-block child is zeroed on media before this slot can
         // reference it; data children are overwritten by the caller and may
         // stay delayed (a crash then leaves a pointer to stale data in an
@@ -681,7 +695,7 @@ impl Ufs {
         // handle is what carries its bytes. Take the cache's reference away
         // (if it still has one) and the handle is the sole owner unless a
         // snapshot shares the payload: only then is the block copied.
-        drop(self.cache.remove(ptr_blk));
+        drop(self.state.cache.remove(ptr_blk));
         if Arc::get_mut(&mut ptrs).is_none() {
             ptrs = Arc::from(&*ptrs);
             self.copies += 1;
@@ -692,7 +706,7 @@ impl Ufs {
         // ([`Ufs::flush_pointer_blocks`]), before the inode that leads to
         // it can reach the media.
         self.cache_insert(ptr_blk, ptrs, true)?;
-        self.dirty_ptrs.insert(ptr_blk);
+        self.state.dirty_ptrs.insert(ptr_blk);
         Ok(Some((b, true)))
     }
 
@@ -703,12 +717,12 @@ impl Ufs {
     /// the whole block, and cache pressure evicts dirty blocks), and the
     /// pointer chain it references must already be there.
     fn flush_pointer_blocks(&mut self) -> FsResult<()> {
-        while let Some(blk) = self.dirty_ptrs.pop_first() {
-            if let Some((data, dirty)) = self.cache.remove(blk) {
+        while let Some(blk) = self.state.dirty_ptrs.pop_first() {
+            if let Some((data, dirty)) = self.state.cache.remove(blk) {
                 if dirty {
                     self.dev.write_block(blk, &data)?;
                 }
-                self.cache.insert(blk, data, false);
+                self.state.cache.insert(blk, data, false);
             }
         }
         Ok(())
@@ -742,7 +756,7 @@ impl Ufs {
         match Self::split_parent(path).0 {
             None => Ok(ROOT_INO),
             Some(parent) => {
-                let e = self.names.get(parent).ok_or(FsError::NotFound)?;
+                let e = self.state.names.get(parent).ok_or(FsError::NotFound)?;
                 if !e.is_dir {
                     return Err(FsError::Invalid("path component is not a directory"));
                 }
@@ -774,7 +788,7 @@ impl Ufs {
             dir.size = needed;
             self.put_inode(dir_ino, &dir, true)?;
         }
-        let slots = self.dir_slots.entry(dir_ino).or_default();
+        let slots = self.state.dir_slots.entry(dir_ino).or_default();
         slots.set(slot_idx, entry.is_some());
         Ok(())
     }
@@ -782,12 +796,12 @@ impl Ufs {
     /// Allocate an inode + directory entry for `path` (file or directory).
     fn create_entry(&mut self, path: &str, is_dir: bool) -> FsResult<PathEntry> {
         let path = Self::normalize(path)?;
-        if self.names.contains_key(&path) {
+        if self.state.names.contains_key(&path) {
             return Err(FsError::Exists);
         }
         let parent = self.parent_dir_ino(&path)?;
         let leaf = Self::split_parent(&path).1.to_string();
-        let ino = self.inode_bm.alloc_from(1).ok_or(FsError::NoSpace)? as u32;
+        let ino = self.state.inode_bm.alloc_from(1).ok_or(FsError::NoSpace)? as u32;
         // Synchronous metadata: inode first, then the directory entry that
         // makes it reachable (the safe ordering).
         let inode = if is_dir {
@@ -796,7 +810,12 @@ impl Ufs {
             Inode::empty()
         };
         self.put_inode(ino, &inode, true)?;
-        let slot = self.dir_slots.entry(parent).or_default().lowest_free();
+        let slot = self
+            .state
+            .dir_slots
+            .entry(parent)
+            .or_default()
+            .lowest_free();
         self.write_dir_slot(parent, slot, Some(&Dirent { ino, name: leaf }))?;
         let entry = PathEntry {
             ino,
@@ -804,7 +823,7 @@ impl Ufs {
             slot,
             is_dir,
         };
-        self.names.insert(path, entry);
+        self.state.names.insert(path, entry);
         Ok(entry)
     }
 
@@ -814,7 +833,7 @@ impl Ufs {
         let dir_ino = match path.trim_matches('/') {
             "" => ROOT_INO,
             p => {
-                let e = self.names.get(p).ok_or(FsError::NotFound)?;
+                let e = self.state.names.get(p).ok_or(FsError::NotFound)?;
                 if !e.is_dir {
                     return Err(FsError::Invalid("not a directory"));
                 }
@@ -822,6 +841,7 @@ impl Ufs {
             }
         };
         Ok(self
+            .state
             .names
             .iter()
             .filter(|(_, e)| e.parent == dir_ino)
@@ -833,26 +853,24 @@ impl Ufs {
 
     /// Issue the next handle for inode `ino`.
     fn open_handle(&mut self, ino: u32) -> FileId {
-        self.handles.push(ino);
-        self.handles.len() as FileId
+        self.state.handles.push(ino);
+        self.state.handles.len() as FileId
     }
 
     fn ino_of(&self, f: FileId) -> FsResult<u32> {
         let slot = usize::try_from(f).ok().and_then(|f| f.checked_sub(1));
-        slot.and_then(|i| self.handles.get(i).copied())
+        slot.and_then(|i| self.state.handles.get(i).copied())
             .ok_or(FsError::BadHandle)
     }
 
     fn flush_bitmaps(&mut self) -> FsResult<()> {
-        for chunk in self.inode_bm.take_dirty_chunks() {
-            let blk = self.layout.inode_bitmap_start + chunk as u64;
-            let data = self.inode_bm.chunk_bytes(chunk);
-            self.dev.write_block(blk, &data)?;
-        }
-        for chunk in self.block_bm.take_dirty_chunks() {
-            let blk = self.layout.block_bitmap_start + chunk as u64;
-            let data = self.block_bm.chunk_bytes(chunk);
-            self.dev.write_block(blk, &data)?;
+        let st = &mut self.state;
+        let starts = [st.layout.inode_bitmap_start, st.layout.block_bitmap_start];
+        for (bitmap, start) in [&mut st.inode_bm, &mut st.block_bm].into_iter().zip(starts) {
+            for chunk in bitmap.take_dirty_chunks() {
+                let data = bitmap.chunk_bytes(chunk);
+                self.dev.write_block(start + chunk as u64, &data)?;
+            }
         }
         Ok(())
     }
@@ -862,8 +880,10 @@ impl Ufs {
     /// costs host CPU — the flush runs through the same user-level code as
     /// any other block write.
     fn flush_dirty_sorted(&mut self) -> FsResult<()> {
-        let dirty = self.cache.take_dirty_sorted();
-        self.host.charge(&self.dev.clock(), dirty.len() as u64);
+        let dirty = self.state.cache.take_dirty_sorted();
+        self.state
+            .host
+            .charge(&self.dev.clock(), dirty.len() as u64);
         // Only mint a span when there is actually something to write back.
         let sp = if dirty.is_empty() {
             0
@@ -890,13 +910,19 @@ impl Ufs {
                 j += 1;
             }
             if j - i == 1 {
-                let data = self.cache.peek(dirty[i]).expect("flushed block cached");
+                let data = self
+                    .state
+                    .cache
+                    .peek(dirty[i])
+                    .expect("flushed block cached");
                 self.dev.write_blocks(dirty[i], data)?;
             } else {
                 run.clear();
                 run.reserve_exact((j - i) * BLOCK_SIZE);
                 for &blk in &dirty[i..j] {
-                    run.extend_from_slice(self.cache.peek(blk).expect("flushed block cached"));
+                    run.extend_from_slice(
+                        self.state.cache.peek(blk).expect("flushed block cached"),
+                    );
                 }
                 self.copies += (j - i) as u64;
                 self.dev.write_blocks(dirty[i], &run)?;
@@ -911,7 +937,7 @@ impl Ufs {
         let mut targets = Vec::new();
         for fb in from..to {
             if let Some((db, _)) = self.resolve_block(inode, fb, false)? {
-                if !self.cache.contains(db) {
+                if !self.state.cache.contains(db) {
                     targets.push(db);
                 }
             }
@@ -964,7 +990,7 @@ impl Ufs {
     fn write_inner(&mut self, f: FileId, offset: u64, data: &[u8]) -> FsResult<()> {
         let ino = self.ino_of(f)?;
         let blocks = (data.len() as u64).div_ceil(BLOCK_SIZE as u64);
-        self.host.charge(&self.dev.clock(), blocks);
+        self.state.host.charge(&self.dev.clock(), blocks);
         if data.is_empty() {
             return Ok(());
         }
@@ -986,7 +1012,7 @@ impl Ufs {
                 if lo >= hi {
                     continue;
                 }
-                self.update_block(dev_blk, self.sync_data, |buf| buf[lo..hi].fill(0))?;
+                self.update_block(dev_blk, self.state.sync_data, |buf| buf[lo..hi].fill(0))?;
             }
         }
         let mut pos = 0usize;
@@ -1003,10 +1029,10 @@ impl Ufs {
             inode_dirty |= fresh;
             let piece = &data[pos..pos + n];
             if n == BLOCK_SIZE {
-                self.put_block(dev_blk, piece, self.sync_data)?;
+                self.put_block(dev_blk, piece, self.state.sync_data)?;
             } else if !fresh {
                 // Partial overwrite: read-modify-write in the cached block.
-                self.update_block(dev_blk, self.sync_data, |buf| {
+                self.update_block(dev_blk, self.state.sync_data, |buf| {
                     buf[in_block..in_block + n].copy_from_slice(piece)
                 })?;
             } else {
@@ -1014,10 +1040,10 @@ impl Ufs {
                 let mut block = zeroed_block();
                 let buf = Arc::get_mut(&mut block).expect("fresh buffer is unshared");
                 buf[in_block..in_block + n].copy_from_slice(piece);
-                if self.sync_data {
+                if self.state.sync_data {
                     self.dev.write_block(dev_blk, &block)?;
                 }
-                self.cache_insert(dev_blk, block, !self.sync_data)?;
+                self.cache_insert(dev_blk, block, !self.state.sync_data)?;
             }
             pos += n;
             off += n as u64;
@@ -1040,7 +1066,7 @@ impl Ufs {
     fn read_inner(&mut self, f: FileId, offset: u64, out: &mut [u8]) -> FsResult<usize> {
         let ino = self.ino_of(f)?;
         let blocks = (out.len() as u64).div_ceil(BLOCK_SIZE as u64);
-        self.host.charge(&self.dev.clock(), blocks);
+        self.state.host.charge(&self.dev.clock(), blocks);
         let mut inode = self.get_inode(ino)?;
         if offset >= inode.size {
             return Ok(0);
@@ -1063,9 +1089,13 @@ impl Ufs {
             // Sequential-read detection drives windowed read-ahead: once a
             // run is detected, keep the next `readahead_blocks` blocks
             // prefetched, refilling in batches when the window half-drains.
-            let ra = self.cfg.readahead_blocks;
-            let (last_fb, mut ra_until) =
-                self.seq_state.get(&ino).copied().unwrap_or((u64::MAX, 0));
+            let ra = self.state.cfg.readahead_blocks;
+            let (last_fb, mut ra_until) = self
+                .state
+                .seq_state
+                .get(&ino)
+                .copied()
+                .unwrap_or((u64::MAX, 0));
             let sequential = fb == last_fb.wrapping_add(1) || fb == last_fb;
             if sequential && ra > 0 && fb + ra / 2 + 1 >= ra_until {
                 let start = ra_until.max(fb + 1);
@@ -1075,7 +1105,7 @@ impl Ufs {
                     ra_until = end;
                 }
             }
-            self.seq_state.insert(ino, (fb, ra_until));
+            self.state.seq_state.insert(ino, (fb, ra_until));
             pos += n;
             off += n as u64;
         }
@@ -1083,10 +1113,10 @@ impl Ufs {
     }
 
     fn delete_inner(&mut self, name: &str) -> FsResult<()> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let path = Self::normalize(name)?;
-        let e = *self.names.get(&path).ok_or(FsError::NotFound)?;
-        let slots = self.dir_slots.get(&e.ino);
+        let e = *self.state.names.get(&path).ok_or(FsError::NotFound)?;
+        let slots = self.state.dir_slots.get(&e.ino);
         if e.is_dir && slots.is_some_and(|s| s.used.contains(&true)) {
             return Err(FsError::Invalid("directory not empty"));
         }
@@ -1094,9 +1124,9 @@ impl Ufs {
         // Directory entry out first (synchronously), then free the inode
         // and blocks.
         self.write_dir_slot(e.parent, slot, None)?;
-        self.names.remove(&path);
+        self.state.names.remove(&path);
         if e.is_dir {
-            self.dir_slots.remove(&ino);
+            self.state.dir_slots.remove(&ino);
         }
         let mut inode = self.get_inode(ino)?;
         // Free every data and pointer block, each pointer block after the
@@ -1111,23 +1141,23 @@ impl Ufs {
         inode = Inode::empty();
         inode.allocated = false;
         self.put_inode(ino, &inode, true)?;
-        self.inode_bm.clear(ino as u64);
-        self.seq_state.remove(&ino);
+        self.state.inode_bm.clear(ino as u64);
+        self.state.seq_state.remove(&ino);
         Ok(())
     }
 
     fn rename_inner(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let from = Self::normalize(from)?;
         let to = Self::normalize(to)?;
-        let e = *self.names.get(&from).ok_or(FsError::NotFound)?;
+        let e = *self.state.names.get(&from).ok_or(FsError::NotFound)?;
         if e.is_dir {
             return Err(FsError::Invalid("directory rename not supported"));
         }
         if from == to {
             return Ok(());
         }
-        if self.names.contains_key(&to) {
+        if self.state.names.contains_key(&to) {
             return Err(FsError::Exists);
         }
         let new_parent = self.parent_dir_ino(&to)?;
@@ -1135,7 +1165,12 @@ impl Ufs {
         // Synchronous metadata, safe ordering: the new entry lands first,
         // then the old one is cleared — a crash in between leaves the file
         // reachable under both names, never under none.
-        let slot = self.dir_slots.entry(new_parent).or_default().lowest_free();
+        let slot = self
+            .state
+            .dir_slots
+            .entry(new_parent)
+            .or_default()
+            .lowest_free();
         self.write_dir_slot(
             new_parent,
             slot,
@@ -1145,8 +1180,8 @@ impl Ufs {
             }),
         )?;
         self.write_dir_slot(e.parent, e.slot, None)?;
-        self.names.remove(&from);
-        self.names.insert(
+        self.state.names.remove(&from);
+        self.state.names.insert(
             to,
             PathEntry {
                 ino: e.ino,
@@ -1189,19 +1224,7 @@ where
 /// shared copy-on-write with the snapshot and with sibling forks.
 pub struct UfsSnapshot {
     dev: Box<dyn DeviceSnapshot>,
-    host: HostModel,
-    layout: Layout,
-    cfg: UfsConfig,
-    inode_bm: Bitmap,
-    block_bm: Bitmap,
-    cache: BufferCache,
-    names: HashMap<String, PathEntry>,
-    dir_slots: HashMap<u32, DirSlots>,
-    handles: Vec<u32>,
-    seq_state: HashMap<u32, (u64, u64)>,
-    alloc_hint: u64,
-    dirty_ptrs: std::collections::BTreeSet<u64>,
-    sync_data: bool,
+    state: UfsState,
 }
 
 // Snapshots must cross thread boundaries: the whole point is to capture
@@ -1212,31 +1235,10 @@ const _: fn() = || {
 };
 
 impl UfsSnapshot {
-    /// Materialise an independent live system from this snapshot.
+    /// Materialise an independent live system from this snapshot. A fork's
+    /// work counters start at the fork.
     pub fn restore(&self) -> Ufs {
-        let dev = self.dev.restore();
-        let spans = dev.spans();
-        Ufs {
-            dev,
-            host: self.host,
-            layout: self.layout,
-            cfg: self.cfg,
-            inode_bm: self.inode_bm.clone(),
-            block_bm: self.block_bm.clone(),
-            cache: self.cache.clone(),
-            names: self.names.clone(),
-            dir_slots: self.dir_slots.clone(),
-            handles: self.handles.clone(),
-            seq_state: self.seq_state.clone(),
-            alloc_hint: self.alloc_hint,
-            dirty_ptrs: self.dirty_ptrs.clone(),
-            sync_data: self.sync_data,
-            // A fork's work counters start at the fork.
-            copies: 0,
-            work_published: (self.cache.probes(), self.cache.cow_copies()),
-            metrics: disksim::Metrics::disabled(),
-            spans,
-        }
+        Ufs::assemble(self.dev.restore(), self.state.clone())
     }
 
     /// Simulation events the captured system had consumed. A fork credits
@@ -1249,7 +1251,7 @@ impl UfsSnapshot {
 
 impl FileSystem for Ufs {
     fn create(&mut self, name: &str) -> FsResult<FileId> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let sp = self.span_open(disksim::SpanKind::FsOp, "ufs.create");
         let r = self.create_entry(name, false);
         self.span_close(sp);
@@ -1258,7 +1260,7 @@ impl FileSystem for Ufs {
     }
 
     fn mkdir(&mut self, path: &str) -> FsResult<()> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let sp = self.span_open(disksim::SpanKind::FsOp, "ufs.mkdir");
         let r = self.create_entry(path, true);
         self.span_close(sp);
@@ -1267,9 +1269,9 @@ impl FileSystem for Ufs {
     }
 
     fn open(&mut self, name: &str) -> FsResult<FileId> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let path = Self::normalize(name)?;
-        let e = *self.names.get(&path).ok_or(FsError::NotFound)?;
+        let e = *self.state.names.get(&path).ok_or(FsError::NotFound)?;
         if e.is_dir {
             return Err(FsError::Invalid("is a directory"));
         }
@@ -1310,7 +1312,7 @@ impl FileSystem for Ufs {
     }
 
     fn sync(&mut self) -> FsResult<()> {
-        self.host.charge(&self.dev.clock(), 0);
+        self.state.host.charge(&self.dev.clock(), 0);
         let sp = self.span_open(disksim::SpanKind::FsOp, "ufs.sync");
         let r = self.sync_inner();
         self.span_close(sp);
@@ -1318,29 +1320,29 @@ impl FileSystem for Ufs {
     }
 
     fn drop_caches(&mut self) {
-        self.cache.drop_clean();
-        self.seq_state.clear();
+        self.state.cache.drop_clean();
+        self.state.seq_state.clear();
     }
 
     fn set_sync_writes(&mut self, on: bool) {
-        self.sync_data = on;
+        self.state.sync_data = on;
     }
 
     fn idle(&mut self, ns: u64) {
         let clock = self.dev.clock();
         let end = clock.now() + ns;
-        if self.cfg.flush_on_full {
+        if self.state.cfg.flush_on_full {
             // NVRAM discipline: use idle time for background write-back so
             // a later burst finds the buffer empty — with enough idle, the
             // flush (and any cleaning it triggers below) is entirely masked
             // and the foreground runs at memory speed.
-            let sp = if self.cache.dirty_count() > 0 {
+            let sp = if self.state.cache.dirty_count() > 0 {
                 self.span_open(disksim::SpanKind::CacheFlush, "ufs.idle_writeback")
             } else {
                 0
             };
-            while clock.now() < end && self.cache.dirty_count() > 0 {
-                let mut dirty = self.cache.take_dirty_sorted();
+            while clock.now() < end && self.state.cache.dirty_count() > 0 {
+                let mut dirty = self.state.cache.take_dirty_sorted();
                 let taken = dirty.len();
                 // Keep the blocks that stay unwritten: out of idle budget,
                 // or refused by the device.
@@ -1348,13 +1350,13 @@ impl FileSystem for Ufs {
                     if clock.now() >= end {
                         return true;
                     }
-                    self.host.charge(&clock, 1);
-                    let data = self.cache.peek(blk).expect("flushed block cached");
+                    self.state.host.charge(&clock, 1);
+                    let data = self.state.cache.peek(blk).expect("flushed block cached");
                     self.dev.write_block(blk, data).is_err()
                 });
                 // Re-dirty them in place (no copy, recency intact), all in
                 // one pass of the cache's lists.
-                self.cache.mark_dirty(&dirty);
+                self.state.cache.mark_dirty(&dirty);
                 // A pass that wrote nothing will not do better next time:
                 // with a dead device and a host model that charges no time,
                 // neither the clock nor the dirty count would ever move.
@@ -1376,8 +1378,8 @@ impl FileSystem for Ufs {
 
     fn utilization(&self) -> f64 {
         // df-style: the reserve counts as used.
-        (self.block_bm.used() + self.layout.reserved_blocks) as f64
-            / self.layout.data_blocks() as f64
+        (self.state.block_bm.used() + self.state.layout.reserved_blocks) as f64
+            / self.state.layout.data_blocks() as f64
     }
 
     fn free_blocks(&self) -> u64 {

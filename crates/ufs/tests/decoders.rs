@@ -223,6 +223,63 @@ fn a_dirent_naming_an_inode_beyond_the_table_is_refused_by_mount() {
     Ufs::mount(dev, HostModel::instant()).expect("the repaired volume mounts");
 }
 
+/// Rewrite the inode the root directory names `name` with `damage`.
+fn damage_inode(dev: &mut dyn BlockDevice, name: &str, damage: impl FnOnce(&mut Inode)) {
+    let dir_blk = targets(dev)[2];
+    let entry = read(dev, dir_blk)
+        .chunks(DIRENT_SIZE)
+        .find_map(|slot| Dirent::decode(slot).unwrap().filter(|e| e.name == name))
+        .unwrap_or_else(|| panic!("{name} is in the root directory"));
+    let (blk, off) = layout(dev).inode_location(entry.ino);
+    let mut buf = read(dev, blk);
+    let mut node = Inode::decode(&buf[off..off + INODE_SIZE]).unwrap();
+    damage(&mut node);
+    node.encode_into(&mut buf[off..off + INODE_SIZE]);
+    dev.write_block(blk, &buf).unwrap();
+}
+
+/// File pointers outside the data area: `f1`'s first direct pointer names
+/// a block of the inode table, and `f4`'s indirect pointer lies past the
+/// end of the device. Mount refuses each (it used to skip them, after
+/// which a `delete` freed a bit below the data bitmap); `fsck_repair`
+/// clears them, after which the volume mounts and both files delete.
+#[test]
+fn a_pointer_outside_the_data_area_is_refused_by_mount() {
+    let clean = hp_volume();
+    let l = layout(clean.restore().as_mut());
+    let below = (l.inode_table_start + 1) as u32;
+    let past = (l.total_blocks + 7) as u32;
+    assert!(u64::from(below) < l.data_start);
+    let damage = |name: &str, node: &mut Inode| match name {
+        "f1" => node.direct[0] = below,
+        _ => node.indirect = past,
+    };
+    let mut both = clean.restore();
+    for name in ["f1", "f4"] {
+        let mut dev = clean.restore();
+        damage_inode(dev.as_mut(), name, |node| damage(name, node));
+        assert!(
+            matches!(
+                Ufs::mount(dev, HostModel::instant()),
+                Err(FsError::Invalid("block pointer outside the data area"))
+            ),
+            "{name}"
+        );
+        damage_inode(both.as_mut(), name, |node| damage(name, node));
+    }
+    let report = fsck(both.as_mut()).unwrap();
+    let out_of_range = |e: &FsckError| matches!(e, FsckError::PointerOutOfRange { .. });
+    assert_eq!(report.errors.iter().filter(|e| out_of_range(e)).count(), 2);
+    fsck_repair(both.as_mut()).unwrap();
+    assert!(fsck(both.as_mut()).unwrap().is_clean());
+    let mut fs = Ufs::mount(both, HostModel::instant()).expect("the repaired volume mounts");
+    for name in ["f1", "f4"] {
+        fs.delete(name)
+            .unwrap_or_else(|e| panic!("delete {name}: {e}"));
+    }
+    fs.sync().unwrap();
+}
+
 /// A directory entry naming the root directory is a cycle: mount refuses
 /// it rather than walking the tree forever, and `fsck` reports the root's
 /// second name.
