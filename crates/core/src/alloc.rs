@@ -13,12 +13,15 @@
 //!   (75 % in the paper's experiments), then move on; fall back to greedy
 //!   once the pool is exhausted.
 //!
-//! All cost ranking uses the exact mechanical model via
-//! [`disksim::Disk::position_cost`], so the allocator is as informed as
-//! firmware running inside the drive — precisely the paper's premise.
+//! Both greedy sweeps and the compactor's hole-plug price a cylinder
+//! through one function, [`best_in_cylinder`]; it and the threshold fill
+//! use the exact mechanical model of [`disksim::Disk::cylinder_pricer`]
+//! (equal to [`disksim::Disk::position_cost`] at every sector), so the
+//! allocator is as informed as firmware running inside the drive —
+//! precisely the paper's premise.
 
 use crate::freemap::FreeMap;
-use disksim::{CylinderPricer, Disk, Metrics, ServiceTime, TrackPricer};
+use disksim::{Disk, Metrics, ServiceTime};
 
 /// A chosen allocation target and its predicted positioning cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,38 +171,9 @@ impl EagerAllocator {
         self.price_track(disk, free, next.0, next.1, align)
     }
 
-    /// Cheapest candidate on one track: the first free (aligned) slot in
-    /// rotational encounter order from the head's arrival position.
-    ///
-    /// `incumbent_ns` is the cost of the best candidate found so far: every
-    /// sector here costs at least the seek/head-switch to reach the track,
-    /// so when that lower bound already matches or exceeds the incumbent the
-    /// track is discarded without scanning it or pricing anything exactly.
-    /// (Ties keep the incumbent, matching `min_by_key`'s first-wins rule.)
-    fn best_in_track(
-        &self,
-        disk: &Disk,
-        free: &FreeMap,
-        cyl: u32,
-        track: u32,
-        align: u32,
-        incumbent_ns: u64,
-    ) -> Option<Candidate> {
-        if disk.reposition_lower_bound_ns(cyl, track) >= incumbent_ns {
-            return None;
-        }
-        self.price_track(disk, free, cyl, track, align)
-    }
-
-    /// Price one track with no lower-bound prune: the first free (aligned)
-    /// slot in rotational encounter order from the head's arrival position.
-    /// The best-first frontier consumers call this directly — the frontier
-    /// already computed each unit's exact lower bound, and its ordered
-    /// early-exit subsumes the per-track prune, so recomputing
-    /// `reposition_lower_bound_ns` here would be pure double work. The
-    /// one-shot [`Disk::track_pricer`] plan does the seek/arrival
-    /// trigonometry once instead of once per disk query.
-    #[inline]
+    /// The first free (aligned) slot on one track in rotational encounter
+    /// order from the head's arrival, priced exactly — all the threshold
+    /// fill needs.
     fn price_track(
         &self,
         disk: &Disk,
@@ -208,216 +182,47 @@ impl EagerAllocator {
         track: u32,
         align: u32,
     ) -> Option<Candidate> {
-        let plan = disk.track_pricer(cyl, track).ok()?;
-        self.price_planned(disk, free, cyl, track, align, &plan)
-    }
-
-    /// Price one track through an already-built [`TrackPricer`] plan: scan
-    /// the free map from the plan's arrival sector, cost the hit with the
-    /// plan's cached angular state.
-    #[inline]
-    fn price_planned(
-        &self,
-        disk: &Disk,
-        free: &FreeMap,
-        cyl: u32,
-        track: u32,
-        align: u32,
-        plan: &TrackPricer,
-    ) -> Option<Candidate> {
         if self.state.avoid == Some((cyl, track)) {
             return None;
         }
-        let sector = free.first_aligned_from(cyl, track, plan.arrival, align)?;
-        let cost = disk.priced_cost(plan, sector);
+        let tp = disk.cylinder_pricer(cyl).ok()?.track(track);
+        let sector = free.first_aligned_from(cyl, track, tp.arrival, align)?;
         Some(Candidate {
             cyl,
             track,
             sector,
-            cost,
+            cost: tp.cost(sector),
         })
     }
 
-    /// Cheapest candidate within one cylinder (all tracks considered). The
-    /// per-cylinder summary counts reject cylinders with no usable space in
-    /// O(1), and the running best feeds the per-track lower-bound prune.
-    fn best_in_cylinder(
-        &self,
-        disk: &Disk,
-        free: &FreeMap,
-        cyl: u32,
-        align: u32,
-    ) -> Option<Candidate> {
-        if !free.cylinder_has_candidate(cyl, align) {
-            return None;
-        }
-        let tracks = free.tracks_in_cylinder();
-        let mut best: Option<Candidate> = None;
-        let mut bound = u64::MAX;
-        for t in 0..tracks {
-            if let Some(c) = self.best_in_track(disk, free, cyl, t, align, bound) {
-                // The prune used a lower bound; the exact cost can still
-                // lose to the incumbent. Replace only on strict improvement
-                // (first-wins on ties, like the unpruned `min_by_key`).
-                if c.cost.total_ns() < bound {
-                    bound = c.cost.total_ns();
-                    best = Some(c);
-                }
+    /// Greedy search from the head's cylinder, pricing each cylinder with
+    /// [`best_in_cylinder`]. One-way mode walks forward (wrapping) and
+    /// takes the first cylinder with a candidate; two-way mode walks the
+    /// [`FreeMap::ring`] and stops once the best cost is below the seek to
+    /// the next distance, keeping the first of equal costs. Both pick
+    /// exactly what the naive `reference::greedy` scan picks (the
+    /// equivalence tests below).
+    fn greedy(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
+        let head = disk.head().cyl;
+        let avoid = self.state.avoid;
+        let search = |cyl: u32| {
+            if !free.cylinder_has_candidate(cyl, align) {
+                return None;
             }
-        }
-        best
-    }
-
-    /// Greedy search: current cylinder first, then widening. One-way mode
-    /// walks forward (wrapping) and takes the first cylinder with space;
-    /// two-way mode alternates ±d and stops once no unvisited location can
-    /// beat the best candidate found. Both pick exactly what the naive
-    /// `reference::greedy` scan picks (the equivalence tests below).
-    fn greedy(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        if self.state.cfg.one_way_sweep {
-            self.greedy_one_way(disk, free, align)
-        } else {
-            self.greedy_two_way(disk, free, align)
-        }
-    }
-
-    /// Best-first two-way search over the [`FreeMap::frontier`].
-    ///
-    /// Tracks arrive in nondecreasing order of their exact repositioning
-    /// lower bound, so the loop stops at the first unit whose bound
-    /// strictly exceeds the incumbent's exact cost: every unvisited track
-    /// can then only yield strictly costlier candidates. Units whose bound
-    /// *equals* the incumbent's cost are still priced — they can tie, and a
-    /// tie is won by the track the reference scan visits first, which is
-    /// what the lexicographic `(cost, rank)` replacement below decides.
-    /// Hence the result equals the reference `min_by_key` pick exactly.
-    fn greedy_two_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        let head = disk.head();
-        let switch = disk.spec().mech.head_switch_ns;
-        let mut best: Option<(Candidate, u64, u64)> = None; // (cand, total_ns, rank)
-        // The frontier drains each cylinder's tracks contiguously, so one
-        // cylinder-wide plan (seek + arrival-angle divisions) serves every
-        // unit of the group; only the per-track skew is new work.
-        let mut cached: Option<(u32, CylinderPricer)> = None;
-        for unit in free.frontier(head.cyl, head.track, switch, |d| disk.seek_ns(d), align) {
-            if let Some((_, total, _)) = &best {
-                if unit.lower_bound_ns > *total {
-                    break;
-                }
-            }
-            // Price with no per-track prune: the frontier's ordered bounds
-            // make the `break` above the complete prune — any unit that
-            // survives it has `lower_bound_ns <= incumbent`, exactly the
-            // units a `>= incumbent + 1` prune would keep (equal-cost,
-            // lower-rank ties included, resolved by the rank comparison
-            // below).
-            let c = if unit.cyl == head.cyl && unit.track == head.track {
-                self.price_track(disk, free, unit.cyl, unit.track, align)
-            } else {
-                let plan = match &cached {
-                    Some((pc, p)) if *pc == unit.cyl => *p,
-                    _ => match disk.cylinder_pricer(unit.cyl) {
-                        Ok(p) => {
-                            cached = Some((unit.cyl, p));
-                            p
-                        }
-                        Err(_) => continue,
-                    },
-                };
-                let tp = disk.track_pricer_from(&plan, unit.track);
-                self.price_planned(disk, free, unit.cyl, unit.track, align, &tp)
-            };
-            let Some(c) = c else {
-                continue;
-            };
-            let total = c.cost.total_ns();
-            let better = match &best {
-                None => true,
-                Some((_, bt, rank)) => total < *bt || (total == *bt && unit.rank < *rank),
-            };
-            if better {
-                best = Some((c, total, unit.rank));
-            }
-        }
-        best.map(|(c, _, _)| c)
-    }
-
-    /// Best-first one-way search: the cylinder choice is sweep order (first
-    /// cylinder with any candidate, exactly as the reference behaves), but
-    /// within the head's own cylinder the head track (lower bound 0) is
-    /// priced first and wins outright when its candidate costs less than a
-    /// head switch — the common mostly-empty-track case prices one track
-    /// instead of scanning the cylinder.
-    fn greedy_one_way(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        let cyls = free.cylinders();
-        let head = disk.head();
-        for w in 0..cyls {
-            let c = (head.cyl + w) % cyls;
-            if !free.cylinder_has_candidate(c, align) {
-                continue;
-            }
-            let cand = if c == head.cyl {
-                self.best_first_in_head_cylinder(disk, free, align)
-            } else {
-                self.best_in_cylinder(disk, free, c, align)
-            };
-            if cand.is_some() {
-                return cand;
-            }
-        }
-        None
-    }
-
-    /// Best candidate within the head's cylinder, head track first. Ties
-    /// across tracks resolve to the lowest track index (the reference
-    /// scans tracks in order with first-wins `min_by_key`), so replacement
-    /// is lexicographic on `(cost, track)` and the early exits are strict.
-    fn best_first_in_head_cylinder(
-        &self,
-        disk: &Disk,
-        free: &FreeMap,
-        align: u32,
-    ) -> Option<Candidate> {
-        let head = disk.head();
-        let switch = disk.spec().mech.head_switch_ns;
-        let tracks = free.tracks_in_cylinder();
-        let mut best: Option<Candidate> = None;
-        if let Some(c) = self.price_track(disk, free, head.cyl, head.track, align) {
-            if c.cost.total_ns() < switch {
-                // Every other track costs at least a head switch: strictly
-                // worse, and a tie is impossible.
-                return Some(c);
-            }
-            best = Some(c);
-        }
-        // One cylinder-wide plan covers every non-head track (all reached
-        // with the same head switch).
-        let Ok(plan) = disk.cylinder_pricer(head.cyl) else {
-            return best;
+            best_in_cylinder(disk, free, cyl, align, |t| avoid == Some((cyl, t)))
         };
-        for t in 0..tracks {
-            if t == head.track {
-                continue;
+        if self.state.cfg.one_way_sweep {
+            let cyls = free.cylinders();
+            return (0..cyls).find_map(|w| search((head + w) % cyls));
+        }
+        let mut best: Option<Candidate> = None;
+        for cyl in free.ring(head) {
+            let reach = disk.seek_ns(head.abs_diff(cyl));
+            if best.is_some_and(|b| b.cost.total_ns() < reach) {
+                break;
             }
-            if let Some(b) = &best {
-                if b.cost.total_ns() < switch {
-                    break;
-                }
-            }
-            // No per-track prune: every non-head track's lower bound is
-            // exactly the head-switch cost, and the `break` above already
-            // exits once the incumbent beats a head switch — the prune
-            // could never fire beyond it.
-            let tp = disk.track_pricer_from(&plan, t);
-            if let Some(c) = self.price_planned(disk, free, head.cyl, t, align, &tp) {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        c.cost.total_ns() < b.cost.total_ns()
-                            || (c.cost.total_ns() == b.cost.total_ns() && t < b.track)
-                    }
-                };
-                if better {
+            if let Some(c) = search(cyl) {
+                if best.is_none_or(|b| c.cost.total_ns() < b.cost.total_ns()) {
                     best = Some(c);
                 }
             }
@@ -436,6 +241,58 @@ impl EagerAllocator {
     pub fn fill_track(&self) -> Option<(u32, u32)> {
         self.state.fill_track
     }
+}
+
+/// The cheapest free `align`-slot on the tracks of `cyl` that `skip` lets
+/// through — on each track the first free slot in rotational encounter
+/// order, priced exactly through one [`Disk::cylinder_pricer`] plan. The
+/// head's own track is priced first, and a slot there cheaper than a head
+/// switch ends the search: every other track costs at least the switch.
+/// Otherwise the cheapest slot wins, the lowest track on a cost tie.
+/// `skip` is asked only about tracks that can hold a slot, each once.
+///
+/// Inlined so that a caller's constant `align` (the hole-plug's 4 KB
+/// block) reaches the word scan of `first_aligned_from`.
+#[inline]
+pub(crate) fn best_in_cylinder(
+    disk: &Disk,
+    free: &FreeMap,
+    cyl: u32,
+    align: u32,
+    mut skip: impl FnMut(u32) -> bool,
+) -> Option<Candidate> {
+    let plan = disk.cylinder_pricer(cyl).ok()?;
+    let own = plan.head_track();
+    let mut best: Option<(u64, Candidate)> = None;
+    for track in own
+        .into_iter()
+        .chain((0..free.tracks_in_cylinder()).filter(|&t| Some(t) != own))
+    {
+        if !free.track_has_candidate(cyl, track, align) || skip(track) {
+            continue;
+        }
+        let tp = plan.track(track);
+        let Some(sector) = free.first_aligned_from(cyl, track, tp.arrival, align) else {
+            continue;
+        };
+        let cost = tp.cost(sector);
+        let ns = cost.total_ns();
+        if best.is_none_or(|(b, c)| ns < b || (ns == b && track < c.track)) {
+            best = Some((
+                ns,
+                Candidate {
+                    cyl,
+                    track,
+                    sector,
+                    cost,
+                },
+            ));
+        }
+        if Some(track) == own && ns < disk.spec().mech.head_switch_ns {
+            break;
+        }
+    }
+    best.map(|(_, c)| c)
 }
 
 /// The pre-index exhaustive greedy search, retained as the oracle the

@@ -11,6 +11,7 @@
 //! re-appending their piece to the log (which frees the old sector by
 //! construction).
 
+use crate::alloc::best_in_cylinder;
 use crate::log::{VirtualLog, BLOCK_BYTES, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, UNMAPPED};
 use disksim::{DiskError, PhysAddr, Result, SECTOR_BYTES};
@@ -231,10 +232,9 @@ impl Compactor {
     /// Is (`cyl`, `track`) a permissible victim right now: holds live data,
     /// is not the allocator's fill track, and is not the firmware track.
     fn victim_eligible(vlog: &VirtualLog, c: u32, t: u32) -> bool {
-        let free = vlog.free_map();
-        let ti = free.track_index(c, t);
-        let used = free.sectors_per_track(ti) - free.free_in_track(c, t);
-        used > 0 && Some((c, t)) != vlog.alloc.fill_track() && !Self::is_firmware_track(c, t)
+        !vlog.free_map().track_is_empty(c, t)
+            && Some((c, t)) != vlog.alloc.fill_track()
+            && !Self::is_firmware_track(c, t)
     }
 
     fn is_firmware_track(cyl: u32, track: u32) -> bool {
@@ -341,81 +341,6 @@ impl Compactor {
     }
 }
 
-/// One hole-plug search in progress (see
-/// [`VirtualLog::find_plug_destination`]).
-struct PlugSearch<'a> {
-    log: &'a VirtualLog,
-    /// The head's (cylinder, track) when the search began.
-    head: (u32, u32),
-    victim: (u32, u32),
-    /// The first free block seen on an *empty* track.
-    last_resort: Option<(u32, u32, u32)>,
-    /// Tracks that survived the index and had a candidate located.
-    tracks_priced: u64,
-    /// Cylinders rejected on the per-cylinder summary alone.
-    cyls_skipped: u64,
-}
-
-impl PlugSearch<'_> {
-    /// The strictly cheapest free aligned block on the non-empty,
-    /// non-victim tracks of `cyl` (lowest track on a tie), noting the first
-    /// empty-track candidate passed on the way.
-    fn best_in_cylinder(&mut self, cyl: u32) -> Option<(u32, u32, u32)> {
-        let (disk, free) = (&self.log.disk, &self.log.state.free);
-        if !free.cylinder_has_candidate(cyl, BLOCK_SECTORS) {
-            self.cyls_skipped += 1;
-            return None;
-        }
-        let plan = disk.cylinder_pricer(cyl).ok()?;
-        let is_empty =
-            |t| free.free_in_track(cyl, t) == free.sectors_per_track(free.track_index(cyl, t));
-        // The head's own track goes first when it can take the block: every
-        // other track of the cylinder costs at least a head switch, so a
-        // cheaper candidate here wins outright and nothing else is priced.
-        // (An empty head track keeps its place in track order, so "first
-        // empty track seen" still means the lowest-numbered one.)
-        let own = Some(self.head.1).filter(|&t| cyl == self.head.0 && !is_empty(t));
-        let switch_ns = disk.spec().mech.head_switch_ns;
-        let mut best: Option<(u64, u32, u32)> = None; // (cost, track, sector)
-        for t in own
-            .into_iter()
-            .chain((0..free.tracks_in_cylinder()).filter(|&t| Some(t) != own))
-        {
-            if (cyl, t) == self.victim || !free.track_has_candidate(cyl, t, BLOCK_SECTORS) {
-                continue;
-            }
-            let empty = is_empty(t);
-            if empty && self.last_resort.is_some() {
-                continue;
-            }
-            // The cylinder plan assumes a head switch, which the head's own
-            // track does not pay.
-            let pricer = if (cyl, t) == self.head {
-                disk.track_pricer(cyl, t).ok()?
-            } else {
-                disk.track_pricer_from(&plan, t)
-            };
-            let Some(sector) = free.first_aligned_from(cyl, t, pricer.arrival, BLOCK_SECTORS)
-            else {
-                continue;
-            };
-            self.tracks_priced += 1;
-            if empty {
-                self.last_resort = Some((cyl, t, sector));
-                continue;
-            }
-            let cost = disk.priced_cost(&pricer, sector).total_ns();
-            if Some(t) == own && cost < switch_ns {
-                return Some((cyl, t, sector));
-            }
-            if best.is_none_or(|(c, bt, _)| (cost, t) < (c, bt)) {
-                best = Some((cost, t, sector));
-            }
-        }
-        best.map(|(_, t, sector)| (cyl, t, sector))
-    }
-}
-
 impl VirtualLog {
     /// Reverse-map lookup: which logical block lives in physical block `pb`.
     pub(crate) fn rmap_lookup(&self, pb: u32) -> u32 {
@@ -465,47 +390,47 @@ impl VirtualLog {
     }
 
     /// A hole-plugging destination for a block leaving `victim`, as
-    /// `(cyl, track, sector)`: cylinders are visited outward from the head
-    /// (`cyl - d` before `cyl + d`) and the first one holding a free aligned
-    /// block on a *non-empty*, non-victim track wins; within it the
-    /// strictly cheapest track does (the lowest track on a cost tie). Empty
-    /// tracks are used only as a last resort — the first one seen.
+    /// `(cyl, track, sector)`: cylinders are visited in ring order from the
+    /// head and the first one holding a free aligned block on a
+    /// *non-empty*, non-victim track wins; within it the strictly cheapest
+    /// track does (the lowest track on a cost tie). Empty tracks are used
+    /// only as a last resort — the nearest one. The victim still holds the
+    /// block being moved, so it is never that empty track.
     ///
-    /// The search goes through the same index and pricers as the eager
-    /// allocator: full cylinders and tracks are skipped on the free map's
-    /// O(1) summaries, one repositioning plan serves every track of a
-    /// visited cylinder, each surviving track costs one word-level scan
-    /// from the plan's arrival sector plus one priced candidate, and a
-    /// candidate on the head's own track that beats a head switch ends the
-    /// search at once.
+    /// Each cylinder is priced by the eager allocator's
+    /// [`best_in_cylinder`], so full cylinders and tracks are skipped on the
+    /// free map's O(1) summaries, one repositioning plan serves the whole
+    /// cylinder, and a candidate on the head's own track that beats a head
+    /// switch ends the search at once.
     pub fn find_plug_destination(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
-        let head = self.disk.head();
-        let cyls = self.state.free.cylinders();
-        let mut search = PlugSearch {
-            log: self,
-            head: (head.cyl, head.track),
-            victim,
-            last_resort: None,
-            tracks_priced: 0,
-            cyls_skipped: 0,
-        };
-        let found = (0..cyls)
-            .flat_map(|d| {
-                [
-                    head.cyl.checked_sub(d),
-                    (d > 0 && head.cyl + d < cyls).then_some(head.cyl + d),
-                ]
+        let (disk, free) = (&self.disk, &self.state.free);
+        let head = disk.head().cyl;
+        let (mut tracks_priced, mut cyls_skipped) = (0u64, 0u64);
+        let found = free
+            .ring(head)
+            .find_map(|cyl| {
+                if !free.cylinder_has_candidate(cyl, BLOCK_SECTORS) {
+                    cyls_skipped += 1;
+                    return None;
+                }
+                best_in_cylinder(disk, free, cyl, BLOCK_SECTORS, |t| {
+                    let skip = (cyl, t) == victim || free.track_is_empty(cyl, t);
+                    tracks_priced += u64::from(!skip);
+                    skip
+                })
             })
-            .flatten()
-            .find_map(|cyl| search.best_in_cylinder(cyl));
+            .or_else(|| {
+                let (cyl, track) = free.nearest_empty_track(head)?;
+                tracks_priced += 1;
+                best_in_cylinder(disk, free, cyl, BLOCK_SECTORS, |t| t != track)
+            });
         if self.metrics.is_enabled() {
             self.metrics.inc("compact.plug_searches");
             self.metrics
-                .add("compact.plug_tracks_priced", search.tracks_priced);
-            self.metrics
-                .add("compact.plug_cyls_skipped", search.cyls_skipped);
+                .add("compact.plug_tracks_priced", tracks_priced);
+            self.metrics.add("compact.plug_cyls_skipped", cyls_skipped);
         }
-        found.or(search.last_resort)
+        found.map(|c| (c.cyl, c.track, c.sector))
     }
 
     /// The exhaustive hole-plug scan [`Self::find_plug_destination`]

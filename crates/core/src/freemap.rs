@@ -488,33 +488,42 @@ impl FreeMap {
         }
     }
 
-    /// Find the nearest completely empty track to `cyl`, scanning outward in
-    /// cylinder distance. Returns (cyl, track). The per-cylinder empty-track
-    /// summary skips cylinders with nothing to offer in O(1).
-    pub fn nearest_empty_track(&self, cyl: u32) -> Option<(u32, u32)> {
+    /// Cylinders in ring order around `center`: `center` itself, then at
+    /// each distance `d` the cylinder `center - d` before `center + d`,
+    /// skipping those off the disk.
+    pub(crate) fn ring(&self, center: u32) -> impl Iterator<Item = u32> {
         let cyls = self.cylinders();
+        (0..cyls)
+            .flat_map(move |d| {
+                [
+                    center.checked_sub(d),
+                    (d > 0 && center + d < cyls).then_some(center + d),
+                ]
+            })
+            .flatten()
+    }
+
+    /// Find the nearest completely empty track to `cyl` in ring order,
+    /// lowest track first. Returns (cyl, track). The per-cylinder
+    /// empty-track summary skips cylinders with nothing to offer in O(1).
+    pub fn nearest_empty_track(&self, cyl: u32) -> Option<(u32, u32)> {
         if self.empty_tracks == 0 {
             return None;
         }
-        for d in 0..cyls {
-            for candidate in [cyl.checked_sub(d), (cyl + d < cyls).then_some(cyl + d)]
-                .into_iter()
-                .flatten()
-            {
-                if self.cyl_empty[candidate as usize] > 0 {
-                    for t in 0..self.tracks_per_cyl {
-                        let ti = self.track_index(candidate, t);
-                        if self.free_count[ti] == self.spt[ti] {
-                            return Some((candidate, t));
-                        }
-                    }
-                }
-                if d == 0 {
-                    break; // don't test cyl twice
-                }
-            }
-        }
-        None
+        self.ring(cyl)
+            .filter(|&c| self.cyl_empty[c as usize] > 0)
+            .find_map(|c| {
+                (0..self.tracks_per_cyl)
+                    .find(|&t| self.track_is_empty(c, t))
+                    .map(|t| (c, t))
+            })
+    }
+
+    /// Is every sector of this track free?
+    #[inline]
+    pub(crate) fn track_is_empty(&self, cyl: u32, track: u32) -> bool {
+        let ti = self.track_index(cyl, track);
+        self.free_count[ti] == self.spt[ti]
     }
 
     /// Number of cylinders under management.
@@ -570,216 +579,6 @@ impl FreeMap {
             1 => self.free_count[ti] > 0,
             INDEX_ALIGN => self.aligned_free[ti] > 0,
             a => self.free_count[ti] >= a,
-        }
-    }
-
-    /// The best-first allocation frontier: every track that might hold a
-    /// free run of `align` sectors, in **nondecreasing order of the exact
-    /// repositioning lower bound** from head position
-    /// `(cur_cyl, cur_track)` — the same quantity
-    /// `Disk::reposition_lower_bound_ns` computes (0 for the head's own
-    /// track, `head_switch_ns` for the rest of its cylinder since a
-    /// zero-distance seek is free, `seek_ns(d)` alone for a cylinder `d`
-    /// away, whichever head). A best-first consumer can stop at the first
-    /// unit whose lower bound exceeds its incumbent's exact cost.
-    ///
-    /// No heap is needed: `seek_ns` is nondecreasing in distance, so the
-    /// ordering is a lazy two-stream merge of "rest of the current
-    /// cylinder" (constant bound `head_switch_ns`) with "cylinder rings
-    /// outward" (bound `seek_ns(d)`), plus the head track first. Cylinders
-    /// and tracks with no possible candidate are skipped via the O(1)
-    /// summaries. Each unit carries its [`FrontierTrack::rank`] in the
-    /// reference scan order for exact tie-breaking.
-    pub fn frontier<'a, F: Fn(u32) -> u64 + 'a>(
-        &'a self,
-        cur_cyl: u32,
-        cur_track: u32,
-        head_switch_ns: u64,
-        seek_ns: F,
-        align: u32,
-    ) -> Frontier<'a, F> {
-        let mut f = Frontier {
-            map: self,
-            seek_ns,
-            align,
-            cur_cyl,
-            cur_track,
-            head_switch_ns,
-            cyls: self.cylinders(),
-            tracks: self.tracks_per_cyl,
-            head_emitted: false,
-            same_t: 0,
-            d: 1,
-            side: 0,
-            drain: None,
-            next_b: None,
-            last_lb: 0,
-        };
-        f.next_b = f.take_next_cylinder();
-        f
-    }
-}
-
-/// One unit of the best-first allocation frontier: a track, the exact lower
-/// bound on the positioning cost of any candidate on it, and the track's
-/// rank in the reference two-way scan order (distance-major, lower cylinder
-/// before higher at each distance, track-minor) — minimising the pair
-/// `(exact cost, rank)` lexicographically reproduces the reference scan's
-/// `min_by_key` first-wins tie-breaking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontierTrack {
-    /// Cylinder of the track.
-    pub cyl: u32,
-    /// Track (head) within the cylinder.
-    pub track: u32,
-    /// Exact repositioning lower bound from the head position the frontier
-    /// was opened at.
-    pub lower_bound_ns: u64,
-    /// Position in the reference scan order, for tie-breaking.
-    pub rank: u64,
-}
-
-/// Iterator state for [`FreeMap::frontier`].
-#[derive(Debug)]
-pub struct Frontier<'a, F> {
-    map: &'a FreeMap,
-    seek_ns: F,
-    align: u32,
-    cur_cyl: u32,
-    cur_track: u32,
-    head_switch_ns: u64,
-    cyls: u32,
-    tracks: u32,
-    head_emitted: bool,
-    /// Next track of the current cylinder to consider (stream A).
-    same_t: u32,
-    /// Next cylinder distance to open (stream B).
-    d: u32,
-    /// Which side of distance `d` is next: 0 = `cur - d`, 1 = `cur + d`.
-    side: u8,
-    /// The foreign cylinder currently being drained track by track.
-    drain: Option<DrainCyl>,
-    /// One-cylinder lookahead into stream B, so the A/B merge compares
-    /// against the bound of the next cylinder that can actually produce a
-    /// candidate.
-    next_b: Option<DrainCyl>,
-    /// Last emitted bound (debug ordering check).
-    last_lb: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DrainCyl {
-    cyl: u32,
-    lower_bound_ns: u64,
-    ord: u64,
-    next_t: u32,
-}
-
-impl<F: Fn(u32) -> u64> Frontier<'_, F> {
-    /// Advance stream B to the next cylinder (outward by distance, minus
-    /// side before plus) that can hold a candidate, O(1) per skipped
-    /// cylinder via the per-cylinder summaries.
-    fn take_next_cylinder(&mut self) -> Option<DrainCyl> {
-        while self.d < self.cyls {
-            let d = self.d;
-            let (cand, ord) = if self.side == 0 {
-                self.side = 1;
-                (self.cur_cyl.checked_sub(d), 2 * d as u64 - 1)
-            } else {
-                self.side = 0;
-                self.d += 1;
-                let c = self.cur_cyl + d;
-                ((c < self.cyls).then_some(c), 2 * d as u64)
-            };
-            if let Some(c) = cand {
-                if self.map.cylinder_has_candidate(c, self.align) {
-                    return Some(DrainCyl {
-                        cyl: c,
-                        lower_bound_ns: (self.seek_ns)(d),
-                        ord,
-                        next_t: 0,
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    fn emit(&mut self, cyl: u32, track: u32, lower_bound_ns: u64, rank: u64) -> FrontierTrack {
-        debug_assert!(lower_bound_ns >= self.last_lb, "frontier out of order");
-        self.last_lb = lower_bound_ns;
-        FrontierTrack {
-            cyl,
-            track,
-            lower_bound_ns,
-            rank,
-        }
-    }
-}
-
-impl<F: Fn(u32) -> u64> Iterator for Frontier<'_, F> {
-    type Item = FrontierTrack;
-
-    fn next(&mut self) -> Option<FrontierTrack> {
-        let tracks = self.tracks as u64;
-        loop {
-            // The head's own track: lower bound 0, always first.
-            if !self.head_emitted {
-                self.head_emitted = true;
-                if self
-                    .map
-                    .track_has_candidate(self.cur_cyl, self.cur_track, self.align)
-                {
-                    let (c, t) = (self.cur_cyl, self.cur_track);
-                    return Some(self.emit(c, t, 0, t as u64));
-                }
-                continue;
-            }
-            // Drain the currently open foreign cylinder before any merge
-            // decision: all its tracks share one bound.
-            if let Some(dr) = &mut self.drain {
-                while dr.next_t < self.tracks {
-                    let t = dr.next_t;
-                    dr.next_t += 1;
-                    if self.map.track_has_candidate(dr.cyl, t, self.align) {
-                        let (c, lb, rank) = (dr.cyl, dr.lower_bound_ns, dr.ord * tracks + t as u64);
-                        return Some(self.emit(c, t, lb, rank));
-                    }
-                }
-                self.drain = None;
-                continue;
-            }
-            // Merge: remaining tracks of the current cylinder (bound =
-            // head switch) vs the next candidate cylinder (bound =
-            // seek(d)); emit from the cheaper stream, same-cylinder first
-            // on ties (equal bounds make emission order irrelevant to
-            // best-first consumers — ties are resolved by rank).
-            let a_avail = self.same_t < self.tracks;
-            if a_avail
-                && self
-                    .next_b
-                    .is_none_or(|b| self.head_switch_ns <= b.lower_bound_ns)
-            {
-                while self.same_t < self.tracks {
-                    let t = self.same_t;
-                    self.same_t += 1;
-                    if t == self.cur_track {
-                        continue;
-                    }
-                    if self.map.track_has_candidate(self.cur_cyl, t, self.align) {
-                        let (c, lb) = (self.cur_cyl, self.head_switch_ns);
-                        return Some(self.emit(c, t, lb, t as u64));
-                    }
-                }
-                continue;
-            }
-            match self.next_b.take() {
-                Some(b) => {
-                    self.drain = Some(b);
-                    self.next_b = self.take_next_cylinder();
-                }
-                None => return None,
-            }
         }
     }
 }
@@ -1130,75 +929,6 @@ mod tests {
                         bulk.first_aligned_from(c, t, 3, INDEX_ALIGN),
                         seq.first_aligned_from(c, t, 3, INDEX_ALIGN)
                     );
-                }
-            }
-        }
-    }
-
-    /// The frontier must (a) emit lower bounds in nondecreasing order, (b)
-    /// cover exactly the tracks that can hold a candidate, (c) report the
-    /// exact repositioning lower bound and the reference-scan rank.
-    #[test]
-    fn frontier_orders_exactly_by_lower_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use std::collections::HashSet;
-        let (cyls, tracks, spt) = (9u32, 3u32, 16u32);
-        let g = Geometry::uniform(cyls, tracks, spt);
-        let mut rng = StdRng::seed_from_u64(0xF407);
-        let seek = |d: u32| if d == 0 { 0 } else { 1_000 + 400 * d as u64 };
-        // Head switch both cheaper and dearer than a short seek.
-        for switch in [700u64, 2_600] {
-            let mut m = FreeMap::new(&g);
-            for c in 0..cyls {
-                for t in 0..tracks {
-                    for s in 0..spt {
-                        if rng.gen_bool(0.8) {
-                            m.allocate(c, t, s, 1).unwrap();
-                        }
-                    }
-                }
-            }
-            for align in [1u32, INDEX_ALIGN] {
-                let (hc, ht) = (rng.gen_range(0..cyls), rng.gen_range(0..tracks));
-                let units: Vec<FrontierTrack> = m.frontier(hc, ht, switch, seek, align).collect();
-                let mut last = 0u64;
-                let mut seen = HashSet::new();
-                let mut ranks = HashSet::new();
-                for u in &units {
-                    assert!(u.lower_bound_ns >= last, "out of order: {u:?}");
-                    last = u.lower_bound_ns;
-                    let expect = if u.cyl == hc {
-                        if u.track == ht {
-                            0
-                        } else {
-                            switch
-                        }
-                    } else {
-                        seek(hc.abs_diff(u.cyl))
-                    };
-                    assert_eq!(u.lower_bound_ns, expect, "{u:?}");
-                    let ord = if u.cyl == hc {
-                        0
-                    } else if u.cyl < hc {
-                        2 * (hc - u.cyl) as u64 - 1
-                    } else {
-                        2 * (u.cyl - hc) as u64
-                    };
-                    assert_eq!(u.rank, ord * tracks as u64 + u.track as u64);
-                    assert!(seen.insert((u.cyl, u.track)), "duplicate {u:?}");
-                    assert!(ranks.insert(u.rank));
-                }
-                // Coverage: exactly the tracks with a possible candidate
-                // (the per-track summary is exact for aligns 1 and 8).
-                for c in 0..cyls {
-                    for t in 0..tracks {
-                        assert_eq!(
-                            seen.contains(&(c, t)),
-                            m.track_has_candidate(c, t, align),
-                            "coverage {c},{t} align {align}"
-                        );
-                    }
                 }
             }
         }

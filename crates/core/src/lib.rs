@@ -51,7 +51,7 @@ pub mod vlfs;
 pub use alloc::{AllocConfig, AllocatorState, Candidate, EagerAllocator};
 pub use checkpoint::{Checkpoint, CheckpointRegion};
 pub use compact::{CompactStats, Compactor, CompactorConfig, VictimPolicy};
-pub use freemap::{FreeMap, Frontier, FrontierTrack};
+pub use freemap::FreeMap;
 pub use log::{PieceLoc, VirtualLog, VlogSnapshot, VlogStats, BLOCK_BYTES, BLOCK_SECTORS};
 pub use mapsector::{MapFlags, MapSector, TxnInfo, PIECE_ENTRIES, UNMAPPED};
 pub use piecetable::PieceTable;

@@ -38,13 +38,11 @@ pub struct HeadPosition {
     pub sector: u32,
 }
 
-/// Precomputed repositioning plan for pricing candidate sectors on one
-/// track at one instant — built by [`Disk::track_pricer`] (or specialised
-/// from a [`CylinderPricer`]), consumed by [`Disk::priced_cost`]. Every
-/// division behind `sector_under_head` / `rotational_wait_ns` /
-/// `sector_ns` is done once here; pricing a sector is then adds, compares
-/// and one multiply. Stale as soon as the head moves or the clock
-/// advances.
+/// The repositioning plan for pricing candidate sectors on one track at one
+/// instant: a [`CylinderPricer::track`]. The seek lookup and the divisions
+/// behind `sector_under_head` / `sector_ns` are done once in the cylinder
+/// plan; pricing a sector is then one modulo, one multiply and compares.
+/// Stale as soon as the head moves or the clock advances.
 #[derive(Debug, Clone, Copy)]
 pub struct TrackPricer {
     /// Sectors per track on the plan's cylinder.
@@ -65,25 +63,96 @@ pub struct TrackPricer {
     pub arrival: u32,
 }
 
-/// The cylinder-wide part of a repositioning plan: every track of one
-/// cylinder shares the same seek, the same arrival instant and therefore
-/// the same angular arithmetic — only the per-track skew differs. Built by
-/// [`Disk::cylinder_pricer`], specialised per track with
-/// [`Disk::track_pricer_from`]. The lone exception is the head's own track
-/// on the head's own cylinder (no head switch): price it with
-/// [`Disk::track_pricer`] directly.
+impl TrackPricer {
+    /// Exact positioning cost of `sector` on this track — identical to
+    /// [`Disk::position_cost`] of the same sector, without redoing the
+    /// reposition.
+    #[inline]
+    pub fn cost(&self, sector: u32) -> ServiceTime {
+        debug_assert!(sector < self.spt, "sector off the priced track");
+        let slot = (sector + self.skew) % self.spt;
+        let target_start = slot as u64 * self.sector_ns;
+        let rotation = if target_start >= self.in_rev {
+            target_start - self.in_rev
+        } else {
+            self.rev_ns - self.in_rev + target_start
+        };
+        ServiceTime {
+            overhead_ns: 0,
+            seek_ns: self.seek_ns,
+            head_switch_ns: if self.seek_ns >= self.head_switch_ns {
+                0
+            } else {
+                self.head_switch_ns
+            },
+            rotation_ns: rotation,
+            transfer_ns: 0,
+        }
+    }
+}
+
+/// The repositioning plan shared by every track of one cylinder at one
+/// instant, built by [`Disk::cylinder_pricer`]: one seek lookup, and the
+/// angular state at the two possible arrival instants — after a head switch
+/// (every track of the head's cylinder but its own, and no switch at all
+/// elsewhere), and on the head's own track, which pays no switch. Stale as
+/// soon as the head moves or the clock advances.
 #[derive(Debug, Clone, Copy)]
 pub struct CylinderPricer {
-    cyl: u32,
     spt: u32,
     seek_ns: u64,
+    /// Paid by every track but the head's own (0 off the head's cylinder).
     head_switch_ns: u64,
     rev_ns: u64,
     sector_ns: u64,
+    /// Skew of track 0 of this cylinder, and the skew each track adds.
+    cyl_skew: u32,
+    track_skew: u32,
+    /// Arrival phase on a track reached after the seek (and switch).
+    phase: Phase,
+    /// On the head's cylinder: the head's own track and its arrival phase.
+    own: Option<(u32, Phase)>,
+}
+
+/// Where a repositioning lands within the revolution: the head's angular
+/// position, and the physical slot whose boundary arrives first (already
+/// advanced past the partially-gone sector).
+#[derive(Debug, Clone, Copy)]
+struct Phase {
     in_rev: u64,
-    /// Physical slot whose boundary arrives first (already advanced past
-    /// the partially-gone sector).
     slot_plus1: u32,
+}
+
+impl CylinderPricer {
+    /// The head's own track, when this is the head's cylinder.
+    #[inline]
+    pub fn head_track(&self) -> Option<u32> {
+        self.own.map(|(t, _)| t)
+    }
+
+    /// The plan for one track of the cylinder: only the track's skew is new
+    /// work, and the head's own track is charged no head switch.
+    #[inline]
+    pub fn track(&self, track: u32) -> TrackPricer {
+        let (switch, phase) = match self.own {
+            Some((t, own)) if t == track => (0, own),
+            _ => (self.head_switch_ns, self.phase),
+        };
+        let skew = track
+            .wrapping_mul(self.track_skew)
+            .wrapping_add(self.cyl_skew)
+            % self.spt;
+        TrackPricer {
+            spt: self.spt,
+            seek_ns: self.seek_ns,
+            head_switch_ns: switch,
+            rev_ns: self.rev_ns,
+            sector_ns: self.sector_ns,
+            in_rev: phase.in_rev,
+            skew,
+            arrival: (phase.slot_plus1 + self.spt - skew) % self.spt,
+        }
+    }
 }
 
 /// Cumulative operation counters for a disk.
@@ -492,21 +561,6 @@ impl Disk {
         self.seek.get(d)
     }
 
-    /// Lower bound on the positioning cost from the head's current location
-    /// to *any* sector of (`cyl`, `track`): the seek / head-switch time
-    /// alone, before rotation. Lets an allocator discard a whole track with
-    /// one table lookup when an incumbent candidate is already cheaper.
-    #[inline]
-    pub fn reposition_lower_bound_ns(&self, cyl: u32, track: u32) -> u64 {
-        let seek = self.seek.get(self.cur_cyl.abs_diff(cyl));
-        let switch = if self.cur_cyl == cyl && self.cur_track != track {
-            self.spec.mech.head_switch_ns
-        } else {
-            0
-        };
-        seek.max(switch)
-    }
-
     /// The drive's specification.
     pub fn spec(&self) -> &DiskSpec {
         &self.spec
@@ -667,114 +721,38 @@ impl Disk {
         Ok((slot + spt - skew) % spt)
     }
 
-    /// The cylinder-wide repositioning plan shared by every track of `cyl`
-    /// (reached with a head switch when `cyl` is the head's own cylinder):
-    /// the seek lookup, the arrival instant and all the angular divisions,
-    /// done once. Specialise per track with [`Self::track_pricer_from`].
-    /// The plan is only valid while the head position and clock are
-    /// unchanged — and it does *not* cover the head's own track (which is
-    /// reached without a head switch); use [`Self::track_pricer`] there.
+    /// The repositioning plan for every track of `cyl` from the current
+    /// instant: the seek/switch/arrival trigonometry that
+    /// [`Self::arrival_sector`] and [`Self::position_cost`] would redo per
+    /// track and per sector, computed once. Specialise it per track with
+    /// [`CylinderPricer::track`], scan the free map from
+    /// [`TrackPricer::arrival`] and price the hit with [`TrackPricer::cost`].
     #[inline]
     pub fn cylinder_pricer(&self, cyl: u32) -> Result<CylinderPricer> {
         let spt = self.spec.geometry.sectors_per_track(cyl)?;
         let mech = &self.spec.mech;
         let seek = self.seek.get(self.cur_cyl.abs_diff(cyl));
-        let switch = if self.cur_cyl == cyl {
-            mech.head_switch_ns
-        } else {
-            0
+        let (now, rev_ns) = (self.clock.now(), mech.revolution_ns());
+        // Same arrival rule as `arrival_sector`: the sector passing at
+        // arrival is partially gone, so the next boundary is slot + 1.
+        let phase = |reposition: u64| {
+            let in_rev = (now + reposition) % rev_ns;
+            let slot_plus1 = (sector_at_phase(in_rev, spt, rev_ns) + 1) % spt;
+            Phase { in_rev, slot_plus1 }
         };
-        let t_pos = self.clock.now() + seek.max(switch);
-        let rev_ns = mech.revolution_ns();
-        let sector_ns = rev_ns / spt as u64;
-        let in_rev = t_pos % rev_ns;
-        // Same arrival rule as `arrival_sector`: the sector currently
-        // passing is partially gone, so the next boundary is slot + 1.
-        let slot_plus1 = (sector_at_phase(in_rev, spt, rev_ns) + 1) % spt;
+        let head_cyl = self.cur_cyl == cyl;
+        let switch = if head_cyl { mech.head_switch_ns } else { 0 };
         Ok(CylinderPricer {
-            cyl,
             spt,
             seek_ns: seek,
             head_switch_ns: switch,
             rev_ns,
-            sector_ns,
-            in_rev,
-            slot_plus1,
+            sector_ns: rev_ns / spt as u64,
+            cyl_skew: cyl.wrapping_mul(self.spec.cyl_skew),
+            track_skew: self.spec.track_skew,
+            phase: phase(seek.max(switch)),
+            own: head_cyl.then(|| (self.cur_track, phase(seek))),
         })
-    }
-
-    /// Specialise a [`CylinderPricer`] to one of its tracks: only the
-    /// track's skew is new work — the seek, arrival instant and angular
-    /// divisions are reused from the cylinder plan.
-    #[inline]
-    pub fn track_pricer_from(&self, c: &CylinderPricer, track: u32) -> TrackPricer {
-        let skew = self.skew(c.cyl, track) % c.spt;
-        TrackPricer {
-            spt: c.spt,
-            seek_ns: c.seek_ns,
-            head_switch_ns: c.head_switch_ns,
-            rev_ns: c.rev_ns,
-            sector_ns: c.sector_ns,
-            in_rev: c.in_rev,
-            skew,
-            arrival: (c.slot_plus1 + c.spt - skew) % c.spt,
-        }
-    }
-
-    /// One-shot repositioning plan for pricing candidates on a single track
-    /// from the current instant: the seek/switch/arrival trigonometry that
-    /// [`Self::arrival_sector`] and [`Self::position_cost`] would each
-    /// redo, computed once. The caller scans the free map from
-    /// [`TrackPricer::arrival`] and prices the hit with
-    /// [`Self::priced_cost`]. The plan is only valid while the head
-    /// position and clock are unchanged.
-    #[inline]
-    pub fn track_pricer(&self, cyl: u32, track: u32) -> Result<TrackPricer> {
-        if track >= self.spec.geometry.tracks_per_cylinder() {
-            return Err(DiskError::OutOfRange {
-                addr: track as u64,
-                limit: self.spec.geometry.tracks_per_cylinder() as u64,
-            });
-        }
-        let mut c = self.cylinder_pricer(cyl)?;
-        if self.cur_cyl == cyl && self.cur_track == track {
-            // The head's own track: no head switch, so the arrival instant
-            // (and hence the angular state) differs from the rest of the
-            // cylinder; redo the cheap part of the plan without the switch.
-            c.head_switch_ns = 0;
-            let t_pos = self.clock.now() + c.seek_ns;
-            c.in_rev = t_pos % c.rev_ns;
-            c.slot_plus1 = (sector_at_phase(c.in_rev, c.spt, c.rev_ns) + 1) % c.spt;
-        }
-        Ok(self.track_pricer_from(&c, track))
-    }
-
-    /// Exact positioning cost of `sector` on the track a [`TrackPricer`]
-    /// was built for — identical to [`Self::position_cost`] of the same
-    /// sector, minus the repeated repositioning work (no divisions: the
-    /// plan carries all the angular state). `sector` must lie on the
-    /// pricer's track.
-    #[inline]
-    pub fn priced_cost(&self, p: &TrackPricer, sector: u32) -> ServiceTime {
-        debug_assert!(sector < p.spt, "sector off the priced track");
-        let slot = (sector + p.skew) % p.spt;
-        let target_start = slot as u64 * p.sector_ns;
-        let rotation = if target_start >= p.in_rev {
-            target_start - p.in_rev
-        } else {
-            p.rev_ns - p.in_rev + target_start
-        };
-        ServiceTime {
-            overhead_ns: 0,
-            seek_ns: p.seek_ns,
-            head_switch_ns: if p.seek_ns >= p.head_switch_ns {
-                0
-            } else {
-                p.head_switch_ns
-            },
-            rotation_ns: rotation,
-            transfer_ns: 0,
-        }
     }
 
     /// Pure positioning cost (seek + head switch + rotation, no overhead or
@@ -1450,6 +1428,43 @@ mod tests {
         assert_eq!(pos.locate_ns(), full.locate_ns());
         assert!(d.position_cost(0, 99, 0).is_err());
         assert!(d.position_cost(0, 0, 99).is_err());
+    }
+
+    /// The cylinder plan prices every track as the per-query oracles do: on
+    /// both drives, from random head positions and rotational phases, each
+    /// track of the head's cylinder (its own track, which pays no head
+    /// switch, included) and of a far cylinder arrives at `arrival_sector`
+    /// and costs `position_cost` at every sector.
+    #[test]
+    fn cylinder_pricer_matches_the_oracles() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            let g = spec.geometry.clone();
+            let (cyls, tracks) = (g.cylinders(), g.tracks_per_cylinder());
+            let mut d = Disk::new(spec.clone(), SimClock::new());
+            let mut rng = StdRng::seed_from_u64(0x9B1C ^ cyls as u64);
+            for _ in 0..16 {
+                d.seek_to(rng.gen_range(0..cyls), rng.gen_range(0..tracks))
+                    .unwrap();
+                d.advance_ns(rng.gen_range(0..spec.mech.revolution_ns()));
+                let head = d.head();
+                for cyl in [head.cyl, (head.cyl + cyls / 2) % cyls] {
+                    let plan = d.cylinder_pricer(cyl).unwrap();
+                    let own = (cyl == head.cyl).then_some(head.track);
+                    assert_eq!(plan.head_track(), own);
+                    for t in 0..tracks {
+                        let tp = plan.track(t);
+                        let at = format!("cyls={cyls} head={head:?} track=({cyl},{t})");
+                        assert_eq!(tp.arrival, d.arrival_sector(cyl, t).unwrap(), "{at}");
+                        for s in 0..g.sectors_per_track(cyl).unwrap() {
+                            let oracle = d.position_cost(cyl, t, s).unwrap();
+                            assert_eq!(tp.cost(s), oracle, "{at} sector={s}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

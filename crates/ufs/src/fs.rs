@@ -902,32 +902,22 @@ impl Ufs {
     fn flush_runs(&mut self, dirty: &[u64]) -> FsResult<()> {
         // One cluster buffer serves every multi-block run of this flush; a
         // lone block is written straight out of the cache.
-        let mut run = Vec::new();
-        let mut i = 0;
-        while i < dirty.len() {
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 {
-                j += 1;
-            }
-            if j - i == 1 {
-                let data = self
-                    .state
-                    .cache
-                    .peek(dirty[i])
-                    .expect("flushed block cached");
-                self.dev.write_blocks(dirty[i], data)?;
+        let mut buf = Vec::new();
+        for run in dirty.chunk_by(|a, b| *b == *a + 1) {
+            if let [blk] = run {
+                let data = self.state.cache.peek(*blk).expect("flushed block cached");
+                self.dev.write_blocks(*blk, data)?;
             } else {
-                run.clear();
-                run.reserve_exact((j - i) * BLOCK_SIZE);
-                for &blk in &dirty[i..j] {
-                    run.extend_from_slice(
+                buf.clear();
+                buf.reserve_exact(run.len() * BLOCK_SIZE);
+                for &blk in run {
+                    buf.extend_from_slice(
                         self.state.cache.peek(blk).expect("flushed block cached"),
                     );
                 }
-                self.copies += (j - i) as u64;
-                self.dev.write_blocks(dirty[i], &run)?;
+                self.copies += run.len() as u64;
+                self.dev.write_blocks(run[0], &buf)?;
             }
-            i = j;
         }
         Ok(())
     }
@@ -947,27 +937,21 @@ impl Ufs {
         // One staging buffer serves every multi-block run; a lone block is
         // read straight into the buffer the cache will hold.
         let mut staging = Vec::new();
-        let mut i = 0;
-        while i < targets.len() {
-            let mut j = i + 1;
-            while j < targets.len() && targets[j] == targets[j - 1] + 1 {
-                j += 1;
-            }
-            if j - i == 1 {
+        for run in targets.chunk_by(|a, b| *b == *a + 1) {
+            if let [blk] = run {
                 let mut data = zeroed_block();
                 let buf = Arc::get_mut(&mut data).expect("fresh buffer is unshared");
-                self.dev.read_blocks(targets[i], buf)?;
-                self.cache_insert(targets[i], data, false)?;
+                self.dev.read_blocks(*blk, buf)?;
+                self.cache_insert(*blk, data, false)?;
             } else {
                 staging.clear();
-                staging.resize((j - i) * BLOCK_SIZE, 0);
-                self.dev.read_blocks(targets[i], &mut staging)?;
-                for (k, chunk) in staging.chunks(BLOCK_SIZE).enumerate() {
-                    self.cache_insert(targets[i] + k as u64, chunk.into(), false)?;
+                staging.resize(run.len() * BLOCK_SIZE, 0);
+                self.dev.read_blocks(run[0], &mut staging)?;
+                for (blk, chunk) in run.iter().zip(staging.chunks(BLOCK_SIZE)) {
+                    self.cache_insert(*blk, chunk.into(), false)?;
                 }
-                self.copies += (j - i) as u64;
+                self.copies += run.len() as u64;
             }
-            i = j;
         }
         Ok(())
     }

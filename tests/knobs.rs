@@ -14,6 +14,10 @@
 //! buffer means are decided in one place, and a parse path cannot panic on
 //! a short field — nor on an `unwrap` or `expect`, outside a short list of
 //! calls that guard in-memory invariants.
+//!
+//! Placement inventory: one module prices cylinders, so the eager
+//! allocator's sweeps and the compactor's hole-plug search decide the
+//! head-track exception and the tie rule in one function.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -296,5 +300,52 @@ fn every_record_field_goes_through_the_codec() {
         "a record field is read or written outside disksim::codec (use its \
          get_/put_ functions, which make a short field Corrupt), or a record \
          module unwraps outside INVARIANT_EXPECTS"
+    );
+}
+
+/// The one module that may build a cylinder's pricing plan: every placement
+/// search goes through its `best_in_cylinder`.
+const PLACEMENT: &str = "crates/core/src/alloc.rs";
+
+#[test]
+fn one_placement_search() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("readable directory entry").path().join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() > 50, "walked only {} files", files.len());
+
+    let mut found = BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("walked from root");
+        let rel = rel.to_str().expect("UTF-8 path").to_owned();
+        let src = fs::read_to_string(file).expect("readable source file");
+        // Comments out, then whitespace, so a call split over lines still
+        // matches and the definition reads `fncylinder_pricer(`.
+        let code: String = non_test(&src)
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .flat_map(str::split_whitespace)
+            .collect();
+        let calls =
+            code.matches("cylinder_pricer(").count() - code.matches("fncylinder_pricer(").count();
+        if calls > 0 {
+            found.insert((rel, calls));
+        }
+    }
+    assert!(
+        found.iter().any(|(rel, _)| rel == PLACEMENT),
+        "{PLACEMENT} prices no cylinder: {found:?}"
+    );
+    found.retain(|(rel, _)| rel != PLACEMENT);
+    assert_eq!(
+        found,
+        BTreeSet::new(),
+        "a placement search prices cylinders outside {PLACEMENT}; go through \
+         alloc::best_in_cylinder instead"
     );
 }
