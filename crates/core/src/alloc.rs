@@ -13,12 +13,13 @@
 //!   (75 % in the paper's experiments), then move on; fall back to greedy
 //!   once the pool is exhausted.
 //!
-//! Both greedy sweeps and the compactor's hole-plug price a cylinder
+//! Both greedy sweeps and the compactor's hole-plug search a cylinder
 //! through one function, [`best_in_cylinder`]; it and the threshold fill
 //! use the exact mechanical model of [`disksim::Disk::cylinder_pricer`]
 //! (equal to [`disksim::Disk::position_cost`] at every sector), so the
 //! allocator is as informed as firmware running inside the drive —
-//! precisely the paper's premise.
+//! precisely the paper's premise. Each exact pricing counts one
+//! `alloc.cost_evals` on the metrics handle.
 
 use crate::freemap::FreeMap;
 use disksim::{Disk, Metrics, ServiceTime};
@@ -110,7 +111,7 @@ impl EagerAllocator {
 
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach). The
     /// allocator records `alloc.fast_path` / `alloc.greedy_fallback` block
-    /// placements; its decisions are unaffected.
+    /// placements and its `alloc.cost_evals`; its decisions are unaffected.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
@@ -163,7 +164,7 @@ impl EagerAllocator {
         }
         // Grab the nearest empty track from the compactor's pool; if the
         // pool is dry, the caller falls back to greedy.
-        let next = free.nearest_empty_track(disk.head().cyl)?;
+        let next = free.nearest_empty_track(disk.head_cyl())?;
         if Some(next) == self.state.avoid {
             return None;
         }
@@ -187,6 +188,7 @@ impl EagerAllocator {
         }
         let tp = disk.cylinder_pricer(cyl).ok()?.track(track);
         let sector = free.first_aligned_from(cyl, track, tp.arrival, align)?;
+        self.metrics.inc("alloc.cost_evals");
         Some(Candidate {
             cyl,
             track,
@@ -203,17 +205,18 @@ impl EagerAllocator {
     /// exactly what the naive `reference::greedy` scan picks (the
     /// equivalence tests below).
     fn greedy(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        let head = disk.head().cyl;
+        let head = disk.head_cyl();
         let avoid = self.state.avoid;
         let search = |cyl: u32| {
             if !free.cylinder_has_candidate(cyl, align) {
                 return None;
             }
-            best_in_cylinder(disk, free, cyl, align, |t| avoid == Some((cyl, t)))
+            best_in_cylinder(disk, free, &self.metrics, cyl, align, |t| {
+                avoid == Some((cyl, t))
+            })
         };
         if self.state.cfg.one_way_sweep {
-            let cyls = free.cylinders();
-            return (0..cyls).find_map(|w| search((head + w) % cyls));
+            return (head..free.cylinders()).chain(0..head).find_map(search);
         }
         let mut best: Option<Candidate> = None;
         for cyl in free.ring(head) {
@@ -245,25 +248,38 @@ impl EagerAllocator {
 
 /// The cheapest free `align`-slot on the tracks of `cyl` that `skip` lets
 /// through — on each track the first free slot in rotational encounter
-/// order, priced exactly through one [`Disk::cylinder_pricer`] plan. The
-/// head's own track is priced first, and a slot there cheaper than a head
-/// switch ends the search: every other track costs at least the switch.
-/// Otherwise the cheapest slot wins, the lowest track on a cost tie.
-/// `skip` is asked only about tracks that can hold a slot, each once.
+/// order, the cheapest of them, the lowest track on a cost tie. The head's
+/// own track is priced first, and a slot there cheaper than a head switch
+/// ends the search: every other track costs at least the switch. The other
+/// tracks share one arrival phase, so their slots are compared by
+/// [`disksim::TrackPricer::rank`], and only the winner is priced: at
+/// most two exact pricings, each counted as `alloc.cost_evals` on
+/// `metrics`. `skip` is asked only about tracks that can hold a slot, each
+/// once.
 ///
 /// Inlined so that a caller's constant `align` (the hole-plug's 4 KB
-/// block) reaches the word scan of `first_aligned_from`.
+/// block) reaches the mask scan of `first_aligned_from`.
 #[inline]
 pub(crate) fn best_in_cylinder(
     disk: &Disk,
     free: &FreeMap,
+    metrics: &Metrics,
     cyl: u32,
     align: u32,
     mut skip: impl FnMut(u32) -> bool,
 ) -> Option<Candidate> {
     let plan = disk.cylinder_pricer(cyl).ok()?;
     let own = plan.head_track();
-    let mut best: Option<(u64, Candidate)> = None;
+    let price = |track: u32, sector: u32| {
+        metrics.inc("alloc.cost_evals");
+        Candidate {
+            cyl,
+            track,
+            sector,
+            cost: plan.track(track).cost(sector),
+        }
+    };
+    let (mut on_own, mut winner) = (None, None::<(u32, u32, u32)>);
     for track in own
         .into_iter()
         .chain((0..free.tracks_in_cylinder()).filter(|&t| Some(t) != own))
@@ -275,24 +291,20 @@ pub(crate) fn best_in_cylinder(
         let Some(sector) = free.first_aligned_from(cyl, track, tp.arrival, align) else {
             continue;
         };
-        let cost = tp.cost(sector);
-        let ns = cost.total_ns();
-        if best.is_none_or(|(b, c)| ns < b || (ns == b && track < c.track)) {
-            best = Some((
-                ns,
-                Candidate {
-                    cyl,
-                    track,
-                    sector,
-                    cost,
-                },
-            ));
-        }
-        if Some(track) == own && ns < disk.spec().mech.head_switch_ns {
-            break;
+        if Some(track) == own {
+            let c = price(track, sector);
+            if c.cost.total_ns() < disk.spec().mech.head_switch_ns {
+                return Some(c);
+            }
+            on_own = Some(c);
+        } else if winner.is_none_or(|(r, ..)| tp.rank(sector) < r) {
+            winner = Some((tp.rank(sector), track, sector));
         }
     }
-    best.map(|(_, c)| c)
+    on_own
+        .into_iter()
+        .chain(winner.map(|(_, track, sector)| price(track, sector)))
+        .min_by_key(|c| (c.cost.total_ns(), c.track))
 }
 
 /// The pre-index exhaustive greedy search, retained as the oracle the
@@ -547,9 +559,10 @@ mod tests {
     /// tracks, the best-first indexed search must choose *exactly* the
     /// candidate the naive `reference::greedy` scan chooses — same sector,
     /// same predicted cost; it resolves ties to the reference scan's
-    /// first-wins order, so equality is full, not just cost equality. The
-    /// same states also check `price_track` (all the threshold-fill path
-    /// calls) against `reference::best_in_track`.
+    /// first-wins order, so equality is full, not just cost equality — and
+    /// a one-way search prices at most two slots exactly. The same states
+    /// also check `price_track` (all the threshold-fill path calls) against
+    /// `reference::best_in_track`.
     #[test]
     fn allocator_modes_choose_identically() {
         use rand::rngs::StdRng;
@@ -596,6 +609,8 @@ mod tests {
                         ..AllocConfig::default()
                     });
                     a.set_avoid(avoid);
+                    let m = Metrics::enabled();
+                    a.set_metrics(m.clone());
                     for _ in 0..3 {
                         disk.seek_to(rng.gen_range(0..cyls), rng.gen_range(0..tracks))
                             .unwrap();
@@ -609,11 +624,14 @@ mod tests {
                             avoid,
                         ];
                         for align in [8u32, 1] {
+                            let evals = m.counter_value("alloc.cost_evals");
                             let fast = if align == 8 {
                                 a.find_block(&disk, &free)
                             } else {
                                 a.find_sector(&disk, &free)
                             };
+                            let made = m.counter_value("alloc.cost_evals") - evals;
+                            assert!(!one_way || made <= 2, "one-way search priced {made} slots");
                             let naive = reference::greedy(&disk, &free, avoid, align, one_way);
                             assert!(
                                 fast == naive,

@@ -397,14 +397,17 @@ impl VirtualLog {
     /// only as a last resort — the nearest one. The victim still holds the
     /// block being moved, so it is never that empty track.
     ///
-    /// Each cylinder is priced by the eager allocator's
+    /// Each cylinder is searched by the eager allocator's
     /// [`best_in_cylinder`], so full cylinders and tracks are skipped on the
     /// free map's O(1) summaries, one repositioning plan serves the whole
     /// cylinder, and a candidate on the head's own track that beats a head
-    /// switch ends the search at once.
+    /// switch ends the search at once. `compact.plug_tracks_priced` counts
+    /// the tracks considered (those with a free block that are neither the
+    /// victim nor empty, and the last resort), `alloc.cost_evals` the exact
+    /// pricings.
     pub fn find_plug_destination(&self, victim: (u32, u32)) -> Option<(u32, u32, u32)> {
-        let (disk, free) = (&self.disk, &self.state.free);
-        let head = disk.head().cyl;
+        let (disk, free, metrics) = (&self.disk, &self.state.free, &self.metrics);
+        let head = disk.head_cyl();
         let (mut tracks_priced, mut cyls_skipped) = (0u64, 0u64);
         let found = free
             .ring(head)
@@ -413,7 +416,7 @@ impl VirtualLog {
                     cyls_skipped += 1;
                     return None;
                 }
-                best_in_cylinder(disk, free, cyl, BLOCK_SECTORS, |t| {
+                best_in_cylinder(disk, free, metrics, cyl, BLOCK_SECTORS, |t| {
                     let skip = (cyl, t) == victim || free.track_is_empty(cyl, t);
                     tracks_priced += u64::from(!skip);
                     skip
@@ -422,7 +425,7 @@ impl VirtualLog {
             .or_else(|| {
                 let (cyl, track) = free.nearest_empty_track(head)?;
                 tracks_priced += 1;
-                best_in_cylinder(disk, free, cyl, BLOCK_SECTORS, |t| t != track)
+                best_in_cylinder(disk, free, metrics, cyl, BLOCK_SECTORS, |t| t != track)
             });
         if self.metrics.is_enabled() {
             self.metrics.inc("compact.plug_searches");
@@ -823,6 +826,11 @@ mod tests {
             m.counter_value("compact.plug_tracks_priced"),
             1,
             "later empty tracks are not priced"
+        );
+        assert_eq!(
+            m.counter_value("alloc.cost_evals"),
+            1,
+            "only the last resort is priced"
         );
         assert_eq!(
             m.counter_value("compact.plug_cyls_skipped"),

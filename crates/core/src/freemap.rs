@@ -2,7 +2,8 @@
 //!
 //! Eager writing is all about knowing, cheaply, which sectors near the head
 //! are free. [`FreeMap`] keeps one flat bitmap (each track a run of whole
-//! words) plus per-track free counts, so the allocator can ask:
+//! words) plus per-track free counts and free-slot masks, so the allocator
+//! can ask:
 //!
 //! * is this sector (or 8-sector-aligned block) free?
 //! * how full is this track? (drives the fill-to-threshold policy of §2.3)
@@ -17,6 +18,10 @@ use disksim::{Geometry, Result};
 /// 4 KB block is 8 sectors, and 8 divides the 64-bit bitmap word, so an
 /// aligned slot is one byte of a word.
 pub const INDEX_ALIGN: u32 = 8;
+
+/// The widest track a [`FreeMap`] takes: one free-slot mask bit per
+/// [`INDEX_ALIGN`]-aligned slot, 64 slots.
+pub(crate) const MAX_SECTORS_PER_TRACK: u32 = 64 * INDEX_ALIGN;
 
 /// Fixed-point scale of the utilization key. Two distinct track
 /// utilizations `a/s1 != b/s2` differ by at least `1/(s1*s2)`, so with
@@ -48,8 +53,9 @@ pub struct FreeMap {
     empty_tracks: u32,
     /// Free sectors per cylinder (summary over the cylinder's tracks).
     cyl_free: Vec<u64>,
-    /// Free [`INDEX_ALIGN`]-aligned slots per track.
-    aligned_free: Vec<u32>,
+    /// Per track, bit `k` set iff [`INDEX_ALIGN`]-aligned slot `k` is
+    /// wholly free.
+    slot_mask: Vec<u64>,
     /// Free [`INDEX_ALIGN`]-aligned slots per cylinder.
     cyl_aligned: Vec<u32>,
     /// Completely empty tracks per cylinder.
@@ -86,6 +92,10 @@ pub(crate) fn lba_bits(flat: &[u64], lba: u64) -> u64 {
 
 impl FreeMap {
     /// Build a map with every sector free.
+    ///
+    /// # Panics
+    /// If a track is wider than its free-slot mask, 64 slots of
+    /// [`INDEX_ALIGN`] sectors (512 sectors).
     pub fn new(geometry: &Geometry) -> Self {
         let tracks_per_cyl = geometry.tracks_per_cylinder();
         let n_tracks = geometry.cylinders() as usize * tracks_per_cyl as usize;
@@ -97,6 +107,7 @@ impl FreeMap {
             let spt = geometry
                 .sectors_per_track(cyl)
                 .expect("cylinder in range by construction");
+            assert!(spt <= MAX_SECTORS_PER_TRACK, "too wide: {spt} sectors");
             for _ in 0..tracks_per_cyl {
                 word_off.push(bits.len() as u32);
                 bits.extend(word_masks(0, spt).map(|(_, mask)| mask));
@@ -115,7 +126,7 @@ impl FreeMap {
             total: geometry.total_sectors(),
             empty_tracks: 0,
             cyl_free: vec![0; n_cyls],
-            aligned_free: vec![0; n_tracks],
+            slot_mask: vec![0; n_tracks],
             cyl_aligned: vec![0; n_cyls],
             cyl_empty: vec![0; n_cyls],
         };
@@ -191,7 +202,7 @@ impl FreeMap {
         count == 0 || word_masks(sector, sector + count).all(|(wi, mask)| words[wi] & mask == mask)
     }
 
-    /// SWAR reduction of one bitmap word to its free-slot mask: bit `8k` of
+    /// SWAR reduction of one bitmap word to a flag per byte: bit `8k` of
     /// the result is set iff byte `k` of `w` is `0xFF`, i.e. iff aligned
     /// slot `k` of the word is entirely free. Bits beyond the track end are
     /// zero by construction, so invalid tail slots can never read as free.
@@ -202,10 +213,19 @@ impl FreeMap {
         (m & (m >> 1)) & 0x0101_0101_0101_0101
     }
 
+    /// Byte `wi` of a track's free-slot mask, from its bitmap word `wi`:
+    /// the word's [`Self::free_slot_bits`] gathered into one byte (the
+    /// multiply moves bit `8k` to bit `56 + k` without carries) and put in
+    /// place.
+    #[inline]
+    fn slot_byte(wi: usize, w: u64) -> u64 {
+        (Self::free_slot_bits(w).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * wi)
+    }
+
     /// Flip sectors `sector..sector + count` of one track to `free`, a
     /// word at a time: the sectors that actually change are the set bits of
-    /// `before ^ after`, and the aligned-slot delta is the difference of the
-    /// two words' free-slot counts.
+    /// `before ^ after`, and each touched word's byte of the track's
+    /// free-slot mask is recomputed.
     fn set(&mut self, cyl: u32, track: u32, sector: u32, count: u32, free: bool) -> Result<()> {
         let ti = self.track_index(cyl, track);
         let spt = self.spt[ti];
@@ -219,19 +239,21 @@ impl FreeMap {
             return Ok(());
         }
         let base = self.word_off[ti] as usize;
-        let (mut changed, mut aligned_before, mut aligned_after) = (0u32, 0u32, 0u32);
+        let (mut changed, before) = (0u32, self.slot_mask[ti]);
+        let mut after = before;
         for (wi, mask) in word_masks(sector, end) {
             let w = &mut self.bits[base + wi];
-            let before = *w;
-            *w = if free { before | mask } else { before & !mask };
-            changed += (before ^ *w).count_ones();
-            aligned_before += Self::free_slot_bits(before).count_ones();
-            aligned_after += Self::free_slot_bits(*w).count_ones();
+            let was = *w;
+            *w = if free { was | mask } else { was & !mask };
+            changed += (was ^ *w).count_ones();
+            after = after & !Self::slot_byte(wi, u64::MAX) | Self::slot_byte(wi, *w);
         }
         if changed == 0 {
             return Ok(());
         }
         let cyl = cyl as usize;
+        self.slot_mask[ti] = after;
+        self.cyl_aligned[cyl] = self.cyl_aligned[cyl] + after.count_ones() - before.count_ones();
         let was_empty = self.free_count[ti] == spt;
         if free {
             self.free_count[ti] += changed;
@@ -242,8 +264,6 @@ impl FreeMap {
             self.total_free -= changed as u64;
             self.cyl_free[cyl] -= changed as u64;
         }
-        self.aligned_free[ti] = self.aligned_free[ti] + aligned_after - aligned_before;
-        self.cyl_aligned[cyl] = self.cyl_aligned[cyl] + aligned_after - aligned_before;
         match (was_empty, self.free_count[ti] == spt) {
             (true, false) => {
                 self.empty_tracks -= 1;
@@ -303,15 +323,15 @@ impl FreeMap {
             let cyl = ti / tracks_per_cyl;
             let words = self.words(ti);
             let free: u32 = words.iter().map(|w| w.count_ones()).sum();
-            let aligned: u32 = words
+            let mask = words
                 .iter()
-                .map(|&w| Self::free_slot_bits(w).count_ones())
-                .sum();
+                .enumerate()
+                .fold(0, |m, (wi, &w)| m | Self::slot_byte(wi, w));
             self.free_count[ti] = free;
-            self.aligned_free[ti] = aligned;
+            self.slot_mask[ti] = mask;
             self.total_free += free as u64;
             self.cyl_free[cyl] += free as u64;
-            self.cyl_aligned[cyl] += aligned;
+            self.cyl_aligned[cyl] += mask.count_ones();
             if free == self.spt[ti] {
                 self.empty_tracks += 1;
                 self.cyl_empty[cyl] += 1;
@@ -404,9 +424,10 @@ impl FreeMap {
     }
 
     /// First free aligned run of `align` sectors at or after `from_sector`
-    /// (wrapping), equivalent to [`FreeMap::free_aligned_from`] but with an
-    /// O(1) exit on tracks with no free slot and a byte-compare per slot
-    /// when `align` is the indexed alignment.
+    /// (wrapping), equivalent to [`FreeMap::free_aligned_from`]; at the
+    /// indexed alignment one rotate and `trailing_zeros` of the track's
+    /// free-slot mask, small enough to inline into the placement search.
+    #[inline]
     pub fn first_aligned_from(
         &self,
         cyl: u32,
@@ -414,47 +435,32 @@ impl FreeMap {
         from_sector: u32,
         align: u32,
     ) -> Option<u32> {
-        if align == 1 {
-            return self.first_free_from(cyl, track, from_sector);
+        if align != INDEX_ALIGN {
+            return self.first_unindexed_from(cyl, track, from_sector, align);
         }
         let ti = self.track_index(cyl, track);
-        if self.free_count[ti] < align {
+        let mask = self.slot_mask[ti];
+        if mask == 0 {
             return None;
         }
-        if align != INDEX_ALIGN {
-            return self.free_aligned_from(cyl, track, from_sector, align);
+        // Rotated right by the start slot, the mask lists the slots in
+        // encounter order: the start slot onwards, then (past the zero bits
+        // beyond the track's last slot) the slots before it.
+        let slots = self.spt[ti] / INDEX_ALIGN;
+        let start = from_sector.div_ceil(INDEX_ALIGN);
+        let start = if start < slots { start } else { start % slots };
+        Some((start + mask.rotate_right(start).trailing_zeros()) % 64 * INDEX_ALIGN)
+    }
+
+    /// [`Self::first_aligned_from`] at an alignment the masks do not index.
+    fn first_unindexed_from(&self, cyl: u32, track: u32, from: u32, align: u32) -> Option<u32> {
+        if align == 1 {
+            return self.first_free_from(cyl, track, from);
         }
-        if self.aligned_free[ti] == 0 {
-            return None;
-        }
-        // Word-at-a-time: reduce each 64-bit word to its free-slot mask and
-        // find the first set slot bit with `trailing_zeros`, instead of
-        // byte-testing slots one by one. Same cyclic slot order as the
-        // per-slot scan: start word (high slots), later words, earlier
-        // words, start word (low slots).
-        let slots = self.spt[ti] / align;
-        let start_slot = from_sector.div_ceil(align) % slots;
-        let words = self.words(ti);
-        let ws = start_slot as usize / 8;
-        let shift = (start_slot % 8) * 8;
-        let m = Self::free_slot_bits(words[ws]) & (u64::MAX << shift);
-        if m != 0 {
-            return Some((ws as u32 * 8 + m.trailing_zeros() / 8) * align);
-        }
-        for (wi, &w) in words.iter().enumerate().skip(ws + 1) {
-            let m = Self::free_slot_bits(w);
-            if m != 0 {
-                return Some((wi as u32 * 8 + m.trailing_zeros() / 8) * align);
-            }
-        }
-        for (wi, &w) in words.iter().enumerate().take(ws) {
-            let m = Self::free_slot_bits(w);
-            if m != 0 {
-                return Some((wi as u32 * 8 + m.trailing_zeros() / 8) * align);
-            }
-        }
-        let m = Self::free_slot_bits(words[ws]) & !(u64::MAX << shift);
-        (m != 0).then(|| (ws as u32 * 8 + m.trailing_zeros() / 8) * align)
+        let ti = self.track_index(cyl, track);
+        (self.free_count[ti] >= align)
+            .then(|| self.free_aligned_from(cyl, track, from, align))
+            .flatten()
     }
 
     /// Free sectors in a whole cylinder.
@@ -528,7 +534,7 @@ impl FreeMap {
 
     /// Number of cylinders under management.
     pub fn cylinders(&self) -> u32 {
-        (self.spt.len() / self.tracks_per_cyl as usize) as u32
+        self.cyl_free.len() as u32
     }
 
     /// Tracks per cylinder.
@@ -577,7 +583,7 @@ impl FreeMap {
         let ti = self.track_index(cyl, track);
         match align {
             1 => self.free_count[ti] > 0,
-            INDEX_ALIGN => self.aligned_free[ti] > 0,
+            INDEX_ALIGN => self.slot_mask[ti] != 0,
             a => self.free_count[ti] >= a,
         }
     }
@@ -754,13 +760,14 @@ mod tests {
                 m.total_free -= 1;
                 m.cyl_free[cyl] -= 1;
             }
+            let bit = 1u64 << (s / INDEX_ALIGN);
             match (slot_was, slot_free(m, s / INDEX_ALIGN)) {
                 (true, false) => {
-                    m.aligned_free[ti] -= 1;
+                    m.slot_mask[ti] &= !bit;
                     m.cyl_aligned[cyl] -= 1;
                 }
                 (false, true) => {
-                    m.aligned_free[ti] += 1;
+                    m.slot_mask[ti] |= bit;
                     m.cyl_aligned[cyl] += 1;
                 }
                 _ => {}
@@ -779,10 +786,19 @@ mod tests {
         }
     }
 
-    /// Two maps over one geometry agree on every bit and every summary.
+    /// Two maps over one geometry agree on every bit and every summary,
+    /// and each map's free-slot masks are what a byte-by-byte reading of
+    /// its bitmap words gives.
     fn assert_same(a: &FreeMap, b: &FreeMap, ctx: &str) {
         assert_eq!(a.bits, b.bits, "{ctx}: bits");
-        assert_eq!(a.aligned_free, b.aligned_free, "{ctx}: aligned_free");
+        assert_eq!(a.slot_mask, b.slot_mask, "{ctx}: slot_mask");
+        for ti in 0..a.spt.len() {
+            let words = a.words(ti);
+            let slots = 0..a.spt[ti] / INDEX_ALIGN;
+            let free = slots.map(|k| words[k as usize / 8] >> (k % 8 * 8) & 0xFF == 0xFF);
+            let mask = free.enumerate().fold(0, |m, (k, f)| m | u64::from(f) << k);
+            assert_eq!(a.slot_mask[ti], mask, "{ctx}: slot_mask of track {ti}");
+        }
         assert_eq!(a.free_sectors(), b.free_sectors(), "{ctx}");
         assert_eq!(a.empty_tracks(), b.empty_tracks(), "{ctx}");
         assert_eq!(a.nonempty_tracks(), b.nonempty_tracks(), "{ctx}");
@@ -867,10 +883,10 @@ mod tests {
         }
     }
 
-    /// Random occupancies: the SWAR word-scan aligned search must agree
-    /// with the linear per-slot oracle at every starting sector.
+    /// Random occupancies: the slot-mask aligned search must agree with
+    /// the linear per-slot oracle at every starting sector.
     #[test]
-    fn swar_aligned_scan_matches_linear_oracle() {
+    fn slot_mask_scan_matches_linear_oracle() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for (cyls, tracks, spt) in [(2u32, 2u32, 72u32), (2, 2, 256), (2, 1, 16)] {
@@ -932,6 +948,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The widest track has one mask bit per slot; one sector wider has
+    /// no room.
+    #[test]
+    fn tracks_wider_than_the_slot_mask_are_refused() {
+        let mut m = FreeMap::new(&Geometry::uniform(1, 1, MAX_SECTORS_PER_TRACK));
+        assert_eq!(m.slot_mask, [u64::MAX]);
+        m.allocate(0, 0, MAX_SECTORS_PER_TRACK - 1, 1).unwrap();
+        assert_eq!(m.first_aligned_from(0, 0, 0, INDEX_ALIGN), Some(0));
+        assert_eq!(m.first_aligned_from(0, 0, 500, INDEX_ALIGN), Some(0));
+        assert_eq!(m.first_aligned_from(0, 0, 490, INDEX_ALIGN), Some(496));
+        let wide = Geometry::uniform(1, 1, MAX_SECTORS_PER_TRACK + 1);
+        let refused = std::panic::catch_unwind(|| FreeMap::new(&wide));
+        assert!(refused.is_err(), "a wider track was taken");
     }
 
     #[test]

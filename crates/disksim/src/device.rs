@@ -117,7 +117,9 @@ pub trait BlockDevice {
     /// Grant up to `budget_ns` of idle time. The device may run background
     /// work (compaction, cleaning), advancing the clock as it goes, and
     /// returns the nanoseconds it actually consumed; the caller idles the
-    /// clock through the remainder. The default consumes nothing.
+    /// clock through the remainder. A pass already started is finished, so
+    /// the device may consume more than the budget. The default consumes
+    /// nothing.
     fn idle(&mut self, _budget_ns: u64) -> u64 {
         0
     }

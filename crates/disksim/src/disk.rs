@@ -58,6 +58,8 @@ pub struct TrackPricer {
     in_rev: u64,
     /// The track's angular skew, already reduced modulo `spt`.
     skew: u32,
+    /// The physical slot [`TrackPricer::rank`] counts from.
+    origin: u32,
     /// First logical sector whose start passes under the head after the
     /// reposition — the seed for a rotational-encounter-order scan.
     pub arrival: u32,
@@ -89,6 +91,25 @@ impl TrackPricer {
             transfer_ns: 0,
         }
     }
+
+    /// The order of `sector` by [`TrackPricer::cost`], without pricing it:
+    /// of two slots on the tracks one [`CylinderPricer`] plans alike
+    /// (every track but the head's own), the lower rank costs less, and
+    /// equal ranks are the same angle at the same cost. A slot's rotational
+    /// wait grows with its start until the wait wraps past a revolution, so
+    /// the rank counts physical slots from `origin`, the first whose start
+    /// is not behind the head. That is the arrival slot except in two cases,
+    /// because `sector_at_phase` divides by the exact revolution while
+    /// `sector_ns` is truncated: the slot behind the arrival slot can start
+    /// exactly at the arrival instant (a wait of 0, so it ranks first), and
+    /// the arrival slot itself can start just before it (almost a
+    /// revolution, so it ranks last).
+    #[inline]
+    pub fn rank(&self, sector: u32) -> u32 {
+        let rank = sector + self.skew + self.spt - self.origin; // below 3 · spt
+        let rank = rank.checked_sub(self.spt).unwrap_or(rank);
+        rank.checked_sub(self.spt).unwrap_or(rank)
+    }
 }
 
 /// The repositioning plan shared by every track of one cylinder at one
@@ -115,12 +136,15 @@ pub struct CylinderPricer {
 }
 
 /// Where a repositioning lands within the revolution: the head's angular
-/// position, and the physical slot whose boundary arrives first (already
-/// advanced past the partially-gone sector).
+/// position, the physical slot whose boundary arrives first (already
+/// advanced past the partially-gone sector), and the slot
+/// [`TrackPricer::rank`] counts from, the first whose start is not behind
+/// the head (slot 0 when none is).
 #[derive(Debug, Clone, Copy)]
 struct Phase {
     in_rev: u64,
     slot_plus1: u32,
+    origin: u32,
 }
 
 impl CylinderPricer {
@@ -142,6 +166,7 @@ impl CylinderPricer {
             .wrapping_mul(self.track_skew)
             .wrapping_add(self.cyl_skew)
             % self.spt;
+        let arrival = phase.slot_plus1 + self.spt - skew;
         TrackPricer {
             spt: self.spt,
             seek_ns: self.seek_ns,
@@ -150,7 +175,8 @@ impl CylinderPricer {
             sector_ns: self.sector_ns,
             in_rev: phase.in_rev,
             skew,
-            arrival: (phase.slot_plus1 + self.spt - skew) % self.spt,
+            origin: phase.origin,
+            arrival: arrival.checked_sub(self.spt).unwrap_or(arrival),
         }
     }
 }
@@ -622,6 +648,13 @@ impl Disk {
         }
     }
 
+    /// The cylinder the arm is over: [`Self::head`] without working out
+    /// the rotational position.
+    #[inline]
+    pub fn head_cyl(&self) -> u32 {
+        self.cur_cyl
+    }
+
     /// Angular skew (in sectors) applied to the given track.
     fn skew(&self, cyl: u32, track: u32) -> u32 {
         track
@@ -733,12 +766,22 @@ impl Disk {
         let mech = &self.spec.mech;
         let seek = self.seek.get(self.cur_cyl.abs_diff(cyl));
         let (now, rev_ns) = (self.clock.now(), mech.revolution_ns());
+        let sector_ns = rev_ns / spt as u64;
         // Same arrival rule as `arrival_sector`: the sector passing at
         // arrival is partially gone, so the next boundary is slot + 1.
+        // `origin` is the first slot from the passing one whose start is not
+        // behind the head: the next one, unless the truncation of
+        // `sector_ns` puts its start behind `in_rev` (then a later one) or
+        // the passing one starts exactly at `in_rev` (then that one).
         let phase = |reposition: u64| {
             let in_rev = (now + reposition) % rev_ns;
-            let slot_plus1 = (sector_at_phase(in_rev, spt, rev_ns) + 1) % spt;
-            Phase { in_rev, slot_plus1 }
+            let under = sector_at_phase(in_rev, spt, rev_ns);
+            let origin = (under..spt).find(|&s| s as u64 * sector_ns >= in_rev);
+            Phase {
+                in_rev,
+                slot_plus1: (under + 1) % spt,
+                origin: origin.unwrap_or(0),
+            }
         };
         let head_cyl = self.cur_cyl == cyl;
         let switch = if head_cyl { mech.head_switch_ns } else { 0 };
@@ -747,7 +790,7 @@ impl Disk {
             seek_ns: seek,
             head_switch_ns: switch,
             rev_ns,
-            sector_ns: rev_ns / spt as u64,
+            sector_ns,
             cyl_skew: cyl.wrapping_mul(self.spec.cyl_skew),
             track_skew: self.spec.track_skew,
             phase: phase(seek.max(switch)),
@@ -1461,6 +1504,64 @@ mod tests {
                             let oracle = d.position_cost(cyl, t, s).unwrap();
                             assert_eq!(tp.cost(s), oracle, "{at} sector={s}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `rank` orders every slot of every track but the head's own exactly
+    /// as `cost` does, and equal ranks cost the same: on both drives, for
+    /// the head's cylinder and a far one, from random instants and from
+    /// instants forced onto the two boundaries (the slot behind the arrival
+    /// slot starts exactly at the arrival instant; the arrival slot starts
+    /// just before it).
+    #[test]
+    fn cylinder_rank_orders_like_cost() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            let g = spec.geometry.clone();
+            let (cyls, tracks) = (g.cylinders(), g.tracks_per_cylinder());
+            let (rev, spt) = (spec.mech.revolution_ns(), g.sectors_per_track(0).unwrap());
+            let sector_ns = spec.mech.sector_ns(spt);
+            let mut d = Disk::new(spec.clone(), SimClock::new());
+            let mut rng = StdRng::seed_from_u64(0x4A4B ^ cyls as u64);
+            // Arrival phases: anywhere, exactly on slot 0's start (the slot
+            // behind the arrival slot is free to reach), and one nanosecond
+            // past the last slot's start (the arrival slot is just gone).
+            let boundary = [None, Some(0), Some((spt as u64 - 1) * sector_ns + 1)];
+            for round in 0..24 {
+                d.seek_to(rng.gen_range(0..cyls), rng.gen_range(0..tracks))
+                    .unwrap();
+                d.advance_ns(rng.gen_range(0..rev));
+                let head = d.head();
+                for cyl in [head.cyl, (head.cyl + cyls / 2) % cyls] {
+                    let other = (head.track + 1) % tracks;
+                    if let Some(in_rev) = boundary[round % 3] {
+                        let st = d.position_cost(cyl, other, 0).unwrap();
+                        let arrive = d.now_ns() + st.seek_ns + st.head_switch_ns;
+                        d.advance_ns((in_rev + rev - arrive % rev) % rev);
+                    }
+                    let plan = d.cylinder_pricer(cyl).unwrap();
+                    let tp = plan.track(other);
+                    let behind = (tp.arrival + spt - 1) % spt;
+                    match boundary[round % 3] {
+                        Some(0) => assert_eq!(tp.cost(behind).rotation_ns, 0),
+                        Some(_) => assert!(tp.cost(tp.arrival).rotation_ns > rev - sector_ns),
+                        None => {}
+                    }
+                    let mut ranked: Vec<(u32, u64)> = (0..tracks)
+                        .filter(|&t| cyl != head.cyl || t != head.track)
+                        .flat_map(|t| (0..spt).map(move |s| (t, s)))
+                        .map(|(t, s)| (plan.track(t).rank(s), plan.track(t).cost(s).total_ns()))
+                        .collect();
+                    ranked.sort_unstable();
+                    for w in ranked.windows(2) {
+                        let ((ra, ca), (rb, cb)) = (w[0], w[1]);
+                        let at = format!("cyls={cyls} round={round} head={head:?} cyl={cyl}");
+                        assert_eq!(ra == rb, ca == cb, "{at}: {w:?}");
+                        assert!(ca <= cb, "{at}: {w:?}");
                     }
                 }
             }

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 use obs::{OpKind, TraceEvent, Tracer};
 
 use crate::clock::SimClock;
-use crate::device::{BlockDevice, DeviceSnapshot};
+use crate::device::{BlockDevice, DeviceSnapshot, SharedBlocks};
 use crate::disk::DiskStats;
 use crate::error::{DiskError, Result};
 use crate::service::ServiceTime;
@@ -367,6 +367,16 @@ impl BlockDevice for FaultDisk {
         self.inner.read_blocks(start, buf)
     }
 
+    fn share_blocks<'a>(
+        &mut self,
+        start: u64,
+        blocks: usize,
+        spare: &'a mut Vec<u8>,
+    ) -> Result<(SharedBlocks<'a>, ServiceTime)> {
+        self.check_power()?;
+        self.inner.share_blocks(start, blocks, spare)
+    }
+
     fn write_blocks(&mut self, start: u64, buf: &[u8]) -> Result<ServiceTime> {
         self.check_power()?;
         let bs = self.block_size();
@@ -488,13 +498,20 @@ mod tests {
         (0..BS).map(|i| tag ^ (i % 251) as u8).collect()
     }
 
+    /// Without faults the wrapper is the bare disk: the same writes, then a
+    /// plain and a shared read, give the same bytes, `ServiceTime`s,
+    /// `DiskStats` and clock (instant and event count) on both.
     #[test]
     fn faultless_plan_is_transparent_and_counts_ops() {
         let mut d = dev(FaultPlan::none());
-        for i in 0..5u64 {
-            d.write_block(i, &block(i as u8)).unwrap();
+        let mut bare = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), BS);
+        let run = [block(9), block(8)].concat();
+        for dev in [&mut d as &mut dyn BlockDevice, &mut bare] {
+            for i in 0..5u64 {
+                dev.write_block(i, &block(i as u8)).unwrap();
+            }
+            dev.write_blocks(10, &run).unwrap();
         }
-        d.write_blocks(10, &[block(9), block(8)].concat()).unwrap();
         assert_eq!(d.write_ops(), 7);
         assert!(!d.is_powered_off());
         let mut r = vec![0u8; BS];
@@ -502,6 +519,27 @@ mod tests {
         assert_eq!(r, block(3));
         assert_eq!(d.acked_blocks().len(), 7);
         assert_eq!(d.acked_blocks()[&11], content_hash(&block(8)));
+
+        bare.read_block(3, &mut r).unwrap();
+        let (mut spare, mut scratch) = (Vec::new(), Vec::new());
+        let (shared, st) = d.share_blocks(9, 3, &mut spare).unwrap();
+        assert!(
+            matches!(shared, SharedBlocks::Lent(_)),
+            "the read is lent, not copied"
+        );
+        let got = shared.get(0..3 * BS, &mut scratch).to_vec();
+        let mut bare_spare = Vec::new();
+        let (bare_shared, bare_st) = bare.share_blocks(9, 3, &mut bare_spare).unwrap();
+        assert_eq!(got, bare_shared.get(0..3 * BS, &mut scratch));
+        assert_eq!(&got[BS..], &run[..]);
+        assert_eq!(st, bare_st);
+        let stats = |s: DiskStats| (s.reads, s.writes, s.sectors_read, s.sectors_written, s.busy);
+        assert_eq!(stats(d.disk_stats()), stats(bare.disk_stats()));
+        let (clock, bare_clock) = (d.clock(), bare.clock());
+        assert_eq!(
+            (clock.now(), clock.local_events()),
+            (bare_clock.now(), bare_clock.local_events())
+        );
     }
 
     #[test]
@@ -522,6 +560,10 @@ mod tests {
             DiskError::PowerFailure
         );
         assert!(d.flush().is_err());
+        assert_eq!(
+            d.share_blocks(0, 1, &mut Vec::new()).err(),
+            Some(DiskError::PowerFailure)
+        );
         assert_eq!(d.idle(1_000_000), 0);
         assert!(d.fault_log().refused_after_cut >= 2);
         // The media survives: acked writes are there, the cut one is not.

@@ -1352,7 +1352,7 @@ impl FileSystem for Ufs {
             self.update_cache_gauges();
         }
         let remaining = end.saturating_sub(clock.now());
-        fscore::fs::grant_idle(self.dev.as_mut(), remaining);
+        fscore::fs::grant_idle(self.dev.as_mut(), remaining, &self.metrics);
         clock.advance_to(end);
     }
 
