@@ -6,9 +6,9 @@
 //! across a scoped thread pool (`disksim::par`), so stdout is
 //! byte-identical to a fully sequential run. `--threads N` (or the
 //! `VLFS_THREADS` env var) pins the pool width; `--timing-json PATH`
-//! writes the per-section wall-clock / simulated-event record that
-//! `BENCH_all_figures.json` archives. The human-readable timing report
-//! goes to stderr so it never perturbs the figure text.
+//! writes the per-section wall-clock / simulated-event record that CI's
+//! sim-event gate reads. The human-readable timing report goes to stderr
+//! so it never perturbs the figure text.
 //!
 //! `--trace PATH` and `--metrics-json PATH` additionally run the traced
 //! observability exhibit (see `vlfs_bench::obs`), exporting a JSONL event

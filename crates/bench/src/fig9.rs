@@ -6,11 +6,8 @@
 //! Per the paper's footnote, the VLD is measured immediately after a
 //! compactor run.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
 use crate::format_table;
-use crate::setup::{build_aged, AgedSpec};
+use crate::setup::{build_aged, AgedSpec, OnceMap};
 use crate::workload::{random_updates, rng};
 use fscore::{FileSystem, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
@@ -35,43 +32,28 @@ impl Breakdown {
     }
 }
 
-/// Process-wide memo for [`measure`]: Table 2 and Figure 9 issue the same
-/// six measurements, so whichever section runs second replays recorded
-/// results instead of re-simulating them. A hit credits the recorded
-/// simulated-event count back to the global counter (the same discipline as
-/// the aged-system snapshot cache), so per-section event totals match a
-/// from-scratch run exactly.
-type MeasureKey = (DevKind, DiskKind, HostModel, u64);
-fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
-    static MEMO: OnceLock<Mutex<HashMap<MeasureKey, (Breakdown, u64)>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Measure the breakdown for UFS on the given device at ~80 % utilisation.
+///
+/// Table 2 and Figure 9 issue the same six measurements, so each is
+/// simulated once per process and whichever section asks second replays
+/// the recorded result (errors included), simulating nothing.
 pub fn measure(dev: DevKind, disk: DiskKind, host: HostModel, updates: u64) -> FsResult<Breakdown> {
-    let key = (dev, disk, host, updates);
-    if let Some(&(b, events)) = memo().lock().expect("measure memo lock").get(&key) {
-        disksim::clock::add_events(events);
-        return Ok(b);
-    }
-    let (b, events) = measure_fresh(dev, disk, host, updates)?;
-    memo()
-        .lock()
-        .expect("measure memo lock")
-        .insert(key, (b, events));
-    Ok(b)
+    static MEMO: OnceMap<(DevKind, DiskKind, HostModel, u64), FsResult<Breakdown>> = OnceMap::new();
+    MEMO.get(
+        (dev, disk, host, updates),
+        || measure_fresh(dev, disk, host, updates),
+        Clone::clone,
+    )
 }
 
-/// The actual measurement, bypassing the memo; returns the breakdown plus
-/// the simulated events the measured system consumed (what a memo hit
-/// credits). Public as the oracle `tests/event_credit.rs` holds
-/// [`measure`] to.
+/// The actual measurement, bypassing the memo. Public as the oracle
+/// `tests/replay.rs` holds [`measure`] to.
 pub fn measure_fresh(
     dev: DevKind,
     disk: DiskKind,
     host: HostModel,
     updates: u64,
-) -> FsResult<(Breakdown, u64)> {
+) -> FsResult<Breakdown> {
     // Footnote 1 of the paper: the VLD is measured "immediately after
     // running a compactor" — so provision an empty-track pool large enough
     // to cover the measured window.
@@ -127,15 +109,12 @@ pub fn measure_fresh(
     let locate_ms = dev_busy.locate_ns() as f64 / n / 1e6;
     let transfer_ms = dev_busy.transfer_ns as f64 / n / 1e6;
     let other_ms = (elapsed as f64 / n) / 1e6 - overhead_ms - locate_ms - transfer_ms;
-    Ok((
-        Breakdown {
-            overhead_ms,
-            locate_ms,
-            transfer_ms,
-            other_ms: other_ms.max(0.0),
-        },
-        clock.local_events(),
-    ))
+    Ok(Breakdown {
+        overhead_ms,
+        locate_ms,
+        transfer_ms,
+        other_ms: other_ms.max(0.0),
+    })
 }
 
 /// The three platform generations of Table 2 / Figure 9.

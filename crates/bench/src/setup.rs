@@ -6,11 +6,14 @@
 //! ([`ufs::UfsSnapshot`]), and hands every cell an independent
 //! copy-on-write fork instead of re-running the setup workload per cell
 //! (cells whose state no other cell shares call [`build_aged`] directly).
+//! The cache and the Figure 9 measurement memo share one once-per-key map,
+//! `OnceMap`.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fscore::{FileId, FileSystem, FsResult, HostModel};
+use fscore::{FileId, FileSystem, FsError, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
 use ufs::{Ufs, UfsSnapshot};
 
@@ -69,30 +72,44 @@ struct CachedAged {
     file_blocks: u64,
 }
 
-/// Per-key build cells: concurrent workers asking for the same key block on
-/// one `OnceLock` while the first builds (the build is deterministic, so it
-/// does not matter which worker wins). `None` records a state whose device
-/// stack cannot snapshot — those keys fall back to rebuilding per cell.
+/// A process-wide map from key to a value computed at most once: the
+/// harness's one way of replaying work it has already simulated.
+/// Concurrent first requests for a key block on that key's `OnceLock`
+/// while one of them computes (the computation is deterministic, so it
+/// does not matter which worker wins), and errors are cached like values.
+/// A replay simulates nothing, so the process-wide event counter
+/// ([`disksim::clock::events`]) counts each entry's work once.
 ///
-/// The map is unbounded because its callers are: Figures 10 and 11 each
-/// fork one key across all their cells, and cells whose spec is used once
-/// (Figure 8, Figure 9 / Table 2) call [`build_aged`] and never enter it.
-/// A snapshot retains the aged system's full media image and buffer cache
-/// (tens of MB), so a caller that mints many keys should do the same.
-type AgedCell = Arc<OnceLock<Option<CachedAged>>>;
+/// The map is unbounded because its callers are: every entry is a state
+/// or a measurement the suite asks for more than once.
+pub(crate) struct OnceMap<K, V>(OnceLock<Mutex<HashMap<K, Arc<OnceLock<V>>>>>);
 
-fn cache_cell(key: AgedKey) -> AgedCell {
-    static CACHE: OnceLock<Mutex<HashMap<AgedKey, AgedCell>>> = OnceLock::new();
-    let mut map = CACHE
-        .get_or_init(Mutex::default)
-        .lock()
-        .expect("aged cache poisoned");
-    Arc::clone(map.entry(key).or_default())
+impl<K: Eq + Hash, V> OnceMap<K, V> {
+    /// An empty map, usable as a `static`.
+    pub(crate) const fn new() -> Self {
+        Self(OnceLock::new())
+    }
+
+    /// `read` applied to the value for `key`, which `init` computes on the
+    /// first request.
+    pub(crate) fn get<R>(&self, key: K, init: impl FnOnce() -> V, read: impl FnOnce(&V) -> R) -> R {
+        let cell = {
+            let mut map = self
+                .0
+                .get_or_init(Mutex::default)
+                .lock()
+                .expect("once map poisoned");
+            Arc::clone(map.entry(key).or_default())
+        };
+        read(cell.get_or_init(init))
+    }
 }
 
 /// Build the aged state described by `spec` from scratch, bypassing the
-/// snapshot cache. This is the path for a spec that is used once, and the
-/// oracle the fork-identity tests compare against.
+/// snapshot cache. This is the path for a spec that is used once (Figure
+/// 8, Figure 9 / Table 2: a snapshot retains the aged system's full media
+/// image and buffer cache, tens of MB), and the oracle the fork-identity
+/// tests compare against.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = spec.stack.build(None, &Obs::default())?;
     let usable = fs.free_blocks();
@@ -112,33 +129,27 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
 /// target file's handle and length in blocks.
 ///
 /// The first request for a given spec builds the state and caches a
-/// [`UfsSnapshot`]; every request (including the first) is then served by
-/// forking the snapshot in O(metadata) — media tracks, map pages and cache
-/// payloads stay shared copy-on-write until a fork writes them. Event
-/// accounting is rebuild-equivalent: the cached build's simulation events
-/// are subtracted once and re-credited by every fork, so per-figure event
-/// totals match each cell rebuilding from scratch.
+/// [`UfsSnapshot`] (or the error that stopped it: a stack that cannot
+/// snapshot is one); every request, the first included, is then served
+/// by forking the snapshot in O(metadata) — media tracks, map pages and
+/// cache payloads stay shared copy-on-write until a fork writes them. Only
+/// the build is simulated: a fork adds no events to the process-wide
+/// counter, though its clock carries the build's count.
 pub fn aged_system(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
-    let cell = cache_cell(spec.key());
-    let cached = cell.get_or_init(|| {
-        let (fs, file, file_blocks) = build_aged(spec).ok()?;
-        let snap = fs.snapshot()?;
-        // The cached build's events are subtracted once here and re-credited
-        // by every fork below, so event totals match a rebuild per cell.
-        disksim::clock::sub_events(snap.local_events());
-        Some(CachedAged {
+    static CACHE: OnceMap<AgedKey, FsResult<CachedAged>> = OnceMap::new();
+    let build = || {
+        let (fs, file, file_blocks) = build_aged(spec)?;
+        let snap = fs
+            .snapshot()
+            .ok_or(FsError::Invalid("aged stack cannot snapshot"))?;
+        Ok(CachedAged {
             snap,
             file,
             file_blocks,
         })
-    });
-    match cached {
-        Some(c) => {
-            disksim::clock::add_events(c.snap.local_events());
-            Ok((c.snap.restore(), c.file, c.file_blocks))
-        }
-        // Build failed or the stack cannot snapshot: rebuild per cell (and
-        // surface the per-cell error, if any).
-        None => build_aged(spec),
-    }
+    };
+    CACHE.get(spec.key(), build, |cached| match cached {
+        Ok(c) => Ok((c.snap.restore(), c.file, c.file_blocks)),
+        Err(e) => Err(e.clone()),
+    })
 }

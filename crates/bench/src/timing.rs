@@ -5,8 +5,8 @@
 //! sampled around each section, giving a simulated-events-per-second
 //! throughput figure for the simulator itself. The report goes to stderr
 //! (stdout carries the figures and must stay byte-identical across
-//! sequential and parallel runs) and, on request, to a JSON file — the
-//! repo's `BENCH_all_figures.json` perf-trajectory artifact.
+//! sequential and parallel runs) and, on request, to a JSON file, whose
+//! per-section `sim_events` CI compares with recorded counts.
 
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -756,12 +756,6 @@ impl VlogSnapshot {
         let alloc = EagerAllocator::from_state(&self.alloc);
         VirtualLog::assemble(self.disk.restore(), alloc, self.state.clone())
     }
-
-    /// Simulation events the captured system had consumed — forks credit
-    /// these to the global event counter so fork-vs-rebuild totals match.
-    pub fn local_events(&self) -> u64 {
-        self.disk.local_events()
-    }
 }
 
 #[cfg(test)]

@@ -309,10 +309,6 @@ impl DeviceSnapshot for VldSnapshot {
             state: self.state.clone(),
         })
     }
-
-    fn local_events(&self) -> u64 {
-        self.vlog.local_events()
-    }
 }
 
 #[cfg(test)]

@@ -13,37 +13,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide count of clock advances.
 ///
 /// Every timed simulation event — a disk access, an idle wait, a host
-/// compute delay — moves some [`SimClock`] forward exactly once, so this
-/// counter is a cheap, thread-safe proxy for "simulated events executed".
-/// The benchmark harness reads it to report simulated-events-per-second
+/// compute delay — moves some [`SimClock`] forward exactly once, and only
+/// [`SimClock::advance`] and [`SimClock::advance_to`] write this counter,
+/// so it counts the events this process actually simulated: a system
+/// restored from a snapshot adds nothing for the work that built it. The
+/// benchmark harness reads it to report simulated-events-per-second
 /// throughput alongside wall-clock time.
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total clock advances across all clocks ever created in this process.
 pub fn events() -> u64 {
     EVENTS.load(Ordering::Relaxed)
-}
-
-/// Credit `n` events to the process-wide counter without moving any clock.
-///
-/// Used by snapshot forks: restoring a captured system skips re-executing
-/// its setup workload, so the fork credits the events that workload *would*
-/// have generated. Event accounting then reads the same whether a system
-/// was rebuilt from scratch or forked from a snapshot.
-pub fn add_events(n: u64) {
-    EVENTS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Remove `n` events from the process-wide counter (the inverse of
-/// [`add_events`]).
-///
-/// Used once per cached snapshot build: the build's own events are
-/// subtracted and then re-credited by *every* fork restored from it
-/// (including the builder's), so a section that builds once and forks k
-/// times reports exactly the k×(build+measure) events a from-scratch
-/// rebuild of every cell would.
-pub fn sub_events(n: u64) {
-    EVENTS.fetch_sub(n, Ordering::Relaxed);
 }
 
 /// A shared, monotonically increasing virtual clock in nanoseconds.
@@ -62,9 +42,9 @@ pub fn sub_events(n: u64) {
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
     now_ns: Rc<Cell<u64>>,
-    /// Advances made through *this* clock (all handles share the cell).
-    /// Unlike the global [`events`] counter this is race-free per system,
-    /// which is what snapshots capture and credit on fork.
+    /// Advances made through *this* clock (all handles share the cell),
+    /// counting those of the system a snapshot restored it from. Unlike
+    /// the global [`events`] counter this is race-free per system.
     local_events: Rc<Cell<u64>>,
 }
 

@@ -35,12 +35,6 @@ use crate::SECTOR_BYTES;
 pub trait DeviceSnapshot: Send + Sync {
     /// Reconstruct an independent live device stack from this snapshot.
     fn restore(&self) -> Box<dyn BlockDevice>;
-
-    /// Simulation events the captured system had consumed at capture time.
-    /// A fork credits these to the global event counter
-    /// ([`crate::clock::add_events`]) so fork-vs-rebuild event totals match
-    /// exactly.
-    fn local_events(&self) -> u64;
 }
 
 /// A logical block device with simulated timing.
@@ -404,10 +398,6 @@ impl DeviceSnapshot for RegularDiskSnapshot {
             disk: self.disk.restore(),
             state: self.state,
         })
-    }
-
-    fn local_events(&self) -> u64 {
-        self.disk.local_events()
     }
 }
 

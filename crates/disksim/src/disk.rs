@@ -1186,10 +1186,9 @@ impl Disk {
 /// thread and restored concurrently from many pool workers — and restoring
 /// it is O(slots), independent of how much workload produced the state: a
 /// fork starts with an empty copy-on-write overlay over the shared base
-/// image. `restore` does not touch the process-wide event counter; callers
-/// that want rebuild-equivalent event accounting credit
-/// [`crate::clock::add_events`] with the captured
-/// [`DiskSnapshot::local_events`] themselves.
+/// image. `restore` does not touch the process-wide event counter: a fork
+/// simulated nothing to come into being. Its own clock keeps the captured
+/// system's event count ([`SimClock::local_events`]).
 #[derive(Debug, Clone)]
 pub struct DiskSnapshot {
     spec: DiskSpec,
@@ -1228,12 +1227,6 @@ impl DiskSnapshot {
             spans: Spans::disabled(),
             obs_enabled: false,
         }
-    }
-
-    /// Clock advances the captured system had made through its own clock
-    /// when the snapshot was taken (see [`crate::clock::add_events`]).
-    pub fn local_events(&self) -> u64 {
-        self.local_events
     }
 }
 

@@ -474,10 +474,6 @@ impl DeviceSnapshot for FaultDiskSnapshot {
             self.state.clone(),
         ))
     }
-
-    fn local_events(&self) -> u64 {
-        self.inner.local_events()
-    }
 }
 
 #[cfg(test)]

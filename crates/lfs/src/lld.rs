@@ -1023,10 +1023,6 @@ impl DeviceSnapshot for LogDiskSnapshot {
     fn restore(&self) -> Box<dyn BlockDevice> {
         Box::new(LogDisk::assemble(self.dev.restore(), self.state.clone()))
     }
-
-    fn local_events(&self) -> u64 {
-        self.dev.local_events()
-    }
 }
 
 #[cfg(test)]

@@ -751,6 +751,30 @@ mod tests {
         }
     }
 
+    /// An idle grant the stack does not overrun ends exactly when granted,
+    /// with dirty blocks to write back (LFS stacks flush them while idle)
+    /// and without.
+    #[test]
+    fn idle_without_overrun_ends_exactly_at_the_grant() {
+        const NS: u64 = 10_000_000_000;
+        for spec in StackSpec::ALL {
+            let obs = Obs {
+                metrics: Metrics::enabled(),
+                ..Obs::default()
+            };
+            let mut fs = spec.build(None, &obs).expect("format");
+            let f = fs.create("a").expect("create");
+            fs.write(f, 0, &vec![1u8; 16 * BLOCK]).expect("write");
+            let clock = fs.clock();
+            for pass in ["dirty", "clean"] {
+                let start = clock.now();
+                fs.idle(NS);
+                assert_eq!(clock.now(), start + NS, "{spec}: {pass} grant");
+            }
+            assert_eq!(obs.metrics.counter_value("idle.overruns"), 0, "{spec}");
+        }
+    }
+
     /// Remount runs the configuration the spec formats with: on an LFS
     /// stack a delete after recovery still reaches the logical disk as
     /// trims, and a sequential read prefetches nothing.

@@ -1224,13 +1224,6 @@ impl UfsSnapshot {
     pub fn restore(&self) -> Ufs {
         Ufs::assemble(self.dev.restore(), self.state.clone())
     }
-
-    /// Simulation events the captured system had consumed. A fork credits
-    /// these to the global counter ([`disksim::clock::add_events`]) so the
-    /// per-figure event totals match a from-scratch rebuild exactly.
-    pub fn local_events(&self) -> u64 {
-        self.dev.local_events()
-    }
 }
 
 impl FileSystem for Ufs {
@@ -1353,7 +1346,6 @@ impl FileSystem for Ufs {
         }
         let remaining = end.saturating_sub(clock.now());
         fscore::fs::grant_idle(self.dev.as_mut(), remaining, &self.metrics);
-        clock.advance_to(end);
     }
 
     fn clock(&self) -> SimClock {
