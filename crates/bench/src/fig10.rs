@@ -51,6 +51,9 @@ pub fn burst_idle_bench(
     Ok(busy as f64 / written as f64 / 1e6)
 }
 
+/// Mixed with the burst size into each series' update-stream seed.
+const SEED_TAG: u64 = 0xF20;
+
 /// The aged state every cell starts from: LFS at 80 % utilisation, warmed
 /// by one NVRAM-cycling burst. Built once, forked per cell.
 fn spec(host: HostModel, total_blocks: u64) -> AgedSpec {
@@ -68,11 +71,37 @@ pub fn series(
     total_blocks: u64,
     host: HostModel,
 ) -> Vec<(f64, f64)> {
+    burst_idle_series(&spec(host, total_blocks), burst_kb, idles_s, total_blocks, SEED_TAG)
+}
+
+/// Regenerate Figure 10.
+pub fn run(total_blocks: u64) -> String {
+    let host = HostModel::sparcstation_10();
+    burst_idle_grid(
+        "Figure 10: LFS+NVRAM latency per 4 KB block (ms) vs idle interval",
+        &spec(host, total_blocks),
+        &BURSTS_KB,
+        &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0],
+        total_blocks,
+        SEED_TAG,
+        2,
+    )
+}
+
+/// One series of a burst/idle figure: for each idle interval, a fresh
+/// fork of the aged state `spec` runs [`burst_idle_bench`] with bursts of
+/// `burst_kb`, seeded by `seed_tag ^ burst_kb`.
+pub(crate) fn burst_idle_series(
+    spec: &AgedSpec,
+    burst_kb: u64,
+    idles_s: &[f64],
+    total_blocks: u64,
+    seed_tag: u64,
+) -> Vec<(f64, f64)> {
     idles_s
         .iter()
         .map(|&idle| {
-            let (mut fs, f, file_blocks) =
-                aged_system(&spec(host, total_blocks)).expect("setup");
+            let (mut fs, f, file_blocks) = aged_system(spec).expect("setup");
             let ms = burst_idle_bench(
                 &mut fs,
                 f,
@@ -80,7 +109,7 @@ pub fn series(
                 burst_kb * 1024 / BLOCK as u64,
                 (idle * 1e9) as u64,
                 total_blocks,
-                0xF20 ^ burst_kb,
+                seed_tag ^ burst_kb,
             )
             .expect("bench");
             (idle, ms)
@@ -88,39 +117,43 @@ pub fn series(
         .collect()
 }
 
-/// Regenerate Figure 10.
-pub fn run(total_blocks: u64) -> String {
-    let host = HostModel::sparcstation_10();
-    let idles = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0];
-    // Every (burst, idle) cell is an independent simulation (fresh system,
-    // fixed seeds), so fan the whole grid out at once.
-    let points: Vec<(u64, f64)> = BURSTS_KB
+/// A burst/idle figure (10 and 11): one row per idle interval, one column
+/// per burst size, each cell the latency of [`burst_idle_series`] printed
+/// to `precision` decimals. Every (burst, idle) cell is an independent
+/// simulation (a fresh fork, fixed seeds), so the whole grid fans out at
+/// once.
+pub(crate) fn burst_idle_grid(
+    title: &str,
+    spec: &AgedSpec,
+    bursts_kb: &[u64],
+    idles_s: &[f64],
+    total_blocks: u64,
+    seed_tag: u64,
+    precision: usize,
+) -> String {
+    let points: Vec<(u64, f64)> = bursts_kb
         .iter()
-        .flat_map(|&b| idles.iter().map(move |&idle| (b, idle)))
+        .flat_map(|&b| idles_s.iter().map(move |&idle| (b, idle)))
         .collect();
     let cells = disksim::par::pmap(points, |(b, idle)| {
-        series(b, &[idle], total_blocks, host)[0].1
+        burst_idle_series(spec, b, &[idle], total_blocks, seed_tag)[0].1
     });
-    let rows: Vec<Vec<String>> = idles
+    let rows: Vec<Vec<String>> = idles_s
         .iter()
         .enumerate()
         .map(|(i, idle)| {
             let mut row = vec![format!("{idle:.2}")];
-            for bi in 0..BURSTS_KB.len() {
-                row.push(format!("{:.2}", cells[bi * idles.len() + i]));
+            for bi in 0..bursts_kb.len() {
+                row.push(format!("{:.precision$}", cells[bi * idles_s.len() + i]));
             }
             row
         })
         .collect();
     let headers: Vec<String> = std::iter::once("idle (s)".to_string())
-        .chain(BURSTS_KB.iter().map(|b| format!("{b}K")))
+        .chain(bursts_kb.iter().map(|b| format!("{b}K")))
         .collect();
     let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    format_table(
-        "Figure 10: LFS+NVRAM latency per 4 KB block (ms) vs idle interval",
-        &hdr,
-        &rows,
-    )
+    format_table(title, &hdr, &rows)
 }
 
 #[cfg(test)]

@@ -6,15 +6,16 @@
 //! performance "improves along a continuum of relatively small idle
 //! intervals" (fractions of a second rather than seconds).
 
-use crate::fig10::burst_idle_bench;
-use crate::format_table;
-use crate::setup::{aged_system, AgedSpec};
-use crate::workload::BLOCK;
+use crate::fig10::{burst_idle_grid, burst_idle_series};
+use crate::setup::AgedSpec;
 use fscore::HostModel;
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// The paper's burst sizes for this figure (KB).
 pub const BURSTS_KB: [u64; 6] = [128, 256, 512, 1024, 2048, 4096];
+
+/// Mixed with the burst size into each series' update-stream seed.
+const SEED_TAG: u64 = 0xF21;
 
 /// The aged state every cell starts from: synchronous UFS on the VLD at
 /// 80 % utilisation, warmed by one update burst. Built once, forked per
@@ -34,57 +35,20 @@ pub fn series(
     total_blocks: u64,
     host: HostModel,
 ) -> Vec<(f64, f64)> {
-    idles_s
-        .iter()
-        .map(|&idle| {
-            let (mut fs, f, file_blocks) =
-                aged_system(&spec(host, total_blocks)).expect("setup");
-            let ms = burst_idle_bench(
-                &mut fs,
-                f,
-                file_blocks,
-                burst_kb * 1024 / BLOCK as u64,
-                (idle * 1e9) as u64,
-                total_blocks,
-                0xF21 ^ burst_kb,
-            )
-            .expect("bench");
-            (idle, ms)
-        })
-        .collect()
+    burst_idle_series(&spec(host, total_blocks), burst_kb, idles_s, total_blocks, SEED_TAG)
 }
 
 /// Regenerate Figure 11.
 pub fn run(total_blocks: u64) -> String {
     let host = HostModel::sparcstation_10();
-    let idles = [0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6];
-    // As in Figure 10: each (burst, idle) cell is self-contained.
-    let points: Vec<(u64, f64)> = BURSTS_KB
-        .iter()
-        .flat_map(|&b| idles.iter().map(move |&idle| (b, idle)))
-        .collect();
-    let cells = disksim::par::pmap(points, |(b, idle)| {
-        series(b, &[idle], total_blocks, host)[0].1
-    });
-    let rows: Vec<Vec<String>> = idles
-        .iter()
-        .enumerate()
-        .map(|(i, idle)| {
-            let mut row = vec![format!("{idle:.2}")];
-            for bi in 0..BURSTS_KB.len() {
-                row.push(format!("{:.3}", cells[bi * idles.len() + i]));
-            }
-            row
-        })
-        .collect();
-    let headers: Vec<String> = std::iter::once("idle (s)".to_string())
-        .chain(BURSTS_KB.iter().map(|b| format!("{b}K")))
-        .collect();
-    let hdr: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    format_table(
+    burst_idle_grid(
         "Figure 11: UFS-on-VLD latency per 4 KB block (ms) vs idle interval",
-        &hdr,
-        &rows,
+        &spec(host, total_blocks),
+        &BURSTS_KB,
+        &[0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6],
+        total_blocks,
+        SEED_TAG,
+        3,
     )
 }
 

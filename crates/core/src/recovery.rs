@@ -348,8 +348,8 @@ fn decode_track(cache: &mut HashMap<u64, MapSector>, start: u64, bytes: &[u8]) {
     }
 }
 
-/// Read every track once — one command per track, charged exactly as a
-/// copying read — and decode the block-aligned sectors of the tracks that
+/// Read every track once through a shared read — one command per track,
+/// charged exactly as a copying read, copying nothing — and decode the block-aligned sectors of the tracks that
 /// hold bytes: a never-materialised track reads as zeros, and zeros cannot
 /// carry `MAP_MAGIC`. Returns the cache of valid map sectors keyed by LBA
 /// and what the scan cost.
@@ -367,12 +367,12 @@ fn scan_disk(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
         let spt = disk.spec().geometry.sectors_per_track(cyl)?;
         for track in 0..tracks {
             let start = disk.spec().geometry.track_start_lba(cyl, track)?;
-            cost.service += disk.lend_sectors(start, spt, |_, bytes| {
-                if let Some(bytes) = bytes {
-                    cost.tracks_decoded += 1;
-                    decode_track(&mut cache, start, bytes);
-                }
-            })?;
+            let (shared, st) = disk.share_sectors(start, spt)?;
+            cost.service += st;
+            if let Some(bytes) = shared.get(0..spt as usize * SECTOR_BYTES) {
+                cost.tracks_decoded += 1;
+                decode_track(&mut cache, start, bytes);
+            }
             cost.sectors += spt as u64;
         }
     }
@@ -385,7 +385,7 @@ mod tests {
     use crate::log::BLOCK_BYTES;
     use disksim::{DiskSpec, SimClock};
 
-    /// The copying scan the lending one replaced, kept as its oracle: every
+    /// The copying scan the shared one replaced, kept as its oracle: every
     /// track zero-filled or copied into a buffer and every block-aligned
     /// sector of it decoded, blank track or not.
     fn scan_disk_copying(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
@@ -456,14 +456,14 @@ mod tests {
         disk
     }
 
-    /// The lending scan and the copying scan see the same map sectors at
+    /// The shared scan and the copying scan see the same map sectors at
     /// the same simulated cost and leave the disk in the same state.
     #[test]
-    fn lending_scan_matches_the_copying_scan() {
+    fn shared_scan_matches_the_copying_scan() {
         for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
             for blocks in [0u64, 7, 900] {
                 let restored = |d: Disk| d.snapshot().restore();
-                for (mut lend, mut copy) in [
+                for (mut share, mut copy) in [
                     (
                         crashed_image(spec.clone(), blocks),
                         crashed_image(spec.clone(), blocks),
@@ -474,8 +474,8 @@ mod tests {
                     ),
                 ] {
                     let ctx = format!("{} with {blocks} blocks", spec.name);
-                    let materialised = lend.materialised_tracks().len() as u64;
-                    let (got, got_cost) = scan_disk(&mut lend).expect("lending scan");
+                    let materialised = share.materialised_tracks().len() as u64;
+                    let (got, got_cost) = scan_disk(&mut share).expect("shared scan");
                     let (want, want_cost) = scan_disk_copying(&mut copy).expect("copying scan");
                     assert_eq!(got, want, "{ctx}: cache");
                     assert_eq!(got.is_empty(), blocks == 0, "{ctx}: map sectors found");
@@ -485,14 +485,14 @@ mod tests {
                     assert_eq!(got_cost.sectors, want_cost.sectors, "{ctx}");
                     assert_eq!(got_cost.sectors, spec.geometry.total_sectors(), "{ctx}");
                     assert_eq!(got_cost.service, want_cost.service, "{ctx}: service time");
-                    assert_eq!(lend.now_ns(), copy.now_ns(), "{ctx}: clock");
-                    assert_eq!(lend.head(), copy.head(), "{ctx}: head");
+                    assert_eq!(share.now_ns(), copy.now_ns(), "{ctx}: clock");
+                    assert_eq!(share.head(), copy.head(), "{ctx}: head");
                     assert_eq!(
-                        format!("{:?}", lend.stats()),
+                        format!("{:?}", share.stats()),
                         format!("{:?}", copy.stats()),
                         "{ctx}: stats"
                     );
-                    assert_eq!(lend.cache_stats(), copy.cache_stats(), "{ctx}: read-ahead");
+                    assert_eq!(share.cache_stats(), copy.cache_stats(), "{ctx}: read-ahead");
                     assert_eq!(want_cost.tracks_decoded, 0, "the oracle does not count");
                     assert!(got_cost.tracks_decoded > 0, "{ctx}: the format wrote");
                     assert!(got_cost.tracks_decoded <= materialised, "{ctx}");

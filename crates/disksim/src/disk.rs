@@ -11,6 +11,7 @@
 //! including the eager-writing previews the virtual log uses to choose the
 //! cheapest free sector.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use obs::{Metrics, OpKind, Spans, TraceEvent, Tracer};
@@ -18,7 +19,7 @@ use obs::{Metrics, OpKind, Spans, TraceEvent, Tracer};
 use crate::cache::{CachePolicy, TrackCache};
 use crate::clock::SimClock;
 use crate::error::{DiskError, Result};
-use crate::geometry::PhysAddr;
+use crate::geometry::{Geometry, PhysAddr};
 use crate::mech::{sector_at_phase, SeekTable};
 use crate::service::ServiceTime;
 use crate::spec::DiskSpec;
@@ -257,7 +258,7 @@ struct TrackStore {
 }
 
 impl TrackStore {
-    fn new(geometry: &crate::Geometry) -> Self {
+    fn new(geometry: &Geometry) -> Self {
         let tracks_per_cyl = geometry.tracks_per_cylinder();
         let slots = geometry.cylinders() as usize * tracks_per_cyl as usize;
         Self {
@@ -293,14 +294,15 @@ impl TrackStore {
         &mut *Arc::make_mut(arc)
     }
 
-    /// The holder of the track in `slot` — the overlay's buffer or the base
-    /// image, shared instead of copied — and where byte `start` of the
-    /// track sits in it; `None` for a track nothing ever wrote.
-    fn share(&self, slot: usize, start: usize) -> Option<(SharedMedia, usize)> {
+    /// The holder of `run`'s track — the overlay's buffer or the base
+    /// image, shared instead of copied — and where the run starts in it;
+    /// `None` for a track nothing ever wrote.
+    fn share(&self, run: &Run) -> Option<(SharedMedia, usize)> {
+        let slot = self.slot(run.cyl, run.track);
         match &self.tracks[slot] {
-            Some(t) => Some((SharedMedia::Track(Arc::clone(t)), start)),
+            Some(t) => Some((SharedMedia::Track(Arc::clone(t)), run.start())),
             None => self.base.as_ref().and_then(|b| {
-                let at = b.offsets[slot]?.0 as usize + start;
+                let at = b.offsets[slot]?.0 as usize + run.start();
                 Some((SharedMedia::Base(Arc::clone(b)), at))
             }),
         }
@@ -314,20 +316,21 @@ impl TrackStore {
         }
     }
 
-    fn read(&self, cyl: u32, track: u32, sector: u32, buf: &mut [u8]) {
-        match self.track_bytes(self.slot(cyl, track)) {
-            Some(t) => {
-                let off = sector as usize * SECTOR_BYTES;
-                buf.copy_from_slice(&t[off..off + buf.len()]);
-            }
-            None => buf.fill(0),
+    /// Copy `run` from its track into its range of the request's `buf`;
+    /// a never-written track reads as zeros.
+    fn read(&self, run: &Run, buf: &mut [u8]) {
+        let out = &mut buf[run.bytes()];
+        match self.track_bytes(self.slot(run.cyl, run.track)) {
+            Some(t) => out.copy_from_slice(&t[run.start()..run.start() + out.len()]),
+            None => out.fill(0),
         }
     }
 
-    fn write(&mut self, cyl: u32, track: u32, sector: u32, spt: u32, buf: &[u8]) {
-        let t = self.track_mut(cyl, track, spt);
-        let off = sector as usize * SECTOR_BYTES;
-        t[off..off + buf.len()].copy_from_slice(buf);
+    /// Copy `run`'s range of the request's `buf` onto its track.
+    fn write(&mut self, run: &Run, buf: &[u8]) {
+        let src = &buf[run.bytes()];
+        let t = self.track_mut(run.cyl, run.track, run.spt);
+        t[run.start()..run.start() + src.len()].copy_from_slice(src);
     }
 }
 
@@ -366,9 +369,8 @@ enum SharedMedia {
 
 impl SharedSectors {
     /// Each track run's byte range of the request and its bytes (`None` on
-    /// a never-written track), in request order, as
-    /// [`Disk::lend_sectors`] lends them.
-    fn runs(&self) -> impl Iterator<Item = (std::ops::Range<usize>, Option<&[u8]>)> {
+    /// a never-written track), in request order.
+    fn runs(&self) -> impl Iterator<Item = (Range<usize>, Option<&[u8]>)> {
         let ends = self.rest.iter().map(|p| p.at).chain([self.len]);
         std::iter::once(&self.first)
             .chain(&self.rest)
@@ -388,7 +390,7 @@ impl SharedSectors {
     /// Bytes `range` of the read, borrowed from the one track they lie on;
     /// `None` when they cross a track boundary or lie on a never-written
     /// track (use [`Self::copy_to`] there).
-    pub fn get(&self, range: std::ops::Range<usize>) -> Option<&[u8]> {
+    pub fn get(&self, range: Range<usize>) -> Option<&[u8]> {
         let (run, bytes) = self.runs().find(|(run, _)| run.contains(&range.start))?;
         let bytes = bytes.filter(|_| range.end <= run.end)?;
         Some(&bytes[range.start - run.start..range.end - run.start])
@@ -419,6 +421,57 @@ struct Run {
     sector: u32,
     count: u32,
     spt: u32,
+    /// Where the run starts in the request, in bytes.
+    at: usize,
+}
+
+impl Run {
+    /// The run's bytes of the request.
+    fn bytes(&self) -> Range<usize> {
+        self.at..self.at + self.count as usize * SECTOR_BYTES
+    }
+
+    /// Where the run starts on its track, in bytes.
+    fn start(&self) -> usize {
+        self.sector as usize * SECTOR_BYTES
+    }
+}
+
+/// The track runs of `count` sectors at `lba`, in request order, each
+/// ending at its track's end or the request's. The whole range is checked
+/// before the first run, so the walk itself cannot fail, and it never
+/// touches the heap: it sits under every simulated command.
+fn runs(g: &Geometry, lba: u64, count: u32) -> Result<impl Iterator<Item = Run> + '_> {
+    let total = g.total_sectors();
+    if lba >= total {
+        return Err(DiskError::OutOfRange {
+            addr: lba,
+            limit: total,
+        });
+    }
+    let end = lba + count as u64;
+    if end > total {
+        return Err(DiskError::TruncatedTransfer);
+    }
+    let (mut next, mut at) = (lba, 0);
+    Ok(std::iter::from_fn(move || {
+        (next < end).then(|| {
+            let p = g.lba_to_phys(next).expect("a checked request lies on the media");
+            let spt = g.sectors_per_track(p.cyl).expect("a mapped cylinder has tracks");
+            let count = (end - next).min((spt - p.sector) as u64) as u32;
+            let run = Run {
+                cyl: p.cyl,
+                track: p.track,
+                sector: p.sector,
+                count,
+                spt,
+                at,
+            };
+            next += count as u64;
+            at += count as usize * SECTOR_BYTES;
+            run
+        })
+    }))
 }
 
 /// The simulated drive.
@@ -667,63 +720,29 @@ impl Disk {
         (sector + self.skew(cyl, track) % spt) % spt
     }
 
-    /// Validate a sector-range request up front, so the per-track runs can
-    /// then be produced one at a time ([`Self::run_at`]) without allocating
-    /// a request-sized list — run planning sits under every simulated
-    /// command, so it must not touch the heap.
-    fn check_range(&self, lba: u64, count: u32) -> Result<()> {
-        let total = self.spec.geometry.total_sectors();
-        if lba >= total {
-            return Err(DiskError::OutOfRange {
-                addr: lba,
-                limit: total,
-            });
+    /// Seek and head switch of moving the head from (`from_cyl`,
+    /// `from_track`) to (`cyl`, `track`): the tabulated seek across
+    /// cylinders, a head switch to another track of the same cylinder. The
+    /// two overlap, and the switch is only paid where the seek is zero, so
+    /// the reposition takes their sum.
+    fn reposition(&self, (from_cyl, from_track): (u32, u32), cyl: u32, track: u32) -> ServiceTime {
+        let switch = from_cyl == cyl && from_track != track;
+        ServiceTime {
+            seek_ns: self.seek.get(from_cyl.abs_diff(cyl)),
+            head_switch_ns: if switch { self.spec.mech.head_switch_ns } else { 0 },
+            ..ServiceTime::ZERO
         }
-        if lba + count as u64 > total {
-            return Err(DiskError::TruncatedTransfer);
-        }
-        Ok(())
-    }
-
-    /// The per-track run starting at `next` with `left` sectors still to
-    /// transfer (the run ends at the track boundary or the request end,
-    /// whichever comes first). The range must have passed
-    /// [`Self::check_range`].
-    #[inline]
-    fn run_at(&self, next: u64, left: u32) -> Result<Run> {
-        let p = self.spec.geometry.lba_to_phys(next)?;
-        let spt = self.spec.geometry.sectors_per_track(p.cyl)?;
-        Ok(Run {
-            cyl: p.cyl,
-            track: p.track,
-            sector: p.sector,
-            count: left.min(spt - p.sector),
-            spt,
-        })
     }
 
     /// Mechanical cost of servicing `run` from the media, starting with the
-    /// head over (`from_cyl`, `from_track`) at absolute time `t`.
-    fn plan_run(&self, run: &Run, from_cyl: u32, from_track: u32, t: u64) -> ServiceTime {
+    /// head over `from` (cylinder, track) at absolute time `t`.
+    fn plan_run(&self, run: &Run, from: (u32, u32), t: u64) -> ServiceTime {
         let mech = &self.spec.mech;
-        let seek = self.seek.get(from_cyl.abs_diff(run.cyl));
-        let switch = if from_cyl == run.cyl && from_track != run.track {
-            mech.head_switch_ns
-        } else {
-            0
-        };
-        let reposition = seek.max(switch);
-        let t_pos = t + reposition;
+        let mut st = self.reposition(from, run.cyl, run.track);
         let slot = self.angular_slot(run.cyl, run.track, run.sector, run.spt);
-        let rotation = mech.rotational_wait_ns(t_pos, slot, run.spt);
-        let transfer = mech.transfer_ns(run.count, run.spt);
-        ServiceTime {
-            overhead_ns: 0,
-            seek_ns: seek,
-            head_switch_ns: if seek >= switch { 0 } else { switch },
-            rotation_ns: rotation,
-            transfer_ns: transfer,
-        }
+        st.rotation_ns = mech.rotational_wait_ns(t + st.total_ns(), slot, run.spt);
+        st.transfer_ns = mech.transfer_ns(run.count, run.spt);
+        st
     }
 
     /// The first logical sector whose *start* will pass under the head after
@@ -739,17 +758,11 @@ impl Disk {
                 limit: self.spec.geometry.tracks_per_cylinder() as u64,
             });
         }
-        let mech = &self.spec.mech;
-        let seek = self.seek.get(self.cur_cyl.abs_diff(cyl));
-        let switch = if self.cur_cyl == cyl && self.cur_track != track {
-            mech.head_switch_ns
-        } else {
-            0
-        };
-        let t_pos = self.clock.now() + seek.max(switch);
+        let reposition = self.reposition((self.cur_cyl, self.cur_track), cyl, track);
+        let t_pos = self.clock.now() + reposition.total_ns();
         // The sector currently passing is partially gone; the next boundary
         // to arrive is slot+1.
-        let slot = (mech.sector_under_head(t_pos, spt) + 1) % spt;
+        let slot = (self.spec.mech.sector_under_head(t_pos, spt) + 1) % spt;
         let skew = self.skew(cyl, track) % spt;
         Ok((slot + spt - skew) % spt)
     }
@@ -816,50 +829,116 @@ impl Disk {
             sector,
             count: 0,
             spt,
+            at: 0,
         };
-        Ok(self.plan_run(&run, self.cur_cyl, self.cur_track, self.clock.now()))
+        Ok(self.plan_run(&run, (self.cur_cyl, self.cur_track), self.clock.now()))
     }
 
-    /// Estimate, without moving anything, the full service time of an access
-    /// to `count` sectors at `lba` issued right now. Used by eager-writing
-    /// allocators to rank candidate locations.
+    /// Estimate, without moving anything, the full service time of a write
+    /// of `count` sectors at `lba` issued right now: exactly what
+    /// [`Self::write_sectors`] would charge. The read-ahead buffer is not
+    /// consulted, so a read it would serve costs less than this.
     pub fn preview_access(&self, lba: u64, count: u32) -> Result<ServiceTime> {
-        self.check_range(lba, count)?;
-        let mut t = self.clock.now() + self.spec.command_overhead_ns;
         let mut total = ServiceTime {
             overhead_ns: self.spec.command_overhead_ns,
             ..ServiceTime::ZERO
         };
-        let (mut c, mut h) = (self.cur_cyl, self.cur_track);
-        let mut next = lba;
-        let mut left = count;
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            let st = self.plan_run(&run, c, h, t);
-            t += st.total_ns();
-            total += st;
-            c = run.cyl;
-            h = run.track;
-            next += run.count as u64;
-            left -= run.count;
+        let mut head = (self.cur_cyl, self.cur_track);
+        for run in runs(&self.spec.geometry, lba, count)? {
+            total += self.plan_run(&run, head, self.clock.now() + total.total_ns());
+            head = (run.cyl, run.track);
         }
         Ok(total)
     }
 
-    /// Read `count` sectors starting at `lba` into `buf`, advancing the
-    /// clock by the returned service time.
+    /// The one timed media command behind [`Self::read_sectors`],
+    /// [`Self::share_sectors`] and [`Self::write_sectors`]: `count` sectors
+    /// at `lba`, handing each track run to `each` with the store as the
+    /// run is serviced.
     ///
     /// The whole command is planned against an absolute-time cursor (the
     /// same arithmetic as [`Self::preview_access`]) and charged to the
-    /// clock as **one** event, however many track runs it spans. With
+    /// clock as **one** event, however many track runs it spans. A read
+    /// run the read-ahead buffer holds is delivered at media rate without
+    /// moving the head; every other run repositions, and a read refills the
+    /// buffer while a write invalidates it. `DiskStats`, the
+    /// `disk.run_len` / `disk.runs_per_cmd` observations and one trace
+    /// event close the command. A command of no sectors is free and
+    /// issues nothing.
+    fn command(
+        &mut self,
+        kind: OpKind,
+        lba: u64,
+        count: u32,
+        mut each: impl FnMut(&mut TrackStore, &Run),
+    ) -> Result<ServiceTime> {
+        if count == 0 {
+            return Ok(ServiceTime::ZERO);
+        }
+        let read = kind == OpKind::Read;
+        let mut total = ServiceTime {
+            overhead_ns: self.spec.command_overhead_ns,
+            ..ServiceTime::ZERO
+        };
+        // Absolute-time cursor: the clock itself stands still until the
+        // whole command is planned, so rotational phases are computed
+        // against `t` rather than `clock.now()`.
+        let mut t = self.clock.now() + self.spec.command_overhead_ns;
+        let from_cyl = self.cur_cyl;
+        let mut first = None;
+        let mut n_runs = 0u64;
+        for run in runs(&self.spec.geometry, lba, count)? {
+            first.get_or_insert((run.cyl, run.track, run.sector));
+            n_runs += 1;
+            if self.obs_enabled && self.metrics.is_enabled() {
+                self.metrics.observe("disk.run_len", run.count as u64);
+            }
+            let st = if read && self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
+                // Buffer hit: deliver at media rate with no positioning and
+                // without moving the head.
+                ServiceTime {
+                    transfer_ns: self.spec.mech.transfer_ns(run.count, run.spt),
+                    ..ServiceTime::ZERO
+                }
+            } else {
+                let st = self.plan_run(&run, (self.cur_cyl, self.cur_track), t);
+                (self.cur_cyl, self.cur_track) = (run.cyl, run.track);
+                if read {
+                    self.cache
+                        .on_media_read(run.cyl, run.track, run.sector, run.count, run.spt);
+                } else {
+                    self.cache.on_write(run.cyl, run.track);
+                }
+                st
+            };
+            t += st.total_ns();
+            total += st;
+            each(&mut self.store, &run);
+        }
+        self.clock.advance(total.total_ns());
+        debug_assert_eq!(t, self.clock.now());
+        self.observe_run_count(n_runs);
+        let (cmds, sectors) = if read {
+            (&mut self.stats.reads, &mut self.stats.sectors_read)
+        } else {
+            (&mut self.stats.writes, &mut self.stats.sectors_written)
+        };
+        *cmds += 1;
+        *sectors += count as u64;
+        self.stats.busy += total;
+        let loc = first.expect("count > 0 yields at least one run");
+        let seek_cyls = from_cyl.abs_diff(self.cur_cyl);
+        self.observe_op(kind, lba, count, loc, seek_cyls, total);
+        Ok(total)
+    }
+
+    /// Read `count` sectors starting at `lba` into `buf`, advancing the
+    /// clock by the returned service time: one [`Self::command`]. With
     /// metrics attached, the bytes delivered into `buf` count towards
-    /// `disk.read_bytes_copied` (the lending and shared reads add nothing).
+    /// `disk.read_bytes_copied` (the shared read adds nothing).
     pub fn read_sectors(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
-        let st = self.lend_sectors(lba, count, |range, bytes| match bytes {
-            Some(bytes) => buf[range].copy_from_slice(bytes),
-            None => buf[range].fill(0),
-        })?;
+        let st = self.command(OpKind::Read, lba, count, |store, run| store.read(run, buf))?;
         if count > 0 && self.obs_enabled && self.metrics.is_enabled() {
             self.metrics.add("disk.read_bytes_copied", buf.len() as u64);
         }
@@ -870,31 +949,25 @@ impl Disk {
     /// for `count` sectors at `lba` — same plan, same [`ServiceTime`], one
     /// clock event, same statistics, read-ahead state and trace record —
     /// returning a handle on the tracks' bytes ([`SharedSectors`], one
-    /// piece per track run) instead of a copy.
+    /// piece per track run, gathered as the command walks them) instead of
+    /// a copy.
     pub fn share_sectors(&mut self, lba: u64, count: u32) -> Result<(SharedSectors, ServiceTime)> {
-        let st = self.lend_sectors(lba, count, |_, _| ())?;
         let mut shared = SharedSectors {
             first: Piece { at: 0, media: None },
             rest: Vec::new(),
-            len: 0,
+            len: count as usize * SECTOR_BYTES,
         };
-        let (mut next, mut left) = (lba, count);
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            let slot = self.store.slot(run.cyl, run.track);
+        let st = self.command(OpKind::Read, lba, count, |store, run| {
             let piece = Piece {
-                at: shared.len,
-                media: self.store.share(slot, run.sector as usize * SECTOR_BYTES),
+                at: run.at,
+                media: store.share(run),
             };
-            if shared.len == 0 {
+            if run.at == 0 {
                 shared.first = piece;
             } else {
                 shared.rest.push(piece);
             }
-            shared.len += run.count as usize * SECTOR_BYTES;
-            next += run.count as u64;
-            left -= run.count;
-        }
+        })?;
         Ok((shared, st))
     }
 
@@ -905,164 +978,19 @@ impl Disk {
         self.store.shared_copies
     }
 
-    /// The *lending* read: the command [`Self::read_sectors`] would issue
-    /// for `count` sectors at `lba` — same plan, same [`ServiceTime`], one
-    /// clock event, same statistics, read-ahead state and trace record —
-    /// but instead of copying, each track run's bytes are lent to `each`
-    /// in request order, with the byte range of the request they cover.
-    /// `None` stands for a never-materialised track (it reads as zeros), so
-    /// a caller that only inspects written media pays for neither the
-    /// zero-fill nor the copy.
-    pub fn lend_sectors(
-        &mut self,
-        lba: u64,
-        count: u32,
-        mut each: impl FnMut(std::ops::Range<usize>, Option<&[u8]>),
-    ) -> Result<ServiceTime> {
-        if count == 0 {
-            return Ok(ServiceTime::ZERO);
-        }
-        self.check_range(lba, count)?;
-        let mut total = ServiceTime {
-            overhead_ns: self.spec.command_overhead_ns,
-            ..ServiceTime::ZERO
-        };
-        // Absolute-time cursor: the clock itself stands still until the
-        // whole command is planned, so rotational phases are computed
-        // against `t` rather than `clock.now()`.
-        let mut t = self.clock.now() + self.spec.command_overhead_ns;
-        let from_cyl = self.cur_cyl;
-        let mut off = 0usize;
-        let mut next = lba;
-        let mut left = count;
-        let mut first: Option<Run> = None;
-        let mut n_runs = 0u64;
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            first.get_or_insert(run);
-            n_runs += 1;
-            if self.obs_enabled && self.metrics.is_enabled() {
-                self.metrics.observe("disk.run_len", run.count as u64);
-            }
-            let st = if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
-                // Buffer hit: deliver at media rate with no positioning and
-                // without moving the head.
-                ServiceTime {
-                    transfer_ns: self.spec.mech.transfer_ns(run.count, run.spt),
-                    ..ServiceTime::ZERO
-                }
-            } else {
-                let st = self.plan_run(&run, self.cur_cyl, self.cur_track, t);
-                self.cur_cyl = run.cyl;
-                self.cur_track = run.track;
-                self.cache
-                    .on_media_read(run.cyl, run.track, run.sector, run.count, run.spt);
-                st
-            };
-            t += st.total_ns();
-            total += st;
-            let len = run.count as usize * SECTOR_BYTES;
-            let start = run.sector as usize * SECTOR_BYTES;
-            let track = self.store.track_bytes(self.store.slot(run.cyl, run.track));
-            each(off..off + len, track.map(|t| &t[start..start + len]));
-            off += len;
-            next += run.count as u64;
-            left -= run.count;
-        }
-        self.clock.advance(total.total_ns());
-        debug_assert_eq!(t, self.clock.now());
-        self.observe_run_count(n_runs);
-        self.stats.reads += 1;
-        self.stats.sectors_read += count as u64;
-        self.stats.busy += total;
-        let r0 = first.expect("count > 0 yields at least one run");
-        self.observe_op(
-            OpKind::Read,
-            lba,
-            count,
-            (r0.cyl, r0.track, r0.sector),
-            from_cyl.abs_diff(self.cur_cyl),
-            total,
-        );
-        Ok(total)
-    }
-
     /// Write `buf` (a whole number of sectors) starting at `lba`, advancing
-    /// the clock by the returned service time. Writes always reach the
-    /// media; there is no write-back cache.
-    ///
-    /// Like [`Self::read_sectors`], the whole command is one clock event.
+    /// the clock by the returned service time: one [`Self::command`].
+    /// Writes always reach the media; there is no write-back cache.
     pub fn write_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
-        if count == 0 {
-            return Ok(ServiceTime::ZERO);
-        }
-        self.check_range(lba, count)?;
-        let mut total = ServiceTime {
-            overhead_ns: self.spec.command_overhead_ns,
-            ..ServiceTime::ZERO
-        };
-        let mut t = self.clock.now() + self.spec.command_overhead_ns;
-        let from_cyl = self.cur_cyl;
-        let mut off = 0usize;
-        let mut next = lba;
-        let mut left = count;
-        let mut first: Option<Run> = None;
-        let mut n_runs = 0u64;
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            first.get_or_insert(run);
-            n_runs += 1;
-            if self.obs_enabled && self.metrics.is_enabled() {
-                self.metrics.observe("disk.run_len", run.count as u64);
-            }
-            let st = self.plan_run(&run, self.cur_cyl, self.cur_track, t);
-            t += st.total_ns();
-            total += st;
-            self.cur_cyl = run.cyl;
-            self.cur_track = run.track;
-            self.cache.on_write(run.cyl, run.track);
-            let part = &buf[off..off + run.count as usize * SECTOR_BYTES];
-            self.store
-                .write(run.cyl, run.track, run.sector, run.spt, part);
-            off += part.len();
-            next += run.count as u64;
-            left -= run.count;
-        }
-        self.clock.advance(total.total_ns());
-        debug_assert_eq!(t, self.clock.now());
-        self.observe_run_count(n_runs);
-        self.stats.writes += 1;
-        self.stats.sectors_written += count as u64;
-        self.stats.busy += total;
-        let r0 = first.expect("count > 0 yields at least one run");
-        self.observe_op(
-            OpKind::Write,
-            lba,
-            count,
-            (r0.cyl, r0.track, r0.sector),
-            from_cyl.abs_diff(self.cur_cyl),
-            total,
-        );
-        Ok(total)
+        self.command(OpKind::Write, lba, count, |store, run| store.write(run, buf))
     }
 
     /// Read sectors with no simulated cost — for tests and for integrity
     /// checks that model out-of-band verification.
     pub fn peek_sectors(&self, lba: u64, buf: &mut [u8]) -> Result<()> {
         let count = Self::sector_count(buf.len())?;
-        self.check_range(lba, count)?;
-        let mut off = 0usize;
-        let mut next = lba;
-        let mut left = count;
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            let part = &mut buf[off..off + run.count as usize * SECTOR_BYTES];
-            self.store.read(run.cyl, run.track, run.sector, part);
-            off += part.len();
-            next += run.count as u64;
-            left -= run.count;
-        }
+        runs(&self.spec.geometry, lba, count)?.for_each(|run| self.store.read(&run, buf));
         Ok(())
     }
 
@@ -1070,19 +998,7 @@ impl Disk {
     /// disk image) without perturbing the clock.
     pub fn poke_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<()> {
         let count = Self::sector_count(buf.len())?;
-        self.check_range(lba, count)?;
-        let mut off = 0usize;
-        let mut next = lba;
-        let mut left = count;
-        while left > 0 {
-            let run = self.run_at(next, left)?;
-            let part = &buf[off..off + run.count as usize * SECTOR_BYTES];
-            self.store
-                .write(run.cyl, run.track, run.sector, run.spt, part);
-            off += part.len();
-            next += run.count as u64;
-            left -= run.count;
-        }
+        runs(&self.spec.geometry, lba, count)?.for_each(|run| self.store.write(&run, buf));
         Ok(())
     }
 
@@ -1095,22 +1011,10 @@ impl Disk {
                 limit: self.spec.geometry.cylinders() as u64,
             });
         }
-        let mech = &self.spec.mech;
-        let seek = self.seek.get(self.cur_cyl.abs_diff(cyl));
-        let switch = if self.cur_cyl == cyl && self.cur_track != track {
-            mech.head_switch_ns
-        } else {
-            0
-        };
-        let st = ServiceTime {
-            seek_ns: seek,
-            head_switch_ns: if seek >= switch { 0 } else { switch },
-            ..ServiceTime::ZERO
-        };
+        let st = self.reposition((self.cur_cyl, self.cur_track), cyl, track);
         let seek_cyls = self.cur_cyl.abs_diff(cyl);
         self.clock.advance(st.total_ns());
-        self.cur_cyl = cyl;
-        self.cur_track = track;
+        (self.cur_cyl, self.cur_track) = (cyl, track);
         self.stats.busy += st;
         self.observe_op(OpKind::Seek, 0, 0, (cyl, track, 0), seek_cyls, st);
         Ok(st)
@@ -1598,29 +1502,28 @@ mod tests {
     }
 
     /// The pre-batching *stepwise* discipline, kept as the oracle of the
-    /// batched command loop: the clock is advanced once for the command
+    /// batched command: the clock is advanced once for the command
     /// overhead and once per track run, and every run is planned against
     /// the live `clock.now()` rather than a cursor. Same media, head,
     /// read-ahead and statistics updates; no observability.
     impl Disk {
         fn read_sectors_stepwise(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
             let count = Self::sector_count(buf.len())?;
-            self.check_range(lba, count)?;
-            self.clock.advance(self.spec.command_overhead_ns);
             let mut total = ServiceTime {
                 overhead_ns: self.spec.command_overhead_ns,
                 ..ServiceTime::ZERO
             };
-            let (mut off, mut next, mut left) = (0usize, lba, count);
-            while left > 0 {
-                let run = self.run_at(next, left)?;
+            let runs = runs(&self.spec.geometry, lba, count)?;
+            self.clock.advance(self.spec.command_overhead_ns);
+            for run in runs {
                 let st = if self.cache.lookup(run.cyl, run.track, run.sector, run.count) {
                     ServiceTime {
                         transfer_ns: self.spec.mech.transfer_ns(run.count, run.spt),
                         ..ServiceTime::ZERO
                     }
                 } else {
-                    let st = self.plan_run(&run, self.cur_cyl, self.cur_track, self.clock.now());
+                    let head = (self.cur_cyl, self.cur_track);
+                    let st = self.plan_run(&run, head, self.clock.now());
                     (self.cur_cyl, self.cur_track) = (run.cyl, run.track);
                     self.cache
                         .on_media_read(run.cyl, run.track, run.sector, run.count, run.spt);
@@ -1628,11 +1531,7 @@ mod tests {
                 };
                 self.clock.advance(st.total_ns());
                 total += st;
-                let part = &mut buf[off..off + run.count as usize * SECTOR_BYTES];
-                self.store.read(run.cyl, run.track, run.sector, part);
-                off += part.len();
-                next += run.count as u64;
-                left -= run.count;
+                self.store.read(&run, buf);
             }
             self.stats.reads += 1;
             self.stats.sectors_read += count as u64;
@@ -1642,26 +1541,20 @@ mod tests {
 
         fn write_sectors_stepwise(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
             let count = Self::sector_count(buf.len())?;
-            self.check_range(lba, count)?;
-            self.clock.advance(self.spec.command_overhead_ns);
             let mut total = ServiceTime {
                 overhead_ns: self.spec.command_overhead_ns,
                 ..ServiceTime::ZERO
             };
-            let (mut off, mut next, mut left) = (0usize, lba, count);
-            while left > 0 {
-                let run = self.run_at(next, left)?;
-                let st = self.plan_run(&run, self.cur_cyl, self.cur_track, self.clock.now());
+            let runs = runs(&self.spec.geometry, lba, count)?;
+            self.clock.advance(self.spec.command_overhead_ns);
+            for run in runs {
+                let head = (self.cur_cyl, self.cur_track);
+                let st = self.plan_run(&run, head, self.clock.now());
                 self.clock.advance(st.total_ns());
                 total += st;
                 (self.cur_cyl, self.cur_track) = (run.cyl, run.track);
                 self.cache.on_write(run.cyl, run.track);
-                let part = &buf[off..off + run.count as usize * SECTOR_BYTES];
-                self.store
-                    .write(run.cyl, run.track, run.sector, run.spt, part);
-                off += part.len();
-                next += run.count as u64;
-                left -= run.count;
+                self.store.write(&run, buf);
             }
             self.stats.writes += 1;
             self.stats.sectors_written += count as u64;
@@ -1670,14 +1563,15 @@ mod tests {
         }
     }
 
-    /// The lending read is the copying read minus the copy: the runs it
-    /// lends reassemble to `read_sectors`' buffer (`None` exactly on tracks
-    /// nothing ever wrote), and time, clock, head, statistics, read-ahead
-    /// hits and the trace record are the same — on live tracks, on a
-    /// snapshot-restored disk whose tracks sit in the shared base image,
-    /// and on a disk nothing was written to.
+    /// The shared read's runs reassemble to the copying read: `copy_to`
+    /// gives `read_sectors`' buffer, a run's bytes are `None` exactly on
+    /// tracks nothing ever wrote and `get` borrows every other run whole,
+    /// and time, clock, head, statistics, read-ahead hits and the trace
+    /// record are the same — on live tracks, on a snapshot-restored disk
+    /// whose tracks sit in the shared base image, and on a disk nothing
+    /// was written to.
     #[test]
-    fn lent_runs_reassemble_to_the_copying_read() {
+    fn shared_runs_reassemble_to_the_copying_read() {
         let written = || {
             let mut d = disk();
             d.write_sectors(60, &vec![0xA7u8; 20 * SECTOR_BYTES])
@@ -1687,9 +1581,9 @@ mod tests {
         };
         // Within a track, across written tracks and blank ones, a
         // read-ahead hit, nothing at all, and one whole blank track; with
-        // the blank runs each lends on a written and on an unwritten disk.
+        // the blank runs each reads on a written and on an unwritten disk.
         let reads = [(64u64, 4u32), (50, 300), (52, 8), (0, 0), (720, 72)];
-        for (mut copy, mut lend, blank_runs) in [
+        for (mut copy, mut share, blank_runs) in [
             (written(), written(), [0, 2, 0, 0, 1]),
             (
                 written().snapshot().restore(),
@@ -1698,33 +1592,70 @@ mod tests {
             ),
             (disk(), disk(), [1, 5, 1, 0, 1]),
         ] {
-            let (tc, tl) = (Tracer::with_capacity(64), Tracer::with_capacity(64));
+            let (tc, ts) = (Tracer::with_capacity(64), Tracer::with_capacity(64));
             copy.set_tracer(Some(tc.clone()));
-            lend.set_tracer(Some(tl.clone()));
+            share.set_tracer(Some(ts.clone()));
             for ((lba, count), blank_want) in reads.into_iter().zip(blank_runs) {
                 let mut want = vec![0xEEu8; count as usize * SECTOR_BYTES];
                 let mut got = want.clone();
-                let mut blank = 0;
                 let st_copy = copy.read_sectors(lba, &mut want).unwrap();
-                let st_lend = lend
-                    .lend_sectors(lba, count, |range, bytes| match bytes {
-                        Some(b) => got[range].copy_from_slice(b),
-                        None => {
-                            blank += 1;
-                            got[range].fill(0)
-                        }
-                    })
-                    .unwrap();
+                let (shared, st_share) = share.share_sectors(lba, count).unwrap();
+                shared.copy_to(0, &mut got);
+                let mut blank = 0;
+                // A read of nothing still has its (empty) first piece.
+                for (run, bytes) in shared.runs().filter(|(run, _)| !run.is_empty()) {
+                    assert_eq!(shared.get(run.clone()), bytes, "({lba}, {count}) {run:?}");
+                    blank += usize::from(bytes.is_none());
+                }
                 assert_eq!(got, want, "({lba}, {count})");
-                assert_eq!(st_lend, st_copy, "({lba}, {count})");
+                assert_eq!(st_share, st_copy, "({lba}, {count})");
                 assert_eq!(blank, blank_want, "({lba}, {count})");
-                assert_eq!((lend.now_ns(), lend.head()), (copy.now_ns(), copy.head()));
-                assert_eq!(lend.cache_stats(), copy.cache_stats());
-                assert_eq!(format!("{:?}", lend.stats()), format!("{:?}", copy.stats()));
+                assert_eq!((share.now_ns(), share.head()), (copy.now_ns(), copy.head()));
+                assert_eq!(share.cache_stats(), copy.cache_stats());
+                assert_eq!(format!("{:?}", share.stats()), format!("{:?}", copy.stats()));
             }
-            assert_eq!(tl.events(), tc.events());
-            assert_eq!(lend.clock().local_events(), copy.clock().local_events());
-            assert!(lend.lend_sectors(u64::MAX, 1, |_, _| ()).is_err());
+            assert_eq!(ts.events(), tc.events());
+            assert_eq!(share.clock().local_events(), copy.clock().local_events());
+            assert!(share.share_sectors(u64::MAX, 1).is_err());
+        }
+    }
+
+    /// `seek_to` and the pricing oracle share one repositioning rule:
+    /// moving the head to its own track, another track of its cylinder or
+    /// a far cylinder charges exactly the seek and head switch
+    /// `position_cost` prices for the same target, and no rotation,
+    /// transfer or overhead — on both drives.
+    #[test]
+    fn seek_to_charges_the_reposition_position_cost_prices() {
+        for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
+            let (cyls, tracks) = (spec.geometry.cylinders(), spec.geometry.tracks_per_cylinder());
+            let mut d = Disk::new(spec, SimClock::new());
+            d.seek_to(cyls / 3, 1).unwrap();
+            let mut charged = 0;
+            for (cyl, track, what) in [
+                (cyls / 3, 1, "own track"),
+                (cyls / 3, tracks - 1, "same cylinder"),
+                (cyls - 1, 0, "far cylinder"),
+            ] {
+                let priced = d.position_cost(cyl, track, 0).unwrap();
+                let st = d.seek_to(cyl, track).unwrap();
+                let at = format!("{} {what}", d.spec().name);
+                assert_eq!(
+                    (st.seek_ns, st.head_switch_ns),
+                    (priced.seek_ns, priced.head_switch_ns),
+                    "{at}"
+                );
+                assert_eq!((st.overhead_ns, st.rotation_ns, st.transfer_ns), (0, 0, 0), "{at}");
+                match what {
+                    "own track" => assert_eq!(st.total_ns(), 0, "{at}"),
+                    "same cylinder" => assert_eq!(st.seek_ns, 0, "{at}"),
+                    _ => assert_eq!(st.head_switch_ns, 0, "{at}"),
+                }
+                assert_eq!((d.head().cyl, d.head().track), (cyl, track), "{at}");
+                charged += st.total_ns();
+            }
+            assert!(charged > 0);
+            assert_eq!(d.stats().busy.total_ns(), charged + d.seek_ns(cyls / 3));
         }
     }
 
@@ -1850,8 +1781,8 @@ mod tests {
     }
 
     /// `disk.read_bytes_copied` counts what the copying read delivers into
-    /// the caller's buffer, blank tracks included; the lending and shared
-    /// reads of the same sectors add nothing.
+    /// the caller's buffer, blank tracks included; shared reads of the
+    /// same sectors add nothing.
     #[test]
     fn only_the_copying_read_counts_copied_bytes() {
         let mut d = disk();
@@ -1866,8 +1797,8 @@ mod tests {
             m.counter_value("disk.read_bytes_copied"),
             16 * SECTOR_BYTES as u64
         );
-        d.lend_sectors(0, 8, |_, _| ()).unwrap();
         d.share_sectors(0, 8).unwrap();
+        d.share_sectors(72 * 5, 8).unwrap();
         assert_eq!(
             m.counter_value("disk.read_bytes_copied"),
             16 * SECTOR_BYTES as u64

@@ -18,6 +18,10 @@
 //! Placement inventory: one module prices cylinders, so the eager
 //! allocator's sweeps and the compactor's hole-plug search decide the
 //! head-track exception and the tie rule in one function.
+//!
+//! Drive-command inventory: the drive model splits a request into track
+//! runs in one walker and plans, charges and traces a timed transfer in
+//! one command, so reads, shared reads and writes cannot drift apart.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -348,4 +352,54 @@ fn one_placement_search() {
         "a placement search prices cylinders outside {PLACEMENT}; go through \
          alloc::best_in_cylinder instead"
     );
+}
+
+/// The drive model, where every simulated command is planned and charged.
+const DRIVE: &str = "crates/disksim/src/disk.rs";
+
+/// Each function of `code` by name, with the text after its name up to
+/// the next `fn`.
+fn functions(code: &str) -> Vec<(&str, &str)> {
+    code.split("fn ")
+        .skip(1)
+        .map(|f| {
+            let end = f
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(f.len());
+            f.split_at(end)
+        })
+        .collect()
+}
+
+#[test]
+fn one_drive_command() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = fs::read_to_string(root.join(DRIVE)).expect("readable drive model");
+    let code: String = non_test(&src)
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let fns = functions(&code);
+    assert!(fns.len() > 40, "found only {} functions in {DRIVE}", fns.len());
+    let doing = |what: &str| -> Vec<&str> {
+        fns.iter()
+            .filter(|(_, body)| body.contains(what))
+            .map(|&(name, _)| name)
+            .collect()
+    };
+    assert_eq!(
+        doing("lba_to_phys("),
+        ["runs"],
+        "{DRIVE} splits a request into track runs outside its run walker; \
+         walk `runs` instead"
+    );
+    for tail in ["busy +=", "observe_op("] {
+        assert_eq!(
+            doing(tail),
+            ["command", "seek_to"],
+            "{DRIVE} has a second accounting tail (`{tail}`); issue the \
+             command through `command` instead"
+        );
+    }
 }
