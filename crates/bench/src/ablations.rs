@@ -37,7 +37,7 @@ fn mean_update_ms(vld: &mut Vld, span: u64, updates: u64, seed: u64) -> f64 {
 
 /// Ablation: one-directional cylinder sweep vs bidirectional greedy, at a
 /// high utilisation where the head can get trapped.
-pub fn sweep_direction(updates: u64) -> String {
+pub(crate) fn sweep_direction(updates: u64) -> String {
     let mut rows = Vec::new();
     for (label, one_way) in [("one-way sweep", true), ("two-way greedy", false)] {
         let mut cfg = VldConfig::default();
@@ -56,7 +56,7 @@ pub fn sweep_direction(updates: u64) -> String {
 
 /// Ablation: threshold-fill (empty-track pool) vs pure greedy allocation,
 /// with idle compaction available.
-pub fn fill_policy(updates: u64) -> String {
+pub(crate) fn fill_policy(updates: u64) -> String {
     let mut rows = Vec::new();
     for (label, threshold_fill) in [("threshold fill", true), ("pure greedy", false)] {
         let mut cfg = VldConfig::default();
@@ -75,7 +75,7 @@ pub fn fill_policy(updates: u64) -> String {
 
 /// Ablation: track-fill threshold sweep, end-to-end (the model behind
 /// Figure 2 picks 75%; measure the real system).
-pub fn fill_threshold(updates: u64) -> String {
+pub(crate) fn fill_threshold(updates: u64) -> String {
     let mut rows = Vec::new();
     for pct in [25u32, 50, 75, 90] {
         let mut cfg = VldConfig::default();
@@ -95,7 +95,7 @@ pub fn fill_threshold(updates: u64) -> String {
 /// Ablation: the aggressive whole-track read-ahead (§4.2's fix) vs the
 /// stock conservative policy, on a sequential cold read of eager-written
 /// data.
-pub fn readahead_policy(file_blocks: u64) -> String {
+pub(crate) fn readahead_policy(file_blocks: u64) -> String {
     let mut rows = Vec::new();
     for (label, aggressive) in [("aggressive track", true), ("conservative", false)] {
         let cfg = VldConfig {
@@ -139,7 +139,7 @@ pub fn readahead_policy(file_blocks: u64) -> String {
 
 /// Ablation: compactor victim selection (paper: random; alternative:
 /// least-utilised first), by empty tracks generated per second of idle.
-pub fn victim_policy() -> String {
+pub(crate) fn victim_policy() -> String {
     let mut rows = Vec::new();
     for (label, policy) in [
         ("random (paper)", VictimPolicy::Random),
@@ -173,7 +173,7 @@ pub fn victim_policy() -> String {
 }
 
 /// Ablation: recovery cost by boot path and checkpoint freshness.
-pub fn recovery_paths(blocks: u64) -> String {
+pub(crate) fn recovery_paths(blocks: u64) -> String {
     let o = DiskSpec::st19101_sim().command_overhead_ns;
     let cfg = VldConfig::default();
     let build = || {

@@ -14,6 +14,10 @@
 //! observability exhibit (see `vlfs_bench::obs`), exporting a JSONL event
 //! trace (analysed by the `vlstat` binary) and a metrics document; figure
 //! stdout is unaffected.
+//!
+//! Every requested file is created before the first figure runs: a path
+//! that cannot be created exits 2 with the usage line, as a bad flag does,
+//! and a write that fails after the run exits 1.
 
 use disksim::par;
 use vlfs_bench::timing;
@@ -52,6 +56,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(out)
 }
 
+/// A requested file was created but could not be written after the run.
+fn write_failed(e: &str) -> ! {
+    eprintln!("all_figures: {e}");
+    std::process::exit(1);
+}
+
 fn main() {
     let Args {
         quick,
@@ -63,6 +73,15 @@ fn main() {
         eprintln!("all_figures: {e}; {USAGE}");
         std::process::exit(2);
     });
+    for path in [&timing_json, &trace_path, &metrics_path]
+        .into_iter()
+        .flatten()
+    {
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("all_figures: cannot create {path}: {e}; {USAGE}");
+            std::process::exit(2);
+        }
+    }
     if let Some(n) = threads {
         par::set_threads(n);
     }
@@ -107,13 +126,13 @@ fn main() {
                 metrics_path.as_deref(),
             )
         });
-        eprint!("{report}");
+        eprint!("{}", report.unwrap_or_else(|e| write_failed(&e)));
     }
 
     eprint!("{}", rec.report());
     if let Some(path) = timing_json {
         if let Err(e) = std::fs::write(&path, rec.to_json() + "\n") {
-            eprintln!("# failed to write {path}: {e}");
+            write_failed(&format!("cannot write {path}: {e}"));
         }
     }
 }

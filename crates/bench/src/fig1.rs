@@ -16,18 +16,18 @@ use vlog_models::{convert, cylinder};
 
 /// One measured point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Free-space percentage (x-axis).
-    pub free_pct: f64,
+    pub(crate) free_pct: f64,
     /// Model prediction, ms.
-    pub model_ms: f64,
+    pub(crate) model_ms: f64,
     /// Simulated mean locate time, ms.
-    pub sim_ms: f64,
+    pub(crate) sim_ms: f64,
 }
 
 /// Measure one disk across utilisations. `writes` sets the per-point
 /// sample count.
-pub fn series(spec: disksim::DiskSpec, writes: u32, seed: u64) -> Vec<Point> {
+pub(crate) fn series(spec: disksim::DiskSpec, writes: u32, seed: u64) -> Vec<Point> {
     let switch_sectors = convert::head_switch_sectors(&spec);
     let tracks = spec.geometry.tracks_per_cylinder();
     let pcts: Vec<u64> = (5..=95).step_by(5).collect();

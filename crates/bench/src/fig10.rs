@@ -16,11 +16,11 @@ use rand::Rng;
 
 /// The paper's burst sizes (KB). 504/1008/… are multiples of the 508 KB
 /// of data a 127-slot segment holds.
-pub const BURSTS_KB: [u64; 6] = [128, 256, 504, 1008, 2016, 4032];
+pub(crate) const BURSTS_KB: [u64; 6] = [128, 256, 504, 1008, 2016, 4032];
 
 /// Run the burst/idle cycle benchmark on an existing file; returns mean
 /// non-idle milliseconds per 4 KB block.
-pub fn burst_idle_bench(
+pub(crate) fn burst_idle_bench(
     fs: &mut dyn FileSystem,
     f: FileId,
     file_blocks: u64,
@@ -62,16 +62,6 @@ fn spec(host: HostModel, total_blocks: u64) -> AgedSpec {
         warmup_blocks: 2000.min(total_blocks),
         ..AgedSpec::new(FsKind::Lfs, DevKind::Regular, DiskKind::Seagate, host, 0.8)
     }
-}
-
-/// Measure one series (burst size fixed, idle varied).
-pub fn series(
-    burst_kb: u64,
-    idles_s: &[f64],
-    total_blocks: u64,
-    host: HostModel,
-) -> Vec<(f64, f64)> {
-    burst_idle_series(&spec(host, total_blocks), burst_kb, idles_s, total_blocks, SEED_TAG)
 }
 
 /// Regenerate Figure 10.
@@ -163,7 +153,7 @@ mod tests {
     #[test]
     fn idle_time_helps_lfs() {
         let host = HostModel::instant();
-        let pts = series(504, &[0.0, 4.0], 3000, host);
+        let pts = burst_idle_series(&spec(host, 3000), 504, &[0.0, 4.0], 3000, SEED_TAG);
         let (busy, idle) = (pts[0].1, pts[1].1);
         assert!(
             idle < busy,

@@ -6,13 +6,13 @@
 //! performance "improves along a continuum of relatively small idle
 //! intervals" (fractions of a second rather than seconds).
 
-use crate::fig10::{burst_idle_grid, burst_idle_series};
+use crate::fig10::burst_idle_grid;
 use crate::setup::AgedSpec;
 use fscore::HostModel;
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// The paper's burst sizes for this figure (KB).
-pub const BURSTS_KB: [u64; 6] = [128, 256, 512, 1024, 2048, 4096];
+pub(crate) const BURSTS_KB: [u64; 6] = [128, 256, 512, 1024, 2048, 4096];
 
 /// Mixed with the burst size into each series' update-stream seed.
 const SEED_TAG: u64 = 0xF21;
@@ -26,16 +26,6 @@ fn spec(host: HostModel, total_blocks: u64) -> AgedSpec {
         warmup_blocks: 1000.min(total_blocks),
         ..AgedSpec::new(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate, host, 0.8)
     }
-}
-
-/// Measure one series (burst size fixed, idle varied).
-pub fn series(
-    burst_kb: u64,
-    idles_s: &[f64],
-    total_blocks: u64,
-    host: HostModel,
-) -> Vec<(f64, f64)> {
-    burst_idle_series(&spec(host, total_blocks), burst_kb, idles_s, total_blocks, SEED_TAG)
 }
 
 /// Regenerate Figure 11.
@@ -55,11 +45,12 @@ pub fn run(total_blocks: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig10::burst_idle_series;
 
     #[test]
     fn small_idle_intervals_already_help_the_vld() {
         let host = HostModel::instant();
-        let pts = series(512, &[0.0, 0.45], 2500, host);
+        let pts = burst_idle_series(&spec(host, 2500), 512, &[0.0, 0.45], 2500, SEED_TAG);
         let (busy, idle) = (pts[0].1, pts[1].1);
         assert!(
             idle <= busy,
@@ -72,8 +63,10 @@ mod tests {
         // "The VLD performance is also more predictable": across burst
         // sizes at a fixed idle interval, the spread stays small.
         let host = HostModel::instant();
-        let a = series(128, &[0.2], 1500, host)[0].1;
-        let b = series(2048, &[0.2], 1500, host)[0].1;
+        let series = |burst_kb| {
+            burst_idle_series(&spec(host, 1500), burst_kb, &[0.2], 1500, SEED_TAG)[0].1
+        };
+        let (a, b) = (series(128), series(2048));
         let ratio = if a > b { a / b } else { b / a };
         assert!(ratio < 3.0, "burst-size sensitivity too high: {a} vs {b}");
     }

@@ -11,13 +11,13 @@ use vlog_models::compactor;
 
 /// One measured point.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// Threshold percentage (x-axis): free sectors reserved per track.
-    pub threshold_pct: f64,
+    pub(crate) threshold_pct: f64,
     /// Model prediction, ms.
-    pub model_ms: f64,
+    pub(crate) model_ms: f64,
     /// Simulated mean, ms.
-    pub sim_ms: f64,
+    pub(crate) sim_ms: f64,
 }
 
 /// Simulate filling empty tracks to the threshold with nearest-free-sector
@@ -81,7 +81,7 @@ fn simulate_point(spec: &DiskSpec, m: u64, tracks_sampled: u32) -> f64 {
 }
 
 /// Measure one disk across thresholds.
-pub fn series(spec: DiskSpec, tracks_sampled: u32) -> Vec<Point> {
+pub(crate) fn series(spec: DiskSpec, tracks_sampled: u32) -> Vec<Point> {
     let spt = spec.geometry.sectors_per_track(0).expect("cyl 0") as u64;
     let sector_ns = spec.mech.sector_ns(spt as u32);
     let pcts: Vec<u64> = (5..=90)

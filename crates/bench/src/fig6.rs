@@ -13,17 +13,17 @@ use modelcheck::stack::{DiskKind, FsKind, Obs, StackSpec};
 
 /// Per-phase simulated times for one system, in nanoseconds.
 #[derive(Debug, Clone, Copy)]
-pub struct SmallFileResult {
+pub(crate) struct SmallFileResult {
     /// Create phase.
-    pub create_ns: u64,
+    pub(crate) create_ns: u64,
     /// Read-back phase (after cache flush).
-    pub read_ns: u64,
+    pub(crate) read_ns: u64,
     /// Delete phase.
-    pub delete_ns: u64,
+    pub(crate) delete_ns: u64,
 }
 
 /// Run the small-file benchmark on one system.
-pub fn measure(spec: StackSpec, files: u32) -> FsResult<SmallFileResult> {
+pub(crate) fn measure(spec: StackSpec, files: u32) -> FsResult<SmallFileResult> {
     let mut fs = spec.build(None, &Obs::default())?;
     if spec.fs == FsKind::Ufs {
         fs.set_sync_writes(true); // "Under UFS, updates are synchronous."

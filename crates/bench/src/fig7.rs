@@ -11,23 +11,23 @@ use rand::seq::SliceRandom;
 
 /// Per-phase bandwidths (MB/s).
 #[derive(Debug, Clone, Copy)]
-pub struct LargeFileResult {
+pub(crate) struct LargeFileResult {
     /// Sequential write.
-    pub seq_write: f64,
+    pub(crate) seq_write: f64,
     /// Sequential (cold) read.
-    pub seq_read: f64,
+    pub(crate) seq_read: f64,
     /// Random overwrite, asynchronous.
-    pub rand_write_async: f64,
+    pub(crate) rand_write_async: f64,
     /// Random overwrite, synchronous (UFS only; 0 otherwise).
-    pub rand_write_sync: f64,
+    pub(crate) rand_write_sync: f64,
     /// Sequential read after the random writes.
-    pub seq_read_again: f64,
+    pub(crate) seq_read_again: f64,
     /// Random read.
-    pub rand_read: f64,
+    pub(crate) rand_read: f64,
 }
 
 /// Run the benchmark on one system with a file of `mb` megabytes.
-pub fn measure(spec: StackSpec, mb: u64) -> FsResult<LargeFileResult> {
+pub(crate) fn measure(spec: StackSpec, mb: u64) -> FsResult<LargeFileResult> {
     let mut fs = spec.build(None, &Obs::default())?;
     let clock = fs.clock();
     let bytes = mb << 20;

@@ -16,16 +16,16 @@ use modelcheck::stack::{DevKind, DiskKind, FsKind};
 
 /// One measured point for one system.
 #[derive(Debug, Clone, Copy)]
-pub struct Point {
+pub(crate) struct Point {
     /// df-style utilisation after creating the file, in percent.
-    pub util_pct: f64,
+    pub(crate) util_pct: f64,
     /// Mean latency per 4 KB update, ms.
-    pub latency_ms: f64,
+    pub(crate) latency_ms: f64,
 }
 
 /// System selector for this figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum System {
+pub(crate) enum System {
     /// UFS on the regular disk, synchronous writes.
     UfsRegular,
     /// UFS on the VLD, synchronous writes.
@@ -34,20 +34,9 @@ pub enum System {
     LfsNvram,
 }
 
-impl System {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::UfsRegular => "UFS/Regular",
-            System::UfsVld => "UFS/VLD",
-            System::LfsNvram => "LFS+NVRAM",
-        }
-    }
-}
-
 /// Measure one point: file of `frac` of usable capacity, steady-state
 /// random updates.
-pub fn measure_point(
+pub(crate) fn measure_point(
     system: System,
     disk: DiskKind,
     frac: f64,

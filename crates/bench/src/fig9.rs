@@ -27,7 +27,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Total latency per update.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.overhead_ms + self.locate_ms + self.transfer_ms + self.other_ms
     }
 }
@@ -118,7 +118,7 @@ pub fn measure_fresh(
 }
 
 /// The three platform generations of Table 2 / Figure 9.
-pub fn platforms() -> Vec<(&'static str, DiskKind, HostModel)> {
+pub(crate) fn platforms() -> Vec<(&'static str, DiskKind, HostModel)> {
     vec![
         ("HP + SPARC", DiskKind::Hp, HostModel::sparcstation_10()),
         (

@@ -36,7 +36,7 @@ pub mod vlfs_preview;
 pub mod workload;
 
 /// Format a table of (x, series...) rows with a header, 12-char columns.
-pub fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n\n"));
     out.push_str(

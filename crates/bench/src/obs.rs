@@ -20,55 +20,50 @@ use crate::workload::{make_file, random_updates, rng, BLOCK};
 use disksim::{Metrics, ServiceTime, Spans, Tracer};
 use fscore::{FileSystem, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
+use ufs::Ufs;
 
 /// Ring capacity for exhibit traces: large enough that a quick run never
 /// drops an event (drops would break the busy-sum invariant check).
 const RING: usize = 1 << 20;
 
 /// Everything captured from one traced stack run.
-pub struct StackObs {
+pub(crate) struct StackObs {
     /// Stack label ("ufs-regular" / "ufs-vld"); also the scope prefix.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The trace ring, complete (no drops) for exhibit-sized runs.
-    pub tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// The stack's metrics registry.
-    pub metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// The causal-span table shared with the disk at the bottom of the stack.
-    pub spans: Spans,
+    pub(crate) spans: Spans,
     /// Disk busy breakdown of the run. The handles are attached before the
     /// first timed command (creating a device only pokes the media), so
     /// this is also what accumulated while the tracer was attached.
-    pub busy_delta: ServiceTime,
-    /// Simulated end time of the run (the stack's own virtual clock).
-    pub end_ns: u64,
-    /// Total device reads + writes issued by the run.
-    pub disk_ops: u64,
-    /// Measured updates performed.
-    pub updates: u64,
+    pub(crate) busy_delta: ServiceTime,
 }
 
 impl StackObs {
     /// Busy nanoseconds accumulated while traced (sum of all components).
-    pub fn busy_ns(&self) -> u64 {
+    pub(crate) fn busy_ns(&self) -> u64 {
         let b = self.busy_delta;
         b.overhead_ns + b.seek_ns + b.head_switch_ns + b.rotation_ns + b.transfer_ns
     }
 
     /// Total nanoseconds across every traced event's components.
-    pub fn trace_sum_ns(&self) -> u64 {
+    pub(crate) fn trace_sum_ns(&self) -> u64 {
         let (o, s, h, r, x) = self.tracer.component_sums();
         o + s + h + r + x
     }
 
     /// Total span-attributed disk time plus the explicit unattributed
     /// remainder — must equal [`StackObs::busy_ns`] exactly.
-    pub fn attr_ns(&self) -> u64 {
+    pub(crate) fn attr_ns(&self) -> u64 {
         self.spans.total_ns() + self.spans.unattributed_ns()
     }
 
     /// Cleaning tax in parts per million: background (compaction/recovery
     /// subtree) disk time over foreground disk time.
-    pub fn cleaning_tax_ppm(&self) -> u64 {
+    pub(crate) fn cleaning_tax_ppm(&self) -> u64 {
         self.spans
             .background_ns()
             .saturating_mul(1_000_000)
@@ -78,15 +73,16 @@ impl StackObs {
 }
 
 /// Run the traced Figure 9 workload on one stack.
-pub fn trace_stack(dev: DevKind, updates: u64) -> FsResult<StackObs> {
-    stack_run(dev, updates, true)
+pub(crate) fn trace_stack(dev: DevKind, updates: u64) -> FsResult<StackObs> {
+    stack_run(dev, updates, true).map(|(obs, _)| obs)
 }
 
 /// Shared body of [`trace_stack`]: the workload is identical either way;
 /// `observed` only controls whether the tracer/metrics/spans are attached
-/// to the device (the overhead test compares the two runs to prove
-/// observability does not perturb the simulation).
-fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<StackObs> {
+/// to the device (the overhead test compares the two runs, down to the
+/// stack they leave behind, to prove observability does not perturb the
+/// simulation).
+fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<(StackObs, Ufs)> {
     let label = match dev {
         DevKind::Regular => "ufs-regular",
         DevKind::Vld => "ufs-vld",
@@ -141,16 +137,14 @@ fn stack_run(dev: DevKind, updates: u64, observed: bool) -> FsResult<StackObs> {
         metrics.gauge("span.background_ns", bg as i64);
         metrics.gauge("span.foreground_ns", fg as i64);
     }
-    Ok(StackObs {
+    let obs = StackObs {
         label,
         tracer,
         metrics,
         spans,
         busy_delta: stats.busy,
-        end_ns: fs.clock().now(),
-        disk_ops: stats.reads + stats.writes,
-        updates,
-    })
+    };
+    Ok((obs, fs))
 }
 
 /// Per-scope component sums over a trace, for the report's decomposition.
@@ -178,8 +172,16 @@ fn scope_sums(obs: &StackObs, phase: &str) -> (u64, ServiceTime) {
 /// `trace_path` receives the concatenated JSONL trace of both stacks;
 /// `metrics_path` receives a JSON document with each stack's metrics and
 /// the `trace_check` invariant block. The report string is intended for
-/// stderr; nothing is printed to stdout.
-pub fn run(updates: u64, trace_path: Option<&str>, metrics_path: Option<&str>) -> String {
+/// stderr; nothing is printed to stdout. A file that cannot be written is
+/// an error naming its path.
+pub fn run(
+    updates: u64,
+    trace_path: Option<&str>,
+    metrics_path: Option<&str>,
+) -> Result<String, String> {
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+    };
     let stacks: Vec<StackObs> = [DevKind::Regular, DevKind::Vld]
         .into_iter()
         .map(|dev| trace_stack(dev, updates).unwrap_or_else(|e| panic!("obs/{dev:?}: {e}")))
@@ -194,9 +196,7 @@ pub fn run(updates: u64, trace_path: Option<&str>, metrics_path: Option<&str>) -
             dump.push_str(&s.spans.dump_jsonl());
             dump.push_str(&s.tracer.dump_jsonl());
         }
-        if let Err(e) = std::fs::write(path, dump) {
-            eprintln!("# failed to write {path}: {e}");
-        }
+        write(path, dump)?;
     }
     if let Some(path) = metrics_path {
         let mut doc = String::from("{\n");
@@ -224,9 +224,7 @@ pub fn run(updates: u64, trace_path: Option<&str>, metrics_path: Option<&str>) -
             .collect();
         doc.push_str(&checks.join(",\n"));
         doc.push_str("\n}\n}\n");
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("# failed to write {path}: {e}");
-        }
+        write(path, doc)?;
     }
 
     let mut rep = String::from("# observability exhibit (random 4 KB sync updates, HP97560)\n");
@@ -261,7 +259,7 @@ pub fn run(updates: u64, trace_path: Option<&str>, metrics_path: Option<&str>) -
             );
         }
     }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -379,10 +377,15 @@ mod tests {
     #[test]
     fn disabled_observability_is_inert() {
         for dev in [DevKind::Regular, DevKind::Vld] {
-            let on = stack_run(dev, 40, true).unwrap();
-            let off = stack_run(dev, 40, false).unwrap();
-            assert_eq!(on.end_ns, off.end_ns, "{dev:?}: end time");
-            assert_eq!(on.disk_ops, off.disk_ops, "{dev:?}: command count");
+            let (on, on_fs) = stack_run(dev, 40, true).unwrap();
+            let (off, off_fs) = stack_run(dev, 40, false).unwrap();
+            let end = |fs: &Ufs| fs.clock().now();
+            assert_eq!(end(&on_fs), end(&off_fs), "{dev:?}: end time");
+            let cmds = |fs: &Ufs| {
+                let s = fs.device().disk_stats();
+                s.reads + s.writes
+            };
+            assert_eq!(cmds(&on_fs), cmds(&off_fs), "{dev:?}: command count");
             assert_eq!(on.busy_ns(), off.busy_ns(), "{dev:?}: busy time");
             assert!(off.tracer.is_empty(), "{dev:?}: untraced run has events");
             assert!(off.spans.is_empty(), "{dev:?}: untraced run has spans");
@@ -409,5 +412,14 @@ mod tests {
             obs.metrics.histogram("disk.seek_cyls").is_some(),
             "seek-distance histogram"
         );
+    }
+
+    /// A requested artifact that cannot be written is an error naming its
+    /// path, not a line on stderr. (No file can be made under a file.)
+    #[test]
+    fn unwritable_artifact_is_an_error() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/trace.jsonl");
+        let err = run(40, Some(path), None).expect_err("the trace cannot be written");
+        assert!(err.contains(path), "{err}");
     }
 }

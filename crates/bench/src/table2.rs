@@ -7,7 +7,7 @@ use crate::format_table;
 use modelcheck::stack::DevKind;
 
 /// Speedups per platform: (name, UFS/regular ms, UFS/VLD ms, speedup).
-pub fn speedups(updates: u64) -> Vec<(&'static str, f64, f64, f64)> {
+pub(crate) fn speedups(updates: u64) -> Vec<(&'static str, f64, f64, f64)> {
     let points: Vec<_> = platforms()
         .into_iter()
         .flat_map(|(name, disk, host)| {

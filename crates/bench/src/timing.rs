@@ -13,22 +13,22 @@ use std::time::Instant;
 
 /// Timing for one named section of a benchmark run.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub(crate) struct Section {
     /// Section name (e.g. "fig10").
-    pub name: String,
+    pub(crate) name: String,
     /// Wall-clock milliseconds spent in the section.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Simulated events (clock advances) executed during the section.
-    pub sim_events: u64,
+    pub(crate) sim_events: u64,
 }
 
 /// Accumulates per-section timings for one benchmark process.
 #[derive(Debug)]
 pub struct Recorder {
     /// Run mode label ("quick" / "full").
-    pub mode: String,
+    pub(crate) mode: String,
     /// Worker threads the parallel harness was allowed.
-    pub threads: usize,
+    pub(crate) threads: usize,
     started: Instant,
     events_at_start: u64,
     sections: Vec<Section>,
@@ -62,18 +62,13 @@ impl Recorder {
     }
 
     /// Total wall-clock milliseconds since the recorder was created.
-    pub fn total_wall_ms(&self) -> f64 {
+    pub(crate) fn total_wall_ms(&self) -> f64 {
         self.started.elapsed().as_secs_f64() * 1e3
     }
 
     /// Total simulated events since the recorder was created.
-    pub fn total_events(&self) -> u64 {
+    pub(crate) fn total_events(&self) -> u64 {
         disksim::clock::events() - self.events_at_start
-    }
-
-    /// Recorded sections, in execution order.
-    pub fn sections(&self) -> &[Section] {
-        &self.sections
     }
 
     /// Human-readable report for stderr.
@@ -152,10 +147,10 @@ mod tests {
             42u32
         });
         assert_eq!(v, 42);
-        assert_eq!(r.sections().len(), 1);
-        assert_eq!(r.sections()[0].name, "alpha");
-        assert!(r.sections()[0].sim_events >= 2);
-        assert!(r.total_wall_ms() >= r.sections()[0].wall_ms);
+        assert_eq!(r.sections.len(), 1);
+        assert_eq!(r.sections[0].name, "alpha");
+        assert!(r.sections[0].sim_events >= 2);
+        assert!(r.total_wall_ms() >= r.sections[0].wall_ms);
     }
 
     #[test]

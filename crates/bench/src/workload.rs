@@ -9,12 +9,12 @@ use rand::{Rng, SeedableRng};
 pub const BLOCK: usize = 4096;
 
 /// Deterministic RNG for a named experiment.
-pub fn rng(seed: u64) -> StdRng {
+pub(crate) fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
 /// Time a closure in simulated nanoseconds.
-pub fn timed<F: FnOnce() -> FsResult<()>>(clock: &SimClock, f: F) -> FsResult<u64> {
+pub(crate) fn timed<F: FnOnce() -> FsResult<()>>(clock: &SimClock, f: F) -> FsResult<u64> {
     let t0 = clock.now();
     f()?;
     Ok(clock.now() - t0)
@@ -36,7 +36,7 @@ pub fn make_file(fs: &mut dyn FileSystem, name: &str, bytes: u64) -> FsResult<Fi
 
 /// Perform `count` random 4 KB block updates uniformly over a file of
 /// `file_blocks` blocks; returns total simulated nanoseconds spent.
-pub fn random_updates(
+pub(crate) fn random_updates(
     fs: &mut dyn FileSystem,
     f: FileId,
     file_blocks: u64,
@@ -70,7 +70,7 @@ pub fn steady_state_update_ms(
 }
 
 /// Bandwidth in MB/s for moving `bytes` in `ns` simulated nanoseconds.
-pub fn mb_per_s(bytes: u64, ns: u64) -> f64 {
+pub(crate) fn mb_per_s(bytes: u64, ns: u64) -> f64 {
     if ns == 0 {
         return f64::INFINITY;
     }

@@ -96,13 +96,13 @@ impl EagerAllocator {
         })
     }
 
-    /// Capture the mutable state for a later [`EagerAllocator::from_state`].
-    pub fn state(&self) -> AllocatorState {
+    /// Capture the mutable state, for a snapshot to restore later.
+    pub(crate) fn state(&self) -> AllocatorState {
         self.state
     }
 
     /// Rebuild an allocator from captured state (metrics detached).
-    pub fn from_state(state: &AllocatorState) -> Self {
+    pub(crate) fn from_state(state: &AllocatorState) -> Self {
         Self {
             state: *state,
             metrics: Metrics::disabled(),
@@ -112,21 +112,16 @@ impl EagerAllocator {
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach). The
     /// allocator records `alloc.fast_path` / `alloc.greedy_fallback` block
     /// placements and its `alloc.cost_evals`; its decisions are unaffected.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
+    pub(crate) fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
 
     /// Forbid allocations on one track (compaction victim); `None` clears.
-    pub fn set_avoid(&mut self, track: Option<(u32, u32)>) {
+    pub(crate) fn set_avoid(&mut self, track: Option<(u32, u32)>) {
         self.state.avoid = track;
         if self.state.avoid.is_some() && self.state.fill_track == self.state.avoid {
             self.state.fill_track = None;
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &AllocConfig {
-        &self.state.cfg
     }
 
     /// Choose a free aligned data block near the head. Returns `None` only
@@ -235,13 +230,13 @@ impl EagerAllocator {
 
     /// Forget the current fill track (e.g. after a compaction pass changed
     /// the landscape).
-    pub fn reset_fill(&mut self) {
+    pub(crate) fn reset_fill(&mut self) {
         self.state.fill_track = None;
     }
 
     /// The empty track currently being filled, if the threshold policy has
     /// one in hand. The compactor avoids choosing it as a victim.
-    pub fn fill_track(&self) -> Option<(u32, u32)> {
+    pub(crate) fn fill_track(&self) -> Option<(u32, u32)> {
         self.state.fill_track
     }
 }

@@ -31,19 +31,19 @@ const SUM_OFFSET: usize = 12;
 
 /// Placement of the two alternating checkpoint slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointRegion {
+pub(crate) struct CheckpointRegion {
     /// LBA of slot A.
-    pub slot_a: u64,
+    pub(crate) slot_a: u64,
     /// LBA of slot B.
-    pub slot_b: u64,
+    pub(crate) slot_b: u64,
     /// Sectors per slot.
-    pub sectors: u64,
+    pub(crate) sectors: u64,
 }
 
 impl CheckpointRegion {
     /// Region layout for `n_pieces` pieces starting at `start_lba`,
     /// block-aligned slots.
-    pub fn layout(start_lba: u64, n_pieces: usize, block_sectors: u64) -> CheckpointRegion {
+    pub(crate) fn layout(start_lba: u64, n_pieces: usize, block_sectors: u64) -> CheckpointRegion {
         let bytes = HEADER_BYTES + n_pieces * ENTRY_BYTES;
         let sectors_raw = (bytes as u64).div_ceil(SECTOR_BYTES as u64);
         let sectors = sectors_raw.div_ceil(block_sectors) * block_sectors;
@@ -55,7 +55,7 @@ impl CheckpointRegion {
     }
 
     /// First LBA past the region.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.slot_b + self.sectors
     }
 }

@@ -55,13 +55,13 @@ impl Default for CompactorConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactStats {
     /// Idle nanoseconds actually consumed by compaction.
-    pub consumed_ns: u64,
+    pub(crate) consumed_ns: u64,
     /// Victim tracks fully emptied.
     pub tracks_emptied: u64,
     /// Data blocks relocated.
     pub blocks_moved: u64,
     /// Map pieces re-appended to relocate their sectors.
-    pub pieces_relocated: u64,
+    pub(crate) pieces_relocated: u64,
 }
 
 /// The idle-time free-space compactor. A plain value: cloning it is its
@@ -106,7 +106,7 @@ impl Clone for Scratch {
 
 impl Compactor {
     /// Create a compactor with the given configuration.
-    pub fn new(cfg: CompactorConfig) -> Self {
+    pub(crate) fn new(cfg: CompactorConfig) -> Self {
         Self {
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -125,7 +125,7 @@ impl Compactor {
     /// Run for at most `budget_ns` of simulated time; returns the time
     /// actually consumed. Stops early when the empty-track pool reaches its
     /// target or no suitable victim exists.
-    pub fn run(&mut self, vlog: &mut VirtualLog, budget_ns: u64) -> u64 {
+    pub(crate) fn run(&mut self, vlog: &mut VirtualLog, budget_ns: u64) -> u64 {
         let blocks_before = self.stats.blocks_moved;
         let clock = vlog.disk().clock();
         let start = clock.now();
@@ -398,7 +398,7 @@ impl VirtualLog {
     /// block being moved, so it is never that empty track.
     ///
     /// Each cylinder is searched by the eager allocator's
-    /// [`best_in_cylinder`], so full cylinders and tracks are skipped on the
+    /// `best_in_cylinder`, so full cylinders and tracks are skipped on the
     /// free map's O(1) summaries, one repositioning plan serves the whole
     /// cylinder, and a candidate on the head's own track that beats a head
     /// switch ends the search at once. `compact.plug_tracks_priced` counts

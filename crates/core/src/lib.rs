@@ -5,20 +5,20 @@
 //! File Systems for a Programmable Disk* (Wang, Anderson, Patterson,
 //! OSDI 1999):
 //!
-//! * **Eager writing** ([`alloc`]): small synchronous writes complete by
-//!   landing on a free sector near the current head position, chosen with
-//!   exact mechanical knowledge — the premise of a file system running on
-//!   the drive's embedded processor.
-//! * **The virtual log** ([`log`], [`mapsector`]): a log of indirection-map
-//!   pieces whose entries are *not* physically contiguous. Entries chain
-//!   backward; overwrites turn the chain into a tree whose bypass branches
-//!   let obsolete sectors be recycled without copying live data (paper
-//!   Figure 3).
+//! * **Eager writing** ([`EagerAllocator`]): small synchronous writes
+//!   complete by landing on a free sector near the current head position,
+//!   chosen with exact mechanical knowledge — the premise of a file system
+//!   running on the drive's embedded processor.
+//! * **The virtual log** ([`VirtualLog`], [`mapsector`]): a log of
+//!   indirection-map pieces whose entries are *not* physically contiguous.
+//!   Entries chain backward; overwrites turn the chain into a tree whose
+//!   bypass branches let obsolete sectors be recycled without copying live
+//!   data (paper Figure 3).
 //! * **Fast recovery** ([`recovery`], [`tail`]): boot from a checksummed
 //!   tail record written by the firmware power-down sequence; fall back to
 //!   scanning for self-identifying entries when power-down failed. Atomic
 //!   multi-block transactions ride the same mechanism.
-//! * **Idle-time compaction** ([`compact`]): track-granularity
+//! * **Idle-time compaction** ([`Compactor`]): track-granularity
 //!   hole-plugging that regenerates empty tracks, keeping eager writes fast
 //!   at high utilisation.
 //! * **The VLD** ([`vld`]): all of the above behind an unmodified
@@ -35,27 +35,26 @@
 //! assert!(t.total_ms() < 3.0);
 //! ```
 
-pub mod alloc;
-pub mod audit;
+mod alloc;
+mod audit;
 pub mod checkpoint;
-pub mod compact;
-pub mod freemap;
-pub mod log;
+mod compact;
+mod freemap;
+mod log;
 pub mod mapsector;
-pub mod piecetable;
+mod piecetable;
 pub mod recovery;
 pub mod tail;
 pub mod vld;
-pub mod vlfs;
+mod vlfs;
 
 pub use alloc::{AllocConfig, AllocatorState, Candidate, EagerAllocator};
-pub use checkpoint::{Checkpoint, CheckpointRegion};
+pub use checkpoint::Checkpoint;
 pub use compact::{CompactStats, Compactor, CompactorConfig, VictimPolicy};
 pub use freemap::FreeMap;
-pub use log::{PieceLoc, VirtualLog, VlogSnapshot, VlogStats, BLOCK_BYTES, BLOCK_SECTORS};
+pub use log::{PieceLoc, VirtualLog, VlogSnapshot, VlogStats, BLOCK_BYTES};
 pub use mapsector::{MapFlags, MapSector, TxnInfo, PIECE_ENTRIES, UNMAPPED};
-pub use piecetable::PieceTable;
 pub use recovery::RecoveryReport;
-pub use tail::{TailRecord, FIRMWARE_SECTORS, TAIL_LBA};
-pub use vld::{Vld, VldConfig, VldSnapshot};
-pub use vlfs::{VlfsInode, VlfsLayer, INODE_DIRECT};
+pub use tail::{TailRecord, TAIL_LBA};
+pub use vld::{Vld, VldConfig};
+pub use vlfs::{VlfsLayer, INODE_DIRECT};

@@ -28,7 +28,7 @@ use crate::tail::{TailRecord, FIRMWARE_SECTORS, TAIL_LBA};
 use disksim::{Disk, DiskError, DiskSnapshot, Result, ServiceTime, SECTOR_BYTES};
 
 /// Sectors per data block (4 KB physical blocks, as in the paper's VLD).
-pub const BLOCK_SECTORS: u32 = 8;
+pub(crate) const BLOCK_SECTORS: u32 = 8;
 /// Bytes per data block.
 pub const BLOCK_BYTES: usize = BLOCK_SECTORS as usize * SECTOR_BYTES;
 
@@ -52,13 +52,13 @@ pub struct VlogStats {
     /// Map sectors appended to the log.
     pub map_writes: u64,
     /// Logical data blocks read.
-    pub data_reads: u64,
+    pub(crate) data_reads: u64,
     /// Blocks relocated by the compactor.
-    pub blocks_moved: u64,
+    pub(crate) blocks_moved: u64,
     /// Compaction passes that emptied at least one track.
-    pub tracks_emptied: u64,
+    pub(crate) tracks_emptied: u64,
     /// Multi-piece transactions committed.
-    pub txns: u64,
+    pub(crate) txns: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
 }
@@ -179,7 +179,7 @@ impl VirtualLog {
     /// How many logical 4 KB blocks a disk with `total_sectors` sectors can
     /// expose, leaving room for the firmware area, the live map sectors and
     /// an eager-writing slack reserve.
-    pub fn logical_capacity(total_sectors: u64) -> u64 {
+    pub(crate) fn logical_capacity(total_sectors: u64) -> u64 {
         let mut n = (total_sectors - FIRMWARE_SECTORS) / BLOCK_SECTORS as u64;
         for _ in 0..4 {
             let pieces = n.div_ceil(PIECE_ENTRIES as u64);
@@ -217,7 +217,7 @@ impl VirtualLog {
     }
 
     /// Mutable access to the simulated disk.
-    pub fn disk_mut(&mut self) -> &mut Disk {
+    pub(crate) fn disk_mut(&mut self) -> &mut Disk {
         &mut self.disk
     }
 
@@ -229,7 +229,7 @@ impl VirtualLog {
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach).
     /// Wired through to the eager allocator as well; the internal disk's
     /// handle is set separately via [`Self::disk_mut`].
-    pub fn set_metrics(&mut self, metrics: disksim::Metrics) {
+    pub(crate) fn set_metrics(&mut self, metrics: disksim::Metrics) {
         self.alloc.set_metrics(metrics.clone());
         self.metrics = metrics;
     }
@@ -302,7 +302,7 @@ impl VirtualLog {
     /// the release of every overwritten block until the commit record is
     /// durable, so the transient footprint (old + new) must fit in the
     /// eager-writing slack reserve.
-    pub const MAX_ATOMIC_BLOCKS: usize = 32;
+    pub(crate) const MAX_ATOMIC_BLOCKS: usize = 32;
 
     /// Write several logical blocks as one atomic transaction. Data blocks
     /// are eager-written first; then every affected map piece, the last one
@@ -314,7 +314,7 @@ impl VirtualLog {
     /// Fails with `Unsupported` if the batch exceeds
     /// [`VirtualLog::MAX_ATOMIC_BLOCKS`]; use [`VirtualLog::write_batch`]
     /// for bulk data that doesn't need all-or-nothing semantics.
-    pub fn write_many(&mut self, batch: &[(u64, &[u8])]) -> Result<ServiceTime> {
+    pub(crate) fn write_many(&mut self, batch: &[(u64, &[u8])]) -> Result<ServiceTime> {
         if batch.is_empty() {
             return Ok(ServiceTime::ZERO);
         }
@@ -367,7 +367,7 @@ impl VirtualLog {
     /// the bulk path the VLD's `write_blocks` uses — large sequential
     /// transfers (e.g. an LFS segment flush through the VLD) would
     /// otherwise transiently hold both old and new copies of every block.
-    pub fn write_batch(&mut self, batch: &[(u64, &[u8])]) -> Result<ServiceTime> {
+    pub(crate) fn write_batch(&mut self, batch: &[(u64, &[u8])]) -> Result<ServiceTime> {
         const CHUNK: usize = 24;
         let mut total = ServiceTime::ZERO;
         let mut i = 0;
@@ -414,7 +414,7 @@ impl VirtualLog {
     /// service time)`. The block is not durable-by-name: after a crash the
     /// space is reclaimed unless a recovered structure re-registers it via
     /// [`VirtualLog::reserve_external_block`].
-    pub fn write_raw(&mut self, buf: &[u8]) -> Result<(u32, ServiceTime)> {
+    pub(crate) fn write_raw(&mut self, buf: &[u8]) -> Result<(u32, ServiceTime)> {
         Self::check_buf(buf.len())?;
         let cand = self
             .alloc
@@ -429,7 +429,7 @@ impl VirtualLog {
     }
 
     /// Read a raw (externally tracked) physical block.
-    pub fn read_raw(&mut self, pb: u32, buf: &mut [u8]) -> Result<ServiceTime> {
+    pub(crate) fn read_raw(&mut self, pb: u32, buf: &mut [u8]) -> Result<ServiceTime> {
         Self::check_buf(buf.len())?;
         self.disk
             .read_sectors(pb as u64 * BLOCK_SECTORS as u64, buf)
@@ -437,7 +437,7 @@ impl VirtualLog {
 
     /// Release a raw physical block previously returned by
     /// [`VirtualLog::write_raw`].
-    pub fn free_raw(&mut self, pb: u32) -> Result<()> {
+    pub(crate) fn free_raw(&mut self, pb: u32) -> Result<()> {
         let g = &self.disk.spec().geometry;
         let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
         self.state
@@ -447,7 +447,7 @@ impl VirtualLog {
 
     /// After recovery, re-register an externally tracked block (recovered
     /// from a structure such as an inode) as allocated.
-    pub fn reserve_external_block(&mut self, pb: u32) -> Result<()> {
+    pub(crate) fn reserve_external_block(&mut self, pb: u32) -> Result<()> {
         let g = &self.disk.spec().geometry;
         let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
         self.state
@@ -474,7 +474,7 @@ impl VirtualLog {
 
     /// Orderly power-down: record the log tail at the firmware location
     /// (with checksum) and park. Recovery boots from this record.
-    pub fn shutdown(&mut self) -> Result<ServiceTime> {
+    pub(crate) fn shutdown(&mut self) -> Result<ServiceTime> {
         let rec = TailRecord {
             root: self.state.root,
             next_seq: self.state.next_seq,
@@ -627,7 +627,7 @@ impl VirtualLog {
     /// Write a checkpoint: persist the piece directory to the inactive
     /// slot, then recycle every superseded piece block the new checkpoint
     /// covers.
-    pub fn checkpoint(&mut self) -> Result<ServiceTime> {
+    pub(crate) fn checkpoint(&mut self) -> Result<ServiceTime> {
         if self.metrics.is_enabled() {
             // Chain length the checkpoint truncates: map sectors a scan
             // recovery would have had to traverse had we crashed now.
@@ -707,7 +707,7 @@ impl VirtualLog {
     }
 
     /// Superseded map blocks waiting for the next checkpoint.
-    pub fn pending_recycle_len(&self) -> usize {
+    pub(crate) fn pending_recycle_len(&self) -> usize {
         self.state.pending_recycle.len()
     }
 
@@ -720,18 +720,13 @@ impl VirtualLog {
             .any(|lba| track.contains(lba))
     }
 
-    /// The log-time horizon of the last checkpoint.
-    pub fn checkpoint_seq(&self) -> u64 {
-        self.state.checkpoint_seq
-    }
-
     /// Capture the complete mutable state of the log — disk image (shared
     /// copy-on-write), free map, indirection map (piece pages shared
     /// copy-on-write), log chain bookkeeping and allocator position — as a
     /// `Send + Sync` value. [`VlogSnapshot::restore`] yields an independent
     /// log that continues exactly as this one would; observability handles
     /// are not captured (a restored log starts detached).
-    pub fn snapshot(&self) -> VlogSnapshot {
+    pub(crate) fn snapshot(&self) -> VlogSnapshot {
         VlogSnapshot {
             disk: self.disk.snapshot(),
             alloc: self.alloc.state(),
@@ -752,7 +747,7 @@ pub struct VlogSnapshot {
 
 impl VlogSnapshot {
     /// Materialise an independent [`VirtualLog`] from this snapshot.
-    pub fn restore(&self) -> VirtualLog {
+    pub(crate) fn restore(&self) -> VirtualLog {
         let alloc = EagerAllocator::from_state(&self.alloc);
         VirtualLog::assemble(self.disk.restore(), alloc, self.state.clone())
     }
@@ -764,7 +759,7 @@ mod tests {
     use crate::alloc::AllocConfig;
     use disksim::{DiskSpec, SimClock};
 
-    pub(crate) fn fresh() -> VirtualLog {
+    pub fn fresh() -> VirtualLog {
         let mut spec = DiskSpec::hp97560_sim();
         spec.command_overhead_ns = 0;
         VirtualLog::format(Disk::new(spec, SimClock::new()), AllocConfig::default())

@@ -42,7 +42,7 @@ pub const PIECE_ENTRIES: usize = piece_capacity(PIECE_BYTES);
 /// Sentinel for an unmapped logical block.
 pub const UNMAPPED: u32 = u32::MAX;
 /// Sentinel LBA meaning "no pointer".
-pub const NO_LBA: u64 = u64::MAX;
+pub(crate) const NO_LBA: u64 = u64::MAX;
 
 const HEADER_BYTES: usize = 72;
 /// Byte offset of the checksum word within the header: the seal of the
@@ -50,44 +50,26 @@ const HEADER_BYTES: usize = 72;
 const SUM_OFFSET: usize = 68;
 
 /// Map entries that fit in a piece of `bytes` bytes.
-pub const fn piece_capacity(bytes: usize) -> usize {
+pub(crate) const fn piece_capacity(bytes: usize) -> usize {
     (bytes - HEADER_BYTES) / 4
 }
 
-/// Minimal bitflags implementation (avoids an external dependency).
-macro_rules! bitflags_lite {
-    (
-        $(#[$m:meta])* pub struct $name:ident : $ty:ty {
-            $($(#[$fm:meta])* const $flag:ident = $val:expr;)*
-        }
-    ) => {
-        $(#[$m])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct $name(pub $ty);
-        impl $name {
-            $($(#[$fm])* pub const $flag: $name = $name($val);)*
-            /// No flags set.
-            pub const EMPTY: $name = $name(0);
-            /// Does `self` contain all bits of `other`?
-            pub fn contains(self, other: $name) -> bool {
-                self.0 & other.0 == other.0
-            }
-            /// Union of two flag sets.
-            pub fn union(self, other: $name) -> $name {
-                $name(self.0 | other.0)
-            }
-        }
-    };
-}
+/// Map-sector flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MapFlags(pub u16);
 
-bitflags_lite! {
-    /// Map-sector flags.
-    pub struct MapFlags: u16 {
-        /// Sector is part of a multi-sector transaction but not its commit
-        /// point; its payload is valid only if the commit sector exists.
-        const TXN_PART = 0b01;
-        /// Sector commits the transaction named by `txn_id`.
-        const TXN_COMMIT = 0b10;
+impl MapFlags {
+    /// Sector is part of a multi-sector transaction but not its commit
+    /// point; its payload is valid only if the commit sector exists.
+    pub const TXN_PART: MapFlags = MapFlags(0b01);
+    /// Sector commits the transaction named by `txn_id`.
+    pub const TXN_COMMIT: MapFlags = MapFlags(0b10);
+    /// No flags set.
+    pub const EMPTY: MapFlags = MapFlags(0);
+
+    /// Does `self` contain all bits of `other`?
+    pub(crate) fn contains(self, other: MapFlags) -> bool {
+        self.0 & other.0 == other.0
     }
 }
 
@@ -170,7 +152,7 @@ impl MapSectorRef<'_> {
     /// # Errors
     ///
     /// Fails if the payload exceeds [`PIECE_ENTRIES`].
-    pub fn encode(&self) -> Result<Vec<u8>> {
+    pub(crate) fn encode(&self) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         self.encode_into(&mut buf)?;
         Ok(buf)
@@ -351,7 +333,7 @@ mod tests {
 
     #[test]
     fn flags_operations() {
-        let f = MapFlags::TXN_PART.union(MapFlags::TXN_COMMIT);
+        let f = MapFlags(MapFlags::TXN_PART.0 | MapFlags::TXN_COMMIT.0);
         assert!(f.contains(MapFlags::TXN_PART));
         assert!(f.contains(MapFlags::TXN_COMMIT));
         assert!(!MapFlags::EMPTY.contains(MapFlags::TXN_PART));

@@ -25,14 +25,14 @@ static UNMAPPED_PAGE: [u32; PIECE_ENTRIES] = [UNMAPPED; PIECE_ENTRIES];
 /// (copy-on-write at piece granularity, matching the map-piece unit the
 /// log persists).
 #[derive(Debug, Clone)]
-pub struct PieceTable {
+pub(crate) struct PieceTable {
     pages: Vec<Option<Arc<[u32; PIECE_ENTRIES]>>>,
     len: usize,
 }
 
 impl PieceTable {
     /// An all-unmapped table covering `num_logical` blocks.
-    pub fn new(num_logical: usize) -> Self {
+    pub(crate) fn new(num_logical: usize) -> Self {
         Self {
             pages: (0..num_logical.div_ceil(PIECE_ENTRIES)).map(|_| None).collect(),
             len: num_logical,
@@ -40,19 +40,14 @@ impl PieceTable {
     }
 
     /// Number of logical blocks covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the table covers no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The entry for logical block `lb` (must be `< len`). Two array
     /// indexes; an unmaterialised page reads as [`UNMAPPED`].
     #[inline]
-    pub fn get(&self, lb: usize) -> u32 {
+    pub(crate) fn get(&self, lb: usize) -> u32 {
         debug_assert!(lb < self.len);
         match &self.pages[lb / PIECE_ENTRIES] {
             Some(page) => page[lb % PIECE_ENTRIES],
@@ -62,14 +57,14 @@ impl PieceTable {
 
     /// The entry for `lb`, or `None` past the end of the table.
     #[inline]
-    pub fn try_get(&self, lb: usize) -> Option<u32> {
+    pub(crate) fn try_get(&self, lb: usize) -> Option<u32> {
         (lb < self.len).then(|| self.get(lb))
     }
 
     /// Set the entry for logical block `lb`, materialising its page (and
     /// un-sharing it first if a snapshot still holds the old copy).
     #[inline]
-    pub fn set(&mut self, lb: usize, pb: u32) {
+    pub(crate) fn set(&mut self, lb: usize, pb: u32) {
         debug_assert!(lb < self.len);
         let page = self.pages[lb / PIECE_ENTRIES]
             .get_or_insert_with(|| Arc::new([UNMAPPED; PIECE_ENTRIES]));
@@ -79,7 +74,7 @@ impl PieceTable {
     /// The entries of `piece`, clamped to the table length (the final
     /// piece may be short). Borrowed straight from the page — this is what
     /// the log's piece-append encodes from.
-    pub fn piece_entries(&self, piece: u32) -> &[u32] {
+    pub(crate) fn piece_entries(&self, piece: u32) -> &[u32] {
         let start = piece as usize * PIECE_ENTRIES;
         let n = (self.len - start).min(PIECE_ENTRIES);
         match &self.pages[piece as usize] {
@@ -89,7 +84,7 @@ impl PieceTable {
     }
 
     /// Every entry in logical-block order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len).map(move |lb| self.get(lb))
     }
 }
@@ -102,7 +97,6 @@ mod tests {
     fn starts_unmapped_and_lazy() {
         let t = PieceTable::new(PIECE_ENTRIES * 3 + 5);
         assert_eq!(t.len(), PIECE_ENTRIES * 3 + 5);
-        assert!(!t.is_empty());
         assert_eq!(t.get(0), UNMAPPED);
         assert_eq!(t.get(t.len() - 1), UNMAPPED);
         assert!(t.pages.iter().all(|p| p.is_none()), "no page materialised");

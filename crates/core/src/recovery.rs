@@ -46,19 +46,19 @@ pub struct RecoveryReport {
     /// True if the firmware tail record was present and valid.
     pub used_tail: bool,
     /// Sequence horizon of the checkpoint recovery booted from.
-    pub checkpoint_seq: u64,
+    pub(crate) checkpoint_seq: u64,
     /// Sectors read by the scan fallback (0 when the tail was valid).
     pub scanned_sectors: u64,
     /// Tracks the scan fallback actually decoded: those holding bytes. A
     /// never-written track is read (and charged) like any other but cannot
     /// hold a map sector.
-    pub tracks_decoded: u64,
+    pub(crate) tracks_decoded: u64,
     /// Log sectors visited during traversal.
     pub sectors_traversed: u64,
     /// Branches pruned because the target was invalid.
-    pub branches_pruned: u64,
+    pub(crate) branches_pruned: u64,
     /// Pieces taken from the checkpoint directory (not seen in the window).
-    pub pieces_from_checkpoint: u64,
+    pub(crate) pieces_from_checkpoint: u64,
     /// Pieces recovered in total.
     pub pieces_recovered: u64,
     /// Map sectors whose payload was skipped as uncommitted transaction

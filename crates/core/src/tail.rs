@@ -20,7 +20,7 @@ pub const TAIL_MAGIC: u32 = 0x5654_414C;
 pub const TAIL_LBA: u64 = 0;
 /// Number of sectors reserved for firmware use at the start of the disk
 /// (one aligned 4 KB physical block).
-pub const FIRMWARE_SECTORS: u64 = 8;
+pub(crate) const FIRMWARE_SECTORS: u64 = 8;
 
 /// Byte offset of the checksum word within the record: the seal of the
 /// whole sector ([`disksim::codec::seal`]).
@@ -75,7 +75,7 @@ impl TailRecord {
 
     /// The cleared (post-recovery) state: an all-zero sector, which fails
     /// magic validation by construction.
-    pub fn cleared() -> [u8; SECTOR_BYTES] {
+    pub(crate) fn cleared() -> [u8; SECTOR_BYTES] {
         [0u8; SECTOR_BYTES]
     }
 }

@@ -297,7 +297,7 @@ impl BlockDevice for Vld {
 /// so an aged system can be built once and forked inside parallel
 /// figure-cell workers.
 #[derive(Debug, Clone)]
-pub struct VldSnapshot {
+pub(crate) struct VldSnapshot {
     vlog: VlogSnapshot,
     state: VldState,
 }
@@ -483,8 +483,8 @@ mod tests {
         let mut disk = d.crash();
         // Corrupt both checkpoint slots' first sectors? No — just one: the
         // region starts right after the firmware block.
-        let region = crate::CheckpointRegion::layout(
-            crate::FIRMWARE_SECTORS,
+        let region = crate::checkpoint::CheckpointRegion::layout(
+            crate::tail::FIRMWARE_SECTORS,
             64, // any >= actual piece count works for locating slot A
             8,
         );

@@ -41,11 +41,11 @@ const VLFS_MAGIC: u32 = 0x564C_4653;
 
 /// An in-memory inode: file size plus direct pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VlfsInode {
+pub(crate) struct VlfsInode {
     /// File size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
     /// Physical block of each file block ([`UNMAPPED`] = hole).
-    pub direct: Vec<u32>,
+    pub(crate) direct: Vec<u32>,
 }
 
 impl VlfsInode {
@@ -72,11 +72,6 @@ impl VlfsInode {
             size: get_u64(buf, 0)?,
             direct: get_u32s(buf, 16, INODE_DIRECT)?.collect(),
         })
-    }
-
-    /// Number of data blocks the file spans.
-    pub fn blocks(&self) -> u64 {
-        self.size.div_ceil(BLOCK_BYTES as u64)
     }
 }
 
@@ -131,11 +126,6 @@ impl VlfsLayer {
             },
             report,
         ))
-    }
-
-    /// Number of inodes.
-    pub fn n_inodes(&self) -> u64 {
-        self.n_inodes
     }
 
     /// The underlying virtual log.

@@ -18,7 +18,6 @@
 //!   retained until the head moves to a different track for a *write* (reads
 //!   of other tracks replace the buffer, but a buffered track survives
 //!   re-reads in any order).
-//! * [`CachePolicy::Off`] — every read goes to the media.
 //!
 //! Writes invalidate any buffered copy of the written track (the simulated
 //! drive does not write-cache; the paper's systems rely on writes reaching
@@ -27,8 +26,6 @@
 /// Read-ahead buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicy {
-    /// No read-ahead buffering at all.
-    Off,
     /// The stock Dartmouth behaviour (good for monotonic physical reads).
     Conservative,
     /// The paper's VLD modification: buffer and retain the whole track.
@@ -37,7 +34,7 @@ pub enum CachePolicy {
 
 /// State of the single-track read-ahead buffer.
 #[derive(Debug, Clone)]
-pub struct TrackCache {
+pub(crate) struct TrackCache {
     policy: CachePolicy,
     /// The (cylinder, track) currently buffered, if any.
     loc: Option<(u32, u32)>,
@@ -51,7 +48,7 @@ pub struct TrackCache {
 
 impl TrackCache {
     /// Create an empty buffer with the given policy.
-    pub fn new(policy: CachePolicy) -> Self {
+    pub(crate) fn new(policy: CachePolicy) -> Self {
         Self {
             policy,
             loc: None,
@@ -63,28 +60,25 @@ impl TrackCache {
     }
 
     /// The active policy.
-    pub fn policy(&self) -> CachePolicy {
+    pub(crate) fn policy(&self) -> CachePolicy {
         self.policy
     }
 
     /// Change the policy, dropping any buffered data.
-    pub fn set_policy(&mut self, policy: CachePolicy) {
+    pub(crate) fn set_policy(&mut self, policy: CachePolicy) {
         self.policy = policy;
         self.invalidate_all();
     }
 
     /// (hits, misses) counters for diagnostics.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Would a read of `[sector, sector+count)` on (cyl, track) be served
     /// from the buffer? Records a hit/miss in the counters.
-    pub fn lookup(&mut self, cyl: u32, track: u32, sector: u32, count: u32) -> bool {
-        let hit = self.policy != CachePolicy::Off
-            && self.loc == Some((cyl, track))
-            && sector >= self.lo
-            && sector + count <= self.hi;
+    pub(crate) fn lookup(&mut self, cyl: u32, track: u32, sector: u32, count: u32) -> bool {
+        let hit = self.loc == Some((cyl, track)) && sector >= self.lo && sector + count <= self.hi;
         if hit {
             self.hits += 1;
         } else {
@@ -96,7 +90,7 @@ impl TrackCache {
     /// Record that the media was read at `[sector, sector+count)` on
     /// (cyl, track) of a track holding `sectors_per_track` sectors, and
     /// update the buffer per the policy.
-    pub fn on_media_read(
+    pub(crate) fn on_media_read(
         &mut self,
         cyl: u32,
         track: u32,
@@ -105,7 +99,6 @@ impl TrackCache {
         sectors_per_track: u32,
     ) {
         match self.policy {
-            CachePolicy::Off => {}
             CachePolicy::Conservative => {
                 // Buffer from the request start through the end of the track;
                 // anything below the request start is discarded.
@@ -123,14 +116,14 @@ impl TrackCache {
     }
 
     /// A write landed on (cyl, track): drop any buffered copy of it.
-    pub fn on_write(&mut self, cyl: u32, track: u32) {
+    pub(crate) fn on_write(&mut self, cyl: u32, track: u32) {
         if self.loc == Some((cyl, track)) {
             self.invalidate_all();
         }
     }
 
     /// Drop everything.
-    pub fn invalidate_all(&mut self) {
+    pub(crate) fn invalidate_all(&mut self) {
         self.loc = None;
         self.lo = 0;
         self.hi = 0;
@@ -140,13 +133,6 @@ impl TrackCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn off_policy_never_hits() {
-        let mut c = TrackCache::new(CachePolicy::Off);
-        c.on_media_read(0, 0, 0, 8, 64);
-        assert!(!c.lookup(0, 0, 0, 8));
-    }
 
     #[test]
     fn conservative_discards_below_request() {

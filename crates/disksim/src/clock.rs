@@ -57,7 +57,7 @@ impl SimClock {
     /// Recreate a clock captured by a snapshot: time and per-clock event
     /// count are restored as-is, and the restoration itself does **not**
     /// count as a simulation event.
-    pub fn restore(now_ns: u64, local_events: u64) -> Self {
+    pub(crate) fn restore(now_ns: u64, local_events: u64) -> Self {
         Self {
             now_ns: Rc::new(Cell::new(now_ns)),
             local_events: Rc::new(Cell::new(local_events)),
@@ -97,44 +97,6 @@ impl SimClock {
             self.now_ns.set(target_ns);
         }
     }
-
-    /// Number of independent handles observing this clock (diagnostics only).
-    pub fn handles(&self) -> usize {
-        Rc::strong_count(&self.now_ns)
-    }
-}
-
-/// A simple stopwatch over a [`SimClock`], used by the benchmark harness to
-/// time phases of a workload in simulated time.
-#[derive(Debug)]
-pub struct Stopwatch {
-    clock: SimClock,
-    start_ns: u64,
-}
-
-impl Stopwatch {
-    /// Start timing from the clock's current instant.
-    pub fn start(clock: &SimClock) -> Self {
-        Self {
-            clock: clock.clone(),
-            start_ns: clock.now(),
-        }
-    }
-
-    /// Nanoseconds elapsed since this stopwatch was started.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.clock.now() - self.start_ns
-    }
-
-    /// Milliseconds elapsed since this stopwatch was started.
-    pub fn elapsed_ms(&self) -> f64 {
-        crate::ns_to_ms(self.elapsed_ns())
-    }
-
-    /// Restart the stopwatch at the current instant.
-    pub fn reset(&mut self) {
-        self.start_ns = self.clock.now();
-    }
 }
 
 #[cfg(test)]
@@ -172,25 +134,5 @@ mod tests {
         assert_eq!(c.now(), 500);
         c.advance_to(700);
         assert_eq!(c.now(), 700);
-    }
-
-    #[test]
-    fn stopwatch_measures_elapsed() {
-        let c = SimClock::new();
-        c.advance(5);
-        let mut w = Stopwatch::start(&c);
-        c.advance(1_000_000);
-        assert_eq!(w.elapsed_ns(), 1_000_000);
-        assert!((w.elapsed_ms() - 1.0).abs() < 1e-9);
-        w.reset();
-        assert_eq!(w.elapsed_ns(), 0);
-    }
-
-    #[test]
-    fn handle_count_tracks_clones() {
-        let a = SimClock::new();
-        assert_eq!(a.handles(), 1);
-        let b = a.clone();
-        assert_eq!(b.handles(), 2);
     }
 }

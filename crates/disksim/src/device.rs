@@ -286,11 +286,6 @@ impl RegularDisk {
         &mut self.disk
     }
 
-    /// Read-only view of the underlying disk.
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
     fn lba(&self, block: u64) -> Result<u64> {
         if block >= self.state.num_blocks {
             return Err(DiskError::OutOfRange {
@@ -387,7 +382,7 @@ impl BlockDevice for RegularDisk {
 /// Snapshot of a [`RegularDisk`]: the mechanical disk's snapshot plus the
 /// layer's state.
 #[derive(Debug, Clone)]
-pub struct RegularDiskSnapshot {
+pub(crate) struct RegularDiskSnapshot {
     disk: DiskSnapshot,
     state: RegularState,
 }
@@ -442,10 +437,10 @@ mod tests {
         let mut d = dev();
         let w = vec![1u8; 4096 * 4];
         let st = d.write_blocks(0, &w).unwrap();
-        assert_eq!(st.overhead_ns, d.disk().spec().command_overhead_ns);
+        assert_eq!(st.overhead_ns, d.disk.spec().command_overhead_ns);
         let mut r = vec![0u8; 4096 * 4];
         let st = d.read_blocks(0, &mut r).unwrap();
-        assert_eq!(st.overhead_ns, d.disk().spec().command_overhead_ns);
+        assert_eq!(st.overhead_ns, d.disk.spec().command_overhead_ns);
         assert_eq!(w, r);
     }
 
@@ -490,7 +485,7 @@ mod tests {
         let buf = vec![0u8; 4096];
         d.write_block(5, &buf).unwrap();
         let st = d.write_block(5, &buf).unwrap();
-        let rev = d.disk().spec().mech.revolution_ns();
+        let rev = d.disk.spec().mech.revolution_ns();
         assert!(
             st.rotation_ns > rev / 2,
             "rewrite rotation {:?} < half rev",

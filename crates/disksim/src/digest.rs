@@ -13,7 +13,7 @@
 const LANES: usize = 4;
 /// Bytes one round of [`Digest::update`] consumes: one word per lane. Every
 /// `update` of a stream but the last must pass a multiple of this.
-pub const STRIPE: usize = LANES * 8;
+pub(crate) const STRIPE: usize = LANES * 8;
 /// Odd multiplier of the lane step (2^64 / golden ratio).
 const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Distinct lane seeds, so the lanes are not interchangeable.

@@ -36,7 +36,7 @@ pub struct HeadPosition {
     /// Selected head (track within the cylinder).
     pub track: u32,
     /// Logical sector number currently under the head on that track.
-    pub sector: u32,
+    pub(crate) sector: u32,
 }
 
 /// The repositioning plan for pricing candidate sectors on one track at one
@@ -389,7 +389,7 @@ impl SharedSectors {
 
     /// Bytes `range` of the read, borrowed from the one track they lie on;
     /// `None` when they cross a track boundary or lie on a never-written
-    /// track (use [`Self::copy_to`] there).
+    /// track.
     pub fn get(&self, range: Range<usize>) -> Option<&[u8]> {
         let (run, bytes) = self.runs().find(|(run, _)| run.contains(&range.start))?;
         let bytes = bytes.filter(|_| range.end <= run.end)?;
@@ -398,7 +398,7 @@ impl SharedSectors {
 
     /// Copy the read's bytes from `at` on into `out`, across any track
     /// boundaries; never-written tracks read as zeros.
-    pub fn copy_to(&self, at: usize, out: &mut [u8]) {
+    pub(crate) fn copy_to(&self, at: usize, out: &mut [u8]) {
         let end = at + out.len();
         for (run, bytes) in self.runs() {
             let (lo, hi) = (run.start.max(at), run.end.min(end));
@@ -933,7 +933,7 @@ impl Disk {
     }
 
     /// Read `count` sectors starting at `lba` into `buf`, advancing the
-    /// clock by the returned service time: one [`Self::command`]. With
+    /// clock by the returned service time: one timed media command. With
     /// metrics attached, the bytes delivered into `buf` count towards
     /// `disk.read_bytes_copied` (the shared read adds nothing).
     pub fn read_sectors(&mut self, lba: u64, buf: &mut [u8]) -> Result<ServiceTime> {
@@ -979,7 +979,7 @@ impl Disk {
     }
 
     /// Write `buf` (a whole number of sectors) starting at `lba`, advancing
-    /// the clock by the returned service time: one [`Self::command`].
+    /// the clock by the returned service time: one timed media command.
     /// Writes always reach the media; there is no write-back cache.
     pub fn write_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
         let count = Self::sector_count(buf.len())?;
@@ -1037,7 +1037,7 @@ impl Disk {
     }
 
     /// Freeze this disk's complete mutable state. The media image is
-    /// flattened into a single contiguous [`BaseImage`] allocation — an
+    /// flattened into a single contiguous allocation — an
     /// O(media bytes) copy, paid once per captured state — which every
     /// fork then shares; restoring is O(slots) regardless of media size,
     /// and a fork's first write to a track copies just that track.
@@ -1083,7 +1083,7 @@ impl Disk {
 }
 
 /// A frozen copy of a [`Disk`]'s complete mutable state: media image
-/// (one flattened [`BaseImage`] every fork shares), clock instant,
+/// (one flattened allocation every fork shares), clock instant,
 /// arm/head position, read-ahead buffer and statistics.
 ///
 /// The snapshot is `Send + Sync` plain data — it can be built once on one

@@ -25,7 +25,7 @@
 //!
 //! The wrapper also journals a content hash of every *acknowledged* write,
 //! so a harness can later assert the device's central durability contract:
-//! no acknowledged write is ever lost (`acked_blocks`).
+//! no acknowledged write is ever lost (`into_parts`).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -130,16 +130,16 @@ pub struct FaultLog {
     /// Power cuts fired (0 or 1).
     pub power_cuts: u64,
     /// Sectors of the cut block that survived (torn write), if any.
-    pub torn_sectors: u32,
+    pub(crate) torn_sectors: u32,
     /// The block a torn power-cut write landed on (its media contents are
     /// a blend and match no acknowledged write).
     pub torn_block: Option<u64>,
     /// Writes silently corrupted.
-    pub corruptions: u64,
+    pub(crate) corruptions: u64,
     /// Transient failures returned.
     pub transients: u64,
     /// Ops refused because the device was already dead.
-    pub refused_after_cut: u64,
+    pub(crate) refused_after_cut: u64,
 }
 
 /// A [`BlockDevice`] adapter that injects failures from a [`FaultPlan`].
@@ -244,15 +244,11 @@ impl FaultDisk {
         self.state.log
     }
 
-    /// Content hashes of every acknowledged write, by block. Corrupted
-    /// writes are deliberately excluded (the caller was lied to).
-    pub fn acked_blocks(&self) -> &HashMap<u64, u64> {
-        &self.state.acked
-    }
-
     /// Unwrap, handing back everything a crash harness needs in one move:
-    /// acknowledged-op count, fault log, the acknowledged-write journal,
-    /// and the (possibly "powerless") inner device — the surviving media.
+    /// acknowledged-op count, fault log, the acknowledged-write journal
+    /// (content hash by block; corrupted writes are deliberately excluded,
+    /// the caller was lied to), and the (possibly "powerless") inner
+    /// device — the surviving media.
     pub fn into_parts(self) -> (u64, FaultLog, HashMap<u64, u64>, Box<dyn BlockDevice>) {
         (
             self.state.acked_ops,
@@ -462,7 +458,7 @@ impl BlockDevice for FaultDisk {
 /// Snapshot of a [`FaultDisk`]: the wrapped device's snapshot plus the
 /// fault plan's progress (op cursor, power state, acknowledged-write
 /// journal).
-pub struct FaultDiskSnapshot {
+pub(crate) struct FaultDiskSnapshot {
     inner: Box<dyn DeviceSnapshot>,
     state: FaultState,
 }
@@ -513,8 +509,6 @@ mod tests {
         let mut r = vec![0u8; BS];
         d.read_block(3, &mut r).unwrap();
         assert_eq!(r, block(3));
-        assert_eq!(d.acked_blocks().len(), 7);
-        assert_eq!(d.acked_blocks()[&11], content_hash(&block(8)));
 
         bare.read_block(3, &mut r).unwrap();
         let (mut spare, mut scratch) = (Vec::new(), Vec::new());
@@ -536,6 +530,9 @@ mod tests {
             (clock.now(), clock.local_events()),
             (bare_clock.now(), bare_clock.local_events())
         );
+        let (_, _, acked, _) = d.into_parts();
+        assert_eq!(acked.len(), 7);
+        assert_eq!(acked[&11], content_hash(&block(8)));
     }
 
     #[test]
@@ -631,7 +628,7 @@ mod tests {
             d.write_block(1, &block(2)).unwrap(); // corrupted, still Ok
             let mut r = vec![0u8; BS];
             d.read_block(1, &mut r).unwrap();
-            (r, d.fault_log().corruptions, d.acked_blocks().len())
+            (r, d.fault_log().corruptions, d.into_parts().2.len())
         };
         let (a, corruptions, acked) = run();
         let (b, _, _) = run();
@@ -653,9 +650,9 @@ mod tests {
                     break;
                 }
             }
-            let raw: RegularDisk = crate::device::downcast_device(d.into_parts().3);
+            let mut raw: RegularDisk = crate::device::downcast_device(d.into_parts().3);
             let mut img = Vec::new();
-            raw.disk().save_image(&mut img).unwrap();
+            raw.disk_mut().save_image(&mut img).unwrap();
             img
         };
         assert_eq!(image(42), image(42), "determinism");

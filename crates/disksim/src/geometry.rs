@@ -23,7 +23,7 @@ pub struct Zone {
 
 impl Zone {
     /// Number of sectors the zone holds given `tracks` heads per cylinder.
-    pub fn sectors(&self, tracks: u32) -> u64 {
+    pub(crate) fn sectors(&self, tracks: u32) -> u64 {
         self.cylinders as u64 * tracks as u64 * self.sectors_per_track as u64
     }
 }
@@ -133,12 +133,6 @@ impl Geometry {
         self.total_sectors * crate::SECTOR_BYTES as u64
     }
 
-    /// The recording zones, outermost first.
-    #[inline]
-    pub fn zones(&self) -> &[Zone] {
-        &self.zones
-    }
-
     /// Index of the zone containing `cyl`.
     fn zone_of_cyl(&self, cyl: u32) -> Result<usize> {
         if cyl >= self.total_cylinders {
@@ -159,11 +153,6 @@ impl Geometry {
     /// Sectors per track on cylinder `cyl`.
     pub fn sectors_per_track(&self, cyl: u32) -> Result<u32> {
         Ok(self.zones[self.zone_of_cyl(cyl)?].sectors_per_track)
-    }
-
-    /// Sectors in one full cylinder at `cyl`.
-    pub fn sectors_per_cylinder(&self, cyl: u32) -> Result<u64> {
-        Ok(self.sectors_per_track(cyl)? as u64 * self.tracks_per_cylinder as u64)
     }
 
     /// Translate an LBA to its physical location.
@@ -238,7 +227,6 @@ mod tests {
         assert_eq!(g.cylinders(), 4);
         assert_eq!(g.capacity_bytes(), 64 * 512);
         assert_eq!(g.sectors_per_track(3).unwrap(), 8);
-        assert_eq!(g.sectors_per_cylinder(0).unwrap(), 16);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
                 }
             }
             let mut img = Vec::new();
-            dev.disk().save_image(&mut img).unwrap();
+            dev.disk_mut().save_image(&mut img).unwrap();
             let copy = Disk::load_image(
                 DiskSpec::st19101_sim(),
                 SimClock::new(),
@@ -211,17 +211,17 @@ mod tests {
             // Sparseness is preserved exactly, and every materialised
             // track is byte-identical.
             assert_eq!(
-                dev.disk().materialised_tracks(),
+                dev.disk_mut().materialised_tracks(),
                 copy.materialised_tracks(),
                 "seed {seed}: materialised track set drifted"
             );
             let g = &copy.spec().geometry;
-            for (cyl, track) in dev.disk().materialised_tracks() {
+            for (cyl, track) in dev.disk_mut().materialised_tracks() {
                 let spt = g.sectors_per_track(cyl).unwrap() as usize;
                 let start = g.track_start_lba(cyl, track).unwrap();
                 let mut a = vec![0u8; spt * SECTOR_BYTES];
                 let mut b = vec![0u8; spt * SECTOR_BYTES];
-                dev.disk().peek_sectors(start, &mut a).unwrap();
+                dev.disk_mut().peek_sectors(start, &mut a).unwrap();
                 copy.peek_sectors(start, &mut b).unwrap();
                 assert_eq!(a, b, "seed {seed}: track ({cyl},{track}) differs");
             }

@@ -25,23 +25,23 @@
 //!
 //! All times are simulated; nothing here sleeps.
 
-pub mod cache;
+mod cache;
 pub mod clock;
 pub mod codec;
-pub mod device;
+mod device;
 pub mod digest;
-pub mod disk;
-pub mod error;
+mod disk;
+mod error;
 pub mod fault;
-pub mod geometry;
-pub mod image;
-pub mod mech;
+mod geometry;
+mod image;
+mod mech;
 pub mod par;
-pub mod service;
-pub mod spec;
-pub mod trackbuf;
+mod service;
+mod spec;
+mod trackbuf;
 
-pub use cache::{CachePolicy, TrackCache};
+pub use cache::CachePolicy;
 pub use clock::SimClock;
 pub use device::{
     downcast_device, probe_device, BlockDevice, DeviceSnapshot, RegularDisk, SharedBlocks,
@@ -52,12 +52,12 @@ pub use disk::{
 pub use error::{DiskError, Result};
 pub use fault::{FaultDisk, FaultLog, FaultPlan, WriteFault};
 pub use geometry::{Geometry, PhysAddr, Zone};
-pub use mech::{MechModel, SeekTable};
 pub use service::ServiceTime;
 pub use spec::DiskSpec;
 
 // Observability types, re-exported so device consumers need not depend on
 // `obs` directly.
+pub use mech::MechModel;
 pub use obs::span;
 pub use obs::{FlightRecorder, Metrics, OpKind, SpanKind, SpanRecord, Spans, TraceEvent, Tracer};
 
@@ -66,11 +66,11 @@ pub use obs::{FlightRecorder, Metrics, OpKind, SpanKind, SpanRecord, Spans, Trac
 pub const SECTOR_BYTES: usize = 512;
 
 /// Nanoseconds per millisecond, used throughout for parameter conversion.
-pub const NS_PER_MS: u64 = 1_000_000;
+pub(crate) const NS_PER_MS: u64 = 1_000_000;
 
 /// Convert milliseconds (as used in the paper's tables) to nanoseconds.
 #[inline]
-pub fn ms_to_ns(ms: f64) -> u64 {
+pub(crate) fn ms_to_ns(ms: f64) -> u64 {
     (ms * NS_PER_MS as f64).round() as u64
 }
 

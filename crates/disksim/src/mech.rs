@@ -23,15 +23,15 @@ pub struct MechModel {
     /// Head (track) switch time in nanoseconds, including settle.
     pub head_switch_ns: u64,
     /// Square-root region constant term, milliseconds.
-    pub seek_a_ms: f64,
+    pub(crate) seek_a_ms: f64,
     /// Square-root region coefficient, milliseconds per sqrt(cylinder).
-    pub seek_b_ms: f64,
+    pub(crate) seek_b_ms: f64,
     /// Boundary (in cylinders) between the two seek regions.
-    pub seek_threshold: u32,
+    pub(crate) seek_threshold: u32,
     /// Linear region constant term, milliseconds.
-    pub seek_c_ms: f64,
+    pub(crate) seek_c_ms: f64,
     /// Linear region slope, milliseconds per cylinder.
-    pub seek_e_ms: f64,
+    pub(crate) seek_e_ms: f64,
 }
 
 impl MechModel {
@@ -51,7 +51,7 @@ impl MechModel {
 
     /// Media transfer time for `count` contiguous sectors on one track.
     #[inline]
-    pub fn transfer_ns(&self, count: u32, sectors_per_track: u32) -> u64 {
+    pub(crate) fn transfer_ns(&self, count: u32, sectors_per_track: u32) -> u64 {
         count as u64 * self.sector_ns(sectors_per_track)
     }
 
@@ -96,7 +96,7 @@ impl MechModel {
     /// disk built from the same spec — pool workers, snapshot forks, the
     /// oracle rebuild path — shares one allocation instead of re-deriving
     /// the curve per system.
-    pub fn seek_table(&self, cylinders: u32) -> SeekTable {
+    pub(crate) fn seek_table(&self, cylinders: u32) -> SeekTable {
         use std::collections::HashMap;
         use std::sync::{Mutex, OnceLock};
         type Key = (u32, u64, u64, u64, u32, u64, u64, u32);
@@ -126,14 +126,14 @@ impl MechModel {
     /// `sectors_per_track` sectors at absolute time `t_ns`: which sector
     /// boundary most recently passed under the head.
     #[inline]
-    pub fn sector_under_head(&self, t_ns: u64, sectors_per_track: u32) -> u32 {
+    pub(crate) fn sector_under_head(&self, t_ns: u64, sectors_per_track: u32) -> u32 {
         let rev = self.revolution_ns();
         sector_at_phase(t_ns % rev, sectors_per_track, rev)
     }
 
     /// Nanoseconds from absolute time `t_ns` until the *start* of sector
     /// `target` next passes under the head.
-    pub fn rotational_wait_ns(&self, t_ns: u64, target: u32, sectors_per_track: u32) -> u64 {
+    pub(crate) fn rotational_wait_ns(&self, t_ns: u64, target: u32, sectors_per_track: u32) -> u64 {
         let rev = self.revolution_ns();
         let sector_ns = self.sector_ns(sectors_per_track);
         let target_start = target as u64 * sector_ns;
@@ -166,7 +166,7 @@ pub(crate) fn sector_at_phase(in_rev: u64, spt: u32, rev_ns: u64) -> u32 {
 /// agree bit-for-bit. The storage is shared (`Arc`): cloning a table — per
 /// pool worker, per snapshot fork — copies a pointer, not the curve.
 #[derive(Debug, Clone)]
-pub struct SeekTable {
+pub(crate) struct SeekTable {
     ns: Arc<[u64]>,
 }
 
@@ -175,21 +175,11 @@ impl SeekTable {
     /// precomputed range (never produced by a valid geometry) fall back to
     /// the largest tabulated distance's cost.
     #[inline]
-    pub fn get(&self, d: u32) -> u64 {
+    pub(crate) fn get(&self, d: u32) -> u64 {
         match self.ns.get(d as usize) {
             Some(&ns) => ns,
             None => *self.ns.last().expect("table is never empty"),
         }
-    }
-
-    /// Number of tabulated distances.
-    pub fn len(&self) -> usize {
-        self.ns.len()
-    }
-
-    /// Is the table empty? (Never true; kept for the `len` convention.)
-    pub fn is_empty(&self) -> bool {
-        self.ns.is_empty()
     }
 }
 
@@ -272,8 +262,6 @@ mod tests {
         }
         // Out-of-range distances clamp to the longest tabulated seek.
         assert_eq!(table.get(5000), m.seek_ns(1499));
-        assert_eq!(table.len(), 1500);
-        assert!(!table.is_empty());
     }
 
     #[test]

@@ -54,22 +54,6 @@ impl ServiceTime {
     pub fn total_ms(&self) -> f64 {
         crate::ns_to_ms(self.total_ns())
     }
-
-    /// A pure positioning estimate: overhead + locate, no transfer.
-    pub fn positioning(
-        overhead_ns: u64,
-        seek_ns: u64,
-        head_switch_ns: u64,
-        rotation_ns: u64,
-    ) -> Self {
-        ServiceTime {
-            overhead_ns,
-            seek_ns,
-            head_switch_ns,
-            rotation_ns,
-            transfer_ns: 0,
-        }
-    }
 }
 
 impl Add for ServiceTime {
@@ -94,52 +78,6 @@ impl AddAssign for ServiceTime {
 impl Sum for ServiceTime {
     fn sum<I: Iterator<Item = ServiceTime>>(iter: I) -> ServiceTime {
         iter.fold(ServiceTime::ZERO, |a, b| a + b)
-    }
-}
-
-/// Running totals of many requests, used by benchmarks to report averages
-/// and Figure 9-style breakdowns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServiceStats {
-    /// Sum of all component times.
-    pub sum: ServiceTime,
-    /// Number of requests accumulated.
-    pub count: u64,
-}
-
-impl ServiceStats {
-    /// Fold one request into the totals.
-    pub fn record(&mut self, t: ServiceTime) {
-        self.sum += t;
-        self.count += 1;
-    }
-
-    /// Mean total latency per request in milliseconds (0 if empty).
-    pub fn mean_total_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            crate::ns_to_ms(self.sum.total_ns()) / self.count as f64
-        }
-    }
-
-    /// Mean of each component in milliseconds, in Figure 9 order:
-    /// (overhead, locate, transfer).
-    pub fn mean_components_ms(&self) -> (f64, f64, f64) {
-        if self.count == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let n = self.count as f64;
-        (
-            crate::ns_to_ms(self.sum.overhead_ns) / n,
-            crate::ns_to_ms(self.sum.locate_ns()) / n,
-            crate::ns_to_ms(self.sum.transfer_ns) / n,
-        )
-    }
-
-    /// Reset the accumulator.
-    pub fn clear(&mut self) {
-        *self = ServiceStats::default();
     }
 }
 
@@ -176,26 +114,5 @@ mod tests {
     fn sum_over_iterator() {
         let s: ServiceTime = (0..4).map(|_| sample()).sum();
         assert_eq!(s.total_ns(), 60);
-    }
-
-    #[test]
-    fn stats_mean() {
-        let mut s = ServiceStats::default();
-        assert_eq!(s.mean_total_ms(), 0.0);
-        s.record(ServiceTime {
-            overhead_ns: 1_000_000,
-            ..ServiceTime::ZERO
-        });
-        s.record(ServiceTime {
-            overhead_ns: 3_000_000,
-            ..ServiceTime::ZERO
-        });
-        assert!((s.mean_total_ms() - 2.0).abs() < 1e-12);
-        let (o, l, x) = s.mean_components_ms();
-        assert!((o - 2.0).abs() < 1e-12);
-        assert_eq!(l, 0.0);
-        assert_eq!(x, 0.0);
-        s.clear();
-        assert_eq!(s.count, 0);
     }
 }

@@ -71,7 +71,7 @@ impl DiskSpec {
     }
 
     /// The HP97560 restricted to `cylinders` cylinders.
-    pub fn hp97560(cylinders: u32) -> Self {
+    pub(crate) fn hp97560(cylinders: u32) -> Self {
         Self {
             name: "HP97560",
             geometry: Geometry::uniform(cylinders, 19, 72),
@@ -87,11 +87,6 @@ impl DiskSpec {
     /// The 36-cylinder HP97560 slice the paper simulated (≈25 MB).
     pub fn hp97560_sim() -> Self {
         Self::hp97560(36)
-    }
-
-    /// The full 1.3 GB HP97560.
-    pub fn hp97560_full() -> Self {
-        Self::hp97560(1962)
     }
 
     /// The Seagate ST19101 restricted to `cylinders` cylinders.
@@ -113,28 +108,10 @@ impl DiskSpec {
         Self::st19101(11)
     }
 
-    /// A full-size (≈9.1 GB) single-zone ST19101 approximation.
-    pub fn st19101_full() -> Self {
-        Self::st19101(4340)
-    }
-
     /// Half-rotation time — the paper's rule-of-thumb penalty an
     /// update-in-place system cannot avoid.
     pub fn half_rotation_ns(&self) -> u64 {
         self.mech.revolution_ns() / 2
-    }
-
-    /// Average number of sectors per track across all zones (exact for the
-    /// single-zone paper configurations).
-    pub fn sectors_per_track_avg(&self) -> f64 {
-        let tracks = self.geometry.tracks_per_cylinder() as u64;
-        let total_tracks: u64 = self
-            .geometry
-            .zones()
-            .iter()
-            .map(|z| z.cylinders as u64 * tracks)
-            .sum();
-        self.geometry.total_sectors() as f64 / total_tracks as f64
     }
 }
 
@@ -184,22 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn full_disks_have_plausible_capacity() {
-        assert!(DiskSpec::hp97560_full().geometry.capacity_bytes() > 1_200 << 20);
-        assert!(DiskSpec::st19101_full().geometry.capacity_bytes() > 8_500 << 20);
-    }
-
-    #[test]
     fn seagate_seek_curve_plausible() {
-        let m = DiskSpec::st19101_full().mech;
+        let m = DiskSpec::st19101(4340).mech;
         let avg = crate::ns_to_ms(m.seek_ns(4340 / 3));
         assert!((4.5..6.5).contains(&avg), "avg seek {avg} ms");
         let full = crate::ns_to_ms(m.seek_ns(4339));
         assert!((9.0..12.0).contains(&full), "full-stroke {full} ms");
-    }
-
-    #[test]
-    fn sectors_per_track_avg_single_zone() {
-        assert_eq!(DiskSpec::hp97560_sim().sectors_per_track_avg(), 72.0);
     }
 }

@@ -60,14 +60,14 @@ fn pool_put(data: Box<[u8]>) {
 /// process-wide pool (see the module docs). Dereferences to `[u8]`;
 /// `Clone` produces an independent copy (this is what `Arc::make_mut`
 /// invokes on a copy-on-write fault).
-pub struct TrackBuf {
+pub(crate) struct TrackBuf {
     data: Box<[u8]>,
 }
 
 impl TrackBuf {
     /// A zero-filled buffer of `len` bytes (first materialisation of a
     /// sparse track).
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         match pool_take(len) {
             Some(mut data) => {
                 data.fill(0);
@@ -80,7 +80,7 @@ impl TrackBuf {
     }
 
     /// An independent copy of `src` (copy-on-write fault).
-    pub fn copy_of(src: &[u8]) -> Self {
+    pub(crate) fn copy_of(src: &[u8]) -> Self {
         match pool_take(src.len()) {
             Some(mut data) => {
                 data.copy_from_slice(src);

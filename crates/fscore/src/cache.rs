@@ -109,7 +109,7 @@ impl BufferCache {
     /// # Panics
     ///
     /// Panics on a zero capacity or block size (configuration error).
-    pub fn new(capacity: usize, block_size: usize) -> Self {
+    pub(crate) fn new(capacity: usize, block_size: usize) -> Self {
         assert!(capacity > 0 && block_size > 0);
         assert!(capacity < NIL as usize, "slab indexes are 32-bit");
         Self {
@@ -137,23 +137,13 @@ impl BufferCache {
         self.capacity
     }
 
-    /// Blocks currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Number of dirty blocks.
     pub fn dirty_count(&self) -> usize {
         self.lists[DIRTY].len
     }
 
-    /// (hits, misses) counters of the lookups [`BufferCache::get`],
-    /// [`BufferCache::get_rc`] and [`BufferCache::get_mut`].
+    /// (hits, misses) counters of the lookups [`BufferCache::get_rc`] and
+    /// [`BufferCache::get_mut`].
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -280,13 +270,6 @@ impl BufferCache {
 
     // ----- lookups --------------------------------------------------------
 
-    /// Look up a block, refreshing its LRU position.
-    pub fn get(&mut self, block: u64) -> Option<&[u8]> {
-        let i = self.lookup(block)?;
-        self.touch(i, self.entries[i as usize].dirty);
-        Some(&self.payload(i)[..])
-    }
-
     /// Look up a block, refreshing its LRU position, and return a shared
     /// handle to its payload. The zero-copy read path: cloning the `Arc`
     /// bumps a refcount instead of copying the block.
@@ -310,11 +293,11 @@ impl BufferCache {
     }
 
     /// Look up a block for a read-modify-write: counts as a hit or miss and
-    /// refreshes the LRU position like [`BufferCache::get`], marks the block
-    /// dirty if `dirty` (a dirty block stays dirty either way), and returns
-    /// the payload for editing in place. Copies-on-write if a handle from
-    /// [`BufferCache::get_rc`] or a snapshot still shares the payload, so
-    /// those keep seeing the pre-write bytes.
+    /// refreshes the LRU position like [`BufferCache::get_rc`], marks the
+    /// block dirty if `dirty` (a dirty block stays dirty either way), and
+    /// returns the payload for editing in place. Copies-on-write if a
+    /// handle from [`BufferCache::get_rc`] or a snapshot still shares the
+    /// payload, so those keep seeing the pre-write bytes.
     pub fn get_mut(&mut self, block: u64, dirty: bool) -> Option<&mut [u8]> {
         let i = self.lookup(block)?;
         self.touch(i, dirty || self.entries[i as usize].dirty);
@@ -359,7 +342,8 @@ impl BufferCache {
     }
 
     /// Insert (or replace) a block. Does **not** evict — call
-    /// [`BufferCache::evict_lru`] first when [`BufferCache::is_full`].
+    /// [`BufferCache::evict_lru_prefer_clean`] first when
+    /// [`BufferCache::is_full`].
     ///
     /// # Panics
     ///
@@ -405,7 +389,7 @@ impl BufferCache {
 
     /// Remove and return the least-recently-used block:
     /// `(block, data, dirty)`. The caller must write dirty data back.
-    pub fn evict_lru(&mut self) -> Option<(u64, Arc<[u8]>, bool)> {
+    pub(crate) fn evict_lru(&mut self) -> Option<(u64, Arc<[u8]>, bool)> {
         let (c, d) = (self.lists[CLEAN].head, self.lists[DIRTY].head);
         let victim = match (c, d) {
             (NIL, NIL) => return None,
@@ -417,9 +401,10 @@ impl BufferCache {
         Some(self.take(victim))
     }
 
-    /// Like [`BufferCache::evict_lru`], but prefers the least-recently-used
-    /// *clean* block, falling back to a dirty one only when everything is
-    /// dirty. Clean evictions cost no I/O.
+    /// Remove and return the least-recently-used *clean* block, falling
+    /// back to the least-recently-used dirty one only when everything is
+    /// dirty: `(block, data, dirty)`. Clean evictions cost no I/O; the
+    /// caller must write dirty data back.
     pub fn evict_lru_prefer_clean(&mut self) -> Option<(u64, Arc<[u8]>, bool)> {
         match self.lists[CLEAN].head {
             NIL => self.evict_lru(),
@@ -479,14 +464,6 @@ impl BufferCache {
             self.take(self.lists[CLEAN].head);
         }
     }
-
-    /// Drop everything, dirty or not (simulated crash of a volatile cache).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.free = NIL;
-        self.lists = [EMPTY_LIST; 2];
-    }
 }
 
 #[cfg(test)]
@@ -501,8 +478,8 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut c = cache(4);
         c.insert(7, vec![1, 2, 3, 4], false);
-        assert_eq!(c.get(7), Some(&[1, 2, 3, 4][..]));
-        assert_eq!(c.get(8), None);
+        assert_eq!(c.get_rc(7).as_deref(), Some(&[1, 2, 3, 4][..]));
+        assert_eq!(c.get_rc(8), None);
         assert_eq!(c.stats(), (1, 1));
     }
 
@@ -513,7 +490,7 @@ mod tests {
         c.insert(2, vec![0; 4], false);
         c.insert(3, vec![0; 4], false);
         // Touch 1 so 2 becomes LRU.
-        c.get(1);
+        c.get_rc(1);
         assert!(c.is_full());
         let (victim, _, dirty) = c.evict_lru().unwrap();
         assert_eq!(victim, 2);
@@ -530,7 +507,7 @@ mod tests {
         let dirty = c.take_dirty_sorted();
         assert_eq!(dirty, vec![5, 9]);
         assert_eq!(c.dirty_count(), 0);
-        assert_eq!(c.len(), 3, "flush keeps blocks cached, now clean");
+        assert_eq!(c.map.len(), 3, "flush keeps blocks cached, now clean");
         // Payloads stayed cached and are reachable without an LRU touch.
         let (hits, misses) = c.stats();
         assert!(c.peek(5).is_some());
@@ -554,7 +531,7 @@ mod tests {
         assert_eq!(c.dirty_count(), 1);
         c.get_mut(1, false).unwrap()[1] = 8;
         assert_eq!(c.dirty_count(), 1, "dirtiness is sticky");
-        assert_eq!(c.get(1).unwrap(), &[9, 8, 0, 0]);
+        assert_eq!(c.get_rc(1).as_deref(), Some(&[9, 8, 0, 0][..]));
         assert!(c.get_mut(2, true).is_none());
         assert_eq!(c.stats(), (4, 1), "get_mut counts as a lookup");
     }
@@ -593,7 +570,7 @@ mod tests {
         // Mutation must not be visible through the outstanding handle.
         c.get_mut(1, true).unwrap()[0] = 9;
         assert_eq!(&snap[..], &[1, 2, 3, 4]);
-        assert_eq!(c.get(1).unwrap()[0], 9);
+        assert_eq!(c.get_rc(1).unwrap()[0], 9);
         assert_eq!(c.cow_copies(), 1);
         drop(snap);
         // Unshared payloads mutate in place.
@@ -625,7 +602,7 @@ mod tests {
         assert!(dirty);
         // Mixed: the clean block goes first even if more recently used.
         c.insert(3, vec![3; 4], false);
-        c.get(3);
+        c.get_rc(3);
         let (victim, _, dirty) = c.evict_lru_prefer_clean().unwrap();
         assert_eq!(victim, 3);
         assert!(!dirty);
@@ -786,7 +763,7 @@ mod tests {
                     }
                 }
                 12 | 13 => {
-                    let got = c.get(blk).map(|d| d.to_vec());
+                    let got = c.get_rc(blk).map(|d| d.to_vec());
                     assert_eq!(got, m.touch(blk, false).map(|d| d.to_vec()));
                 }
                 14 | 15 => {
@@ -851,7 +828,7 @@ mod tests {
                 }
                 25 => cur ^= 1,
                 _ => {
-                    assert_eq!(c.len(), m.blocks.len());
+                    assert_eq!(c.map.len(), m.blocks.len());
                     assert_eq!(c.dirty_count(), m.blocks.iter().filter(|e| e.1).count());
                     c.check_invariants();
                     for e in &m.blocks {

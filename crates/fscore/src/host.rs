@@ -17,10 +17,10 @@ use disksim::SimClock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostModel {
     /// Machine name for reports.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// CPU nanoseconds per file-system call (syscall entry, name lookup,
     /// buffer management, driver dispatch).
-    pub per_call_ns: u64,
+    pub(crate) per_call_ns: u64,
     /// CPU nanoseconds per 4 KB block moved (copying, checksums).
     pub per_block_ns: u64,
 }
@@ -59,7 +59,7 @@ impl HostModel {
 
     /// Total host cost of one call moving `blocks` blocks.
     #[inline]
-    pub fn call_cost_ns(&self, blocks: u64) -> u64 {
+    pub(crate) fn call_cost_ns(&self, blocks: u64) -> u64 {
         self.per_call_ns + blocks * self.per_block_ns
     }
 

@@ -15,10 +15,10 @@
 //!   UFS buffer cache and as the LFS file cache (optionally treated as
 //!   NVRAM).
 
-pub mod cache;
-pub mod error;
+mod cache;
+mod error;
 pub mod fs;
-pub mod host;
+mod host;
 
 pub use cache::BufferCache;
 pub use error::{FsError, FsResult};

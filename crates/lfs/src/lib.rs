@@ -19,11 +19,11 @@
 //! disk or a VLD, giving the paper's "LFS on regular" and "LFS on VLD"
 //! configurations.
 
-pub mod lld;
+mod lld;
 pub mod seg;
 
-pub use lld::{CleanerStats, LldConfig, LogDisk, LogDiskSnapshot};
-pub use seg::{SegState, Summary, SEG_BLOCKS, SEG_DATA};
+pub use lld::{CleanerStats, LldConfig, LogDisk};
+pub use seg::SEG_DATA;
 
 use disksim::BlockDevice;
 use fscore::{FsResult, HostModel};

@@ -481,7 +481,7 @@ impl LogDisk {
     /// Free (immediately writable) segments. O(1): the count is maintained
     /// across state transitions (the recount below validates it in debug
     /// builds only).
-    pub fn free_segments(&self) -> u32 {
+    pub(crate) fn free_segments(&self) -> u32 {
         debug_assert_eq!(
             self.state.free_count,
             self.state
@@ -492,16 +492,6 @@ impl LogDisk {
             "free_count out of sync with seg_state"
         );
         self.state.free_count
-    }
-
-    /// Total segments in the log.
-    pub fn segments(&self) -> u32 {
-        self.state.nsegs
-    }
-
-    /// The raw device below the log.
-    pub fn raw_device(&self) -> &dyn BlockDevice {
-        self.dev.as_ref()
     }
 
     /// Snapshot of the logical-block → data-slot map (crash-test harnesses
@@ -1014,7 +1004,7 @@ impl BlockDevice for LogDisk {
 
 /// Snapshot of a [`LogDisk`]: the wrapped device's snapshot plus the log's
 /// state.
-pub struct LogDiskSnapshot {
+pub(crate) struct LogDiskSnapshot {
     dev: Box<dyn DeviceSnapshot>,
     state: LldState,
 }
@@ -1045,12 +1035,12 @@ mod tests {
     #[test]
     fn geometry_leaves_reserve_and_checkpoint() {
         let l = lld();
-        assert!(l.segments() >= 40);
+        assert!(l.state.nsegs >= 40);
         assert_eq!(
             l.num_blocks(),
-            (l.segments() as u64 - RESERVE_SEGS) * SEG_DATA
+            (l.state.nsegs as u64 - RESERVE_SEGS) * SEG_DATA
         );
-        assert!(l.state.ckpt_start >= l.segments() as u64 * SEG_BLOCKS);
+        assert!(l.state.ckpt_start >= l.state.nsegs as u64 * SEG_BLOCKS);
     }
 
     #[test]
@@ -1199,11 +1189,11 @@ mod tests {
             l.write_block(i, &vec![2u8; 4096]).unwrap();
         }
         l.sync().unwrap();
-        let dirty_before = l.segments() - l.free_segments();
+        let dirty_before = l.state.nsegs - l.free_segments();
         let used = l.idle(60_000_000_000);
         assert!(used > 0, "holey segments existed; idle must clean");
         assert!(l.cleaner_stats().during_idle > 0);
-        let dirty_after = l.segments() - l.free_segments();
+        let dirty_after = l.state.nsegs - l.free_segments();
         assert!(
             dirty_after < dirty_before,
             "{dirty_before} -> {dirty_after}"
@@ -1504,7 +1494,7 @@ mod tests {
         let (ckpt_start, ckpt_total) = l.checkpoint_region();
         let ckpt_blocks = ckpt_total / 2;
         let mut map = vec![NONE; l.num_blocks() as usize];
-        map[3] = (l.segments() as u64 * SEG_DATA + 5) as u32;
+        map[3] = (l.state.nsegs as u64 * SEG_DATA + 5) as u32;
         let mut raw = vec![0u8; ckpt_blocks as usize * 4096];
         encode_checkpoint(&mut raw, 7, &map);
         let mut dev = l.crash();

@@ -15,13 +15,13 @@ use fscore::{FsError, FsResult};
 pub use disksim::digest::{digest, Digest};
 
 /// Device blocks per segment (512 KB / 4 KB).
-pub const SEG_BLOCKS: u64 = 128;
+pub(crate) const SEG_BLOCKS: u64 = 128;
 /// Data slots per segment (one block goes to the summary).
 pub const SEG_DATA: u64 = SEG_BLOCKS - 1;
 /// Sentinel for "no owner" / unmapped.
 pub const NONE: u32 = u32::MAX;
 /// Summary magic ("LSEG").
-pub const SUMMARY_MAGIC: u32 = 0x4C53_4547;
+pub(crate) const SUMMARY_MAGIC: u32 = 0x4C53_4547;
 
 /// Byte length of the checksummed summary header: magic, fill, seq, owner
 /// table and data checksum.
@@ -29,7 +29,7 @@ const HEAD_BYTES: usize = 16 + SEG_DATA as usize * 4 + 8;
 
 /// Per-segment bookkeeping state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegState {
+pub(crate) enum SegState {
     /// No live data; available for writing.
     Free,
     /// Sealed on disk, may contain live and dead blocks.
@@ -40,25 +40,25 @@ pub enum SegState {
 
 /// In-memory image of a segment summary block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Logical owner of each data slot (NONE = never written).
-    pub owners: [u32; SEG_DATA as usize],
+    pub(crate) owners: [u32; SEG_DATA as usize],
     /// Number of slots actually appended.
-    pub fill: u32,
+    pub(crate) fill: u32,
     /// Monotonic flush sequence: every summary written to disk (partial
     /// flush or seal) gets a fresh value, so mount-time roll-forward can
     /// order segments and skip ones older than the checkpoint.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// [`Digest`] of the `fill` data blocks flushed with this summary.
     /// Roll-forward verifies it before trusting the segment: if the crash
     /// tore the flush after the summary block but before (all of) the data
     /// landed, the mismatch exposes it.
-    pub data_csum: u64,
+    pub(crate) data_csum: u64,
 }
 
 impl Summary {
     /// An empty summary.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             owners: [NONE; SEG_DATA as usize],
             fill: 0,
@@ -70,7 +70,7 @@ impl Summary {
     /// Serialise into `block` (one device block), overwriting all of it.
     /// The header is sealed with its own checksum so a torn summary write
     /// (partial sectors of the summary block itself) is detectable.
-    pub fn encode_into(&self, block: &mut [u8]) {
+    pub(crate) fn encode_into(&self, block: &mut [u8]) {
         put_u32(block, 0, SUMMARY_MAGIC);
         put_u32(block, 4, self.fill);
         put_u64(block, 8, self.seq);
@@ -81,7 +81,7 @@ impl Summary {
     }
 
     /// Decode a summary block, verifying the header checksum.
-    pub fn decode(buf: &[u8]) -> FsResult<Summary> {
+    pub(crate) fn decode(buf: &[u8]) -> FsResult<Summary> {
         if buf.len() < HEAD_BYTES + 8 {
             return Err(FsError::Invalid("summary block too small"));
         }
@@ -162,13 +162,13 @@ pub(crate) fn checkpoint_map(raw: &[u8], logical: u64, slots: u64) -> FsResult<V
 
 /// Map a global data-slot number to its segment and slot index.
 #[inline]
-pub fn slot_to_seg(slot: u64) -> (u32, u32) {
+pub(crate) fn slot_to_seg(slot: u64) -> (u32, u32) {
     ((slot / SEG_DATA) as u32, (slot % SEG_DATA) as u32)
 }
 
 /// Map (segment, slot index) to the global slot number.
 #[inline]
-pub fn seg_to_slot(seg: u32, idx: u32) -> u64 {
+pub(crate) fn seg_to_slot(seg: u32, idx: u32) -> u64 {
     seg as u64 * SEG_DATA + idx as u64
 }
 
@@ -181,7 +181,7 @@ pub fn slot_device_block(slot: u64) -> u64 {
 
 /// Device block holding a segment's summary.
 #[inline]
-pub fn summary_block(seg: u32) -> u64 {
+pub(crate) fn summary_block(seg: u32) -> u64 {
     seg as u64 * SEG_BLOCKS
 }
 

@@ -99,7 +99,7 @@ pub fn run_trace(
 /// [`run_trace`] with an optional flight recorder attached to the raw
 /// device, so a failing episode leaves behind its span-annotated disk
 /// history (see [`crate::shrink::Reproducer`]).
-pub fn run_trace_recorded(
+pub(crate) fn run_trace_recorded(
     cfg: StackSpec,
     trace: &TraceSpec,
     planted: &PlantedBug,
@@ -120,11 +120,11 @@ pub fn run_trace_recorded(
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PointRun {
     /// Acknowledged when mkfs's sync and each completed `Sync` returned.
-    pub frontier_ops: Vec<u64>,
+    pub(crate) frontier_ops: Vec<u64>,
     /// Acknowledged when the power went.
-    pub write_ops: u64,
+    pub(crate) write_ops: u64,
     /// Did the seeded cut fire?
-    pub cut_fired: bool,
+    pub(crate) cut_fired: bool,
 }
 
 /// Run one cut point: `trace` through the same executor and model as an
@@ -133,7 +133,7 @@ pub struct PointRun {
 /// the acknowledged writes even without a cut, and then the recovery paths
 /// must converge ([`StackSpec::converge`]), with the LLD's summary scan
 /// only at a clean cut on the last frontier.
-pub fn run_point(
+pub(crate) fn run_point(
     cfg: StackSpec,
     trace: &TraceSpec,
     planted: &PlantedBug,

@@ -2,7 +2,7 @@
 //!
 //! An episode is a [`TraceSpec`]: a weighted op sequence over a small fixed
 //! name pool, plus at most one seeded power cut. Everything is derived from
-//! a single `u64` seed through split [`McRng`] streams, so a failure report
+//! a single `u64` seed through split `McRng` streams, so a failure report
 //! that prints the seed is a complete reproducer.
 //!
 //! The generator keeps a mirror of which names exist so it can bias toward
@@ -17,7 +17,7 @@ use crate::rng::McRng;
 /// Number of distinct file names an episode may use. Small enough that the
 /// post-crash state scan can enumerate the whole namespace, large enough
 /// for interesting rename/delete interleavings.
-pub const NAME_POOL: u8 = 16;
+pub(crate) const NAME_POOL: u8 = 16;
 
 /// The `idx`-th pool name.
 pub fn name(idx: u8) -> String {
@@ -27,9 +27,9 @@ pub fn name(idx: u8) -> String {
 /// Offsets stay below this, so files stay far from both the inode pointer
 /// limit and the volume's capacity (no spurious `NoSpace`/`TooLarge`
 /// divergences — capacity behaviour differs legitimately across stacks).
-pub const MAX_OFFSET: u64 = 128 * 1024;
+pub(crate) const MAX_OFFSET: u64 = 128 * 1024;
 /// Write lengths stay below this.
-pub const MAX_WRITE: u64 = 32 * 1024;
+pub(crate) const MAX_WRITE: u64 = 32 * 1024;
 
 /// One step of an episode. `name` fields index the pool ([`name`]); write
 /// payloads are reproduced from `(tag, offset, len)` via [`crate::rng::fill`].
@@ -99,7 +99,7 @@ pub enum McOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
     /// The 1-based post-format device write op the cut fires on.
-    pub at_op: u64,
+    pub(crate) at_op: u64,
     /// Sectors of that write that reach the media (0 = clean cut before
     /// it, 8 = the whole 4 KiB block lands, then the power dies).
     pub survivors: u32,

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # modelcheck — differential model checking for the VLFS stacks
 //!
-//! A pure in-memory reference file system ([`model::RefModel`]) is driven
+//! A pure in-memory reference file system (the crate's `RefModel`) is driven
 //! in lockstep with the real stacks — UFS and LFS, each over a regular
 //! disk and over the virtual-log disk — through seeded workload traces
 //! ([`gen::generate`]). Every step's result is compared; every `sync`
@@ -34,18 +34,15 @@
 
 use std::env::VarError;
 
-pub mod diff;
+mod diff;
 pub mod gen;
-pub mod model;
+mod model;
 pub mod rng;
 pub mod shrink;
 pub mod stack;
 
-pub use diff::{
-    run_point, run_trace, run_trace_recorded, Divergence, PlantedBug, PointRun, RunStats,
-};
+pub use diff::{run_trace, Divergence, PlantedBug, PointRun, RunStats};
 pub use gen::{generate, Cut, McOp, Script, TraceSpec};
-pub use model::RefModel;
 pub use shrink::{shrink, Replay, Reproducer};
 pub use stack::StackSpec;
 
@@ -140,7 +137,7 @@ pub fn sweep_all_stacks_in(width: usize, base: u64, seeds: u64, len: usize) -> V
     })
 }
 
-/// Run one cut point of `script` on `cfg` ([`diff::run_point`]) and check
+/// Run one cut point of `script` on `cfg` (the crate's `run_point`) and check
 /// that the cut fired exactly where it was aimed: after `k` acknowledged
 /// writes, `k` counted from a fresh build. A failure comes back unshrunk,
 /// with the flight recorder of one more run.
@@ -175,7 +172,7 @@ pub fn check_point(
 #[derive(Debug)]
 pub struct CutSweep {
     /// The stack swept.
-    pub cfg: StackSpec,
+    pub(crate) cfg: StackSpec,
     /// Device writes acknowledged at each durability frontier: mkfs's sync,
     /// then every `Sync` of the script.
     pub frontier_ops: Vec<u64>,

@@ -29,11 +29,11 @@ use fscore::{FsError, FsResult};
 
 /// A file's bytes, shared between the live state and the durability floor
 /// until a write to the live copy parts them.
-pub type Bytes = Arc<Vec<u8>>;
+pub(crate) type Bytes = Arc<Vec<u8>>;
 
 /// In-memory reference state plus the durability snapshot.
 #[derive(Debug, Clone, Default)]
-pub struct RefModel {
+pub(crate) struct RefModel {
     /// Live state: what a crash-free file system must show right now.
     files: BTreeMap<String, Bytes>,
     /// State at the last completed `sync` — the durability floor. Taking
@@ -45,27 +45,27 @@ pub struct RefModel {
 
 impl RefModel {
     /// Fresh model for a freshly formatted volume.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Does the file exist in live state?
-    pub fn exists(&self, name: &str) -> bool {
+    pub(crate) fn exists(&self, name: &str) -> bool {
         self.files.contains_key(name)
     }
 
     /// Live size of a file.
-    pub fn size(&self, name: &str) -> Option<u64> {
+    pub(crate) fn size(&self, name: &str) -> Option<u64> {
         self.files.get(name).map(|f| f.len() as u64)
     }
 
     /// Live contents, for full-state comparisons.
-    pub fn live(&self) -> &BTreeMap<String, Bytes> {
+    pub(crate) fn live(&self) -> &BTreeMap<String, Bytes> {
         &self.files
     }
 
     /// Mirror of `FileSystem::create`.
-    pub fn create(&mut self, name: &str) -> FsResult<()> {
+    pub(crate) fn create(&mut self, name: &str) -> FsResult<()> {
         if self.files.contains_key(name) {
             return Err(FsError::Exists);
         }
@@ -76,7 +76,7 @@ impl RefModel {
 
     /// Mirror of `FileSystem::write` (on an open handle): extends with a
     /// zero-filled hole when `offset` is past the end.
-    pub fn write(&mut self, name: &str, offset: u64, data: &[u8]) -> FsResult<()> {
+    pub(crate) fn write(&mut self, name: &str, offset: u64, data: &[u8]) -> FsResult<()> {
         let f = Arc::make_mut(self.files.get_mut(name).ok_or(FsError::NotFound)?);
         let end = offset as usize + data.len();
         if f.len() < end {
@@ -89,7 +89,7 @@ impl RefModel {
 
     /// Mirror of `FileSystem::read`: the bytes a read of `len` at `offset`
     /// must return (short at end of file, empty past it).
-    pub fn read(&self, name: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+    pub(crate) fn read(&self, name: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let f = self.files.get(name).ok_or(FsError::NotFound)?;
         let start = (offset as usize).min(f.len());
         let end = (offset as usize).saturating_add(len).min(f.len());
@@ -97,7 +97,7 @@ impl RefModel {
     }
 
     /// Mirror of `FileSystem::delete`.
-    pub fn delete(&mut self, name: &str) -> FsResult<()> {
+    pub(crate) fn delete(&mut self, name: &str) -> FsResult<()> {
         if self.files.remove(name).is_none() {
             return Err(FsError::NotFound);
         }
@@ -108,7 +108,7 @@ impl RefModel {
     /// Mirror of `FileSystem::rename`, with the same error-check order as
     /// the UFS implementation: missing source, self-rename no-op, taken
     /// destination.
-    pub fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
+    pub(crate) fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
         if !self.files.contains_key(from) {
             return Err(FsError::NotFound);
         }
@@ -126,14 +126,14 @@ impl RefModel {
     }
 
     /// A `sync` completed: live state becomes the durability floor.
-    pub fn commit_sync(&mut self) {
+    pub(crate) fn commit_sync(&mut self) {
         self.durable = self.files.clone();
         self.dirty.clear();
     }
 
     /// Mark a name uncertain — used when a power cut interrupts an
     /// operation targeting it, so its on-media state is unknowable.
-    pub fn mark_dirty(&mut self, name: &str) {
+    pub(crate) fn mark_dirty(&mut self, name: &str) {
         self.dirty.insert(name.to_string());
     }
 
@@ -145,7 +145,7 @@ impl RefModel {
     /// are adopted as found. On success the post-recovery state becomes
     /// both the live state and the new floor. On failure returns a
     /// human-readable description of the violated guarantee.
-    pub fn crash_adopt(&mut self, actual: &BTreeMap<String, Vec<u8>>) -> Result<(), String> {
+    pub(crate) fn crash_adopt(&mut self, actual: &BTreeMap<String, Vec<u8>>) -> Result<(), String> {
         let mut names: BTreeSet<&String> = actual.keys().collect();
         names.extend(self.durable.keys());
         names.extend(self.files.keys());

@@ -19,36 +19,36 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// A splittable deterministic generator.
 #[derive(Debug, Clone)]
-pub struct McRng {
+pub(crate) struct McRng {
     state: u64,
 }
 
 impl McRng {
     /// Seeded generator; the same seed always yields the same stream.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         splitmix64(&mut self.state)
     }
 
     /// Uniform value in `0..n` (`n > 0`). Modulo bias is irrelevant at
     /// test-generation quality.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
 
     /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 
     /// Derive an independent stream. Consumes one draw from `self`, so
     /// sibling splits with distinct `stream` tags are decorrelated.
-    pub fn split(&mut self, stream: u64) -> McRng {
+    pub(crate) fn split(&mut self, stream: u64) -> McRng {
         McRng {
             state: self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         }

@@ -62,9 +62,9 @@ pub struct Reproducer {
     /// Re-executions the shrinker spent.
     pub runs: u32,
     /// Span-annotated JSONL flight-recorder dump of one replay of the
-    /// minimized trace: span lines (keyed `"parent"`) then the last
-    /// [`FLIGHT_EVENTS`] disk events (keyed `"at"`, each stamped with the
-    /// span open when the command was issued).
+    /// minimized trace: span lines (keyed `"parent"`) then the last 256
+    /// disk events (keyed `"at"`, each stamped with the span open when the
+    /// command was issued).
     pub flight: String,
 }
 
@@ -72,7 +72,7 @@ impl Reproducer {
     /// A reproducer whose flight dump comes from one more run of `trace`
     /// with a recorder on the raw device. The run is deterministic, so the
     /// dump is too.
-    pub fn recorded(
+    pub(crate) fn recorded(
         cfg: StackSpec,
         replay: Replay,
         planted: PlantedBug,

@@ -19,11 +19,11 @@
 //! file layer's bitmap reconciliation) under the *same* file-layer
 //! configuration the spec formats with.
 //!
-//! The crash checks live here too, in three kinds by what they may touch:
-//! [`StackSpec::recover`] (what a power cut must keep: the acknowledged
-//! writes and no tail record) and [`audit`] (structure) only peek, so any
-//! crash can afford them; [`StackSpec::converge`] (the recovery paths agree)
-//! writes to the media and so ends the run it checks.
+//! The crate's crash checks live here too, in three kinds by what they may
+//! touch: `StackSpec::recover` (what a power cut must keep: the
+//! acknowledged writes and no tail record) and `audit` (structure) only
+//! peek, so any crash can afford them; `StackSpec::converge` (the recovery
+//! paths agree) writes to the media and so ends the run it checks.
 //!
 //! A spec is `Copy + Send` so sweeps can fan it out over `disksim::par`;
 //! the per-incarnation attachments that are not (the `Rc`-backed [`Obs`]
@@ -46,7 +46,7 @@ use vlog_core::recovery::RecoveryReport;
 use vlog_core::vld::{Vld, VldConfig};
 
 /// Logical block size all stacks run at.
-pub const BLOCK: usize = 4096;
+pub(crate) const BLOCK: usize = 4096;
 /// 512-byte sectors per logical block.
 pub const SECTORS_PER_BLOCK: u64 = (BLOCK / disksim::SECTOR_BYTES) as u64;
 
@@ -155,7 +155,7 @@ impl From<&FlightRecorder> for Obs {
 
 impl StackSpec {
     /// The four `(fs, dev)` stacks as the crash harnesses run them, in
-    /// sweep order — [`StackSpec::index`] is the position here.
+    /// sweep order; a stack's index (`StackSpec::index`) is its position here.
     pub const ALL: [StackSpec; 4] = [
         Self::harness(FsKind::Ufs, DevKind::Regular),
         Self::harness(FsKind::Ufs, DevKind::Vld),
@@ -187,7 +187,7 @@ impl StackSpec {
 
     /// Position in [`StackSpec::ALL`] (0 ufs-regular, 1 ufs-vld,
     /// 2 lfs-regular, 3 lfs-vld); seeded sweeps mix it into episode seeds.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         2 * (self.fs == FsKind::Lfs) as usize + (self.dev == DevKind::Vld) as usize
     }
 
@@ -214,12 +214,12 @@ impl StackSpec {
 
     /// The logical-disk settings of an LFS stack (crash harnesses remount
     /// the LLD on its own to compare recovery paths).
-    pub fn lld_config(&self) -> LldConfig {
+    pub(crate) fn lld_config(&self) -> LldConfig {
         self.lfs_config().lld_for(self.host)
     }
 
     /// The file-layer settings, per `fs`: `lfs_filesystem`'s for LFS.
-    pub fn ufs_config(&self) -> UfsConfig {
+    pub(crate) fn ufs_config(&self) -> UfsConfig {
         match (self.fs, self.sizing) {
             (FsKind::Lfs, _) => self.lfs_config().file_layer(),
             (FsKind::Ufs, Sizing::Paper) => UfsConfig::default(),
@@ -233,7 +233,7 @@ impl StackSpec {
     }
 
     /// The VLD settings (also what [`Vld::recover`] runs under).
-    pub fn vld_config(&self) -> VldConfig {
+    pub(crate) fn vld_config(&self) -> VldConfig {
         let mut cfg = VldConfig::default();
         if let Some(target) = self.vld_target_empty_tracks {
             cfg.compactor.target_empty_tracks = target;
@@ -372,7 +372,7 @@ impl StackSpec {
     /// torn block is exempt on every stack: it holds an unacknowledged
     /// write, even when all eight sectors landed. These checks only peek,
     /// so they move no clock.
-    pub fn recover(
+    pub(crate) fn recover(
         &self,
         st: CrashState,
         fault: Option<FaultPlan>,
@@ -426,7 +426,7 @@ impl StackSpec {
     /// every checkpoint-mapped block from a summary scan with both
     /// checkpoint slots destroyed; then the VLD, shut down in order, comes
     /// back through its tail record to the map the scan built.
-    pub fn converge(&self, fs: Ufs, at_frontier: bool) -> Vec<String> {
+    pub(crate) fn converge(&self, fs: Ufs, at_frontier: bool) -> Vec<String> {
         let mut errs = Vec::new();
         let mut dev = fs.into_device();
         if self.fs == FsKind::Lfs {
@@ -546,7 +546,7 @@ pub struct CrashState {
     /// What the fault layer did (cuts, torn sectors, corruptions).
     pub log: FaultLog,
     /// Acknowledged writes: raw-device block → content hash at ack time.
-    pub acked: HashMap<u64, u64>,
+    pub(crate) acked: HashMap<u64, u64>,
 }
 
 impl CrashState {
@@ -566,7 +566,7 @@ impl CrashState {
 /// internal consistency check (when a VLD is present, probed in place
 /// beneath whatever sits above it) and `fsck` restricted to the severe
 /// classes a crash must never produce.
-pub fn audit(fs: &mut Ufs) -> Vec<String> {
+pub(crate) fn audit(fs: &mut Ufs) -> Vec<String> {
     let mut complaints = Vec::new();
     if let Some(vld) = probe_device::<Vld>(fs.device()) {
         complaints.extend(

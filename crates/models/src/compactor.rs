@@ -35,14 +35,8 @@ pub fn total_skips_exact(n: u64, m: u64) -> f64 {
     ((m + 1)..=n).map(|i| (n - i) as f64 / (1 + i) as f64).sum()
 }
 
-/// Formula (11): average latency per write in nanoseconds, using the exact
-/// sum. `switch_ns` is the track-switch cost, `sector_ns` one sector time.
-pub fn avg_latency_exact_ns(n: u64, m: u64, switch_ns: u64, sector_ns: u64) -> f64 {
-    (switch_ns as f64 + sector_ns as f64 * total_skips_exact(n, m)) / (n - m) as f64
-}
-
 /// Formula (12): the non-randomness correction ε(n, m).
-pub fn epsilon(n: u64, m: u64) -> f64 {
+pub(crate) fn epsilon(n: u64, m: u64) -> f64 {
     let nf = n as f64;
     let p = 1.0 + nf / 36.0;
     let num = (nf - m as f64 - 0.5).powf(p + 2.0);

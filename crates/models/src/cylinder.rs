@@ -18,13 +18,13 @@
 
 /// Formula (3): probability of exactly `x` occupied sectors before a free
 /// one on the current track.
-pub fn fx(p: f64, x: u64) -> f64 {
+pub(crate) fn fx(p: f64, x: u64) -> f64 {
     p * (1.0 - p).powi(x as i32)
 }
 
 /// Formula (4): probability that the cheapest other-track free sector costs
 /// `y` (including the head-switch cost `s`); zero for `y < s`.
-pub fn fy(p: f64, y: u64, s: u64, tracks: u32) -> f64 {
+pub(crate) fn fy(p: f64, y: u64, s: u64, tracks: u32) -> f64 {
     if y < s {
         return 0.0;
     }

@@ -36,9 +36,9 @@
 //! nanoseconds, positions are plain integers. `disksim` depends on `obs`,
 //! never the reverse.
 
-pub mod metrics;
+mod metrics;
 pub mod span;
-pub mod trace;
+mod trace;
 
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use span::{FlightRecorder, SpanKind, SpanRecord, Spans};

@@ -14,7 +14,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Number of histogram buckets: one for zero plus one per bit length.
@@ -42,7 +41,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Bucket index for a sample: 0 for 0, else its bit length.
-    pub fn bucket_index(v: u64) -> usize {
+    pub(crate) fn bucket_index(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -51,7 +50,7 @@ impl Histogram {
     }
 
     /// Inclusive upper bound of a bucket (`2^i - 1` for bucket `i`).
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
         if i >= 64 {
             u64::MAX
         } else {
@@ -60,7 +59,7 @@ impl Histogram {
     }
 
     /// Record one sample.
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         self.buckets[Self::bucket_index(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -68,29 +67,29 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Largest sample seen (0 if empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample value (0 if empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Approximate quantile `q` in [0, 1]: the upper bound of the first
     /// bucket whose cumulative count reaches `ceil(q * count)`, clamped to
     /// the observed maximum. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -107,28 +106,18 @@ impl Histogram {
     }
 
     /// Median estimate.
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// 90th-percentile estimate.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
     /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper_bound(i), c))
-            .collect()
     }
 }
 
@@ -149,7 +138,7 @@ pub struct MetricsSnapshot {
     /// Last-set gauge values by name.
     pub gauges: BTreeMap<&'static str, i64>,
     /// Histograms by name.
-    pub histograms: BTreeMap<&'static str, Histogram>,
+    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// A cheap cloneable handle to a metrics registry, or a no-op.
@@ -247,11 +236,6 @@ impl Metrics {
         }
     }
 
-    /// Human-readable summary: counters, gauges, then histogram quantiles.
-    pub fn summary_table(&self) -> String {
-        self.snapshot().summary_table()
-    }
-
     /// Flat JSON object with deterministic key order.
     pub fn to_json(&self) -> String {
         self.snapshot().to_json()
@@ -259,53 +243,12 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// True when no metric of any kind was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Human-readable summary: counters, gauges, then histogram quantiles.
-    pub fn summary_table(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<40} {v:>14}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<40} {v:>14}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (count / mean / p50 / p90 / p99 / max):\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<40} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                    h.count(),
-                    h.mean(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.max(),
-                );
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
-    }
-
     /// Flat JSON object: `counters.*` and `gauges.*` scalars plus
     /// `hist.<name>.{count,sum,mean,p50,p90,p99,max}` per histogram. All
     /// flat keys are emitted in one globally sorted order, so output is
     /// fully deterministic and diffable regardless of which group a key
     /// belongs to.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut parts: Vec<(String, String)> = Vec::new();
         for (name, v) in &self.counters {
             parts.push((format!("counters.{name}"), v.to_string()));
@@ -409,7 +352,8 @@ mod tests {
         assert_eq!(m.counter_value("x"), 0);
         assert_eq!(m.gauge_value("g"), None);
         assert!(m.histogram("h").is_none());
-        assert!(m.snapshot().is_empty());
+        let s = m.snapshot();
+        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
     }
 
     #[test]

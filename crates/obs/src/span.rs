@@ -53,7 +53,7 @@ pub const ALL_KINDS: [SpanKind; 6] = [
 
 impl SpanKind {
     /// Stable lowercase name used in dumps and metric keys.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanKind::FsOp => "fs_op",
             SpanKind::CacheFlush => "cache_flush",
@@ -95,11 +95,6 @@ impl SpanKind {
     /// is likewise off the foreground path.
     pub fn is_background(self) -> bool {
         matches!(self, SpanKind::Compaction | SpanKind::Recovery)
-    }
-
-    /// Parse a name produced by [`SpanKind::as_str`].
-    pub fn from_str_name(s: &str) -> Option<Self> {
-        ALL_KINDS.iter().copied().find(|k| k.as_str() == s)
     }
 }
 
@@ -190,8 +185,6 @@ struct Table {
     dropped: u64,
     /// Disk busy time serviced while no span was open.
     unattributed_ns: u64,
-    /// Disk commands serviced while no span was open.
-    unattributed_cmds: u64,
 }
 
 /// A cheap cloneable handle to a causal-span table, or a no-op.
@@ -231,7 +224,6 @@ impl Spans {
                 limit: limit.max(1),
                 dropped: 0,
                 unattributed_ns: 0,
-                unattributed_cmds: 0,
             }))),
         }
     }
@@ -302,14 +294,6 @@ impl Spans {
         }
     }
 
-    /// Id of the innermost open span (0 if none or disabled).
-    pub fn current(&self) -> u32 {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.borrow().stack.last().copied())
-            .unwrap_or(0)
-    }
-
     /// Attribute one disk command's busy time to the innermost open span.
     /// Returns the span id to stamp onto the trace event and the kind of
     /// the owning span (`None` when no span is open — the time accrues to
@@ -328,7 +312,6 @@ impl Spans {
             }
             None => {
                 t.unattributed_ns += busy_ns;
-                t.unattributed_cmds += 1;
                 (0, None)
             }
         }
@@ -361,15 +344,8 @@ impl Spans {
         self.inner.as_ref().map_or(0, |r| r.borrow().unattributed_ns)
     }
 
-    /// Disk commands serviced while no span was open.
-    pub fn unattributed_cmds(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |r| r.borrow().unattributed_cmds)
-    }
-
     /// Directly attributed disk ns per kind, in [`ALL_KINDS`] order.
-    pub fn kind_sums_ns(&self) -> [u64; 6] {
+    pub(crate) fn kind_sums_ns(&self) -> [u64; 6] {
         let mut sums = [0u64; 6];
         let Some(r) = &self.inner else { return sums };
         for rec in &r.borrow().records {
@@ -462,15 +438,16 @@ impl FlightRecorder {
         out.push_str(&self.tracer.dump_jsonl());
         out
     }
+}
 
-    /// Events currently held (the ring may have dropped older ones).
-    pub fn len(&self) -> usize {
-        self.tracer.len()
-    }
-
-    /// Is the recorder empty?
-    pub fn is_empty(&self) -> bool {
-        self.tracer.is_empty() && self.spans.is_empty()
+#[cfg(test)]
+impl Spans {
+    /// Id of the innermost open span (0 if none or disabled).
+    pub(crate) fn current(&self) -> u32 {
+        self.inner
+            .as_ref()
+            .and_then(|r| r.borrow().stack.last().copied())
+            .unwrap_or(0)
     }
 }
 
@@ -515,7 +492,6 @@ mod tests {
         assert_eq!(recs[0].wall_ns(), 30);
         assert_eq!(recs[1].wall_ns(), 10);
         assert_eq!(s.unattributed_ns(), 1);
-        assert_eq!(s.unattributed_cmds(), 1);
         assert_eq!(s.total_ns(), 158);
         let sums = s.kind_sums_ns();
         assert_eq!(sums[0], 107); // FsOp
@@ -613,9 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
+    fn kind_names_are_distinct() {
+        let names: std::collections::BTreeSet<_> = ALL_KINDS.iter().map(|k| k.as_str()).collect();
+        assert_eq!(names.len(), ALL_KINDS.len());
         for k in ALL_KINDS {
-            assert_eq!(SpanKind::from_str_name(k.as_str()), Some(k));
             assert!(k.disk_ns_counter().contains(k.as_str()));
             assert!(k.disk_cmds_counter().contains(k.as_str()));
         }
@@ -648,10 +625,9 @@ mod tests {
             });
         }
         fr.spans.close(sp, 5);
-        assert_eq!(fr.len(), 2, "ring keeps only the most recent events");
+        assert_eq!(fr.tracer.len(), 2, "ring keeps only the most recent events");
         let d = fr.dump();
         assert!(d.lines().next().unwrap().contains("\"parent\":0"));
         assert!(d.contains("\"span\":1"));
-        assert!(!fr.is_empty());
     }
 }

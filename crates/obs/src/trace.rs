@@ -31,7 +31,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Stable lowercase name used in the JSONL dump.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             OpKind::Read => "read",
             OpKind::Write => "write",

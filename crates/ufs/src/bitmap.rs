@@ -11,7 +11,7 @@ use disksim::codec::{get_u64, put_u64};
 
 /// A bitmap with per-disk-block dirty tracking. Bit set = in use.
 #[derive(Debug, Clone)]
-pub struct Bitmap {
+pub(crate) struct Bitmap {
     bits: Vec<u64>,
     len: u64,
     used: u64,
@@ -21,7 +21,7 @@ pub struct Bitmap {
 
 impl Bitmap {
     /// An all-free bitmap of `len` bits.
-    pub fn new(len: u64) -> Self {
+    pub(crate) fn new(len: u64) -> Self {
         let words = (len as usize).div_ceil(64);
         let blocks = (words * 8).div_ceil(BLOCK_SIZE).max(1);
         Self {
@@ -36,7 +36,7 @@ impl Bitmap {
     /// word `w` is bytes `8w..8w+8` read little-endian. Missing bytes read
     /// as zeros, and bits at or past `len` are dropped, so a damaged tail
     /// cannot set one.
-    pub fn from_bytes(len: u64, bytes: &[u8]) -> Self {
+    pub(crate) fn from_bytes(len: u64, bytes: &[u8]) -> Self {
         let mut bm = Self::new(len);
         for (i, w) in bm.bits.iter_mut().enumerate() {
             let src = bytes.get(i * 8..).unwrap_or_default();
@@ -66,33 +66,28 @@ impl Bitmap {
     }
 
     /// Number of bits.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
-    /// True if no bits are set.
-    pub fn is_empty(&self) -> bool {
-        self.used == 0
-    }
-
     /// Bits set (in use).
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
     /// Bits clear (free).
-    pub fn free(&self) -> u64 {
+    pub(crate) fn free(&self) -> u64 {
         self.len - self.used
     }
 
     /// Test a bit.
-    pub fn get(&self, i: u64) -> bool {
+    pub(crate) fn get(&self, i: u64) -> bool {
         debug_assert!(i < self.len);
         self.bits[(i / 64) as usize] >> (i % 64) & 1 == 1
     }
 
     /// Set a bit (idempotent).
-    pub fn set(&mut self, i: u64) {
+    pub(crate) fn set(&mut self, i: u64) {
         debug_assert!(i < self.len);
         let w = &mut self.bits[(i / 64) as usize];
         let m = 1u64 << (i % 64);
@@ -104,7 +99,7 @@ impl Bitmap {
     }
 
     /// Clear a bit (idempotent).
-    pub fn clear(&mut self, i: u64) {
+    pub(crate) fn clear(&mut self, i: u64) {
         debug_assert!(i < self.len);
         let w = &mut self.bits[(i / 64) as usize];
         let m = 1u64 << (i % 64);
@@ -122,7 +117,7 @@ impl Bitmap {
 
     /// First free bit at or after `hint`, wrapping around — the FFS
     /// locality heuristic (allocate near the previous block).
-    pub fn alloc_from(&mut self, hint: u64) -> Option<u64> {
+    pub(crate) fn alloc_from(&mut self, hint: u64) -> Option<u64> {
         if self.used == self.len {
             return None;
         }
@@ -144,7 +139,7 @@ impl Bitmap {
     }
 
     /// Indices of dirty BLOCK_SIZE chunks, clearing the flags.
-    pub fn take_dirty_chunks(&mut self) -> Vec<usize> {
+    pub(crate) fn take_dirty_chunks(&mut self) -> Vec<usize> {
         let out: Vec<usize> = self
             .dirty
             .iter()
@@ -169,7 +164,7 @@ impl Bitmap {
     /// One BLOCK_SIZE-sized chunk of the serialised bitmap (zero-padded):
     /// its words, little-endian, which is the byte layout
     /// [`Bitmap::from_bytes`] reads (bits at or past `len` are never set).
-    pub fn chunk_bytes(&self, chunk: usize) -> Vec<u8> {
+    pub(crate) fn chunk_bytes(&self, chunk: usize) -> Vec<u8> {
         const WORDS: usize = BLOCK_SIZE / 8;
         let mut out = vec![0u8; BLOCK_SIZE];
         let words = self.bits.iter().skip(chunk * WORDS).take(WORDS);

@@ -12,7 +12,7 @@ use fscore::{FsError, FsResult};
 /// Bytes per directory entry.
 pub const DIRENT_SIZE: usize = 32;
 /// Maximum file-name length.
-pub const MAX_NAME: usize = DIRENT_SIZE - 5;
+pub(crate) const MAX_NAME: usize = DIRENT_SIZE - 5;
 
 /// A directory entry: a name bound to an inode number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct Dirent {
 
 impl Dirent {
     /// Validate a candidate file name.
-    pub fn check_name(name: &str) -> FsResult<()> {
+    pub(crate) fn check_name(name: &str) -> FsResult<()> {
         if name.is_empty() {
             return Err(FsError::Invalid("empty file name"));
         }
@@ -61,7 +61,7 @@ impl Dirent {
     }
 
     /// Write a free-slot marker.
-    pub fn clear_slot(slot: &mut [u8]) {
+    pub(crate) fn clear_slot(slot: &mut [u8]) {
         slot.fill(0);
     }
 }

@@ -407,11 +407,6 @@ impl Ufs {
         self.dev
     }
 
-    /// The computed on-disk layout.
-    pub fn layout(&self) -> &Layout {
-        &self.state.layout
-    }
-
     /// Attach a metrics registry; the buffer-cache hit/miss/dirty gauges
     /// and the `ufs.cache_probes` / `ufs.block_copies` work counters are
     /// brought up to date here, on flush and on idle (cold paths only).
@@ -1360,6 +1355,15 @@ impl FileSystem for Ufs {
 
     fn free_blocks(&self) -> u64 {
         self.usable_free()
+    }
+}
+
+/// The layout the `fsck` tests damage a volume against.
+#[cfg(test)]
+impl Ufs {
+    /// The computed on-disk layout.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.state.layout
     }
 }
 

@@ -10,11 +10,11 @@ use disksim::DiskError;
 use fscore::{FsError, FsResult};
 
 /// Number of direct block pointers.
-pub const NDIRECT: usize = 12;
+pub(crate) const NDIRECT: usize = 12;
 /// Pointers per indirect block.
-pub const PTRS_PER_BLOCK: u64 = (BLOCK_SIZE / 4) as u64;
+pub(crate) const PTRS_PER_BLOCK: u64 = (BLOCK_SIZE / 4) as u64;
 /// Sentinel meaning "no block".
-pub const NO_BLOCK: u32 = 0;
+pub(crate) const NO_BLOCK: u32 = 0;
 
 /// An in-memory inode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,20 +22,20 @@ pub struct Inode {
     /// File length in bytes.
     pub size: u64,
     /// In-use marker (a free inode slot is all zeros).
-    pub allocated: bool,
+    pub(crate) allocated: bool,
     /// Directory marker: the data blocks hold directory entries.
-    pub is_dir: bool,
+    pub(crate) is_dir: bool,
     /// Direct block pointers.
     pub direct: [u32; NDIRECT],
     /// Single-indirect block pointer.
     pub indirect: u32,
     /// Double-indirect block pointer.
-    pub dindirect: u32,
+    pub(crate) dindirect: u32,
 }
 
 impl Inode {
     /// A freshly allocated empty file.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             size: 0,
             allocated: true,
@@ -55,12 +55,12 @@ impl Inode {
     }
 
     /// Largest representable file, in blocks.
-    pub fn max_blocks() -> u64 {
+    pub(crate) fn max_blocks() -> u64 {
         NDIRECT as u64 + PTRS_PER_BLOCK + PTRS_PER_BLOCK * PTRS_PER_BLOCK
     }
 
     /// Number of blocks the file spans (by size).
-    pub fn blocks(&self) -> u64 {
+    pub(crate) fn blocks(&self) -> u64 {
         self.size.div_ceil(BLOCK_SIZE as u64)
     }
 
@@ -99,7 +99,7 @@ impl Inode {
 
 /// Where a file-relative block number resolves within an inode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockPath {
+pub(crate) enum BlockPath {
     /// `direct[i]`.
     Direct(usize),
     /// `indirect[i]`.
@@ -109,7 +109,7 @@ pub enum BlockPath {
 }
 
 /// Classify a file block index into its pointer path.
-pub fn classify(file_block: u64) -> FsResult<BlockPath> {
+pub(crate) fn classify(file_block: u64) -> FsResult<BlockPath> {
     if file_block < NDIRECT as u64 {
         return Ok(BlockPath::Direct(file_block as usize));
     }

@@ -21,11 +21,11 @@ pub const BLOCK_SIZE: usize = 4096;
 /// Bytes per on-disk inode.
 pub const INODE_SIZE: usize = 128;
 /// Inodes per block.
-pub const INODES_PER_BLOCK: u64 = (BLOCK_SIZE / INODE_SIZE) as u64;
+pub(crate) const INODES_PER_BLOCK: u64 = (BLOCK_SIZE / INODE_SIZE) as u64;
 /// Superblock magic ("UFSs").
 pub const SUPER_MAGIC: u32 = 0x5546_5373;
 /// Fraction of data blocks kept in reserve (FFS `minfree`).
-pub const RESERVE_FRACTION: f64 = 0.10;
+pub(crate) const RESERVE_FRACTION: f64 = 0.10;
 
 /// Computed block layout of a formatted volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,23 +33,23 @@ pub struct Layout {
     /// Total device blocks.
     pub total_blocks: u64,
     /// Number of inodes.
-    pub inode_count: u32,
+    pub(crate) inode_count: u32,
     /// First block of the inode bitmap.
-    pub inode_bitmap_start: u64,
+    pub(crate) inode_bitmap_start: u64,
     /// Blocks in the inode bitmap.
-    pub inode_bitmap_blocks: u64,
+    pub(crate) inode_bitmap_blocks: u64,
     /// First block of the data-block bitmap.
-    pub block_bitmap_start: u64,
+    pub(crate) block_bitmap_start: u64,
     /// Blocks in the data-block bitmap.
-    pub block_bitmap_blocks: u64,
+    pub(crate) block_bitmap_blocks: u64,
     /// First block of the inode table.
     pub inode_table_start: u64,
     /// Blocks in the inode table.
-    pub inode_table_blocks: u64,
+    pub(crate) inode_table_blocks: u64,
     /// First data block.
     pub data_start: u64,
     /// Data blocks reserved (unusable, counted as used by `df`).
-    pub reserved_blocks: u64,
+    pub(crate) reserved_blocks: u64,
 }
 
 impl Layout {
@@ -84,7 +84,7 @@ impl Layout {
     }
 
     /// Number of data blocks (including the reserve).
-    pub fn data_blocks(&self) -> u64 {
+    pub(crate) fn data_blocks(&self) -> u64 {
         self.total_blocks - self.data_start
     }
 

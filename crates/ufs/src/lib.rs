@@ -22,9 +22,9 @@
 //! assert_eq!(&buf, b"hi there");
 //! ```
 
-pub mod bitmap;
+mod bitmap;
 pub mod dir;
-pub mod fs;
+mod fs;
 pub mod fsck;
 pub mod inode;
 pub mod layout;

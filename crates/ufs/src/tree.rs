@@ -21,15 +21,15 @@ const DIRENTS_PER_BLOCK: u64 = (BLOCK_SIZE / DIRENT_SIZE) as u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     /// The device block the pointer names.
-    pub block: u64,
+    pub(crate) block: u64,
     /// 0 for a data block, 1 for a block of data pointers, 2 for the
     /// double-indirect block.
-    pub level: u8,
+    pub(crate) level: u8,
     /// The file block a data block holds, or the first under a pointer block.
-    pub file_block: u64,
+    pub(crate) file_block: u64,
     /// The pointer is the inode's own (`direct[file_block]`, `indirect` or
     /// `dindirect`, by level), not an entry of the pointer block above.
-    pub in_inode: bool,
+    pub(crate) in_inode: bool,
 }
 
 /// What a [`TreeVisitor`] makes of one pointer.
@@ -180,14 +180,14 @@ pub(crate) enum Named {
 /// the caller's.
 pub(crate) struct Namespace {
     /// Which inodes the walk has reached, the root from the start.
-    pub reached: Vec<bool>,
+    pub(crate) reached: Vec<bool>,
     /// Directories reached and not yet read.
     unread: Vec<u32>,
 }
 
 impl Namespace {
     /// A walk of an `inode_count`-inode table, about to read the root.
-    pub fn new(inode_count: u32) -> Self {
+    pub(crate) fn new(inode_count: u32) -> Self {
         let mut reached = vec![false; inode_count as usize];
         reached[ROOT_INO as usize] = true;
         let unread = vec![ROOT_INO];
@@ -195,14 +195,14 @@ impl Namespace {
     }
 
     /// The next directory to read.
-    pub fn next_dir(&mut self) -> Option<u32> {
+    pub(crate) fn next_dir(&mut self) -> Option<u32> {
         self.unread.pop()
     }
 
     /// What an entry naming `ino` is. `inode` reads an inode inside the
     /// table, `None` if it is not allocated; an `ino` past the table is
     /// [`Named::Dangling`] without it.
-    pub fn judge(
+    pub(crate) fn judge(
         &mut self,
         ino: u32,
         inode: impl FnOnce(u32) -> FsResult<Option<Inode>>,

@@ -260,7 +260,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use rand::Rng;
 
-    /// Length bounds for [`vec`] (from `usize` or `Range`/`RangeInclusive`).
+    /// Length bounds for [`vec()`] (from `usize` or `Range`/`RangeInclusive`).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

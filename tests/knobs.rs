@@ -22,6 +22,11 @@
 //! Drive-command inventory: the drive model splits a request into track
 //! runs in one walker and plans, charges and traces a timed transfer in
 //! one command, so reads, shared reads and writes cannot drift apart.
+//!
+//! Surface inventory: `results/api.txt` records every public item of every
+//! library crate. An item no other crate names is `pub(crate)`, where
+//! rustc's dead-code lint can see it; widening the API is an edit of that
+//! file, visible in review.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -402,4 +407,212 @@ fn one_drive_command() {
              command through `command` instead"
         );
     }
+}
+
+/// The record of every library crate's public surface.
+const API: &str = "results/api.txt";
+
+/// The library crates: the root crate and each `crates/*` crate, by crate
+/// name, with their library sources (binaries under `src/bin` are not part
+/// of the surface).
+fn library_crates(root: &Path) -> Vec<(String, PathBuf, Vec<PathBuf>)> {
+    let mut dirs = vec![root.to_path_buf()];
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        dirs.push(krate.expect("readable directory entry").path());
+    }
+    let mut out = Vec::new();
+    for dir in dirs {
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("Cargo.toml");
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.split_once('"'))
+            .map(|(name, _)| name.replace('-', "_"))
+            .expect("a package name");
+        let src = dir.join("src");
+        let mut files = Vec::new();
+        rust_files(&src, &mut files);
+        files.retain(|f| !f.starts_with(src.join("bin")));
+        files.sort();
+        out.push((name, src, files));
+    }
+    out.sort();
+    out
+}
+
+/// `use` lines for one `pub use` declaration, one per name it exports:
+/// `a::{b, c::{d, e}}` gives `a::b`, `a::c::d` and `a::c::e`.
+fn expand_use(prefix: &str, tree: &str, out: &mut Vec<String>) {
+    let tree = tree.trim();
+    let Some(open) = tree.find('{') else {
+        out.push(format!("{prefix}{tree}"));
+        return;
+    };
+    let (head, body) = (&tree[..open], &tree[open + 1..tree.len() - 1]);
+    let (mut depth, mut start) = (0, 0);
+    for (i, c) in body.char_indices().chain([(body.len(), ',')]) {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            ',' if depth == 0 => {
+                if !body[start..i].trim().is_empty() {
+                    expand_use(&format!("{prefix}{head}"), &body[start..i], out);
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The identifier at the start of `s`.
+fn ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// The type or item a top-level line opens a block for: `Disk` for
+/// `impl<'a> Disk {` or `pub struct Disk {`.
+fn owner(line: &str) -> String {
+    if let Some(rest) = line.strip_prefix("impl") {
+        let mut rest = rest.trim_start();
+        if rest.starts_with('<') {
+            let mut depth = 0;
+            let end = rest
+                .char_indices()
+                .find(|&(_, c)| {
+                    depth += match c {
+                        '<' => 1,
+                        '>' => -1,
+                        _ => 0,
+                    };
+                    depth == 0
+                })
+                .map_or(rest.len(), |(i, _)| i + 1);
+            rest = rest[end..].trim_start();
+        }
+        let ty = rest.split_once(" for ").map_or(rest, |(_, ty)| ty);
+        return ident(ty).to_owned();
+    }
+    let words: Vec<&str> = line.split_whitespace().collect();
+    words
+        .iter()
+        .position(|w| ["struct", "enum", "trait", "union", "mod"].contains(w))
+        .and_then(|i| words.get(i + 1))
+        .map_or_else(String::new, |w| ident(w).to_owned())
+}
+
+/// The keywords that declare an item, `fn` first so that a `const fn` is
+/// a function.
+const ITEM_KINDS: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
+/// The public items a library file declares outside its tests, one line
+/// each: `<module> <kind> <path>`, e.g. `disksim::disk fn Disk::read_sectors`,
+/// `disksim::disk field DiskStats.reads` or `disksim use disk::Disk`. A
+/// `pub(crate)` item is not public and is not listed.
+fn public_items(module: &str, code: &str, out: &mut BTreeSet<String>) {
+    let mut owner_of_block = String::new();
+    let mut lines = code.lines();
+    while let Some(line) = lines.next() {
+        if line.starts_with('}') {
+            owner_of_block.clear();
+        } else if line.starts_with(char::is_alphabetic) && !line.starts_with("where") {
+            owner_of_block = owner(line);
+        }
+        let Some(decl) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let nested = line.starts_with(' ');
+        let qualified = |name: &str, sep: &str| {
+            if nested && !owner_of_block.is_empty() {
+                format!("{owner_of_block}{sep}{name}")
+            } else {
+                name.to_owned()
+            }
+        };
+        if let Some(tree) = decl.strip_prefix("use ") {
+            let mut text = tree.to_owned();
+            while !text.contains(';') {
+                text.push_str(lines.next().expect("a `pub use` ends with `;`"));
+            }
+            let (tree, _) = text.split_once(';').expect("a `;` was read");
+            let mut names = Vec::new();
+            expand_use("", tree, &mut names);
+            for name in names {
+                out.insert(format!("{module} use {}", qualified(&name, "::")));
+            }
+            continue;
+        }
+        let words: Vec<&str> = decl.split_whitespace().collect();
+        let item = ITEM_KINDS.iter().find_map(|&kind| {
+            let at = words.iter().position(|w| *w == kind)?;
+            let name = ident(words.get(at + 1)?);
+            (!name.is_empty()).then_some((kind, name))
+        });
+        match item {
+            Some((kind, name)) => {
+                out.insert(format!("{module} {kind} {}", qualified(name, "::")));
+            }
+            None if decl.contains(':') => {
+                let field = ident(decl);
+                out.insert(format!("{module} field {}", qualified(field, ".")));
+            }
+            None => panic!("{module}: an unrecognised public item: {line:?}"),
+        }
+    }
+}
+
+/// Every public item of every library crate, by a source scan: what each
+/// `lib.rs` declares `pub mod` or `pub use`, and the `pub` items of every
+/// library file, tests excluded.
+fn api_surface(root: &Path) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (name, src, files) in library_crates(root) {
+        for file in files {
+            let rel = file.strip_prefix(&src).expect("under src/");
+            let rel = rel.to_str().expect("UTF-8 path").trim_end_matches(".rs");
+            let rel = rel.trim_end_matches("/mod").replace('/', "::");
+            let module = match rel.as_str() {
+                "lib" => name.clone(),
+                _ => format!("{name}::{rel}"),
+            };
+            let src = fs::read_to_string(&file).expect("readable source file");
+            public_items(&module, &non_test(&src), &mut out);
+        }
+    }
+    out
+}
+
+/// An item is public only if another crate names it or a public item
+/// exposes it, and `results/api.txt` records which items are. A change to
+/// the surface is a deliberate edit of that file, so a widened API shows up
+/// as a diff in review.
+#[test]
+fn the_public_surface_is_recorded() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let found = api_surface(root);
+    assert!(found.len() > 300, "found only {} public items", found.len());
+    let text = fs::read_to_string(root.join(API)).expect("results/api.txt");
+    let recorded: BTreeSet<String> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_owned)
+        .collect();
+    let mut diff = String::new();
+    for line in found.difference(&recorded) {
+        diff.push_str(&format!("+{line}\n"));
+    }
+    for line in recorded.difference(&found) {
+        diff.push_str(&format!("-{line}\n"));
+    }
+    assert!(
+        diff.is_empty(),
+        "the public surface differs from {API} (+ public now, - no longer \
+         public). Narrow a new item to pub(crate) unless another crate names \
+         it; otherwise add each + line to {API} and delete each - line:\n{diff}"
+    );
 }
