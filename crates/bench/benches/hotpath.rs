@@ -1,8 +1,9 @@
-//! Hot-path micro-benchmarks for the flat media store and the two-level
-//! translation table: sequential and strided multi-track reads/writes
-//! through the disk's flat track store, and logical→physical lookups
-//! through the virtual log's piece-paged map — the two inner loops every
-//! simulated figure, model-check episode and crash sweep turns on.
+//! Hot-path micro-benchmarks for the page store and the two-level
+//! translation table: fresh, forked and shared pages and sequential and
+//! strided multi-track reads through the disk's page store, and
+//! logical→physical lookups through the virtual log's piece-paged map —
+//! the two inner loops every simulated figure, model-check episode and
+//! crash sweep turns on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use disksim::{Disk, DiskSpec, SimClock, SECTOR_BYTES};
@@ -14,18 +15,43 @@ fn disk() -> Disk {
     Disk::new(spec, SimClock::new())
 }
 
-/// Raw sector traffic through the flat track store: a long sequential
-/// stream (multi-track runs) and a strided pattern (one run per command,
-/// different track each time).
-fn bench_track_store(c: &mut Criterion) {
+/// Sector traffic through the page store: four tracks written to a fresh
+/// disk (every page new), a fork's first write to one block of every
+/// written track (every page shared with the snapshot), a shared read of
+/// one track, a long sequential read (multi-track runs) and a strided
+/// pattern (one run per command, different track each time).
+fn bench_page_store(c: &mut Criterion) {
     let spt = 72usize; // HP 97560 sectors per track
-    c.bench_function("disk/write_seq_4tracks", |b| {
+    c.bench_function("disk/write_fresh_4tracks", |b| {
         let buf = vec![0xA5u8; 4 * spt * SECTOR_BYTES];
         b.iter_batched(
             disk,
             |mut d| d.write_sectors(0, &buf).unwrap(),
             BatchSize::SmallInput,
         );
+    });
+    c.bench_function("disk/fork_first_write_64tracks", |b| {
+        let mut d = disk();
+        d.write_sectors(0, &vec![0xA5u8; 64 * spt * SECTOR_BYTES])
+            .unwrap();
+        let snap = d.snapshot();
+        let block = [0x5Au8; 8 * SECTOR_BYTES];
+        b.iter_batched(
+            || snap.restore(),
+            |mut f| {
+                for track in 0..64 {
+                    f.write_sectors((track * spt) as u64, &block).unwrap();
+                }
+                f
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    c.bench_function("disk/share_track", |b| {
+        let mut d = disk();
+        d.write_sectors(0, &vec![0xA5u8; spt * SECTOR_BYTES])
+            .unwrap();
+        b.iter(|| d.share_sectors(0, spt as u32).unwrap());
     });
     c.bench_function("disk/read_seq_4tracks", |b| {
         let mut d = disk();
@@ -79,5 +105,5 @@ fn bench_translate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_track_store, bench_translate);
+criterion_group!(benches, bench_page_store, bench_translate);
 criterion_main!(benches);

@@ -263,8 +263,8 @@ impl Compactor {
         vlog.alloc.set_avoid(Some((vc, vt)));
 
         // One whole-track read: the compactor works at track granularity.
-        // The drive lends the track itself, not a copy, and the moves
-        // below write each live block straight from it.
+        // The drive lends the track's pages themselves, not a copy, and
+        // the moves below write each live block straight from its page.
         let (victim, _) = vlog.disk_mut().share_sectors(start_lba, spt)?;
         let Scratch { moves, resident } = &mut self.scratch;
 
@@ -301,7 +301,7 @@ impl Compactor {
             current_piece = Some(piece);
             let block = victim
                 .get(off..off + BLOCK_BYTES)
-                .ok_or(DiskError::Corrupt("live block on a never-written track"))?;
+                .ok_or(DiskError::Corrupt("live block on a never-written page"))?;
             vlog.relocate_block(lb, old_pb, block, (vc, vt))?;
             self.stats.blocks_moved += 1;
         }
@@ -309,7 +309,7 @@ impl Compactor {
             Self::commit_piece(vlog, p)?;
         }
         // The emptied victim soon becomes a fill track: a handle alive at
-        // its first write would make that write copy the whole track.
+        // its first writes would make each map-sector write copy its page.
         drop(victim);
 
         // Relocate any live map sectors still on the victim track by
@@ -656,9 +656,9 @@ mod tests {
 
     /// The victim track is lent, not copied, and the loan ends inside
     /// `compact_track`: on aged logs (both drives, 50–95 % full) no write
-    /// during `Compactor::run` copies a track for a live handle, and no
-    /// track is still held afterwards — rewriting a sector of every
-    /// materialised track copies nothing either.
+    /// during `Compactor::run` copies a page for a live handle, and no
+    /// page is still held afterwards — rewriting a sector of every page of
+    /// every materialised track copies nothing either.
     #[test]
     fn the_lent_victim_track_is_never_copied_and_never_outlives_a_run() {
         for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
@@ -684,25 +684,26 @@ mod tests {
                 });
                 c.run(&mut v, 2_000_000_000);
                 assert!(c.stats().blocks_moved > 0, "util {util}: nothing compacted");
-                assert_eq!(v.disk().shared_track_copies(), 0, "util {util}");
+                assert_eq!(v.disk().shared_page_copies(), 0, "util {util}");
 
                 let mut sector = [0u8; SECTOR_BYTES];
                 for (cyl, track) in v.disk().materialised_tracks() {
-                    let lba = v
-                        .disk()
-                        .phys_to_lba(PhysAddr {
+                    let spt = v.disk().spec().geometry.sectors_per_track(cyl).unwrap();
+                    for first in (0..spt).step_by(BLOCK_SECTORS as usize) {
+                        let at = PhysAddr {
                             cyl,
                             track,
-                            sector: 0,
-                        })
-                        .unwrap();
-                    v.disk().peek_sectors(lba, &mut sector).unwrap();
-                    v.disk_mut().poke_sectors(lba, &sector).unwrap();
+                            sector: first,
+                        };
+                        let lba = v.disk().phys_to_lba(at).unwrap();
+                        v.disk().peek_sectors(lba, &mut sector).unwrap();
+                        v.disk_mut().poke_sectors(lba, &sector).unwrap();
+                    }
                 }
                 assert_eq!(
-                    v.disk().shared_track_copies(),
+                    v.disk().shared_page_copies(),
                     0,
-                    "util {util}: a track outlived the run"
+                    "util {util}: a page outlived the run"
                 );
             }
         }

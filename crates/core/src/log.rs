@@ -75,8 +75,7 @@ pub struct VirtualLog {
     pub(crate) metrics: disksim::Metrics,
     /// Scratch buffer for encoding map sectors and checkpoint slots: taken,
     /// filled and put back by every append and checkpoint, so neither
-    /// performs a heap allocation (the same pooling idiom as `disksim`'s
-    /// track buffers).
+    /// performs a heap allocation.
     append_buf: Vec<u8>,
 }
 
@@ -736,7 +735,7 @@ impl VirtualLog {
 }
 
 /// A point-in-time image of a [`VirtualLog`], cheap to take (the disk's
-/// track store and the map's piece pages are `Arc`-shared, copied only on
+/// media pages and the map's piece pages are `Arc`-shared, copied only on
 /// the first post-snapshot write) and safe to ship across threads.
 #[derive(Debug, Clone)]
 pub struct VlogSnapshot {

@@ -334,23 +334,11 @@ struct ScanCost {
     service: ServiceTime,
 }
 
-/// Every valid map sector of one track's bytes, keyed by LBA. Map pieces
-/// live in the first sector of 4 KB-aligned physical blocks, so only those
-/// offsets can hold one.
-fn decode_track(cache: &mut HashMap<u64, MapSector>, start: u64, bytes: &[u8]) {
-    for (block, sectors) in bytes
-        .chunks(BLOCK_SECTORS as usize * SECTOR_BYTES)
-        .enumerate()
-    {
-        if let Some(m) = sectors.get(..PIECE_BYTES).and_then(MapSector::decode) {
-            cache.insert(start + block as u64 * BLOCK_SECTORS as u64, m);
-        }
-    }
-}
-
-/// Read every track once through a shared read — one command per track,
-/// charged exactly as a copying read, copying nothing — and decode the block-aligned sectors of the tracks that
-/// hold bytes: a never-materialised track reads as zeros, and zeros cannot
+/// Read every track once through a lending read — one command per track,
+/// charged exactly as a copying read, copying nothing — and decode the
+/// first sector of each written page: a track's pages start at its 4 KB
+/// blocks, map pieces live in the first sector of 4 KB-aligned physical
+/// blocks, and a never-written page, skipped, reads as zeros, which cannot
 /// carry `MAP_MAGIC`. Returns the cache of valid map sectors keyed by LBA
 /// and what the scan cost.
 fn scan_disk(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
@@ -367,12 +355,15 @@ fn scan_disk(disk: &mut Disk) -> Result<(HashMap<u64, MapSector>, ScanCost)> {
         let spt = disk.spec().geometry.sectors_per_track(cyl)?;
         for track in 0..tracks {
             let start = disk.spec().geometry.track_start_lba(cyl, track)?;
-            let (shared, st) = disk.share_sectors(start, spt)?;
-            cost.service += st;
-            if let Some(bytes) = shared.get(0..spt as usize * SECTOR_BYTES) {
-                cost.tracks_decoded += 1;
-                decode_track(&mut cache, start, bytes);
-            }
+            let mut decoded = false;
+            cost.service += disk.lend_sectors(start, spt, |bytes, page| {
+                // A page starts a block: its first sector may hold a piece.
+                decoded = true;
+                if let Some(m) = page.get(..PIECE_BYTES).and_then(MapSector::decode) {
+                    cache.insert(start + (bytes.start / SECTOR_BYTES) as u64, m);
+                }
+            })?;
+            cost.tracks_decoded += u64::from(decoded);
             cost.sectors += spt as u64;
         }
     }

@@ -17,7 +17,7 @@
 //! * [`Geometry`] — cylinders × tracks × sectors addressing with optional
 //!   multi-zone layouts.
 //! * [`MechModel`] — the seek-time curve, head-switch and rotation costs.
-//! * [`Disk`] — the stateful device: it owns the sector store, the head
+//! * [`Disk`] — the stateful device: it owns the page store, the head
 //!   position and a track read-ahead buffer, and reports a per-request
 //!   [`ServiceTime`] breakdown (the paper's Figure 9 categories).
 //! * [`BlockDevice`] — the logical-disk interface the file systems run on;
@@ -39,7 +39,6 @@ mod mech;
 pub mod par;
 mod service;
 mod spec;
-mod trackbuf;
 
 pub use cache::CachePolicy;
 pub use clock::SimClock;
