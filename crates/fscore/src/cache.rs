@@ -292,6 +292,16 @@ impl BufferCache {
         Some(&self.payload(i)[..])
     }
 
+    /// Borrow the payloads of `blocks`, in order, as [`BufferCache::peek`]
+    /// of each would (one probe each); `None` if one is not cached.
+    pub fn peek_each(&mut self, blocks: &[u64]) -> Option<Vec<&[u8]>> {
+        let slots: Vec<u32> = blocks
+            .iter()
+            .map(|&block| self.slot(block))
+            .collect::<Option<_>>()?;
+        Some(slots.into_iter().map(|i| &self.payload(i)[..]).collect())
+    }
+
     /// Look up a block for a read-modify-write: counts as a hit or miss and
     /// refreshes the LRU position like [`BufferCache::get_rc`], marks the
     /// block dirty if `dirty` (a dirty block stays dirty either way), and

@@ -938,6 +938,23 @@ impl BlockDevice for LogDisk {
         })
     }
 
+    fn write_gathered(&mut self, start: u64, blocks: &[&[u8]]) -> DiskResult<ServiceTime> {
+        // What `write_blocks` does with the blocks laid end to end: one
+        // append each, each taken where it lies.
+        let bs = self.block_size();
+        if let Some(b) = blocks.iter().find(|b| b.len() != bs) {
+            return Err(disksim::DiskError::BadBufferLength {
+                expected: bs,
+                actual: b.len(),
+            });
+        }
+        let mut total = ServiceTime::ZERO;
+        for (block, buf) in (start..).zip(blocks) {
+            total += self.write_block(block, buf)?;
+        }
+        Ok(total)
+    }
+
     fn trim(&mut self, block: u64) -> DiskResult<()> {
         self.unmap(block);
         Ok(())
@@ -1080,6 +1097,27 @@ mod tests {
             l.write_block(i, &vec![2u8; 4096]).unwrap();
         }
         assert_eq!(l.disk_stats().writes, before + 1, "one command per segment");
+    }
+
+    /// A gathered write appends its blocks one by one, as `write_blocks`
+    /// does with them laid end to end.
+    #[test]
+    fn gathered_writes_append_each_block() {
+        let (mut gathered, mut flat) = (lld(), lld());
+        let blocks: Vec<Vec<u8>> = (0..SEG_DATA + 3).map(|i| vec![i as u8; 4096]).collect();
+        let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
+        let st = gathered.write_gathered(7, &refs).unwrap();
+        assert_eq!(st, flat.write_blocks(7, &blocks.concat()).unwrap());
+        assert_eq!(
+            format!("{:?}", gathered.disk_stats()),
+            format!("{:?}", flat.disk_stats())
+        );
+        let mut r = vec![0u8; 4096];
+        for (i, b) in blocks.iter().enumerate() {
+            gathered.read_block(7 + i as u64, &mut r).unwrap();
+            assert_eq!(&r, b);
+        }
+        assert!(gathered.write_gathered(0, &[&[0u8; 512]]).is_err());
     }
 
     #[test]

@@ -436,8 +436,8 @@ impl Ufs {
     /// add the file layer's deterministic work since the last refresh to
     /// its two counters: `ufs.cache_probes` (keyed buffer-cache calls) and
     /// `ufs.block_copies` (whole-block payload copies: caller data into the
-    /// cache, cached data out to the caller, copy-on-write, cluster
-    /// assembly, read-ahead splitting). The hot paths only bump plain
+    /// cache, cached data out to the caller, copy-on-write, read-ahead
+    /// splitting; a flush copies nothing). The hot paths only bump plain
     /// integers; the one `is_enabled` branch is here.
     fn update_cache_gauges(&mut self) {
         if !self.metrics.is_enabled() {
@@ -895,24 +895,15 @@ impl Ufs {
     /// Write a sorted dirty-block list as clustered runs (the I/O half of
     /// [`Ufs::flush_dirty_sorted`], split out so the flush span brackets it).
     fn flush_runs(&mut self, dirty: &[u64]) -> FsResult<()> {
-        // One cluster buffer serves every multi-block run of this flush; a
-        // lone block is written straight out of the cache.
-        let mut buf = Vec::new();
+        // Each run goes to the device in one command, its blocks taken
+        // where the cache holds them.
         for run in dirty.chunk_by(|a, b| *b == *a + 1) {
-            if let [blk] = run {
-                let data = self.state.cache.peek(*blk).expect("flushed block cached");
-                self.dev.write_blocks(*blk, data)?;
-            } else {
-                buf.clear();
-                buf.reserve_exact(run.len() * BLOCK_SIZE);
-                for &blk in run {
-                    buf.extend_from_slice(
-                        self.state.cache.peek(blk).expect("flushed block cached"),
-                    );
-                }
-                self.copies += run.len() as u64;
-                self.dev.write_blocks(run[0], &buf)?;
-            }
+            let blocks = self
+                .state
+                .cache
+                .peek_each(run)
+                .expect("flushed block cached");
+            self.dev.write_gathered(run[0], &blocks)?;
         }
         Ok(())
     }
