@@ -24,6 +24,8 @@
 //! overhead; the host-visible overhead *o* is charged exactly once per
 //! block-device call.
 
+use std::sync::Arc;
+
 use crate::alloc::AllocConfig;
 use crate::compact::{Compactor, CompactorConfig};
 use crate::log::{VirtualLog, VlogSnapshot, BLOCK_BYTES};
@@ -168,6 +170,20 @@ impl Vld {
         Ok(host + self.vlog.write_many(batch)?)
     }
 
+    /// Write consecutive blocks from `start` on as one host command. Bulk
+    /// writes take the non-atomic batched path: per-piece-group durability
+    /// without the transient old+new footprint of a full transaction (see
+    /// [`VirtualLog::write_batch`]).
+    fn write_run<'a>(
+        &mut self,
+        start: u64,
+        blocks: impl Iterator<Item = &'a [u8]>,
+    ) -> Result<ServiceTime> {
+        let host = self.charge_host_overhead();
+        let batch: Vec<(u64, &[u8])> = (start..).zip(blocks).collect();
+        Ok(host + self.vlog.write_batch(&batch)?)
+    }
+
     fn charge_host_overhead(&mut self) -> ServiceTime {
         self.vlog.disk().advance_ns(self.state.host_overhead_ns);
         ServiceTime {
@@ -211,17 +227,16 @@ impl BlockDevice for Vld {
     }
 
     fn write_blocks(&mut self, start: u64, buf: &[u8]) -> Result<ServiceTime> {
-        let blocks: Vec<&[u8]> = buf.chunks(BLOCK_BYTES).collect();
-        self.write_gathered(start, &blocks)
+        self.write_run(start, buf.chunks(BLOCK_BYTES))
     }
 
-    fn write_gathered(&mut self, start: u64, blocks: &[&[u8]]) -> Result<ServiceTime> {
-        // Bulk writes take the non-atomic batched path: per-piece-group
-        // durability without the transient old+new footprint of a full
-        // transaction (see [`VirtualLog::write_batch`]).
-        let host = self.charge_host_overhead();
-        let batch: Vec<(u64, &[u8])> = (start..).zip(blocks.iter().copied()).collect();
-        Ok(host + self.vlog.write_batch(&batch)?)
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
+        // A lone block is a write-through and takes the one-block path: a
+        // batch of one simulates the same but costs more host CPU.
+        if let [block] = blocks {
+            return self.write_block(start, block);
+        }
+        self.write_run(start, blocks.iter().map(|b| &b[..]))
     }
 
     fn trim(&mut self, block: u64) -> Result<()> {

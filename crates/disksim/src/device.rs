@@ -8,6 +8,7 @@
 //! update in place). The VLD implementation lives in the `vlog-core` crate.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::clock::SimClock;
 use crate::disk::{Disk, DiskSnapshot, DiskStats, SharedSectors};
@@ -101,11 +102,24 @@ pub trait BlockDevice {
     }
 
     /// Write `blocks`, one block each, to the blocks from `start` on: what
-    /// [`BlockDevice::write_blocks`] does with them laid end to end. The
-    /// default lays them end to end in a buffer; a device that can take
-    /// each block where it lies overrides this ([`RegularDisk`] does).
-    fn write_gathered(&mut self, start: u64, blocks: &[&[u8]]) -> Result<ServiceTime> {
-        self.write_blocks(start, &blocks.concat())
+    /// [`BlockDevice::write_block`] does with a lone block, and
+    /// [`BlockDevice::write_blocks`] with several laid end to end.
+    ///
+    /// The blocks are the caller's handles. A device that copies borrows
+    /// them; one that can keep a block as it is ([`RegularDisk`] does, for
+    /// a page-aligned 4 KiB block) clones the handle instead of copying
+    /// the bytes. Either way the bytes written are the block's at the
+    /// call: the caller writes into a block it handed over only once
+    /// `Arc::get_mut` says no one else holds it, and copies it otherwise.
+    /// The default copies: a lone block through `write_block`, several
+    /// laid end to end in a buffer.
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
+        if let [block] = blocks {
+            return self.write_block(start, block);
+        }
+        let mut buf = Vec::with_capacity(blocks.iter().map(|b| b.len()).sum());
+        blocks.iter().for_each(|b| buf.extend_from_slice(b));
+        self.write_blocks(start, &buf)
     }
 
     /// Hint that a block's contents are dead (a delete the layer above has
@@ -186,6 +200,17 @@ pub enum SharedBlocks<'a> {
 }
 
 impl SharedBlocks<'_> {
+    /// The drive's own page that is exactly bytes `range` of the read, as
+    /// a block the caller may keep; `None` for a copied read, or a range
+    /// that is not one whole written page (read those through
+    /// [`SharedBlocks::get`]).
+    pub fn page(&self, range: Range<usize>) -> Option<Arc<[u8]>> {
+        match self {
+            SharedBlocks::Lent(shared) => shared.page(range).map(|page| page as Arc<[u8]>),
+            SharedBlocks::Copied(_) => None,
+        }
+    }
+
     /// Bytes `range` of the read: borrowed where they lie on one page (or
     /// in the spare), else assembled in `scratch` — a range across a page
     /// boundary, or on a never-written page, which reads as zeros.
@@ -368,7 +393,7 @@ impl BlockDevice for RegularDisk {
         self.disk.write_sectors(lba, buf)
     }
 
-    fn write_gathered(&mut self, start: u64, blocks: &[&[u8]]) -> Result<ServiceTime> {
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
         for block in blocks {
             check_exact(self.block_size(), block.len())?;
         }
@@ -376,7 +401,8 @@ impl BlockDevice for RegularDisk {
         if blocks.len() as u64 > self.state.num_blocks - start {
             return Err(DiskError::TruncatedTransfer);
         }
-        // One command for the whole run, each block copied where it lies.
+        // One command for the whole run, each block kept as its page where
+        // it is one, else copied where it lies.
         self.disk.write_gathered(lba, blocks)
     }
 
@@ -471,7 +497,8 @@ mod tests {
     fn gathered_writes_are_the_write_of_their_blocks() {
         let (mut gathered, mut flat) = (dev(), dev());
         let blocks: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; 4096]).collect();
-        let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
+        let handles: Vec<Arc<[u8]>> = blocks.iter().map(|b| b[..].into()).collect();
+        let refs: Vec<&Arc<[u8]>> = handles.iter().collect();
         let st = gathered.write_gathered(5, &refs).unwrap();
         assert_eq!(st, flat.write_blocks(5, &blocks.concat()).unwrap());
         assert_eq!(
@@ -482,10 +509,10 @@ mod tests {
         gathered.read_blocks(5, &mut r).unwrap();
         assert_eq!(r, blocks.concat());
         let n = gathered.num_blocks();
-        assert!(gathered.write_gathered(0, &[&[0u8; 512]]).is_err());
-        let block: &[u8] = &[0u8; 4096];
-        assert!(gathered.write_gathered(n - 1, &[block, block]).is_err());
-        assert!(gathered.write_gathered(n, &[&[0u8; 4096]]).is_err());
+        let (sector, block): (Arc<[u8]>, Arc<[u8]>) = (Arc::new([0u8; 512]), Arc::new([0u8; 4096]));
+        assert!(gathered.write_gathered(0, &[&sector]).is_err());
+        assert!(gathered.write_gathered(n - 1, &[&block, &block]).is_err());
+        assert!(gathered.write_gathered(n, &[&block]).is_err());
         assert_eq!(gathered.disk_stats().writes, 1);
     }
 

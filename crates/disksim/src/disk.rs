@@ -11,7 +11,7 @@
 //! including the eager-writing previews the virtual log uses to choose the
 //! cheapest free sector.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -257,10 +257,23 @@ fn fresh_page() -> Arc<Page> {
 }
 
 /// A page table: entry `i` holds the media's page `i` (see [`PageStore`]),
-/// `None` reading as zeros. Cloning it shares every page; dropping it
-/// parks the pages it alone held on [`FREE_PAGES`].
+/// `None` reading as zeros. Sharing it ([`Pages::share`]) shares every
+/// page; dropping it parks the pages it alone held on [`FREE_PAGES`].
 #[derive(Clone)]
 struct Pages(Vec<Option<Arc<Page>>>);
+
+impl Pages {
+    /// A table holding every page this one holds, and the references that
+    /// took (one per written page).
+    fn share(&self) -> (Self, u64) {
+        let mut refs = 0;
+        let pages = self.0.iter().map(|page| {
+            refs += page.is_some() as u64;
+            page.clone()
+        });
+        (Self(pages.collect()), refs)
+    }
+}
 
 impl Drop for Pages {
     fn drop(&mut self) {
@@ -307,20 +320,49 @@ impl std::fmt::Debug for Pages {
 /// copies the held page first (counted in `shared_copies`). A write into
 /// a page no one has written zero-fills that one page (a whole-page write
 /// fills nothing), and a write to a page only this store holds lands in
-/// place.
+/// place. A whole-page write whose bytes are one of the caller's block
+/// handles ([`Disk::write_gathered`]) keeps that block as the page and
+/// copies nothing.
 #[derive(Debug)]
 struct PageStore {
     pages: Pages,
     tracks_per_cyl: u32,
     pages_per_track: usize,
+    /// What the store did to its pages so far.
+    work: PageWork,
+    /// Page references taken by snapshots of this store, and by the
+    /// restore that made it: a snapshot takes them through `&self`.
+    fork_refs: Cell<u64>,
+}
+
+/// The store's work on its pages, counted as it happens: plain integers
+/// on the write path, published as the `disk.page_*` / `disk.pages_*`
+/// counters by [`Disk::publish_work`]. Deterministic: they follow from
+/// the requests alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageWork {
+    /// Bytes copied onto pages: a write's own bytes, and the held page a
+    /// write shorter than a page copies first.
+    bytes_copied: u64,
+    /// Bytes zero-filled: a never-written page that a write shorter than
+    /// a page starts.
+    bytes_zeroed: u64,
+    /// Pages taken for a write from the free lists or the allocator.
+    fresh: u64,
+    /// Caller blocks kept as pages instead of copied.
+    kept: u64,
     /// Pages a write copied because a shared read's handle, a snapshot or
     /// another fork still held them.
     shared_copies: u64,
+    /// Page references taken by snapshot and restore (see
+    /// [`PageStore::fork_refs`]).
+    fork_refs: u64,
 }
 
 impl PageStore {
-    /// An empty store for `g`, or one holding `pages` (a snapshot's).
-    fn new(g: &Geometry, pages: Option<Pages>) -> Self {
+    /// An empty store for `g`, or one holding `pages` (a snapshot's),
+    /// whose sharing took `refs` page references.
+    fn new(g: &Geometry, pages: Option<(Pages, u64)>) -> Self {
         let tracks_per_cyl = g.tracks_per_cylinder();
         let pages_per_track = (0..g.cylinders())
             .filter_map(|cyl| g.sectors_per_track(cyl).ok())
@@ -328,12 +370,31 @@ impl PageStore {
             .max()
             .unwrap_or(0);
         let tracks = g.cylinders() as usize * tracks_per_cyl as usize;
+        let (pages, refs) =
+            pages.unwrap_or_else(|| (Pages(vec![None; tracks * pages_per_track]), 0));
         Self {
-            pages: pages.unwrap_or_else(|| Pages(vec![None; tracks * pages_per_track])),
+            pages,
             tracks_per_cyl,
             pages_per_track,
-            shared_copies: 0,
+            work: PageWork::default(),
+            fork_refs: Cell::new(refs),
         }
+    }
+
+    /// The work so far, fork references included.
+    fn work(&self) -> PageWork {
+        PageWork {
+            fork_refs: self.fork_refs.get(),
+            ..self.work
+        }
+    }
+
+    /// The table, shared for a snapshot; the references it took are
+    /// counted in `fork_refs`.
+    fn fork_table(&self) -> Pages {
+        let (pages, refs) = self.pages.share();
+        self.fork_refs.set(self.fork_refs.get() + refs);
+        pages
     }
 
     /// The pages `run` covers, in request order: each page's entry in the
@@ -365,23 +426,37 @@ impl PageStore {
         }
     }
 
-    /// Copy `run`'s range of the request's bytes `src` onto its pages.
-    fn write(&mut self, run: &Run, src: &Gather) {
-        for (page, off, bytes) in self.pieces(run) {
+    /// Put `run`'s range of the request's bytes `src` on its pages: keep
+    /// a whole-page block of `src` as the page, copy anything else.
+    fn write(&mut self, run: &Run, src: &Source) {
+        let pieces = self.pieces(run);
+        let work = &mut self.work;
+        for (page, off, bytes) in pieces {
             let (at, len) = (bytes.start, bytes.len());
             let entry = &mut self.pages.0[page];
+            if let Some(kept) = src.page(&bytes) {
+                *entry = Some(kept);
+                work.kept += 1;
+                continue;
+            }
+            work.bytes_copied += len as u64;
             match entry.as_mut().and_then(Arc::get_mut) {
                 Some(mine) => src.copy_to(at, &mut mine[off..off + len]),
                 None => {
                     let mut fresh = fresh_page();
+                    work.fresh += 1;
                     let new = Arc::get_mut(&mut fresh).expect("a fresh page has one holder");
                     if len < PAGE_BYTES {
                         match entry.as_deref() {
                             Some(held) => {
                                 new.copy_from_slice(held);
-                                self.shared_copies += 1;
+                                work.shared_copies += 1;
+                                work.bytes_copied += PAGE_BYTES as u64;
                             }
-                            None => new.fill(0),
+                            None => {
+                                new.fill(0);
+                                work.bytes_zeroed += PAGE_BYTES as u64;
+                            }
                         }
                     }
                     src.copy_to(at, &mut new[off..off + len]);
@@ -426,41 +501,68 @@ impl PageStore {
     }
 }
 
-/// A write's bytes: `blocks`, all of one length, laid end to end.
-struct Gather<'a> {
-    blocks: &'a [&'a [u8]],
-    /// Bytes in each block.
-    block: usize,
+/// A write's bytes: the caller's one buffer, or its block handles, all of
+/// one length, laid end to end.
+enum Source<'a> {
+    Flat(&'a [u8]),
+    Blocks {
+        blocks: &'a [&'a Arc<[u8]>],
+        /// Bytes in each block.
+        block: usize,
+    },
 }
 
-impl<'a> Gather<'a> {
+impl<'a> Source<'a> {
     /// `blocks` as one request, or why they cannot be one: a block whose
     /// length differs from the first's.
-    fn new(blocks: &'a [&'a [u8]]) -> Result<Self> {
+    fn blocks(blocks: &'a [&'a Arc<[u8]>]) -> Result<Self> {
         let block = blocks.first().map_or(0, |b| b.len());
         match blocks.iter().find(|b| b.len() != block) {
             Some(b) => Err(DiskError::BadBufferLength {
                 expected: block,
                 actual: b.len(),
             }),
-            None => Ok(Self { blocks, block }),
+            None => Ok(Self::Blocks { blocks, block }),
         }
     }
 
     /// Bytes in the whole request.
     fn len(&self) -> usize {
-        self.block * self.blocks.len()
+        match self {
+            Self::Flat(buf) => buf.len(),
+            Self::Blocks { blocks, block } => block * blocks.len(),
+        }
+    }
+
+    /// The block that is exactly the request's `bytes`, as a page to keep,
+    /// when those bytes are one whole page (a piece of a page as long as
+    /// the page) and one whole page-sized block.
+    fn page(&self, bytes: &Range<usize>) -> Option<Arc<Page>> {
+        match *self {
+            Self::Blocks {
+                blocks,
+                block: PAGE_BYTES,
+            } if bytes.len() == PAGE_BYTES && bytes.start.is_multiple_of(PAGE_BYTES) => {
+                Arc::clone(blocks[bytes.start / PAGE_BYTES]).try_into().ok()
+            }
+            _ => None,
+        }
     }
 
     /// Copy the request's bytes from `at` on into `out`, across any block
     /// boundaries.
     fn copy_to(&self, mut at: usize, mut out: &mut [u8]) {
-        while !out.is_empty() {
-            let src = &self.blocks[at / self.block][at % self.block..];
-            let n = src.len().min(out.len());
-            let (head, rest) = out.split_at_mut(n);
-            head.copy_from_slice(&src[..n]);
-            (out, at) = (rest, at + n);
+        match self {
+            Self::Flat(buf) => out.copy_from_slice(&buf[at..at + out.len()]),
+            Self::Blocks { blocks, block } => {
+                while !out.is_empty() {
+                    let src = &blocks[at / block][at % block..];
+                    let n = src.len().min(out.len());
+                    let (head, rest) = out.split_at_mut(n);
+                    head.copy_from_slice(&src[..n]);
+                    (out, at) = (rest, at + n);
+                }
+            }
         }
     }
 }
@@ -546,6 +648,17 @@ impl SharedSectors {
             let bytes = p.page.as_deref().map(|page| &page[off..off + end - at]);
             (at..end, bytes)
         })
+    }
+
+    /// The drive's page that is exactly bytes `range` of the read, held
+    /// for the caller; `None` unless the range is one whole written page.
+    pub(crate) fn page(&self, range: Range<usize>) -> Option<Arc<Page>> {
+        let pieces = self.pieces();
+        let i = pieces.partition_point(|p| (p.at as usize) < range.start);
+        let p = pieces.get(i).filter(|p| p.at as usize == range.start && p.off == 0)?;
+        let end = pieces.get(i + 1).map_or(self.len, |p| p.at as usize);
+        let whole = range.len() == PAGE_BYTES && end - range.start == PAGE_BYTES;
+        p.page.clone().filter(|_| whole)
     }
 
     /// Bytes `range` of the read, borrowed from the one page they lie on;
@@ -654,6 +767,8 @@ pub struct Disk {
     /// checks this single predictable bool instead of probing all three
     /// handles, so fully-disabled tracing costs one branch per operation.
     obs_enabled: bool,
+    /// The store's work as last published to `metrics`.
+    published: PageWork,
 }
 
 impl Disk {
@@ -675,6 +790,7 @@ impl Disk {
             metrics: Metrics::disabled(),
             spans: Spans::disabled(),
             obs_enabled: false,
+            published: PageWork::default(),
         }
     }
 
@@ -778,6 +894,25 @@ impl Disk {
                 self.metrics.inc(cmd_key);
             }
         }
+    }
+
+    /// Add the store's work since the last call to the attached metrics:
+    /// `disk.page_bytes_copied`, `disk.page_bytes_zeroed`,
+    /// `disk.pages_fresh`, `disk.pages_kept` and `disk.fork_refs` (see
+    /// [`Disk::shared_page_copies`] for the copies among them). Called
+    /// after each command while metrics are attached, so the first call
+    /// also carries what the disk did before (a fork: the references its
+    /// restore took).
+    fn publish_work(&mut self) {
+        let (now, was) = (self.store.work(), self.published);
+        self.metrics
+            .add("disk.page_bytes_copied", now.bytes_copied - was.bytes_copied);
+        self.metrics
+            .add("disk.page_bytes_zeroed", now.bytes_zeroed - was.bytes_zeroed);
+        self.metrics.add("disk.pages_fresh", now.fresh - was.fresh);
+        self.metrics.add("disk.pages_kept", now.kept - was.kept);
+        self.metrics.add("disk.fork_refs", now.fork_refs - was.fork_refs);
+        self.published = now;
     }
 
     /// Record the batched-run shape of one command: how many same-track
@@ -1086,6 +1221,9 @@ impl Disk {
         let loc = first.expect("count > 0 yields at least one run");
         let seek_cyls = from_cyl.abs_diff(self.cur_cyl);
         self.observe_op(kind, lba, count, loc, seek_cyls, total);
+        if self.obs_enabled && self.metrics.is_enabled() {
+            self.publish_work();
+        }
         Ok(total)
     }
 
@@ -1113,6 +1251,11 @@ impl Disk {
         let st = self.command(OpKind::Read, lba, count, |store, run| {
             store.share(run, &mut shared)
         })?;
+        if count > 0 && self.obs_enabled && self.metrics.is_enabled() {
+            // Nothing copied, but counted as such: a reader that shares
+            // shows `disk.read_bytes_copied` at 0 rather than not at all.
+            self.metrics.add("disk.read_bytes_copied", 0);
+        }
         Ok((shared, st))
     }
 
@@ -1141,23 +1284,30 @@ impl Disk {
     /// Stays zero while every handle is dropped before its pages are
     /// written and nothing else shares the media.
     pub fn shared_page_copies(&self) -> u64 {
-        self.store.shared_copies
+        self.store.work.shared_copies
     }
 
     /// Write `buf` (a whole number of sectors) starting at `lba`, advancing
     /// the clock by the returned service time: one timed media command.
     /// Writes always reach the media; there is no write-back cache.
     pub fn write_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<ServiceTime> {
-        self.write_gathered(lba, &[buf])
+        self.write_from(lba, Source::Flat(buf))
     }
 
     /// The *gathered* write: what [`Self::write_sectors`] does with
-    /// `blocks` laid end to end — the same command — copying each block
-    /// straight onto the pages, so a caller holding its blocks apart (a
-    /// cache flushing a run) builds no buffer for them. The blocks are all
-    /// of one length.
-    pub(crate) fn write_gathered(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<ServiceTime> {
-        let src = Gather::new(blocks)?;
+    /// `blocks` laid end to end — the same command — taking each block
+    /// where it lies, so a caller holding its blocks apart (a cache
+    /// flushing a run) builds no buffer for them. A page-sized block that
+    /// lands on exactly one page is kept as that page (a clone of the
+    /// handle, no copy); the rest is copied. The blocks are all of one
+    /// length.
+    pub(crate) fn write_gathered(&mut self, lba: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
+        self.write_from(lba, Source::blocks(blocks)?)
+    }
+
+    /// The one write command behind [`Self::write_sectors`] and
+    /// [`Self::write_gathered`].
+    fn write_from(&mut self, lba: u64, src: Source) -> Result<ServiceTime> {
         let count = Self::sector_count(src.len())?;
         self.command(OpKind::Write, lba, count, |store, run| {
             store.write(run, &src)
@@ -1176,8 +1326,7 @@ impl Disk {
     /// disk image) without perturbing the clock.
     pub fn poke_sectors(&mut self, lba: u64, buf: &[u8]) -> Result<()> {
         let count = Self::sector_count(buf.len())?;
-        let blocks = [buf];
-        let src = Gather::new(&blocks)?;
+        let src = Source::Flat(buf);
         runs(&self.spec.geometry, lba, count)?.for_each(|run| self.store.write(&run, &src));
         Ok(())
     }
@@ -1223,7 +1372,7 @@ impl Disk {
             spec: self.spec.clone(),
             now_ns: self.clock.now(),
             local_events: self.clock.local_events(),
-            pages: self.store.pages.clone(),
+            pages: self.store.fork_table(),
             cur_cyl: self.cur_cyl,
             cur_track: self.cur_track,
             cache: self.cache.clone(),
@@ -1275,7 +1424,7 @@ impl DiskSnapshot {
         Disk {
             spec: self.spec.clone(),
             clock: SimClock::restore(self.now_ns, self.local_events),
-            store: PageStore::new(&self.spec.geometry, Some(self.pages.clone())),
+            store: PageStore::new(&self.spec.geometry, Some(self.pages.share())),
             cur_cyl: self.cur_cyl,
             cur_track: self.cur_track,
             cache: self.cache.clone(),
@@ -1285,6 +1434,7 @@ impl DiskSnapshot {
             metrics: Metrics::disabled(),
             spans: Spans::disabled(),
             obs_enabled: false,
+            published: PageWork::default(),
         }
     }
 }
@@ -1701,8 +1851,7 @@ mod tests {
                 ..ServiceTime::ZERO
             };
             let runs = runs(&self.spec.geometry, lba, count)?;
-            let blocks = [buf];
-            let src = Gather::new(&blocks)?;
+            let src = Source::Flat(buf);
             self.clock.advance(self.spec.command_overhead_ns);
             for run in runs {
                 let head = (self.cur_cyl, self.cur_track);
@@ -1946,10 +2095,10 @@ mod tests {
                 d.snapshot()
             };
             for (sectors, n) in [(8, 5), (3, 11), (12, 4)] {
-                let blocks: Vec<Vec<u8>> = (1..=n)
-                    .map(|i| vec![i as u8; sectors * SECTOR_BYTES])
+                let blocks: Vec<Arc<[u8]>> = (1..=n)
+                    .map(|i| vec![i as u8; sectors * SECTOR_BYTES].into())
                     .collect();
-                let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
+                let refs: Vec<&Arc<[u8]>> = blocks.iter().collect();
                 for (lba, forked) in [0, 1, 7, spt - 5]
                     .into_iter()
                     .flat_map(|l| [(l, false), (l, true)])
@@ -1963,7 +2112,7 @@ mod tests {
                     let st = gathered.write_gathered(lba, &refs).unwrap();
                     assert_eq!(
                         st,
-                        flat.write_sectors(lba, &blocks.concat()).unwrap(),
+                        flat.write_sectors(lba, &blocks.iter().flat_map(|b| b.iter().copied()).collect::<Vec<u8>>()).unwrap(),
                         "{ctx}"
                     );
                     assert_eq!(gathered.now_ns(), flat.now_ns(), "{ctx}");
@@ -1981,7 +2130,8 @@ mod tests {
                 }
             }
             let mut d = Disk::new(spec, SimClock::new());
-            let (page, sector) = ([0u8; PAGE_BYTES], [0u8; SECTOR_BYTES]);
+            let (page, sector): (Arc<[u8]>, Arc<[u8]>) =
+                (Arc::new([0u8; PAGE_BYTES]), Arc::new([0u8; SECTOR_BYTES]));
             assert!(matches!(
                 d.write_gathered(0, &[&page, &sector]),
                 Err(DiskError::BadBufferLength {
@@ -2065,6 +2215,46 @@ mod tests {
         assert_eq!(d.shared_page_copies(), 1);
     }
 
+    /// A page-aligned 4 KiB block handed over as a handle becomes the page
+    /// itself: nothing copied, nothing fresh, one page kept. The drive
+    /// never writes into it while the caller holds it: a one-sector write
+    /// copies the page and the caller's block keeps its bytes; once the
+    /// drive alone holds a page, a short write lands in place. A block
+    /// that does not lie on one whole page is copied, not kept.
+    #[test]
+    fn a_kept_block_is_the_page_until_someone_writes_it() {
+        let mut d = disk();
+        let block: Arc<[u8]> = Arc::from(&[7u8; PAGE_BYTES][..]);
+        d.write_gathered(16, &[&block]).unwrap();
+        let page = d.store.pages.0[2].as_ref().map(|p| Arc::as_ptr(p) as *const u8);
+        assert_eq!(page, Some(block.as_ptr()), "the block is the page");
+        let w = d.store.work();
+        assert_eq!((w.kept, w.bytes_copied, w.fresh, w.bytes_zeroed), (1, 0, 0, 0));
+
+        d.write_sectors(17, &[9u8; SECTOR_BYTES]).unwrap();
+        assert!(block.iter().all(|&b| b == 7), "the caller's block kept its bytes");
+        assert_eq!(d.shared_page_copies(), 1);
+        let mut now = [0u8; PAGE_BYTES];
+        d.peek_sectors(16, &mut now).unwrap();
+        assert_eq!(now[SECTOR_BYTES..2 * SECTOR_BYTES], [9u8; SECTOR_BYTES]);
+        d.write_gathered(16, &[&block]).unwrap();
+        drop(block);
+        d.write_sectors(18, &[9u8; SECTOR_BYTES]).unwrap();
+        assert_eq!(d.shared_page_copies(), 1, "a page the drive alone holds");
+
+        let astride: Arc<[u8]> = Arc::from(&[5u8; PAGE_BYTES][..]);
+        d.write_gathered(28, &[&astride]).unwrap();
+        assert_eq!(Arc::strong_count(&astride), 1, "copied, not kept");
+        d.peek_sectors(28, &mut now).unwrap();
+        assert!(now.iter().all(|&b| b == 5));
+        let w = d.store.work();
+        // Two sectors, the held page the first one copied, and the block
+        // astride two blank pages, which both start zeroed.
+        let copied = 2 * SECTOR_BYTES + PAGE_BYTES + PAGE_BYTES;
+        assert_eq!((w.kept, w.bytes_copied), (2, copied as u64));
+        assert_eq!((w.fresh, w.bytes_zeroed), (3, 2 * PAGE_BYTES as u64));
+    }
+
     /// `disk.read_bytes_copied` counts what the copying read delivers into
     /// the caller's buffer, blank tracks included; shared reads of the
     /// same sectors add nothing.
@@ -2117,14 +2307,20 @@ mod tests {
         }
     }
 
+    /// Blocks a write handed to the drive as handles, and their bytes then.
+    type Handed = (Vec<Arc<[u8]>>, Vec<u8>);
+
     /// Run `ops` on a disk of `spec` and on a flat `Vec<u8>` image of it,
     /// each `(op, a, b, c)` one of: a write (of whole pages when `c` is
-    /// even, of any sectors when odd), a read, a shared read held across
-    /// what follows, dropping a held share, a snapshot, a restore (a fork)
-    /// or dropping a disk or a snapshot. Reads must match as they happen;
-    /// at the end every disk, every snapshot and every held share must read
-    /// as its own image, so no write leaked from a fork into its snapshot,
-    /// its original or another fork, or the other way.
+    /// even, of any sectors when odd; whole pages given as 4 KiB block
+    /// handles the caller keeps when `c & 4` is set too), a read, a shared
+    /// read held across what follows, dropping a held share and a kept
+    /// block list, a snapshot, a restore (a fork) or dropping a disk or a
+    /// snapshot. Reads must match as they happen; at the end every disk,
+    /// every snapshot, every held share and every block handed over must
+    /// read as its own image, so no write leaked from a fork into its
+    /// snapshot, its original or another fork, into a block the drive
+    /// kept, or the other way.
     fn run_against_reference(spec: DiskSpec, ops: Vec<(u8, u64, u32, u8)>) {
         let g = spec.geometry.clone();
         let total = g.total_sectors();
@@ -2132,6 +2328,11 @@ mod tests {
         let mut disks: Vec<(Disk, Modelled)> = vec![(Disk::new(spec, SimClock::new()), blank)];
         let mut snaps: Vec<(DiskSnapshot, Modelled)> = Vec::new();
         let mut shares: Vec<(SharedSectors, Vec<u8>)> = Vec::new();
+        let mut handed: Vec<Handed> = Vec::new();
+        let unchanged = |(blocks, data): &Handed| {
+            let now: Vec<u8> = blocks.iter().flat_map(|b| b.iter().copied()).collect();
+            assert!(now == *data, "the drive wrote into a block it kept");
+        };
         for (step, (op, a, b, c)) in ops.into_iter().enumerate() {
             let (lba, count) = match (a % total, c % 2) {
                 (lba, 0) => (lba / 8 * 8, b.div_ceil(8) * 8),
@@ -2146,7 +2347,13 @@ mod tests {
                     let data: Vec<u8> = (0..range.len())
                         .map(|k| (step * 31 + k / SECTOR_BYTES) as u8)
                         .collect();
-                    disk.write_sectors(lba, &data).unwrap();
+                    if c & 5 == 4 && data.len().is_multiple_of(PAGE_BYTES) {
+                        let blocks: Vec<Arc<[u8]>> = data.chunks(PAGE_BYTES).map(Arc::from).collect();
+                        disk.write_gathered(lba, &blocks.iter().collect::<Vec<_>>()).unwrap();
+                        handed.push((blocks, data.clone()));
+                    } else {
+                        disk.write_sectors(lba, &data).unwrap();
+                    }
                     bytes[range].copy_from_slice(&data);
                     for s in lba..lba + count as u64 {
                         let p = g.lba_to_phys(s).unwrap();
@@ -2162,9 +2369,14 @@ mod tests {
                     disk.share_sectors(lba, count).unwrap().0,
                     bytes[range].to_vec(),
                 )),
-                5 if !shares.is_empty() => {
-                    let (shared, want) = shares.swap_remove(a as usize % shares.len());
-                    check_share(&shared, &want);
+                5 if !shares.is_empty() || !handed.is_empty() => {
+                    if !shares.is_empty() {
+                        let (shared, want) = shares.swap_remove(a as usize % shares.len());
+                        check_share(&shared, &want);
+                    }
+                    if !handed.is_empty() {
+                        unchanged(&handed.swap_remove(a as usize % handed.len()));
+                    }
                 }
                 6 => snaps.push((disk.snapshot(), (bytes.clone(), tracks.clone()))),
                 7 if c & 2 == 0 && !snaps.is_empty() => {
@@ -2185,6 +2397,7 @@ mod tests {
         for (shared, want) in &shares {
             check_share(shared, want);
         }
+        handed.iter().for_each(unchanged);
     }
 
     proptest! {

@@ -51,9 +51,10 @@ impl Hasher for BlockHasher {
 /// One slab slot: a cached block, or a link of the free list.
 ///
 /// Payloads are reference-counted so a cache hit can hand the block to the
-/// caller without copying it: readers share the buffer, and the mutating
-/// paths ([`BufferCache::get_mut`], [`BufferCache::overwrite`]) replace a
-/// payload instead of writing into it while anyone else holds a handle.
+/// caller without copying it: readers share the buffer (and so may a
+/// device that keeps a written block as it is), and the mutating paths
+/// ([`BufferCache::edit`], [`BufferCache::overwrite`]) replace a payload
+/// instead of writing into it while anyone else holds a handle.
 #[derive(Debug, Clone)]
 struct Entry {
     block: u64,
@@ -143,7 +144,7 @@ impl BufferCache {
     }
 
     /// (hits, misses) counters of the lookups [`BufferCache::get_rc`] and
-    /// [`BufferCache::get_mut`].
+    /// [`BufferCache::edit`].
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -155,8 +156,8 @@ impl BufferCache {
         self.probes
     }
 
-    /// Payloads copied because a writer found a reader or a snapshot still
-    /// holding the buffer.
+    /// Payloads copied because a writer found a reader, a snapshot or a
+    /// device still holding the buffer.
     pub fn cow_copies(&self) -> u64 {
         self.cow_copies
     }
@@ -285,30 +286,38 @@ impl BufferCache {
         self.slot(block).is_some()
     }
 
-    /// Borrow a block's payload without touching LRU or the hit counters
-    /// (`&mut self` only to count the probe).
-    pub fn peek(&mut self, block: u64) -> Option<&[u8]> {
+    /// Borrow a block's payload handle without touching LRU or the hit
+    /// counters (`&mut self` only to count the probe).
+    pub fn peek(&mut self, block: u64) -> Option<&Arc<[u8]>> {
         let i = self.slot(block)?;
-        Some(&self.payload(i)[..])
+        Some(self.payload(i))
     }
 
-    /// Borrow the payloads of `blocks`, in order, as [`BufferCache::peek`]
-    /// of each would (one probe each); `None` if one is not cached.
-    pub fn peek_each(&mut self, blocks: &[u64]) -> Option<Vec<&[u8]>> {
+    /// Borrow the payload handles of `blocks`, in order, as
+    /// [`BufferCache::peek`] of each would (one probe each); `None` if one
+    /// is not cached.
+    pub fn peek_each(&mut self, blocks: &[u64]) -> Option<Vec<&Arc<[u8]>>> {
         let slots: Vec<u32> = blocks
             .iter()
             .map(|&block| self.slot(block))
             .collect::<Option<_>>()?;
-        Some(slots.into_iter().map(|i| &self.payload(i)[..]).collect())
+        Some(slots.into_iter().map(|i| self.payload(i)).collect())
     }
 
-    /// Look up a block for a read-modify-write: counts as a hit or miss and
+    /// Read-modify-write a block in place: counts as a hit or miss and
     /// refreshes the LRU position like [`BufferCache::get_rc`], marks the
-    /// block dirty if `dirty` (a dirty block stays dirty either way), and
-    /// returns the payload for editing in place. Copies-on-write if a
-    /// handle from [`BufferCache::get_rc`] or a snapshot still shares the
-    /// payload, so those keep seeing the pre-write bytes.
-    pub fn get_mut(&mut self, block: u64, dirty: bool) -> Option<&mut [u8]> {
+    /// block dirty if `dirty` (a dirty block stays dirty either way), hands
+    /// the payload to `edit`, and returns its handle (to write the block
+    /// through). Copies-on-write if a handle from [`BufferCache::get_rc`],
+    /// a snapshot or a device still shares the payload, so those keep
+    /// seeing the pre-write bytes. `None`, calling nothing, if the block is
+    /// not cached.
+    pub fn edit(
+        &mut self,
+        block: u64,
+        dirty: bool,
+        edit: impl FnOnce(&mut [u8]),
+    ) -> Option<&Arc<[u8]>> {
         let i = self.lookup(block)?;
         self.touch(i, dirty || self.entries[i as usize].dirty);
         let data = self.entries[i as usize]
@@ -319,7 +328,8 @@ impl BufferCache {
             *data = Arc::from(&**data);
             self.cow_copies += 1;
         }
-        Some(Arc::get_mut(data).expect("unshared after CoW"))
+        edit(Arc::get_mut(data).expect("unshared after CoW"));
+        Some(data)
     }
 
     // ----- stores ---------------------------------------------------------
@@ -349,6 +359,33 @@ impl BufferCache {
             None => *payload = Arc::from(data),
         }
         true
+    }
+
+    /// Put `data` in place of a cached block's payload, with the effect of
+    /// [`BufferCache::overwrite`] (most recently used; dirty if `dirty` or
+    /// already dirty) but taking the buffer as it is. Returns the payload
+    /// it replaced, or gives `data` back, changing nothing, if the block is
+    /// not cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not block-sized (internal invariant).
+    pub fn swap(
+        &mut self,
+        block: u64,
+        data: Arc<[u8]>,
+        dirty: bool,
+    ) -> Result<Arc<[u8]>, Arc<[u8]>> {
+        assert_eq!(data.len(), self.block_size, "cache blocks are fixed-size");
+        let Some(i) = self.slot(block) else {
+            return Err(data);
+        };
+        self.touch(i, dirty || self.entries[i as usize].dirty);
+        let payload = self.entries[i as usize]
+            .data
+            .as_mut()
+            .expect("mapped entry has a payload");
+        Ok(std::mem::replace(payload, data))
     }
 
     /// Insert (or replace) a block. Does **not** evict — call
@@ -532,18 +569,35 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_marks_dirty_on_request() {
+    fn edit_marks_dirty_on_request() {
         let mut c = cache(2);
         c.insert(1, vec![0; 4], false);
-        c.get_mut(1, false).unwrap()[0] = 7;
+        c.edit(1, false, |b| b[0] = 7).unwrap();
         assert_eq!(c.dirty_count(), 0, "a write-through edit stays clean");
-        c.get_mut(1, true).unwrap()[0] = 9;
+        c.edit(1, true, |b| b[0] = 9).unwrap();
         assert_eq!(c.dirty_count(), 1);
-        c.get_mut(1, false).unwrap()[1] = 8;
+        let edited = c.edit(1, false, |b| b[1] = 8).unwrap();
+        assert_eq!(&edited[..], &[9, 8, 0, 0], "the handle carries the edit");
         assert_eq!(c.dirty_count(), 1, "dirtiness is sticky");
         assert_eq!(c.get_rc(1).as_deref(), Some(&[9, 8, 0, 0][..]));
-        assert!(c.get_mut(2, true).is_none());
-        assert_eq!(c.stats(), (4, 1), "get_mut counts as a lookup");
+        assert!(c.edit(2, true, |_| unreachable!()).is_none());
+        assert_eq!(c.stats(), (4, 1), "edit counts as a lookup");
+    }
+
+    /// A swap puts the caller's buffer in place as it is and gives the old
+    /// one back; an absent block gives the buffer back untouched.
+    #[test]
+    fn swap_takes_the_buffer_and_returns_the_old() {
+        let mut c = cache(2);
+        let new: Arc<[u8]> = Arc::from(&[5u8; 4][..]);
+        let new = c.swap(1, new, true).expect_err("absent blocks are not inserted");
+        assert!(!c.contains(1));
+        c.insert(1, vec![1, 2, 3, 4], true);
+        let old = c.swap(1, Arc::clone(&new), false).unwrap();
+        assert_eq!(&old[..], &[1, 2, 3, 4]);
+        assert!(Arc::ptr_eq(c.peek(1).unwrap(), &new), "kept, not copied");
+        assert_eq!(c.dirty_count(), 1, "dirtiness is sticky");
+        assert_eq!(c.cow_copies(), 0);
     }
 
     #[test]
@@ -562,7 +616,7 @@ mod tests {
         let held = c.get_rc(1).unwrap();
         assert!(c.overwrite(1, &[6; 4], true));
         assert_eq!(&held[..], &[5; 4]);
-        assert_eq!(c.peek(1).unwrap(), &[6; 4]);
+        assert_eq!(&c.peek(1).unwrap()[..], &[6; 4]);
         assert_eq!(c.dirty_count(), 1);
         assert_eq!(
             c.cow_copies(),
@@ -578,14 +632,14 @@ mod tests {
         let snap = c.get_rc(1).unwrap();
         assert_eq!(c.stats(), (1, 0), "get_rc counts as a hit");
         // Mutation must not be visible through the outstanding handle.
-        c.get_mut(1, true).unwrap()[0] = 9;
+        c.edit(1, true, |b| b[0] = 9).unwrap();
         assert_eq!(&snap[..], &[1, 2, 3, 4]);
         assert_eq!(c.get_rc(1).unwrap()[0], 9);
         assert_eq!(c.cow_copies(), 1);
         drop(snap);
         // Unshared payloads mutate in place.
-        c.get_mut(1, true).unwrap()[1] = 8;
-        assert_eq!(c.peek(1).unwrap(), &[9, 8, 3, 4]);
+        c.edit(1, true, |b| b[1] = 8).unwrap();
+        assert_eq!(&c.peek(1).unwrap()[..], &[9, 8, 3, 4]);
         assert_eq!(c.cow_copies(), 1);
     }
 
@@ -788,13 +842,17 @@ mod tests {
                     }
                 }
                 16..=18 => {
-                    let got = c.get_mut(blk, dirty);
                     let want = m.touch(blk, dirty);
-                    assert_eq!(got.is_some(), want.is_some());
-                    if let (Some(g), Some(w)) = (got, want) {
-                        assert_eq!(g, w);
+                    let mut seen = None;
+                    let got = c.edit(blk, dirty, |g| {
+                        seen = Some(g.to_vec());
                         g[data[0] as usize % 4] = data[1];
+                    });
+                    assert_eq!(got.is_some(), want.is_some());
+                    if let Some(w) = want {
+                        assert_eq!(seen.as_deref(), Some(&w[..]));
                         w[data[0] as usize % 4] = data[1];
+                        assert_eq!(got.map(|g| &g[..]), Some(&w[..]));
                     }
                 }
                 19 => {
@@ -842,7 +900,7 @@ mod tests {
                     assert_eq!(c.dirty_count(), m.blocks.iter().filter(|e| e.1).count());
                     c.check_invariants();
                     for e in &m.blocks {
-                        assert_eq!(c.peek(e.0), Some(&e.3[..]), "block {}", e.0);
+                        assert_eq!(c.peek(e.0).map(|b| &b[..]), Some(&e.3[..]), "block {}", e.0);
                     }
                     for (h, w) in &held {
                         assert_eq!(&h[..], w, "a held handle saw a later write");

@@ -23,6 +23,8 @@
 //! The LLD runs over any raw [`BlockDevice`] — a regular disk, or a VLD for
 //! the paper's "LFS on VLD" configuration.
 
+use std::sync::Arc;
+
 use crate::seg::{
     checkpoint_map, digest, encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg,
     summary_block, validate_checkpoint, Digest, SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS,
@@ -938,7 +940,7 @@ impl BlockDevice for LogDisk {
         })
     }
 
-    fn write_gathered(&mut self, start: u64, blocks: &[&[u8]]) -> DiskResult<ServiceTime> {
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> DiskResult<ServiceTime> {
         // What `write_blocks` does with the blocks laid end to end: one
         // append each, each taken where it lies.
         let bs = self.block_size();
@@ -1105,7 +1107,8 @@ mod tests {
     fn gathered_writes_append_each_block() {
         let (mut gathered, mut flat) = (lld(), lld());
         let blocks: Vec<Vec<u8>> = (0..SEG_DATA + 3).map(|i| vec![i as u8; 4096]).collect();
-        let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
+        let handles: Vec<Arc<[u8]>> = blocks.iter().map(|b| b[..].into()).collect();
+        let refs: Vec<&Arc<[u8]>> = handles.iter().collect();
         let st = gathered.write_gathered(7, &refs).unwrap();
         assert_eq!(st, flat.write_blocks(7, &blocks.concat()).unwrap());
         assert_eq!(
@@ -1117,7 +1120,7 @@ mod tests {
             gathered.read_block(7 + i as u64, &mut r).unwrap();
             assert_eq!(&r, b);
         }
-        assert!(gathered.write_gathered(0, &[&[0u8; 512]]).is_err());
+        assert!(gathered.write_gathered(0, &[&Arc::from(&[0u8; 512][..])]).is_err());
     }
 
     #[test]

@@ -81,6 +81,7 @@ impl Bitmap {
     }
 
     /// Test a bit.
+    #[cfg(test)]
     pub(crate) fn get(&self, i: u64) -> bool {
         debug_assert!(i < self.len);
         self.bits[(i / 64) as usize] >> (i % 64) & 1 == 1
@@ -122,19 +123,28 @@ impl Bitmap {
             return None;
         }
         let start = if hint >= self.len { 0 } else { hint };
-        let mut i = start;
+        let i = self
+            .first_free(start, self.len)
+            .or_else(|| self.first_free(0, start))?;
+        self.set(i);
+        Some(i)
+    }
+
+    /// The lowest clear bit in `from..to`, 64 bits a word.
+    fn first_free(&self, from: u64, to: u64) -> Option<u64> {
+        let mut w = (from / 64) as usize;
+        // Bits below `from` in its word count as used.
+        let mut free = !*self.bits.get(w)? & (!0 << (from % 64));
         loop {
-            if !self.get(i) {
-                self.set(i);
-                return Some(i);
+            if free != 0 {
+                let i = w as u64 * 64 + u64::from(free.trailing_zeros());
+                return (i < to).then_some(i);
             }
-            i += 1;
-            if i == self.len {
-                i = 0;
-            }
-            if i == start {
+            w += 1;
+            if w as u64 * 64 >= to {
                 return None;
             }
+            free = !self.bits[w];
         }
     }
 
@@ -178,6 +188,7 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn set_clear_counts() {
@@ -203,6 +214,58 @@ mod tests {
         }
         assert_eq!(b.free(), 0);
         assert_eq!(b.alloc_from(3), None);
+    }
+
+    /// [`Bitmap::alloc_from`] as it was, one bit at a time.
+    fn alloc_bitwise(b: &mut Bitmap, hint: u64) -> Option<u64> {
+        if b.used() == b.len() {
+            return None;
+        }
+        let start = if hint >= b.len() { 0 } else { hint };
+        let mut i = start;
+        loop {
+            if !b.get(i) {
+                b.set(i);
+                return Some(i);
+            }
+            i += 1;
+            if i == b.len() {
+                i = 0;
+            }
+            if i == start {
+                return None;
+            }
+        }
+    }
+
+    proptest! {
+        /// The word scan allocates exactly the bits the bitwise scan does,
+        /// from any hint (past the end, in a word's middle, on its last
+        /// bit), across the wrap-around and into a full map, with frees in
+        /// between, on lengths on and off a word boundary.
+        #[test]
+        fn alloc_from_matches_the_bitwise_scan(
+            len in prop_oneof![1u64..200, Just(4096 * 8 + 3)],
+            ops in proptest::collection::vec((any::<u64>(), 0u8..4), 1..400),
+        ) {
+            let (mut words, mut bits) = (Bitmap::new(len), Bitmap::new(len));
+            for (x, op) in ops {
+                let hint = match op {
+                    0 => x % (len + 70),
+                    1 => (x % len.div_ceil(64)) * 64 + 63,
+                    _ => x % len,
+                };
+                if op == 3 && words.used() > 0 {
+                    words.clear(hint);
+                    bits.clear(hint);
+                    continue;
+                }
+                prop_assert_eq!(words.alloc_from(hint), alloc_bitwise(&mut bits, hint));
+                prop_assert_eq!(words.used(), bits.used());
+            }
+            prop_assert_eq!(words.bits, bits.bits);
+            prop_assert_eq!(words.dirty, bits.dirty);
+        }
     }
 
     #[test]

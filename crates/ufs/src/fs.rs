@@ -27,7 +27,7 @@ use crate::inode::{classify, BlockPath, Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
 use crate::tree::{self, Named, Namespace, Node, TreeVisitor, Verdict, ROOT_INO};
 use disksim::codec::{get_bytes, get_u32, put_u32};
-use disksim::{BlockDevice, DeviceSnapshot, SimClock};
+use disksim::{BlockDevice, DeviceSnapshot, SharedBlocks, SimClock};
 use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
 
 /// What a freshly allocated pointer block, or a data block about to be
@@ -37,6 +37,27 @@ static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 /// A zero-filled block buffer nothing else holds yet.
 fn zeroed_block() -> Arc<[u8]> {
     Arc::from(&ZERO_BLOCK[..])
+}
+
+/// `data` in `spare` when no one else holds it, else in a new buffer.
+fn refill(spare: Option<Arc<[u8]>>, data: &[u8]) -> Arc<[u8]> {
+    if let Some(mut block) = spare {
+        if let Some(buf) = Arc::get_mut(&mut block) {
+            buf.copy_from_slice(data);
+            return block;
+        }
+    }
+    Arc::from(data)
+}
+
+/// Block `i` of a shared read as a buffer to cache: the drive's own page
+/// where the device lent one, else a copy (counted in `copies`).
+fn take_block(shared: &SharedBlocks, i: usize, copies: &mut u64) -> Arc<[u8]> {
+    let range = i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE;
+    shared.page(range.clone()).unwrap_or_else(|| {
+        *copies += 1;
+        Arc::from(shared.get(range, &mut Vec::new()))
+    })
 }
 
 /// Slot occupancy of one directory, with the lowest free slot kept current
@@ -125,6 +146,12 @@ pub struct Ufs {
     copies: u64,
     /// `(cache probes, block copies)` already added to the metrics counters.
     work_published: (u64, u64),
+    /// A block buffer a write-through fills before the cached block changes
+    /// (see [`Ufs::put_block`]): the payload the last one replaced.
+    spare_block: Option<Arc<[u8]>>,
+    /// What a device that cannot lend its media reads into (see
+    /// [`BlockDevice::share_blocks`]).
+    read_spare: Vec<u8>,
     /// Observability sink (disabled by default — a single branch per use).
     metrics: disksim::Metrics,
     /// Causal-span handle shared with the device stack below (cloned from
@@ -225,6 +252,8 @@ impl Ufs {
             state,
             copies: 0,
             work_published,
+            spare_block: None,
+            read_spare: Vec::new(),
             metrics: disksim::Metrics::disabled(),
             spans,
         }
@@ -436,9 +465,10 @@ impl Ufs {
     /// add the file layer's deterministic work since the last refresh to
     /// its two counters: `ufs.cache_probes` (keyed buffer-cache calls) and
     /// `ufs.block_copies` (whole-block payload copies: caller data into the
-    /// cache, cached data out to the caller, copy-on-write, read-ahead
-    /// splitting; a flush copies nothing). The hot paths only bump plain
-    /// integers; the one `is_enabled` branch is here.
+    /// cache, cached data out to the caller, copy-on-write, a block a read
+    /// could not take as the drive's own page; a flush copies nothing).
+    /// The hot paths only bump plain integers; the one `is_enabled` branch
+    /// is here.
     fn update_cache_gauges(&mut self) {
         if !self.metrics.is_enabled() {
             return;
@@ -484,7 +514,7 @@ impl Ufs {
                 if sp == 0 {
                     sp = self.span_open(disksim::SpanKind::CacheFlush, "ufs.evict");
                 }
-                self.dev.write_block(vb, &vd)?;
+                self.dev.write_gathered(vb, &[&vd])?;
             }
         }
         self.span_close(sp);
@@ -492,11 +522,15 @@ impl Ufs {
         Ok(())
     }
 
-    /// Read a device block into a fresh buffer, bypassing the cache.
+    /// Read a device block, bypassing the cache: the drive's own page where
+    /// the device lends it (shared, so copy it before editing), else a
+    /// buffer of its own.
     fn load_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
-        let mut data = zeroed_block();
-        let buf = Arc::get_mut(&mut data).expect("fresh buffer is unshared");
-        self.dev.read_block(blk, buf)?;
+        let mut spare = std::mem::take(&mut self.read_spare);
+        let (shared, _) = self.dev.share_blocks(blk, 1, &mut spare)?;
+        let data = take_block(&shared, 0, &mut self.copies);
+        drop(shared);
+        self.read_spare = spare;
         Ok(data)
     }
 
@@ -513,38 +547,57 @@ impl Ufs {
     }
 
     /// Overwrite a whole device block from the caller's slice:
-    /// synchronously (write-through) or delayed. The bytes go straight to
-    /// the device and are copied once, into the cached buffer.
+    /// synchronously (write-through) or delayed. The bytes are copied once,
+    /// into the buffer the cache will hold. A write-through fills the spare
+    /// buffer and hands it to the device (which may keep it rather than
+    /// copy it) before it replaces the cached payload, so a failed one
+    /// leaves the cache as it was; the payload it replaces is the next
+    /// spare.
     fn put_block(&mut self, blk: u64, data: &[u8], sync: bool) -> FsResult<()> {
-        if sync {
-            self.dev.write_block(blk, data)?;
+        if !sync {
+            self.copies += 1;
+            if self.state.cache.overwrite(blk, data, true) {
+                return Ok(());
+            }
+            return self.cache_insert(blk, Arc::from(data), true);
+        }
+        let block = refill(self.spare_block.take(), data);
+        if let Err(e) = self.dev.write_gathered(blk, &[&block]) {
+            self.spare_block = Some(block);
+            return Err(e.into());
         }
         self.copies += 1;
-        if self.state.cache.overwrite(blk, data, !sync) {
-            return Ok(());
+        match self.state.cache.swap(blk, block, false) {
+            Ok(old) => {
+                self.spare_block = Some(old);
+                Ok(())
+            }
+            Err(block) => self.cache_insert(blk, block, false),
         }
-        self.cache_insert(blk, Arc::from(data), !sync)
     }
 
     /// Read-modify-write part of a device block, in place in the cache:
     /// `edit` gets the block's current bytes, and the result is written
     /// through (`sync`) or left dirty. A failed write-through leaves the
     /// cached copy ahead of the media, as a failed delayed flush does.
-    fn update_block(&mut self, blk: u64, sync: bool, edit: impl FnOnce(&mut [u8])) -> FsResult<()> {
-        if let Some(buf) = self.state.cache.get_mut(blk, !sync) {
-            edit(buf);
+    fn update_block(&mut self, blk: u64, sync: bool, mut edit: impl FnMut(&mut [u8])) -> FsResult<()> {
+        if let Some(data) = self.state.cache.edit(blk, !sync, &mut edit) {
             if sync {
-                self.dev.write_block(blk, buf)?;
+                self.dev.write_gathered(blk, &[data])?;
             }
             return Ok(());
         }
         let mut data = self.load_block(blk)?;
-        edit(Arc::get_mut(&mut data).expect("fresh buffer is unshared"));
+        if Arc::get_mut(&mut data).is_none() {
+            data = Arc::from(&*data);
+            self.copies += 1;
+        }
+        edit(Arc::get_mut(&mut data).expect("sole owner"));
         // Make room (possibly writing a dirty victim) before this block's
         // own write-through, the order a read followed by a write has.
         self.cache_insert(blk, Arc::clone(&data), !sync)?;
         if sync {
-            self.dev.write_block(blk, &data)?;
+            self.dev.write_gathered(blk, &[&data])?;
         }
         Ok(())
     }
@@ -715,7 +768,7 @@ impl Ufs {
         while let Some(blk) = self.state.dirty_ptrs.pop_first() {
             if let Some((data, dirty)) = self.state.cache.remove(blk) {
                 if dirty {
-                    self.dev.write_block(blk, &data)?;
+                    self.dev.write_gathered(blk, &[&data])?;
                 }
                 self.state.cache.insert(blk, data, false);
             }
@@ -920,25 +973,17 @@ impl Ufs {
         }
         targets.sort_unstable();
         targets.dedup();
-        // One staging buffer serves every multi-block run; a lone block is
-        // read straight into the buffer the cache will hold.
-        let mut staging = Vec::new();
+        // Each run is one shared read; the cache takes the drive's pages
+        // where the device lends them.
+        let mut spare = std::mem::take(&mut self.read_spare);
         for run in targets.chunk_by(|a, b| *b == *a + 1) {
-            if let [blk] = run {
-                let mut data = zeroed_block();
-                let buf = Arc::get_mut(&mut data).expect("fresh buffer is unshared");
-                self.dev.read_blocks(*blk, buf)?;
-                self.cache_insert(*blk, data, false)?;
-            } else {
-                staging.clear();
-                staging.resize(run.len() * BLOCK_SIZE, 0);
-                self.dev.read_blocks(run[0], &mut staging)?;
-                for (blk, chunk) in run.iter().zip(staging.chunks(BLOCK_SIZE)) {
-                    self.cache_insert(*blk, chunk.into(), false)?;
-                }
-                self.copies += run.len() as u64;
+            let (shared, _) = self.dev.share_blocks(run[0], run.len(), &mut spare)?;
+            for (i, &blk) in run.iter().enumerate() {
+                let data = take_block(&shared, i, &mut self.copies);
+                self.cache_insert(blk, data, false)?;
             }
         }
+        self.read_spare = spare;
         Ok(())
     }
 
@@ -1011,7 +1056,7 @@ impl Ufs {
                 let buf = Arc::get_mut(&mut block).expect("fresh buffer is unshared");
                 buf[in_block..in_block + n].copy_from_slice(piece);
                 if self.state.sync_data {
-                    self.dev.write_block(dev_blk, &block)?;
+                    self.dev.write_gathered(dev_blk, &[&block])?;
                 }
                 self.cache_insert(dev_blk, block, !self.state.sync_data)?;
             }
@@ -1315,7 +1360,7 @@ impl FileSystem for Ufs {
                     }
                     self.state.host.charge(&clock, 1);
                     let data = self.state.cache.peek(blk).expect("flushed block cached");
-                    self.dev.write_block(blk, data).is_err()
+                    self.dev.write_gathered(blk, &[data]).is_err()
                 });
                 // Re-dirty them in place (no copy, recency intact), all in
                 // one pass of the cache's lists.
@@ -1360,7 +1405,196 @@ impl Ufs {
 
 #[cfg(test)]
 mod tests {
-    use super::DirSlots;
+    use super::*;
+    use crate::inode::NDIRECT;
+    use disksim::{downcast_device, probe_device, DiskSpec, FaultDisk, FaultPlan, RegularDisk};
+    use proptest::prelude::*;
+
+    /// Blocks the aliasing test writes, from the start of the data region:
+    /// none is allocated, so nothing else in the file system writes them.
+    const SPAN: usize = 24;
+
+    /// A fresh volume on the small paper disk, whose 16-block cache is
+    /// smaller than [`SPAN`] so writes evict dirty blocks too.
+    fn volume(dev: Box<dyn BlockDevice>) -> Ufs {
+        let cfg = UfsConfig {
+            cache_bytes: 16 * BLOCK_SIZE,
+            ..UfsConfig::default()
+        };
+        Ufs::format(dev, HostModel::sparcstation_10(), cfg).expect("format")
+    }
+
+    fn regular() -> Box<dyn BlockDevice> {
+        Box::new(RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), BLOCK_SIZE))
+    }
+
+    /// Block `blk` as the drive holds it, read at no cost.
+    fn media(fs: &Ufs, blk: u64) -> Vec<u8> {
+        let snap = fs.dev.snapshot().expect("the stack snapshots");
+        let dev = snap.restore();
+        let bottom = match probe_device::<FaultDisk>(dev.as_ref()) {
+            Some(_) => downcast_device::<FaultDisk>(dev).into_parts().3,
+            None => dev,
+        };
+        let disk = downcast_device::<RegularDisk>(bottom).into_disk();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        disk.peek_sectors(blk * (BLOCK_SIZE / 512) as u64, &mut buf)
+            .expect("in range");
+        buf
+    }
+
+    /// `(cached bytes, dirty)` of `blk`, without touching the cache.
+    fn cached(fs: &Ufs, blk: u64) -> Option<(Vec<u8>, bool)> {
+        let mut cache = fs.state.cache.clone();
+        let bytes = cache.peek(blk)?.to_vec();
+        Some((bytes, cache.take_dirty_sorted().contains(&blk)))
+    }
+
+    /// What the file system must show for each of the [`SPAN`] blocks
+    /// (`view`), and what the drive must hold for those the cache keeps
+    /// dirty (`durable`): every other block is on the drive as viewed.
+    #[derive(Clone)]
+    struct Model {
+        view: Vec<Vec<u8>>,
+        durable: Vec<Vec<u8>>,
+    }
+
+    /// Every block's cached bytes are the view; a dirty block's drive bytes
+    /// are the last durable ones, any other block's the view (which is
+    /// then durable).
+    fn check(fs: &Ufs, model: &mut Model, what: &str) {
+        let base = fs.state.layout.data_start;
+        for i in 0..SPAN {
+            let blk = base + i as u64;
+            let on_drive = media(fs, blk);
+            let cached = cached(fs, blk);
+            if let Some((bytes, _)) = &cached {
+                assert!(*bytes == model.view[i], "{what}: cached block {i}");
+            }
+            if cached.is_some_and(|(_, dirty)| dirty) {
+                assert!(on_drive == model.durable[i], "{what}: dirty block {i} on the drive");
+            } else {
+                assert!(on_drive == model.view[i], "{what}: block {i} on the drive");
+                model.durable[i].clone_from(&model.view[i]);
+            }
+        }
+    }
+
+    /// The drive keeps the cache's blocks as its pages, the cache reads
+    /// the drive's pages, and snapshots share both: through random
+    /// synchronous and delayed whole-block writes, partial edits, reads
+    /// (a miss, or a read-ahead run over a file whose direct blocks are
+    /// the first of the [`SPAN`]), flushes, cache drops, and whole-stack
+    /// snapshots, restores and drops, no write on one side shows through
+    /// on the other, and no snapshot sees what was written after it.
+    fn run_aliasing(ops: Vec<(u8, usize, u16, u8)>) {
+        let mut fs = volume(regular());
+        let base = fs.state.layout.data_start;
+        let blank = vec![vec![0u8; BLOCK_SIZE]; SPAN];
+        let mut model = Model {
+            view: blank.clone(),
+            durable: blank,
+        };
+        let mut saved: Vec<(UfsSnapshot, Model)> = Vec::new();
+        let mut file = Inode::empty();
+        for (k, ptr) in file.direct.iter_mut().enumerate() {
+            *ptr = (base + k as u64) as u32;
+        }
+        for (step, (op, i, at, x)) in ops.into_iter().enumerate() {
+            let (i, sync) = (i % SPAN, x % 2 == 0);
+            let blk = base + i as u64;
+            match op % 9 {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..BLOCK_SIZE).map(|k| (step + k / 512) as u8 ^ x).collect();
+                    fs.put_block(blk, &data, sync).expect("put");
+                    model.view[i] = data;
+                }
+                2 | 3 => {
+                    let lo = at as usize % BLOCK_SIZE;
+                    let hi = (lo + 1 + x as usize * 37).min(BLOCK_SIZE);
+                    fs.update_block(blk, sync, |buf| buf[lo..hi].fill(step as u8))
+                        .expect("update");
+                    model.view[i][lo..hi].fill(step as u8);
+                }
+                4 if x % 2 == 0 => {
+                    let got = fs.get_block(blk).expect("read");
+                    assert!(*got == model.view[i], "step {step}: read block {i}");
+                }
+                4 => {
+                    let from = (i % NDIRECT) as u64;
+                    let to = (from + 1 + at as u64 % 8).min(NDIRECT as u64);
+                    fs.readahead(&mut file, from, to).expect("read-ahead");
+                }
+                5 => {
+                    if x % 3 == 0 {
+                        fs.drop_caches();
+                    } else {
+                        fs.sync().expect("sync");
+                    }
+                }
+                6 => saved.push((fs.snapshot().expect("snapshot"), model.clone())),
+                7 if !saved.is_empty() => {
+                    let (snap, m) = &saved[at as usize % saved.len()];
+                    fs = snap.restore();
+                    model = m.clone();
+                }
+                8 if !saved.is_empty() => drop(saved.swap_remove(at as usize % saved.len())),
+                _ => {}
+            }
+            if sync && op % 9 < 4 {
+                model.durable[i].clone_from(&model.view[i]);
+            }
+            check(&fs, &mut model, &format!("step {step}"));
+        }
+        for (n, (snap, m)) in saved.iter_mut().enumerate() {
+            check(&snap.restore(), m, &format!("snapshot {n}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        #[test]
+        fn cache_and_drive_share_blocks_without_aliasing(
+            ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u16>(), any::<u8>()), 1..80),
+        ) {
+            run_aliasing(ops);
+        }
+    }
+
+    /// A write-through the device refuses changes nothing in the cache
+    /// for a whole-block write (the cached block keeps its old bytes), and
+    /// leaves a partial edit cached ahead of the media, as a failed flush
+    /// does; the next write-through goes through.
+    #[test]
+    fn a_failed_write_through_leaves_the_cached_block() {
+        let setup = |plan: FaultPlan| {
+            let mut fs = volume(Box::new(FaultDisk::new(regular(), plan)));
+            let blk = fs.state.layout.data_start;
+            fs.put_block(blk, &[1u8; BLOCK_SIZE], true).expect("put");
+            (fs, blk)
+        };
+        let (fs, _) = setup(FaultPlan::none());
+        let ops = probe_device::<FaultDisk>(fs.device()).expect("fault layer").write_ops();
+        // Plan indices count write ops from 1: fail the next two.
+        let plan = FaultPlan::transient(ops + 1).with(ops + 2, disksim::WriteFault::Transient);
+        let (mut fs, blk) = setup(plan);
+        let old = vec![1u8; BLOCK_SIZE];
+
+        assert!(fs.put_block(blk, &[2u8; BLOCK_SIZE], true).is_err());
+        assert_eq!(cached(&fs, blk), Some((old.clone(), false)));
+        assert_eq!(media(&fs, blk), old);
+
+        assert!(fs.update_block(blk, true, |buf| buf[..8].fill(3)).is_err());
+        let mut ahead = old.clone();
+        ahead[..8].fill(3);
+        assert_eq!(cached(&fs, blk), Some((ahead, false)));
+        assert_eq!(media(&fs, blk), old);
+
+        fs.put_block(blk, &[4u8; BLOCK_SIZE], true).expect("put");
+        assert_eq!(cached(&fs, blk), Some((vec![4u8; BLOCK_SIZE], false)));
+        assert_eq!(media(&fs, blk), vec![4u8; BLOCK_SIZE]);
+    }
 
     /// The cursor must name the slot a scan from index 0 finds, through any
     /// mix of creates and deletes.

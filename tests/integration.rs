@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full file-system stacks over full device
 //! stacks, exercised end to end on simulated drives.
 
-use vlfs::disksim::{BlockDevice, DiskSpec, RegularDisk, SimClock};
+use vlfs::disksim::{BlockDevice, DiskSpec, FaultDisk, FaultPlan, Metrics, RegularDisk, SimClock};
 use vlfs::fscore::{FileSystem, HostModel};
 use vlfs::lfs::{lfs_filesystem, LfsConfig};
 use vlfs::ufs::{Ufs, UfsConfig};
@@ -348,4 +348,45 @@ fn lfs_stack_crash_and_roll_forward() {
         assert_eq!(fs.read(f, 0, &mut out).unwrap(), 8000);
         assert!(out.iter().all(|&b| b == i as u8), "durable{i} corrupted");
     }
+}
+
+/// The page work the drive publishes for one synchronous 4 KiB overwrite
+/// of a file block on UFS: `(bytes copied, bytes zeroed, fresh pages,
+/// pages kept, write commands)`.
+fn sync_overwrite_work(dev: impl FnOnce(RegularDisk) -> Box<dyn BlockDevice>) -> [u64; 5] {
+    let mut disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
+    let metrics = Metrics::enabled();
+    disk.disk_mut().set_metrics(metrics.clone());
+    let mut fs = Ufs::format(dev(disk), HostModel::instant(), UfsConfig::default()).unwrap();
+    let f = fs.create("f").unwrap();
+    fs.write(f, 0, &[1u8; 4096]).unwrap();
+    fs.sync().unwrap();
+    fs.set_sync_writes(true);
+    let keys = [
+        "disk.page_bytes_copied",
+        "disk.page_bytes_zeroed",
+        "disk.pages_fresh",
+        "disk.pages_kept",
+        "disk.writes",
+    ];
+    let before = keys.map(|k| metrics.counter_value(k));
+    fs.write(f, 0, &[2u8; 4096]).unwrap();
+    let mut back = [0u8; 4096];
+    fs.drop_caches();
+    fs.read(f, 0, &mut back).unwrap();
+    assert_eq!(back, [2u8; 4096]);
+    let after = keys.map(|k| metrics.counter_value(k));
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// One copy of each block: the regular disk keeps the buffer cache's
+/// block as its page, so a synchronous whole-block overwrite copies no
+/// byte into the media and keeps one page. Behind a layer that copies
+/// (a fault layer with nothing planned) the same overwrite copies the
+/// block's 4 096 bytes onto the page it already owns.
+#[test]
+fn a_synchronous_block_overwrite_keeps_the_cached_block() {
+    assert_eq!(sync_overwrite_work(|d| Box::new(d)), [0, 0, 0, 1, 1]);
+    let copying = |d| Box::new(FaultDisk::new(Box::new(d), FaultPlan::none())) as Box<dyn BlockDevice>;
+    assert_eq!(sync_overwrite_work(copying), [4096, 0, 0, 0, 1]);
 }
