@@ -12,7 +12,7 @@
 //! construction).
 
 use crate::alloc::best_in_cylinder;
-use crate::log::{VirtualLog, BLOCK_BYTES, BLOCK_SECTORS};
+use crate::log::{DataBlock, VirtualLog, BLOCK_BYTES, BLOCK_SECTORS};
 use crate::mapsector::{MapFlags, UNMAPPED};
 use disksim::{DiskError, PhysAddr, Result, SECTOR_BYTES};
 use rand::rngs::StdRng;
@@ -264,7 +264,7 @@ impl Compactor {
 
         // One whole-track read: the compactor works at track granularity.
         // The drive lends the track's pages themselves, not a copy, and
-        // the moves below write each live block straight from its page.
+        // each move below hands the destination the live block's own page.
         let (victim, _) = vlog.disk_mut().share_sectors(start_lba, spt)?;
         let Scratch { moves, resident } = &mut self.scratch;
 
@@ -299,9 +299,16 @@ impl Compactor {
                 Self::commit_piece(vlog, cur)?;
             }
             current_piece = Some(piece);
-            let block = victim
-                .get(off..off + BLOCK_BYTES)
-                .ok_or(DiskError::Corrupt("live block on a never-written page"))?;
+            let range = off..off + BLOCK_BYTES;
+            let page = victim.page(range.clone());
+            let block = match &page {
+                Some(page) => DataBlock::Handle(page),
+                None => DataBlock::Bytes(
+                    victim
+                        .get(range)
+                        .ok_or(DiskError::Corrupt("live block on a never-written page"))?,
+                ),
+            };
             vlog.relocate_block(lb, old_pb, block, (vc, vt))?;
             self.stats.blocks_moved += 1;
         }
@@ -364,7 +371,7 @@ impl VirtualLog {
         &mut self,
         lb: u64,
         old_pb: u32,
-        data: &[u8],
+        block: DataBlock,
         victim: (u32, u32),
     ) -> Result<()> {
         let cand = self
@@ -375,7 +382,7 @@ impl VirtualLog {
             track: cand.1,
             sector: cand.2,
         })?;
-        self.disk.write_sectors(lba, data)?;
+        block.write_to(&mut self.disk, lba)?;
         self.state
             .free
             .allocate(cand.0, cand.1, cand.2, BLOCK_SECTORS)?;
@@ -654,13 +661,28 @@ mod tests {
         );
     }
 
-    /// The victim track is lent, not copied, and the loan ends inside
-    /// `compact_track`: on aged logs (both drives, 50–95 % full) no write
-    /// during `Compactor::run` copies a page for a live handle, and no
-    /// page is still held afterwards — rewriting a sector of every page of
-    /// every materialised track copies nothing either.
+    /// The drive's page holding physical block `pb`, taken by a timed
+    /// shared read.
+    fn page_of(v: &mut VirtualLog, pb: u64) -> std::sync::Arc<[u8]> {
+        let (shared, _) = v
+            .disk_mut()
+            .share_sectors(pb * BLOCK_SECTORS as u64, BLOCK_SECTORS)
+            .unwrap();
+        shared
+            .page(0..crate::log::BLOCK_BYTES)
+            .expect("a live block is one written page")
+    }
+
+    /// A move hands the destination the victim's own page, and the loan of
+    /// the victim track ends inside `compact_track`: on aged logs (both
+    /// drives, 50–95 % full) every live block's page after
+    /// `Compactor::run` is the very page it had before, wherever the block
+    /// now lies, and afterwards no page has a holder outside the drive's
+    /// table — each is held exactly as often as the table names it.
     #[test]
-    fn the_lent_victim_track_is_never_copied_and_never_outlives_a_run() {
+    fn a_moved_block_keeps_its_page_and_no_loan_outlives_a_run() {
+        use std::collections::HashMap;
+        use std::sync::Arc;
         for spec in [DiskSpec::hp97560_sim(), DiskSpec::st19101_sim()] {
             for util in [0.5f64, 0.8, 0.95] {
                 let mut spec = spec.clone();
@@ -678,33 +700,66 @@ mod tests {
                     let lb = live.swap_remove(rng.gen_range(0..live.len()));
                     v.trim(lb).unwrap();
                 }
+                let before: Vec<(u64, u64, Arc<[u8]>)> = live
+                    .iter()
+                    .map(|&lb| {
+                        let pb = v.translate(lb).unwrap();
+                        (lb, pb, page_of(&mut v, pb))
+                    })
+                    .collect();
                 let mut c = Compactor::new(CompactorConfig {
                     target_empty_tracks: u32::MAX,
                     ..CompactorConfig::default()
                 });
                 c.run(&mut v, 2_000_000_000);
                 assert!(c.stats().blocks_moved > 0, "util {util}: nothing compacted");
-                assert_eq!(v.disk().shared_page_copies(), 0, "util {util}");
-
-                let mut sector = [0u8; SECTOR_BYTES];
-                for (cyl, track) in v.disk().materialised_tracks() {
-                    let spt = v.disk().spec().geometry.sectors_per_track(cyl).unwrap();
-                    for first in (0..spt).step_by(BLOCK_SECTORS as usize) {
-                        let at = PhysAddr {
-                            cyl,
-                            track,
-                            sector: first,
-                        };
-                        let lba = v.disk().phys_to_lba(at).unwrap();
-                        v.disk().peek_sectors(lba, &mut sector).unwrap();
-                        v.disk_mut().poke_sectors(lba, &sector).unwrap();
-                    }
+                let mut moved = 0;
+                for (lb, pb, page) in before {
+                    let now = v.translate(lb).unwrap();
+                    moved += (now != pb) as u64;
+                    let at = page_of(&mut v, now);
+                    assert!(
+                        Arc::ptr_eq(&at, &page),
+                        "util {util}: block {lb} was copied"
+                    );
                 }
-                assert_eq!(
-                    v.disk().shared_page_copies(),
-                    0,
-                    "util {util}: a page outlived the run"
-                );
+                assert!(moved > 0, "util {util}");
+
+                // Hold every written page through one share per track: a
+                // page the table names k times then has 2k holders, plus
+                // the probe's own.
+                let shares: Vec<_> = v
+                    .disk()
+                    .materialised_tracks()
+                    .into_iter()
+                    .map(|(cyl, track)| {
+                        let g = &v.disk().spec().geometry;
+                        let lba = g.track_start_lba(cyl, track).unwrap();
+                        let spt = g.sectors_per_track(cyl).unwrap();
+                        (v.disk_mut().share_sectors(lba, spt).unwrap().0, spt)
+                    })
+                    .collect();
+                let pages = || {
+                    shares.iter().flat_map(|(shared, spt)| {
+                        let blocks = (0..*spt as usize).step_by(BLOCK_SECTORS as usize);
+                        blocks.filter_map(|first| {
+                            let at = first * SECTOR_BYTES;
+                            shared.page(at..at + crate::log::BLOCK_BYTES)
+                        })
+                    })
+                };
+                let mut named: HashMap<*const u8, usize> = HashMap::new();
+                for page in pages() {
+                    *named.entry(Arc::as_ptr(&page) as *const u8).or_default() += 1;
+                }
+                for page in pages() {
+                    let k = named[&(Arc::as_ptr(&page) as *const u8)];
+                    assert_eq!(
+                        Arc::strong_count(&page),
+                        2 * k + 1,
+                        "util {util}: a loan outlived the run"
+                    );
+                }
             }
         }
     }

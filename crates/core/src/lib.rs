@@ -52,7 +52,7 @@ pub use alloc::{AllocConfig, AllocatorState, Candidate, EagerAllocator};
 pub use checkpoint::Checkpoint;
 pub use compact::{CompactStats, Compactor, CompactorConfig, VictimPolicy};
 pub use freemap::FreeMap;
-pub use log::{PieceLoc, VirtualLog, VlogSnapshot, VlogStats, BLOCK_BYTES};
+pub use log::{DataBlock, PieceLoc, VirtualLog, VlogSnapshot, VlogStats, BLOCK_BYTES};
 pub use mapsector::{MapFlags, MapSector, TxnInfo, PIECE_ENTRIES, UNMAPPED};
 pub use recovery::RecoveryReport;
 pub use tail::{TailRecord, TAIL_LBA};

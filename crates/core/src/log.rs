@@ -19,6 +19,8 @@
 //! All I/O is simulated through [`disksim::Disk`]; every public operation
 //! returns the [`ServiceTime`] it consumed.
 
+use std::sync::Arc;
+
 use crate::alloc::{AllocConfig, AllocatorState, Candidate, EagerAllocator};
 use crate::checkpoint::{Checkpoint, CheckpointRegion};
 use crate::freemap::FreeMap;
@@ -31,6 +33,60 @@ use disksim::{Disk, DiskError, DiskSnapshot, Result, ServiceTime, SECTOR_BYTES};
 pub(crate) const BLOCK_SECTORS: u32 = 8;
 /// Bytes per data block.
 pub const BLOCK_BYTES: usize = BLOCK_SECTORS as usize * SECTOR_BYTES;
+
+/// A data block to write: the caller's bytes, which the drive copies, or
+/// the caller's block handle, which the drive keeps as its page where the
+/// block is one whole page ([`Disk::write_gathered`]) and copies
+/// otherwise. Both go through the one eager write.
+#[derive(Debug, Clone, Copy)]
+pub enum DataBlock<'a> {
+    /// Bytes to copy.
+    Bytes(&'a [u8]),
+    /// A block the drive may keep; the caller copies it before writing
+    /// into it again while the drive holds it.
+    Handle(&'a Arc<[u8]>),
+}
+
+impl DataBlock<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Bytes(bytes) => bytes.len(),
+            Self::Handle(handle) => handle.len(),
+        }
+    }
+
+    /// Write the block at `lba` of `disk`: one timed command.
+    pub(crate) fn write_to(self, disk: &mut Disk, lba: u64) -> Result<ServiceTime> {
+        match self {
+            Self::Bytes(bytes) => disk.write_sectors(lba, bytes),
+            Self::Handle(handle) => disk.write_gathered(lba, &[handle]),
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for DataBlock<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Self::Bytes(bytes)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [u8; N]> for DataBlock<'a> {
+    fn from(bytes: &'a [u8; N]) -> Self {
+        Self::Bytes(bytes)
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for DataBlock<'a> {
+    fn from(bytes: &'a Vec<u8>) -> Self {
+        Self::Bytes(bytes)
+    }
+}
+
+impl<'a> From<&'a Arc<[u8]>> for DataBlock<'a> {
+    fn from(handle: &'a Arc<[u8]>) -> Self {
+        Self::Handle(handle)
+    }
+}
 
 /// Where one live piece of the map currently sits on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,10 +342,11 @@ impl VirtualLog {
 
     /// Write one logical block atomically: eager data write, then the map
     /// piece that commits it.
-    pub fn write(&mut self, lb: u64, buf: &[u8]) -> Result<ServiceTime> {
+    pub fn write<'a>(&mut self, lb: u64, block: impl Into<DataBlock<'a>>) -> Result<ServiceTime> {
+        let block = block.into();
         self.check_lb(lb)?;
-        Self::check_buf(buf.len())?;
-        let mut total = self.write_data_block(lb, buf)?;
+        Self::check_buf(block.len())?;
+        let mut total = self.write_data_block(lb, block)?;
         let piece = self.piece_of(lb);
         total += self.append_piece(piece, MapFlags::EMPTY, None)?;
         self.release_superseded();
@@ -325,8 +382,8 @@ impl VirtualLog {
             Self::check_buf(buf.len())?;
         }
         let mut total = ServiceTime::ZERO;
-        for (lb, buf) in batch {
-            total += self.write_data_block(*lb, buf)?;
+        for &(lb, buf) in batch {
+            total += self.write_data_block(lb, buf.into())?;
         }
         // Group the affected pieces, preserving a deterministic order.
         let mut pieces: Vec<u32> = batch.iter().map(|(lb, _)| self.piece_of(*lb)).collect();
@@ -366,7 +423,7 @@ impl VirtualLog {
     /// the bulk path the VLD's `write_blocks` uses — large sequential
     /// transfers (e.g. an LFS segment flush through the VLD) would
     /// otherwise transiently hold both old and new copies of every block.
-    pub(crate) fn write_batch(&mut self, batch: &[(u64, &[u8])]) -> Result<ServiceTime> {
+    pub(crate) fn write_batch(&mut self, batch: &[(u64, DataBlock)]) -> Result<ServiceTime> {
         const CHUNK: usize = 24;
         let mut total = ServiceTime::ZERO;
         let mut i = 0;
@@ -376,10 +433,10 @@ impl VirtualLog {
             while j < batch.len() && j - i < CHUNK && self.piece_of(batch[j].0) == piece {
                 j += 1;
             }
-            for (lb, buf) in &batch[i..j] {
-                self.check_lb(*lb)?;
-                Self::check_buf(buf.len())?;
-                total += self.write_data_block(*lb, buf)?;
+            for &(lb, block) in &batch[i..j] {
+                self.check_lb(lb)?;
+                Self::check_buf(block.len())?;
+                total += self.write_data_block(lb, block)?;
             }
             total += self.append_piece(piece, MapFlags::EMPTY, None)?;
             self.release_superseded();
@@ -459,7 +516,8 @@ impl VirtualLog {
     /// crash landed mid-transaction.
     #[doc(hidden)]
     pub fn write_data_block_for_test(&mut self, lb: u64, buf: &[u8]) {
-        self.write_data_block(lb, buf).expect("test write fits");
+        self.write_data_block(lb, buf.into())
+            .expect("test write fits");
     }
 
     /// Fault-injection hook: append a map piece with explicit flags (e.g. a
@@ -494,14 +552,15 @@ impl VirtualLog {
     }
 
     /// Eager-write the data for `lb`, updating the in-memory map and
-    /// deferring the release of the overwritten block until commit.
-    fn write_data_block(&mut self, lb: u64, buf: &[u8]) -> Result<ServiceTime> {
+    /// deferring the release of the overwritten block until commit. A
+    /// handle becomes the drive's page where it is one whole page.
+    fn write_data_block(&mut self, lb: u64, block: DataBlock) -> Result<ServiceTime> {
         let cand = self
             .alloc
             .find_block(&self.disk, &self.state.free)
             .ok_or(DiskError::NoSpace)?;
         let lba = self.cand_lba(&cand)?;
-        let t = self.disk.write_sectors(lba, buf)?;
+        let t = block.write_to(&mut self.disk, lba)?;
         self.state
             .free
             .allocate(cand.cyl, cand.track, cand.sector, BLOCK_SECTORS)?;

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::alloc::AllocConfig;
 use crate::compact::{Compactor, CompactorConfig};
-use crate::log::{VirtualLog, VlogSnapshot, BLOCK_BYTES};
+use crate::log::{DataBlock, VirtualLog, VlogSnapshot, BLOCK_BYTES};
 use crate::recovery::RecoveryReport;
 use disksim::{
     BlockDevice, CachePolicy, DeviceSnapshot, Disk, DiskSpec, DiskStats, Metrics, Result,
@@ -177,10 +177,10 @@ impl Vld {
     fn write_run<'a>(
         &mut self,
         start: u64,
-        blocks: impl Iterator<Item = &'a [u8]>,
+        blocks: impl Iterator<Item = DataBlock<'a>>,
     ) -> Result<ServiceTime> {
         let host = self.charge_host_overhead();
-        let batch: Vec<(u64, &[u8])> = (start..).zip(blocks).collect();
+        let batch: Vec<(u64, DataBlock)> = (start..).zip(blocks).collect();
         Ok(host + self.vlog.write_batch(&batch)?)
     }
 
@@ -227,16 +227,18 @@ impl BlockDevice for Vld {
     }
 
     fn write_blocks(&mut self, start: u64, buf: &[u8]) -> Result<ServiceTime> {
-        self.write_run(start, buf.chunks(BLOCK_BYTES))
+        self.write_run(start, buf.chunks(BLOCK_BYTES).map(DataBlock::Bytes))
     }
 
     fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
-        // A lone block is a write-through and takes the one-block path: a
-        // batch of one simulates the same but costs more host CPU.
+        // The log takes the handles, so the drive keeps each block as its
+        // page. A lone block is a write-through and takes the one-block
+        // path: a batch of one simulates the same but costs more host CPU.
         if let [block] = blocks {
-            return self.write_block(start, block);
+            let host = self.charge_host_overhead();
+            return Ok(host + self.vlog.write(start, *block)?);
         }
-        self.write_run(start, blocks.iter().map(|b| &b[..]))
+        self.write_run(start, blocks.iter().map(|&b| DataBlock::Handle(b)))
     }
 
     fn trim(&mut self, block: u64) -> Result<()> {

@@ -106,10 +106,12 @@ pub trait BlockDevice {
     /// [`BlockDevice::write_blocks`] with several laid end to end.
     ///
     /// The blocks are the caller's handles. A device that copies borrows
-    /// them; one that can keep a block as it is ([`RegularDisk`] does, for
-    /// a page-aligned 4 KiB block) clones the handle instead of copying
-    /// the bytes. Either way the bytes written are the block's at the
-    /// call: the caller writes into a block it handed over only once
+    /// them; one that can keep a block as it is ([`RegularDisk`] and the
+    /// VLD do, for a page-aligned 4 KiB block, and a
+    /// [`FaultDisk`](crate::FaultDisk) passes them through to its device
+    /// when no planned fault falls on the run) clones the handle instead
+    /// of copying the bytes. Either way the bytes written are the block's
+    /// at the call: the caller writes into a block it handed over only once
     /// `Arc::get_mut` says no one else holds it, and copies it otherwise.
     /// The default copies: a lone block through `write_block`, several
     /// laid end to end in a buffer.
@@ -206,7 +208,7 @@ impl SharedBlocks<'_> {
     /// [`SharedBlocks::get`]).
     pub fn page(&self, range: Range<usize>) -> Option<Arc<[u8]>> {
         match self {
-            SharedBlocks::Lent(shared) => shared.page(range).map(|page| page as Arc<[u8]>),
+            SharedBlocks::Lent(shared) => shared.page(range),
             SharedBlocks::Copied(_) => None,
         }
     }

@@ -214,24 +214,79 @@ const FREE_PAGES_CAP: usize = 4096;
 /// list at a time.
 const PAGE_BATCH: usize = 64;
 
+/// A kept write parks the page it replaced in [`LOCAL_PAGES`] while that
+/// holds fewer pages than this: enough to carry a synchronous overwrite's
+/// replaced page to the file layer's next buffer without a lock. A fuller
+/// list sends it to [`FREE_PAGES`].
+const POOL_CAP: usize = 16;
+
 /// Pages no table holds any more, kept for reuse. A fresh page from the
 /// allocator is memory the process has not touched yet, or gave back to
 /// the kernel when the pages before it were freed, so its first write
 /// takes a page fault, which costs more than the write. Forks take and
 /// drop thousands of pages, and the free list turns those faults into
-/// reuse. A dropped table parks its pages under one lock, and a thread
-/// takes them [`PAGE_BATCH`] at a time into [`LOCAL_PAGES`], so parallel
-/// forks do not queue behind the lock. The list is kept in address order
-/// and hands out its lowest pages first, so the pages a table takes lie
-/// close together rather than wherever the last dropped table left them
-/// (the quick suite runs about 8 % faster than with a plain stack). What
-/// a parked page holds is never read: a page taken from the list is
-/// wholly written before any read.
+/// reuse. A dropped table parks its pages under one lock (and a kept
+/// write the page it replaced, when the thread's own list is full: see
+/// [`park`]), and a thread takes them [`PAGE_BATCH`] at a time into
+/// [`LOCAL_PAGES`], so parallel forks do not queue behind the lock. The
+/// list is kept in address order and hands out its lowest pages first,
+/// so the pages a table takes lie close together rather than wherever the
+/// last dropped table left them (the quick suite runs about 8 % faster
+/// than with a plain stack). What a parked page holds is never read: a
+/// page taken from the list is wholly written before any read.
 static FREE_PAGES: Mutex<Vec<Arc<Page>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    /// This thread's batch of parked or new pages, lowest address last.
+    /// This thread's page pool: a batch of parked or new pages, lowest
+    /// address last, and the pages kept writes replaced ([`park`]), taken
+    /// first.
     static LOCAL_PAGES: RefCell<Vec<Arc<Page>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Park `page`, which a kept write replaced, if no one else holds it, so
+/// the next fresh page or [`pooled_copy`] reuses it while it is still warm
+/// instead of freeing it: in this thread's pool while that holds fewer
+/// than [`POOL_CAP`] pages, else on [`FREE_PAGES`] while that has room
+/// (out of address order, so it is taken first), else let it go. A
+/// compactor pass hands hundreds of moved blocks' destinations their
+/// victims' pages; the pages it replaces there are what the writes that
+/// later refill the victims take, and freeing them meant allocating as
+/// many again (1.3 allocations per op on `burst_idle_vld` through a
+/// copying layer).
+fn park(mut page: Arc<Page>) {
+    if Arc::get_mut(&mut page).is_none() {
+        return;
+    }
+    let spilled = LOCAL_PAGES.with_borrow_mut(|local| {
+        if local.len() < POOL_CAP {
+            local.push(page);
+            None
+        } else {
+            Some(page)
+        }
+    });
+    let Some(page) = spilled else { return };
+    if let Ok(mut free) = FREE_PAGES.lock() {
+        if free.len() < FREE_PAGES_CAP {
+            free.push(page);
+        }
+    }
+}
+
+/// A block holding a copy of `bytes` that no one else holds. A 4 KiB one
+/// lies on a page of the drive's page pool, so a file layer that copies a
+/// block the drive keeps (a copy-on-write, a refilled buffer) reuses the
+/// page a kept write just replaced rather than allocating; any other
+/// length is a new allocation.
+pub fn pooled_copy(bytes: &[u8]) -> Arc<[u8]> {
+    if bytes.len() != PAGE_BYTES {
+        return Arc::from(bytes);
+    }
+    let mut page = fresh_page();
+    Arc::get_mut(&mut page)
+        .expect("a fresh page has one holder")
+        .copy_from_slice(bytes);
+    page
 }
 
 /// A page no one else holds: a parked one, or a new one. With nothing
@@ -322,7 +377,9 @@ impl std::fmt::Debug for Pages {
 /// fills nothing), and a write to a page only this store holds lands in
 /// place. A whole-page write whose bytes are one of the caller's block
 /// handles ([`Disk::write_gathered`]) keeps that block as the page and
-/// copies nothing.
+/// copies nothing; the page it replaces, if no one else holds it, goes
+/// to the page pool ([`park`]) for the next fresh page or
+/// [`pooled_copy`].
 #[derive(Debug)]
 struct PageStore {
     pages: Pages,
@@ -435,7 +492,9 @@ impl PageStore {
             let (at, len) = (bytes.start, bytes.len());
             let entry = &mut self.pages.0[page];
             if let Some(kept) = src.page(&bytes) {
-                *entry = Some(kept);
+                if let Some(replaced) = entry.replace(kept) {
+                    park(replaced);
+                }
                 work.kept += 1;
                 continue;
             }
@@ -651,14 +710,17 @@ impl SharedSectors {
     }
 
     /// The drive's page that is exactly bytes `range` of the read, held
-    /// for the caller; `None` unless the range is one whole written page.
-    pub(crate) fn page(&self, range: Range<usize>) -> Option<Arc<Page>> {
+    /// for the caller as a block it may keep or write back
+    /// ([`Disk::write_gathered`] keeps it as a page again, copying
+    /// nothing); `None` unless the range is one whole written page.
+    pub fn page(&self, range: Range<usize>) -> Option<Arc<[u8]>> {
         let pieces = self.pieces();
         let i = pieces.partition_point(|p| (p.at as usize) < range.start);
         let p = pieces.get(i).filter(|p| p.at as usize == range.start && p.off == 0)?;
         let end = pieces.get(i + 1).map_or(self.len, |p| p.at as usize);
         let whole = range.len() == PAGE_BYTES && end - range.start == PAGE_BYTES;
-        p.page.clone().filter(|_| whole)
+        let page: Arc<[u8]> = p.page.clone().filter(|_| whole)?;
+        Some(page)
     }
 
     /// Bytes `range` of the read, borrowed from the one page they lie on;
@@ -1301,7 +1363,7 @@ impl Disk {
     /// lands on exactly one page is kept as that page (a clone of the
     /// handle, no copy); the rest is copied. The blocks are all of one
     /// length.
-    pub(crate) fn write_gathered(&mut self, lba: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
+    pub fn write_gathered(&mut self, lba: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
         self.write_from(lba, Source::blocks(blocks)?)
     }
 
@@ -2253,6 +2315,28 @@ mod tests {
         let copied = 2 * SECTOR_BYTES + PAGE_BYTES + PAGE_BYTES;
         assert_eq!((w.kept, w.bytes_copied), (2, copied as u64));
         assert_eq!((w.fresh, w.bytes_zeroed), (3, 2 * PAGE_BYTES as u64));
+    }
+
+    /// A kept write parks the page it replaces when the drive alone held
+    /// it, and the next pooled copy is written onto that very page; a
+    /// replaced page someone else still holds is left to its holder.
+    #[test]
+    fn a_kept_write_recycles_the_page_it_replaces() {
+        let mut d = disk();
+        d.write_sectors(16, &[1u8; PAGE_BYTES]).unwrap();
+        let old = d.store.pages.0[2].as_ref().map(|p| Arc::as_ptr(p) as *const u8);
+        // Start from an empty pool, whatever this thread's batch holds.
+        LOCAL_PAGES.with_borrow_mut(Vec::clear);
+        let block: Arc<[u8]> = Arc::from(&[7u8; PAGE_BYTES][..]);
+        d.write_gathered(16, &[&block]).unwrap();
+        let copy = pooled_copy(&[9u8; PAGE_BYTES]);
+        assert_eq!(Some(copy.as_ptr()), old, "the replaced page came back");
+        assert!(copy.iter().all(|&b| b == 9));
+
+        let other: Arc<[u8]> = Arc::from(&[8u8; PAGE_BYTES][..]);
+        d.write_gathered(16, &[&other]).unwrap();
+        assert_eq!(LOCAL_PAGES.with_borrow(Vec::len), 0, "the caller still holds it");
+        assert!(block.iter().all(|&b| b == 7));
     }
 
     /// `disk.read_bytes_copied` counts what the copying read delivers into

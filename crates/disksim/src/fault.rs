@@ -28,6 +28,7 @@
 //! no acknowledged write is ever lost (`into_parts`).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use obs::{OpKind, TraceEvent, Tracer};
 
@@ -266,8 +267,39 @@ impl FaultDisk {
         Ok(())
     }
 
-    /// One write op through the plan. Factored out so `write_blocks` can
-    /// run per-block when a fault falls inside its range.
+    /// A run of `blocks` from `start` on, one write op each. With no fault
+    /// planned in the run, `forward` hands the whole run to the inner
+    /// device (keeping its clustering, timing, and any block it keeps
+    /// rather than copies) and every block is acked; otherwise the run is
+    /// applied block by block, in ascending order, stopping at the first
+    /// failure — exactly what a mid-transfer power loss does to a large
+    /// sequential write.
+    fn write_run<'a>(
+        &mut self,
+        start: u64,
+        blocks: impl ExactSizeIterator<Item = &'a [u8]>,
+        forward: impl FnOnce(&mut dyn BlockDevice) -> Result<ServiceTime>,
+    ) -> Result<ServiceTime> {
+        let n = blocks.len() as u64;
+        let first = self.state.next_op;
+        if !self.state.plan.intersects(first, first + n) {
+            let t = forward(self.inner.as_mut())?;
+            for (block, data) in (start..).zip(blocks) {
+                self.state.acked.insert(block, content_hash(data));
+            }
+            self.state.next_op += n;
+            self.state.acked_ops += n;
+            return Ok(t);
+        }
+        let mut total = ServiceTime::ZERO;
+        for (block, data) in (start..).zip(blocks) {
+            total += self.write_one(block, data)?;
+        }
+        Ok(total)
+    }
+
+    /// One write op through the plan, so a run a fault falls inside can go
+    /// block by block ([`FaultDisk::write_run`]).
     fn write_one(&mut self, block: u64, buf: &[u8]) -> Result<ServiceTime> {
         self.check_power()?;
         let op = self.state.next_op;
@@ -382,32 +414,15 @@ impl BlockDevice for FaultDisk {
                 actual: buf.len(),
             });
         }
-        let n = (buf.len() / bs) as u64;
-        if !self
-            .state
-            .plan
-            .intersects(self.state.next_op, self.state.next_op + n)
-        {
-            // No fault in range: forward the whole run (preserves the
-            // device's clustering/timing behaviour) and ack every block.
-            let t = self.inner.write_blocks(start, buf)?;
-            for (i, chunk) in buf.chunks(bs).enumerate() {
-                self.state
-                    .acked
-                    .insert(start + i as u64, content_hash(chunk));
-            }
-            self.state.next_op += n;
-            self.state.acked_ops += n;
-            return Ok(t);
-        }
-        // A fault lands inside this run: apply it block by block, in
-        // ascending order, stopping at the first failure — exactly what a
-        // mid-transfer power loss does to a large sequential write.
-        let mut total = ServiceTime::ZERO;
-        for (i, chunk) in buf.chunks(bs).enumerate() {
-            total += self.write_one(start + i as u64, chunk)?;
-        }
-        Ok(total)
+        self.write_run(start, buf.chunks(bs), |inner| {
+            inner.write_blocks(start, buf)
+        })
+    }
+
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> Result<ServiceTime> {
+        self.check_power()?;
+        let each = blocks.iter().map(|block| &block[..]);
+        self.write_run(start, each, |inner| inner.write_gathered(start, blocks))
     }
 
     fn trim(&mut self, block: u64) -> Result<()> {
@@ -602,6 +617,45 @@ mod tests {
         assert_eq!(r, block(2));
         raw.read_block(22, &mut r).unwrap();
         assert!(r.iter().all(|&b| b == 0), "block past the cut landed");
+    }
+
+    /// A gathered write is the write of its blocks laid end to end through
+    /// the plan: with no fault in the run, with a torn power cut inside it
+    /// and with a corruption on its first block, the op count, fault log,
+    /// acks, clock and media match `write_blocks` of the same bytes. With
+    /// no fault planned on the run the handles reach the drive, which
+    /// keeps them; a run a fault falls on is copied block by block.
+    #[test]
+    fn a_gathered_write_is_its_blocks_through_the_plan() {
+        let blocks: Vec<Arc<[u8]>> = (1..=4).map(|t| Arc::from(block(t))).collect();
+        let handles: Vec<&Arc<[u8]>> = blocks.iter().collect();
+        let flat = blocks.concat();
+        let plans = [
+            (FaultPlan::none().with(9, WriteFault::Transient), true),
+            (FaultPlan::torn_power_cut(3, 5), false),
+            (FaultPlan::corrupt_write(2, 7), false),
+        ];
+        for (plan, kept) in plans {
+            let (mut gathered, mut laid) = (dev(plan.clone()), dev(plan));
+            for d in [&mut gathered, &mut laid] {
+                d.write_block(19, &block(0xAA)).unwrap();
+            }
+            let holders = Arc::strong_count(&blocks[0]);
+            let got = gathered.write_gathered(20, &handles);
+            assert_eq!(got, laid.write_blocks(20, &flat));
+            assert_eq!(Arc::strong_count(&blocks[0]) > holders, kept, "{got:?}");
+            assert_eq!(gathered.write_ops(), laid.write_ops());
+            assert_eq!(gathered.fault_log(), laid.fault_log());
+            let (g_clock, l_clock) = (gathered.clock(), laid.clock());
+            assert_eq!(g_clock.now(), l_clock.now());
+            let ((g_ops, _, g_acked, mut g_raw), (l_ops, _, l_acked, mut l_raw)) =
+                (gathered.into_parts(), laid.into_parts());
+            assert_eq!((g_ops, g_acked), (l_ops, l_acked));
+            let (mut a, mut b) = (vec![0u8; 6 * BS], vec![1u8; 6 * BS]);
+            g_raw.read_blocks(19, &mut a).unwrap();
+            l_raw.read_blocks(19, &mut b).unwrap();
+            assert!(a == b, "media");
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub use device::{
     downcast_device, probe_device, BlockDevice, DeviceSnapshot, RegularDisk, SharedBlocks,
 };
 pub use disk::{
-    CylinderPricer, Disk, DiskSnapshot, DiskStats, HeadPosition, SharedSectors, TrackPricer,
+    pooled_copy, CylinderPricer, Disk, DiskSnapshot, DiskStats, HeadPosition, SharedSectors,
+    TrackPricer,
 };
 pub use error::{DiskError, Result};
 pub use fault::{FaultDisk, FaultLog, FaultPlan, WriteFault};

@@ -310,8 +310,9 @@ impl BufferCache {
     /// the payload to `edit`, and returns its handle (to write the block
     /// through). Copies-on-write if a handle from [`BufferCache::get_rc`],
     /// a snapshot or a device still shares the payload, so those keep
-    /// seeing the pre-write bytes. `None`, calling nothing, if the block is
-    /// not cached.
+    /// seeing the pre-write bytes; the copy takes a page from the drive's
+    /// pool ([`disksim::pooled_copy`]). `None`, calling nothing, if the
+    /// block is not cached.
     pub fn edit(
         &mut self,
         block: u64,
@@ -325,7 +326,7 @@ impl BufferCache {
             .as_mut()
             .expect("mapped entry has a payload");
         if Arc::get_mut(data).is_none() {
-            *data = Arc::from(&**data);
+            *data = disksim::pooled_copy(data);
             self.cow_copies += 1;
         }
         edit(Arc::get_mut(data).expect("unshared after CoW"));
@@ -337,9 +338,9 @@ impl BufferCache {
     /// Replace the payload of a cached block with `data`, with the effect
     /// of [`BufferCache::insert`] (most recently used; dirty if `dirty` or
     /// already dirty) but from a borrowed slice: the bytes are copied into
-    /// the existing buffer when nobody shares it, into one fresh buffer
-    /// otherwise. Returns false, changing nothing, if the block is not
-    /// cached.
+    /// the existing buffer when nobody shares it, into a pooled one
+    /// ([`disksim::pooled_copy`]) otherwise. Returns false, changing
+    /// nothing, if the block is not cached.
     ///
     /// # Panics
     ///
@@ -356,7 +357,7 @@ impl BufferCache {
             .expect("mapped entry has a payload");
         match Arc::get_mut(payload) {
             Some(buf) => buf.copy_from_slice(data),
-            None => *payload = Arc::from(data),
+            None => *payload = disksim::pooled_copy(data),
         }
         true
     }

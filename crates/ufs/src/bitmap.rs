@@ -6,7 +6,9 @@
 //! the file system, which is exactly what makes small-file workloads slow
 //! on an update-in-place disk.)
 
-use crate::layout::BLOCK_SIZE;
+use std::sync::Arc;
+
+use crate::layout::{zeroed_block, BLOCK_SIZE};
 use disksim::codec::{get_u64, put_u64};
 
 /// A bitmap with per-disk-block dirty tracking. Bit set = in use.
@@ -171,17 +173,19 @@ impl Bitmap {
         self.dirty.iter_mut().for_each(|d| *d = false);
     }
 
-    /// One BLOCK_SIZE-sized chunk of the serialised bitmap (zero-padded):
-    /// its words, little-endian, which is the byte layout
-    /// [`Bitmap::from_bytes`] reads (bits at or past `len` are never set).
-    pub(crate) fn chunk_bytes(&self, chunk: usize) -> Vec<u8> {
+    /// One BLOCK_SIZE-sized chunk of the serialised bitmap (zero-padded),
+    /// in a block the drive can keep: its words, little-endian, which is
+    /// the byte layout [`Bitmap::from_bytes`] reads (bits at or past `len`
+    /// are never set).
+    pub(crate) fn chunk_bytes(&self, chunk: usize) -> Arc<[u8]> {
         const WORDS: usize = BLOCK_SIZE / 8;
-        let mut out = vec![0u8; BLOCK_SIZE];
+        let mut block = zeroed_block();
+        let out = Arc::get_mut(&mut block).expect("a pooled block has one holder");
         let words = self.bits.iter().skip(chunk * WORDS).take(WORDS);
         for (i, &w) in words.enumerate() {
-            put_u64(&mut out, i * 8, w);
+            put_u64(out, i * 8, w);
         }
-        out
+        block
     }
 }
 
@@ -278,7 +282,9 @@ mod tests {
                 }
             }
             // Word-wise chunks are the bytes `to_bytes` lays out, padded.
-            let mut bytes: Vec<u8> = (0..b.dirty.len()).flat_map(|c| b.chunk_bytes(c)).collect();
+            let mut bytes: Vec<u8> = (0..b.dirty.len())
+                .flat_map(|c| b.chunk_bytes(c).to_vec())
+                .collect();
             assert_eq!(bytes[..b.to_bytes().len()], b.to_bytes(), "len {len}");
             // Garbage past `len` must not come back as set bits.
             let last = (len as usize - 1) / 8;

@@ -24,22 +24,15 @@ use crate::bitmap::Bitmap;
 use crate::dir::{Dirent, DIRENT_SIZE};
 use crate::fsck::read_blocks;
 use crate::inode::{classify, BlockPath, Inode, NO_BLOCK, PTRS_PER_BLOCK};
-use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
+use crate::layout::{zeroed_block, Layout, BLOCK_SIZE, INODE_SIZE, ZERO_BLOCK};
 use crate::tree::{self, Named, Namespace, Node, TreeVisitor, Verdict, ROOT_INO};
 use disksim::codec::{get_bytes, get_u32, put_u32};
-use disksim::{BlockDevice, DeviceSnapshot, SharedBlocks, SimClock};
+use disksim::{pooled_copy, BlockDevice, DeviceSnapshot, SharedBlocks, SimClock};
 use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
 
-/// What a freshly allocated pointer block, or a data block about to be
-/// overwritten, is filled with.
-static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
-
-/// A zero-filled block buffer nothing else holds yet.
-fn zeroed_block() -> Arc<[u8]> {
-    Arc::from(&ZERO_BLOCK[..])
-}
-
-/// `data` in `spare` when no one else holds it, else in a new buffer.
+/// `data` in `spare` when no one else holds it, else in a pooled buffer
+/// ([`disksim::pooled_copy`]): on a device that keeps blocks, the page its
+/// last kept write replaced.
 fn refill(spare: Option<Arc<[u8]>>, data: &[u8]) -> Arc<[u8]> {
     if let Some(mut block) = spare {
         if let Some(buf) = Arc::get_mut(&mut block) {
@@ -47,7 +40,7 @@ fn refill(spare: Option<Arc<[u8]>>, data: &[u8]) -> Arc<[u8]> {
             return block;
         }
     }
-    Arc::from(data)
+    pooled_copy(data)
 }
 
 /// Block `i` of a shared read as a buffer to cache: the drive's own page
@@ -56,7 +49,7 @@ fn take_block(shared: &SharedBlocks, i: usize, copies: &mut u64) -> Arc<[u8]> {
     let range = i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE;
     shared.page(range.clone()).unwrap_or_else(|| {
         *copies += 1;
-        Arc::from(shared.get(range, &mut Vec::new()))
+        pooled_copy(shared.get(range, &mut Vec::new()))
     })
 }
 
@@ -234,7 +227,7 @@ impl Ufs {
         let mut fs = Self::assemble(dev, UfsState::new(host, layout, cfg, bitmaps));
         // Superblock, root inode, bitmaps.
         let sp = fs.span_open(disksim::SpanKind::FsOp, "ufs.format");
-        fs.dev.write_block(0, &layout.encode())?;
+        fs.dev.write_gathered(0, &[&layout.encode()])?;
         fs.state.inode_bm.set(ROOT_INO as u64);
         fs.put_inode(ROOT_INO, &Inode::empty_dir(), true)?;
         fs.flush_bitmaps()?;
@@ -559,7 +552,7 @@ impl Ufs {
             if self.state.cache.overwrite(blk, data, true) {
                 return Ok(());
             }
-            return self.cache_insert(blk, Arc::from(data), true);
+            return self.cache_insert(blk, pooled_copy(data), true);
         }
         let block = refill(self.spare_block.take(), data);
         if let Err(e) = self.dev.write_gathered(blk, &[&block]) {
@@ -589,7 +582,7 @@ impl Ufs {
         }
         let mut data = self.load_block(blk)?;
         if Arc::get_mut(&mut data).is_none() {
-            data = Arc::from(&*data);
+            data = pooled_copy(&data);
             self.copies += 1;
         }
         edit(Arc::get_mut(&mut data).expect("sole owner"));
@@ -745,7 +738,7 @@ impl Ufs {
         // snapshot shares the payload: only then is the block copied.
         drop(self.state.cache.remove(ptr_blk));
         if Arc::get_mut(&mut ptrs).is_none() {
-            ptrs = Arc::from(&*ptrs);
+            ptrs = pooled_copy(&ptrs);
             self.copies += 1;
         }
         put_u32(Arc::get_mut(&mut ptrs).expect("sole owner"), o, b as u32);
@@ -917,7 +910,7 @@ impl Ufs {
         for (bitmap, start) in [&mut st.inode_bm, &mut st.block_bm].into_iter().zip(starts) {
             for chunk in bitmap.take_dirty_chunks() {
                 let data = bitmap.chunk_bytes(chunk);
-                self.dev.write_block(start + chunk as u64, &data)?;
+                self.dev.write_gathered(start + chunk as u64, &[&data])?;
             }
         }
         Ok(())
@@ -1407,7 +1400,7 @@ impl Ufs {
 mod tests {
     use super::*;
     use crate::inode::NDIRECT;
-    use disksim::{downcast_device, probe_device, DiskSpec, FaultDisk, FaultPlan, RegularDisk};
+    use disksim::{probe_device, DiskSpec, FaultDisk, FaultPlan, RegularDisk};
     use proptest::prelude::*;
 
     /// Blocks the aliasing test writes, from the start of the data region:
@@ -1428,19 +1421,29 @@ mod tests {
         Box::new(RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), BLOCK_SIZE))
     }
 
-    /// Block `blk` as the drive holds it, read at no cost.
-    fn media(fs: &Ufs, blk: u64) -> Vec<u8> {
-        let snap = fs.dev.snapshot().expect("the stack snapshots");
-        let dev = snap.restore();
-        let bottom = match probe_device::<FaultDisk>(dev.as_ref()) {
-            Some(_) => downcast_device::<FaultDisk>(dev).into_parts().3,
-            None => dev,
+    /// A VLD on the small paper disk whose compactor works through every
+    /// idle grant, so idle time moves blocks the cache shares.
+    fn vld() -> Box<dyn BlockDevice> {
+        let cfg = vlog_core::VldConfig {
+            compactor: vlog_core::CompactorConfig {
+                target_empty_tracks: u32::MAX,
+                ..Default::default()
+            },
+            ..Default::default()
         };
-        let disk = downcast_device::<RegularDisk>(bottom).into_disk();
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        disk.peek_sectors(blk * (BLOCK_SIZE / 512) as u64, &mut buf)
-            .expect("in range");
-        buf
+        Box::new(vlog_core::Vld::format(DiskSpec::hp97560_sim(), SimClock::new(), cfg))
+    }
+
+    /// Blocks `blks` as the drive holds them, read from a restored copy of
+    /// the stack so the reads change nothing.
+    fn media(fs: &Ufs, blks: std::ops::Range<u64>) -> Vec<Vec<u8>> {
+        let mut dev = fs.dev.snapshot().expect("the stack snapshots").restore();
+        let mut read = |blk| {
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            dev.read_block(blk, &mut buf).expect("in range");
+            buf
+        };
+        blks.map(&mut read).collect()
     }
 
     /// `(cached bytes, dirty)` of `blk`, without touching the cache.
@@ -1464,10 +1467,9 @@ mod tests {
     /// then durable).
     fn check(fs: &Ufs, model: &mut Model, what: &str) {
         let base = fs.state.layout.data_start;
-        for i in 0..SPAN {
-            let blk = base + i as u64;
-            let on_drive = media(fs, blk);
-            let cached = cached(fs, blk);
+        let drive = media(fs, base..base + SPAN as u64);
+        for (i, on_drive) in drive.into_iter().enumerate() {
+            let cached = cached(fs, base + i as u64);
             if let Some((bytes, _)) = &cached {
                 assert!(*bytes == model.view[i], "{what}: cached block {i}");
             }
@@ -1481,14 +1483,16 @@ mod tests {
     }
 
     /// The drive keeps the cache's blocks as its pages, the cache reads
-    /// the drive's pages, and snapshots share both: through random
+    /// the drive's pages, the VLD's compactor moves pages the cache
+    /// shares, and snapshots share all of them: through random
     /// synchronous and delayed whole-block writes, partial edits, reads
     /// (a miss, or a read-ahead run over a file whose direct blocks are
-    /// the first of the [`SPAN`]), flushes, cache drops, and whole-stack
-    /// snapshots, restores and drops, no write on one side shows through
-    /// on the other, and no snapshot sees what was written after it.
-    fn run_aliasing(ops: Vec<(u8, usize, u16, u8)>) {
-        let mut fs = volume(regular());
+    /// the first of the [`SPAN`]), flushes, cache drops, idle grants, and
+    /// whole-stack snapshots, restores and drops, no write on one side
+    /// shows through on the other, and no snapshot sees what was written
+    /// after it.
+    fn run_aliasing(dev: fn() -> Box<dyn BlockDevice>, ops: Vec<(u8, usize, u16, u8)>) {
+        let mut fs = volume(dev());
         let base = fs.state.layout.data_start;
         let blank = vec![vec![0u8; BLOCK_SIZE]; SPAN];
         let mut model = Model {
@@ -1503,7 +1507,7 @@ mod tests {
         for (step, (op, i, at, x)) in ops.into_iter().enumerate() {
             let (i, sync) = (i % SPAN, x % 2 == 0);
             let blk = base + i as u64;
-            match op % 9 {
+            match op % 10 {
                 0 | 1 => {
                     let data: Vec<u8> = (0..BLOCK_SIZE).map(|k| (step + k / 512) as u8 ^ x).collect();
                     fs.put_block(blk, &data, sync).expect("put");
@@ -1539,9 +1543,10 @@ mod tests {
                     model = m.clone();
                 }
                 8 if !saved.is_empty() => drop(saved.swap_remove(at as usize % saved.len())),
+                9 => fs.idle((1 + at as u64 % 4) * 200_000_000),
                 _ => {}
             }
-            if sync && op % 9 < 4 {
+            if sync && op % 10 < 4 {
                 model.durable[i].clone_from(&model.view[i]);
             }
             check(&fs, &mut model, &format!("step {step}"));
@@ -1558,7 +1563,14 @@ mod tests {
         fn cache_and_drive_share_blocks_without_aliasing(
             ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u16>(), any::<u8>()), 1..80),
         ) {
-            run_aliasing(ops);
+            run_aliasing(regular, ops);
+        }
+
+        #[test]
+        fn cache_and_vld_share_blocks_without_aliasing(
+            ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u16>(), any::<u8>()), 1..80),
+        ) {
+            run_aliasing(vld, ops);
         }
     }
 
@@ -1583,17 +1595,17 @@ mod tests {
 
         assert!(fs.put_block(blk, &[2u8; BLOCK_SIZE], true).is_err());
         assert_eq!(cached(&fs, blk), Some((old.clone(), false)));
-        assert_eq!(media(&fs, blk), old);
+        assert_eq!(media(&fs, blk..blk + 1)[0], old);
 
         assert!(fs.update_block(blk, true, |buf| buf[..8].fill(3)).is_err());
         let mut ahead = old.clone();
         ahead[..8].fill(3);
         assert_eq!(cached(&fs, blk), Some((ahead, false)));
-        assert_eq!(media(&fs, blk), old);
+        assert_eq!(media(&fs, blk..blk + 1)[0], old);
 
         fs.put_block(blk, &[4u8; BLOCK_SIZE], true).expect("put");
         assert_eq!(cached(&fs, blk), Some((vec![4u8; BLOCK_SIZE], false)));
-        assert_eq!(media(&fs, blk), vec![4u8; BLOCK_SIZE]);
+        assert_eq!(media(&fs, blk..blk + 1)[0], vec![4u8; BLOCK_SIZE]);
     }
 
     /// The cursor must name the slot a scan from index 0 finds, through any

@@ -13,11 +13,23 @@
 //! utilisation counts it as used — the paper notes its Figure 8 x-axis
 //! "includes about 12% of reserved free space that is not usable".
 
+use std::sync::Arc;
+
 use disksim::codec::{get_u32, get_u64, put_u32, put_u64};
 use fscore::{FsError, FsResult};
 
 /// Bytes per file-system block (fixed, matching the paper's configuration).
 pub const BLOCK_SIZE: usize = 4096;
+
+/// What a freshly allocated pointer block, or a data block about to be
+/// overwritten, is filled with.
+pub(crate) static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+/// A zero-filled block buffer nothing else holds yet, on a page of the
+/// drive's pool ([`disksim::pooled_copy`]).
+pub(crate) fn zeroed_block() -> Arc<[u8]> {
+    disksim::pooled_copy(&ZERO_BLOCK)
+}
 /// Bytes per on-disk inode.
 pub const INODE_SIZE: usize = 128;
 /// Inodes per block.
@@ -95,13 +107,13 @@ impl Layout {
         (block, offset)
     }
 
-    /// Serialise as a superblock image.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0u8; BLOCK_SIZE];
+    /// Serialise as a superblock image, in a block the drive can keep.
+    pub fn encode(&self) -> Arc<[u8]> {
+        let mut b = [0u8; BLOCK_SIZE];
         put_u32(&mut b, 0, SUPER_MAGIC);
         put_u64(&mut b, 4, self.total_blocks);
         put_u32(&mut b, 12, self.inode_count);
-        b
+        disksim::pooled_copy(&b)
     }
 
     /// Decode and re-derive a layout from the superblock of a device of

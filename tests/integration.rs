@@ -351,17 +351,26 @@ fn lfs_stack_crash_and_roll_forward() {
 }
 
 /// The page work the drive publishes for one synchronous 4 KiB overwrite
-/// of a file block on UFS: `(bytes copied, bytes zeroed, fresh pages,
-/// pages kept, write commands)`.
-fn sync_overwrite_work(dev: impl FnOnce(RegularDisk) -> Box<dyn BlockDevice>) -> [u64; 5] {
-    let mut disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
+/// of the first block of a `file_blocks`-block file on UFS, after `warm`
+/// such overwrites scattered over the file: `(bytes copied, bytes zeroed,
+/// fresh pages, pages kept, write commands)`. `stack` builds the device
+/// under UFS and attaches `metrics` to its drive.
+fn sync_overwrite_work(
+    file_blocks: u64,
+    warm: u64,
+    stack: impl FnOnce(&Metrics) -> Box<dyn BlockDevice>,
+) -> [u64; 5] {
     let metrics = Metrics::enabled();
-    disk.disk_mut().set_metrics(metrics.clone());
-    let mut fs = Ufs::format(dev(disk), HostModel::instant(), UfsConfig::default()).unwrap();
+    let mut fs = Ufs::format(stack(&metrics), HostModel::instant(), UfsConfig::default()).unwrap();
     let f = fs.create("f").unwrap();
-    fs.write(f, 0, &[1u8; 4096]).unwrap();
+    fs.write(f, 0, &vec![1u8; 4096 * file_blocks as usize])
+        .unwrap();
     fs.sync().unwrap();
     fs.set_sync_writes(true);
+    for i in 0..warm {
+        let at = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % file_blocks;
+        fs.write(f, at * 4096, &[3 + i as u8; 4096]).unwrap();
+    }
     let keys = [
         "disk.page_bytes_copied",
         "disk.page_bytes_zeroed",
@@ -371,22 +380,66 @@ fn sync_overwrite_work(dev: impl FnOnce(RegularDisk) -> Box<dyn BlockDevice>) ->
     ];
     let before = keys.map(|k| metrics.counter_value(k));
     fs.write(f, 0, &[2u8; 4096]).unwrap();
+    let after = keys.map(|k| metrics.counter_value(k));
     let mut back = [0u8; 4096];
     fs.drop_caches();
     fs.read(f, 0, &mut back).unwrap();
     assert_eq!(back, [2u8; 4096]);
-    let after = keys.map(|k| metrics.counter_value(k));
     std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// A regular disk on the HP drive with `metrics` attached, bare or behind
+/// a fault layer with nothing planned.
+fn measured_regular(metrics: &Metrics, faulty: bool) -> Box<dyn BlockDevice> {
+    let mut disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
+    disk.disk_mut().set_metrics(metrics.clone());
+    match faulty {
+        true => Box::new(FaultDisk::new(Box::new(disk), FaultPlan::none())),
+        false => Box::new(disk),
+    }
 }
 
 /// One copy of each block: the regular disk keeps the buffer cache's
 /// block as its page, so a synchronous whole-block overwrite copies no
-/// byte into the media and keeps one page. Behind a layer that copies
-/// (a fault layer with nothing planned) the same overwrite copies the
-/// block's 4 096 bytes onto the page it already owns.
+/// byte into the media and keeps one page. A fault layer with nothing
+/// planned passes the cache's handle through, so the same holds behind it.
 #[test]
 fn a_synchronous_block_overwrite_keeps_the_cached_block() {
-    assert_eq!(sync_overwrite_work(|d| Box::new(d)), [0, 0, 0, 1, 1]);
-    let copying = |d| Box::new(FaultDisk::new(Box::new(d), FaultPlan::none())) as Box<dyn BlockDevice>;
-    assert_eq!(sync_overwrite_work(copying), [4096, 0, 0, 0, 1]);
+    for faulty in [false, true] {
+        let work = sync_overwrite_work(1, 0, |m| measured_regular(m, faulty));
+        assert_eq!(work, [0, 0, 0, 1, 1], "fault layer: {faulty}");
+    }
+}
+
+/// The VLD keeps the cached block too: on a log whose every page has
+/// been written, one synchronous 4 KiB overwrite keeps the block as the
+/// page it lands on, copies only the 512 bytes of the map sector that
+/// commits it into a page the drive alone holds, and takes no fresh page;
+/// bare or behind a fault layer with nothing planned.
+#[test]
+fn a_synchronous_vld_overwrite_keeps_the_cached_block() {
+    for faulty in [false, true] {
+        let stack = |m: &Metrics| {
+            let mut vld = Vld::format(
+                DiskSpec::hp97560_sim(),
+                SimClock::new(),
+                VldConfig::default(),
+            );
+            let n = vld.num_blocks();
+            for _ in 0..2 {
+                for start in (0..n).step_by(16) {
+                    let blocks = (n - start).min(16) as usize;
+                    vld.write_blocks(start, &vec![0u8; blocks * 4096]).unwrap();
+                }
+            }
+            vld.set_observability(None, m.clone());
+            match faulty {
+                true => Box::new(FaultDisk::new(Box::new(vld), FaultPlan::none()))
+                    as Box<dyn BlockDevice>,
+                false => Box::new(vld),
+            }
+        };
+        let work = sync_overwrite_work(1, 1, stack);
+        assert_eq!(work, [512, 0, 0, 1, 2], "fault layer: {faulty}");
+    }
 }
