@@ -14,6 +14,7 @@
 //! chain within the traversal window is always intact, no matter how hot a
 //! piece is. Sectors older than the checkpoint are recycled freely; the
 //! traversal never descends below the checkpoint sequence.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::log::PieceLoc;
 use crate::mapsector::NO_LBA;
@@ -83,6 +84,9 @@ impl Checkpoint {
     /// slot size. The log checkpoints straight from its live directory
     /// through the same scratch vector every time, so a checkpoint clones
     /// nothing and allocates nothing.
+    // bound: an encoder; `buf` is resized to the slot here, and the assert
+    // checks that the header fits in it.
+    #[allow(clippy::indexing_slicing)]
     pub fn encode_into(seq: u64, pieces: &[Option<PieceLoc>], sectors: u64, buf: &mut Vec<u8>) {
         buf.clear();
         buf.resize(sectors as usize * SECTOR_BYTES, 0);

@@ -468,8 +468,7 @@ impl VirtualLog {
     /// the caller keeps the returned physical block number (e.g. inside an
     /// inode, as VLFS does in §3.3/Figure 4). Returns `(physical block,
     /// service time)`. The block is not durable-by-name: after a crash the
-    /// space is reclaimed unless a recovered structure re-registers it via
-    /// [`VirtualLog::reserve_external_block`].
+    /// map does not know it, and recovery reclaims its space.
     pub(crate) fn write_raw(&mut self, buf: &[u8]) -> Result<(u32, ServiceTime)> {
         Self::check_buf(buf.len())?;
         let cand = self
@@ -484,13 +483,6 @@ impl VirtualLog {
         Ok(((lba / BLOCK_SECTORS as u64) as u32, t))
     }
 
-    /// Read a raw (externally tracked) physical block.
-    pub(crate) fn read_raw(&mut self, pb: u32, buf: &mut [u8]) -> Result<ServiceTime> {
-        Self::check_buf(buf.len())?;
-        self.disk
-            .read_sectors(pb as u64 * BLOCK_SECTORS as u64, buf)
-    }
-
     /// Release a raw physical block previously returned by
     /// [`VirtualLog::write_raw`].
     pub(crate) fn free_raw(&mut self, pb: u32) -> Result<()> {
@@ -499,16 +491,6 @@ impl VirtualLog {
         self.state
             .free
             .release(p.cyl, p.track, p.sector, BLOCK_SECTORS)
-    }
-
-    /// After recovery, re-register an externally tracked block (recovered
-    /// from a structure such as an inode) as allocated.
-    pub(crate) fn reserve_external_block(&mut self, pb: u32) -> Result<()> {
-        let g = &self.disk.spec().geometry;
-        let p = g.lba_to_phys(pb as u64 * BLOCK_SECTORS as u64)?;
-        self.state
-            .free
-            .allocate(p.cyl, p.track, p.sector, BLOCK_SECTORS)
     }
 
     /// Fault-injection hook for crash tests: eager-write a data block and

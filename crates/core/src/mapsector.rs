@@ -18,6 +18,7 @@
 //! final sector carries `TXN_COMMIT`. Recovery ignores the payload of parts
 //! whose commit record never made it to disk, giving atomic multi-block
 //! writes with no extra I/O.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use disksim::codec::{
     get_u16, get_u32, get_u32s, get_u64, put_u16, put_u32, put_u32s, put_u64, seal, seal_holds,

@@ -30,6 +30,7 @@
 //! Recovery ends by clearing the tail record and writing a fresh
 //! checkpoint, which re-establishes the recycling invariant for the next
 //! epoch.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -130,7 +131,8 @@ impl VirtualLog {
                     .iter()
                     .max_by_key(|(_, m)| m.seq)
                     .map(|(lba, m)| (*lba, m.seq));
-                let next = cache.values().map(|m| m.seq + 1).max().unwrap_or(1);
+                let next = cache.values().map(|m| m.seq.saturating_add(1)).max();
+                let next = next.unwrap_or(1);
                 scan_cache = cache;
                 (root, next)
             }
@@ -187,16 +189,19 @@ impl VirtualLog {
             } else {
                 true
             };
-            if payload_valid
-                && (m.piece as usize) < n_pieces
-                && resolved[m.piece as usize].is_none()
-            {
-                piece_locs[m.piece as usize] = Some(PieceLoc {
+            // A piece number past the directory names no piece.
+            let piece = m.piece as usize;
+            if let (true, Some(loc), Some(res @ None)) = (
+                payload_valid,
+                piece_locs.get_mut(piece),
+                resolved.get_mut(piece),
+            ) {
+                *loc = Some(PieceLoc {
                     lba,
                     seq: m.seq,
                     prev: m.prev,
                 });
-                resolved[m.piece as usize] = Some(m.clone());
+                *res = Some(m.clone());
                 resolved_n += 1;
             }
             for ptr in [m.prev, m.bypass].into_iter().flatten() {
@@ -218,54 +223,49 @@ impl VirtualLog {
                 .filter_map(|m| m.txn.map(|t| t.id))
                 .collect();
             for (lba, m) in &scan_cache {
-                if (m.piece as usize) >= n_pieces {
+                let piece = m.piece as usize;
+                let (Some(loc), Some(res)) = (piece_locs.get_mut(piece), resolved.get_mut(piece))
+                else {
                     continue;
-                }
+                };
                 if m.flags.contains(MapFlags::TXN_PART)
                     && !m.txn.map(|t| commits.contains(&t.id)).unwrap_or(false)
                 {
                     continue;
                 }
-                let newer = piece_locs[m.piece as usize]
-                    .map(|loc| m.seq > loc.seq)
-                    .unwrap_or(true);
-                if newer {
-                    piece_locs[m.piece as usize] = Some(PieceLoc {
+                if loc.is_none_or(|loc| m.seq > loc.seq) {
+                    *loc = Some(PieceLoc {
                         lba: *lba,
                         seq: m.seq,
                         prev: m.prev,
                     });
-                    if resolved[m.piece as usize].is_none() {
-                        resolved_n += 1;
-                    }
-                    resolved[m.piece as usize] = Some(m.clone());
+                    resolved_n += usize::from(res.is_none());
+                    *res = Some(m.clone());
                 }
             }
         }
 
         // 6. Anything still missing comes from the checkpoint directory;
         // those pieces are read back (one sector each) for their payload.
-        for (i, loc) in base.pieces.iter().enumerate() {
-            if i >= n_pieces || piece_locs[i].is_some() {
+        let checkpointed = piece_locs.iter_mut().zip(&mut resolved).zip(&base.pieces);
+        for (i, ((slot, res), loc)) in checkpointed.enumerate() {
+            let (None, Some(loc)) = (&slot, loc) else {
                 continue;
-            }
-            let Some(loc) = loc else { continue };
+            };
             let mut buf = [0u8; PIECE_BYTES];
             report.service += disk.read_sectors(loc.lba, &mut buf)?;
             match MapSector::decode(&buf) {
                 Some(m) if m.seq == loc.seq && m.piece as usize == i => {
-                    piece_locs[i] = Some(*loc);
-                    if resolved[i].is_none() {
-                        resolved_n += 1;
-                    }
-                    resolved[i] = Some(m);
+                    *slot = Some(*loc);
+                    resolved_n += usize::from(res.is_none());
+                    *res = Some(m);
                     report.pieces_from_checkpoint += 1;
                 }
                 _ => report.branches_pruned += 1,
             }
         }
         report.pieces_recovered = resolved_n as u64;
-        next_seq = next_seq.max(max_seen + 1);
+        next_seq = next_seq.max(max_seen.saturating_add(1));
 
         // 7. Rebuild the volatile state.
         for (piece, m) in resolved.iter().enumerate() {

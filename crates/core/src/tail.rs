@@ -10,6 +10,7 @@
 //! If the power-down sequence fails (injectable in the simulator), the
 //! record is absent or corrupt and recovery falls back to scanning the disk
 //! for self-identifying map sectors.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use disksim::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, seal, seal_holds};
 use disksim::SECTOR_BYTES;

@@ -22,16 +22,14 @@
 //!   second, map last — a crash at any point rolls back to the previous
 //!   consistent inode.
 //!
-//! Recovery recovers the virtual log (tail record / checkpoint / scan as
-//! usual), then walks the recovered inodes to re-register their data
-//! blocks in the free map; unreferenced eager writes from a torn update
-//! are reclaimed automatically.
+//! The layer is the write path the `vlfs_preview` exhibit measures:
+//! format, create and block writes. It has no read, delete or recovery
+//! path yet.
 
 use crate::alloc::AllocConfig;
 use crate::log::{VirtualLog, BLOCK_BYTES};
 use crate::mapsector::UNMAPPED;
-use crate::recovery::RecoveryReport;
-use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64};
+use disksim::codec::{put_u32, put_u32s, put_u64};
 use disksim::{Disk, DiskError, Result, ServiceTime};
 
 /// Direct block pointers per inode (one 4 KB inode block).
@@ -63,16 +61,6 @@ impl VlfsInode {
         put_u32s(&mut b, 16, &self.direct);
         b
     }
-
-    fn decode(buf: &[u8]) -> Result<VlfsInode> {
-        if buf.len() != BLOCK_BYTES || get_u32(buf, 8)? != VLFS_MAGIC {
-            return Err(DiskError::Corrupt("VLFS inode"));
-        }
-        Ok(VlfsInode {
-            size: get_u64(buf, 0)?,
-            direct: get_u32s(buf, 16, INODE_DIRECT)?.collect(),
-        })
-    }
 }
 
 /// The inode-map-only virtual-log file layer of §3.3.
@@ -96,51 +84,9 @@ impl VlfsLayer {
         }
     }
 
-    /// Recover a layer after a crash: recover the virtual log, then walk
-    /// every live inode to re-register its data blocks.
-    pub fn recover(
-        disk: Disk,
-        alloc_cfg: AllocConfig,
-        n_inodes: u64,
-    ) -> Result<(VlfsLayer, RecoveryReport)> {
-        let (mut log, report) = VirtualLog::recover(disk, alloc_cfg)?;
-        let n_inodes = n_inodes.min(log.num_blocks());
-        let mut inodes = vec![None; n_inodes as usize];
-        for ino in 0..n_inodes {
-            if log.translate(ino).is_none() {
-                continue;
-            }
-            let mut buf = vec![0u8; BLOCK_BYTES];
-            log.read(ino, &mut buf)?;
-            let inode = VlfsInode::decode(&buf)?;
-            for &pb in inode.direct.iter().filter(|&&pb| pb != UNMAPPED) {
-                log.reserve_external_block(pb)?;
-            }
-            inodes[ino as usize] = Some(inode);
-        }
-        Ok((
-            VlfsLayer {
-                log,
-                n_inodes,
-                inodes,
-            },
-            report,
-        ))
-    }
-
     /// The underlying virtual log.
     pub fn log(&self) -> &VirtualLog {
         &self.log
-    }
-
-    /// Simulate a crash, yielding the raw disk.
-    pub fn crash(self) -> Disk {
-        self.log.crash()
-    }
-
-    /// Orderly shutdown (writes the tail record for fast recovery).
-    pub fn shutdown(&mut self) -> Result<ServiceTime> {
-        self.log.shutdown()
     }
 
     fn check_ino(&self, ino: u64) -> Result<()> {
@@ -163,20 +109,6 @@ impl VlfsLayer {
         let t = self.log.write(ino, &inode.encode())?;
         self.inodes[ino as usize] = Some(inode);
         Ok(t)
-    }
-
-    /// Does the inode exist?
-    pub fn exists(&self, ino: u64) -> bool {
-        (ino < self.n_inodes) && self.inodes[ino as usize].is_some()
-    }
-
-    /// File size of an inode.
-    pub fn size(&self, ino: u64) -> Result<u64> {
-        self.check_ino(ino)?;
-        self.inodes[ino as usize]
-            .as_ref()
-            .map(|i| i.size)
-            .ok_or(DiskError::Unsupported("no such inode"))
     }
 
     /// Write one 4 KB file block. This is the §3.3 write path: eager data
@@ -205,33 +137,6 @@ impl VlfsLayer {
         self.inodes[ino as usize] = Some(inode);
         Ok(t)
     }
-
-    /// Read one file block (holes read as zeros).
-    pub fn read_block(&mut self, ino: u64, file_block: u64, out: &mut [u8]) -> Result<ServiceTime> {
-        self.check_ino(ino)?;
-        let inode = self.inodes[ino as usize]
-            .as_ref()
-            .ok_or(DiskError::Unsupported("no such inode"))?;
-        match inode.direct.get(file_block as usize) {
-            Some(&pb) if pb != UNMAPPED => self.log.read_raw(pb, out),
-            _ => {
-                out.fill(0);
-                Ok(ServiceTime::ZERO)
-            }
-        }
-    }
-
-    /// Delete an inode and free all of its blocks.
-    pub fn delete(&mut self, ino: u64) -> Result<ServiceTime> {
-        self.check_ino(ino)?;
-        let inode = self.inodes[ino as usize]
-            .take()
-            .ok_or(DiskError::Unsupported("no such inode"))?;
-        for &pb in inode.direct.iter().filter(|&&pb| pb != UNMAPPED) {
-            self.log.free_raw(pb)?;
-        }
-        self.log.trim(ino)
-    }
 }
 
 #[cfg(test)]
@@ -254,20 +159,15 @@ mod tests {
     }
 
     #[test]
-    fn create_write_read_roundtrip() {
+    fn writes_land_in_the_inode() {
         let mut v = fresh();
         v.create(3).unwrap();
         v.write_block(3, 0, &blk(7)).unwrap();
         v.write_block(3, 5, &blk(9)).unwrap();
-        assert_eq!(v.size(3).unwrap(), 6 * BLOCK_BYTES as u64);
-        let mut out = blk(0);
-        v.read_block(3, 0, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 7));
-        v.read_block(3, 5, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 9));
-        // Hole.
-        v.read_block(3, 2, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0));
+        let inode = v.inodes[3].as_ref().unwrap();
+        assert_eq!(inode.size, 6 * BLOCK_BYTES as u64);
+        assert!(inode.direct[0] != UNMAPPED && inode.direct[5] != UNMAPPED);
+        assert_eq!(inode.direct[2], UNMAPPED, "a hole");
     }
 
     #[test]
@@ -304,80 +204,6 @@ mod tests {
             drift <= 8 * (v.log().pending_recycle_len() as u64 + 2),
             "leak: {drift}"
         );
-    }
-
-    #[test]
-    fn crash_recovery_restores_files_and_space() {
-        let mut v = fresh();
-        for ino in 0..10u64 {
-            v.create(ino).unwrap();
-            for fb in 0..4u64 {
-                v.write_block(ino, fb, &blk((ino * 4 + fb) as u8)).unwrap();
-            }
-        }
-        let free_before = v.log().free_map().free_sectors();
-        let disk = v.crash();
-        let (mut v, report) = VlfsLayer::recover(disk, AllocConfig::default(), 256).unwrap();
-        assert!(report.pieces_recovered > 0);
-        for ino in 0..10u64 {
-            assert!(v.exists(ino));
-            for fb in 0..4u64 {
-                let mut out = blk(0);
-                v.read_block(ino, fb, &mut out).unwrap();
-                assert!(
-                    out.iter().all(|&b| b == (ino * 4 + fb) as u8),
-                    "ino {ino} block {fb}"
-                );
-            }
-        }
-        // Data blocks were re-registered: free space is consistent (within
-        // the checkpoint-pending slack).
-        let free_after = v.log().free_map().free_sectors();
-        assert!(
-            free_after.abs_diff(free_before) <= 512,
-            "free space drifted: {free_before} -> {free_after}"
-        );
-        // And new writes don't corrupt old files (allocator respects the
-        // re-registered blocks).
-        v.create(100).unwrap();
-        for fb in 0..50u64 {
-            v.write_block(100, fb % INODE_DIRECT as u64, &blk(0xFF))
-                .unwrap();
-        }
-        let mut out = blk(0);
-        v.read_block(0, 0, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn torn_update_rolls_back_to_previous_inode() {
-        let mut v = fresh();
-        v.create(2).unwrap();
-        v.write_block(2, 0, &blk(5)).unwrap();
-        // Tear: raw data written, inode never committed.
-        let (_pb, _) = v.log.write_raw(&blk(6)).unwrap();
-        let disk = v.crash();
-        let (mut v, _) = VlfsLayer::recover(disk, AllocConfig::default(), 256).unwrap();
-        let mut out = blk(0);
-        v.read_block(2, 0, &mut out).unwrap();
-        assert!(
-            out.iter().all(|&b| b == 5),
-            "must roll back to committed data"
-        );
-    }
-
-    #[test]
-    fn delete_frees_everything() {
-        let mut v = fresh();
-        v.create(9).unwrap();
-        for fb in 0..8u64 {
-            v.write_block(9, fb, &blk(1)).unwrap();
-        }
-        v.delete(9).unwrap();
-        assert!(!v.exists(9));
-        assert!(v.read_block(9, 0, &mut blk(0)).is_err());
-        // Deleting again fails cleanly.
-        assert!(v.delete(9).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! never panics, and nothing is sized by an on-disk count before the count
 //! is checked against the record. The words their seals store are pinned.
 
-use disksim::codec::seal;
+use disksim::codec::{get_u16, get_u32, seal};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use vlog_core::checkpoint::CKPT_MAGIC;
@@ -52,7 +52,7 @@ fn accepted(bytes: &[u8]) -> [bool; 3] {
 /// The checkpoint decoder must accept a sealed slot exactly when the
 /// directory it claims fits in it.
 fn entries_fit(slot: &[u8]) -> bool {
-    let n = u32::from_le_bytes(slot[8..12].try_into().unwrap()) as u64;
+    let n = get_u32(slot, 8).unwrap() as u64;
     CKPT_HEAD as u64 + n * CKPT_ENTRY as u64 <= slot.len() as u64
 }
 
@@ -126,7 +126,7 @@ fn random_images_behind_a_valid_header_never_panic() {
         stamp(&mut map, MAP_MAGIC, MAP_VERSION);
         assert_eq!(accepted(&map), [false; 3], "unsealed map, round {round}");
         reseal(&mut map, MAP_SUM);
-        let n = u16::from_le_bytes([map[20], map[21]]) as usize;
+        let n = get_u16(&map, 20).unwrap() as usize;
         let got = MapSector::decode(&map);
         assert_eq!(got.is_some(), n <= PIECE_ENTRIES, "map round {round}");
         if let Some(m) = got {
@@ -176,7 +176,7 @@ fn checkpoint_claiming_u32_max_entries_is_refused() {
 #[test]
 fn stored_checksums_are_pinned() {
     fn check(image: &[u8], field: usize, pinned: u32, decodes: impl Fn(&[u8]) -> bool) {
-        let stored = u32::from_le_bytes(image[field..field + 4].try_into().unwrap());
+        let stored = get_u32(image, field).unwrap();
         assert_eq!(stored, pinned, "stored checksum word moved: {stored:#010x}");
         assert!(decodes(image));
         let mut flipped = image.to_vec();

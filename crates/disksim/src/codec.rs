@@ -13,6 +13,9 @@
 //!   in the encoder and panics like any slice index.
 //! * [`seal`] / [`seal_holds`] store and check a record's 32-bit seal, the
 //!   [`Digest`] of the record (its seal field read as zeros) folded in half.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The one module that turns bytes into integers.
+#![allow(clippy::disallowed_methods)]
 
 use crate::digest::{Digest, STRIPE};
 use crate::{DiskError, Result};
@@ -58,22 +61,31 @@ pub fn get_u64(buf: &[u8], at: usize) -> Result<u64> {
     field(buf, at).map(u64::from_le_bytes)
 }
 
+/// Store `bytes` at byte `at`.
+// bound: the encoder sized `buf` for its record; a field beyond it is an
+// encoder bug and panics like any slice index.
+#[allow(clippy::indexing_slicing)]
+#[inline]
+fn put<const N: usize>(buf: &mut [u8], at: usize, bytes: [u8; N]) {
+    buf[at..at + N].copy_from_slice(&bytes);
+}
+
 /// Store `v` at byte `at`.
 #[inline]
 pub fn put_u16(buf: &mut [u8], at: usize, v: u16) {
-    buf[at..at + 2].copy_from_slice(&v.to_le_bytes());
+    put(buf, at, v.to_le_bytes());
 }
 
 /// Store `v` at byte `at`.
 #[inline]
 pub fn put_u32(buf: &mut [u8], at: usize, v: u32) {
-    buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    put(buf, at, v.to_le_bytes());
 }
 
 /// Store `v` at byte `at`.
 #[inline]
 pub fn put_u64(buf: &mut [u8], at: usize, v: u64) {
-    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    put(buf, at, v.to_le_bytes());
 }
 
 /// The table of `count` `u32`s starting at byte `at` — a pointer block, an
@@ -88,6 +100,8 @@ pub fn get_u32s(buf: &[u8], at: usize, count: usize) -> Result<impl Iterator<Ite
 }
 
 /// Store the table `values` from byte `at` on.
+// bound: the encoder sized `buf` for its record, as for `put`.
+#[allow(clippy::indexing_slicing)]
 #[inline]
 pub fn put_u32s(buf: &mut [u8], at: usize, values: &[u32]) {
     let words = buf[at..at + 4 * values.len()].as_chunks_mut::<4>().0;
@@ -100,40 +114,44 @@ pub fn put_u32s(buf: &mut [u8], at: usize, values: &[u32]) {
 /// zeros: whole stripes before the field's are folded as they are, the
 /// stripes holding the field from a stack copy with the field zeroed, and
 /// the rest of the record after them — so only the final update can be
-/// ragged, as [`Digest::update`] requires.
-fn sum(record: &[u8], field: usize) -> [u8; 4] {
+/// ragged, as [`Digest::update`] requires. `None` when the field does not
+/// fit in the record.
+fn sum(record: &[u8], field: usize) -> Option<[u8; 4]> {
     let start = field - field % STRIPE;
-    let end = (field + 4).next_multiple_of(STRIPE).min(record.len());
+    let field_end = field.checked_add(4)?;
+    let end = field_end
+        .checked_next_multiple_of(STRIPE)?
+        .min(record.len());
     // A field that straddles a stripe boundary spans two stripes.
     let mut window = [0u8; 2 * STRIPE];
-    let window = &mut window[..end - start];
-    window.copy_from_slice(&record[start..end]);
-    window[field - start..field - start + 4].fill(0);
+    let window = window.get_mut(..end.checked_sub(start)?)?;
+    window.copy_from_slice(record.get(start..end)?);
+    window.get_mut(field - start..field_end - start)?.fill(0);
     let mut d = Digest::new();
-    d.update(&record[..start]);
+    d.update(record.get(..start)?);
     d.update(window);
     if end < record.len() {
-        d.update(&record[end..]);
+        d.update(record.get(end..)?);
     }
     let h = d.finish();
-    ((h ^ (h >> 32)) as u32).to_le_bytes()
+    Some(((h ^ (h >> 32)) as u32).to_le_bytes())
 }
 
 /// Seal an encoded record: store, in the (still zero) four-byte field at
-/// `field`, the seal of the whole record.
+/// `field`, the seal of the whole record. A field beyond the record is an
+/// encoder bug and panics in the store, as for `put`.
 pub fn seal(record: &mut [u8], field: usize) {
-    debug_assert_eq!(record[field..field + 4], [0; 4]);
-    let sum = sum(record, field);
-    record[field..field + 4].copy_from_slice(&sum);
+    debug_assert_eq!(get_bytes(record, field, 4), Ok(&[0u8; 4][..]));
+    let sum = sum(record, field).unwrap_or_default();
+    put(record, field, sum);
 }
 
 /// Does the seal stored at `field` match the record? The seal covers the
 /// record as it was when [`seal`]ed — with the field itself reading as
 /// zeros. A record too short to hold the field does not hold.
 pub fn seal_holds(record: &[u8], field: usize) -> bool {
-    field
-        .checked_add(4)
-        .is_some_and(|end| end <= record.len() && record[field..end] == sum(record, field))
+    let stored = get_bytes(record, field, 4);
+    stored.is_ok_and(|stored| sum(record, field).is_some_and(|sum| stored == sum))
 }
 
 #[cfg(test)]

@@ -70,6 +70,8 @@ impl Digest {
 
     /// Fold `bytes` onto the end of the stream. Only the last call of a
     /// stream may pass a length that is not a multiple of 32.
+    // The kernel folds whole words of any byte stream, not record fields.
+    #[allow(clippy::disallowed_methods)]
     pub fn update(&mut self, bytes: &[u8]) {
         assert!(
             self.len.is_multiple_of(STRIPE as u64),

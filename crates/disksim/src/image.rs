@@ -8,6 +8,7 @@
 //! (validated against the spec on load), then the materialised tracks as
 //! `(cyl, track, raw bytes)` triples. Untouched (all-zero) tracks are not
 //! stored.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io::{self, Read, Write};
 

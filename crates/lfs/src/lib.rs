@@ -20,6 +20,7 @@
 //! configurations.
 
 mod lld;
+mod mount;
 pub mod seg;
 
 pub use lld::{CleanerStats, LldConfig, LogDisk};

@@ -26,9 +26,8 @@
 use std::sync::Arc;
 
 use crate::seg::{
-    checkpoint_map, digest, encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg,
-    summary_block, validate_checkpoint, Digest, SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS,
-    SEG_DATA,
+    encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg, summary_block, Digest,
+    SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS, SEG_DATA,
 };
 use disksim::{
     BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime, SimClock,
@@ -79,7 +78,7 @@ pub struct CleanerStats {
 
 /// The in-memory open segment.
 #[derive(Debug)]
-struct OpenSeg {
+pub(crate) struct OpenSeg {
     seg: u32,
     summary: Summary,
     /// The segment exactly as a flush writes it: block 0 is the summary
@@ -131,7 +130,7 @@ pub struct LogDisk {
     metrics: disksim::Metrics,
     /// Host-side scratch, reused across calls and never part of a
     /// snapshot (a restored log starts without it).
-    scratch: Scratch,
+    pub(crate) scratch: Scratch,
     /// Bytes folded into a segment digest, and bytes copied into a flush
     /// image by anything but `append` (only a snapshot restore does), since
     /// [`LogDisk::update_gauges`] last moved them to the
@@ -146,42 +145,42 @@ pub struct LogDisk {
 /// its running digest): the value a snapshot carries, and the one format
 /// and mount compute.
 #[derive(Clone)]
-struct LldState {
-    cfg: LldConfig,
-    block_size: usize,
-    nsegs: u32,
-    logical_blocks: u64,
+pub(crate) struct LldState {
+    pub(crate) cfg: LldConfig,
+    pub(crate) block_size: usize,
+    pub(crate) nsegs: u32,
+    pub(crate) logical_blocks: u64,
     /// Logical block → global data slot (NONE = unmapped).
-    map: Vec<u32>,
+    pub(crate) map: Vec<u32>,
     /// Global data slot → logical owner if live.
-    rmap: Vec<u32>,
-    seg_state: Vec<SegState>,
+    pub(crate) rmap: Vec<u32>,
+    pub(crate) seg_state: Vec<SegState>,
     /// Running count of `SegState::Free` entries in `seg_state`, kept in
     /// lockstep with every transition so `free_segments()` (called on the
     /// append hot path) is O(1) instead of O(nsegs).
-    free_count: u32,
-    seg_live: Vec<u32>,
-    open: Option<OpenSeg>,
+    pub(crate) free_count: u32,
+    pub(crate) seg_live: Vec<u32>,
+    pub(crate) open: Option<OpenSeg>,
     /// Next segment to consider when acquiring a free one (log order).
-    next_seg: u32,
-    ckpt_start: u64,
-    ckpt_blocks: u64,
+    pub(crate) next_seg: u32,
+    pub(crate) ckpt_start: u64,
+    pub(crate) ckpt_blocks: u64,
     /// Monotonic flush-sequence counter (stamped into every summary).
-    flush_seq: u64,
+    pub(crate) flush_seq: u64,
     /// Segments with no live blocks whose reuse must wait until the open
     /// segment (holding the overwrites/cleaner copies that killed them) is
     /// durable — otherwise a crash loses both copies.
-    pending_free: Vec<u32>,
+    pub(crate) pending_free: Vec<u32>,
     /// Which checkpoint slot the next sync writes (alternating A/B, so a
     /// crash mid-checkpoint always leaves the other slot intact).
-    ckpt_next_b: bool,
-    stats: CleanerStats,
+    pub(crate) ckpt_next_b: bool,
+    pub(crate) stats: CleanerStats,
 }
 
 /// Buffers a [`LogDisk`] keeps between calls so the segment path allocates
 /// nothing in steady state. All start empty and are sized on first use.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     /// The image of the last sealed segment, for the next one to open on.
     spare_image: Option<Vec<u8>>,
     /// The spare a device without a shared read copies the cleaner's
@@ -192,66 +191,13 @@ struct Scratch {
     /// The cleaner's `(slot index, owner)` list of the victim's live slots.
     live: Vec<(u32, u32)>,
     /// One checkpoint slot image.
-    ckpt_image: Vec<u8>,
-}
-
-impl LldState {
-    /// A log holding `map`, on a device of the given
-    /// [`LogDisk::geometry`], with no segment open: every other piece of
-    /// bookkeeping is derived from the map.
-    fn from_map(
-        cfg: LldConfig,
-        block_size: usize,
-        geometry: (u32, u64, u64, u64),
-        map: Vec<u32>,
-    ) -> Self {
-        let (nsegs, logical_blocks, ckpt_start, ckpt_blocks) = geometry;
-        let mut rmap = vec![NONE; (nsegs as u64 * SEG_DATA) as usize];
-        let mut seg_live = vec![0u32; nsegs as usize];
-        for (lb, &slot) in map.iter().enumerate() {
-            if slot != NONE {
-                rmap[slot as usize] = lb as u32;
-                let (seg, _) = slot_to_seg(slot as u64);
-                seg_live[seg as usize] += 1;
-            }
-        }
-        let seg_state: Vec<SegState> = seg_live
-            .iter()
-            .map(|&l| {
-                if l > 0 {
-                    SegState::Dirty
-                } else {
-                    SegState::Free
-                }
-            })
-            .collect();
-        let free_count = seg_state.iter().filter(|s| **s == SegState::Free).count() as u32;
-        Self {
-            cfg,
-            block_size,
-            nsegs,
-            logical_blocks,
-            map,
-            rmap,
-            seg_state,
-            free_count,
-            seg_live,
-            open: None,
-            next_seg: 0,
-            ckpt_start,
-            ckpt_blocks,
-            flush_seq: 1,
-            pending_free: Vec::new(),
-            ckpt_next_b: false,
-            stats: CleanerStats::default(),
-        }
-    }
+    pub(crate) ckpt_image: Vec<u8>,
 }
 
 impl LogDisk {
     /// Compute (segments, logical blocks, checkpoint start/blocks) for a
     /// raw device of `dev_blocks` blocks.
-    fn geometry(dev_blocks: u64, block_size: usize) -> FsResult<(u32, u64, u64, u64)> {
+    pub(crate) fn geometry(dev_blocks: u64, block_size: usize) -> FsResult<(u32, u64, u64, u64)> {
         let mut nsegs = dev_blocks / SEG_BLOCKS;
         for _ in 0..3 {
             let logical = (nsegs.saturating_sub(RESERVE_SEGS)) * SEG_DATA;
@@ -274,147 +220,16 @@ impl LogDisk {
         let block_size = dev.block_size();
         let geometry = Self::geometry(dev.num_blocks(), block_size)?;
         let map = vec![NONE; geometry.1 as usize];
-        let state = LldState::from_map(cfg, block_size, geometry, map);
+        let state = LldState::from_map(cfg, block_size, geometry, map)?;
         let mut lld = Self::assemble(dev, state);
         lld.write_checkpoint()?;
-        Ok(lld)
-    }
-
-    /// Mount an existing log from its checkpoint.
-    pub fn mount(mut dev: Box<dyn BlockDevice>, cfg: LldConfig) -> FsResult<LogDisk> {
-        // Checkpoint reads plus the whole-log summary roll-forward are
-        // recovery work, attributed as such.
-        let spans = dev.spans();
-        let sp = if spans.is_enabled() {
-            spans.open(disksim::SpanKind::Recovery, "lld.mount", dev.clock().now())
-        } else {
-            0
-        };
-        let block_size = dev.block_size();
-        let (nsegs, logical, ckpt_start, ckpt_blocks) =
-            Self::geometry(dev.num_blocks(), block_size)?;
-        // Read both checkpoint slots and take the newest valid one. A power
-        // cut tearing the slot being written leaves the other intact; if
-        // *both* are unreadable (corrupted media), fall back to a full
-        // summary scan — start from an empty map and let roll-forward
-        // re-apply every valid summary ever flushed.
-        let mut best: Option<(u64, bool)> = None;
-        let mut best_raw = Vec::new();
-        let mut raw = vec![0u8; (ckpt_blocks as usize) * block_size];
-        for slot in 0..2u64 {
-            if dev
-                .read_blocks(ckpt_start + slot * ckpt_blocks, &mut raw)
-                .is_err()
-            {
-                continue;
-            }
-            if let Some(seq) = validate_checkpoint(&raw, logical) {
-                if best.is_none_or(|(s, _)| seq > s) {
-                    best = Some((seq, slot == 1));
-                    std::mem::swap(&mut raw, &mut best_raw);
-                    raw.resize(best_raw.len(), 0);
-                }
-            }
-        }
-        // The next checkpoint must not overwrite the copy we just trusted.
-        let ckpt_next_b = best.is_some_and(|(_, is_b)| !is_b);
-        let slots = nsegs as u64 * SEG_DATA;
-        let (ckpt_flush_seq, mut map) = match best {
-            Some((seq, _)) => (seq, checkpoint_map(&best_raw, logical, slots)?),
-            None => (0, vec![NONE; logical as usize]),
-        };
-        // Roll forward: apply every segment summary flushed after the
-        // checkpoint, in flush order. Blocks written since the last sync
-        // (and flushed, partially or fully) come back; only the never-
-        // flushed in-memory tail is lost — the same guarantee as LFS.
-        // Each candidate summary's data checksum is verified against the
-        // slots it covers: a flush torn by a power cut (summary landed,
-        // data didn't) fails the check and is discarded — safe, because
-        // sync only acknowledges after the checkpoint, so torn flushes
-        // hold exclusively unacknowledged state.
-        let mut summaries: Vec<(u64, u32, Summary)> = Vec::new();
-        let mut max_flush_seq = ckpt_flush_seq;
-        // One summary-block and one data scratch for the whole scan; the
-        // data scratch grows to the fullest candidate and goes when mount
-        // returns.
-        let mut sbuf = vec![0u8; block_size];
-        let mut data = Vec::new();
-        for seg in 0..nsegs {
-            dev.read_block(summary_block(seg), &mut sbuf)?;
-            if let Ok(sum) = Summary::decode(&sbuf) {
-                max_flush_seq = max_flush_seq.max(sum.seq);
-                if sum.seq > ckpt_flush_seq {
-                    let covered = sum.fill as usize * block_size;
-                    if data.len() < covered {
-                        data.resize(covered, 0);
-                    }
-                    if sum.fill > 0 {
-                        dev.read_blocks(summary_block(seg) + 1, &mut data[..covered])?;
-                    }
-                    if digest(&data[..covered]) == sum.data_csum {
-                        summaries.push((sum.seq, seg, sum));
-                    }
-                }
-            }
-        }
-        summaries.sort_by_key(|(seq, _, _)| *seq);
-        // Working reverse map so stale mappings can be cleared as newer
-        // summaries supersede them.
-        let mut work_rmap = vec![NONE; slots as usize];
-        for (lb, &slot) in map.iter().enumerate() {
-            if slot != NONE {
-                work_rmap[slot as usize] = lb as u32;
-            }
-        }
-        for (_, seg, sum) in &summaries {
-            // A summary describes the segment's *complete* ownership as of
-            // its flush. Any older mapping into this segment (from a stale
-            // checkpoint, or an older summary now superseded by reuse) is
-            // dead — clear it first, or a trimmed-then-reused segment would
-            // leave a logical block aliased onto someone else's slot.
-            for idx in 0..SEG_DATA as u32 {
-                let slot = seg_to_slot(*seg, idx);
-                let old = work_rmap[slot as usize];
-                if old != NONE && map[old as usize] == slot as u32 {
-                    map[old as usize] = NONE;
-                }
-                work_rmap[slot as usize] = NONE;
-            }
-            for idx in 0..sum.fill {
-                let owner = sum.owners[idx as usize];
-                if owner != NONE && (owner as u64) < logical {
-                    let slot = seg_to_slot(*seg, idx) as u32;
-                    let prev = map[owner as usize];
-                    if prev != NONE {
-                        work_rmap[prev as usize] = NONE;
-                    }
-                    map[owner as usize] = slot;
-                    work_rmap[slot as usize] = owner;
-                }
-            }
-        }
-        if sp != 0 {
-            spans.close(sp, dev.clock().now());
-        }
-        let state = LldState {
-            flush_seq: max_flush_seq + 1,
-            ckpt_next_b,
-            ..LldState::from_map(
-                cfg,
-                block_size,
-                (nsegs, logical, ckpt_start, ckpt_blocks),
-                map,
-            )
-        };
-        let mut lld = Self::assemble(dev, state);
-        lld.scratch.ckpt_image = raw;
         Ok(lld)
     }
 
     /// The live log over `dev` in `state`: metrics detached, scratch empty,
     /// and the open image's prefix, which the caller's copy of `state`
     /// staged, the only work on the books.
-    fn assemble(dev: Box<dyn BlockDevice>, state: LldState) -> Self {
+    pub(crate) fn assemble(dev: Box<dyn BlockDevice>, state: LldState) -> Self {
         let staged = state.open.as_ref().map_or(0, |o| o.used_bytes() as u64);
         LogDisk {
             dev,
@@ -1526,16 +1341,14 @@ mod tests {
         assert!(r.iter().all(|&b| b == 0));
     }
 
-    /// A checksum-valid checkpoint naming a data slot past the end of the
-    /// log fails the mount with `Invalid` instead of indexing out of the
-    /// reverse map.
-    #[test]
-    fn a_checkpoint_naming_a_slot_beyond_the_log_is_refused() {
+    /// Mount a fresh log whose two checkpoint slots both hold a sealed
+    /// image of the map `edit` makes from an empty one.
+    fn mount_over_checkpoint(edit: impl FnOnce(&LogDisk, &mut [u32])) -> FsResult<LogDisk> {
         let l = lld();
         let (ckpt_start, ckpt_total) = l.checkpoint_region();
         let ckpt_blocks = ckpt_total / 2;
         let mut map = vec![NONE; l.num_blocks() as usize];
-        map[3] = (l.state.nsegs as u64 * SEG_DATA + 5) as u32;
+        edit(&l, &mut map);
         let mut raw = vec![0u8; ckpt_blocks as usize * 4096];
         encode_checkpoint(&mut raw, 7, &map);
         let mut dev = l.crash();
@@ -1543,11 +1356,35 @@ mod tests {
             dev.write_blocks(ckpt_start + slot * ckpt_blocks, &raw)
                 .unwrap();
         }
-        let refused = LogDisk::mount(dev, LldConfig::default()).err();
+        LogDisk::mount(dev, LldConfig::default())
+    }
+
+    /// A checksum-valid checkpoint naming a data slot past the end of the
+    /// log fails the mount with `Invalid` instead of indexing out of the
+    /// reverse map.
+    #[test]
+    fn a_checkpoint_naming_a_slot_beyond_the_log_is_refused() {
+        let refused = mount_over_checkpoint(|l, map| {
+            map[3] = (l.state.nsegs as u64 * SEG_DATA + 5) as u32;
+        });
         assert_eq!(
-            refused,
+            refused.err(),
             Some(FsError::Invalid("checkpoint slot beyond the log"))
         );
+    }
+
+    /// A checksum-valid checkpoint mapping two blocks to one slot fails the
+    /// mount: the log would count the slot live once, and once either block
+    /// is overwritten the cleaner could reuse the slot under the other.
+    #[test]
+    fn a_checkpoint_mapping_one_slot_twice_is_refused() {
+        let refused = mount_over_checkpoint(|_, map| (map[3], map[4]) = (5, 5));
+        assert_eq!(
+            refused.err(),
+            Some(FsError::Invalid("checkpoint maps one slot twice"))
+        );
+        let distinct = mount_over_checkpoint(|_, map| (map[3], map[4]) = (5, 6));
+        assert_eq!(distinct.map(|l| l.state.seg_live[0]).ok(), Some(2));
     }
 
     fn drives() -> [DiskSpec; 3] {

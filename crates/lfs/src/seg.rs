@@ -4,8 +4,11 @@
 //! (the MIT LLD's size, which the paper uses). Each segment's first block
 //! is its *summary*: the logical owner of every data slot, so a mounted
 //! volume (or a cleaner) can tell live blocks from dead ones.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use disksim::codec::{get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64, seal, seal_holds};
+use disksim::codec::{
+    get_bytes, get_u32, get_u32s, get_u64, put_u32, put_u32s, put_u64, seal, seal_holds,
+};
 use fscore::{FsError, FsResult};
 
 /// The one checksum of the logical disk: segment data and summary headers,
@@ -70,6 +73,9 @@ impl Summary {
     /// Serialise into `block` (one device block), overwriting all of it.
     /// The header is sealed with its own checksum so a torn summary write
     /// (partial sectors of the summary block itself) is detectable.
+    // bound: an encoder; `flush_image` hands it the open segment's first
+    // block, a whole device block, which holds the sealed header.
+    #[allow(clippy::indexing_slicing)]
     pub(crate) fn encode_into(&self, block: &mut [u8]) {
         put_u32(block, 0, SUMMARY_MAGIC);
         put_u32(block, 4, self.fill);
@@ -88,7 +94,7 @@ impl Summary {
         if get_u32(buf, 0)? != SUMMARY_MAGIC {
             return Err(FsError::Invalid("bad segment summary magic"));
         }
-        if digest(&buf[..HEAD_BYTES]) != get_u64(buf, HEAD_BYTES)? {
+        if digest(get_bytes(buf, 0, HEAD_BYTES)?) != get_u64(buf, HEAD_BYTES)? {
             return Err(FsError::Invalid("segment summary checksum mismatch"));
         }
         let fill = get_u32(buf, 4)?;
@@ -117,6 +123,9 @@ pub(crate) const CKPT_HEAD: usize = 24;
 const CKPT_SEAL: usize = 4;
 
 /// Fill `raw` (one whole checkpoint slot) with the image of `map`.
+// bound: an encoder; the log sizes `raw` to a checkpoint slot, which
+// `LogDisk::geometry` makes hold the header and a whole map.
+#[allow(clippy::indexing_slicing)]
 pub(crate) fn encode_checkpoint(raw: &mut [u8], flush_seq: u64, map: &[u32]) {
     let map_end = CKPT_HEAD + 4 * map.len();
     put_u32(raw, 0, CKPT_MAGIC);
@@ -313,7 +322,7 @@ mod tests {
                 return None;
             }
             let map: Vec<u32> = (0..logical as usize)
-                .map(|i| u32::from_le_bytes(raw[CKPT_HEAD + 4 * i..][..4].try_into().unwrap()))
+                .map(|i| get_u32(raw, CKPT_HEAD + 4 * i).unwrap())
                 .collect();
             map.iter()
                 .all(|&s| s == NONE || (s as u64) < slots)
@@ -396,7 +405,7 @@ mod tests {
                 }
                 assert!(Summary::decode(&block).is_err(), "unsealed, round {round}");
                 reseal_summary(&mut block);
-                let fill = u32::from_le_bytes(block[4..8].try_into().unwrap());
+                let fill = get_u32(&block, 4).unwrap();
                 let got = Summary::decode(&block);
                 assert_eq!(got.is_ok(), fill <= SEG_DATA as u32, "round {round}");
 

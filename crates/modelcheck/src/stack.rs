@@ -14,7 +14,7 @@
 //! [`StackSpec::crash`] is a power loss: every volatile layer (buffer cache,
 //! open segment, the VLD's in-memory map) evaporates and only the mechanical
 //! disk's sectors — plus what the fault layer counted — survive.
-//! [`StackSpec::remount`] runs the stack's real recovery path over those
+//! `StackSpec::recover` runs the stack's real recovery path over those
 //! sectors (VLD scan or tail recovery, LLD checkpoint + roll-forward, the
 //! file layer's bitmap reconciliation) under the *same* file-layer
 //! configuration the spec formats with.
@@ -27,8 +27,8 @@
 //!
 //! A spec is `Copy + Send` so sweeps can fan it out over `disksim::par`;
 //! the per-incarnation attachments that are not (the `Rc`-backed [`Obs`]
-//! handles) or that differ between format and remount (the fault plan) are
-//! arguments of `build` / `remount` rather than fields.
+//! handles) or that differ between format and recovery (the fault plan)
+//! are arguments of `build` / `recover` rather than fields.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,7 +42,6 @@ use fscore::{FsError, FsResult, HostModel};
 use lfs::seg::NONE;
 use lfs::{lfs_filesystem, LfsConfig, LldConfig, LogDisk};
 use ufs::{FsckError, Ufs, UfsConfig};
-use vlog_core::recovery::RecoveryReport;
 use vlog_core::vld::{Vld, VldConfig};
 
 /// Logical block size all stacks run at.
@@ -312,66 +311,17 @@ impl StackSpec {
         }
     }
 
-    /// Bring the media back up through the stack's recovery path, with a
-    /// fresh fault layer when `fault` is given. Returns the VLD's recovery
-    /// report on VLD stacks.
-    pub fn remount(
-        &self,
-        disk: Disk,
-        fault: Option<FaultPlan>,
-    ) -> FsResult<(Ufs, Option<RecoveryReport>)> {
-        let tracer = disk.tracer().cloned();
-        let (raw, report) = self.recover_device(disk)?;
-        Ok((self.mount_on(raw, fault, tracer)?, report))
-    }
-
-    /// The raw device's half of [`StackSpec::remount`]: the VLD's recovery,
-    /// or the regular disk as it lies.
-    fn recover_device(
-        &self,
-        disk: Disk,
-    ) -> FsResult<(Box<dyn BlockDevice>, Option<RecoveryReport>)> {
-        // Spans left open by the crash (an interrupted FsOp, a mid-flight
-        // compaction) are closed here so the recovery spans opened below
-        // attach at the root rather than under a dead foreground op. No-op
-        // when no span table is attached.
-        disk.spans().close_all(disk.clock().now());
-        match self.dev {
-            DevKind::Regular => Ok((Box::new(RegularDisk::from_disk(disk, BLOCK)), None)),
-            DevKind::Vld => {
-                let overhead = self.disk.spec().command_overhead_ns;
-                let (vld, rep) =
-                    Vld::recover(disk, overhead, self.vld_config()).map_err(FsError::Disk)?;
-                Ok((Box::new(vld), Some(rep)))
-            }
-        }
-    }
-
-    /// The rest of [`StackSpec::remount`]: the fault layer, the LLD's
-    /// recovery and the file layer's mount over a recovered raw device.
-    fn mount_on(
-        &self,
-        raw: Box<dyn BlockDevice>,
-        fault: Option<FaultPlan>,
-        tracer: Option<Tracer>,
-    ) -> FsResult<Ufs> {
-        let mut dev = Self::faulted(raw, fault, tracer);
-        if self.fs == FsKind::Lfs {
-            dev = Box::new(LogDisk::mount(dev, self.lld_config())?);
-        }
-        Ufs::mount_with(dev, self.host, self.ufs_config())
-    }
-
-    /// [`StackSpec::remount`] a crash, and when `check` (the model checker
-    /// asks after a power cut, and at a cut point's one crash) check what
-    /// the power loss had to keep: every acknowledged write is on the media
-    /// — the raw sectors on a regular disk, through the recovered map on the
-    /// VLD, whose journal is keyed by logical block — and the VLD claims no
-    /// firmware tail record. Both are read before the layers above mount,
-    /// because mount may write (it clears a torn rename's second name). The
-    /// torn block is exempt on every stack: it holds an unacknowledged
-    /// write, even when all eight sectors landed. These checks only peek,
-    /// so they move no clock.
+    /// Bring a crash back up through the stack's recovery path, with a
+    /// fresh fault layer when `fault` is given; and when `check` (the model
+    /// checker asks after a power cut, and at a cut point's one crash),
+    /// check what the power loss had to keep: every acknowledged write is
+    /// on the media — the raw sectors on a regular disk, through the
+    /// recovered map on the VLD, whose journal is keyed by logical block —
+    /// and the VLD claims no firmware tail record. Both are read before the
+    /// layers above mount, because mount may write (it clears a torn
+    /// rename's second name). The torn block is exempt on every stack: it
+    /// holds an unacknowledged write, even when all eight sectors landed.
+    /// These checks only peek, so they move no clock.
     pub(crate) fn recover(
         &self,
         st: CrashState,
@@ -397,10 +347,23 @@ impl StackSpec {
             }
         }
         let tracer = st.disk.tracer().cloned();
-        let (raw, report) = self.recover_device(st.disk)?;
-        if check && report.is_some_and(|rep| rep.used_tail) {
-            complaints.push("recovery claims a firmware tail record after a crash".into());
-        }
+        // Spans left open by the crash (an interrupted FsOp, a mid-flight
+        // compaction) are closed here so the recovery spans opened below
+        // attach at the root rather than under a dead foreground op. No-op
+        // when no span table is attached.
+        st.disk.spans().close_all(st.disk.clock().now());
+        let raw: Box<dyn BlockDevice> = match self.dev {
+            DevKind::Regular => Box::new(RegularDisk::from_disk(st.disk, BLOCK)),
+            DevKind::Vld => {
+                let overhead = self.disk.spec().command_overhead_ns;
+                let (vld, rep) =
+                    Vld::recover(st.disk, overhead, self.vld_config()).map_err(FsError::Disk)?;
+                if check && rep.used_tail {
+                    complaints.push("recovery claims a firmware tail record after a crash".into());
+                }
+                Box::new(vld)
+            }
+        };
         if let Some(vld) = probe_device::<Vld>(raw.as_ref()) {
             let mut buf = [0u8; BLOCK];
             for (blk, h) in acked {
@@ -416,7 +379,13 @@ impl StackSpec {
                 }
             }
         }
-        Ok((self.mount_on(raw, fault, tracer)?, complaints))
+        // The fault layer, the LLD's recovery and the file layer's mount
+        // over the recovered raw device.
+        let mut dev = Self::faulted(raw, fault, tracer);
+        if self.fs == FsKind::Lfs {
+            dev = Box::new(LogDisk::mount(dev, self.lld_config())?);
+        }
+        Ok((Ufs::mount_with(dev, self.host, self.ufs_config())?, complaints))
     }
 
     /// The recovery-path checks that write to the media, so a run ends with
@@ -662,12 +631,9 @@ mod tests {
                 assert_eq!(st.write_ops > 0, faulted, "{spec}: write count");
                 assert_eq!(st.acked.is_empty(), !faulted, "{spec}: ack journal");
                 assert_eq!(st.log, FaultLog::default(), "{spec}: no fault was armed");
-                let (mut fs, report) = spec.remount(st.disk, fault).expect("remount");
-                assert_eq!(report.is_some(), spec.dev == DevKind::Vld);
-                assert!(
-                    report.is_none_or(|r| !r.used_tail),
-                    "{spec}: a crash leaves no tail"
-                );
+                // No acknowledged write is lost, and a crash leaves no tail.
+                let (mut fs, complaints) = spec.recover(st, fault, true).expect("recover");
+                assert_eq!(complaints, Vec::<String>::new(), "{spec}");
                 assert!(audit(&mut fs).is_empty(), "{spec}: audit after recovery");
                 assert_eq!(read_all(&mut fs, "a"), vec![b'a'; 5000], "{spec}");
                 assert_eq!(read_all(&mut fs, "b"), vec![b'b'; 40_000], "{spec}");
@@ -715,7 +681,8 @@ mod tests {
                 assert!(workload(&mut fs).is_err(), "{spec}: the cut must surface");
                 let st = spec.crash(fs);
                 assert_eq!(st.log.power_cuts, 1, "{spec}");
-                spec.remount(st.disk, None).expect("remount");
+                let (_, complaints) = spec.recover(st, None, true).expect("recover");
+                assert_eq!(complaints, Vec::<String>::new(), "{spec}");
                 rec
             };
             let rec = record();
@@ -790,7 +757,8 @@ mod tests {
         for spec in every_spec().filter(|s| s.fs == FsKind::Lfs) {
             let mut fs = spec.build(None, &Obs::default()).expect("format");
             workload(&mut fs).expect("workload");
-            let (mut fs, _) = spec.remount(spec.crash(fs).disk, None).expect("remount");
+            let (mut fs, complaints) = spec.recover(spec.crash(fs), None, true).expect("recover");
+            assert_eq!(complaints, Vec::<String>::new(), "{spec}");
 
             // Read the first two blocks of the ten-block file in order, then
             // the rest: with read-ahead off the rest still comes from the

@@ -5,10 +5,11 @@
 //! (Inode and directory updates, by contrast, are written synchronously by
 //! the file system, which is exactly what makes small-file workloads slow
 //! on an update-in-place disk.)
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::Arc;
 
-use crate::layout::{zeroed_block, BLOCK_SIZE};
+use crate::layout::BLOCK_SIZE;
 use disksim::codec::{get_u64, put_u64};
 
 /// A bitmap with per-disk-block dirty tracking. Bit set = in use.
@@ -40,11 +41,9 @@ impl Bitmap {
     /// cannot set one.
     pub(crate) fn from_bytes(len: u64, bytes: &[u8]) -> Self {
         let mut bm = Self::new(len);
-        for (i, w) in bm.bits.iter_mut().enumerate() {
-            let src = bytes.get(i * 8..).unwrap_or_default();
+        for (w, src) in bm.bits.iter_mut().zip(bytes.chunks(8)) {
             let mut word = [0u8; 8];
-            let n = src.len().min(8);
-            word[..n].copy_from_slice(&src[..n]);
+            word.iter_mut().zip(src).for_each(|(b, s)| *b = *s);
             *w = get_u64(&word, 0).unwrap_or_default();
         }
         if let Some(last) = bm.bits.last_mut().filter(|_| !len.is_multiple_of(64)) {
@@ -92,9 +91,12 @@ impl Bitmap {
     /// Set a bit (idempotent).
     pub(crate) fn set(&mut self, i: u64) {
         debug_assert!(i < self.len);
-        let w = &mut self.bits[(i / 64) as usize];
         let m = 1u64 << (i % 64);
-        if *w & m == 0 {
+        if let Some(w) = self
+            .bits
+            .get_mut((i / 64) as usize)
+            .filter(|w| **w & m == 0)
+        {
             *w |= m;
             self.used += 1;
             self.mark_dirty(i);
@@ -104,9 +106,12 @@ impl Bitmap {
     /// Clear a bit (idempotent).
     pub(crate) fn clear(&mut self, i: u64) {
         debug_assert!(i < self.len);
-        let w = &mut self.bits[(i / 64) as usize];
         let m = 1u64 << (i % 64);
-        if *w & m != 0 {
+        if let Some(w) = self
+            .bits
+            .get_mut((i / 64) as usize)
+            .filter(|w| **w & m != 0)
+        {
             *w &= !m;
             self.used -= 1;
             self.mark_dirty(i);
@@ -114,8 +119,9 @@ impl Bitmap {
     }
 
     fn mark_dirty(&mut self, i: u64) {
-        let chunk = (i / 8) as usize / BLOCK_SIZE;
-        self.dirty[chunk] = true;
+        if let Some(dirty) = self.dirty.get_mut((i / 8) as usize / BLOCK_SIZE) {
+            *dirty = true;
+        }
     }
 
     /// First free bit at or after `hint`, wrapping around — the FFS
@@ -146,7 +152,7 @@ impl Bitmap {
             if w as u64 * 64 >= to {
                 return None;
             }
-            free = !self.bits[w];
+            free = !*self.bits.get(w)?;
         }
     }
 
@@ -179,13 +185,12 @@ impl Bitmap {
     /// are never set).
     pub(crate) fn chunk_bytes(&self, chunk: usize) -> Arc<[u8]> {
         const WORDS: usize = BLOCK_SIZE / 8;
-        let mut block = zeroed_block();
-        let out = Arc::get_mut(&mut block).expect("a pooled block has one holder");
+        let mut block = [0u8; BLOCK_SIZE];
         let words = self.bits.iter().skip(chunk * WORDS).take(WORDS);
         for (i, &w) in words.enumerate() {
-            put_u64(out, i * 8, w);
+            put_u64(&mut block, i * 8, w);
         }
-        block
+        disksim::pooled_copy(&block)
     }
 }
 

@@ -4,6 +4,7 @@
 //! root directory is inode 0. A zero name length marks a free slot, so
 //! freshly allocated directory blocks are valid empty directories. Which
 //! slots of a directory are live is the `tree` module's to say.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use disksim::codec::{get_bytes, get_u32, get_u8, put_u32};
 use disksim::DiskError;
@@ -36,6 +37,9 @@ impl Dirent {
     }
 
     /// Serialise into a 32-byte slot.
+    // bound: an encoder; the caller sized `slot` (asserted here), and
+    // `check_name` keeps a name within `MAX_NAME` bytes of it.
+    #[allow(clippy::indexing_slicing)]
     pub fn encode_into(&self, slot: &mut [u8]) {
         assert_eq!(slot.len(), DIRENT_SIZE);
         slot.fill(0);

@@ -22,10 +22,9 @@ use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::dir::{Dirent, DIRENT_SIZE};
-use crate::fsck::read_blocks;
 use crate::inode::{classify, BlockPath, Inode, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::layout::{zeroed_block, Layout, BLOCK_SIZE, INODE_SIZE, ZERO_BLOCK};
-use crate::tree::{self, Named, Namespace, Node, TreeVisitor, Verdict, ROOT_INO};
+use crate::tree::{self, Node, TreeVisitor, Verdict, ROOT_INO};
 use disksim::codec::{get_bytes, get_u32, put_u32};
 use disksim::{pooled_copy, BlockDevice, DeviceSnapshot, SharedBlocks, SimClock};
 use fscore::{BufferCache, FileId, FileSystem, FsError, FsResult, HostModel};
@@ -56,7 +55,7 @@ fn take_block(shared: &SharedBlocks, i: usize, copies: &mut u64) -> Arc<[u8]> {
 /// Slot occupancy of one directory, with the lowest free slot kept current
 /// so a create does not rescan the occupied prefix.
 #[derive(Debug, Clone, Default)]
-struct DirSlots {
+pub(crate) struct DirSlots {
     used: Vec<bool>,
     /// Lowest `i` with `!used[i]`, or `used.len()` when every slot is taken.
     first_free: usize,
@@ -72,7 +71,7 @@ impl DirSlots {
     }
 
     /// Mark `slot` used or free, growing the directory to reach it.
-    fn set(&mut self, slot: u64, used: bool) {
+    pub(crate) fn set(&mut self, slot: u64, used: bool) {
         let slot = slot as usize;
         if slot >= self.used.len() {
             self.used.resize(slot + 1, false);
@@ -89,11 +88,11 @@ impl DirSlots {
 
 /// Where a named object lives: its inode, and the directory slot naming it.
 #[derive(Debug, Clone, Copy)]
-struct PathEntry {
-    ino: u32,
-    parent: u32,
-    slot: u64,
-    is_dir: bool,
+pub(crate) struct PathEntry {
+    pub(crate) ino: u32,
+    pub(crate) parent: u32,
+    pub(crate) slot: u64,
+    pub(crate) is_dir: bool,
 }
 
 /// Tuning knobs for a [`Ufs`] instance.
@@ -133,7 +132,7 @@ impl Default for UfsConfig {
 /// The update-in-place file system over any block device.
 pub struct Ufs {
     dev: Box<dyn BlockDevice>,
-    state: UfsState,
+    pub(crate) state: UfsState,
     /// Whole-block payload copies made outside the cache (the cache counts
     /// its own copy-on-write): see [`Ufs::update_cache_gauges`].
     copies: u64,
@@ -157,19 +156,19 @@ pub struct Ufs {
 /// (bitmaps, buffer cache, directory index, handles, allocation hints):
 /// the value a snapshot carries.
 #[derive(Clone)]
-struct UfsState {
+pub(crate) struct UfsState {
     host: HostModel,
-    layout: Layout,
+    pub(crate) layout: Layout,
     cfg: UfsConfig,
-    inode_bm: Bitmap,
+    pub(crate) inode_bm: Bitmap,
     /// Bitmap over the data region (bit 0 = layout.data_start).
-    block_bm: Bitmap,
+    pub(crate) block_bm: Bitmap,
     cache: BufferCache,
     /// Directory index: normalised path → entry location.
-    names: HashMap<String, PathEntry>,
+    pub(crate) names: HashMap<String, PathEntry>,
     /// Per-directory slot occupancy for O(1) free-slot search. A directory
     /// no entry has been written to has none.
-    dir_slots: HashMap<u32, DirSlots>,
+    pub(crate) dir_slots: HashMap<u32, DirSlots>,
     /// Open-file table: handle `h` names the inode at index `h - 1`. The
     /// `FileSystem` interface has no close, so handles are issued in
     /// sequence and never retired — a flat table, four bytes a handle.
@@ -188,7 +187,12 @@ struct UfsState {
 impl UfsState {
     /// A volume with nothing indexed or cached yet. `inode_count` comes
     /// from `layout`; every other setting from `cfg`.
-    fn new(host: HostModel, layout: Layout, cfg: UfsConfig, bitmaps: (Bitmap, Bitmap)) -> Self {
+    pub(crate) fn new(
+        host: HostModel,
+        layout: Layout,
+        cfg: UfsConfig,
+        bitmaps: (Bitmap, Bitmap),
+    ) -> Self {
         let cfg = UfsConfig {
             inode_count: layout.inode_count,
             ..cfg
@@ -237,7 +241,7 @@ impl Ufs {
 
     /// The live system over `dev` in `state`: metrics detached, spans
     /// shared with the device stack, and the work counters starting here.
-    fn assemble(dev: Box<dyn BlockDevice>, state: UfsState) -> Self {
+    pub(crate) fn assemble(dev: Box<dyn BlockDevice>, state: UfsState) -> Self {
         let spans = dev.spans();
         let work_published = (state.cache.probes(), state.cache.cow_copies());
         Ufs {
@@ -268,144 +272,10 @@ impl Ufs {
         })
     }
 
-    /// Mount an existing file system with the default configuration.
-    pub fn mount(dev: Box<dyn BlockDevice>, host: HostModel) -> FsResult<Ufs> {
-        Self::mount_with(dev, host, UfsConfig::default())
-    }
-
-    /// Mount an existing file system, rebuilding in-memory state from disk.
-    /// `inode_count` comes from the superblock; every other setting (cache
-    /// size, read-ahead, trim, bulk flush) is volatile and taken from `cfg`,
-    /// so a remount can run the configuration the system was formatted with.
-    pub fn mount_with(
-        mut dev: Box<dyn BlockDevice>,
-        host: HostModel,
-        cfg: UfsConfig,
-    ) -> FsResult<Ufs> {
-        assert_eq!(dev.block_size(), BLOCK_SIZE);
-        // Superblock/bitmap loads, the directory walk and the bitmap
-        // reconciliation are all recovery-path reads.
-        let spans = dev.spans();
-        let sp = if spans.is_enabled() {
-            spans.open(disksim::SpanKind::Recovery, "ufs.mount", dev.clock().now())
-        } else {
-            0
-        };
-        let mut sb = vec![0u8; BLOCK_SIZE];
-        dev.read_block(0, &mut sb)?;
-        let layout = Layout::decode(&sb, dev.num_blocks())?;
-        let d = dev.as_mut();
-        let ibm = read_blocks(d, layout.inode_bitmap_start, layout.inode_bitmap_blocks)?;
-        let bbm = read_blocks(d, layout.block_bitmap_start, layout.block_bitmap_blocks)?;
-        let bitmaps = (
-            Bitmap::from_bytes(layout.inode_count as u64, &ibm),
-            Bitmap::from_bytes(layout.data_blocks(), &bbm),
-        );
-        let mut fs = Self::assemble(dev, UfsState::new(host, layout, cfg, bitmaps));
-        fs.index_tree()?;
-        fs.span_close(sp);
-        Ok(fs)
-    }
-
-    /// Rebuild the directory index from the media: walk the namespace from
-    /// the root ([`tree::Namespace`]), clearing every second name of a
-    /// file, then reconcile the bitmaps with what the walk reached.
-    ///
-    /// The bitmaps are crash recovery for the delayed-bitmap discipline:
-    /// inode and directory updates are synchronous but bitmap flushes wait
-    /// for `sync`, so after a power loss the on-media bitmaps can lag the
-    /// metadata. Trusting a stale *free* bit would hand out an inode or
-    /// block that reachable metadata already owns (double allocation, then
-    /// a dangling dirent once either owner is deleted) — so re-mark
-    /// everything reachable from the root as allocated. The opposite
-    /// staleness (bits still set for freed objects) is harmless: those
-    /// leak until `fsck` reclaims them.
-    ///
-    /// A second name of a file is what a power cut between `rename`'s two
-    /// directory writes leaves. Either name is the file, so the walk's first
-    /// is kept and the other cleared, synchronously, as `fsck_repair` would.
-    fn index_tree(&mut self) -> FsResult<()> {
-        let mut ns = Namespace::new(self.state.layout.inode_count);
-        // The path of each directory reached below the root, `/`-terminated.
-        let mut paths = HashMap::new();
-        while let Some(dir) = ns.next_dir() {
-            let Some(inode) = self.allocated_inode(dir)? else {
-                continue;
-            };
-            for (slot, e) in self.dir_entries(inode)? {
-                // Entries are input. Mount refuses what only `fsck_repair`
-                // should mend (a directory reached twice would be walked
-                // forever), and clears a file's second name.
-                let is_dir = match ns.judge(e.ino, |ino| self.allocated_inode(ino))? {
-                    Named::Dir => true,
-                    Named::File => false,
-                    Named::FileAgain => {
-                        self.write_dir_slot(dir, slot, None)?;
-                        continue;
-                    }
-                    Named::Dangling => return Err(FsError::Invalid("dangling dirent")),
-                    Named::DirAgain => return Err(FsError::Invalid("directory named twice")),
-                };
-                let prefix = paths.get(&dir).map_or("", String::as_str);
-                let path = format!("{prefix}{}", e.name);
-                self.state.dir_slots.entry(dir).or_default().set(slot, true);
-                if is_dir {
-                    paths.insert(e.ino, format!("{path}/"));
-                }
-                let entry = PathEntry {
-                    ino: e.ino,
-                    parent: dir,
-                    slot,
-                    is_dir,
-                };
-                self.state.names.insert(path, entry);
-            }
-        }
-        for ino in (0..self.state.layout.inode_count).filter(|&ino| ns.reached[ino as usize]) {
-            self.state.inode_bm.set(ino as u64);
-            let inode = self.get_inode(ino)?;
-            let mark = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
-                // A pointer outside the data area is `fsck_repair`'s to
-                // clear: `delete` would free a bit the data bitmap does not
-                // have, and a write through it would land on metadata.
-                let bit = n.block.checked_sub(fs.state.layout.data_start);
-                let bit = bit.filter(|&b| b < fs.state.block_bm.len());
-                let outside = FsError::Invalid("block pointer outside the data area");
-                fs.state.block_bm.set(bit.ok_or(outside)?);
-                Ok(Verdict::Follow)
-            };
-            self.cache_walk(inode, mark, |_, _| {})?;
-        }
-        Ok(())
-    }
-
-    /// Inode `ino`, or `None` if it is not allocated.
-    fn allocated_inode(&mut self, ino: u32) -> FsResult<Option<Inode>> {
-        Ok(Some(self.get_inode(ino)?).filter(|i| i.allocated))
-    }
-
-    /// The live entries of directory `dir` ([`tree::live_slots`]), its
-    /// blocks read through the cache in file order.
-    fn dir_entries(&mut self, dir: Inode) -> FsResult<Vec<(u64, Dirent)>> {
-        let mut entries = Vec::new();
-        let read = |fs: &mut Ufs, n: Node| -> FsResult<Verdict> {
-            if n.file_block >= dir.blocks() {
-                return Ok(Verdict::Skip);
-            }
-            if n.level == 0 {
-                let buf = fs.get_block(n.block)?;
-                entries.extend(tree::live_slots(dir.size, n.file_block, &buf)?);
-            }
-            Ok(Verdict::Follow)
-        };
-        self.cache_walk(dir, read, |_, _| {})?;
-        Ok(entries)
-    }
-
     /// Walk `inode`'s pointer tree through the buffer cache
     /// ([`tree::walk`]): `visit` judges each pointer on the way down, and
     /// `leave` hears of each followed pointer block on the way up.
-    fn cache_walk(
+    pub(crate) fn cache_walk(
         &mut self,
         mut inode: Inode,
         visit: impl FnMut(&mut Ufs, Node) -> FsResult<Verdict>,
@@ -448,7 +318,7 @@ impl Ufs {
     }
 
     /// Close a span previously opened by [`Ufs::span_open`].
-    fn span_close(&self, sp: u32) {
+    pub(crate) fn span_close(&self, sp: u32) {
         if sp != 0 {
             self.spans.close(sp, self.dev.clock().now());
         }
@@ -530,7 +400,7 @@ impl Ufs {
     /// Read a device block through the cache. The returned handle shares
     /// the cached payload — a hit costs an `Arc` clone, not a 4 KB copy.
     /// Drop it before editing the block, or the edit copies-on-write.
-    fn get_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
+    pub(crate) fn get_block(&mut self, blk: u64) -> FsResult<Arc<[u8]>> {
         if let Some(d) = self.state.cache.get_rc(blk) {
             return Ok(d);
         }
@@ -597,7 +467,7 @@ impl Ufs {
 
     // ----- inode helpers ----------------------------------------------
 
-    fn get_inode(&mut self, ino: u32) -> FsResult<Inode> {
+    pub(crate) fn get_inode(&mut self, ino: u32) -> FsResult<Inode> {
         let (blk, off) = self.state.layout.inode_location(ino);
         let buf = self.get_block(blk)?;
         Inode::decode(get_bytes(&buf, off, INODE_SIZE)?)
@@ -809,7 +679,7 @@ impl Ufs {
     /// Write a directory slot (synchronously — metadata), keep the
     /// directory inode's size current, and record the slot as used or free
     /// once the write has reached the device.
-    fn write_dir_slot(
+    pub(crate) fn write_dir_slot(
         &mut self,
         dir_ino: u32,
         slot_idx: u64,

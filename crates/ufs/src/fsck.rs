@@ -19,6 +19,7 @@
 //! never needs more than bitmap reconciliation; the severe classes only
 //! appear when the media itself lies, which is exactly what the
 //! model-checking harness's fault layer injects.)
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::dir::{Dirent, DIRENT_SIZE};
 use crate::inode::Inode;
@@ -226,7 +227,8 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let mut inodes: Vec<Option<Inode>> = vec![None; layout.inode_count as usize];
     // Each inode's data blocks, for the namespace walk.
     let mut file_blocks = vec![Vec::new(); layout.inode_count as usize];
-    for ino in 0..layout.inode_count {
+    let tables = inodes.iter_mut().zip(&mut file_blocks);
+    for (ino, (slot, data)) in (0..layout.inode_count).zip(tables) {
         let (blk, off) = layout.inode_location(ino);
         dev.read_block(blk, &mut buf)?;
         let mut inode = Inode::decode(get_bytes(&buf, off, INODE_SIZE)?)?;
@@ -254,15 +256,17 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
             data: Vec::new(),
         };
         ino_dirty |= tree::walk(&mut inode, &mut vet)?;
-        file_blocks[ino as usize] = vet.data;
+        *data = vet.data;
         if ino_dirty {
             // `buf` still holds this inode's table block (pointer blocks
             // were vetted through their own buffers), so neighbours in the
             // same block are preserved.
-            inode.encode_into(&mut buf[off..off + INODE_SIZE]);
+            if let Some(at) = buf.get_mut(off..off + INODE_SIZE) {
+                inode.encode_into(at);
+            }
             dev.write_block(blk, &buf)?;
         }
-        inodes[ino as usize] = Some(inode);
+        *slot = Some(inode);
     }
 
     // Walk the namespace: reachability, dangling entries, second names. In
@@ -270,14 +274,16 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     // once, before the next block is read.
     let mut ns = Namespace::new(layout.inode_count);
     while let Some(dir) = ns.next_dir() {
-        let Some(inode) = inodes[dir as usize] else {
+        let (Some(&Some(inode)), Some(blocks)) =
+            (inodes.get(dir as usize), file_blocks.get(dir as usize))
+        else {
             continue;
         };
-        for &(file_block, blk) in &file_blocks[dir as usize] {
+        for &(file_block, blk) in blocks {
             dev.read_block(blk, &mut buf)?;
             let mut dirty = false;
             for (slot, Dirent { ino, name }) in tree::live_slots(inode.size, file_block, &buf)? {
-                let named = ns.judge(ino, |ino| Ok(inodes[ino as usize]))?;
+                let named = ns.judge(ino, |ino| Ok(inodes.get(ino as usize).copied().flatten()))?;
                 let what = match named {
                     Named::Dir => {
                         report.dirs += 1;
@@ -292,7 +298,9 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                 };
                 if repair {
                     let at = tree::slot_place(slot).1;
-                    Dirent::clear_slot(&mut buf[at..at + DIRENT_SIZE]);
+                    if let Some(entry) = buf.get_mut(at..at + DIRENT_SIZE) {
+                        Dirent::clear_slot(entry);
+                    }
                     dirty = true;
                     report.repairs.push(format!(
                         "dir ino {dir}: removed {what} '{name}' → ino {ino}"
@@ -316,21 +324,23 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     // them (inode slot zeroed, their blocks dropped from the reference set
     // so the bitmap rebuild frees them). An orphaned directory's children
     // are themselves unreachable and released by the same sweep.
-    for ino in 0..layout.inode_count as usize {
-        if inodes[ino].is_some() && !reachable[ino] {
+    for (ino, (inode, &reached)) in inodes.iter_mut().zip(&reachable).enumerate() {
+        if inode.is_some() && !reached {
             report
                 .errors
                 .push(FsckError::OrphanInode { ino: ino as u32 });
             if repair {
                 let (blk, off) = layout.inode_location(ino as u32);
                 dev.read_block(blk, &mut buf)?;
-                buf[off..off + INODE_SIZE].fill(0);
+                if let Some(at) = buf.get_mut(off..off + INODE_SIZE) {
+                    at.fill(0);
+                }
                 dev.write_block(blk, &buf)?;
                 for o in owner.iter_mut().filter(|o| **o == ino as u32) {
                     *o = NO_OWNER;
                     report.blocks_referenced -= 1;
                 }
-                inodes[ino] = None;
+                *inode = None;
                 report
                     .repairs
                     .push(format!("ino {ino}: released orphan inode and its blocks"));
@@ -343,8 +353,9 @@ fn run(dev: &mut dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     // compared with what it does say a byte at a time.
     let block_want = bitmap_of(
         layout.block_bitmap_blocks,
-        owner[layout.data_start as usize..]
+        owner
             .iter()
+            .skip(layout.data_start as usize)
             .map(|&o| o != NO_OWNER),
     );
     for i in differing_bits(&block_bm, &block_want, layout.data_blocks()) {
@@ -395,13 +406,16 @@ pub(crate) fn read_blocks(dev: &mut dyn BlockDevice, start: u64, blocks: u64) ->
 fn bitmap_of(blocks: u64, bits: impl Iterator<Item = bool>) -> Vec<u8> {
     let mut bytes = vec![0u8; blocks as usize * BLOCK_SIZE];
     for (i, b) in bits.enumerate() {
-        bytes[i / 8] |= (b as u8) << (i % 8);
+        if let Some(byte) = bytes.get_mut(i / 8) {
+            *byte |= (b as u8) << (i % 8);
+        }
     }
     bytes
 }
 
 fn bit(bitmap: &[u8], i: u64) -> bool {
-    bitmap[(i / 8) as usize] >> (i % 8) & 1 == 1
+    let byte = bitmap.get((i / 8) as usize);
+    byte.is_some_and(|b| b >> (i % 8) & 1 == 1)
 }
 
 /// Indices below `bits` at which two bitmaps differ, ascending; bytes that

@@ -3,6 +3,7 @@
 //! With 4 KB blocks and 4-byte pointers that is 48 KB direct, +4 MB
 //! indirect, +4 GB double-indirect — comfortably past the 10–18 MB files
 //! the paper's large-file and utilisation benchmarks use.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::layout::{BLOCK_SIZE, INODE_SIZE};
 use disksim::codec::{get_u32, get_u32s, get_u64, get_u8, put_u32, put_u32s, put_u64};
@@ -65,6 +66,8 @@ impl Inode {
     }
 
     /// Serialise into an [`INODE_SIZE`]-byte slot.
+    // bound: an encoder; the caller sized `slot` (asserted here).
+    #[allow(clippy::indexing_slicing)]
     pub fn encode_into(&self, slot: &mut [u8]) {
         assert_eq!(slot.len(), INODE_SIZE);
         slot.fill(0);

@@ -12,6 +12,7 @@
 //! reserved: allocation fails once free space dips below it, and `df`-style
 //! utilisation counts it as used — the paper notes its Figure 8 x-axis
 //! "includes about 12% of reserved free space that is not usable".
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::Arc;
 

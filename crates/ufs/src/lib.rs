@@ -28,6 +28,7 @@ mod fs;
 pub mod fsck;
 pub mod inode;
 pub mod layout;
+mod mount;
 mod tree;
 
 pub use fs::{Ufs, UfsConfig, UfsSnapshot};

@@ -4,6 +4,7 @@
 //! differ in how a block is fetched (the buffer cache, or the raw device)
 //! and in what they do with what the walk finds. Looking up or allocating
 //! one file block is `Ufs::resolve_block`'s.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::ops::Deref;
 
@@ -189,7 +190,9 @@ impl Namespace {
     /// A walk of an `inode_count`-inode table, about to read the root.
     pub(crate) fn new(inode_count: u32) -> Self {
         let mut reached = vec![false; inode_count as usize];
-        reached[ROOT_INO as usize] = true;
+        if let Some(root) = reached.get_mut(ROOT_INO as usize) {
+            *root = true;
+        }
         let unread = vec![ROOT_INO];
         Namespace { reached, unread }
     }

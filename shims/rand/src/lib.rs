@@ -11,6 +11,9 @@
 //! The generator is xoshiro256**, seeded via SplitMix64, which is the same
 //! construction the real `rand_xoshiro` crate uses; statistical quality is
 //! far beyond what workload generation and property tests need.
+// A stand-in for a crates.io crate: the workspace's rule that only
+// `disksim::codec` decodes integers (clippy.toml) is not its to keep.
+#![allow(clippy::disallowed_methods)]
 
 /// Core random-number source: a stream of `u64`s.
 pub trait RngCore {

@@ -9,11 +9,12 @@
 //! systems in exactly one module, so every harness crash-checks and measures
 //! the same stacks.
 //!
-//! Codec inventory, same idea again: every on-disk field is read and written
-//! through `disksim::codec`, so byte order, field width and what a short
-//! buffer means are decided in one place, and a parse path cannot panic on
-//! a short field — nor on an `unwrap` or `expect`, outside a short list of
-//! calls that guard in-memory invariants.
+//! Parse boundary: the files that read bytes from the media open with a
+//! clippy deny list (indexing, slicing, `unwrap`, `expect`, `panic!`), so a
+//! damaged image yields an error, never a panic; clippy enforces it, and
+//! this inventory checks that no listed file has lost the list. Decoding an
+//! integer from bytes outside `disksim::codec` is clippy's to refuse too
+//! (`clippy.toml`, `disallowed-methods`).
 //!
 //! Placement inventory: one module prices cylinders, so the eager
 //! allocator's sweeps and the compactor's hole-plug search decide the
@@ -221,95 +222,45 @@ fn non_test(src: &str) -> String {
     out
 }
 
-/// The one module that turns bytes into integers, and the digest kernel,
-/// which folds whole words at memory speed.
-const DECODES: [&str; 2] = [
-    "crates/disksim/src/codec.rs",
-    "crates/disksim/src/digest.rs",
-];
-
-/// The modules that lay out or walk an on-disk record.
-const RECORD_MODULES: [&str; 12] = [
+/// The files that parse bytes from the media (DESIGN.md, "Parse
+/// boundary").
+const PARSE_BOUNDARY: [&str; 15] = [
     "crates/core/src/checkpoint.rs",
     "crates/core/src/mapsector.rs",
+    "crates/core/src/recovery.rs",
     "crates/core/src/tail.rs",
-    "crates/core/src/vlfs.rs",
+    "crates/disksim/src/codec.rs",
     "crates/disksim/src/image.rs",
+    "crates/lfs/src/mount.rs",
     "crates/lfs/src/seg.rs",
+    "crates/ufs/src/bitmap.rs",
     "crates/ufs/src/dir.rs",
-    "crates/ufs/src/fs.rs",
     "crates/ufs/src/fsck.rs",
     "crates/ufs/src/inode.rs",
     "crates/ufs/src/layout.rs",
+    "crates/ufs/src/mount.rs",
     "crates/ufs/src/tree.rs",
 ];
 
-/// The `expect` calls a record module may make outside its tests, by
-/// message: each guards an in-memory invariant (of the buffer cache, or
-/// that splitting a path yields its last component), never bytes from the
-/// media.
-const INVARIANT_EXPECTS: [&str; 5] = [
-    "full cache is non-empty",
-    "fresh buffer is unshared",
-    "sole owner",
-    "flushed block cached",
-    "non-empty path",
-];
-
+/// Tier 1 does not run clippy, so it checks what clippy would enforce:
+/// every boundary file opens with the deny list, and `clippy.toml` keeps
+/// integer decoding in the codec.
 #[test]
-fn every_record_field_goes_through_the_codec() {
+fn every_parse_boundary_file_denies_panics() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
-        rust_files(
-            &krate.expect("readable directory entry").path().join("src"),
-            &mut files,
-        );
+    let deny = "clippy::indexing_slicing,clippy::unwrap_used,clippy::expect_used,clippy::panic";
+    for file in PARSE_BOUNDARY {
+        let src = fs::read_to_string(root.join(file)).expect("a boundary file");
+        // The attribute opens a line, so a commented-out copy does not count.
+        let list = src.split_once("\n#![deny(").and_then(|(_, rest)| rest.split_once(")]"));
+        let list: Option<String> = list.map(|(list, _)| list.split_whitespace().collect());
+        assert_eq!(list.as_deref(), Some(deny), "{file} lost its deny list");
     }
-    assert!(files.len() > 50, "walked only {} files", files.len());
-
-    let mut found = BTreeSet::new();
-    let mut records = BTreeSet::new();
-    for file in &files {
-        let rel = file.strip_prefix(root).expect("walked from root");
-        let rel = rel.to_str().expect("UTF-8 path").to_owned();
-        let src = fs::read_to_string(file).expect("readable source file");
-        let code = non_test(&src);
-        assert!(
-            !code.contains("cfg(test)]"),
-            "{rel}: a test item was not stripped"
-        );
-        // Whitespace out, so a call split over lines still matches.
-        let code: String = code.split_whitespace().collect();
-        if code.contains("from_le_bytes") && !DECODES.contains(&rel.as_str()) {
-            found.insert((rel.clone(), "from_le_bytes"));
-        }
-        if RECORD_MODULES.contains(&rel.as_str()) {
-            records.insert(rel.clone());
-            let mut code = code;
-            for message in INVARIANT_EXPECTS {
-                let call = format!(".expect(\"{message}\")");
-                code = code.replace(&call.split_whitespace().collect::<String>(), "");
-            }
-            for call in ["to_le_bytes", "try_into().unwrap(", ".unwrap()", ".expect("] {
-                if code.contains(call) {
-                    found.insert((rel.clone(), call));
-                }
-            }
-        }
+    let config = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for int in ["u8", "u16", "u32", "u64"] {
+        let path = format!("path = \"{int}::from_le_bytes\"");
+        assert!(config.contains(&path), "clippy.toml no longer disallows {int}::from_le_bytes");
     }
-    assert_eq!(
-        records.len(),
-        RECORD_MODULES.len(),
-        "a record module moved: walked {records:?}"
-    );
-    assert_eq!(
-        found,
-        BTreeSet::new(),
-        "a record field is read or written outside disksim::codec (use its \
-         get_/put_ functions, which make a short field Corrupt), or a record \
-         module unwraps outside INVARIANT_EXPECTS"
-    );
 }
 
 /// The one module that may build a cylinder's pricing plan: every placement
