@@ -267,7 +267,10 @@ fn park(mut page: Arc<Page>) {
     });
     let Some(page) = spilled else { return };
     if let Ok(mut free) = FREE_PAGES.lock() {
-        if free.len() < FREE_PAGES_CAP {
+        let len = free.len();
+        if len < FREE_PAGES_CAP {
+            // Sized to the cap once, so a spill never grows the list.
+            free.reserve_exact(FREE_PAGES_CAP - len);
             free.push(page);
         }
     }

@@ -16,9 +16,9 @@
 //!   owner of every slot, and a checkpoint area at the end of the device
 //!   persists the block map on `sync`, making volumes remountable.
 //!
-//! Host-side, the open segment's buffer *is* the flush image (summary
-//! block, then data slots): an append copies and digests its block once,
-//! and every flush writes the used prefix straight from that buffer.
+//! Host-side, the open segment is a list of block handles (summary, then
+//! data slots): an append keeps its block and digests it once, and every
+//! flush hands the handles to the device, which keeps each as its page.
 //!
 //! The LLD runs over any raw [`BlockDevice`] — a regular disk, or a VLD for
 //! the paper's "LFS on VLD" configuration.
@@ -30,7 +30,8 @@ use crate::seg::{
     SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS, SEG_DATA,
 };
 use disksim::{
-    BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime, SimClock,
+    pooled_copy, BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime,
+    SharedBlocks, SimClock,
 };
 use fscore::{FsError, FsResult};
 
@@ -76,46 +77,20 @@ pub struct CleanerStats {
     pub during_idle: u64,
 }
 
-/// The in-memory open segment.
-#[derive(Debug)]
+/// The in-memory open segment. Its clone shares every block.
+#[derive(Debug, Clone)]
 pub(crate) struct OpenSeg {
     seg: u32,
     summary: Summary,
-    /// The segment exactly as a flush writes it: block 0 is the summary
-    /// (encoded in place just before each write), block `1 + i` is data
-    /// slot `i`. Always a whole segment long; only the prefix up to the
-    /// last appended slot is ever read, so a recycled buffer is not
-    /// cleared.
-    image: Vec<u8>,
+    /// The segment as a flush writes it: block 0 the summary (encoded just
+    /// before each write), block `1 + i` data slot `i`. Others may hold
+    /// any of them, so the log writes only into one no one else holds.
+    blocks: Vec<Arc<[u8]>>,
     /// Running digest of data slots `0..summary.fill`, so a flush reads
     /// the checksum instead of re-hashing the prefix.
     digest: Digest,
     /// Slots already written to the device by a partial flush.
     flushed: u32,
-}
-
-impl OpenSeg {
-    /// Bytes of `image` holding the summary block and the appended slots.
-    fn used_bytes(&self) -> usize {
-        let bs = self.image.len() / SEG_BLOCKS as usize;
-        (1 + self.summary.fill as usize) * bs
-    }
-}
-
-impl Clone for OpenSeg {
-    /// Copies the used prefix only; the rest of the clone's image is fresh.
-    fn clone(&self) -> Self {
-        let used = self.used_bytes();
-        let mut image = vec![0u8; self.image.len()];
-        image[..used].copy_from_slice(&self.image[..used]);
-        Self {
-            seg: self.seg,
-            summary: self.summary.clone(),
-            image,
-            digest: self.digest,
-            flushed: self.flushed,
-        }
-    }
 }
 
 /// The log-structured logical disk.
@@ -126,24 +101,21 @@ pub struct LogDisk {
     /// another on-demand clean. Always false between calls.
     cleaning: bool,
     /// Metrics handle (disabled by default): cleaner counters, free-segment
-    /// gauge, log utilisation and the two work counters below.
+    /// gauge, log utilisation and the work counter below.
     metrics: disksim::Metrics,
     /// Host-side scratch, reused across calls and never part of a
     /// snapshot (a restored log starts without it).
     pub(crate) scratch: Scratch,
-    /// Bytes folded into a segment digest, and bytes copied into a flush
-    /// image by anything but `append` (only a snapshot restore does), since
+    /// Bytes folded into a segment digest since
     /// [`LogDisk::update_gauges`] last moved them to the
-    /// `lld.bytes_digested` / `lld.bytes_staged` counters. Plain integers
-    /// on the hot path.
+    /// `lld.bytes_digested` counter. A plain integer on the hot path.
     digested: u64,
-    staged: u64,
 }
 
 /// Every piece of log bookkeeping a [`LogDisk`] adds to its device,
-/// including the in-memory open segment (the used prefix of its image and
-/// its running digest): the value a snapshot carries, and the one format
-/// and mount compute.
+/// including the in-memory open segment (its block handles and running
+/// digest): the value a snapshot carries, and the one format and mount
+/// compute.
 #[derive(Clone)]
 pub(crate) struct LldState {
     pub(crate) cfg: LldConfig,
@@ -181,12 +153,12 @@ pub(crate) struct LldState {
 /// nothing in steady state. All start empty and are sized on first use.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// The image of the last sealed segment, for the next one to open on.
-    spare_image: Option<Vec<u8>>,
+    /// The last sealed segment's block list, cut to its summary block.
+    spare_blocks: Vec<Arc<[u8]>>,
     /// The spare a device without a shared read copies the cleaner's
-    /// victim into (a regular disk lends its tracks and leaves it empty).
+    /// victim into (a regular disk lends its pages and leaves it empty).
     victim_image: Vec<u8>,
-    /// One victim block assembled across a track boundary.
+    /// One victim block assembled across a page boundary.
     victim_block: Vec<u8>,
     /// The cleaner's `(slot index, owner)` list of the victim's live slots.
     live: Vec<(u32, u32)>,
@@ -226,11 +198,9 @@ impl LogDisk {
         Ok(lld)
     }
 
-    /// The live log over `dev` in `state`: metrics detached, scratch empty,
-    /// and the open image's prefix, which the caller's copy of `state`
-    /// staged, the only work on the books.
+    /// The live log over `dev` in `state`: metrics detached, scratch empty
+    /// and no work on the books.
     pub(crate) fn assemble(dev: Box<dyn BlockDevice>, state: LldState) -> Self {
-        let staged = state.open.as_ref().map_or(0, |o| o.used_bytes() as u64);
         LogDisk {
             dev,
             state,
@@ -238,7 +208,6 @@ impl LogDisk {
             metrics: disksim::Metrics::disabled(),
             scratch: Scratch::default(),
             digested: 0,
-            staged,
         }
     }
 
@@ -250,9 +219,9 @@ impl LogDisk {
     /// Attach a metrics handle (pass `Metrics::disabled()` to detach). The
     /// log records cleaner counters (`lld.segments_cleaned`,
     /// `lld.blocks_copied`, on-demand vs. idle passes), a `lld.victim_live`
-    /// histogram, free-segment / utilisation gauges, and the work counters
-    /// `lld.bytes_digested` / `lld.bytes_staged`, brought up to date here,
-    /// after each cleaned segment and on idle (cold paths only).
+    /// histogram, free-segment / utilisation gauges, and the work counter
+    /// `lld.bytes_digested`, brought up to date here, after each cleaned
+    /// segment and on idle (cold paths only).
     pub fn set_metrics(&mut self, metrics: disksim::Metrics) {
         self.metrics = metrics;
         self.update_gauges();
@@ -290,8 +259,6 @@ impl LogDisk {
                 .gauge("lld.utilization_pct", (live * 100 / cap.max(1)) as i64);
             self.metrics
                 .add("lld.bytes_digested", std::mem::take(&mut self.digested));
-            self.metrics
-                .add("lld.bytes_staged", std::mem::take(&mut self.staged));
         }
     }
 
@@ -377,14 +344,15 @@ impl LogDisk {
         if self.state.open.is_none() {
             let seg = self.acquire_segment()?;
             self.set_seg_state(seg, SegState::Open);
-            let image = match self.scratch.spare_image.take() {
-                Some(image) => image,
-                None => vec![0u8; SEG_BLOCKS as usize * self.state.block_size],
-            };
+            let mut blocks = std::mem::take(&mut self.scratch.spare_blocks);
+            if blocks.is_empty() {
+                blocks.reserve_exact(SEG_BLOCKS as usize);
+                blocks.push(pooled_copy(&vec![0u8; self.state.block_size]));
+            }
             self.state.open = Some(OpenSeg {
                 seg,
                 summary: Summary::empty(),
-                image,
+                blocks,
                 digest: Digest::new(),
                 flushed: 0,
             });
@@ -392,8 +360,8 @@ impl LogDisk {
         Ok(self.state.open.as_mut().expect("just ensured"))
     }
 
-    /// Append one block to the log; seals the segment when it fills.
-    fn append(&mut self, lb: u64, buf: &[u8]) -> FsResult<()> {
+    /// Append `block` to the log, keeping it; seals the segment when full.
+    fn append(&mut self, lb: u64, block: Arc<[u8]>) -> FsResult<()> {
         // User-level logical disk: each block through it costs host CPU.
         // (A zero-cost configuration skips the clock call entirely so it
         // doesn't inflate the simulation event count.)
@@ -402,13 +370,12 @@ impl LogDisk {
         }
         // Drop the old mapping first.
         self.unmap(lb);
-        let bs = self.state.block_size;
+        self.digested += block.len() as u64;
         let open = self.open_mut()?;
         let idx = open.summary.fill;
-        let off = (1 + idx as usize) * bs;
-        // The one copy and the one digest pass a block ever gets here.
-        open.image[off..off + bs].copy_from_slice(buf);
-        open.digest.update(buf);
+        // The one digest pass a block ever gets here.
+        open.digest.update(&block);
+        open.blocks.push(block);
         open.summary.owners[idx as usize] = lb as u32;
         open.summary.fill += 1;
         let seg = open.seg;
@@ -417,7 +384,6 @@ impl LogDisk {
         self.state.map[lb as usize] = slot as u32;
         self.state.rmap[slot as usize] = lb as u32;
         self.state.seg_live[seg as usize] += 1;
-        self.digested += bs as u64;
         if full {
             self.seal()?;
         }
@@ -462,6 +428,20 @@ impl LogDisk {
         }
     }
 
+    /// Where logical `block` lies. A slot of the open segment is served
+    /// from memory even once a partial flush has written it.
+    fn place(&self, block: u64) -> Place<'_> {
+        let slot = self.state.map[block as usize];
+        if slot == NONE {
+            return Place::Unmapped;
+        }
+        let (seg, idx) = slot_to_seg(slot as u64);
+        match &self.state.open {
+            Some(open) if open.seg == seg => Place::Open(&open.blocks[1 + idx as usize]),
+            _ => Place::Device(slot_device_block(slot as u64)),
+        }
+    }
+
     fn next_flush_seq(&mut self) -> u64 {
         self.state.flush_seq += 1;
         self.state.flush_seq
@@ -476,7 +456,7 @@ impl LogDisk {
             // flush instead.
             return;
         }
-        for seg in std::mem::take(&mut self.state.pending_free) {
+        while let Some(seg) = self.state.pending_free.pop() {
             if self.state.seg_live[seg as usize] == 0
                 && self.state.seg_state[seg as usize] == SegState::Dirty
             {
@@ -486,12 +466,11 @@ impl LogDisk {
     }
 
     /// Write the open segment as it stands — summary plus every appended
-    /// slot — in one command, straight from its image: stamp a fresh flush
-    /// sequence and the running data digest into the summary and encode it
-    /// into block 0 in place.
+    /// slot — in one command, handing the device its blocks: stamp a fresh
+    /// flush sequence and the running data digest into the summary and
+    /// encode it into block 0, a pooled copy if anyone else holds it.
     fn flush_image(&mut self) -> FsResult<()> {
         let seq = self.next_flush_seq();
-        let bs = self.state.block_size;
         let open = self
             .state
             .open
@@ -500,12 +479,20 @@ impl LogDisk {
         open.summary.seq = seq;
         open.summary.data_csum = open.digest.finish();
         open.flushed = open.summary.fill;
-        open.summary.encode_into(&mut open.image[..bs]);
+        let head = &mut open.blocks[0];
+        if Arc::get_mut(head).is_none() {
+            *head = pooled_copy(head);
+        }
+        open.summary
+            .encode_into(Arc::get_mut(head).expect("no one else holds it"));
         let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
         let open = self.state.open.as_ref().expect("checked above");
+        // The run's handles, gathered on the stack.
+        let mut run = [&open.blocks[0]; SEG_BLOCKS as usize];
+        run.iter_mut().zip(&open.blocks).for_each(|(r, b)| *r = b);
         let r = self
             .dev
-            .write_blocks(summary_block(open.seg), &open.image[..open.used_bytes()]);
+            .write_gathered(summary_block(open.seg), &run[..open.blocks.len()]);
         self.close_span(&spans, sp);
         r?;
         Ok(())
@@ -533,9 +520,11 @@ impl LogDisk {
         }
         let r = self.flush_image();
         // The segment closes whether or not the write went through; its
-        // image is what the next segment opens on.
-        let open = self.state.open.take().expect("checked above");
-        self.scratch.spare_image = Some(open.image);
+        // block list, down to its summary block, is what the next segment
+        // opens on.
+        let mut open = self.state.open.take().expect("checked above");
+        open.blocks.truncate(1);
+        self.scratch.spare_blocks = open.blocks;
         r?;
         self.promote_pending_frees();
         let new = if self.state.seg_live[open.seg as usize] > 0 {
@@ -657,12 +646,10 @@ impl LogDisk {
     }
 
     /// Read `victim` through the device's shared read (into `image` where
-    /// it has none) and append each of its live blocks to the log head
-    /// straight from it; `block` assembles one that straddles a track.
-    /// `cleaning` is set for exactly the duration of the appends. The
-    /// handle on the victim ends with this call, before `clean_segment`
-    /// flushes; a seal during the appends that writes a track it holds
-    /// copies that one track first.
+    /// it has none) and append each of its live blocks to the log head:
+    /// the drive's own page where the device lent one, else a pooled copy
+    /// (`block` assembles one that straddles a page). `cleaning` is set for
+    /// exactly the duration of the appends.
     fn copy_live_forward(
         &mut self,
         victim: u32,
@@ -694,8 +681,10 @@ impl LogDisk {
         let (image, _) = self.dev.share_blocks(start, SEG_BLOCKS as usize, image)?;
         self.cleaning = true;
         let copied = live.iter().try_for_each(|&(idx, owner)| {
-            let off = (1 + idx as usize) * bs;
-            self.append(owner as u64, image.get(off..off + bs, block))?;
+            let range = (1 + idx as usize) * bs..(2 + idx as usize) * bs;
+            let page = image.page(range.clone());
+            let page = page.unwrap_or_else(|| pooled_copy(image.get(range, block)));
+            self.append(owner as u64, page)?;
             self.state.stats.blocks_copied += 1;
             self.metrics.inc("lld.blocks_copied");
             Ok(())
@@ -703,6 +692,13 @@ impl LogDisk {
         self.cleaning = false;
         copied
     }
+}
+
+/// Where a logical block lies: nowhere (zeros), open segment, or device.
+enum Place<'a> {
+    Unmapped,
+    Open(&'a Arc<[u8]>),
+    Device(u64),
 }
 
 impl BlockDevice for LogDisk {
@@ -719,45 +715,39 @@ impl BlockDevice for LogDisk {
     }
 
     fn read_block(&mut self, block: u64, buf: &mut [u8]) -> DiskResult<ServiceTime> {
-        let slot = self.state.map[block as usize];
-        if slot == NONE {
-            buf.fill(0);
-            return Ok(ServiceTime::ZERO);
+        match self.place(block) {
+            Place::Unmapped => buf.fill(0),
+            Place::Open(data) => buf.copy_from_slice(data),
+            Place::Device(at) => return self.dev.read_block(at, buf),
         }
-        // Serve from the open segment buffer when possible.
-        if let Some(open) = &self.state.open {
-            let (seg, idx) = slot_to_seg(slot as u64);
-            if seg == open.seg {
-                let off = (1 + idx as usize) * self.state.block_size;
-                buf.copy_from_slice(&open.image[off..off + self.state.block_size]);
-                return Ok(ServiceTime::ZERO);
+        Ok(ServiceTime::ZERO)
+    }
+
+    /// A lone block on the device is the device's shared read of it, the
+    /// command `read_block` issues; anything else reads as the default.
+    fn share_blocks<'a>(
+        &mut self,
+        start: u64,
+        blocks: usize,
+        spare: &'a mut Vec<u8>,
+    ) -> DiskResult<(SharedBlocks<'a>, ServiceTime)> {
+        match self.place(start) {
+            Place::Device(at) if blocks == 1 => self.dev.share_blocks(at, 1, spare),
+            _ => {
+                spare.resize(blocks * self.state.block_size, 0);
+                let st = self.read_blocks(start, spare)?;
+                Ok((SharedBlocks::Copied(spare), st))
             }
         }
-        self.dev.read_block(slot_device_block(slot as u64), buf)
     }
 
     fn write_block(&mut self, block: u64, buf: &[u8]) -> DiskResult<ServiceTime> {
-        let clock = self.dev.clock();
-        let t0 = clock.now();
-        self.append(block, buf).map_err(|e| match e {
-            FsError::NoSpace => disksim::DiskError::NoSpace,
-            FsError::Disk(d) => d,
-            _ => disksim::DiskError::Unsupported("log append failed"),
-        })?;
-        // Report the device time this append actually triggered (zero for
-        // a pure buffer append; a sealed segment's flush otherwise).
-        Ok(ServiceTime {
-            overhead_ns: 0,
-            seek_ns: 0,
-            head_switch_ns: 0,
-            rotation_ns: 0,
-            transfer_ns: clock.now() - t0,
-        })
+        self.write_gathered(block, &[&pooled_copy(buf)])
     }
 
     fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> DiskResult<ServiceTime> {
         // What `write_blocks` does with the blocks laid end to end: one
-        // append each, each taken where it lies.
+        // append each, keeping each handle.
         let bs = self.block_size();
         if let Some(b) = blocks.iter().find(|b| b.len() != bs) {
             return Err(disksim::DiskError::BadBufferLength {
@@ -765,11 +755,20 @@ impl BlockDevice for LogDisk {
                 actual: b.len(),
             });
         }
-        let mut total = ServiceTime::ZERO;
-        for (block, buf) in (start..).zip(blocks) {
-            total += self.write_block(block, buf)?;
+        let clock = self.dev.clock();
+        let t0 = clock.now();
+        for (block, data) in (start..).zip(blocks) {
+            self.append(block, Arc::clone(data)).map_err(|e| match e {
+                FsError::NoSpace => disksim::DiskError::NoSpace,
+                FsError::Disk(d) => d,
+                _ => disksim::DiskError::Unsupported("log append failed"),
+            })?;
         }
-        Ok(total)
+        // The device time the appends triggered: their segment flushes.
+        Ok(ServiceTime {
+            transfer_ns: clock.now() - t0,
+            ..ServiceTime::ZERO
+        })
     }
 
     fn trim(&mut self, block: u64) -> DiskResult<()> {
@@ -852,7 +851,7 @@ impl DeviceSnapshot for LogDiskSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disksim::{DiskSpec, RegularDisk};
+    use disksim::{downcast_device, probe_device, DiskSpec, RegularDisk};
 
     fn raw() -> Box<dyn BlockDevice> {
         Box::new(RegularDisk::new(
@@ -1506,6 +1505,238 @@ mod tests {
                 copied,
                 "wrapped {wrap}"
             );
+        }
+    }
+
+    /// A shared read of one block on the device is the device's shared
+    /// read of its slot: the same command as `read_block` (service time,
+    /// clock and disk statistics alike) delivering the drive's own page. A
+    /// block of the open segment, an unmapped one and a run of two read as
+    /// `read_blocks` does, into the spare.
+    #[test]
+    fn a_lone_sealed_block_is_shared_through_the_read_command() {
+        let setup = || {
+            let mut l = lld();
+            for i in 0..SEG_DATA + 5 {
+                l.write_block(i, &vec![i as u8 | 1; 4096]).unwrap();
+            }
+            l
+        };
+        let (mut read, mut shared) = (setup(), setup());
+        let mut spare = Vec::new();
+        for (lb, n, lent) in [
+            (3, 1, true),
+            (SEG_DATA + 2, 1, false),
+            (SEG_DATA + 40, 1, false),
+            (3, 2, false),
+        ] {
+            let mut want = vec![0u8; n * 4096];
+            let st = read.read_blocks(lb, &mut want).unwrap();
+            let (blocks, got) = shared.share_blocks(lb, n, &mut spare).unwrap();
+            assert_eq!(st, got, "block {lb}");
+            assert_eq!(blocks.get(0..n * 4096, &mut Vec::new()), &want[..]);
+            assert_eq!(blocks.page(0..4096).is_some(), lent, "block {lb}");
+            drop(blocks);
+            assert_eq!(read.clock().now(), shared.clock().now());
+            assert_eq!(
+                format!("{:?}", read.disk_stats()),
+                format!("{:?}", shared.disk_stats())
+            );
+        }
+        assert!(
+            read.disk_stats().reads > 0,
+            "the sealed block came off the drive"
+        );
+    }
+
+    /// The file the aliasing test works on, in blocks: a segment and a
+    /// half, so bursts seal segments and overwrites leave holes to clean.
+    const SPAN: usize = 192;
+
+    /// UFS, with a 16-block cache so writes evict dirty blocks too, over a
+    /// log that cleans on every idle grant, over a regular disk, holding
+    /// one file of [`SPAN`] blocks; and what each of them holds.
+    fn kept_stack() -> (ufs::Ufs, fscore::FileId, Vec<Vec<u8>>) {
+        use fscore::FileSystem;
+        let cfg = LldConfig {
+            idle_clean_target: u32::MAX,
+            ..LldConfig::default()
+        };
+        let l = LogDisk::format(raw(), cfg).unwrap();
+        let ufs_cfg = ufs::UfsConfig {
+            cache_bytes: 16 * 4096,
+            ..ufs::UfsConfig::default()
+        };
+        let host = fscore::HostModel::sparcstation_10();
+        let mut fs = ufs::Ufs::format(Box::new(l), host, ufs_cfg).unwrap();
+        let f = fs.create("f").unwrap();
+        let view: Vec<Vec<u8>> = (0..SPAN).map(|i| vec![i as u8; 4096]).collect();
+        fs.write(f, 0, &view.concat()).unwrap();
+        fs.sync().unwrap();
+        (fs, f, view)
+    }
+
+    /// The file as `fs` shows it, read from a restored copy of the whole
+    /// stack (so the reads change nothing), with its clean cached blocks
+    /// dropped first when `cold`, so those come from the log.
+    fn file_view(fs: &ufs::Ufs, cold: bool) -> Vec<u8> {
+        use fscore::FileSystem;
+        let mut copy = fs.snapshot().expect("the stack snapshots").restore();
+        if cold {
+            copy.drop_caches();
+        }
+        let f = copy.open("f").unwrap();
+        let mut out = vec![0u8; SPAN * 4096];
+        copy.read(f, 0, &mut out).unwrap();
+        out
+    }
+
+    /// The drive agrees with the log: every sealed segment's summary, read
+    /// off the drive with `peek_sectors`, names the owner of each of its
+    /// live slots, and the flushed prefix of the open segment is on the
+    /// drive as the log holds it, summary included.
+    fn check_drive(l: &LogDisk, what: &str) {
+        let disk = disksim::downcast_device::<RegularDisk>(l.dev.snapshot().unwrap().restore());
+        let disk = disk.into_disk();
+        let peek = |block: u64| {
+            let mut buf = vec![0u8; 4096];
+            disk.peek_sectors(block * 8, &mut buf).unwrap();
+            buf
+        };
+        for seg in 0..l.state.nsegs {
+            if l.state.seg_state[seg as usize] != SegState::Dirty {
+                continue;
+            }
+            let summary = Summary::decode(&peek(summary_block(seg))).unwrap();
+            for idx in 0..summary.fill {
+                let owner = l.state.rmap[seg_to_slot(seg, idx) as usize];
+                if owner != NONE {
+                    assert_eq!(
+                        summary.owners[idx as usize], owner,
+                        "{what}: segment {seg} slot {idx}"
+                    );
+                }
+            }
+        }
+        if let Some(open) = l.state.open.as_ref().filter(|o| o.flushed > 0) {
+            let summary = Summary::decode(&peek(summary_block(open.seg))).unwrap();
+            assert_eq!(summary.fill, open.flushed, "{what}: open summary");
+            for idx in 0..open.flushed {
+                let on_drive = peek(slot_device_block(seg_to_slot(open.seg, idx)));
+                assert!(
+                    on_drive[..] == open.blocks[1 + idx as usize][..],
+                    "{what}: open slot {idx}"
+                );
+                assert_eq!(
+                    summary.owners[idx as usize],
+                    open.summary.owners[idx as usize]
+                );
+            }
+        }
+    }
+
+    /// The cache keeps the log's blocks, the log keeps the cache's blocks
+    /// and the drive's pages, the drive keeps the log's, the cleaner moves
+    /// pages the cache and the log share, and snapshots share all of them:
+    /// through random synchronous and delayed whole-block writes, partial
+    /// edits, reads, bursts that seal segments, partial flushes, syncs,
+    /// cache drops, idle cleaning, and whole-stack snapshots, restores and
+    /// drops, no write on one side shows through on another. After each
+    /// step the file reads as written with its cache warm and cold, the
+    /// drive agrees with the log, a sync leaves a volume that mounts with
+    /// the file as written, and no snapshot sees what was written after it.
+    fn run_kept_aliasing(ops: Vec<(u8, usize, u16, u8)>) {
+        use fscore::FileSystem;
+        let (mut fs, f, mut view) = kept_stack();
+        let mut saved: Vec<(ufs::UfsSnapshot, Vec<Vec<u8>>)> = Vec::new();
+        for (step, (op, i, at, x)) in ops.into_iter().enumerate() {
+            let i = i % SPAN;
+            let what = format!("step {step}");
+            fs.set_sync_writes(x % 2 == 0);
+            match op % 11 {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..4096).map(|k| (step + k / 512) as u8 ^ x).collect();
+                    fs.write(f, (i * 4096) as u64, &data).unwrap();
+                    view[i] = data;
+                }
+                2 | 3 => {
+                    let lo = at as usize % 4096;
+                    let hi = (lo + 1 + x as usize * 37).min(4096);
+                    fs.write(f, (i * 4096 + lo) as u64, &vec![step as u8; hi - lo])
+                        .unwrap();
+                    view[i][lo..hi].fill(step as u8);
+                }
+                4 => {
+                    let mut got = vec![0u8; 4096];
+                    fs.read(f, (i * 4096) as u64, &mut got).unwrap();
+                    assert!(got == view[i], "{what}: read block {i}");
+                }
+                5 if x % 3 == 0 => fs.drop_caches(),
+                5 if x % 3 == 1 => {
+                    fs.device_mut().flush().unwrap();
+                }
+                5 => {
+                    fs.sync().unwrap();
+                    let copy = fs.snapshot().unwrap().restore();
+                    let l = LogDisk::mount(
+                        downcast_device::<LogDisk>(copy.into_device()).crash(),
+                        LldConfig::default(),
+                    );
+                    let mut mounted =
+                        ufs::Ufs::mount(Box::new(l.unwrap()), fscore::HostModel::instant())
+                            .unwrap();
+                    let g = mounted.open("f").unwrap();
+                    let mut out = vec![0u8; SPAN * 4096];
+                    mounted.read(g, 0, &mut out).unwrap();
+                    assert!(
+                        out == view.concat(),
+                        "{what}: the synced volume after a crash"
+                    );
+                }
+                6 => saved.push((fs.snapshot().expect("snapshot"), view.clone())),
+                7 if !saved.is_empty() => {
+                    let (snap, v) = &saved[at as usize % saved.len()];
+                    fs = snap.restore();
+                    view = v.clone();
+                }
+                8 if !saved.is_empty() => drop(saved.swap_remove(at as usize % saved.len())),
+                9 => fs.idle((1 + at as u64 % 4) * 500_000_000),
+                10 => {
+                    for k in 0..48 {
+                        let j = (i + k) % SPAN;
+                        view[j] = vec![(step + k) as u8 ^ x; 4096];
+                        fs.write(f, (j * 4096) as u64, &view[j]).unwrap();
+                    }
+                }
+                _ => {}
+            }
+            let whole = view.concat();
+            assert!(
+                file_view(&fs, false) == whole,
+                "{what}: the file, cache warm"
+            );
+            assert!(
+                file_view(&fs, true) == whole,
+                "{what}: the file, cache cold"
+            );
+            check_drive(probe_device::<LogDisk>(fs.device()).unwrap(), &what);
+        }
+        for (n, (snap, v)) in saved.iter().enumerate() {
+            let restored = snap.restore();
+            assert!(file_view(&restored, true) == v.concat(), "snapshot {n}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        #[test]
+        fn cache_and_lld_share_blocks_without_aliasing(
+            ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u16>(), any::<u8>()), 1..60),
+        ) {
+            run_kept_aliasing(ops);
         }
     }
 }

@@ -6,9 +6,9 @@
 //!   `DiskStats`, `CleanerStats` and block map pinned to the values the
 //!   copy-and-rehash segment path produced: host-side rewrites of the
 //!   path must not move one simulated number.
-//! * The work counters: every appended byte is digested exactly once and
-//!   none is staged into a second flush image.
-//! * Snapshot → restore → diverge, across a remount of both sides.
+//! * The work counter: every appended byte is digested exactly once.
+//! * Snapshot → restore → diverge, across a remount of both sides, with
+//!   the open segment's blocks shared, not copied.
 //! * One torn flush per flush kind (summary landed, last data block
 //!   stale), each discarded by roll-forward.
 
@@ -18,6 +18,7 @@ use lfs::{LldConfig, LogDisk, SEG_DATA};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const BS: usize = 4096;
 
@@ -173,8 +174,8 @@ impl Episode {
         }
     }
 
-    /// Publish the work counters (idle is one of the cold paths that do)
-    /// and hold them to the appends the test itself made and observed.
+    /// Publish the work counter (idle is one of the cold paths that do)
+    /// and hold it to the appends the test itself made and observed.
     fn check_work_counters(&mut self) {
         self.lld.idle(0);
         let copied = self.past_copied + self.lld.cleaner_stats().blocks_copied;
@@ -183,7 +184,6 @@ impl Episode {
             (self.written + copied) * BS as u64,
             "every appended byte is digested exactly once"
         );
-        assert_eq!(self.metrics.counter_value("lld.bytes_staged"), 0);
     }
 
     fn crash_and_mount(mut self, synced: bool) -> Self {
@@ -373,24 +373,31 @@ fn seeded_episodes_match_the_model_and_the_pinned_simulation() {
 }
 
 #[test]
-fn snapshot_restores_the_open_image_and_its_digest() {
+fn snapshot_shares_the_open_segment_and_restores_its_digest() {
     let mut a = LogDisk::format(raw(), cfg()).unwrap();
     // One sealed segment, then an open one: 20 slots partially flushed by
-    // the sync, 10 more in memory only.
+    // the sync, 10 more in memory only, handed over as blocks the test
+    // keeps a handle on.
     for lb in 0..SEG_DATA + 20 {
         a.write_block(lb, &payload(lb, 1)).unwrap();
     }
     a.sync().unwrap();
-    for lb in 300..310 {
-        a.write_block(lb, &payload(lb, 1)).unwrap();
+    let kept: Vec<Arc<[u8]>> = (300..310).map(|lb| payload(lb, 1).into()).collect();
+    for (lb, block) in (300..).zip(&kept) {
+        a.write_gathered(lb, &[block]).unwrap();
     }
+    let holders = |n| kept.iter().all(|b| Arc::strong_count(b) == n);
+    assert!(holders(2), "the open segment keeps each block it is handed");
     let snap = a.snapshot().expect("a regular disk snapshots");
     let mut b: Box<LogDisk> = snap.restore().into_any().downcast().expect("a LogDisk");
-    // The restore copied the open image's used prefix (summary + 30 slots)
-    // — the one staging copy there is — and digested nothing.
+    // The snapshot and the fork each hold the very blocks the log holds —
+    // nothing is copied — and the restore digested nothing.
+    assert!(
+        holders(4),
+        "the snapshot and the fork share the open blocks"
+    );
     let metrics = Metrics::enabled();
     b.set_metrics(metrics.clone());
-    assert_eq!(metrics.counter_value("lld.bytes_staged"), 31 * BS as u64);
     assert_eq!(metrics.counter_value("lld.bytes_digested"), 0);
 
     // The same continuation gives the same simulation on both sides.
@@ -435,6 +442,17 @@ fn snapshot_restores_the_open_image_and_its_digest() {
             assert!(buf == payload(lb, want), "fork {gen}: block {lb}");
         }
     }
+    // Both sides appended to, flushed and sealed the open segment they
+    // shared with the snapshot: a fresh fork still reads it as it was.
+    let mut c: Box<LogDisk> = snap.restore().into_any().downcast().expect("a LogDisk");
+    let mut buf = vec![0u8; BS];
+    for (lb, want) in [(SEG_DATA + 19, 1), (305, 1), (309, 1), (315, 0), (1000, 0)] {
+        c.read_block(lb, &mut buf).unwrap();
+        assert!(buf == payload(lb, want), "snapshot: block {lb}");
+    }
+    assert!((300..)
+        .zip(&kept)
+        .all(|(lb, b)| b[..] == payload(lb, 1)[..]));
 }
 
 /// Crash `lld` with its newest flush torn — the summary landed, the block

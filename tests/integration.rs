@@ -411,6 +411,42 @@ fn a_synchronous_block_overwrite_keeps_the_cached_block() {
     }
 }
 
+/// The logical disk keeps the blocks it is handed: a segment of handles
+/// reaches the regular disk in one write command that keeps every block,
+/// the summary included, as its page and copies no byte; bare or behind a
+/// fault layer with nothing planned.
+#[test]
+fn an_lld_segment_keeps_the_blocks_it_is_handed() {
+    use std::sync::Arc;
+    use vlfs::lfs::{LldConfig, LogDisk, SEG_DATA};
+    for faulty in [false, true] {
+        let metrics = Metrics::enabled();
+        let raw = measured_regular(&metrics, faulty);
+        let mut lld = LogDisk::format(raw, LldConfig::default()).unwrap();
+        let blocks: Vec<Arc<[u8]>> = (0..SEG_DATA).map(|i| vec![i as u8; 4096].into()).collect();
+        let keys = [
+            "disk.page_bytes_copied",
+            "disk.page_bytes_zeroed",
+            "disk.pages_fresh",
+            "disk.pages_kept",
+            "disk.writes",
+        ];
+        let before = keys.map(|k| metrics.counter_value(k));
+        // A whole segment of appends seals it: one flush.
+        lld.write_gathered(0, &blocks.iter().collect::<Vec<_>>())
+            .unwrap();
+        let work: [u64; 5] = std::array::from_fn(|i| metrics.counter_value(keys[i]) - before[i]);
+        assert_eq!(work, [0, 0, 0, 1 + SEG_DATA, 1], "fault layer: {faulty}");
+        // The test and the drive hold each block; the log let go at the seal.
+        assert!(blocks.iter().all(|b| Arc::strong_count(b) == 2));
+        let mut back = vec![0u8; 4096];
+        for (lb, b) in (0..).zip(&blocks) {
+            lld.read_block(lb, &mut back).unwrap();
+            assert!(back[..] == b[..], "block {lb}");
+        }
+    }
+}
+
 /// The VLD keeps the cached block too: on a log whose every page has
 /// been written, one synchronous 4 KiB overwrite keeps the block as the
 /// page it lands on, copies only the 512 bytes of the map sector that
