@@ -10,14 +10,20 @@
 //!   given) p50/p99 service-time quantiles from the disk histograms,
 //! * `vlstat diff OLD.json NEW.json [--threshold PCT]` — compare two
 //!   metrics JSON documents; counter changes beyond the threshold are
-//!   regressions (nonzero exit), gauge/histogram/timing drift is advisory.
+//!   regressions (nonzero exit), gauge/histogram/timing drift is advisory,
+//! * `vlstat trend HISTORY.jsonl [PR]` — the performance history: one
+//!   line per measured change, or one change's tables (the `trend`
+//!   module); a malformed row is an error naming its line (nonzero exit).
 //!
-//! All inputs are the fixed ASCII JSON emitted by the tracer and metrics
-//! registry, so the parsers are a few string scans — no JSON library
-//! required (the workspace builds offline).
+//! The tracer and metrics registry emit fixed ASCII JSON, so their parsers
+//! are a few string scans; the history's free-form rows go through
+//! `trend`'s small parser — no JSON library required (the workspace builds
+//! offline).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+mod trend;
 
 /// Extract the numeric value of `"key":` from a trace line.
 fn num(line: &str, key: &str) -> u64 {
@@ -516,7 +522,7 @@ fn read_or_die(path: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vlstat TRACE.jsonl\n       vlstat attr TRACE.jsonl [METRICS.json]\n       vlstat diff OLD.json NEW.json [--threshold PCT]"
+        "usage: vlstat TRACE.jsonl\n       vlstat attr TRACE.jsonl [METRICS.json]\n       vlstat diff OLD.json NEW.json [--threshold PCT]\n       vlstat trend HISTORY.jsonl [PR]"
     );
     std::process::exit(2);
 }
@@ -558,6 +564,26 @@ fn main() {
             print!("{report}");
             if regressions > 0 {
                 std::process::exit(1);
+            }
+        }
+        Some("trend") => {
+            let (Some(path), None) = (args.get(2), args.get(4)) else {
+                usage()
+            };
+            let pr = args.get(3).map(|p| p.parse::<u64>().unwrap_or_else(|_| usage()));
+            let rows = trend::parse_history(&read_or_die(path)).unwrap_or_else(|e| {
+                eprintln!("vlstat trend: {path}: {e}");
+                std::process::exit(1);
+            });
+            match pr {
+                None => print!("{}", trend::summary(&rows)),
+                Some(pr) => match rows.iter().find(|r| r.pr == pr) {
+                    Some(row) => print!("{}", trend::tables(row)),
+                    None => {
+                        eprintln!("vlstat trend: {path} has no row for pr {pr}");
+                        std::process::exit(1);
+                    }
+                },
             }
         }
         Some(path) => {

@@ -1,10 +1,11 @@
 //! # vlfs-bench — the benchmark harness
 //!
 //! One module (and one binary) per table and figure of the paper's
-//! evaluation (§5). Each `run()` returns the table text it prints, so the
+//! evaluation (§5), and one per exhibit beyond it. Each `run()` (the
+//! ablations' `run_all()`) returns the table text it prints, so the
 //! `all_figures` binary can regenerate `EXPERIMENTS.md` content in one go.
 //!
-//! | Paper exhibit | Module | Binary |
+//! | Exhibit | Module | Binary |
 //! |---|---|---|
 //! | Table 1 (disk parameters) | [`table1`] | `table1` |
 //! | Figure 1 (locate vs utilisation) | [`fig1`] | `fig1` |
@@ -16,6 +17,14 @@
 //! | Figure 9 (latency breakdown) | [`fig9`] | `fig9` |
 //! | Figure 10 (LFS vs idle time) | [`fig10`] | `fig10` |
 //! | Figure 11 (VLD vs idle time) | [`fig11`] | `fig11` |
+//! | Appendix A.1 (block-size extension) | [`appendix`] | `appendix` |
+//! | VLFS preview (§5.1's speculation, measured) | [`vlfs_preview`] | `vlfs_preview` |
+//! | Ablations (the VLD's design choices) | [`ablations`] | `ablations` |
+//! | Observability exhibit (traced Figure 9 workload) | [`obs`] | `all_figures --trace` / `--metrics-json` |
+//!
+//! `all_figures` runs every exhibit but the ablations; [`setup`] builds and
+//! forks the aged systems the figures share, [`timing`] times each section
+//! and [`workload`] holds the shared workload helpers.
 
 pub mod ablations;
 pub mod appendix;

@@ -293,15 +293,18 @@ impl BufferCache {
         Some(self.payload(i))
     }
 
-    /// Borrow the payload handles of `blocks`, in order, as
-    /// [`BufferCache::peek`] of each would (one probe each); `None` if one
-    /// is not cached.
-    pub fn peek_each(&mut self, blocks: &[u64]) -> Option<Vec<&Arc<[u8]>>> {
-        let slots: Vec<u32> = blocks
-            .iter()
-            .map(|&block| self.slot(block))
-            .collect::<Option<_>>()?;
-        Some(slots.into_iter().map(|i| self.payload(i)).collect())
+    /// Borrow the payload handles of `blocks`, in order, into `out`
+    /// (cleared first), as [`BufferCache::peek`] of each would (one probe
+    /// each); `None` if one is not cached. Filling the caller's vector
+    /// lets a flush reuse one buffer for all its runs.
+    pub fn peek_each<'a>(&'a mut self, blocks: &[u64], out: &mut Vec<&'a Arc<[u8]>>) -> Option<()> {
+        self.probes += blocks.len() as u64;
+        let this = &*self;
+        out.clear();
+        for block in blocks {
+            out.push(this.payload(*this.map.get(block)?));
+        }
+        Some(())
     }
 
     /// Read-modify-write a block in place: counts as a hit or miss and
@@ -467,14 +470,16 @@ impl BufferCache {
         Some((data, dirty))
     }
 
-    /// Snapshot the dirty block numbers in ascending block order (the
-    /// elevator order UFS flushes in) and mark them all clean. Payloads
-    /// stay in the cache — read them with [`BufferCache::peek`] while
-    /// writing back; returning keys instead of cloned data keeps the flush
-    /// path free of per-block payload copies.
-    pub fn take_dirty_sorted(&mut self) -> Vec<u64> {
+    /// Put the dirty block numbers into `out` (cleared first) in ascending
+    /// block order (the elevator order UFS flushes in) and mark them all
+    /// clean. Payloads stay in the cache — read them with
+    /// [`BufferCache::peek`] while writing back; handing out keys instead
+    /// of cloned data keeps the flush path free of per-block payload
+    /// copies, and filling the caller's vector free of allocations.
+    pub fn take_dirty_sorted(&mut self, out: &mut Vec<u64>) {
         let count = self.lists[DIRTY].len;
-        let mut out: Vec<u64> = Vec::with_capacity(count);
+        out.clear();
+        out.reserve(count);
         let mut i = self.lists[DIRTY].head;
         while i != NIL {
             let e = &mut self.entries[i as usize];
@@ -485,7 +490,6 @@ impl BufferCache {
         // Everything dirty is now clean; recency (the ticks) is unchanged.
         self.migrate(DIRTY, count);
         out.sort_unstable();
-        out
     }
 
     /// Re-mark cached blocks dirty without touching their recency — the
@@ -552,7 +556,8 @@ mod tests {
         c.insert(2, vec![0; 4], false);
         c.insert(9, vec![0; 4], true);
         assert_eq!(c.dirty_count(), 2);
-        let dirty = c.take_dirty_sorted();
+        let mut dirty = vec![3];
+        c.take_dirty_sorted(&mut dirty);
         assert_eq!(dirty, vec![5, 9]);
         assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.map.len(), 3, "flush keeps blocks cached, now clean");
@@ -868,7 +873,8 @@ mod tests {
                     // A flush that runs out of budget: everything is taken
                     // clean, then an arbitrary subset (plus strangers) is
                     // put back dirty with its recency intact.
-                    let taken = c.take_dirty_sorted();
+                    let mut taken = Vec::new();
+                    c.take_dirty_sorted(&mut taken);
                     assert_eq!(taken, m.dirty_sorted());
                     assert_eq!(c.dirty_count(), 0);
                     let keep = rng();

@@ -52,6 +52,14 @@ fn take_block(shared: &SharedBlocks, i: usize, copies: &mut u64) -> Arc<[u8]> {
     })
 }
 
+/// An empty vector of borrowed handles that keeps `v`'s allocation: the
+/// element type only changes its lifetime, so collecting the drained
+/// iterator reuses the buffer in place.
+fn recycle<'b>(mut v: Vec<&Arc<[u8]>>) -> Vec<&'b Arc<[u8]>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 /// Slot occupancy of one directory, with the lowest free slot kept current
 /// so a create does not rescan the occupied prefix.
 #[derive(Debug, Clone, Default)]
@@ -144,6 +152,12 @@ pub struct Ufs {
     /// What a device that cannot lend its media reads into (see
     /// [`BlockDevice::share_blocks`]).
     read_spare: Vec<u8>,
+    /// The block numbers a flush takes from the cache, kept between
+    /// flushes so a warm `sync` allocates nothing.
+    flush_keys: Vec<u64>,
+    /// The buffer a flush gathers each run's handles in, kept empty
+    /// between flushes for the same reason (see [`recycle`]).
+    flush_run: Vec<&'static Arc<[u8]>>,
     /// Observability sink (disabled by default — a single branch per use).
     metrics: disksim::Metrics,
     /// Causal-span handle shared with the device stack below (cloned from
@@ -251,6 +265,8 @@ impl Ufs {
             work_published,
             spare_block: None,
             read_spare: Vec::new(),
+            flush_keys: Vec::new(),
+            flush_run: Vec::new(),
             metrics: disksim::Metrics::disabled(),
             spans,
         }
@@ -791,7 +807,8 @@ impl Ufs {
     /// costs host CPU — the flush runs through the same user-level code as
     /// any other block write.
     fn flush_dirty_sorted(&mut self) -> FsResult<()> {
-        let dirty = self.state.cache.take_dirty_sorted();
+        let mut dirty = std::mem::take(&mut self.flush_keys);
+        self.state.cache.take_dirty_sorted(&mut dirty);
         self.state
             .host
             .charge(&self.dev.clock(), dirty.len() as u64);
@@ -802,6 +819,7 @@ impl Ufs {
             self.span_open(disksim::SpanKind::CacheFlush, "ufs.flush")
         };
         let r = self.flush_runs(&dirty);
+        self.flush_keys = dirty;
         self.span_close(sp);
         r?;
         self.update_cache_gauges();
@@ -814,12 +832,13 @@ impl Ufs {
         // Each run goes to the device in one command, its blocks taken
         // where the cache holds them.
         for run in dirty.chunk_by(|a, b| *b == *a + 1) {
-            let blocks = self
-                .state
+            let mut blocks = recycle(std::mem::take(&mut self.flush_run));
+            self.state
                 .cache
-                .peek_each(run)
+                .peek_each(run, &mut blocks)
                 .expect("flushed block cached");
             self.dev.write_gathered(run[0], &blocks)?;
+            self.flush_run = recycle(blocks);
         }
         Ok(())
     }
@@ -1212,8 +1231,9 @@ impl FileSystem for Ufs {
             } else {
                 0
             };
+            let mut dirty = std::mem::take(&mut self.flush_keys);
             while clock.now() < end && self.state.cache.dirty_count() > 0 {
-                let mut dirty = self.state.cache.take_dirty_sorted();
+                self.state.cache.take_dirty_sorted(&mut dirty);
                 let taken = dirty.len();
                 // Keep the blocks that stay unwritten: out of idle budget,
                 // or refused by the device.
@@ -1235,6 +1255,7 @@ impl FileSystem for Ufs {
                     break;
                 }
             }
+            self.flush_keys = dirty;
             self.span_close(sp);
             self.update_cache_gauges();
         }
@@ -1320,7 +1341,9 @@ mod tests {
     fn cached(fs: &Ufs, blk: u64) -> Option<(Vec<u8>, bool)> {
         let mut cache = fs.state.cache.clone();
         let bytes = cache.peek(blk)?.to_vec();
-        Some((bytes, cache.take_dirty_sorted().contains(&blk)))
+        let mut dirty = Vec::new();
+        cache.take_dirty_sorted(&mut dirty);
+        Some((bytes, dirty.contains(&blk)))
     }
 
     /// What the file system must show for each of the [`SPAN`] blocks

@@ -100,11 +100,12 @@ fn aged_vld() -> Vld {
 }
 
 /// Allocation requests of `ops` synchronous 4 KiB overwrites at
-/// scattered blocks of a file on UFS over `dev`, after `warm` such
-/// overwrites.
-fn overwrite_allocs(dev: Box<dyn BlockDevice>, warm: u64, ops: u64) -> u64 {
+/// scattered blocks of a file on UFS over the device `dev` builds (inside
+/// the gate, since building takes pages from the shared pool), after
+/// `warm` such overwrites.
+fn overwrite_allocs(dev: impl FnOnce() -> Box<dyn BlockDevice>, warm: u64, ops: u64) -> u64 {
     let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let mut fs = Ufs::format(dev, HostModel::instant(), UfsConfig::default()).unwrap();
+    let mut fs = Ufs::format(dev(), HostModel::instant(), UfsConfig::default()).unwrap();
     let f = fs.create("f").unwrap();
     fs.write(f, 0, &vec![1u8; 4096 * FILE_BLOCKS as usize])
         .unwrap();
@@ -123,13 +124,74 @@ fn overwrite_allocs(dev: Box<dyn BlockDevice>, warm: u64, ops: u64) -> u64 {
 
 #[test]
 fn warm_synchronous_overwrites_allocate_nothing_on_the_vld() {
-    assert_eq!(overwrite_allocs(Box::new(aged_vld()), 200, 500), 0);
+    assert_eq!(overwrite_allocs(|| Box::new(aged_vld()), 200, 500), 0);
 }
 
 #[test]
 fn warm_synchronous_overwrites_allocate_nothing_on_the_regular_disk() {
-    let disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
-    assert_eq!(overwrite_allocs(Box::new(disk), 200, 500), 0);
+    let disk = || -> Box<dyn BlockDevice> {
+        Box::new(RegularDisk::new(
+            DiskSpec::hp97560_sim(),
+            SimClock::new(),
+            4096,
+        ))
+    };
+    assert_eq!(overwrite_allocs(disk, 200, 500), 0);
+}
+
+/// Allocation requests of `rounds` rounds of 64 delayed 4 KiB overwrites
+/// at scattered blocks of a file and a `sync`, on UFS over `dev`, after
+/// `warm` such rounds. Each sync flushes 64 one-block runs. An idle grant
+/// follows each round and is not counted: on the logical disk it cleans,
+/// so the log reuses written pages and the drive parks the pages it
+/// replaces for the cache's next copy-on-write. The caller holds
+/// [`ONE_GATE_AT_A_TIME`].
+fn delayed_sync_allocs(dev: Box<dyn BlockDevice>, warm: u64, rounds: u64) -> u64 {
+    let mut fs = Ufs::format(dev, HostModel::instant(), UfsConfig::default()).unwrap();
+    let f = fs.create("f").unwrap();
+    fs.write(f, 0, &vec![1u8; 4096 * FILE_BLOCKS as usize])
+        .unwrap();
+    fs.sync().unwrap();
+    let block = [7u8; 4096];
+    let mut round = |r: u64| {
+        let before = allocs();
+        for i in 0..64 {
+            let at = (r * 64 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) % FILE_BLOCKS;
+            fs.write(f, at * 4096, &block).unwrap();
+        }
+        fs.sync().unwrap();
+        let spent = allocs() - before;
+        fs.idle(1_000_000_000);
+        spent
+    };
+    (0..warm).for_each(|r| {
+        round(r);
+    });
+    (warm..warm + rounds).map(round).sum()
+}
+
+/// A `sync` of delayed overwrites takes the dirty keys and gathers each
+/// run's handles in buffers the file system keeps, so once warm it
+/// allocates nothing, over the regular disk and over the logical disk.
+#[test]
+fn warm_delayed_writes_and_syncs_allocate_nothing() {
+    let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let disk = || RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
+    assert_eq!(
+        delayed_sync_allocs(Box::new(disk()), 40, 40),
+        0,
+        "regular disk"
+    );
+    let cfg = LldConfig {
+        idle_clean_target: u32::MAX,
+        ..LldConfig::default()
+    };
+    let lld = LogDisk::format(Box::new(disk()), cfg).unwrap();
+    assert_eq!(
+        delayed_sync_allocs(Box::new(lld), 40, 40),
+        0,
+        "logical disk"
+    );
 }
 
 /// Allocation requests, and segments cleaned, over `rounds` rounds of 64

@@ -567,3 +567,125 @@ fn the_public_surface_is_recorded() {
          it; otherwise add each + line to {API} and delete each - line:\n{diff}"
     );
 }
+
+/// The documents that name knobs and record counts.
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Every `VLFS_*` name the documents mention is a knob the workspace
+/// reads; a name ending in `_*` stands for the knobs it begins.
+#[test]
+fn the_docs_name_only_live_knobs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dead = BTreeSet::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("a document");
+        for (at, _) in text.match_indices("VLFS_") {
+            let rest = &text[at..];
+            let len = rest
+                .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                .unwrap_or(rest.len());
+            let name = &rest[..len];
+            let live = if rest[len..].starts_with('*') {
+                KNOBS.iter().any(|k| k.starts_with(name))
+            } else {
+                KNOBS.contains(&name)
+            };
+            if !live {
+                dead.insert(format!("{doc}: {name}"));
+            }
+        }
+    }
+    assert_eq!(dead, BTreeSet::new(), "documents name knobs that are gone");
+}
+
+/// The history is data (`results/perf_history.jsonl`), so the documents
+/// describe the present: a measured change adds a row, not a section.
+#[test]
+fn the_docs_keep_their_line_budgets() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (doc, budget) in [("EXPERIMENTS.md", 740), ("DESIGN.md", 620)] {
+        let lines = fs::read_to_string(root.join(doc))
+            .expect("a document")
+            .lines()
+            .count();
+        assert!(
+            lines <= budget,
+            "{doc} has {lines} lines, over its budget of {budget}: put history \
+             in a results/perf_history.jsonl row, and describe only the present"
+        );
+    }
+}
+
+#[path = "../crates/bench/src/bin/vlstat/trend.rs"]
+mod trend;
+
+/// The text between `<!-- generated: NAME -->` and `<!-- end: NAME -->`.
+fn generated_block<'a>(doc: &'a str, name: &str) -> &'a str {
+    let open = format!("<!-- generated: {name} -->\n");
+    let close = format!("<!-- end: {name} -->\n");
+    let (_, rest) = doc
+        .split_once(&open)
+        .unwrap_or_else(|| panic!("no {open:?} marker"));
+    let (block, _) = rest
+        .split_once(&close)
+        .unwrap_or_else(|| panic!("no {close:?} marker"));
+    block
+}
+
+/// `results/gates.json` as a table: each recorded count of each CI gate.
+fn render_gates(text: &str) -> String {
+    use trend::Json;
+    let gates = Json::parse(text).expect("results/gates.json parses");
+    let Json::Obj(gates) = gates else {
+        panic!("results/gates.json is not an object")
+    };
+    let mut rows = Vec::new();
+    for (gate, body) in &gates {
+        let mut add = |name: &str, value: &Json| {
+            let value = value.text().expect("a count is a number or a string");
+            rows.push([gate, name, value].map(str::to_owned).to_vec());
+        };
+        for list in ["sections", "metrics"] {
+            if let Some(Json::Obj(counts)) = body.get(list) {
+                for (name, value) in counts {
+                    add(name, value);
+                }
+            }
+        }
+        if let Some(total) = body.get("total") {
+            add("total", total);
+        }
+    }
+    let columns = ["gate", "count", "recorded"].map(str::to_owned);
+    trend::markdown(&columns, &rows)
+}
+
+/// EXPERIMENTS.md embeds the history's summary and the recorded gate
+/// counts as rendered; each block must equal its render. On a mismatch,
+/// paste the printed render between the markers.
+#[test]
+fn the_generated_doc_blocks_are_their_renders() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let history = fs::read_to_string(root.join("results/perf_history.jsonl"))
+        .expect("results/perf_history.jsonl");
+    let rows = trend::parse_history(&history).unwrap_or_else(|e| panic!("{e}"));
+    for row in &rows {
+        assert!(trend::tables(row).starts_with(&format!("PR {}: ", row.pr)));
+    }
+    let gates = fs::read_to_string(root.join("results/gates.json")).expect("results/gates.json");
+    for (name, render) in [
+        ("trend", trend::summary(&rows)),
+        ("gates", render_gates(&gates)),
+    ] {
+        assert!(
+            generated_block(&doc, name) == render,
+            "EXPERIMENTS.md's {name} block differs from its render:\n{render}"
+        );
+    }
+}
