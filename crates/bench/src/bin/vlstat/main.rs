@@ -16,9 +16,9 @@
 //!   module); a malformed row is an error naming its line (nonzero exit).
 //!
 //! The tracer and metrics registry emit fixed ASCII JSON, so their parsers
-//! are a few string scans; the history's free-form rows go through
-//! `trend`'s small parser — no JSON library required (the workspace builds
-//! offline).
+//! are a few string scans; the history's free-form rows go through the
+//! benchmark's JSON reader, which `trend` compiles in — no JSON library
+//! required (the workspace builds offline).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

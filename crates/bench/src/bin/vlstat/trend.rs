@@ -6,217 +6,27 @@
 //! `null` for a change that claims no gain) and `claim_met` (a boolean,
 //! or `null`). An optional `tables` list holds the measurements as
 //! `{title, columns, rows}` objects, each row a list of cells as wide as
-//! `columns`. Any other key is kept as the change recorded it and named,
-//! not rendered.
+//! `columns`. Any other key is kept as the change recorded it and named
+//! (in key order), not rendered.
 //!
-//! The workspace builds offline without a JSON crate, so a small
-//! recursive-descent parser reads the rows. Numbers keep their source
-//! text, so a rendered figure reads exactly as it was recorded.
+//! Rows are read with the benchmark's JSON reader (`benchmark/src/json.rs`,
+//! compiled in by path), so the workspace keeps one JSON parser.
 
 use std::fmt::Write as _;
 
-/// One JSON value. Objects keep their keys in source order.
-#[derive(Debug)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    /// A number, as its source text.
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
+#[allow(dead_code)] // the reader's accessors and `quote` serve the benchmark
+#[path = "../../../../../benchmark/src/json.rs"]
+pub mod json;
 
-impl Json {
-    /// Parse one JSON document; trailing whitespace only.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            at: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        match p.s.get(p.at) {
-            None => Ok(v),
-            Some(_) => Err(p.err("trailing characters")),
-        }
-    }
+use json::Json;
 
-    /// The value of `key` in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// A string or number as text; `None` for anything else.
-    pub fn text(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) | Json::Num(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at + 1)
-    }
-
-    fn ws(&mut self) {
-        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        let hit = self.s[self.at..].starts_with(lit.as_bytes());
-        if hit {
-            self.at += lit.len();
-        }
-        hit
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.s.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ if self.eat("null") => Ok(Json::Null),
-            _ if self.eat("true") => Ok(Json::Bool(true)),
-            _ if self.eat("false") => Ok(Json::Bool(false)),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.at += 1;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.eat("}") {
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            if self.s.get(self.at) != Some(&b'"') {
-                return Err(self.err("expected a key"));
-            }
-            let key = self.string()?;
-            self.ws();
-            if !self.eat(":") {
-                return Err(self.err("expected ':'"));
-            }
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key \"{key}\"")));
-            }
-            fields.push((key, self.value()?));
-            self.ws();
-            if self.eat("}") {
-                return Ok(Json::Obj(fields));
-            }
-            if !self.eat(",") {
-                return Err(self.err("expected ',' or '}'"));
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.at += 1;
-        let mut items = Vec::new();
-        self.ws();
-        if self.eat("]") {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            if self.eat("]") {
-                return Ok(Json::Arr(items));
-            }
-            if !self.eat(",") {
-                return Err(self.err("expected ',' or ']'"));
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        while self
-            .s
-            .get(self.at)
-            .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.at]).expect("ASCII");
-        match text.parse::<f64>() {
-            Ok(_) => Ok(Json::Num(text.to_owned())),
-            Err(_) => Err(self.err(&format!("bad number {text:?}"))),
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let digits = self
-            .s
-            .get(self.at..self.at + 4)
-            .ok_or(self.err("short \\u escape"))?;
-        let digits = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(digits, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.at += 4;
-        Ok(v)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.at += 1;
-        let mut out = Vec::new();
-        loop {
-            let Some(&c) = self.s.get(self.at) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.at += 1;
-            match c {
-                b'"' => break,
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.at) else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    self.at += 1;
-                    let ch = match e {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) && self.eat("\\u") {
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF)
-                            } else {
-                                hi
-                            };
-                            char::from_u32(code).ok_or(self.err("bad \\u escape"))?
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    };
-                    out.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
-                }
-                c if c < 0x20 => return Err(self.err("control character in string")),
-                c => out.push(c),
-            }
-        }
-        String::from_utf8(out).map_err(|_| self.err("string is not UTF-8"))
+/// A string or number as text (a number as `f64` prints it); `None` for
+/// anything else.
+pub fn text(v: &Json) -> Option<String> {
+    match v {
+        Json::Str(s) => Some(s.clone()),
+        Json::Num(n) => Some(n.to_string()),
+        _ => None,
     }
 }
 
@@ -246,13 +56,9 @@ fn cells(v: &Json, what: &str) -> Result<Vec<String>, String> {
     let Json::Arr(items) = v else {
         return Err(format!("{what} is not a list"));
     };
-    items
-        .iter()
-        .map(|c| c.text().map(str::to_owned))
-        .collect::<Option<_>>()
-        .ok_or(format!(
-            "{what} holds a cell that is not a string or number"
-        ))
+    items.iter().map(text).collect::<Option<_>>().ok_or(format!(
+        "{what} holds a cell that is not a string or number"
+    ))
 }
 
 fn table(v: &Json, i: usize) -> Result<Table, String> {
@@ -301,10 +107,9 @@ fn row(v: &Json) -> Result<Row, String> {
         _ => Err(format!("\"{key}\" is not a string")),
     };
     let pr = match need("pr")? {
-        Json::Num(t) => t.parse::<u64>().ok(),
-        _ => None,
-    }
-    .ok_or("\"pr\" is not a whole number")?;
+        &Json::Num(n) if n >= 0.0 && n.fract() == 0.0 => n as u64,
+        _ => return Err("\"pr\" is not a whole number".into()),
+    };
     let claim = match need("claim")? {
         Json::Null => None,
         Json::Str(s) => Some(s.clone()),
@@ -333,9 +138,9 @@ fn row(v: &Json) -> Result<Row, String> {
         method: string("method")?,
         tables,
         extra: fields
-            .iter()
-            .map(|(k, _)| k.clone())
+            .keys()
             .filter(|k| !CORE.contains(&k.as_str()))
+            .cloned()
             .collect(),
     })
 }

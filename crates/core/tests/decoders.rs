@@ -170,9 +170,10 @@ fn checkpoint_claiming_u32_max_entries_is_refused() {
 }
 
 /// The stored words of one fixed record of each sealed kind, recorded
-/// when the seal became the folded digest (EXPERIMENTS.md lists them
-/// beside the words of the checksum it replaced); each still decodes,
-/// and is rejected after any single-bit flip.
+/// when the seal became the folded digest (the PR 27 row of
+/// `results/perf_history.jsonl` lists them beside the words of the
+/// checksum it replaced: `vlstat trend results/perf_history.jsonl 27`);
+/// each still decodes, and is rejected after any single-bit flip.
 #[test]
 fn stored_checksums_are_pinned() {
     fn check(image: &[u8], field: usize, pinned: u32, decodes: impl Fn(&[u8]) -> bool) {

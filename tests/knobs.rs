@@ -639,7 +639,7 @@ fn generated_block<'a>(doc: &'a str, name: &str) -> &'a str {
 
 /// `results/gates.json` as a table: each recorded count of each CI gate.
 fn render_gates(text: &str) -> String {
-    use trend::Json;
+    use trend::json::Json;
     let gates = Json::parse(text).expect("results/gates.json parses");
     let Json::Obj(gates) = gates else {
         panic!("results/gates.json is not an object")
@@ -647,8 +647,8 @@ fn render_gates(text: &str) -> String {
     let mut rows = Vec::new();
     for (gate, body) in &gates {
         let mut add = |name: &str, value: &Json| {
-            let value = value.text().expect("a count is a number or a string");
-            rows.push([gate, name, value].map(str::to_owned).to_vec());
+            let value = trend::text(value).expect("a count is a number or a string");
+            rows.push(vec![gate.clone(), name.to_owned(), value]);
         };
         for list in ["sections", "metrics"] {
             if let Some(Json::Obj(counts)) = body.get(list) {
