@@ -17,8 +17,11 @@
 //!   persists the block map on `sync`, making volumes remountable.
 //!
 //! Host-side, the open segment is a list of block handles (summary, then
-//! data slots): an append keeps its block and digests it once, and every
-//! flush hands the handles to the device, which keeps each as its page.
+//! data slots): an append keeps its block, and every flush hands the
+//! handles to the device, which keeps each as its page. A block the file
+//! layer hands the log is digested once, into its slot of the summary; a
+//! cleaner copy carries the digest the victim's summary records for it, so
+//! the cleaner moves blocks without reading their bytes.
 //!
 //! The LLD runs over any raw [`BlockDevice`] — a regular disk, or a VLD for
 //! the paper's "LFS on VLD" configuration.
@@ -26,7 +29,7 @@
 use std::sync::Arc;
 
 use crate::seg::{
-    encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg, summary_block, Digest,
+    digest, encode_checkpoint, seg_to_slot, slot_device_block, slot_to_seg, summary_block,
     SegState, Summary, CKPT_HEAD, NONE, SEG_BLOCKS, SEG_DATA,
 };
 use disksim::{
@@ -86,9 +89,6 @@ pub(crate) struct OpenSeg {
     /// before each write), block `1 + i` data slot `i`. Others may hold
     /// any of them, so the log writes only into one no one else holds.
     blocks: Vec<Arc<[u8]>>,
-    /// Running digest of data slots `0..summary.fill`, so a flush reads
-    /// the checksum instead of re-hashing the prefix.
-    digest: Digest,
     /// Slots already written to the device by a partial flush.
     flushed: u32,
 }
@@ -106,16 +106,15 @@ pub struct LogDisk {
     /// Host-side scratch, reused across calls and never part of a
     /// snapshot (a restored log starts without it).
     pub(crate) scratch: Scratch,
-    /// Bytes folded into a segment digest since
-    /// [`LogDisk::update_gauges`] last moved them to the
-    /// `lld.bytes_digested` counter. A plain integer on the hot path.
+    /// Bytes of data blocks digested since [`LogDisk::update_gauges`] last
+    /// moved them to the `lld.bytes_digested` counter. A plain integer on
+    /// the hot path.
     digested: u64,
 }
 
 /// Every piece of log bookkeeping a [`LogDisk`] adds to its device,
-/// including the in-memory open segment (its block handles and running
-/// digest): the value a snapshot carries, and the one format and mount
-/// compute.
+/// including the in-memory open segment (its block handles and summary):
+/// the value a snapshot carries, and the one format and mount compute.
 #[derive(Clone)]
 pub(crate) struct LldState {
     pub(crate) cfg: LldConfig,
@@ -220,8 +219,10 @@ impl LogDisk {
     /// log records cleaner counters (`lld.segments_cleaned`,
     /// `lld.blocks_copied`, on-demand vs. idle passes), a `lld.victim_live`
     /// histogram, free-segment / utilisation gauges, and the work counter
-    /// `lld.bytes_digested`, brought up to date here, after each cleaned
-    /// segment and on idle (cold paths only).
+    /// `lld.bytes_digested` (bytes of data blocks digested: each block the
+    /// file layer hands the log once, a cleaner copy never unless its
+    /// victim's summary does not vouch for it), brought up to date here,
+    /// after each cleaned segment and on idle (cold paths only).
     pub fn set_metrics(&mut self, metrics: disksim::Metrics) {
         self.metrics = metrics;
         self.update_gauges();
@@ -353,15 +354,23 @@ impl LogDisk {
                 seg,
                 summary: Summary::empty(),
                 blocks,
-                digest: Digest::new(),
                 flushed: 0,
             });
         }
         Ok(self.state.open.as_mut().expect("just ensured"))
     }
 
-    /// Append `block` to the log, keeping it; seals the segment when full.
+    /// Append `block`, handed over by the file layer, to the log: the one
+    /// digest pass a block ever gets here.
     fn append(&mut self, lb: u64, block: Arc<[u8]>) -> FsResult<()> {
+        self.digested += block.len() as u64;
+        let sum = digest(&block);
+        self.append_digested(lb, block, sum)
+    }
+
+    /// Append `block`, whose digest is `sum`, to the log, keeping it; seals
+    /// the segment when full.
+    fn append_digested(&mut self, lb: u64, block: Arc<[u8]>, sum: u64) -> FsResult<()> {
         // User-level logical disk: each block through it costs host CPU.
         // (A zero-cost configuration skips the clock call entirely so it
         // doesn't inflate the simulation event count.)
@@ -370,13 +379,11 @@ impl LogDisk {
         }
         // Drop the old mapping first.
         self.unmap(lb);
-        self.digested += block.len() as u64;
         let open = self.open_mut()?;
         let idx = open.summary.fill;
-        // The one digest pass a block ever gets here.
-        open.digest.update(&block);
         open.blocks.push(block);
         open.summary.owners[idx as usize] = lb as u32;
+        open.summary.digests[idx as usize] = sum;
         open.summary.fill += 1;
         let seg = open.seg;
         let full = open.summary.fill as u64 == SEG_DATA;
@@ -467,8 +474,8 @@ impl LogDisk {
 
     /// Write the open segment as it stands — summary plus every appended
     /// slot — in one command, handing the device its blocks: stamp a fresh
-    /// flush sequence and the running data digest into the summary and
-    /// encode it into block 0, a pooled copy if anyone else holds it.
+    /// flush sequence into the summary and encode it into block 0, a pooled
+    /// copy if anyone else holds it.
     fn flush_image(&mut self) -> FsResult<()> {
         let seq = self.next_flush_seq();
         let open = self
@@ -477,7 +484,6 @@ impl LogDisk {
             .as_mut()
             .expect("caller checked for an open segment");
         open.summary.seq = seq;
-        open.summary.data_csum = open.digest.finish();
         open.flushed = open.summary.fill;
         let head = &mut open.blocks[0];
         if Arc::get_mut(head).is_none() {
@@ -648,8 +654,13 @@ impl LogDisk {
     /// Read `victim` through the device's shared read (into `image` where
     /// it has none) and append each of its live blocks to the log head:
     /// the drive's own page where the device lent one, else a pooled copy
-    /// (`block` assembles one that straddles a page). `cleaning` is set for
-    /// exactly the duration of the appends.
+    /// (`block` assembles one that straddles a page). Each copy carries the
+    /// digest the victim's summary (block 0 of the read) records for its
+    /// slot, so its bytes are never read; only a slot whose summary does
+    /// not decode, or names another owner there, is digested afresh. A
+    /// block silently damaged since it was written thus keeps the digest
+    /// it was written with, and its copy fails roll-forward as a torn write
+    /// would. `cleaning` is set for exactly the duration of the appends.
     fn copy_live_forward(
         &mut self,
         victim: u32,
@@ -679,12 +690,18 @@ impl LogDisk {
         let bs = self.state.block_size;
         let start = summary_block(victim);
         let (image, _) = self.dev.share_blocks(start, SEG_BLOCKS as usize, image)?;
+        let summary = Summary::decode(image.get(0..bs, block)).ok();
         self.cleaning = true;
         let copied = live.iter().try_for_each(|&(idx, owner)| {
             let range = (1 + idx as usize) * bs..(2 + idx as usize) * bs;
             let page = image.page(range.clone());
             let page = page.unwrap_or_else(|| pooled_copy(image.get(range, block)));
-            self.append(owner as u64, page)?;
+            let recorded = summary.as_ref().and_then(|s| s.recorded(idx, owner));
+            let sum = recorded.unwrap_or_else(|| {
+                self.digested += bs as u64;
+                digest(&page)
+            });
+            self.append_digested(owner as u64, page, sum)?;
             self.state.stats.blocks_copied += 1;
             self.metrics.inc("lld.blocks_copied");
             Ok(())
@@ -1248,33 +1265,42 @@ mod tests {
 
     #[test]
     fn torn_segment_flush_is_discarded_on_mount() {
-        // Seal one segment (durable), then hand-craft a "torn flush" of a
-        // second: its summary lands but the data blocks do not. Mount must
-        // keep the sealed segment and discard the torn one.
-        let mut l = lld();
-        for i in 0..SEG_DATA {
-            l.write_block(i, &vec![3u8; 4096]).unwrap();
+        // Seal one segment (durable), then hand-craft a flush of a second:
+        // its summary lands, and `landed` of its four data blocks. With one
+        // slot not matching its recorded digest, mount must keep the
+        // sealed segment and discard the torn one whole, its three whole
+        // slots too; with all four landed, it rolls the segment forward.
+        for landed in [3u32, 4] {
+            let mut l = lld();
+            for i in 0..SEG_DATA {
+                l.write_block(i, &vec![3u8; 4096]).unwrap();
+            }
+            let mut dev = l.crash();
+            let mut torn = Summary::empty();
+            torn.fill = 4;
+            for idx in 0..4u32 {
+                let data = vec![9 + idx as u8; 4096];
+                torn.owners[idx as usize] = (SEG_DATA + idx as u64) as u32;
+                torn.digests[idx as usize] = digest(&data);
+                if idx < landed {
+                    dev.write_block(slot_device_block(seg_to_slot(1, idx)), &data)
+                        .unwrap();
+                }
+            }
+            torn.seq = 99;
+            let mut img = vec![0u8; 4096];
+            torn.encode_into(&mut img);
+            dev.write_block(summary_block(1), &img).unwrap();
+            let mut l2 = LogDisk::mount(dev, LldConfig::default()).unwrap();
+            let mut r = vec![0u8; 4096];
+            l2.read_block(0, &mut r).unwrap();
+            assert!(r.iter().all(|&b| b == 3), "sealed segment lost");
+            for idx in 0..4u32 {
+                let want = if landed == 4 { 9 + idx as u8 } else { 0 };
+                l2.read_block(SEG_DATA + idx as u64, &mut r).unwrap();
+                assert!(r.iter().all(|&b| b == want), "{landed} landed: slot {idx}");
+            }
         }
-        let mut torn = Summary::empty();
-        torn.fill = 4;
-        for idx in 0..4u32 {
-            torn.owners[idx as usize] = (SEG_DATA + idx as u64) as u32;
-        }
-        torn.seq = 99;
-        torn.data_csum = 0x1234_5678; // data never written: csum can't match
-        let mut img = vec![0u8; 4096];
-        torn.encode_into(&mut img);
-        let mut dev = l.crash();
-        dev.write_block(summary_block(1), &img).unwrap();
-        let mut l2 = LogDisk::mount(dev, LldConfig::default()).unwrap();
-        let mut r = vec![0u8; 4096];
-        l2.read_block(0, &mut r).unwrap();
-        assert!(r.iter().all(|&b| b == 3), "sealed segment lost");
-        l2.read_block(SEG_DATA + 1, &mut r).unwrap();
-        assert!(
-            r.iter().all(|&b| b == 0),
-            "torn segment's blocks must not surface"
-        );
     }
 
     #[test]
@@ -1397,12 +1423,12 @@ mod tests {
     }
 
     /// A seeded episode of writes, trims, syncs, cleaning passes and idle
-    /// time on a log over `dev`, checked block by block against a shadow
-    /// copy of what was written.
-    fn episode(dev: Box<dyn BlockDevice>, seed: u64) -> LogDisk {
+    /// time on a log with `cfg` over `dev`, checked block by block against
+    /// a shadow copy of what was written.
+    fn episode(dev: Box<dyn BlockDevice>, cfg: LldConfig, seed: u64) -> LogDisk {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut l = LogDisk::format(dev, LldConfig::default()).unwrap();
+        let mut l = LogDisk::format(dev, cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let n = l.num_blocks() * 3 / 4;
         let mut shadow = vec![0u8; n as usize];
@@ -1437,6 +1463,125 @@ mod tests {
         l
     }
 
+    /// Every live slot of every sealed segment on the device under `l`:
+    /// its summary, read off the device, names the slot's owner within its
+    /// fill and records the digest of the bytes the slot holds.
+    fn check_recorded_digests(l: &mut LogDisk, what: &str) {
+        let mut sbuf = vec![0u8; 4096];
+        let mut data = vec![0u8; 4096];
+        for seg in 0..l.state.nsegs {
+            if l.state.seg_state[seg as usize] != SegState::Dirty {
+                continue;
+            }
+            l.dev.read_block(summary_block(seg), &mut sbuf).unwrap();
+            let summary = Summary::decode(&sbuf).unwrap();
+            for idx in 0..SEG_DATA as u32 {
+                let slot = seg_to_slot(seg, idx);
+                let owner = l.state.rmap[slot as usize];
+                if owner == NONE {
+                    continue;
+                }
+                l.dev
+                    .read_block(slot_device_block(slot), &mut data)
+                    .unwrap();
+                assert_eq!(
+                    summary.recorded(idx, owner),
+                    Some(digest(&data)),
+                    "{what}: segment {seg} slot {idx}"
+                );
+            }
+        }
+    }
+
+    /// A cleaner copy carries its victim's recorded digest instead of
+    /// reading its bytes, and the carried digests stay true: after seeded
+    /// churn with idle and on-demand cleaning, a crash and a mount, every
+    /// live slot's recorded digest is the digest of what the drive holds,
+    /// over a regular disk (which lends the victim's pages) and over a VLD
+    /// (whose victim reads are copied).
+    #[test]
+    fn carried_digests_match_the_bytes_after_churn_crash_and_mount() {
+        let regular = || -> Box<dyn BlockDevice> { raw() };
+        let vld = || -> Box<dyn BlockDevice> {
+            let cfg = vlog_core::VldConfig::default();
+            Box::new(vlog_core::Vld::format(
+                DiskSpec::st19101_sim(),
+                SimClock::new(),
+                cfg,
+            ))
+        };
+        let cfg = LldConfig {
+            idle_clean_target: u32::MAX,
+            ..LldConfig::default()
+        };
+        for (what, dev) in [("regular", regular()), ("vld", vld())] {
+            let mut l = episode(dev, cfg, 0xD16E);
+            let stats = l.cleaner_stats();
+            assert!(stats.blocks_copied > 0 && stats.during_idle > 0, "{what}");
+            check_recorded_digests(&mut l, what);
+            let mut l = LogDisk::mount(l.crash(), cfg).unwrap();
+            check_recorded_digests(&mut l, what);
+        }
+    }
+
+    /// A victim whose summary no longer vouches for its blocks is cleaned
+    /// all the same, its live blocks digested afresh, and the copies roll
+    /// forward at the next mount: a summary block damaged on the media (it
+    /// fails to decode), and one that decodes but names other owners with
+    /// other digests (a summary the slots' blocks were not written under).
+    #[test]
+    fn a_victim_whose_summary_does_not_vouch_is_digested_and_rolls_forward() {
+        for damage in ["unreadable", "other owners"] {
+            let m = disksim::Metrics::enabled();
+            let mut l = lld();
+            l.set_metrics(m.clone());
+            for i in 0..SEG_DATA {
+                l.write_block(i, &vec![i as u8 | 1; 4096]).unwrap();
+            }
+            // Segment 0 keeps 27 live blocks; the checkpoint maps them there.
+            for i in 0..100 {
+                l.trim(i).unwrap();
+            }
+            l.sync().unwrap();
+            let mut sbuf = vec![0u8; 4096];
+            l.dev.read_block(summary_block(0), &mut sbuf).unwrap();
+            if damage == "unreadable" {
+                sbuf[2000] ^= 1;
+                sbuf[20] ^= 1;
+                assert!(Summary::decode(&sbuf).is_err());
+            } else {
+                let mut stale = Summary::decode(&sbuf).unwrap();
+                for idx in 100..SEG_DATA as usize {
+                    stale.owners[idx] = 5000 + idx as u32;
+                    stale.digests[idx] = 0x5A5A;
+                }
+                stale.encode_into(&mut sbuf);
+            }
+            l.dev.write_block(summary_block(0), &sbuf).unwrap();
+            // A zero idle grant cleans nothing and publishes the work
+            // counter; cleaning a segment publishes it again.
+            l.idle(0);
+            let digested = m.counter_value("lld.bytes_digested");
+            assert_eq!(l.clean_some(1).unwrap(), 1, "{damage}");
+            assert_eq!(l.cleaner_stats().blocks_copied, 27);
+            assert_eq!(
+                m.counter_value("lld.bytes_digested") - digested,
+                27 * 4096,
+                "{damage}: each copy digested afresh"
+            );
+            // Crash before any checkpoint covers the copies: only their
+            // roll-forward can move the 27 blocks out of segment 0.
+            let moved = l.map_snapshot();
+            let mut l = LogDisk::mount(l.crash(), LldConfig::default()).unwrap();
+            assert_eq!(l.map_snapshot(), moved, "{damage}: copies rolled forward");
+            for i in 100..SEG_DATA {
+                let mut r = vec![0u8; 4096];
+                l.read_block(i, &mut r).unwrap();
+                assert!(r.iter().all(|&b| b == i as u8 | 1), "{damage}: block {i}");
+            }
+        }
+    }
+
     /// The cleaner reads its victim through the device's shared read: a
     /// regular disk lends its tracks and a `FaultDisk` (the default, copying
     /// path) fills the spare buffer, and the same seeded episode ends with
@@ -1446,9 +1591,9 @@ mod tests {
     fn the_lent_victim_and_the_copied_victim_clean_alike() {
         for spec in drives() {
             let regular = || Box::new(RegularDisk::new(spec.clone(), SimClock::new(), 4096));
-            let lent = episode(regular(), 0x5EED);
+            let lent = episode(regular(), LldConfig::default(), 0x5EED);
             let fault = disksim::FaultDisk::new(regular(), disksim::FaultPlan::none());
-            let copied = episode(Box::new(fault), 0x5EED);
+            let copied = episode(Box::new(fault), LldConfig::default(), 0x5EED);
             assert!(lent.cleaner_stats().blocks_copied > 0, "{}", spec.name);
             assert_eq!(lent.dev.clock().now(), copied.dev.clock().now());
             assert_eq!(

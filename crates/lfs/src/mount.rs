@@ -123,11 +123,12 @@ impl LogDisk {
         // checkpoint, in flush order. Blocks written since the last sync
         // (and flushed, partially or fully) come back; only the never-
         // flushed in-memory tail is lost — the same guarantee as LFS.
-        // Each candidate summary's data checksum is verified against the
-        // slots it covers: a flush torn by a power cut (summary landed,
-        // data didn't) fails the check and is discarded — safe, because
-        // sync only acknowledges after the checkpoint, so torn flushes
-        // hold exclusively unacknowledged state.
+        // Each slot a candidate summary covers is checked against the
+        // digest it records for that slot: a flush torn by a power cut
+        // (summary landed, data didn't) fails the check and the whole
+        // segment is discarded — safe, because sync only acknowledges
+        // after the checkpoint, so torn flushes hold exclusively
+        // unacknowledged state.
         let mut summaries: Vec<(u64, u32, Summary)> = Vec::new();
         let mut max_flush_seq = ckpt_flush_seq;
         // One summary-block and one data scratch for the whole scan; the
@@ -156,7 +157,11 @@ impl LogDisk {
             if sum.fill > 0 {
                 dev.read_blocks(summary_block(seg) + 1, flushed)?;
             }
-            if digest(flushed) == sum.data_csum {
+            let whole = flushed
+                .chunks_exact(block_size)
+                .zip(&sum.digests)
+                .all(|(block, &recorded)| digest(block) == recorded);
+            if whole {
                 summaries.push((sum.seq, seg, sum));
             }
         }

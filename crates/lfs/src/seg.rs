@@ -3,7 +3,8 @@
 //! The log-structured logical disk divides the device into 512 KB segments
 //! (the MIT LLD's size, which the paper uses). Each segment's first block
 //! is its *summary*: the logical owner of every data slot, so a mounted
-//! volume (or a cleaner) can tell live blocks from dead ones.
+//! volume (or a cleaner) can tell live blocks from dead ones, and the
+//! digest of every data slot, so it can tell whole ones from torn ones.
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use disksim::codec::{
@@ -11,7 +12,7 @@ use disksim::codec::{
 };
 use fscore::{FsError, FsResult};
 
-/// The one checksum of the logical disk: segment data and summary headers,
+/// The one checksum of the logical disk: each data block, summary headers,
 /// and, folded to 32 bits by [`seal`], checkpoints. A crash can tear the
 /// multi-block segment flush (summary first, data after); the checksums let
 /// mount detect and discard such segments instead of replaying garbage.
@@ -26,9 +27,13 @@ pub const NONE: u32 = u32::MAX;
 /// Summary magic ("LSEG").
 pub(crate) const SUMMARY_MAGIC: u32 = 0x4C53_4547;
 
+/// Byte offset of the summary's owner table (after magic, fill and seq).
+const OWNERS: usize = 16;
+/// Byte offset of the summary's digest table, right after the owners.
+const DIGESTS: usize = OWNERS + SEG_DATA as usize * 4;
 /// Byte length of the checksummed summary header: magic, fill, seq, owner
-/// table and data checksum.
-const HEAD_BYTES: usize = 16 + SEG_DATA as usize * 4 + 8;
+/// table and digest table.
+const HEAD_BYTES: usize = DIGESTS + SEG_DATA as usize * 8;
 
 /// Per-segment bookkeeping state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +51,19 @@ pub(crate) enum SegState {
 pub(crate) struct Summary {
     /// Logical owner of each data slot (NONE = never written).
     pub(crate) owners: [u32; SEG_DATA as usize],
+    /// [`digest`] of each data slot's block, taken once, when the file
+    /// layer handed the block to the log, and carried with the block when
+    /// the cleaner copies it. Roll-forward checks every slot of the fill
+    /// against it before trusting the segment: if the crash tore the flush
+    /// after the summary block but before (all of) the data landed, a
+    /// mismatch exposes it. The log leaves zeros past the fill.
+    pub(crate) digests: [u64; SEG_DATA as usize],
     /// Number of slots actually appended.
     pub(crate) fill: u32,
     /// Monotonic flush sequence: every summary written to disk (partial
     /// flush or seal) gets a fresh value, so mount-time roll-forward can
     /// order segments and skip ones older than the checkpoint.
     pub(crate) seq: u64,
-    /// [`Digest`] of the `fill` data blocks flushed with this summary.
-    /// Roll-forward verifies it before trusting the segment: if the crash
-    /// tore the flush after the summary block but before (all of) the data
-    /// landed, the mismatch exposes it.
-    pub(crate) data_csum: u64,
 }
 
 impl Summary {
@@ -64,9 +71,21 @@ impl Summary {
     pub(crate) fn empty() -> Self {
         Self {
             owners: [NONE; SEG_DATA as usize],
+            digests: [0; SEG_DATA as usize],
             fill: 0,
             seq: 0,
-            data_csum: 0,
+        }
+    }
+
+    /// The digest the summary records for slot `idx` if it names `owner`
+    /// there within its fill: what a cleaner copying that block carries
+    /// instead of reading its bytes.
+    pub(crate) fn recorded(&self, idx: u32, owner: u32) -> Option<u64> {
+        let i = idx as usize;
+        if idx < self.fill && self.owners.get(i) == Some(&owner) {
+            self.digests.get(i).copied()
+        } else {
+            None
         }
     }
 
@@ -80,8 +99,10 @@ impl Summary {
         put_u32(block, 0, SUMMARY_MAGIC);
         put_u32(block, 4, self.fill);
         put_u64(block, 8, self.seq);
-        put_u32s(block, 16, &self.owners);
-        put_u64(block, HEAD_BYTES - 8, self.data_csum);
+        put_u32s(block, OWNERS, &self.owners);
+        for (at, &d) in (DIGESTS..).step_by(8).zip(&self.digests) {
+            put_u64(block, at, d);
+        }
         put_u64(block, HEAD_BYTES, digest(&block[..HEAD_BYTES]));
         block[HEAD_BYTES + 8..].fill(0);
     }
@@ -102,14 +123,21 @@ impl Summary {
             return Err(FsError::Invalid("summary fill out of range"));
         }
         let mut owners = [NONE; SEG_DATA as usize];
-        for (owner, stored) in owners.iter_mut().zip(get_u32s(buf, 16, SEG_DATA as usize)?) {
+        for (owner, stored) in owners
+            .iter_mut()
+            .zip(get_u32s(buf, OWNERS, SEG_DATA as usize)?)
+        {
             *owner = stored;
+        }
+        let mut digests = [0; SEG_DATA as usize];
+        for (d, at) in digests.iter_mut().zip((DIGESTS..).step_by(8)) {
+            *d = get_u64(buf, at)?;
         }
         Ok(Summary {
             owners,
+            digests,
             fill,
             seq: get_u64(buf, 8)?,
-            data_csum: get_u64(buf, HEAD_BYTES - 8)?,
         })
     }
 }
@@ -204,9 +232,10 @@ mod tests {
         let mut s = Summary::empty();
         s.owners[0] = 5;
         s.owners[126] = 99;
+        s.digests[0] = 0xDEAD_BEEF_F00D;
+        s.digests[126] = 0x0123_4567_89AB_CDEF;
         s.fill = 2;
         s.seq = 77;
-        s.data_csum = 0xDEAD_BEEF_F00D;
         s
     }
 
@@ -268,7 +297,9 @@ mod tests {
     /// The word the shared seal stores for one fixed checkpoint. It moved
     /// (from 0x22FDB2F2) when the checkpoint's own folded digest of the
     /// bytes after the seal gave way to the record seal, which also covers
-    /// the magic; the summary's 64-bit header digest is the one it was.
+    /// the magic. The summary's 64-bit header digest moved (from
+    /// 0x4FBE_36E2_8A88_7BA9) when the one data digest after the owner
+    /// table gave way to a digest per slot.
     #[test]
     fn checkpoint_seal_word_is_pinned() {
         let map: Vec<u32> = (0..254u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
@@ -281,7 +312,7 @@ mod tests {
         );
         let head = get_u64(&encode(&sample()), HEAD_BYTES).unwrap();
         assert_eq!(
-            head, 0x4FBE_36E2_8A88_7BA9,
+            head, 0x8D9A_9EF7_BBFB_4D79,
             "summary header digest moved: {head:#018x}"
         );
     }

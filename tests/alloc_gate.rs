@@ -5,16 +5,21 @@
 //! back ([`vlfs::disksim::pooled_copy`]), so no step of the cycle calls
 //! the allocator. The same holds with the logical disk in between: its
 //! open segment keeps the cache's blocks, and its flushes and cleaner
-//! copies hand the drive pages.
+//! copies hand the drive pages (and a cleaner copy reads none of its
+//! bytes: it carries the digest its victim's summary records).
 //!
 //! Allocations are counted per thread, so tests running beside this one
 //! on other threads do not show up in its count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
-use vlfs::disksim::{BlockDevice, DiskSpec, RegularDisk, SimClock};
+use vlfs::disksim::{
+    BlockDevice, DiskSpec, DiskStats, Metrics, RegularDisk, Result as DiskResult, ServiceTime,
+    SharedBlocks, SimClock, Spans,
+};
 use vlfs::fscore::{FileSystem, HostModel};
 use vlfs::lfs::{LldConfig, LogDisk};
 use vlfs::ufs::{Ufs, UfsConfig};
@@ -194,19 +199,109 @@ fn warm_delayed_writes_and_syncs_allocate_nothing() {
     );
 }
 
-/// Allocation requests, and segments cleaned, over `rounds` rounds of 64
-/// synchronous 4 KiB overwrites at scattered blocks of a file, a sync and
-/// an idle grant that cleans, on UFS over the logical disk over the
-/// regular disk, after `warm` such rounds.
-fn lld_round_allocs(warm: u64, rounds: u64) -> (u64, u64) {
+/// The device below it, passed through call for call, counting the blocks
+/// the file layer writes to it.
+struct Handed {
+    dev: LogDisk,
+    blocks: Rc<Cell<u64>>,
+}
+
+impl Handed {
+    fn count(&self, blocks: usize) {
+        self.blocks.set(self.blocks.get() + blocks as u64);
+    }
+}
+
+impl BlockDevice for Handed {
+    fn block_size(&self) -> usize {
+        self.dev.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.dev.num_blocks()
+    }
+    fn clock(&self) -> SimClock {
+        self.dev.clock()
+    }
+    fn read_block(&mut self, block: u64, buf: &mut [u8]) -> DiskResult<ServiceTime> {
+        self.dev.read_block(block, buf)
+    }
+    fn read_blocks(&mut self, start: u64, buf: &mut [u8]) -> DiskResult<ServiceTime> {
+        self.dev.read_blocks(start, buf)
+    }
+    fn share_blocks<'a>(
+        &mut self,
+        start: u64,
+        blocks: usize,
+        spare: &'a mut Vec<u8>,
+    ) -> DiskResult<(SharedBlocks<'a>, ServiceTime)> {
+        self.dev.share_blocks(start, blocks, spare)
+    }
+    fn write_block(&mut self, block: u64, buf: &[u8]) -> DiskResult<ServiceTime> {
+        self.count(1);
+        self.dev.write_block(block, buf)
+    }
+    fn write_blocks(&mut self, start: u64, buf: &[u8]) -> DiskResult<ServiceTime> {
+        self.count(buf.len() / self.block_size());
+        self.dev.write_blocks(start, buf)
+    }
+    fn write_gathered(&mut self, start: u64, blocks: &[&Arc<[u8]>]) -> DiskResult<ServiceTime> {
+        self.count(blocks.len());
+        self.dev.write_gathered(start, blocks)
+    }
+    fn trim(&mut self, block: u64) -> DiskResult<()> {
+        self.dev.trim(block)
+    }
+    fn idle(&mut self, budget_ns: u64) -> u64 {
+        self.dev.idle(budget_ns)
+    }
+    fn flush(&mut self) -> DiskResult<ServiceTime> {
+        self.dev.flush()
+    }
+    fn disk_stats(&self) -> DiskStats {
+        self.dev.disk_stats()
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+    fn inner_device(&self) -> Option<&dyn BlockDevice> {
+        Some(&self.dev)
+    }
+    fn spans(&self) -> Spans {
+        self.dev.spans()
+    }
+}
+
+/// What [`lld_round_allocs`] measured over its counted rounds.
+struct LldRounds {
+    allocs: u64,
+    cleaned: u64,
+    /// Blocks the file layer handed the log, and the bytes the log
+    /// digested.
+    handed: u64,
+    digested: u64,
+}
+
+/// Allocation requests, segments cleaned, blocks handed to the log and
+/// bytes it digested, over `rounds` rounds of 64 synchronous 4 KiB
+/// overwrites at scattered blocks of a file, a sync and an idle grant that
+/// cleans, on UFS over the logical disk over the regular disk, after
+/// `warm` such rounds.
+fn lld_round_allocs(warm: u64, rounds: u64) -> LldRounds {
     let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
     let cfg = LldConfig {
         idle_clean_target: u32::MAX,
         ..LldConfig::default()
     };
-    let lld = LogDisk::format(Box::new(disk), cfg).unwrap();
-    let mut fs = Ufs::format(Box::new(lld), HostModel::instant(), UfsConfig::default()).unwrap();
+    let metrics = Metrics::enabled();
+    let mut lld = LogDisk::format(Box::new(disk), cfg).unwrap();
+    lld.set_metrics(metrics.clone());
+    let blocks = Rc::new(Cell::new(0));
+    let dev = Handed {
+        dev: lld,
+        blocks: Rc::clone(&blocks),
+    };
+    let mut fs = Ufs::format(Box::new(dev), HostModel::instant(), UfsConfig::default()).unwrap();
     let f = fs.create("f").unwrap();
     fs.write(f, 0, &vec![1u8; 4096 * FILE_BLOCKS as usize])
         .unwrap();
@@ -226,9 +321,17 @@ fn lld_round_allocs(warm: u64, rounds: u64) -> (u64, u64) {
         let lld = vlfs::disksim::probe_device::<LogDisk>(fs.device()).unwrap();
         lld.cleaner_stats().segments_cleaned
     };
+    // Each round ends in an idle grant, which publishes the work counter.
+    let digested = || metrics.counter_value("lld.bytes_digested");
     let (before, cleaned_before) = (allocs(), cleaned(&fs));
+    let (handed_before, digested_before) = (blocks.get(), digested());
     (warm..warm + rounds).for_each(|r| round(&mut fs, r));
-    (allocs() - before, cleaned(&fs) - cleaned_before)
+    LldRounds {
+        allocs: allocs() - before,
+        cleaned: cleaned(&fs) - cleaned_before,
+        handed: blocks.get() - handed_before,
+        digested: digested() - digested_before,
+    }
 }
 
 /// Once every segment has been written, bursts of synchronous overwrites
@@ -236,12 +339,24 @@ fn lld_round_allocs(warm: u64, rounds: u64) -> (u64, u64) {
 /// (partial flushes, seals and checkpoints) and idle cleaning allocate
 /// nothing per block written. Cleaning a segment allocates twice, for the
 /// victim read's hold on the drive's pages (its handle and its piece list).
+/// The log digests each block the file layer hands it once and the
+/// cleaner's copies not at all.
 #[test]
 fn warm_bursts_syncs_and_cleaning_allocate_nothing_per_block_on_the_logical_disk() {
-    let (allocs, cleaned) = lld_round_allocs(40, 40);
+    let LldRounds {
+        allocs,
+        cleaned,
+        handed,
+        digested,
+    } = lld_round_allocs(40, 40);
     assert!(cleaned > 0, "the idle grants must clean");
     assert!(
         allocs <= 2 * cleaned,
         "{allocs} allocations, {cleaned} segments cleaned"
+    );
+    assert_eq!(
+        digested,
+        handed * 4096,
+        "a block the file layer hands the log is digested exactly once, a cleaner copy never"
     );
 }

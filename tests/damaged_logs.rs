@@ -23,12 +23,12 @@ const BS: usize = 4096;
 /// Checkpoint slot layout: magic, seal, map length, flush sequence, map.
 const CKPT_SEAL: usize = 4;
 const CKPT_MAP: usize = 24;
-/// Summary layout: magic, fill, sequence, owner table, data digest, then
-/// the digest of everything before it.
+/// Summary layout: magic, fill, sequence, owner table, one data digest per
+/// slot, then the digest of everything before it.
 const SUM_FILL: usize = 4;
 const SUM_OWNERS: usize = 16;
-const SUM_DATA_CSUM: usize = SUM_OWNERS + 4 * SEG_DATA as usize;
-const SUM_HEAD: usize = SUM_DATA_CSUM + 8;
+const SUM_DIGESTS: usize = SUM_OWNERS + 4 * SEG_DATA as usize;
+const SUM_HEAD: usize = SUM_DIGESTS + 8 * SEG_DATA as usize;
 
 /// Where a log keeps its records on the raw device.
 struct Places {
@@ -115,8 +115,8 @@ fn damage(dev: &mut dyn BlockDevice, places: &Places, seed: u64) {
             let slot = entry(live[rng.gen_range(0..live.len())]);
             put_u32(raw, map_at(rng.gen_range(0..places.logical)), slot);
         }),
-        // A written segment's fill and owners rewritten, its data and
-        // header digested again.
+        // A written segment's fill and owners rewritten, its slots within
+        // the new fill and its header digested again.
         _ => {
             let seg = rng.gen_range(0..3u64);
             let mut sum = read(dev, summary_block(seg), 1);
@@ -132,7 +132,9 @@ fn damage(dev: &mut dyn BlockDevice, places: &Places, seed: u64) {
             }
             let fill = get_u32(&sum, SUM_FILL).unwrap() as u64;
             let data = read(dev, summary_block(seg) + 1, fill);
-            put_u64(&mut sum, SUM_DATA_CSUM, digest(&data));
+            for (i, block) in data.chunks_exact(BS).enumerate() {
+                put_u64(&mut sum, SUM_DIGESTS + 8 * i, digest(block));
+            }
             let head = digest(&sum[..SUM_HEAD]);
             put_u64(&mut sum, SUM_HEAD, head);
             dev.write_block(summary_block(seg), &sum).unwrap();
