@@ -105,8 +105,14 @@ fn main() {
     section!("fig6", vlfs_bench::fig6::run(files));
     section!("fig7", vlfs_bench::fig7::run(mb));
     section!("fig8", vlfs_bench::fig8::run(u8_));
-    section!("table2", vlfs_bench::table2::run(u9));
-    section!("fig9", vlfs_bench::fig9::run(u9));
+    // Table 2 and Figure 9 report the same six measurements: the table2
+    // section simulates them, and fig9 only formats them.
+    let mut measured = Vec::new();
+    section!("table2", {
+        measured = vlfs_bench::fig9::measure_all(u9);
+        vlfs_bench::table2::run(&measured)
+    });
+    section!("fig9", vlfs_bench::fig9::run(&measured));
     section!("fig10", vlfs_bench::fig10::run(b10));
     section!("fig11", vlfs_bench::fig11::run(b11));
     section!("appendix", vlfs_bench::appendix::run(if quick { 200 } else { 800 }));

@@ -4,5 +4,8 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1000);
-    print!("{}", vlfs_bench::table2::run(updates));
+    print!(
+        "{}",
+        vlfs_bench::table2::run(&vlfs_bench::fig9::measure_all(updates))
+    );
 }

@@ -6,8 +6,9 @@
 //! `null` for a change that claims no gain) and `claim_met` (a boolean,
 //! or `null`). An optional `tables` list holds the measurements as
 //! `{title, columns, rows}` objects, each row a list of cells as wide as
-//! `columns`. Any other key is kept as the change recorded it and named
-//! (in key order), not rendered.
+//! `columns`. A row may also say `note`, `parent`, `date` and `host`
+//! (strings, not rendered); any other key is refused, so what a change
+//! measured lives in its tables.
 //!
 //! Rows are read with the benchmark's JSON reader (`benchmark/src/json.rs`,
 //! compiled in by path), so the workspace keeps one JSON parser.
@@ -38,8 +39,7 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
 }
 
-/// One row of the history: the core every row carries, its tables, and
-/// the names of the other keys it recorded.
+/// One row of the history: the core every row carries, and its tables.
 #[derive(Debug)]
 pub struct Row {
     pub pr: u64,
@@ -48,7 +48,6 @@ pub struct Row {
     pub claim_met: Option<bool>,
     pub method: String,
     pub tables: Vec<Table>,
-    pub extra: Vec<String>,
 }
 
 /// Cells of one table row: strings and numbers as their text.
@@ -129,19 +128,31 @@ fn row(v: &Json) -> Result<Row, String> {
             .collect::<Result<_, _>>()?,
         Some(_) => return Err("\"tables\" is not a list".into()),
     };
-    const CORE: [&str; 6] = ["pr", "change", "claim", "claim_met", "method", "tables"];
+    const KEYS: [&str; 10] = [
+        "pr",
+        "change",
+        "claim",
+        "claim_met",
+        "method",
+        "tables",
+        "note",
+        "parent",
+        "date",
+        "host",
+    ];
+    let (change, method) = (string("change")?, string("method")?);
+    if let Some(key) = fields.keys().find(|k| !KEYS.contains(&k.as_str())) {
+        return Err(format!(
+            "unknown field \"{key}\" (a measurement goes in \"tables\")"
+        ));
+    }
     Ok(Row {
         pr,
-        change: string("change")?,
+        change,
         claim,
         claim_met,
-        method: string("method")?,
+        method,
         tables,
-        extra: fields
-            .keys()
-            .filter(|k| !CORE.contains(&k.as_str()))
-            .cloned()
-            .collect(),
     })
 }
 
@@ -256,17 +267,13 @@ pub fn summary(rows: &[Row]) -> String {
     markdown(&columns, &body)
 }
 
-/// One row in full: its core, the names of its other keys, and every
-/// table.
+/// One row in full: its core and every table.
 pub fn tables(row: &Row) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "PR {}: {}", row.pr, row.change);
     let claim = row.claim.as_deref().unwrap_or("none");
     let _ = writeln!(out, "claim: {claim} (met: {})", met(row));
     let _ = writeln!(out, "method: {}", row.method);
-    if !row.extra.is_empty() {
-        let _ = writeln!(out, "also recorded: {}", row.extra.join(", "));
-    }
     for t in &row.tables {
         let _ = write!(out, "\n## {}\n\n{}", t.title, markdown(&t.columns, &t.rows));
     }

@@ -8,11 +8,12 @@
 //! intervals".
 
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec};
+use crate::setup::{build_aged, AgedSpec};
 use crate::workload::{rng, BLOCK};
 use fscore::{FileId, FileSystem, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
 use rand::Rng;
+use ufs::UfsSnapshot;
 
 /// The paper's burst sizes (KB). 504/1008/… are multiples of the 508 KB
 /// of data a 127-slot segment holds.
@@ -78,11 +79,26 @@ pub fn run(total_blocks: u64) -> String {
     )
 }
 
+/// The aged state `spec` describes, built once and snapshotted, with the
+/// target file's handle and length in blocks: a burst/idle figure runs
+/// each cell on a fork of it.
+pub(crate) type Aged = (UfsSnapshot, FileId, u64);
+
+/// Build the state `spec` describes and snapshot it.
+pub(crate) fn aged_snapshot(spec: &AgedSpec) -> Aged {
+    let (fs, file, file_blocks) = build_aged(spec).expect("setup");
+    (
+        fs.snapshot().expect("an aged stack snapshots"),
+        file,
+        file_blocks,
+    )
+}
+
 /// One series of a burst/idle figure: for each idle interval, a fresh
-/// fork of the aged state `spec` runs [`burst_idle_bench`] with bursts of
-/// `burst_kb`, seeded by `seed_tag ^ burst_kb`.
+/// fork of `aged` runs [`burst_idle_bench`] with bursts of `burst_kb`,
+/// seeded by `seed_tag ^ burst_kb`.
 pub(crate) fn burst_idle_series(
-    spec: &AgedSpec,
+    aged: &Aged,
     burst_kb: u64,
     idles_s: &[f64],
     total_blocks: u64,
@@ -91,11 +107,11 @@ pub(crate) fn burst_idle_series(
     idles_s
         .iter()
         .map(|&idle| {
-            let (mut fs, f, file_blocks) = aged_system(spec).expect("setup");
+            let (snap, file, file_blocks) = aged;
             let ms = burst_idle_bench(
-                &mut fs,
-                f,
-                file_blocks,
+                &mut snap.restore(),
+                *file,
+                *file_blocks,
                 burst_kb * 1024 / BLOCK as u64,
                 (idle * 1e9) as u64,
                 total_blocks,
@@ -109,9 +125,9 @@ pub(crate) fn burst_idle_series(
 
 /// A burst/idle figure (10 and 11): one row per idle interval, one column
 /// per burst size, each cell the latency of [`burst_idle_series`] printed
-/// to `precision` decimals. Every (burst, idle) cell is an independent
-/// simulation (a fresh fork, fixed seeds), so the whole grid fans out at
-/// once.
+/// to `precision` decimals. The aged state `spec` describes is built once;
+/// every (burst, idle) cell is an independent simulation on a fork of it
+/// (fixed seeds), so the whole grid fans out at once.
 pub(crate) fn burst_idle_grid(
     title: &str,
     spec: &AgedSpec,
@@ -125,8 +141,9 @@ pub(crate) fn burst_idle_grid(
         .iter()
         .flat_map(|&b| idles_s.iter().map(move |&idle| (b, idle)))
         .collect();
+    let aged = aged_snapshot(spec);
     let cells = disksim::par::pmap(points, |(b, idle)| {
-        burst_idle_series(spec, b, &[idle], total_blocks, seed_tag)[0].1
+        burst_idle_series(&aged, b, &[idle], total_blocks, seed_tag)[0].1
     });
     let rows: Vec<Vec<String>> = idles_s
         .iter()
@@ -153,7 +170,8 @@ mod tests {
     #[test]
     fn idle_time_helps_lfs() {
         let host = HostModel::instant();
-        let pts = burst_idle_series(&spec(host, 3000), 504, &[0.0, 4.0], 3000, SEED_TAG);
+        let aged = aged_snapshot(&spec(host, 3000));
+        let pts = burst_idle_series(&aged, 504, &[0.0, 4.0], 3000, SEED_TAG);
         let (busy, idle) = (pts[0].1, pts[1].1);
         assert!(
             idle < busy,

@@ -45,12 +45,13 @@ pub fn run(total_blocks: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig10::burst_idle_series;
+    use crate::fig10::{aged_snapshot, burst_idle_series};
 
     #[test]
     fn small_idle_intervals_already_help_the_vld() {
         let host = HostModel::instant();
-        let pts = burst_idle_series(&spec(host, 2500), 512, &[0.0, 0.45], 2500, SEED_TAG);
+        let aged = aged_snapshot(&spec(host, 2500));
+        let pts = burst_idle_series(&aged, 512, &[0.0, 0.45], 2500, SEED_TAG);
         let (busy, idle) = (pts[0].1, pts[1].1);
         assert!(
             idle <= busy,
@@ -62,10 +63,8 @@ mod tests {
     fn vld_latency_is_predictable() {
         // "The VLD performance is also more predictable": across burst
         // sizes at a fixed idle interval, the spread stays small.
-        let host = HostModel::instant();
-        let series = |burst_kb| {
-            burst_idle_series(&spec(host, 1500), burst_kb, &[0.2], 1500, SEED_TAG)[0].1
-        };
+        let aged = aged_snapshot(&spec(HostModel::instant(), 1500));
+        let series = |burst_kb| burst_idle_series(&aged, burst_kb, &[0.2], 1500, SEED_TAG)[0].1;
         let (a, b) = (series(128), series(2048));
         let ratio = if a > b { a / b } else { b / a };
         assert!(ratio < 3.0, "burst-size sensitivity too high: {a} vs {b}");

@@ -7,7 +7,7 @@
 //! compactor run.
 
 use crate::format_table;
-use crate::setup::{build_aged, AgedSpec, OnceMap};
+use crate::setup::{build_aged, AgedSpec};
 use crate::workload::{random_updates, rng};
 use fscore::{FileSystem, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
@@ -33,27 +33,7 @@ impl Breakdown {
 }
 
 /// Measure the breakdown for UFS on the given device at ~80 % utilisation.
-///
-/// Table 2 and Figure 9 issue the same six measurements, so each is
-/// simulated once per process and whichever section asks second replays
-/// the recorded result (errors included), simulating nothing.
 pub fn measure(dev: DevKind, disk: DiskKind, host: HostModel, updates: u64) -> FsResult<Breakdown> {
-    static MEMO: OnceMap<(DevKind, DiskKind, HostModel, u64), FsResult<Breakdown>> = OnceMap::new();
-    MEMO.get(
-        (dev, disk, host, updates),
-        || measure_fresh(dev, disk, host, updates),
-        Clone::clone,
-    )
-}
-
-/// The actual measurement, bypassing the memo. Public as the oracle
-/// `tests/replay.rs` holds [`measure`] to.
-pub fn measure_fresh(
-    dev: DevKind,
-    disk: DiskKind,
-    host: HostModel,
-    updates: u64,
-) -> FsResult<Breakdown> {
     // Footnote 1 of the paper: the VLD is measured "immediately after
     // running a compactor" — so provision an empty-track pool large enough
     // to cover the measured window.
@@ -63,8 +43,8 @@ pub fn measure_fresh(
     };
     // (A VLD setting: no effect on the regular disk.)
     spec.stack.vld_target_empty_tracks = Some(40);
-    // The measure memo already dedups Table 2 against Figure 9, so each of
-    // the six specs is built exactly once: no snapshot to amortise.
+    // Each of the six specs is built exactly once (`measure_all`): no
+    // snapshot to amortise.
     let (mut fs, f, file_blocks) = build_aged(&spec)?;
     let mut r = rng(0xF19);
     // Warm up, then replenish the compactor's pool so every measured chunk
@@ -134,30 +114,45 @@ pub(crate) fn platforms() -> Vec<(&'static str, DiskKind, HostModel)> {
     ]
 }
 
-/// Regenerate Figure 9.
-pub fn run(updates: u64) -> String {
-    let points: Vec<(&'static str, DiskKind, HostModel, DevKind)> = platforms()
+/// The six measurements, each platform's regular disk then its VLD.
+fn points() -> Vec<(&'static str, DiskKind, HostModel, DevKind)> {
+    platforms()
         .into_iter()
         .flat_map(|(name, disk, host)| {
             [DevKind::Regular, DevKind::Vld]
                 .into_iter()
                 .map(move |dev| (name, disk, host, dev))
         })
+        .collect()
+}
+
+/// The breakdowns Table 2 and Figure 9 both report, measured once and
+/// handed to both: HP + SPARC, Seagate + SPARC and Seagate + Ultra, each
+/// on the regular disk and then on the VLD.
+pub fn measure_all(updates: u64) -> Vec<Breakdown> {
+    disksim::par::pmap(points(), |(name, disk, host, dev)| {
+        measure(dev, disk, host, updates).unwrap_or_else(|e| panic!("{name} {}: {e}", dev.label()))
+    })
+}
+
+/// Regenerate Figure 9 from [`measure_all`]'s breakdowns.
+pub fn run(measured: &[Breakdown]) -> String {
+    let rows: Vec<Vec<String>> = points()
+        .into_iter()
+        .zip(measured)
+        .map(|((name, _, _, dev), b)| {
+            let total = b.total_ms();
+            let pct = |x: f64| format!("{:.0}%", x / total * 100.0);
+            vec![
+                format!("{name} {}", dev.label()),
+                format!("{total:.2}"),
+                pct(b.overhead_ms),
+                pct(b.transfer_ms),
+                pct(b.locate_ms),
+                pct(b.other_ms),
+            ]
+        })
         .collect();
-    let rows = disksim::par::pmap(points, |(name, disk, host, dev)| {
-        let b = measure(dev, disk, host, updates)
-            .unwrap_or_else(|e| panic!("{name}/{}: {e}", dev.label()));
-        let total = b.total_ms();
-        let pct = |x: f64| format!("{:.0}%", x / total * 100.0);
-        vec![
-            format!("{name} {}", dev.label()),
-            format!("{total:.2}"),
-            pct(b.overhead_ms),
-            pct(b.transfer_ms),
-            pct(b.locate_ms),
-            pct(b.other_ms),
-        ]
-    });
     format_table(
         "Figure 9: latency breakdown of 4 KB sync updates at 80% utilisation",
         &[

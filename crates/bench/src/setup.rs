@@ -1,21 +1,14 @@
-//! The *aged-system cache*: every figure cell that starts from "system with
-//! an aged file at some utilisation" describes that state as an
-//! [`AgedSpec`] — one of the paper's system combinations (its Figure 5, a
-//! [`StackSpec`]) plus the file and warm-up that age it — and
-//! [`aged_system`] builds each distinct state once, snapshots it
-//! ([`ufs::UfsSnapshot`]), and hands every cell an independent
-//! copy-on-write fork instead of re-running the setup workload per cell
-//! (cells whose state no other cell shares call [`build_aged`] directly).
-//! The cache and the Figure 9 measurement memo share one once-per-key map,
-//! `OnceMap`.
+//! Aged systems: every figure cell that starts from "system with an aged
+//! file at some utilisation" describes that state as an [`AgedSpec`], one
+//! of the paper's system combinations (its Figure 5, a [`StackSpec`]) plus
+//! the file and warm-up that age it, and [`build_aged`] builds it. A
+//! figure whose cells share a state builds it once, snapshots it
+//! ([`ufs::UfsSnapshot`]) and hands each cell a copy-on-write fork (the
+//! burst/idle grids of Figures 10 and 11).
 
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
-
-use fscore::{FileId, FileSystem, FsError, FsResult, HostModel};
+use fscore::{FileId, FileSystem, FsResult, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec};
-use ufs::{Ufs, UfsSnapshot};
+use ufs::Ufs;
 
 use crate::workload::{make_file, BLOCK};
 
@@ -23,8 +16,8 @@ use crate::workload::{make_file, BLOCK};
 /// system combination, the single target file's size as a fraction of
 /// usable capacity, whether writes are synchronous, and any deterministic
 /// warm-up applied before measurement begins. Two cells with equal specs
-/// start from byte-identical states, which is what lets [`aged_system`]
-/// build the state once and fork it per cell.
+/// start from byte-identical states, which is what lets a figure build the
+/// state once and fork it per cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgedSpec {
     /// The system combination (paper-sized).
@@ -49,67 +42,11 @@ impl AgedSpec {
             warmup_blocks: 0,
         }
     }
-
-    /// Content key for the snapshot cache (the fraction keyed by its bits —
-    /// specs compare equal exactly when they build equal states).
-    fn key(&self) -> AgedKey {
-        (
-            self.stack,
-            self.file_frac.to_bits(),
-            self.sync_writes,
-            self.warmup_blocks,
-        )
-    }
 }
 
-type AgedKey = (StackSpec, u64, bool, u64);
-
-/// A cached aged build: the snapshot plus the handle and size of the
-/// target file inside it (both identical in every fork by construction).
-struct CachedAged {
-    snap: UfsSnapshot,
-    file: FileId,
-    file_blocks: u64,
-}
-
-/// A process-wide map from key to a value computed at most once: the
-/// harness's one way of replaying work it has already simulated.
-/// Concurrent first requests for a key block on that key's `OnceLock`
-/// while one of them computes (the computation is deterministic, so it
-/// does not matter which worker wins), and errors are cached like values.
-/// A replay simulates nothing, so the process-wide event counter
-/// ([`disksim::clock::events`]) counts each entry's work once.
-///
-/// The map is unbounded because its callers are: every entry is a state
-/// or a measurement the suite asks for more than once.
-pub(crate) struct OnceMap<K, V>(OnceLock<Mutex<HashMap<K, Arc<OnceLock<V>>>>>);
-
-impl<K: Eq + Hash, V> OnceMap<K, V> {
-    /// An empty map, usable as a `static`.
-    pub(crate) const fn new() -> Self {
-        Self(OnceLock::new())
-    }
-
-    /// `read` applied to the value for `key`, which `init` computes on the
-    /// first request.
-    pub(crate) fn get<R>(&self, key: K, init: impl FnOnce() -> V, read: impl FnOnce(&V) -> R) -> R {
-        let cell = {
-            let mut map = self
-                .0
-                .get_or_init(Mutex::default)
-                .lock()
-                .expect("once map poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        read(cell.get_or_init(init))
-    }
-}
-
-/// Build the aged state described by `spec` from scratch, bypassing the
-/// snapshot cache. This is the path for a spec that is used once (Figure
-/// 8, Figure 9 / Table 2: a snapshot retains the aged system's full media
-/// image and buffer cache, tens of MB), and the oracle the fork-identity
-/// tests compare against.
+/// Build the aged state described by `spec`, plus the target file's
+/// handle and length in blocks. The fork-identity tests hold every fork
+/// to what this builds.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = spec.stack.build(None, &Obs::default())?;
     let usable = fs.free_blocks();
@@ -123,33 +60,4 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
         crate::fig10::burst_idle_bench(&mut fs, f, file_blocks, w, 0, w, 7)?;
     }
     Ok((fs, f, file_blocks))
-}
-
-/// An independent system in the aged state described by `spec`, plus the
-/// target file's handle and length in blocks.
-///
-/// The first request for a given spec builds the state and caches a
-/// [`UfsSnapshot`] (or the error that stopped it: a stack that cannot
-/// snapshot is one); every request, the first included, is then served
-/// by forking the snapshot in O(metadata) — media tracks, map pages and
-/// cache payloads stay shared copy-on-write until a fork writes them. Only
-/// the build is simulated: a fork adds no events to the process-wide
-/// counter, though its clock carries the build's count.
-pub fn aged_system(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
-    static CACHE: OnceMap<AgedKey, FsResult<CachedAged>> = OnceMap::new();
-    let build = || {
-        let (fs, file, file_blocks) = build_aged(spec)?;
-        let snap = fs
-            .snapshot()
-            .ok_or(FsError::Invalid("aged stack cannot snapshot"))?;
-        Ok(CachedAged {
-            snap,
-            file,
-            file_blocks,
-        })
-    };
-    CACHE.get(spec.key(), build, |cached| match cached {
-        Ok(c) => Ok((c.snap.restore(), c.file, c.file_blocks)),
-        Err(e) => Err(e.clone()),
-    })
 }

@@ -2,38 +2,25 @@
 //! disks and hosts improve. Same workload as Figure 9 (random 4 KB sync
 //! updates at 80 % utilisation), three platform generations.
 
-use crate::fig9::{measure, platforms};
+use crate::fig9::{platforms, Breakdown};
 use crate::format_table;
-use modelcheck::stack::DevKind;
 
-/// Speedups per platform: (name, UFS/regular ms, UFS/VLD ms, speedup).
-pub(crate) fn speedups(updates: u64) -> Vec<(&'static str, f64, f64, f64)> {
-    let points: Vec<_> = platforms()
-        .into_iter()
-        .flat_map(|(name, disk, host)| {
-            [DevKind::Regular, DevKind::Vld]
-                .into_iter()
-                .map(move |dev| (name, disk, host, dev))
-        })
-        .collect();
-    let totals = disksim::par::pmap(points, |(name, disk, host, dev)| {
-        measure(dev, disk, host, updates)
-            .unwrap_or_else(|e| panic!("{name} {}: {e}", dev.label()))
-            .total_ms()
-    });
+/// Speedups per platform from [`crate::fig9::measure_all`]'s breakdowns:
+/// (name, UFS/regular ms, UFS/VLD ms, speedup).
+pub(crate) fn speedups(measured: &[Breakdown]) -> Vec<(&'static str, f64, f64, f64)> {
     platforms()
         .into_iter()
-        .enumerate()
-        .map(|(i, (name, _, _))| {
-            let (reg, vld) = (totals[2 * i], totals[2 * i + 1]);
+        .zip(measured.chunks(2))
+        .map(|((name, _, _), pair)| {
+            let (reg, vld) = (pair[0].total_ms(), pair[1].total_ms());
             (name, reg, vld, reg / vld)
         })
         .collect()
 }
 
-/// Regenerate Table 2.
-pub fn run(updates: u64) -> String {
-    let rows: Vec<Vec<String>> = speedups(updates)
+/// Regenerate Table 2 from [`crate::fig9::measure_all`]'s breakdowns.
+pub fn run(measured: &[Breakdown]) -> String {
+    let rows: Vec<Vec<String>> = speedups(measured)
         .into_iter()
         .map(|(name, reg, vld, s)| {
             vec![
@@ -54,10 +41,11 @@ pub fn run(updates: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig9::measure_all;
 
     #[test]
     fn speedup_widens_with_technology() {
-        let s = speedups(150);
+        let s = speedups(&measure_all(150));
         let hp_sparc = s[0].3;
         let st_sparc = s[1].3;
         let st_ultra = s[2].3;

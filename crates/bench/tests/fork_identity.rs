@@ -1,6 +1,6 @@
-//! Fork-vs-rebuild identity properties for the aged-system snapshot cache.
+//! Fork-vs-rebuild identity properties for aged-system snapshots.
 //!
-//! The snapshot engine's contract is that a fork of a cached aged build is
+//! The snapshot engine's contract is that a fork of an aged build is
 //! *indistinguishable* from a from-scratch rebuild of the same
 //! [`AgedSpec`]: same measured latencies (bit-for-bit), same virtual clock,
 //! same logical media contents, same disk statistics — across all four
@@ -13,7 +13,7 @@ use fscore::{FileId, FileSystem, HostModel};
 use lfs::{CleanerStats, LogDisk};
 use modelcheck::stack::{DevKind, DiskKind, FsKind, Obs, StackSpec, SECTORS_PER_BLOCK};
 use ufs::{Ufs, UfsConfig};
-use vlfs_bench::setup::{aged_system, build_aged, AgedSpec};
+use vlfs_bench::setup::{build_aged, AgedSpec};
 use vlfs_bench::workload::{make_file, steady_state_update_ms, BLOCK};
 use vlog_core::{CompactStats, Vld};
 
@@ -207,11 +207,11 @@ fn fork_mutation_is_isolated() {
     );
 }
 
-/// The cached path ([`aged_system`]) serves concurrent workers the same
-/// state the rebuild oracle produces, at pool widths 1 and 4: every cell's
-/// fingerprint matches, wherever the build races land.
+/// One snapshot, forked by concurrent workers as the burst/idle grids
+/// fork theirs, serves each the state the rebuild oracle produces, at pool
+/// widths 1 and 4: every cell's fingerprint matches.
 #[test]
-fn cached_forks_match_rebuilds_under_parallel_workers() {
+fn forks_of_one_snapshot_match_rebuilds_under_parallel_workers() {
     let s = spec(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate);
     let cells: Vec<u64> = (0..6).collect();
     let oracle: Vec<Fingerprint> = cells
@@ -221,12 +221,14 @@ fn cached_forks_match_rebuilds_under_parallel_workers() {
             fingerprint(fs, f, fb, 60)
         })
         .collect();
+    let (built, f, fb) = build_aged(&s).expect("build");
+    let snap = built.snapshot().expect("snapshot");
+    drop(built);
     for width in [1usize, 4] {
         let got = par::pmap_in(width, cells.clone(), |_| {
-            let (fs, f, fb) = aged_system(&s).expect("cached fork");
-            fingerprint(fs, f, fb, 60)
+            fingerprint(snap.restore(), f, fb, 60)
         });
-        assert_eq!(got, oracle, "width {width}: cached fork diverged");
+        assert_eq!(got, oracle, "width {width}: fork diverged");
     }
 }
 

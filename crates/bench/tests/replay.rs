@@ -1,23 +1,17 @@
-//! Replays simulate nothing. The harness skips work it has already
-//! simulated in two places, the [`vlfs_bench::fig9::measure`] memo and the
-//! [`vlfs_bench::setup::aged_system`] snapshot cache. A replay returns
-//! what doing the work again would, bit for bit, and adds no events to the
-//! process-wide counter; a miss adds exactly the events its fresh system
-//! simulated. That counter is shared by every clock in the process, so
-//! this file holds exactly one test: its deltas are exact only while
-//! nothing else simulates beside it.
+//! A fork simulates nothing. The burst/idle grids build their aged state
+//! once and run each cell on a fork of its snapshot: the build adds exactly
+//! the events its own clock counted to the process-wide counter, and a
+//! fork adds none, though its clock carries the build's count, and it
+//! observes what [`build_aged`]'s system does. That counter is shared by
+//! every clock in the process, so this file holds exactly one test: its
+//! deltas are exact only while nothing else simulates beside it.
 
 use disksim::clock::events;
 use fscore::{FileId, FileSystem, HostModel};
 use modelcheck::stack::{DevKind, DiskKind, FsKind};
 use ufs::Ufs;
-use vlfs_bench::fig9::{measure, measure_fresh, Breakdown};
-use vlfs_bench::setup::{aged_system, build_aged, AgedSpec};
+use vlfs_bench::setup::{build_aged, AgedSpec};
 use vlfs_bench::workload::steady_state_update_ms;
-
-fn bits(b: &Breakdown) -> [u64; 4] {
-    [b.overhead_ms, b.locate_ms, b.transfer_ms, b.other_ms].map(f64::to_bits)
-}
 
 /// What a figure cell sees of an aged system: its clock, its device
 /// statistics, and the exact latency of a short measured workload.
@@ -29,58 +23,28 @@ fn observe(mut fs: Ufs, f: FileId, file_blocks: u64) -> (u64, u64, String, u64) 
 }
 
 #[test]
-fn replays_simulate_nothing() {
+fn forks_simulate_nothing() {
     let host = HostModel::sparcstation_10();
-    for (dev, disk) in [
-        (DevKind::Regular, DiskKind::Hp),
-        (DevKind::Vld, DiskKind::Seagate),
-    ] {
-        let e0 = events();
-        let miss = measure(dev, disk, host, 120).expect("first call measures");
-        let e1 = events();
-        let hit = measure(dev, disk, host, 120).expect("second call replays");
-        let e2 = events();
-        let fresh = measure_fresh(dev, disk, host, 120).expect("fresh run");
-        let e3 = events();
-
-        assert_eq!(bits(&hit), bits(&fresh), "{dev:?}/{disk:?}: hit != fresh");
-        assert_eq!(bits(&miss), bits(&fresh), "{dev:?}/{disk:?}: miss != fresh");
-        assert_eq!(e2 - e1, 0, "{dev:?}/{disk:?}: the hit simulated");
-        assert_eq!(e1 - e0, e3 - e2, "{dev:?}/{disk:?}: events of the miss");
-    }
-    // The key covers everything the result depends on: a different host is
-    // a different measurement, not a hit.
-    let e0 = events();
-    let other = measure(
-        DevKind::Regular,
-        DiskKind::Hp,
-        HostModel::ultrasparc_170(),
-        120,
-    )
-    .unwrap();
-    assert!(events() > e0, "a new key must simulate");
-    let hp = measure(DevKind::Regular, DiskKind::Hp, host, 120).unwrap();
-    assert_ne!(bits(&other), bits(&hp), "host model is part of the key");
-
-    // The aged-system cache: the call that builds simulates one build,
-    // exactly what the fresh system's own clock counted; a fork simulates
-    // nothing, though its clock carries the build's count.
     let spec = AgedSpec::new(FsKind::Ufs, DevKind::Vld, DiskKind::Hp, host, 0.25);
     let e0 = events();
-    let (built, file, file_blocks) = build_aged(&spec).expect("rebuild");
+    let (built, file, file_blocks) = build_aged(&spec).expect("build");
     let build_events = events() - e0;
     assert_eq!(build_events, built.clock().local_events());
-    let oracle = observe(built, file, file_blocks);
-    for (call, adds) in [("building", build_events), ("forking", 0)] {
+    let snap = built.snapshot().expect("snapshot");
+    let oracle = observe(build_aged(&spec).expect("rebuild").0, file, file_blocks);
+    for fork in 0..2 {
         let e0 = events();
-        let (fork, f, fb) = aged_system(&spec).expect("cached fork");
-        assert_eq!(events() - e0, adds, "{call} call");
+        let fs = snap.restore();
+        assert_eq!(events() - e0, 0, "fork {fork}");
         assert_eq!(
-            fork.clock().local_events(),
+            fs.clock().local_events(),
             build_events,
-            "{call} call's clock"
+            "fork {fork}'s clock"
         );
-        assert_eq!(f, file, "{call} call's file");
-        assert_eq!(observe(fork, f, fb), oracle, "{call} call != build_aged");
+        assert_eq!(
+            observe(fs, file, file_blocks),
+            oracle,
+            "fork {fork} != build_aged"
+        );
     }
 }

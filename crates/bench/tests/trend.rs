@@ -1,6 +1,6 @@
 //! `vlstat trend` refuses a history it cannot render: a malformed row, a
-//! row missing a required field, or a `pr` out of order each fail the run
-//! and name the line. The committed history renders, the same way every
+//! row missing a required field or holding an unknown one, or a `pr` out
+//! of order each fail the run and name the line. The committed history renders, the same way every
 //! time.
 
 use std::path::{Path, PathBuf};
@@ -55,6 +55,21 @@ fn a_row_missing_a_required_field_is_refused_by_line() {
     let ragged = GOOD.replace(r#"["one","2.5"]"#, r#"["one"]"#);
     let out = trend_of("ragged", &[&ragged]);
     refused(&out, 1, "has 1 cells for 2 columns");
+}
+
+#[test]
+fn a_row_with_a_key_outside_the_schema_is_refused_by_line() {
+    for optional in ["note", "parent", "date", "host"] {
+        let row = GOOD.replacen('{', &format!("{{\"{optional}\":\"x\","), 1);
+        let out = trend_of(&format!("optional_{optional}"), &[&row]);
+        assert!(out.status.success(), "{optional}: {out:?}");
+    }
+    let stray = GOOD.replacen('{', r#"{"wall_s":{"fs_mix":0.2},"#, 1);
+    let out = trend_of(
+        "unknown_key",
+        &[GOOD, &stray.replace(r#""pr":1"#, r#""pr":2"#)],
+    );
+    refused(&out, 2, "unknown field \"wall_s\"");
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use obs::{Metrics, OpKind, Spans, TraceEvent, Tracer};
 
@@ -207,72 +207,137 @@ const PAGE_BYTES: usize = PAGE_SECTORS as usize * SECTOR_BYTES;
 /// One page of media.
 type Page = [u8; PAGE_BYTES];
 
-/// Most pages [`FREE_PAGES`] keeps (16 MiB).
-const FREE_PAGES_CAP: usize = 4096;
+/// Most pages a thread's pool keeps (16 MiB).
+const POOL_CAP: usize = 4096;
 
-/// Pages a thread moves from [`FREE_PAGES`], or allocates, into its own
-/// list at a time.
+/// Pages a thread allocates at once when its pool is empty.
 const PAGE_BATCH: usize = 64;
 
-/// A kept write parks the page it replaced in [`LOCAL_PAGES`] while that
-/// holds fewer pages than this: enough to carry a synchronous overwrite's
-/// replaced page to the file layer's next buffer without a lock. A fuller
-/// list sends it to [`FREE_PAGES`].
-const POOL_CAP: usize = 16;
-
-/// Pages no table holds any more, kept for reuse. A fresh page from the
-/// allocator is memory the process has not touched yet, or gave back to
-/// the kernel when the pages before it were freed, so its first write
-/// takes a page fault, which costs more than the write. Forks take and
-/// drop thousands of pages, and the free list turns those faults into
-/// reuse. A dropped table parks its pages under one lock (and a kept
-/// write the page it replaced, when the thread's own list is full: see
-/// [`park`]), and a thread takes them [`PAGE_BATCH`] at a time into
-/// [`LOCAL_PAGES`], so parallel forks do not queue behind the lock. The
-/// list is kept in address order and hands out its lowest pages first,
-/// so the pages a table takes lie close together rather than wherever the
-/// last dropped table left them (the quick suite runs about 8 % faster
-/// than with a plain stack). What a parked page holds is never read: a
-/// page taken from the list is wholly written before any read.
-static FREE_PAGES: Mutex<Vec<Arc<Page>>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// This thread's page pool: a batch of parked or new pages, lowest
-    /// address last, and the pages kept writes replaced ([`park`]), taken
-    /// first.
-    static LOCAL_PAGES: RefCell<Vec<Arc<Page>>> = const { RefCell::new(Vec::new()) };
+/// Pages no table holds any more, kept for reuse by the thread that let
+/// them go. A fresh page from the allocator is memory the process has not
+/// touched yet, or gave back to the kernel when the pages before it were
+/// freed, so its first write takes a page fault, which costs more than the
+/// write. Forks take and drop thousands of pages, and the pool turns those
+/// faults into reuse.
+///
+/// The pool is one list, taken from the top (its end). The pages kept
+/// writes replaced lie on top ([`park`]), so they are reused while still
+/// warm. Below them lie a dropped table's pages in address order, lowest
+/// nearest the top, so the pages a table takes lie close together rather
+/// than wherever the last dropped table left them (the quick suite runs
+/// about 8 % faster than with a plain stack). What a parked page holds is
+/// never read: a page taken from the pool is wholly written before any
+/// read.
+///
+/// Each thread owns its pool, so no page is reachable from two threads:
+/// [`crate::par::pmap_in`] cuts the caller's pool into one share per
+/// worker ([`PagePool::split_local`]) and parks what the workers hold when
+/// they finish back on the caller ([`PagePool::rejoin_local`]).
+#[derive(Default)]
+pub(crate) struct PagePool {
+    /// The parked pages, taken from the end.
+    pages: Vec<Arc<Page>>,
+    /// How many pages at the end of `pages` kept writes replaced.
+    warm: usize,
 }
 
-/// Park `page`, which a kept write replaced, if no one else holds it, so
-/// the next fresh page or [`pooled_copy`] reuses it while it is still warm
-/// instead of freeing it: in this thread's pool while that holds fewer
-/// than [`POOL_CAP`] pages, else on [`FREE_PAGES`] while that has room
-/// (out of address order, so it is taken first), else let it go. A
-/// compactor pass hands hundreds of moved blocks' destinations their
-/// victims' pages; the pages it replaces there are what the writes that
-/// later refill the victims take, and freeing them meant allocating as
-/// many again (1.3 allocations per op on `burst_idle_vld` through a
-/// copying layer).
-fn park(mut page: Arc<Page>) {
-    if Arc::get_mut(&mut page).is_none() {
-        return;
+thread_local! {
+    /// This thread's page pool.
+    static POOL: RefCell<PagePool> = const {
+        RefCell::new(PagePool { pages: Vec::new(), warm: 0 })
+    };
+}
+
+impl PagePool {
+    /// Pages the pool may still take. The list is reserved to its cap the
+    /// first time, so parking never grows it: a list that grows as it
+    /// fills reallocates, and the logical disk's allocation gate counts
+    /// that.
+    fn room(&mut self) -> usize {
+        if self.pages.capacity() < POOL_CAP {
+            self.pages.reserve_exact(POOL_CAP - self.pages.len());
+        }
+        POOL_CAP - self.pages.len()
     }
-    let spilled = LOCAL_PAGES.with_borrow_mut(|local| {
-        if local.len() < POOL_CAP {
-            local.push(page);
-            None
-        } else {
-            Some(page)
+
+    /// The top page, if any.
+    fn take(&mut self) -> Option<Arc<Page>> {
+        let page = self.pages.pop()?;
+        self.warm = self.warm.saturating_sub(1);
+        Some(page)
+    }
+
+    /// Park a page a kept write replaced on top, if there is room.
+    fn park_warm(&mut self, page: Arc<Page>) {
+        if self.room() > 0 {
+            self.pages.push(page);
+            self.warm += 1;
         }
-    });
-    let Some(page) = spilled else { return };
-    if let Ok(mut free) = FREE_PAGES.lock() {
-        let len = free.len();
-        if len < FREE_PAGES_CAP {
-            // Sized to the cap once, so a spill never grows the list.
-            free.reserve_exact(FREE_PAGES_CAP - len);
-            free.push(page);
+    }
+
+    /// Park `pages` below the warm ones, as many as there is room for,
+    /// and put everything below the warm pages in address order, lowest
+    /// nearest the top.
+    fn park_cold(&mut self, pages: impl IntoIterator<Item = Arc<Page>>) {
+        let (room, len) = (self.room(), self.pages.len());
+        self.pages.extend(pages.into_iter().take(room));
+        if self.pages.len() == len {
+            return;
         }
+        self.pages[len - self.warm..].rotate_left(self.warm);
+        let cold = self.pages.len() - self.warm;
+        self.pages[..cold].sort_unstable_by_key(|page| Reverse(Arc::as_ptr(page)));
+    }
+
+    /// This thread's pool cut into `n` pools, top first, each reserved to
+    /// the cap; this thread's pool is left empty.
+    pub(crate) fn split_local(n: usize) -> Vec<PagePool> {
+        POOL.with_borrow_mut(|pool| {
+            let share = pool.pages.len().div_ceil(n);
+            (0..n)
+                .map(|_| {
+                    let at = pool.pages.len().saturating_sub(share);
+                    let mut pages = Vec::with_capacity(POOL_CAP);
+                    pages.extend(pool.pages.drain(at..));
+                    let warm = pool.warm.min(pages.len());
+                    pool.warm -= warm;
+                    PagePool { pages, warm }
+                })
+                .collect()
+        })
+    }
+
+    /// Park what `pools` hold on this thread's pool: their warm pages on
+    /// top, the rest in address order below.
+    pub(crate) fn rejoin_local(pools: Vec<PagePool>) {
+        POOL.with_borrow_mut(|pool| {
+            for mut other in pools {
+                let warm = other.pages.split_off(other.pages.len() - other.warm);
+                pool.park_cold(other.pages);
+                warm.into_iter().for_each(|page| pool.park_warm(page));
+            }
+        });
+    }
+
+    /// Run `f` with `self` as this thread's pool, and return what `f`
+    /// returns and the pool as `f` left it.
+    pub(crate) fn lend<T>(self, f: impl FnOnce() -> T) -> (T, PagePool) {
+        let before = POOL.replace(self);
+        let out = f();
+        (out, POOL.replace(before))
+    }
+}
+
+/// Park `page`, which a kept write replaced, on top of this thread's pool
+/// if no one else holds it, so the next fresh page or [`pooled_copy`]
+/// reuses it while it is still warm instead of freeing it. A compactor
+/// pass hands hundreds of moved blocks' destinations their victims' pages;
+/// the pages it replaces there are what the writes that later refill the
+/// victims take, and freeing them meant allocating as many again (1.3
+/// allocations per op on `burst_idle_vld` through a copying layer).
+fn park(mut page: Arc<Page>) {
+    if Arc::get_mut(&mut page).is_some() {
+        POOL.with_borrow_mut(|pool| pool.park_warm(page));
     }
 }
 
@@ -292,31 +357,24 @@ pub fn pooled_copy(bytes: &[u8]) -> Arc<[u8]> {
     page
 }
 
-/// A page no one else holds: a parked one, or a new one. With nothing
-/// parked, a thread allocates [`PAGE_BATCH`] pages at once, so new pages
-/// lie together in the heap rather than each between the short-lived
+/// A page no one else holds: the pool's top one, or a new one. With
+/// nothing parked, a thread allocates [`PAGE_BATCH`] pages at once, so new
+/// pages lie together in the heap rather than each between the short-lived
 /// blocks the file layers allocate and free around it (`fs_mix`, whose
-/// VLD stacks keep writing never-written pages, ran about 15 % slower
-/// with one allocation per page).
+/// VLD stacks keep writing never-written pages, ran about 15 % slower with
+/// one allocation per page).
 fn fresh_page() -> Arc<Page> {
-    LOCAL_PAGES.with_borrow_mut(|local| {
-        if local.is_empty() {
-            if let Ok(mut free) = FREE_PAGES.lock() {
-                let rest = free.len().saturating_sub(PAGE_BATCH);
-                local.extend(free.drain(rest..));
-            }
-        }
-        if local.is_empty() {
-            local.extend((0..PAGE_BATCH).map(|_| Arc::new([0; PAGE_BYTES])));
-            local.reverse();
-        }
-        local.pop().expect("a batch was just taken")
+    POOL.with_borrow_mut(|pool| {
+        pool.take().unwrap_or_else(|| {
+            pool.park_cold((0..PAGE_BATCH).map(|_| Arc::new([0; PAGE_BYTES])));
+            pool.take().expect("a batch was just parked")
+        })
     })
 }
 
 /// A page table: entry `i` holds the media's page `i` (see [`PageStore`]),
 /// `None` reading as zeros. Sharing it ([`Pages::share`]) shares every
-/// page; dropping it parks the pages it alone held on [`FREE_PAGES`].
+/// page; dropping it parks the pages it alone held in this thread's pool.
 #[derive(Clone)]
 struct Pages(Vec<Option<Arc<Page>>>);
 
@@ -335,21 +393,14 @@ impl Pages {
 
 impl Drop for Pages {
     fn drop(&mut self) {
-        // Let go of the shared pages before taking the lock.
-        self.0
-            .retain_mut(|page| page.as_mut().and_then(Arc::get_mut).is_some());
-        if self.0.is_empty() {
-            return;
-        }
-        if let Ok(mut free) = FREE_PAGES.lock() {
-            let room = FREE_PAGES_CAP.saturating_sub(free.len());
-            if room > 0 {
-                self.0.truncate(room);
-                free.extend(self.0.drain(..).flatten());
-                // Lowest addresses last, so they are taken first.
-                free.sort_by_key(|page| Reverse(Arc::as_ptr(page)));
-            }
-        }
+        let sole = self
+            .0
+            .drain(..)
+            .flatten()
+            .filter_map(|mut page| Arc::get_mut(&mut page).is_some().then_some(page));
+        // A table dropped while this thread's locals are torn down frees
+        // its pages.
+        let _ = POOL.try_with(|pool| pool.borrow_mut().park_cold(sole));
     }
 }
 
@@ -2328,8 +2379,8 @@ mod tests {
         let mut d = disk();
         d.write_sectors(16, &[1u8; PAGE_BYTES]).unwrap();
         let old = d.store.pages.0[2].as_ref().map(|p| Arc::as_ptr(p) as *const u8);
-        // Start from an empty pool, whatever this thread's batch holds.
-        LOCAL_PAGES.with_borrow_mut(Vec::clear);
+        // Start from an empty pool, whatever this thread's tests parked.
+        POOL.take();
         let block: Arc<[u8]> = Arc::from(&[7u8; PAGE_BYTES][..]);
         d.write_gathered(16, &[&block]).unwrap();
         let copy = pooled_copy(&[9u8; PAGE_BYTES]);
@@ -2338,8 +2389,80 @@ mod tests {
 
         let other: Arc<[u8]> = Arc::from(&[8u8; PAGE_BYTES][..]);
         d.write_gathered(16, &[&other]).unwrap();
-        assert_eq!(LOCAL_PAGES.with_borrow(Vec::len), 0, "the caller still holds it");
+        assert!(parked().is_empty(), "the caller still holds it");
         assert!(block.iter().all(|&b| b == 7));
+    }
+
+    /// The addresses of the pages in this thread's pool, top first.
+    fn parked() -> Vec<usize> {
+        POOL.with_borrow(|pool| {
+            pool.pages
+                .iter()
+                .rev()
+                .map(|p| Arc::as_ptr(p) as usize)
+                .collect()
+        })
+    }
+
+    /// A kept write's replaced page goes on top of the pool, above a
+    /// dropped table's pages, which lie in address order, lowest nearest
+    /// the top.
+    #[test]
+    fn warm_pages_lie_above_a_dropped_tables_pages() {
+        POOL.take();
+        let mut d = disk();
+        d.write_sectors(0, &[1u8; 3 * PAGE_BYTES]).unwrap();
+        let mut table: Vec<usize> = d.store.pages.0[..3]
+            .iter()
+            .map(|p| Arc::as_ptr(p.as_ref().unwrap()) as usize)
+            .collect();
+        let replaced = table.pop().unwrap();
+        // Warm the page behind the two the table keeps.
+        let block: Arc<[u8]> = Arc::from(&[7u8; PAGE_BYTES][..]);
+        d.write_gathered(16, &[&block]).unwrap();
+        drop(d);
+        table.sort();
+        let mut batch = parked();
+        assert_eq!(batch.remove(0), replaced, "the warm page is on top");
+        let cold: Vec<_> = batch
+            .iter()
+            .filter(|p| table.contains(p))
+            .copied()
+            .collect();
+        assert_eq!(cold, table, "in address order, lowest nearest the top");
+        assert!(batch.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// `pmap_in` hands each worker its own share of the caller's pool, no
+    /// page to two workers, and takes the shares back: the caller's next
+    /// fresh pages are the ones it parked before.
+    #[test]
+    fn pmap_hands_the_pool_to_its_workers_and_takes_it_back() {
+        POOL.take();
+        let pages: Vec<Arc<Page>> = (0..8).map(|_| Arc::new([0; PAGE_BYTES])).collect();
+        let mut before: Vec<usize> = pages.iter().map(|p| Arc::as_ptr(p) as usize).collect();
+        let alive: Vec<_> = pages.iter().map(Arc::downgrade).collect();
+        POOL.with_borrow_mut(|pool| pool.park_cold(pages));
+        let both = std::sync::Barrier::new(2);
+        let shares = crate::par::pmap_in(2, vec![(); 2], |()| {
+            // Each worker takes one item: neither leaves the barrier alone.
+            both.wait();
+            parked()
+        });
+        assert!(shares.iter().all(|share| !share.is_empty()), "{shares:?}");
+        let mut handed: Vec<_> = shares.concat();
+        handed.sort();
+        before.sort();
+        assert_eq!(handed, before, "every page to exactly one worker");
+        assert!(
+            alive.iter().all(|p| p.strong_count() == 1),
+            "a page was let go"
+        );
+        let mut back: Vec<_> = (0..8)
+            .map(|_| Arc::as_ptr(&fresh_page()) as usize)
+            .collect();
+        back.sort();
+        assert_eq!(back, before, "the caller's pages came back");
     }
 
     /// `disk.read_bytes_copied` counts what the copying read delivers into

@@ -91,35 +91,13 @@ impl MechModel {
 
     /// Precompute the seek curve over every distance a disk of `cylinders`
     /// cylinders can ask for, replacing the per-call `sqrt` with a lookup.
-    ///
-    /// Tables are interned process-wide by (curve, cylinder count): every
-    /// disk built from the same spec — pool workers, snapshot forks, the
-    /// oracle rebuild path — shares one allocation instead of re-deriving
-    /// the curve per system.
+    /// The simulated drives have at most a few dozen cylinders, so each
+    /// drive builds its own; snapshot forks share their drive's through
+    /// its `Arc`.
     pub(crate) fn seek_table(&self, cylinders: u32) -> SeekTable {
-        use std::collections::HashMap;
-        use std::sync::{Mutex, OnceLock};
-        type Key = (u32, u64, u64, u64, u32, u64, u64, u32);
-        static TABLES: OnceLock<Mutex<HashMap<Key, Arc<[u64]>>>> = OnceLock::new();
-        let key = (
-            self.rpm,
-            self.head_switch_ns,
-            self.seek_a_ms.to_bits(),
-            self.seek_b_ms.to_bits(),
-            self.seek_threshold,
-            self.seek_c_ms.to_bits(),
-            self.seek_e_ms.to_bits(),
-            cylinders,
-        );
-        let mut tables = TABLES
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("seek-table cache poisoned");
-        let ns = tables
-            .entry(key)
-            .or_insert_with(|| (0..cylinders.max(1)).map(|d| self.seek_ns(d)).collect())
-            .clone();
-        SeekTable { ns }
+        SeekTable {
+            ns: (0..cylinders.max(1)).map(|d| self.seek_ns(d)).collect(),
+        }
     }
 
     /// Rotational offset (in sectors) of the head over a track with
@@ -163,8 +141,8 @@ pub(crate) fn sector_at_phase(in_rev: u64, spt: u32, rev_ns: u64) -> u32 {
 /// and every lower-bound prune evaluates it); the two-piece curve costs a
 /// float `sqrt` per call, so the table turns that into an indexed load. The
 /// values are produced by [`MechModel::seek_ns`] itself, so table and curve
-/// agree bit-for-bit. The storage is shared (`Arc`): cloning a table — per
-/// pool worker, per snapshot fork — copies a pointer, not the curve.
+/// agree bit-for-bit. The storage is shared (`Arc`): cloning a table (per
+/// snapshot fork) copies a pointer, not the curve.
 #[derive(Debug, Clone)]
 pub(crate) struct SeekTable {
     ns: Arc<[u64]>,

@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread;
 
+use crate::disk::PagePool;
+
 /// Number of worker threads `pmap` uses.
 ///
 /// Resolution order: [`set_threads`] (a driver's `--threads` flag), the
@@ -90,23 +92,34 @@ where
     let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let outputs: Vec<Mutex<Option<T>>> = (0..inputs.len()).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= inputs.len() {
-                    break;
-                }
-                let item = inputs[i]
-                    .lock()
-                    .expect("input slot poisoned")
-                    .take()
-                    .expect("each slot is taken exactly once");
-                let out = f(item);
-                *outputs[i].lock().expect("output slot poisoned") = Some(out);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= inputs.len() {
+            break;
         }
+        let item = inputs[i]
+            .lock()
+            .expect("input slot poisoned")
+            .take()
+            .expect("each slot is taken exactly once");
+        let out = f(item);
+        *outputs[i].lock().expect("output slot poisoned") = Some(out);
+    };
+    // Each worker runs on a share of this thread's page pool, and the
+    // worker's pool comes back here when it finishes, so no page is
+    // reachable from two threads and the pages the tasks parked outlive
+    // the workers.
+    let pools = thread::scope(|s| {
+        let handles: Vec<_> = PagePool::split_local(workers)
+            .into_iter()
+            .map(|share| s.spawn(|| share.lend(work).1))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
+    PagePool::rejoin_local(pools);
     outputs
         .into_iter()
         .map(|m| {

@@ -16,10 +16,10 @@
 //! single-cylinder (0.5 ms), average (~5.4 ms) and full-stroke (~10.5 ms)
 //! seeks, matching the paper's "coarse approximation" approach.
 //!
-//! Like the paper — which could only fit 36 HP cylinders or 11 Seagate
-//! cylinders in its 24 MB kernel ramdisk — the `*_sim` constructors build
-//! small disks for experiments, and the `*_full` constructors build the
-//! whole drive.
+//! Like the paper, which could only fit 36 HP cylinders or 11 Seagate
+//! cylinders in its 24 MB kernel ramdisk, the `*_sim` constructors build
+//! those slices; `hp97560` and `st19101` build a slice of any number of
+//! cylinders (tests use one to a few).
 
 use crate::geometry::Geometry;
 use crate::mech::MechModel;

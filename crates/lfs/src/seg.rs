@@ -16,7 +16,7 @@ use fscore::{FsError, FsResult};
 /// and, folded to 32 bits by [`seal`], checkpoints. A crash can tear the
 /// multi-block segment flush (summary first, data after); the checksums let
 /// mount detect and discard such segments instead of replaying garbage.
-pub use disksim::digest::{digest, Digest};
+pub use disksim::digest::digest;
 
 /// Device blocks per segment (512 KB / 4 KB).
 pub(crate) const SEG_BLOCKS: u64 = 128;

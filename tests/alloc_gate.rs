@@ -8,13 +8,15 @@
 //! copies hand the drive pages (and a cleaner copy reads none of its
 //! bytes: it carries the digest its victim's summary records).
 //!
-//! Allocations are counted per thread, so tests running beside this one
-//! on other threads do not show up in its count.
+//! Allocations are counted per thread, and the drive's page pool is one
+//! per thread, so tests running beside a gate on other threads neither
+//! show up in its count nor take the pages its cycle parks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use vlfs::disksim::{
     BlockDevice, DiskSpec, DiskStats, Metrics, RegularDisk, Result as DiskResult, ServiceTime,
@@ -74,12 +76,6 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Held by each gate for its whole run. The drive's page pool has a list
-/// all threads share, and a gate running beside another can find it
-/// drained by the other and allocate a batch of pages that its own cycle
-/// would not have needed.
-static ONE_GATE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
 /// Blocks of the one file the overwrites land in.
 const FILE_BLOCKS: u64 = 4000;
 
@@ -105,12 +101,10 @@ fn aged_vld() -> Vld {
 }
 
 /// Allocation requests of `ops` synchronous 4 KiB overwrites at
-/// scattered blocks of a file on UFS over the device `dev` builds (inside
-/// the gate, since building takes pages from the shared pool), after
-/// `warm` such overwrites.
-fn overwrite_allocs(dev: impl FnOnce() -> Box<dyn BlockDevice>, warm: u64, ops: u64) -> u64 {
-    let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let mut fs = Ufs::format(dev(), HostModel::instant(), UfsConfig::default()).unwrap();
+/// scattered blocks of a file on UFS over `dev`, after `warm` such
+/// overwrites.
+fn overwrite_allocs(dev: Box<dyn BlockDevice>, warm: u64, ops: u64) -> u64 {
+    let mut fs = Ufs::format(dev, HostModel::instant(), UfsConfig::default()).unwrap();
     let f = fs.create("f").unwrap();
     fs.write(f, 0, &vec![1u8; 4096 * FILE_BLOCKS as usize])
         .unwrap();
@@ -129,19 +123,13 @@ fn overwrite_allocs(dev: impl FnOnce() -> Box<dyn BlockDevice>, warm: u64, ops: 
 
 #[test]
 fn warm_synchronous_overwrites_allocate_nothing_on_the_vld() {
-    assert_eq!(overwrite_allocs(|| Box::new(aged_vld()), 200, 500), 0);
+    assert_eq!(overwrite_allocs(Box::new(aged_vld()), 200, 500), 0);
 }
 
 #[test]
 fn warm_synchronous_overwrites_allocate_nothing_on_the_regular_disk() {
-    let disk = || -> Box<dyn BlockDevice> {
-        Box::new(RegularDisk::new(
-            DiskSpec::hp97560_sim(),
-            SimClock::new(),
-            4096,
-        ))
-    };
-    assert_eq!(overwrite_allocs(disk, 200, 500), 0);
+    let disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
+    assert_eq!(overwrite_allocs(Box::new(disk), 200, 500), 0);
 }
 
 /// Allocation requests of `rounds` rounds of 64 delayed 4 KiB overwrites
@@ -149,8 +137,7 @@ fn warm_synchronous_overwrites_allocate_nothing_on_the_regular_disk() {
 /// `warm` such rounds. Each sync flushes 64 one-block runs. An idle grant
 /// follows each round and is not counted: on the logical disk it cleans,
 /// so the log reuses written pages and the drive parks the pages it
-/// replaces for the cache's next copy-on-write. The caller holds
-/// [`ONE_GATE_AT_A_TIME`].
+/// replaces for the cache's next copy-on-write.
 fn delayed_sync_allocs(dev: Box<dyn BlockDevice>, warm: u64, rounds: u64) -> u64 {
     let mut fs = Ufs::format(dev, HostModel::instant(), UfsConfig::default()).unwrap();
     let f = fs.create("f").unwrap();
@@ -180,7 +167,6 @@ fn delayed_sync_allocs(dev: Box<dyn BlockDevice>, warm: u64, rounds: u64) -> u64
 /// allocates nothing, over the regular disk and over the logical disk.
 #[test]
 fn warm_delayed_writes_and_syncs_allocate_nothing() {
-    let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let disk = || RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
     assert_eq!(
         delayed_sync_allocs(Box::new(disk()), 40, 40),
@@ -285,9 +271,9 @@ struct LldRounds {
 /// bytes it digested, over `rounds` rounds of 64 synchronous 4 KiB
 /// overwrites at scattered blocks of a file, a sync and an idle grant that
 /// cleans, on UFS over the logical disk over the regular disk, after
-/// `warm` such rounds.
-fn lld_round_allocs(warm: u64, rounds: u64) -> LldRounds {
-    let _alone = ONE_GATE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+/// `warm` such rounds. The counted rounds start once `start` lets them,
+/// and go on past `rounds` while `busy` reads true.
+fn lld_round_allocs(warm: u64, rounds: u64, start: &Barrier, busy: &AtomicBool) -> LldRounds {
     let disk = RegularDisk::new(DiskSpec::hp97560_sim(), SimClock::new(), 4096);
     let cfg = LldConfig {
         idle_clean_target: u32::MAX,
@@ -323,9 +309,14 @@ fn lld_round_allocs(warm: u64, rounds: u64) -> LldRounds {
     };
     // Each round ends in an idle grant, which publishes the work counter.
     let digested = || metrics.counter_value("lld.bytes_digested");
+    start.wait();
     let (before, cleaned_before) = (allocs(), cleaned(&fs));
     let (handed_before, digested_before) = (blocks.get(), digested());
-    (warm..warm + rounds).for_each(|r| round(&mut fs, r));
+    let mut r = warm;
+    while r < warm + rounds || busy.load(Ordering::Acquire) {
+        round(&mut fs, r);
+        r += 1;
+    }
     LldRounds {
         allocs: allocs() - before,
         cleaned: cleaned(&fs) - cleaned_before,
@@ -348,15 +339,45 @@ fn warm_bursts_syncs_and_cleaning_allocate_nothing_per_block_on_the_logical_disk
         cleaned,
         handed,
         digested,
-    } = lld_round_allocs(40, 40);
-    assert!(cleaned > 0, "the idle grants must clean");
-    assert!(
-        allocs <= 2 * cleaned,
-        "{allocs} allocations, {cleaned} segments cleaned"
-    );
+    } = lld_round_allocs(40, 40, &Barrier::new(1), &AtomicBool::new(false));
+    assert_at_most_two_allocations_per_cleaned_segment(allocs, cleaned);
     assert_eq!(
         digested,
         handed * 4096,
         "a block the file layer hands the log is digested exactly once, a cleaner copy never"
     );
+}
+
+/// The logical-disk gate's bound: the idle grants cleaned, and each
+/// cleaned segment allocated at most twice.
+fn assert_at_most_two_allocations_per_cleaned_segment(allocs: u64, cleaned: u64) {
+    assert!(cleaned > 0, "the idle grants must clean");
+    assert!(
+        allocs <= 2 * cleaned,
+        "{allocs} allocations, {cleaned} segments cleaned"
+    );
+}
+
+/// The VLD overwrite gate and the logical-disk rounds, run at once on two
+/// threads, each read what they read alone. The logical disk's counted
+/// rounds start as the other thread starts building its VLD and go on
+/// until its measured overwrites end, so they run beside every page that
+/// thread takes and parks. A page one thread parks is never the other's
+/// to take, so neither finds its pool drained and allocates pages its own
+/// cycle did not need.
+#[test]
+fn gates_side_by_side_read_what_they_read_alone() {
+    let (start, busy) = (Barrier::new(2), AtomicBool::new(true));
+    let (vld, lld) = std::thread::scope(|s| {
+        let vld = s.spawn(|| {
+            start.wait();
+            let n = std::panic::catch_unwind(|| overwrite_allocs(Box::new(aged_vld()), 200, 500));
+            busy.store(false, Ordering::Release);
+            n.unwrap_or_else(|e| std::panic::resume_unwind(e))
+        });
+        let lld = s.spawn(|| lld_round_allocs(40, 40, &start, &busy));
+        (vld.join().unwrap(), lld.join().unwrap())
+    });
+    assert_eq!(vld, 0, "the VLD overwrites beside the logical disk");
+    assert_at_most_two_allocations_per_cleaned_segment(lld.allocs, lld.cleaned);
 }

@@ -1,6 +1,10 @@
 //! Knob inventory: the workspace reads exactly four environment variables,
 //! and README's "Environment" table documents each of them.
 //!
+//! Static inventory: every library `static` that can change and every
+//! `thread_local!` is listed with its reason, so simulator state does not
+//! become shared by every stack in the process without a reviewed edit.
+//!
 //! Every independent knob doubles the configurations tests and CI must
 //! cover, so adding one has to be a deliberate, reviewed edit of the list
 //! below — not a stray `env::var` deep in a crate.
@@ -38,6 +42,39 @@ const KNOBS: [&str; 4] = [
     "VLFS_MC_SMOKE_SEEDS",
     "VLFS_SEED",
     "VLFS_THREADS",
+];
+
+/// Every library `static` that can change, and every `thread_local!`,
+/// with why it stays: state shared by the stacks of one process makes a
+/// result depend on what ran beside it, so each entry must earn its keep.
+/// A `static` can change when its type names a type rather than only
+/// primitives and arrays of them: `Mutex`, `RwLock`, `OnceLock`,
+/// `LazyLock`, `Atomic*`, `Cell`, `RefCell` or a wrapper of one.
+const STATICS: [(&str, &str, &str); 4] = [
+    (
+        "crates/disksim/src/clock.rs",
+        "EVENTS",
+        "the process-wide event count: benchmark/src/layers.rs reads it \
+         (clock::events), so it goes when the benchmark sums per-clock counts",
+    ),
+    (
+        "crates/disksim/src/disk.rs",
+        "POOL",
+        "the drive's page pool, one per thread: pmap hands each worker a \
+         share of the caller's and takes it back, so no page is reachable \
+         from two threads",
+    ),
+    (
+        "crates/disksim/src/par.rs",
+        "CONFIGURED",
+        "the --threads knob: all_figures sets it once from its flag",
+    ),
+    (
+        "crates/modelcheck/src/diff.rs",
+        "CACHE",
+        "format_writes's count, a pure function of its StackSpec, until \
+         episodes fork a formatted snapshot instead of formatting",
+    ),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -127,6 +164,98 @@ fn the_workspace_reads_exactly_the_documented_env_vars() {
             "{knob} has no row in README's Environment table"
         );
     }
+}
+
+/// The `static` items declared in `code` (comment lines already gone):
+/// each one's offset, name and type.
+fn static_items(code: &str) -> Vec<(usize, &str, &str)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut items = Vec::new();
+    for (at, _) in code.match_indices("static ") {
+        if code[..at].ends_with(|c: char| c == '\'' || is_ident(c)) {
+            continue; // a lifetime, or part of a longer word
+        }
+        let rest = code[at + "static ".len()..].trim_start();
+        let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+        let name_end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+        let (name, rest) = rest.split_at(name_end);
+        let Some(ty) = rest.trim_start().strip_prefix(':') else {
+            continue;
+        };
+        let ty = &ty[..ty.find(['=', ';']).unwrap_or(ty.len())];
+        items.push((at, name, ty.trim()));
+    }
+    items
+}
+
+/// Every `static` under `crates/*/src` outside tests that can change, and
+/// every `static` a `thread_local!` declares, as (file, name).
+fn shared_statics(root: &Path) -> BTreeSet<(String, String)> {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("readable directory entry").path().join("src"),
+            &mut files,
+        );
+    }
+    let mut found = BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("walked from root");
+        let rel = rel.to_str().expect("UTF-8 path").to_owned();
+        let src = fs::read_to_string(file).expect("readable source file");
+        let code: String = non_test(&src)
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        let locals: Vec<(usize, usize)> = code
+            .match_indices("thread_local!")
+            .map(|(at, _)| {
+                let open = at + code[at..].find('{').expect("thread_local! block");
+                let mut depth = 0;
+                let close = code[open..]
+                    .char_indices()
+                    .find(|&(_, c)| {
+                        depth += (c == '{') as i32 - (c == '}') as i32;
+                        depth == 0
+                    })
+                    .map_or(code.len(), |(i, _)| open + i);
+                (open, close)
+            })
+            .collect();
+        for (at, name, ty) in static_items(&code) {
+            let local = locals
+                .iter()
+                .any(|&(open, close)| (open..close).contains(&at));
+            let names_a_type = ty
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .any(|word| {
+                    word.starts_with(char::is_uppercase) && word.contains(char::is_lowercase)
+                });
+            if local || names_a_type || code[at..].starts_with("static mut") {
+                found.insert((rel.clone(), name.to_owned()));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_shared_static_is_listed_with_its_reason() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let found = shared_statics(root);
+    let listed: BTreeSet<(String, String)> = STATICS
+        .iter()
+        .map(|&(file, name, _)| (file.to_owned(), name.to_owned()))
+        .collect();
+    let new: Vec<_> = found.difference(&listed).collect();
+    let stale: Vec<_> = listed.difference(&found).collect();
+    assert!(
+        new.is_empty() && stale.is_empty(),
+        "shared statics changed: new {new:?} (state a run owns belongs in a value its \
+         caller passes down; one that must stay needs an entry in STATICS with its \
+         reason), stale entries {stale:?}"
+    );
 }
 
 /// The calls that assemble or remount a file-system stack.
